@@ -17,7 +17,7 @@ cfg = dataclasses.replace(
     scenario=dataclasses.replace(cfg.scenario, frames=250,
                                  occlusion_rate=0.15))
 
-report = run_pipeline(cfg)
+report, _ = run_pipeline(cfg)
 
 t = report["tracking"]
 print("tracking (desk scale, model features)")

@@ -4,8 +4,8 @@ tracker with EMA part features, appearance-based tracklet merging, and a
 full retrieval + tracking evaluation suite on synthetic scenarios."""
 
 from .core import (BoundingBox, Detection, KalmanState, NoMutualVisibility,
-                   PartFeatureSet, Role, TrackStatus, Tracklet, derive_concat,
-                   iou, part_distance, part_distance_matrix)
+                   PartFeatureSet, Role, TrackStatus, Tracklet, iou_matrix,
+                   part_distance, part_distance_matrix)
 from .losses import (DegenerateBatch, LossValue, LossWeights, TripletConfig,
                      cross_entropy_id, focal_loss, gilt_loss,
                      part_prediction_loss, total_loss, triplet_batch_hard)

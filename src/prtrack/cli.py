@@ -15,17 +15,15 @@ import pickle
 import sys
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from .config import (RangeError, RunConfig, UnknownKeyError, config_from_dict,
-                     config_to_dict, load_config)
-from .core import Role
+from .config import (RangeError, RunConfig, UnknownKeyError, config_to_dict,
+                     load_config)
 from .motio import (FeatureRecord, MotRecord, ParseError, load_model,
                     parse_features, parse_mot, save_model, write_features,
                     write_mot)
 from .pipeline import (embed_detections, evaluate_reid, gt_to_records,
-                       records_to_result, run_pipeline_full, team_accuracy,
+                       records_to_result, run_pipeline, team_accuracy,
                        track_frames, tracklets_to_records, train_on_scenario)
 from .postproc import TooFewPlayers, assign_roles, assign_teams, \
     merge_tracklets
@@ -137,8 +135,6 @@ def cmd_embed(args) -> int:
 
 def _load_frame_inputs(run_dir: Path, cfg: RunConfig):
     """Rebuild tracker inputs from the detection and feature files."""
-    from .core import Detection
-
     scenario = generate(cfg.scenario)
     frame_inputs, gt_records = to_tracking_input(
         scenario, detector_noise=cfg.detector_noise,
@@ -255,7 +251,7 @@ def cmd_pipeline(args) -> int:
     cfg = _load_run_config(args)
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
-    report, artifacts = run_pipeline_full(cfg)
+    report, artifacts = run_pipeline(cfg)
 
     _dump_yaml(config_to_dict(cfg), _manifest_path(run_dir))
     _dump_yaml(report, run_dir / "report.yaml")

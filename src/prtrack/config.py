@@ -14,7 +14,7 @@ import yaml
 from .embedder import TrainConfig
 from .losses import LossWeights
 from .postproc import MergeConfig
-from .simgen import ScenarioConfig
+from .simgen import ConfigInvalid, ScenarioConfig
 from .tracker import TrackerConfig
 
 __all__ = ["UnknownKeyError", "RangeError", "RunConfig", "load_config"]
@@ -140,7 +140,10 @@ def config_from_dict(data: dict) -> RunConfig:
     cfg = RunConfig(**kwargs)
     if cfg.sampling_stride < 1:
         raise RangeError("sampling_stride")
-    cfg.scenario.validate()
+    try:
+        cfg.scenario.validate()
+    except ConfigInvalid as exc:
+        raise RangeError(f"scenario.{exc}") from exc
     return cfg
 
 

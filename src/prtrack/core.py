@@ -10,6 +10,7 @@ unmatchable and map to +inf in cost matrices.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +26,9 @@ __all__ = [
     "Tracklet",
     "part_distance",
     "part_distance_matrix",
-    "iou",
+    "box_array",
+    "xyah_to_xywh",
     "iou_matrix",
-    "derive_concat",
 ]
 
 
@@ -61,7 +62,6 @@ class PartFeatureSet:
     parts: np.ndarray        # (K, D)
     foreground: np.ndarray   # (D,)
     visibility: np.ndarray   # (K+1,) of {0, 1}
-    global_feat: np.ndarray | None = None  # (D,), training only
 
     def __post_init__(self):
         parts = np.asarray(self.parts, dtype=float)
@@ -97,11 +97,6 @@ class PartFeatureSet:
         return np.vstack([self.foreground[None, :], self.parts])
 
 
-def derive_concat(p: PartFeatureSet) -> np.ndarray:
-    """Concatenated embedding f_1..f_K, in part order."""
-    return p.concat.copy()
-
-
 @dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned box, top-left corner plus size, in pixels."""
@@ -112,6 +107,8 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x, self.y, self.w, self.h))):
+            raise ValueError("box fields must be finite")
         if self.w <= 0 or self.h <= 0:
             raise ValueError("box width and height must be positive")
 
@@ -119,20 +116,10 @@ class BoundingBox:
     def center(self) -> tuple[float, float]:
         return (self.x + self.w / 2.0, self.y + self.h / 2.0)
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
     def to_xyah(self) -> np.ndarray:
         """(center x, center y, aspect ratio w/h, height)."""
         cx, cy = self.center
         return np.array([cx, cy, self.w / self.h, self.h])
-
-    @staticmethod
-    def from_xyah(xyah: np.ndarray) -> "BoundingBox":
-        cx, cy, a, h = [float(v) for v in xyah]
-        w = a * h
-        return BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
 
 
 @dataclass
@@ -217,18 +204,31 @@ def part_distance_matrix(
     return out
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes, in [0, 1]."""
-    ix = max(0.0, min(a.x + a.w, b.x + b.w) - max(a.x, b.x))
-    iy = max(0.0, min(a.y + a.h, b.y + b.h) - max(a.y, b.y))
+def box_array(boxes: list[BoundingBox]) -> np.ndarray:
+    """(N, 4) array of ``x, y, w, h`` rows, one per box."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes],
+                    dtype=float).reshape(-1, 4)
+
+
+def xyah_to_xywh(xyah: np.ndarray) -> np.ndarray:
+    """Inverse of :meth:`BoundingBox.to_xyah` over rows; unchecked."""
+    cx, cy, a, h = np.asarray(xyah, dtype=float).reshape(-1, 4).T
+    w = a * h
+    return np.stack([cx - w / 2.0, cy - h / 2.0, w, h], axis=1)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(M, N) IoU of (M, 4) and (N, 4) ``x, y, w, h`` box arrays; 0 where
+    a box has ``w <= 0`` or ``h <= 0`` or the union is not positive.  The
+    float operations keep one order (x + w, min/max, w * h, then the union
+    a + b - inter), so results are reproducible to the bit."""
+    a = np.asarray(a, dtype=float).reshape(-1, 4)
+    b = np.asarray(b, dtype=float).reshape(-1, 4)
+    ax, ay, aw, ah = (c[:, None] for c in a.T)
+    bx, by, bw, bh = b.T
+    ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
+    iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
     inter = ix * iy
-    union = a.area + b.area - inter
-    return inter / union if union > 0 else 0.0
-
-
-def iou_matrix(a: list[BoundingBox], b: list[BoundingBox]) -> np.ndarray:
-    out = np.zeros((len(a), len(b)))
-    for i, box_a in enumerate(a):
-        for j, box_b in enumerate(b):
-            out[i, j] = iou(box_a, box_b)
-    return out
+    union = aw * ah + bw * bh - inter
+    valid = (union > 0) & (aw > 0) & (ah > 0) & (bw > 0) & (bh > 0)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=valid)

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import PartFeatureSet, Role
-from .losses import (DegenerateBatch, LossValue, LossWeights, TripletConfig,
-                     cross_entropy_id, focal_loss, gilt_loss,
-                     part_prediction_loss, softmax, total_loss,
+from .losses import (LossValue, LossWeights, TripletConfig, focal_loss,
+                     gilt_loss, part_prediction_loss, softmax, total_loss,
                      triplet_batch_hard)
 
 __all__ = [
@@ -180,7 +179,7 @@ def forward(model: EmbedderModel, grid: FeatureGrid):
     k = model.num_parts
     vis = np.concatenate([[fw["vis_fg"][0]], fw["vis_parts"][0]])
     pfs = PartFeatureSet(parts=fw["f_parts"][0], foreground=fw["f_fg"][0],
-                         visibility=vis, global_feat=fw["f_g"][0])
+                         visibility=vis)
     masks = fw["masks"][0].reshape(h, w, k + 1)
     return pfs, fw["role_logits"][0], masks
 
@@ -197,8 +196,7 @@ def forward_batch(model: EmbedderModel, grids: list[FeatureGrid]):
         vis = np.concatenate([[fw["vis_fg"][i]], fw["vis_parts"][i]])
         sets.append(PartFeatureSet(parts=fw["f_parts"][i],
                                    foreground=fw["f_fg"][i],
-                                   visibility=vis,
-                                   global_feat=fw["f_g"][i]))
+                                   visibility=vis))
     return sets, fw["role_logits"]
 
 

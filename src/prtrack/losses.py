@@ -13,7 +13,7 @@ part-based baseline this model extends; it is isolated in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class LossWeights:
 @dataclass(frozen=True)
 class TripletConfig:
     margin: float = 0.3  # team variant uses 0.05
-    mining: str = "batch_hard"
 
 
 @dataclass

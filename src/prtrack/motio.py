@@ -8,6 +8,7 @@ format round-trips losslessly at its declared precision.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -90,6 +91,9 @@ def parse_mot(path) -> list[MotRecord]:
                     bb_width=float(fields[4]), bb_height=float(fields[5]),
                     conf=float(fields[6]), class_id=int(fields[7]),
                     visibility=float(fields[8]))
+                if not all(map(math.isfinite, (rec.conf, rec.visibility))):
+                    raise ValueError("conf and visibility must be finite")
+                rec.box  # BoundingBox rejects a non-finite or empty box
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
             if rec.frame < last_frame:

@@ -10,10 +10,10 @@ import numpy as np
 
 from . import reference
 from .config import RunConfig
-from .core import BoundingBox, Detection, Role, Tracklet
+from .core import Detection, Role, Tracklet
 from .embedder import EmbedderModel, GridSample, forward_batch, train
-from .motio import FeatureRecord, MotRecord
-from .postproc import (MergeConfig, TooFewPlayers, assign_roles, assign_teams,
+from .motio import MotRecord
+from .postproc import (TooFewPlayers, assign_roles, assign_teams,
                        merge_tracklets)
 from .reid_metrics import RetrievalItem, RetrievalSet, evaluate_retrieval, \
     role_metrics
@@ -154,14 +154,10 @@ def team_accuracy(tracklets: list[Tracklet], seed: int = 0) -> float:
     return float(max(direct, flipped))
 
 
-def run_pipeline(cfg: RunConfig) -> dict:
-    """Full chain on one seed; returns the report dictionary."""
-    return run_pipeline_full(cfg)[0]
-
-
-def run_pipeline_full(cfg: RunConfig):
-    """Full chain; returns (report, artifacts) where artifacts holds the
-    model, tracklets, and MOT record lists for file output."""
+def run_pipeline(cfg: RunConfig):
+    """Full chain on one seed; returns (report, artifacts) where report is
+    the report dictionary and artifacts holds the model, tracklets, and MOT
+    record lists for file output."""
     scenario = generate(cfg.scenario)
     model, history, (train_set, queries, gallery) = train_on_scenario(
         cfg, scenario)

@@ -10,7 +10,7 @@ signature, so the embedding model has learnable signal for all three tasks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class ScenarioConfig:
 
     def validate(self):
         if self.n_players_per_team < 1 or self.frames < 1:
-            raise ConfigInvalid("need at least one player per team and one frame")
+            raise ConfigInvalid("n_players_per_team and frames must be >= 1")
         if not (0.0 <= self.occlusion_rate <= 1.0):
             raise ConfigInvalid("occlusion_rate must be in [0, 1]")
         if not (0.0 <= self.exit_rate <= 1.0):
@@ -68,7 +68,8 @@ class ScenarioConfig:
             raise ConfigInvalid("feature_noise_sigma must be >= 0")
         if min(self.team_separation, self.role_separation,
                self.identity_separation) < 0:
-            raise ConfigInvalid("separations must be >= 0")
+            raise ConfigInvalid("team_separation, role_separation and "
+                                "identity_separation must be >= 0")
         needed = 6 + self.num_parts + 1
         if self.channels < needed:
             raise ConfigInvalid(

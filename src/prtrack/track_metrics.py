@@ -1,19 +1,21 @@
 """Tracking metrics: HOTA (with DetA/AssA), CLEAR-MOT accuracy with
 identity switches, and identity-F1 under optimal global id matching.
 
-All metrics share one per-frame matching primitive: minimum-cost bipartite
+Each metric computes one (gt, pred) IoU matrix per frame with the package's
+single IoU kernel, :func:`prtrack.core.iou_matrix`.  All metrics share one
+per-frame matching primitive on that matrix: minimum-cost bipartite
 matching on (1 - IoU) restricted to pairs with IoU at or above the
 localization threshold.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoundingBox, iou
+from .core import BoundingBox, box_array, iou_matrix
 from .solvers import hungarian
 
 __all__ = [
@@ -62,30 +64,31 @@ class EvalReport:
     per_sequence: dict[str, dict] = field(default_factory=dict)
 
 
-def frame_match(gt_frame: list[tuple[int, BoundingBox]],
-                pred_frame: list[tuple[int, BoundingBox]],
-                alpha_loc: float) -> list[tuple[int, int]]:
-    """Matched (gt index, pred index) pairs by IoU-optimal assignment,
-    restricted to pairs with IoU >= alpha_loc."""
-    if not gt_frame or not pred_frame:
+def frame_match(ious: np.ndarray, alpha_loc: float) -> list[tuple[int, int]]:
+    """Matched (gt index, pred index) pairs by IoU-optimal assignment on one
+    frame's (gt, pred) IoU matrix, restricted to pairs with IoU >= alpha_loc."""
+    if not ious.size:
         return []
-    cost = np.ones((len(gt_frame), len(pred_frame)))
-    for i, (_, gb) in enumerate(gt_frame):
-        for j, (_, pb) in enumerate(pred_frame):
-            v = iou(gb, pb)
-            cost[i, j] = 1.0 - v if v >= alpha_loc else np.inf
-    return hungarian(cost).pairs
+    return hungarian(np.where(ious >= alpha_loc, 1.0 - ious, np.inf)).pairs
 
 
-def _matches_per_frame(result: SequenceResult, alpha: float):
-    """Per-frame list of matched (gt id, pred id) pairs."""
+def _frame_ious(result: SequenceResult):
+    """Per frame: (gt ids, pred ids, (gt, pred) IoU matrix)."""
     out = {}
     for f in result.frames():
         gt_f = result.gt.get(f, [])
         pr_f = result.pred.get(f, [])
-        pairs = frame_match(gt_f, pr_f, alpha)
-        out[f] = [(gt_f[i][0], pr_f[j][0]) for i, j in pairs]
+        out[f] = ([i for i, _ in gt_f], [i for i, _ in pr_f],
+                  iou_matrix(box_array([b for _, b in gt_f]),
+                             box_array([b for _, b in pr_f])))
     return out
+
+
+def _matches_per_frame(frame_ious, alpha: float):
+    """Per-frame list of matched (gt id, pred id) pairs."""
+    return {f: [(gt_ids[i], pr_ids[j])
+                for i, j in frame_match(ious, alpha)]
+            for f, (gt_ids, pr_ids, ious) in frame_ious.items()}
 
 
 def hota(result: SequenceResult,
@@ -97,10 +100,11 @@ def hota(result: SequenceResult,
     n_pred = result.pred_count()
     gt_totals = Counter(i for v in result.gt.values() for i, _ in v)
     pred_totals = Counter(i for v in result.pred.values() for i, _ in v)
+    frame_ious = _frame_ious(result)
 
     hotas, detas, assas = [], [], []
     for alpha in alphas:
-        matches = _matches_per_frame(result, alpha)
+        matches = _matches_per_frame(frame_ious, alpha)
         tp_pairs = [p for pairs in matches.values() for p in pairs]
         tp = len(tp_pairs)
         fn = n_gt - tp
@@ -127,10 +131,14 @@ def mota_ids(result: SequenceResult,
     """CLEAR-MOT accuracy and identity-switch count.
 
     A switch is counted whenever a ground-truth id's matched prediction id
-    differs from its previous matched prediction id.
+    differs from its previous matched prediction id.  Each frame is matched
+    on IoU alone: this omits the CLEAR-MOT rule (Bernardin & Stiefelhagen
+    2008) of keeping the previous frame's correspondences while they pass
+    the threshold, so a switch is counted wherever the IoU-optimal
+    assignment moves a ground-truth id to another prediction.
     """
     n_gt = result.gt_count()
-    matches = _matches_per_frame(result, alpha)
+    matches = _matches_per_frame(_frame_ious(result), alpha)
     tp = sum(len(v) for v in matches.values())
     fn = n_gt - tp
     fp = result.pred_count() - tp
@@ -148,27 +156,17 @@ def mota_ids(result: SequenceResult,
 def idf1(result: SequenceResult, alpha: float = 0.5) -> float:
     """Identity-F1: optimal global gt-id/pred-id matching maximizing the
     per-frame overlap count, then F1 over identity-true detections."""
-    overlap: dict[tuple[int, int], int] = defaultdict(int)
-    gt_ids, pred_ids = set(), set()
-    for f in result.frames():
-        for gi, gb in result.gt.get(f, []):
-            gt_ids.add(gi)
-        for pi, pb in result.pred.get(f, []):
-            pred_ids.add(pi)
-        for gi, gb in result.gt.get(f, []):
-            for pi, pb in result.pred.get(f, []):
-                if iou(gb, pb) >= alpha:
-                    overlap[(gi, pi)] += 1
-    if not pred_ids or not gt_ids:
+    gt_list = np.unique([i for v in result.gt.values() for i, _ in v])
+    pred_list = np.unique([i for v in result.pred.values() for i, _ in v])
+    if not pred_list.size or not gt_list.size:
         return 0.0
-    gt_list = sorted(gt_ids)
-    pred_list = sorted(pred_ids)
-    cost = np.zeros((len(gt_list), len(pred_list)))
-    for i, gi in enumerate(gt_list):
-        for j, pi in enumerate(pred_list):
-            cost[i, j] = -overlap.get((gi, pi), 0)
-    pairs = hungarian(cost).pairs
-    idtp = sum(overlap.get((gt_list[i], pred_list[j]), 0) for i, j in pairs)
+    overlap = np.zeros((gt_list.size, pred_list.size), dtype=int)
+    for gt_ids, pr_ids, ious in _frame_ious(result).values():
+        rows, cols = np.nonzero(ious >= alpha)
+        np.add.at(overlap, (np.searchsorted(gt_list, gt_ids)[rows],
+                            np.searchsorted(pred_list, pr_ids)[cols]), 1)
+    pairs = hungarian(-overlap).pairs
+    idtp = sum(int(overlap[i, j]) for i, j in pairs)
     idfn = result.gt_count() - idtp
     idfp = result.pred_count() - idtp
     denom = 2 * idtp + idfp + idfn

@@ -7,12 +7,13 @@ never enter the cost computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (BoundingBox, Detection, KalmanState, PartFeatureSet,
-                   TrackStatus, Tracklet, iou, part_distance_matrix)
+                   TrackStatus, Tracklet, box_array, iou_matrix,
+                   part_distance_matrix, xyah_to_xywh)
 from .solvers import hungarian
 
 __all__ = [
@@ -115,22 +116,16 @@ def kalman_update(state: KalmanState, measurement: BoundingBox) -> KalmanState:
     return KalmanState(mean, cov)
 
 
-def predicted_box(state: KalmanState) -> BoundingBox:
-    return BoundingBox.from_xyah(state.mean[:4])
-
-
 def build_cost(tracks: list[Tracklet], dets: list[Detection],
                cfg: TrackerConfig) -> np.ndarray:
-    """Fused appearance+motion cost; gated entries are +inf."""
+    """Fused appearance+motion cost; gated entries are +inf.  A track whose
+    predicted box is degenerate has IoU 0 and matches on appearance only."""
     if not tracks or not dets:
         return np.zeros((len(tracks), len(dets)))
     app = part_distance_matrix([t.ema_features for t in tracks],
                                [d.features for d in dets])
-    ious = np.zeros_like(app)
-    for i, t in enumerate(tracks):
-        pb = predicted_box(t.kalman)
-        for j, d in enumerate(dets):
-            ious[i, j] = iou(pb, d.box)
+    predicted = xyah_to_xywh(np.array([t.kalman.mean[:4] for t in tracks]))
+    ious = iou_matrix(predicted, box_array([d.box for d in dets]))
     w = cfg.appearance_weight
     with np.errstate(invalid="ignore"):
         cost = w * app + (1.0 - w) * (1.0 - ious)

@@ -7,7 +7,15 @@ import itertools
 
 import numpy as np
 
-from prtrack.core import iou
+
+def box_iou(a, b):
+    """Intersection over union of two ``BoundingBox``es: the overlap
+    rectangle's area over the area the two boxes cover together."""
+    ix = max(0.0, min(a.x + a.w, b.x + b.w) - max(a.x, b.x))
+    iy = max(0.0, min(a.y + a.h, b.y + b.h) - max(a.y, b.y))
+    inter = ix * iy
+    union = a.w * a.h + b.w * b.h - inter
+    return inter / union if union > 0 else 0.0
 
 
 def brute_assignment(costs):
@@ -45,7 +53,7 @@ def brute_frame_match(gt_frame, pred_frame, alpha):
     ious = np.zeros((ng, npr))
     for i, (_, gb) in enumerate(gt_frame):
         for j, (_, pb) in enumerate(pred_frame):
-            ious[i, j] = iou(gb, pb)
+            ious[i, j] = box_iou(gb, pb)
     best_pairs = []
     best_key = (-1, -np.inf)
     rows = list(range(ng))
@@ -139,7 +147,7 @@ def brute_idf1(gt, pred, alpha=0.5):
             pred_ids.add(pi)
         for gi, gb in gt.get(f, []):
             for pi, pb in pred.get(f, []):
-                if iou(gb, pb) >= alpha:
+                if box_iou(gb, pb) >= alpha:
                     overlap[(gi, pi)] = overlap.get((gi, pi), 0) + 1
     gl, pl = sorted(gt_ids), sorted(pred_ids)
     if not gl or not pl:

@@ -1,8 +1,12 @@
+import argparse
+import shlex
+from pathlib import Path
+
 import yaml
 
 import pytest
 
-from prtrack.cli import main
+from prtrack.cli import build_parser, main
 from prtrack.config import load_config
 from prtrack.motio import parse_features, parse_mot
 
@@ -74,6 +78,30 @@ def test_data_error_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert "framez" in err
+    bad.write_text("scenario:\n  frames: 0\n")
+    for command in ("generate", "pipeline"):
+        assert main([command, "--config", str(bad),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "frames" in capsys.readouterr().err
+    pred = tmp_path / "pred.txt"
+    pred.write_text("1,1,0,0,nan,10,1,1,1\n")
+    gt = tmp_path / "gt.txt"
+    gt.write_text("1,1,0,0,10,10,1,1,1\n")
+    assert main(["eval-track", "--gt", str(gt), "--pred", str(pred)]) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [shlex.split(line, comments=True)
+             for line in readme.read_text().splitlines()
+             if line.startswith("prtrack ")]
+    parser = build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])
+    subcommands, = (a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert {argv[1] for argv in lines} == set(subcommands)
 
 
 def test_seed_env_var(tmp_path, monkeypatch):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from prtrack.core import (BoundingBox, NoMutualVisibility, PartFeatureSet,
-                          iou, iou_matrix, part_distance,
-                          part_distance_matrix, derive_concat)
+                          box_array, iou_matrix, part_distance,
+                          part_distance_matrix, xyah_to_xywh)
 
 from conftest import random_feature_set
+from oracles import box_iou
 
 
 def test_feature_set_validation():
@@ -27,7 +28,6 @@ def test_concat_and_stacked(rng):
     st = p.stacked()
     np.testing.assert_array_equal(st[0], p.foreground)
     np.testing.assert_array_equal(st[1:], p.parts)
-    np.testing.assert_array_equal(derive_concat(p), p.concat)
 
 
 def test_part_distance_all_visible_is_mean_euclid(rng):
@@ -80,20 +80,39 @@ def test_matrix_empty():
 
 def test_box_roundtrip():
     b = BoundingBox(10.0, 20.0, 30.0, 60.0)
-    again = BoundingBox.from_xyah(b.to_xyah())
-    assert again.x == pytest.approx(b.x)
-    assert again.y == pytest.approx(b.y)
-    assert again.w == pytest.approx(b.w)
-    assert again.h == pytest.approx(b.h)
+    np.testing.assert_allclose(xyah_to_xywh(b.to_xyah()),
+                               [[10.0, 20.0, 30.0, 60.0]])
+    np.testing.assert_array_equal(box_array([b, b]), [[10, 20, 30, 60]] * 2)
+    assert box_array([]).shape == (0, 4)
     with pytest.raises(ValueError):
         BoundingBox(0, 0, -1, 5)
+    for bad in ((np.nan, 0, 5, 5), (0, 0, np.nan, 10), (0, 0, 5, np.inf)):
+        with pytest.raises(ValueError):
+            BoundingBox(*bad)
 
 
-def test_iou_basic():
-    a = BoundingBox(0, 0, 10, 10)
-    assert iou(a, a) == 1.0
-    assert iou(a, BoundingBox(20, 20, 10, 10)) == 0.0
-    half = iou(a, BoundingBox(5, 0, 10, 10))
-    assert half == pytest.approx(50.0 / 150.0)
-    m = iou_matrix([a], [a, BoundingBox(20, 20, 10, 10)])
-    np.testing.assert_allclose(m, [[1.0, 0.0]])
+def test_iou_basic(rng):
+    a = [0, 0, 10, 10]
+    far = [20, 20, 10, 10]
+    m = iou_matrix([a], [a, far, [5, 0, 10, 10]])
+    assert m.shape == (1, 3)
+    assert m[0, 0] == 1.0 and m[0, 1] == 0.0
+    assert m[0, 2] == pytest.approx(50.0 / 150.0)
+    assert iou_matrix(np.zeros((0, 4)), [a]).shape == (0, 1)
+    # every entry equals the definition's value to the bit
+    boxes = [BoundingBox(*rng.uniform(0, 50, 2), *rng.uniform(1, 30, 2))
+             for _ in range(12)]
+    m = iou_matrix(box_array(boxes[:5]), box_array(boxes[5:]))
+    expected = [[box_iou(p, q) for q in boxes[5:]] for p in boxes[:5]]
+    np.testing.assert_array_equal(m, expected)
+
+
+def test_iou_degenerate_rows():
+    boxes = np.array([[0, 0, 10, 10],
+                      [0, 0, 10, -4],    # negative height
+                      [0, 0, 0, 10],     # zero width
+                      [0, 0, -10, -10]])  # both negative: positive area
+    m = iou_matrix(boxes, boxes)
+    expected = np.zeros((4, 4))
+    expected[0, 0] = 1.0
+    np.testing.assert_array_equal(m, expected)

@@ -42,7 +42,6 @@ def test_forward_shapes(rng):
     assert pfs.parts.shape == (3, 4)
     assert pfs.foreground.shape == (4,)
     assert pfs.visibility.shape == (4,)
-    assert pfs.global_feat.shape == (4,)
     assert role_logits.shape == (4,)
     assert masks.shape == (4, 3, 4)
     np.testing.assert_allclose(masks.sum(axis=2), 1.0, atol=1e-12)

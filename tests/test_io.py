@@ -55,6 +55,14 @@ def test_mot_parse_errors(tmp_path):
     p.write_text("1,2,a,b,c,d,e,1,1\n")
     with pytest.raises(ParseError):
         parse_mot(p)
+    good = "1,1,0,0,10,10,1,1,1\n"
+    for bad in ("1,1,0,0,nan,10,1,1,1", "1,1,inf,0,10,10,1,1,1",
+                "1,1,0,0,10,10,nan,1,1", "1,1,0,0,0,10,1,1,1",
+                "1,1,0,0,10,-2,1,1,1"):
+        p.write_text(good + bad + "\n")
+        with pytest.raises(ParseError) as err:
+            parse_mot(p)
+        assert err.value.line == 2
 
 
 def test_mot_non_monotone_warns(tmp_path):

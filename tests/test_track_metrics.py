@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prtrack.core import box_array, iou_matrix
 from prtrack.track_metrics import (EmptyGroundTruth, SequenceResult,
                                    evaluate_sequence, frame_match, hota,
                                    idf1, mota_ids)
@@ -15,9 +16,11 @@ def seq(gt, pred):
 def test_frame_match_threshold():
     gt = [(1, box(0, 0)), (2, box(100, 0))]
     pred = [(7, box(1, 0)), (8, box(200, 0))]
-    pairs = frame_match(gt, pred, alpha_loc=0.5)
-    assert pairs == [(0, 0)]
-    assert frame_match([], pred, 0.5) == []
+    ious = iou_matrix(box_array([b for _, b in gt]),
+                      box_array([b for _, b in pred]))
+    assert frame_match(ious, alpha_loc=0.5) == [(0, 0)]
+    assert frame_match(ious, alpha_loc=0.95) == []
+    assert frame_match(np.zeros((0, 2)), 0.5) == []
 
 
 def test_perfect_tracking_is_all_ones():

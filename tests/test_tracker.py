@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from prtrack.core import (BoundingBox, Detection, PartFeatureSet,
-                          TrackStatus)
+                          TrackStatus, xyah_to_xywh)
 from prtrack.tracker import (FrameInput, NonMonotoneFrame, OnlineTracker,
                              TrackerConfig, build_cost, ema_update,
-                             kalman_init, kalman_predict, kalman_update,
-                             predicted_box)
+                             kalman_init, kalman_predict, kalman_update)
 
 
 def features(value, k=2, d=3, vis=None):
@@ -36,9 +35,9 @@ def test_kalman_tracks_constant_velocity():
         state = kalman_predict(state)
         state = kalman_update(state, BoundingBox(3.0 * t, 0, 10, 20))
     state = kalman_predict(state)
-    pred = predicted_box(state)
-    assert pred.x == pytest.approx(90.0, abs=1.0)
-    assert pred.h == pytest.approx(20.0, abs=0.5)
+    x, _, _, h = xyah_to_xywh(state.mean[:4])[0]
+    assert x == pytest.approx(90.0, abs=1.0)
+    assert h == pytest.approx(20.0, abs=0.5)
 
 
 def test_ema_update_literal():
@@ -77,6 +76,31 @@ def test_build_cost_gating():
     cost = build_cost([track], [near_same, far_diff], cfg)
     assert np.isfinite(cost[0, 0])
     assert np.isinf(cost[0, 1])
+
+
+def test_lost_track_with_negative_predicted_height():
+    # A track that shrank every frame keeps shrinking once lost, until its
+    # predicted height is negative; it then matches on appearance only.
+    cfg = TrackerConfig(n_init=1, max_age=30)
+    tracker = OnlineTracker(cfg)
+    for t in range(1, 9):
+        tracker.step(FrameInput(t, [det(t, 0, 0, 1.0, w=4.0 - 0.4 * t,
+                                        h=40.0 - 4.0 * t)]))
+    for t in range(9, 20):
+        tracker.step(FrameInput(t, []))
+    track = tracker.tracks[0]
+    assert track.status == TrackStatus.LOST
+    assert track.kalman.mean[3] < 0
+    same = det(20, 0, 0, 1.0)
+    other = det(20, 0, 0, 9.0)
+    cost = build_cost([track], [same, other], cfg)
+    w = cfg.appearance_weight
+    assert cost[0, 0] == pytest.approx(1.0 - w)  # app distance 0, IoU 0
+    assert np.isinf(cost[0, 1])
+    tracker.step(FrameInput(20, [same]))
+    tracker.step(FrameInput(21, [det(21, 0, 0, 1.0)]))
+    tracks = tracker.finish()
+    assert [len(t.detections) for t in tracks] == [10]
 
 
 def test_tracker_keeps_identities_through_crossing():
