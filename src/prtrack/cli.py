@@ -29,7 +29,7 @@ from .postproc import TooFewPlayers, assign_roles, assign_teams, \
     merge_tracklets
 from .solvers import DegenerateInput
 from .simgen import generate, to_reid_dataset, to_tracking_input
-from .track_metrics import evaluate_sequence
+from .track_metrics import EmptyGroundTruth, evaluate_sequence
 from . import reference
 
 _TRACK_COLUMNS = ("hota", "deta", "assa", "mota", "idf1", "id_switches")
@@ -355,7 +355,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ParseError, FileNotFoundError, UnknownKeyError, RangeError,
-            TooFewPlayers, DegenerateInput, TypeError, ValueError) as exc:
+            TooFewPlayers, DegenerateInput, EmptyGroundTruth, TypeError,
+            ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

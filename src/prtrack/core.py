@@ -75,6 +75,8 @@ class PartFeatureSet:
             raise ValueError("visibility must have K+1 entries")
         if not np.all((vis == 0) | (vis == 1)):
             raise ValueError("visibility entries must be 0 or 1")
+        if not (np.isfinite(parts).all() and np.isfinite(fg).all()):
+            raise ValueError("part and foreground embeddings must be finite")
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "foreground", fg)
         object.__setattr__(self, "visibility", vis)
@@ -164,44 +166,58 @@ class Tracklet:
                 and other.first_frame <= self.last_frame)
 
 
+def _stack(sets: list[PartFeatureSet]) -> tuple[np.ndarray, np.ndarray]:
+    """Features (N, K+1, D) and visibility (N, K+1) of N feature sets."""
+    return (np.stack([p.stacked() for p in sets]),
+            np.stack([p.visibility for p in sets]))
+
+
+def _part_distances(fa: np.ndarray, va: np.ndarray,
+                    fb: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """(M, N) part distances of stacked feature sets: features (M, K+1, D)
+    and (N, K+1, D), visibility (M, K+1) and (N, K+1); +inf where no index
+    is visible on both sides.
+
+    The package's one part-distance kernel.  The float operations keep one
+    order (the difference, the Euclidean norm over D, the visibility-masked
+    sum over K+1, then the division by the mutual count), so every pair's
+    distance is reproducible to the bit whatever M and N are.  Temporaries
+    are (M, N, K+1, D).
+    """
+    if fa.shape[1:] != fb.shape[1:]:
+        raise ValueError("feature sets must share K and D")
+    dists = np.linalg.norm(fa[:, None, :, :] - fb[None, :, :, :], axis=3)
+    mutual = (va[:, None, :] * vb[None, :, :]).astype(float)
+    denom = mutual.sum(axis=2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = (mutual * dists).sum(axis=2) / denom
+    out[denom == 0] = np.inf
+    return out
+
+
 def part_distance(q: PartFeatureSet, g: PartFeatureSet) -> float:
     """Average Euclidean distance over mutually visible indices.
 
     Indices range over (foreground, part 1..K).  Raises
     :class:`NoMutualVisibility` when no index is visible on both sides.
     """
-    if q.num_parts != g.num_parts or q.dim != g.dim:
-        raise ValueError("feature sets must share K and D")
-    mutual = (q.visibility * g.visibility).astype(float)
-    denom = mutual.sum()
-    if denom == 0:
+    out = _part_distances(*_stack([q]), *_stack([g]))[0, 0]
+    if not (q.visibility * g.visibility).any():
         raise NoMutualVisibility("no mutually visible body part")
-    diffs = q.stacked() - g.stacked()
-    dists = np.linalg.norm(diffs, axis=1)
-    return float((mutual * dists).sum() / denom)
+    return float(out)
 
 
 def part_distance_matrix(
     a: list[PartFeatureSet], b: list[PartFeatureSet]
 ) -> np.ndarray:
-    """Pairwise part distances; +inf where no mutual visibility.
+    """(M, N) part distances; +inf where no mutual visibility.
 
-    Vectorized equivalent of calling :func:`part_distance` on every pair.
+    Cell (i, j) equals :func:`part_distance` of ``a[i]`` and ``b[j]`` to
+    the bit.
     """
     if not a or not b:
         return np.zeros((len(a), len(b)))
-    fa = np.stack([p.stacked() for p in a])       # (M, K+1, D)
-    fb = np.stack([p.stacked() for p in b])       # (N, K+1, D)
-    va = np.stack([p.visibility for p in a]).astype(float)
-    vb = np.stack([p.visibility for p in b]).astype(float)
-    diff = fa[:, None, :, :] - fb[None, :, :, :]  # (M, N, K+1, D)
-    dists = np.linalg.norm(diff, axis=3)
-    mutual = va[:, None, :] * vb[None, :, :]
-    denom = mutual.sum(axis=2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = (mutual * dists).sum(axis=2) / denom
-    out[denom == 0] = np.inf
-    return out
+    return _part_distances(*_stack(a), *_stack(b))
 
 
 def box_array(boxes: list[BoundingBox]) -> np.ndarray:

@@ -157,14 +157,14 @@ def parse_features(path) -> list[FeatureRecord]:
                 vis = np.array([int(v) for v in tok[pos:pos + k + 1]])
                 pos += k + 1
                 role_logits = np.array([float(v) for v in tok[pos:pos + 4]])
+                features = PartFeatureSet(parts=parts, foreground=fg,
+                                          visibility=vis)
             except ParseError:
                 raise
             except (ValueError, IndexError) as exc:
                 raise ParseError(str(exc), lineno) from exc
-            records.append(FeatureRecord(
-                frame, det_index,
-                PartFeatureSet(parts=parts, foreground=fg, visibility=vis),
-                role_logits))
+            records.append(FeatureRecord(frame, det_index, features,
+                                         role_logits))
     return records
 
 

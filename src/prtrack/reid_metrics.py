@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoMutualVisibility, PartFeatureSet, Role, part_distance
+from .core import PartFeatureSet, Role, _part_distances, _stack
 
 __all__ = [
     "EmptyGallery",
@@ -48,16 +48,13 @@ class RetrievalSet:
 
 def rank(query: PartFeatureSet, gallery: list[PartFeatureSet]) -> list[int]:
     """Gallery indices by ascending part distance; pairs with no mutual
-    visibility rank last.  Ties break by gallery index (stable sort)."""
+    visibility rank last.  The distances are one row of the package's
+    part-distance kernel (``core._part_distances``); ties break by gallery
+    index (stable sort)."""
     if not gallery:
         raise EmptyGallery("gallery is empty")
-    dists = np.empty(len(gallery))
-    for j, g in enumerate(gallery):
-        try:
-            dists[j] = part_distance(query, g)
-        except NoMutualVisibility:
-            dists[j] = np.inf
-    return list(np.argsort(dists, kind="stable"))
+    dists = _part_distances(*_stack([query]), *_stack(gallery))[0]
+    return np.argsort(dists, kind="stable").tolist()
 
 
 def _average_precision(flags: np.ndarray) -> float:
@@ -117,6 +114,11 @@ def evaluate_retrieval(retrieval: RetrievalSet, match_key: str = "identity",
     fragment) are excluded from that query's ranking, following standard
     retrieval protocol.  For team matching, only player samples are
     considered on both sides.
+
+    The gallery is stacked into arrays once per call.  Each query's ranking
+    is one row of the package's part-distance kernel
+    (``core._part_distances``) over its kept gallery columns, sorted stably,
+    so ties break by gallery index as in :func:`rank`.
     """
     if match_key not in ("identity", "team"):
         raise ValueError("match_key must be 'identity' or 'team'")
@@ -127,18 +129,20 @@ def evaluate_retrieval(retrieval: RetrievalSet, match_key: str = "identity",
         gallery = [g for g in gallery if g.role == Role.PLAYER]
     if not gallery:
         raise EmptyGallery("gallery is empty")
+    feats, vis = _stack([g.features for g in gallery])
+    identities = np.array([g.identity for g in gallery])
+    views = np.array([g.view for g in gallery])
+    keys = np.array([getattr(g, match_key) for g in gallery])
+    keep = np.ones(len(gallery), dtype=bool)
     rankings = []
     for q in queries:
-        keep = [j for j, g in enumerate(gallery)
-                if not (exclude_same_view and g.identity == q.identity
-                        and g.view == q.view)]
-        if not keep:
-            continue
-        sub = [gallery[j] for j in keep]
-        order = rank(q.features, [g.features for g in sub])
-        if match_key == "identity":
-            flags = [int(sub[j].identity == q.identity) for j in order]
-        else:
-            flags = [int(sub[j].team == q.team) for j in order]
-        rankings.append(np.array(flags))
+        if exclude_same_view:
+            keep = (identities != q.identity) | (views != q.view)
+            if not keep.any():
+                continue
+        dists = _part_distances(*_stack([q.features]), feats[keep],
+                                vis[keep])[0]
+        order = np.argsort(dists, kind="stable")
+        rankings.append((keys[keep][order] == getattr(q, match_key))
+                        .astype(int))
     return map_cmc(rankings)

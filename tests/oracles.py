@@ -4,6 +4,7 @@ definitions with exhaustive enumeration; nothing is shared with the package
 internals beyond basic types."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -162,3 +163,54 @@ def brute_idf1(gt, pred, alpha=0.5):
     n_pred = sum(len(v) for v in pred.values())
     denom = 2 * best + (n_gt - best) + (n_pred - best)
     return 2 * best / denom if denom else 0.0
+
+
+def _part_distance(q, g):
+    """Mean Euclidean distance between the embeddings of the indices
+    (foreground, part 1..K) visible in both sets; inf when there is none."""
+    q_rows = [q.foreground, *q.parts]
+    g_rows = [g.foreground, *g.parts]
+    total, count = 0.0, 0
+    for k in range(len(q_rows)):
+        if q.visibility[k] and g.visibility[k]:
+            total += math.sqrt(sum((float(a) - float(b)) ** 2
+                                   for a, b in zip(q_rows[k], g_rows[k])))
+            count += 1
+    return total / count if count else math.inf
+
+
+def brute_retrieval(retrieval, match_key, exclude_same_view):
+    """(mAP, rank-1) of identity or team retrieval, query by query.
+
+    Team retrieval keeps players only.  A query's gallery leaves out items of
+    its identity and view when ``exclude_same_view``; the rest is sorted by
+    (distance, gallery index).  AP is the mean precision at each relevant
+    item's rank; queries with no relevant item are left out."""
+    queries, gallery = retrieval.queries, retrieval.gallery
+    if match_key == "team":
+        # Role.PLAYER is 0.
+        queries = [q for q in queries if q.role == 0]
+        gallery = [g for g in gallery if g.role == 0]
+    aps, top1 = [], []
+    for q in queries:
+        scored = []
+        for j, g in enumerate(gallery):
+            if (exclude_same_view and g.identity == q.identity
+                    and g.view == q.view):
+                continue
+            relevant = getattr(g, match_key) == getattr(q, match_key)
+            scored.append((_part_distance(q.features, g.features), j,
+                           relevant))
+        scored.sort()
+        precisions, hits = [], 0
+        for r, (_, _, relevant) in enumerate(scored):
+            if relevant:
+                hits += 1
+                precisions.append(hits / (r + 1))
+        if not precisions:
+            continue
+        aps.append(np.mean(precisions))
+        top1.append(1.0 if scored[0][2] else 0.0)
+    if not aps:
+        return math.nan, math.nan
+    return float(np.mean(aps)), float(np.mean(top1))

@@ -89,6 +89,12 @@ def test_data_error_exit_code(tmp_path, capsys):
     gt.write_text("1,1,0,0,10,10,1,1,1\n")
     assert main(["eval-track", "--gt", str(gt), "--pred", str(pred)]) == 2
     assert "line 1" in capsys.readouterr().err
+    empty_gt = tmp_path / "empty_gt.txt"
+    empty_gt.write_text("")
+    pred.write_text("1,1,0,0,10,10,1,1,1\n")
+    assert main(["eval-track", "--gt", str(empty_gt),
+                 "--pred", str(pred)]) == 2
+    assert "no ground-truth boxes" in capsys.readouterr().err
 
 
 def test_readme_command_lines_parse():

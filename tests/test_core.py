@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from prtrack.core import (BoundingBox, NoMutualVisibility, PartFeatureSet,
                           box_array, iou_matrix, part_distance,
@@ -19,6 +22,16 @@ def test_feature_set_validation():
     with pytest.raises(ValueError):
         PartFeatureSet(parts=np.zeros((2, 4)), foreground=np.zeros(4),
                        visibility=np.array([1, 2, 0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        parts = np.zeros((2, 4))
+        parts[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PartFeatureSet(parts=parts, foreground=np.zeros(4),
+                           visibility=np.ones(3, dtype=int))
+        with pytest.raises(ValueError, match="finite"):
+            PartFeatureSet(parts=np.zeros((2, 4)),
+                           foreground=np.array([0.0, bad, 0.0, 0.0]),
+                           visibility=np.ones(3, dtype=int))
 
 
 def test_concat_and_stacked(rng):
@@ -68,14 +81,70 @@ def test_matrix_matches_scalar(rng):
                 expected = part_distance(a, b)
             except NoMutualVisibility:
                 expected = np.inf
-            if np.isinf(expected):
-                assert np.isinf(mat[i, j])
-            else:
-                assert mat[i, j] == pytest.approx(expected, abs=1e-12)
+            assert mat[i, j] == expected
 
 
 def test_matrix_empty():
     assert part_distance_matrix([], []).shape == (0, 0)
+
+
+@st.composite
+def feature_set_lists(draw):
+    """Two lists of feature sets sharing K and D; visibility bits are
+    arbitrary, so some pairs share no visible index."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+    def one():
+        return PartFeatureSet(
+            parts=draw(arrays(float, (k, d), elements=values)),
+            foreground=draw(arrays(float, d, elements=values)),
+            visibility=draw(arrays(int, k + 1, elements=st.integers(0, 1))))
+
+    return ([one() for _ in range(draw(st.integers(1, 4)))],
+            [one() for _ in range(draw(st.integers(1, 4)))])
+
+
+@settings(deadline=None)
+@given(feature_set_lists())
+def test_matrix_cells_equal_scalar_bitwise(sets):
+    a, b = sets
+    mat = part_distance_matrix(a, b)
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            mutual = bool((p.visibility * q.visibility).any())
+            assert np.isinf(mat[i, j]) == (not mutual)
+            if mutual:
+                assert mat[i, j] == part_distance(p, q)
+            else:
+                with pytest.raises(NoMutualVisibility):
+                    part_distance(p, q)
+
+
+@settings(deadline=None)
+@given(feature_set_lists())
+def test_part_distance_symmetric(sets):
+    a, b = sets
+    np.testing.assert_array_equal(part_distance_matrix(a, b),
+                                  part_distance_matrix(b, a).T)
+
+
+@settings(deadline=None)
+@given(feature_set_lists(), st.floats(-1e3, 1e3))
+def test_invisible_values_do_not_matter(sets, fill):
+    a, b = sets
+
+    def overwrite_hidden(p):
+        rows = p.stacked()
+        rows[p.visibility == 0] = fill
+        return PartFeatureSet(parts=rows[1:], foreground=rows[0],
+                              visibility=p.visibility)
+
+    np.testing.assert_array_equal(
+        part_distance_matrix(a, b),
+        part_distance_matrix([overwrite_hidden(p) for p in a],
+                             [overwrite_hidden(q) for q in b]))
 
 
 def test_box_roundtrip():

@@ -98,6 +98,20 @@ def test_feature_parse_errors(tmp_path):
     p.write_text("1 0 2 2 0.0\n")
     with pytest.raises(ParseError):
         parse_features(p)
+    # k=1, d=2: frame, det, k, d, foreground (2), parts (2), visibility (2),
+    # role logits (4)
+    good = "1 0 1 2 0.5 1.5 2.0 3.0 1 1 0.1 0.2 0.3 0.4"
+    assert len(parse_features(_write(p, good))) == 1
+    for bad in ("1 0 1 2 nan 1.5 2.0 3.0 1 1 0.1 0.2 0.3 0.4",
+                "1 0 1 2 0.5 1.5 inf 3.0 1 1 0.1 0.2 0.3 0.4",
+                "1 0 1 2 0.5 1.5 2.0 -inf 1 1 0.1 0.2 0.3 0.4"):
+        with pytest.raises(ParseError, match="line 2: .*finite"):
+            parse_features(_write(p, good, bad))
+
+
+def _write(path, *lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def test_model_checkpoint_exact_roundtrip(tmp_path):

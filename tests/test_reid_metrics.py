@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from prtrack.core import PartFeatureSet, Role
 from prtrack.reid_metrics import (EmptyGallery, LengthMismatch, RetrievalItem,
                                   RetrievalSet, evaluate_retrieval, map_cmc,
                                   rank, role_metrics)
+
+from conftest import random_feature_set
+from oracles import brute_retrieval
 
 
 def feat(x, vis=None, k=2, d=2):
@@ -95,3 +100,37 @@ def test_evaluate_retrieval_bad_key():
         evaluate_retrieval(RetrievalSet([], [item(0.0, 1)]), "color")
     with pytest.raises(EmptyGallery):
         evaluate_retrieval(RetrievalSet([item(0.0, 1)], []), "identity")
+
+
+def random_retrieval(rng, n_queries=12, n_gallery=30):
+    """Four identities on two teams over two views, with hidden parts, sets
+    that share no visible index with others, non-players, and gallery items
+    that copy another item's features under a different identity, so
+    distances tie."""
+    def one():
+        identity = int(rng.integers(4))
+        role = Role.PLAYER if rng.random() < 0.8 else Role.REFEREE
+        return RetrievalItem(
+            random_feature_set(rng, k=3, d=4, p_visible=0.5,
+                               force_any=False),
+            identity, identity % 2 if role == Role.PLAYER else None, role,
+            int(rng.integers(2)))
+
+    queries = [one() for _ in range(n_queries)]
+    gallery = [one() for _ in range(n_gallery)]
+    for j in rng.choice(n_gallery, size=n_gallery // 3, replace=False):
+        gallery[j].features = gallery[int(rng.integers(n_gallery))].features
+    for i in range(0, n_queries, 3):
+        queries[i].features = gallery[int(rng.integers(n_gallery))].features
+    return RetrievalSet(queries, gallery)
+
+
+@pytest.mark.filterwarnings("ignore:query .* has no positives")
+@pytest.mark.parametrize("seed", range(10))
+def test_evaluate_retrieval_matches_oracle(seed):
+    retrieval = random_retrieval(np.random.default_rng(seed))
+    for match_key, exclude in itertools.product(("identity", "team"),
+                                                (True, False)):
+        expected = brute_retrieval(retrieval, match_key, exclude)
+        assert not np.isnan(expected[0])
+        assert evaluate_retrieval(retrieval, match_key, exclude) == expected
