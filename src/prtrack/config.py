@@ -13,8 +13,9 @@ import yaml
 
 from .embedder import TrainConfig
 from .losses import LossWeights
+from .motio import ParseError
 from .postproc import MergeConfig
-from .simgen import ConfigInvalid, ScenarioConfig
+from .simgen import DETECTOR_NOISES, ConfigInvalid, ScenarioConfig
 from .tracker import TrackerConfig
 
 __all__ = ["UnknownKeyError", "RangeError", "RunConfig", "load_config"]
@@ -116,10 +117,19 @@ def load_config(path) -> RunConfig:
 
     Raises :class:`UnknownKeyError` for unrecognized keys, ``TypeError``
     for mistyped values, and :class:`RangeError` for out-of-range values.
-    The error message names the offending key.
+    The error message names the offending key.  Malformed YAML raises
+    :class:`~prtrack.motio.ParseError` naming the line.
     """
     with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
+        text = fh.read()
+    try:
+        data = yaml.safe_load(text) or {}
+    except yaml.YAMLError as exc:
+        # A parser error has a mark, a reader error a position in ``text``.
+        at = getattr(getattr(exc, "problem_mark", None), "index",
+                     getattr(exc, "position", 0))
+        raise ParseError(f"invalid YAML: {getattr(exc, 'problem', exc)}",
+                         text.count("\n", 0, at) + 1) from exc
     if not isinstance(data, dict):
         raise TypeError("config root must be a mapping")
     return config_from_dict(data)
@@ -140,6 +150,8 @@ def config_from_dict(data: dict) -> RunConfig:
     cfg = RunConfig(**kwargs)
     if cfg.sampling_stride < 1:
         raise RangeError("sampling_stride")
+    if cfg.detector_noise not in DETECTOR_NOISES:
+        raise RangeError("detector_noise")
     try:
         cfg.scenario.validate()
     except ConfigInvalid as exc:

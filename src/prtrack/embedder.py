@@ -155,17 +155,16 @@ def _forward_arrays(model: EmbedderModel, cells: np.ndarray):
     f_g = proj.mean(axis=1)
 
     argmax = z.argmax(axis=2)                    # (B, N)
-    vis_parts = np.stack([(argmax == j + 1).any(axis=1) for j in range(k)],
-                         axis=1).astype(int)     # (B, K)
-    vis_fg = (vis_parts.any(axis=1)).astype(int)
+    vis_parts = (argmax[:, :, None] == np.arange(1, k + 1)).any(axis=1)
+    vis = np.concatenate([vis_parts.any(axis=1, keepdims=True), vis_parts],
+                         axis=1).astype(int)     # (B, K+1): fg, parts
 
     role_logits = f_fg @ model.w_role + model.b_role
     return {
         "x": x, "z": z, "masks": masks, "proj": proj,
         "part_w": part_w, "fg_w": fg_w, "part_sum": part_sum, "fg_sum": fg_sum,
         "f_parts": f_parts, "f_fg": f_fg, "f_g": f_g,
-        "vis_parts": vis_parts, "vis_fg": vis_fg, "role_logits": role_logits,
-        "shape": (b, h, w, c),
+        "vis": vis, "role_logits": role_logits,
     }
 
 
@@ -174,13 +173,11 @@ def forward(model: EmbedderModel, grid: FeatureGrid):
 
     Returns (PartFeatureSet, role_logits (4,), part_masks (H, W, K+1)).
     """
-    fw = _forward_arrays(model, np.asarray(grid.cells, float)[None])
-    b, h, w, _ = fw["shape"]
-    k = model.num_parts
-    vis = np.concatenate([[fw["vis_fg"][0]], fw["vis_parts"][0]])
+    cells = np.asarray(grid.cells, float)
+    fw = _forward_arrays(model, cells[None])
     pfs = PartFeatureSet(parts=fw["f_parts"][0], foreground=fw["f_fg"][0],
-                         visibility=vis)
-    masks = fw["masks"][0].reshape(h, w, k + 1)
+                         visibility=fw["vis"][0])
+    masks = fw["masks"][0].reshape(*cells.shape[:2], -1)
     return pfs, fw["role_logits"][0], masks
 
 
@@ -191,12 +188,8 @@ def forward_batch(model: EmbedderModel, grids: list[FeatureGrid]):
     """
     cells = np.stack([np.asarray(g.cells, float) for g in grids])
     fw = _forward_arrays(model, cells)
-    sets = []
-    for i in range(len(grids)):
-        vis = np.concatenate([[fw["vis_fg"][i]], fw["vis_parts"][i]])
-        sets.append(PartFeatureSet(parts=fw["f_parts"][i],
-                                   foreground=fw["f_fg"][i],
-                                   visibility=vis))
+    sets = [PartFeatureSet(parts=parts, foreground=fg, visibility=vis)
+            for parts, fg, vis in zip(fw["f_parts"], fw["f_fg"], fw["vis"])]
     return sets, fw["role_logits"]
 
 
@@ -209,30 +202,23 @@ def loss_and_grad(model: EmbedderModel, batch: list[GridSample],
     cells = np.stack([np.asarray(s.grid.cells, float) for s in batch])
     labels_grid = np.stack([np.asarray(s.grid.part_labels, int) for s in batch])
     fw = _forward_arrays(model, cells)
-    b, h, w, c = fw["shape"]
+    b, n = fw["z"].shape[:2]
     k, d = model.num_parts, model.dim
-    n = h * w
     ids = np.array([s.identity for s in batch])
     roles = np.array([int(s.role) for s in batch])
     wts = cfg.weights
 
     # --- component losses -------------------------------------------------
     # Part prediction: per-image cell-sum, averaged over the batch.
-    pa_value = 0.0
-    dz_pa = np.zeros_like(fw["z"])
-    for i in range(b):
-        lv = part_prediction_loss(fw["z"][i].reshape(h, w, k + 1),
-                                  labels_grid[i])
-        pa_value += lv.value / b
-        dz_pa[i] = lv.gradients.reshape(n, k + 1) / b
-    pa = LossValue(pa_value, dz_pa)
+    pa = part_prediction_loss(fw["z"], labels_grid.reshape(b, n))
+    pa = LossValue(pa.value / b, pa.gradients / b)
 
     id_logits = {
         "global": fw["f_g"] @ model.w_id_g + model.b_id_g,
         "foreground": fw["f_fg"] @ model.w_id_f + model.b_id_f,
         "concat": fw["f_parts"].reshape(b, k * d) @ model.w_id_c + model.b_id_c,
     }
-    reid = gilt_loss(fw["f_parts"], fw["vis_parts"], id_logits, ids,
+    reid = gilt_loss(fw["f_parts"], fw["vis"][:, 1:], id_logits, ids,
                      TripletConfig(margin=cfg.reid_margin))
 
     players = roles == int(Role.PLAYER)

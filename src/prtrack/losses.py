@@ -9,6 +9,12 @@ The composition of the combined ReID objective (identity cross-entropy on
 the holistic scopes plus visibility-aware part triplets) follows the
 part-based baseline this model extends; it is isolated in
 :func:`gilt_loss` so it can be swapped wholesale.
+
+Every batch-hard triplet, the K part scopes of :func:`gilt_loss` as well
+as the plain and the masked one, is one call of the private array kernel
+``_batch_hard_triplets``.  It keeps the float order of a per-anchor loop,
+so :func:`triplet_batch_hard` gradients can differ by about 1 ulp from
+summing the terms first and dividing once (none for 2^j anchors).
 """
 
 from __future__ import annotations
@@ -69,25 +75,21 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _pairwise_dist(emb: np.ndarray) -> np.ndarray:
-    sq = (emb**2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * emb @ emb.T
-    return np.sqrt(np.clip(d2, 0.0, None))
+def _probs(logits: np.ndarray, targets: np.ndarray):
+    """Softmax rows of ``logits`` (M, C) and int ``targets`` (M,) in range."""
+    logits = np.asarray(logits, dtype=float)
+    targets = np.asarray(targets, dtype=int)
+    if targets.min() < 0 or targets.max() >= logits.shape[-1]:
+        raise ValueError("targets out of range")
+    return softmax(logits), targets, np.arange(len(logits))
 
 
 def cross_entropy_id(logits: np.ndarray, targets: np.ndarray) -> LossValue:
     """Mean softmax cross-entropy; gradient is (softmax - onehot) / N."""
-    logits = np.asarray(logits, dtype=float)
-    targets = np.asarray(targets, dtype=int)
-    n, c = logits.shape
-    if targets.min() < 0 or targets.max() >= c:
-        raise ValueError("targets out of range")
-    p = softmax(logits)
-    pt = p[np.arange(n), targets]
-    value = float(-np.log(np.clip(pt, _EPS, None)).mean())
-    grad = p.copy()
-    grad[np.arange(n), targets] -= 1.0
-    return LossValue(value, grad / n)
+    p, targets, idx = _probs(logits, targets)
+    value = float(-np.log(np.clip(p[idx, targets], _EPS, None)).mean())
+    p[idx, targets] -= 1.0
+    return LossValue(value, p / len(idx))
 
 
 def focal_loss(logits: np.ndarray, targets: np.ndarray,
@@ -95,13 +97,7 @@ def focal_loss(logits: np.ndarray, targets: np.ndarray,
     """Mean focal loss (1 - p_t)^gamma * (-log p_t); reduces to CE at gamma=0."""
     if gamma == 0.0:
         return cross_entropy_id(logits, targets)
-    logits = np.asarray(logits, dtype=float)
-    targets = np.asarray(targets, dtype=int)
-    n, c = logits.shape
-    if targets.min() < 0 or targets.max() >= c:
-        raise ValueError("targets out of range")
-    p = softmax(logits)
-    idx = np.arange(n)
+    p, targets, idx = _probs(logits, targets)
     pt = np.clip(p[idx, targets], _EPS, 1.0)
     one_m = 1.0 - pt
     value = float((one_m**gamma * (-np.log(pt))).mean())
@@ -110,26 +106,85 @@ def focal_loss(logits: np.ndarray, targets: np.ndarray,
     onehot = np.zeros_like(p)
     onehot[idx, targets] = 1.0
     dpt_dz = pt[:, None] * (onehot - p)
-    grad = dl_dpt[:, None] * dpt_dz / n
+    grad = dl_dpt[:, None] * dpt_dz / len(idx)
     return LossValue(value, grad)
 
 
 def part_prediction_loss(grid_logits: np.ndarray,
                          grid_labels: np.ndarray) -> LossValue:
-    """Sum (not mean) of pixel-wise cross-entropy over all grid cells."""
+    """Sum (not mean) of pixel-wise cross-entropy over all grid cells.
+
+    Logits ``(..., C)``, one grid ``(H, W, C)`` or a batch ``(B, H, W, C)``,
+    with labels ``(...)``; the gradient has the logits' shape.
+    """
     logits = np.asarray(grid_logits, dtype=float)
     labels = np.asarray(grid_labels, dtype=int)
-    h, w, c = logits.shape
-    flat = logits.reshape(-1, c)
-    tgt = labels.reshape(-1)
-    if tgt.min() < 0 or tgt.max() >= c:
-        raise ValueError("labels out of range")
-    p = softmax(flat)
-    idx = np.arange(flat.shape[0])
+    if labels.shape != logits.shape[:-1]:
+        raise ValueError("labels must have the logits' shape without C")
+    p, tgt, idx = _probs(logits.reshape(-1, logits.shape[-1]),
+                         labels.reshape(-1))
     value = float(-np.log(np.clip(p[idx, tgt], _EPS, None)).sum())
-    grad = p
-    grad[idx, tgt] -= 1.0
-    return LossValue(value, grad.reshape(h, w, c))
+    p[idx, tgt] -= 1.0
+    return LossValue(value, p.reshape(logits.shape))
+
+
+def _check_labels(labels: np.ndarray) -> None:
+    _, counts = np.unique(labels, return_counts=True)
+    if len(counts) < 2 or counts.min() < 2:
+        raise DegenerateBatch("need >= 2 labels with >= 2 samples each")
+
+
+def _batch_hard_triplets(emb: np.ndarray, labels: np.ndarray,
+                         valid: np.ndarray, margin: float):
+    """The batch-hard triplet kernel over S scopes at once.
+
+    Embeddings ``emb`` (S, N, D), ``labels`` (N,) shared by all scopes,
+    ``valid`` (S, N).  An anchor qualifies when it is valid and has a valid
+    positive and a valid negative; its hardest positive is the first
+    farthest, its hardest negative the first nearest.  Returns values (S,),
+    each the mean of ``max(0, d_ap - d_an + margin)`` over the scope's m
+    qualifying anchors (0 when m = 0), and gradients (S, N, D).
+
+    Float order, as a per-anchor loop would have it: a scope's mean sums
+    its terms in anchor order as one 1-D array; each gradient term ``(e_a
+    - e_x) / d / m`` is added in anchor order, the positive's before the
+    negative's, and not at all when ``d <= 1e-12``.  Dividing each term
+    by m, not the sum once, can move a gradient by about 1 ulp.
+    """
+    s, n, _ = emb.shape
+    sq = (emb**2).sum(axis=2)
+    d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * emb @ emb.transpose(0, 2, 1)
+    dist = np.sqrt(np.clip(d2, 0.0, None))                # (S, N, N)
+    same = labels[:, None] == labels[None, :]
+    pair_ok = valid[:, :, None] & valid[:, None, :]
+    pos_d = np.where(pair_ok & same & ~np.eye(n, dtype=bool), dist, -np.inf)
+    neg_d = np.where(pair_ok & ~same, dist, np.inf)
+    hp, hn = pos_d.argmax(axis=2), neg_d.argmin(axis=2)  # (S, N)
+    t = pos_d.max(axis=2) - neg_d.min(axis=2) + margin   # -inf: no pos/neg
+    qualifies = np.isfinite(t)
+    m = qualifies.sum(axis=1)                             # (S,)
+
+    # Each scope's terms packed to the front of its row: the masked sum
+    # then adds them in the pairwise order of a 1-D sum over the m terms.
+    front = np.arange(n) < m[:, None]
+    packed = np.zeros((s, n))
+    packed[front] = np.maximum(t[qualifies], 0.0)
+    values = np.divide(packed.sum(axis=1, where=front), m, out=np.zeros(s),
+                       where=m > 0)
+
+    # Each active anchor's terms, positive then negative: +w to it, -w to x.
+    sc, a = np.nonzero(t > 0)
+    x = np.stack([hp[sc, a], hn[sc, a]], axis=1).ravel()
+    sign = np.tile([1.0, -1.0], len(sc))
+    sc, a = sc.repeat(2), a.repeat(2)
+    d = dist[sc, a, x]
+    keep = d > _EPS
+    sc, a, x, d, sign = sc[keep], a[keep], x[keep], d[keep], sign[keep]
+    w = sign[:, None] * ((emb[sc, a] - emb[sc, x]) / d[:, None] / m[sc, None])
+    grad = np.zeros(emb.shape)
+    np.add.at(grad, (np.stack([sc, sc], axis=1), np.stack([a, x], axis=1)),
+              np.stack([w, -w], axis=1))
+    return values, grad
 
 
 def triplet_batch_hard(embeddings: np.ndarray, labels: np.ndarray,
@@ -137,37 +192,13 @@ def triplet_batch_hard(embeddings: np.ndarray, labels: np.ndarray,
     """Batch-hard triplet loss with analytic (sub)gradient.
 
     Mean over anchors of max(0, d(a, hardest positive) - d(a, hardest
-    negative) + margin) with Euclidean distances.
+    negative) + margin) with Euclidean distances: the all-valid case of
+    :func:`masked_triplet_batch_hard` (see the module docstring on ulps).
     """
-    emb = np.asarray(embeddings, dtype=float)
     labels = np.asarray(labels)
-    n = emb.shape[0]
-    uniq, counts = np.unique(labels, return_counts=True)
-    if len(uniq) < 2 or counts.min() < 2:
-        raise DegenerateBatch("need >= 2 labels with >= 2 samples each")
-    dist = _pairwise_dist(emb)
-    same = labels[:, None] == labels[None, :]
-    pos_d = np.where(same & ~np.eye(n, dtype=bool), dist, -np.inf)
-    neg_d = np.where(~same, dist, np.inf)
-    hp = pos_d.argmax(axis=1)
-    hn = neg_d.argmin(axis=1)
-    idx = np.arange(n)
-    terms = dist[idx, hp] - dist[idx, hn] + cfg.margin
-    active = terms > 0
-    value = float(np.clip(terms, 0.0, None).mean())
-    grad = np.zeros_like(emb)
-    for a in idx[active]:
-        p, ng = hp[a], hn[a]
-        dp, dn = dist[a, p], dist[a, ng]
-        if dp > _EPS:
-            u = (emb[a] - emb[p]) / dp
-            grad[a] += u
-            grad[p] -= u
-        if dn > _EPS:
-            v = (emb[a] - emb[ng]) / dn
-            grad[a] -= v
-            grad[ng] += v
-    return LossValue(value, grad / n)
+    _check_labels(labels)
+    return masked_triplet_batch_hard(embeddings, labels,
+                                     np.ones(len(labels), dtype=bool), cfg)
 
 
 def masked_triplet_batch_hard(embeddings: np.ndarray, labels: np.ndarray,
@@ -180,44 +211,10 @@ def masked_triplet_batch_hard(embeddings: np.ndarray, labels: np.ndarray,
     when no anchor qualifies.
     """
     emb = np.asarray(embeddings, dtype=float)
-    labels = np.asarray(labels)
-    valid = np.asarray(valid).astype(bool)
-    n = emb.shape[0]
-    grad = np.zeros_like(emb)
-    if valid.sum() < 2:
-        return LossValue(0.0, grad)
-    dist = _pairwise_dist(emb)
-    same = labels[:, None] == labels[None, :]
-    pair_ok = valid[:, None] & valid[None, :]
-    pos_d = np.where(same & pair_ok & ~np.eye(n, dtype=bool), dist, -np.inf)
-    neg_d = np.where(~same & pair_ok, dist, np.inf)
-    terms = []
-    contribs = []
-    for a in range(n):
-        if not valid[a]:
-            continue
-        if not np.isfinite(pos_d[a]).any() or not np.isfinite(neg_d[a]).any():
-            continue
-        p = int(pos_d[a].argmax())
-        ng = int(neg_d[a].argmin())
-        t = dist[a, p] - dist[a, ng] + cfg.margin
-        terms.append(max(0.0, t))
-        if t > 0:
-            contribs.append((a, p, ng))
-    if not terms:
-        return LossValue(0.0, grad)
-    m = len(terms)
-    for a, p, ng in contribs:
-        dp, dn = dist[a, p], dist[a, ng]
-        if dp > _EPS:
-            u = (emb[a] - emb[p]) / dp
-            grad[a] += u / m
-            grad[p] -= u / m
-        if dn > _EPS:
-            v = (emb[a] - emb[ng]) / dn
-            grad[a] -= v / m
-            grad[ng] += v / m
-    return LossValue(float(np.mean(terms)), grad)
+    values, grad = _batch_hard_triplets(
+        emb[None], np.asarray(labels), np.asarray(valid).astype(bool)[None],
+        cfg.margin)
+    return LossValue(float(values[0]), grad[0])
 
 
 def gilt_loss(parts: np.ndarray, part_visibility: np.ndarray,
@@ -234,10 +231,8 @@ def gilt_loss(parts: np.ndarray, part_visibility: np.ndarray,
     parts = np.asarray(parts, dtype=float)       # (N, K, D)
     vis = np.asarray(part_visibility)            # (N, K)
     labels = np.asarray(labels)
-    n, k, d = parts.shape
-    uniq, counts = np.unique(labels, return_counts=True)
-    if len(uniq) < 2 or counts.min() < 2:
-        raise DegenerateBatch("need >= 2 labels with >= 2 samples each")
+    k = parts.shape[1]
+    _check_labels(labels)
 
     scopes = ("global", "concat", "foreground")
     ce_value = 0.0
@@ -247,12 +242,11 @@ def gilt_loss(parts: np.ndarray, part_visibility: np.ndarray,
         ce_value += lv.value / len(scopes)
         logit_grads[scope] = lv.gradients / len(scopes)
 
-    part_value = 0.0
-    part_grads = np.zeros_like(parts)
-    for j in range(k):
-        lv = masked_triplet_batch_hard(parts[:, j, :], labels, vis[:, j], cfg)
-        part_value += lv.value / k
-        part_grads[:, j, :] += lv.gradients / k
+    values, grads = _batch_hard_triplets(parts.transpose(1, 0, 2), labels,
+                                         vis.T.astype(bool), cfg.margin)
+    # cumsum adds the v / k in scope order, as a loop over scopes would.
+    part_value = float(np.cumsum(values / k)[-1])
+    part_grads = grads.transpose(1, 0, 2) / k
 
     return LossValue(ce_value + part_value,
                      {"id_logits": logit_grads, "parts": part_grads})

@@ -204,14 +204,17 @@ def load_model(path) -> EmbedderModel:
             for _ in range(rows):
                 line = fh.readline()
                 lineno += 1
-                data.append([float(v) for v in line.split()])
-            arr = np.array(data)
-            if arr.shape != (rows, cols):
-                raise ParseError(f"shape mismatch for {name}", lineno)
-            arrays[name] = arr
+                try:
+                    data.append([float(v) for v in line.split()])
+                except ValueError as exc:
+                    raise ParseError(str(exc), lineno) from exc
+                if len(data[-1]) != cols:    # short, ragged, or past the end
+                    raise ParseError(f"{name} row has {len(data[-1])} values, "
+                                     f"expected {cols}", lineno)
+            arrays[name] = np.array(data).reshape(rows, cols)
     missing = [n for n in PARAM_NAMES if n not in arrays]
     if missing:
-        raise ParseError(f"missing arrays {missing}", 1)
+        raise ParseError(f"missing arrays {missing}", lineno)
     kwargs = {}
     for name in PARAM_NAMES:
         arr = arrays[name]

@@ -55,15 +55,13 @@ def tracklet_cost_matrix(tracklets: list[Tracklet],
     The diagonal is +inf; temporally overlapping pairs are +inf unless
     allowed by config.
     """
-    m = len(tracklets)
     feats = [_merge_features(t, cfg.foreground_only) for t in tracklets]
     costs = part_distance_matrix(feats, feats)
     np.fill_diagonal(costs, np.inf)
     if not cfg.allow_temporal_overlap:
-        for i in range(m):
-            for j in range(i + 1, m):
-                if tracklets[i].overlaps(tracklets[j]):
-                    costs[i, j] = costs[j, i] = np.inf
+        first = np.array([t.first_frame for t in tracklets])
+        last = np.array([t.last_frame for t in tracklets])
+        costs[(first[:, None] <= last) & (first <= last[:, None])] = np.inf
     return costs
 
 

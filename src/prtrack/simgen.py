@@ -18,6 +18,7 @@ from .core import BoundingBox, Detection, PartFeatureSet, Role
 from .embedder import FeatureGrid, GridSample
 
 __all__ = [
+    "DETECTOR_NOISES",
     "ConfigInvalid",
     "ScenarioConfig",
     "Agent",
@@ -28,6 +29,10 @@ __all__ = [
     "to_tracking_input",
     "oracle_feature_projection",
 ]
+
+
+# The detector noise models :func:`to_tracking_input` applies.
+DETECTOR_NOISES = ("none", "jitter", "dropout")
 
 
 class ConfigInvalid(Exception):
@@ -371,7 +376,7 @@ def to_tracking_input(scenario: Scenario, detector_noise: str = "none",
     Returns (frame inputs, gt records) where each gt record is
     (frame, identity, box) and each frame input is a list of Detections.
     """
-    if detector_noise not in ("none", "jitter", "dropout"):
+    if detector_noise not in DETECTOR_NOISES:
         raise ValueError(f"unknown detector noise {detector_noise!r}")
     rng = np.random.default_rng(seed)
     proj, offsets = oracle_feature_projection(scenario.config)

@@ -214,3 +214,50 @@ def brute_retrieval(retrieval, match_key, exclude_same_view):
     if not aps:
         return math.nan, math.nan
     return float(np.mean(aps)), float(np.mean(top1))
+
+
+def brute_triplet(emb, labels, valid, margin, divide_each=True):
+    """Visibility-masked batch-hard triplet loss of one scope, anchor by
+    anchor; returns (value, gradient).
+
+    An anchor counts when it is valid and some other valid sample shares its
+    label and some valid sample does not.  Its hardest positive is the
+    farthest such sample, its hardest negative the nearest, the first in
+    index order on ties.  The value is the mean of max(0, d_ap - d_an +
+    margin) over the m counted anchors, 0 when there are none.  An anchor
+    with a positive term pulls d_ap down and pushes d_an up; a distance of 0
+    adds nothing.  ``divide_each`` divides each term by m before adding it
+    (the positive's, then the negative's, anchor by anchor); otherwise the
+    terms are summed and the sum is divided by m once."""
+    emb = np.asarray(emb, dtype=float)
+    n, d = emb.shape
+
+    def dist(i, j):
+        return math.sqrt(sum((emb[i, c] - emb[j, c]) ** 2 for c in range(d)))
+
+    anchors = []
+    for a in range(n):
+        if not valid[a]:
+            continue
+        pos = [j for j in range(n)
+               if j != a and valid[j] and labels[j] == labels[a]]
+        neg = [j for j in range(n) if valid[j] and labels[j] != labels[a]]
+        if pos and neg:
+            p = max(pos, key=lambda j: dist(a, j))
+            ng = min(neg, key=lambda j: dist(a, j))
+            anchors.append((a, p, ng, dist(a, p) - dist(a, ng) + margin))
+    grad = np.zeros_like(emb)
+    if not anchors:
+        return 0.0, grad
+    m = len(anchors)
+    value = float(np.mean([max(0.0, t) for *_, t in anchors]))
+    scale = m if divide_each else 1
+    for a, p, ng, t in anchors:
+        if t <= 0:
+            continue
+        for x, sign in ((p, 1.0), (ng, -1.0)):
+            if dist(a, x) > 0:
+                g = sign * ((emb[a] - emb[x]) / dist(a, x) / scale)
+                grad[a] += g
+                grad[x] -= g
+    return value, (grad if divide_each else grad / m)

@@ -95,6 +95,20 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert main(["eval-track", "--gt", str(empty_gt),
                  "--pred", str(pred)]) == 2
     assert "no ground-truth boxes" in capsys.readouterr().err
+    bad.write_text("scenario: {frames: [1, 2\n")
+    assert main(["generate", "--config", str(bad),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_unknown_detector_noise_fails_before_training(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({"scenario": {"frames": 5},
+                                   "detector_noise": "jiter"}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "detector_noise" in capsys.readouterr().err
+    assert not (out / "model.txt").exists()
 
 
 def test_readme_command_lines_parse():

@@ -51,6 +51,8 @@ def test_range_errors():
         config_from_dict({"tracker": {"alpha": -0.5}})
     with pytest.raises(RangeError):
         config_from_dict({"sampling_stride": 0})
+    with pytest.raises(RangeError, match="detector_noise"):
+        config_from_dict({"detector_noise": "jiter"})
 
 
 def test_reseeded_propagates():

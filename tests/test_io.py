@@ -133,3 +133,26 @@ def test_model_checkpoint_bad_magic(tmp_path):
     p.write_text("not a checkpoint\n")
     with pytest.raises(ParseError):
         load_model(p)
+
+
+def test_model_checkpoint_bad_rows(tmp_path):
+    good = tmp_path / "model.txt"
+    save_model(EmbedderModel.init(channels=6, num_parts=3, dim=4, n_ids=5),
+               good)
+    lines = good.read_text().splitlines(keepends=True)
+    row = lines[2].split()                       # first row of w_pix (line 3)
+    cases = {
+        "non-numeric": " ".join(row[:-1] + ["abc"]) + "\n",
+        "short": " ".join(row[:-1]) + "\n",
+        "ragged": " ".join(row + ["1.0"]) + "\n",
+    }
+    bad = tmp_path / "bad.txt"
+    for name, text in cases.items():
+        bad.write_text("".join(lines[:2] + [text] + lines[3:]))
+        with pytest.raises(ParseError) as err:
+            load_model(bad)
+        assert err.value.line == 3, name
+    bad.write_text("".join(lines[:4]))           # ends inside w_pix
+    with pytest.raises(ParseError) as err:
+        load_model(bad)
+    assert err.value.line == 5

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from prtrack.losses import (DegenerateBatch, LossWeights, LossValue,
                             TripletConfig, cross_entropy_id, focal_loss,
                             gilt_loss, masked_triplet_batch_hard,
                             part_prediction_loss, softmax, total_loss,
                             triplet_batch_hard)
+
+from oracles import brute_triplet
 
 
 def fd_check(fn, x, grad, coords, step=1e-6, tol=1e-6):
@@ -79,6 +84,18 @@ def test_part_prediction_is_cell_sum(rng):
     assert lv.value == pytest.approx(expected, abs=1e-10)
     fd_check(lambda: part_prediction_loss(logits, labels).value,
              logits, lv.gradients, range(0, 24, 5))
+    # A (B, H, W, C) batch: the stacked per-image gradients, the summed value.
+    logits = rng.normal(size=(5, 3, 2, 4))
+    labels = rng.integers(0, 4, size=(5, 3, 2))
+    lv = part_prediction_loss(logits, labels)
+    per_image = [part_prediction_loss(g, lab) for g, lab in zip(logits, labels)]
+    assert lv.gradients.shape == logits.shape
+    np.testing.assert_array_equal(
+        lv.gradients, np.stack([p.gradients for p in per_image]))
+    assert lv.value == pytest.approx(sum(p.value for p in per_image),
+                                     rel=1e-12)
+    with pytest.raises(ValueError):
+        part_prediction_loss(logits, labels[:, :, :1])
 
 
 def test_triplet_batch_hard_value(rng):
@@ -161,6 +178,84 @@ def test_gilt_gradients(rng):
         fd_check(lambda: gilt_loss(parts, vis, logits, labels).value,
                  logits[scope], lv.gradients["id_logits"][scope],
                  range(0, 32, 5), tol=1e-5)
+
+
+def _integer_batch(rng, n, d, n_scopes=1):
+    """Labels with >= 2 samples each and small integer embeddings: their
+    distances are square roots of exact integers, so every distance formula
+    rounds them alike.  Ties and duplicated rows (distance 0) are common."""
+    labels = np.repeat(np.arange(n // 2), 2)
+    labels = np.concatenate([labels, rng.integers(0, n // 2, n % 2)])
+    rng.shuffle(labels)
+    emb = rng.integers(-2, 3, size=(n, n_scopes, d)).astype(float)
+    emb[rng.integers(n)] = emb[rng.integers(n)]
+    return emb, labels
+
+
+def test_gilt_parts_equal_per_scope_oracle():
+    rng = np.random.default_rng(7)
+    for n in (4, 5, 9, 16, 23, 32, 44) * 3:
+        k, d = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        parts, labels = _integer_batch(rng, n, d, k)
+        vis = (rng.random((n, k)) < rng.uniform(0.3, 1.0)).astype(int)
+        vis[:, 0] = 0
+        vis[rng.integers(n), 0] = 1    # scope 0: no qualifying anchor
+        logits = {s: rng.normal(size=(n, n // 2))
+                  for s in ("global", "concat", "foreground")}
+        lv = gilt_loss(parts, vis, logits, labels, TripletConfig(0.3))
+        ce_value = 0.0
+        for s in ("global", "concat", "foreground"):
+            ce_value += cross_entropy_id(logits[s], labels).value / 3
+        part_value = 0.0
+        for j in range(k):
+            value, grad = brute_triplet(parts[:, j], labels, vis[:, j], 0.3)
+            part_value += value / k
+            np.testing.assert_array_equal(lv.gradients["parts"][:, j],
+                                          grad / k)
+        assert lv.value == ce_value + part_value
+        assert not lv.gradients["parts"][:, 0].any()
+
+
+def test_triplet_batch_hard_matches_oracle():
+    rng = np.random.default_rng(8)
+    for n in (4, 6, 8, 12, 16, 20, 32, 44):
+        emb, labels = _integer_batch(rng, n, int(rng.integers(1, 9)))
+        emb = emb[:, 0]
+        lv = triplet_batch_hard(emb, labels, TripletConfig(0.3))
+        value, grad = brute_triplet(emb, labels, np.ones(n), 0.3,
+                                    divide_each=False)
+        assert lv.value == value
+        # Terms are divided by n before they are added: ~1 ulp from the
+        # oracle's single division, none when n is a power of two.
+        if n & (n - 1) == 0:
+            np.testing.assert_array_equal(lv.gradients, grad)
+        else:
+            np.testing.assert_allclose(lv.gradients, grad, rtol=0,
+                                       atol=1e-12 * np.abs(grad).max())
+
+
+@st.composite
+def masked_batches(draw):
+    """Embeddings, labels, validity, and other values for the hidden rows."""
+    n = draw(st.integers(4, 12))
+    d = draw(st.integers(1, 4))
+    values = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+    return (draw(arrays(float, (n, d), elements=values)),
+            draw(arrays(int, n, elements=st.integers(0, 2))),
+            draw(arrays(bool, n)),
+            draw(arrays(float, (n, d), elements=values)))
+
+
+@settings(deadline=None)
+@given(masked_batches())
+def test_masked_triplet_hidden_samples_do_not_matter(batch):
+    emb, labels, valid, other = batch
+    lv = masked_triplet_batch_hard(emb, labels, valid)
+    np.testing.assert_array_equal(lv.gradients[~valid], 0.0)
+    moved = np.where(valid[:, None], emb, other)
+    lv2 = masked_triplet_batch_hard(moved, labels, valid)
+    assert lv2.value == lv.value
+    np.testing.assert_array_equal(lv2.gradients, lv.gradients)
 
 
 def test_total_loss_weighted_sum():

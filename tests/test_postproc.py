@@ -36,6 +36,17 @@ def test_cost_matrix_diagonal_and_overlap():
     allow = tracklet_cost_matrix([a, b, c],
                                  MergeConfig(allow_temporal_overlap=True))
     assert allow[0, 1] == pytest.approx(0.0)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        spans = [sorted(rng.integers(1, 40, 2)) for _ in range(12)]
+        ts = [tracklet(i, range(lo, hi + 1), rng.normal(size=2))
+              for i, (lo, hi) in enumerate(spans)]
+        costs = tracklet_cost_matrix(ts)
+        allow = tracklet_cost_matrix(ts,
+                                     MergeConfig(allow_temporal_overlap=True))
+        overlap = np.array([[t.overlaps(u) for u in ts] for t in ts])
+        np.testing.assert_array_equal(np.isinf(costs), overlap)
+        np.testing.assert_array_equal(costs[~overlap], allow[~overlap])
 
 
 def test_merge_joins_matching_fragments():
