@@ -7,6 +7,7 @@ definitions of the component configs.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, fields
 
 import yaml
@@ -50,27 +51,43 @@ class RunConfig:
         )
 
 
+# Bounds (lo, hi) of numeric fields, by section-qualified key.
 _RANGES = {
-    ("weights", "lambda_pa"): (0.0, None),
-    ("weights", "lambda_reid"): (0.0, None),
-    ("weights", "lambda_team"): (0.0, None),
-    ("weights", "lambda_role"): (0.0, None),
-    ("tracker", "alpha"): (0.0, 1.0),
-    ("tracker", "appearance_weight"): (0.0, 1.0),
-    ("tracker", "iou_gate"): (0.0, 1.0),
-    ("scenario", "occlusion_rate"): (0.0, 1.0),
-    ("scenario", "exit_rate"): (0.0, 1.0),
-    ("scenario", "feature_noise_sigma"): (0.0, None),
+    "weights.lambda_pa": (0.0, None),
+    "weights.lambda_reid": (0.0, None),
+    "weights.lambda_team": (0.0, None),
+    "weights.lambda_role": (0.0, None),
+    "tracker.alpha": (0.0, 1.0),
+    "tracker.appearance_weight": (0.0, 1.0),
+    "tracker.iou_gate": (0.0, 1.0),
+    "scenario.occlusion_rate": (0.0, 1.0),
+    "scenario.exit_rate": (0.0, 1.0),
+    "scenario.feature_noise_sigma": (0.0, None),
+    "detector_noise_param": (0.0, None),
+    "sampling_stride": (1, None),
 }
 
 
-def _check_range(section: str, key: str, value) -> None:
-    bounds = _RANGES.get((section, key))
-    if bounds is None:
+def _check_value(name: str, default, value) -> None:
+    """Type and range checks of ``value`` for a field whose default is
+    ``default``; the error names the key.  An integer field takes integers
+    only, a float field any finite number."""
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise TypeError(f"{name} must be a boolean")
         return
-    lo, hi = bounds
-    if (lo is not None and value < lo) or (hi is not None and value > hi):
-        raise RangeError(key)
+    if isinstance(default, (int, float)):
+        kind = int if isinstance(default, int) else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise TypeError(f"{name} must be "
+                            + ("an integer" if kind is int else "a number"))
+        lo, hi = _RANGES.get(name, (None, None))
+        if ((isinstance(value, float) and not math.isfinite(value))
+                or (lo is not None and value < lo)
+                or (hi is not None and value > hi)):
+            raise RangeError(name)
+    elif isinstance(default, str) and not isinstance(value, str):
+        raise TypeError(f"{name} must be a string")
 
 
 def _build(cls, section: str, data: dict):
@@ -87,16 +104,7 @@ def _build(cls, section: str, data: dict):
             continue
         if key == "decay_epochs" and isinstance(value, list):
             value = tuple(value)
-        default = getattr(defaults, key)
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise TypeError(f"{section}.{key} must be a boolean")
-        elif isinstance(default, (int, float)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"{section}.{key} must be a number")
-            _check_range(section, key, value)
-        elif isinstance(default, str) and not isinstance(value, str):
-            raise TypeError(f"{section}.{key} must be a string")
+        _check_value(f"{section}.{key}", getattr(defaults, key), value)
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -137,6 +145,7 @@ def load_config(path) -> RunConfig:
 
 def config_from_dict(data: dict) -> RunConfig:
     kwargs = {}
+    defaults = RunConfig()
     top_fields = {f.name for f in fields(RunConfig)}
     for key, value in data.items():
         if key in _SECTIONS:
@@ -144,12 +153,11 @@ def config_from_dict(data: dict) -> RunConfig:
                 raise TypeError(f"{key} must be a mapping")
             kwargs[key] = _build(_SECTIONS[key], key, value)
         elif key in top_fields:
+            _check_value(key, getattr(defaults, key), value)
             kwargs[key] = value
         else:
             raise UnknownKeyError(key)
     cfg = RunConfig(**kwargs)
-    if cfg.sampling_stride < 1:
-        raise RangeError("sampling_stride")
     if cfg.detector_noise not in DETECTOR_NOISES:
         raise RangeError("detector_noise")
     try:

@@ -27,6 +27,7 @@ __all__ = [
     "part_distance",
     "part_distance_matrix",
     "box_array",
+    "xywh_to_xyah",
     "xyah_to_xywh",
     "iou_matrix",
 ]
@@ -118,11 +119,6 @@ class BoundingBox:
     def center(self) -> tuple[float, float]:
         return (self.x + self.w / 2.0, self.y + self.h / 2.0)
 
-    def to_xyah(self) -> np.ndarray:
-        """(center x, center y, aspect ratio w/h, height)."""
-        cx, cy = self.center
-        return np.array([cx, cy, self.w / self.h, self.h])
-
 
 @dataclass
 class Detection:
@@ -168,8 +164,9 @@ class Tracklet:
 
 def _stack(sets: list[PartFeatureSet]) -> tuple[np.ndarray, np.ndarray]:
     """Features (N, K+1, D) and visibility (N, K+1) of N feature sets."""
-    return (np.stack([p.stacked() for p in sets]),
-            np.stack([p.visibility for p in sets]))
+    return (np.concatenate([np.array([p.foreground for p in sets])[:, None],
+                            np.array([p.parts for p in sets])], axis=1),
+            np.array([p.visibility for p in sets]))
 
 
 def _part_distances(fa: np.ndarray, va: np.ndarray,
@@ -226,8 +223,15 @@ def box_array(boxes: list[BoundingBox]) -> np.ndarray:
                     dtype=float).reshape(-1, 4)
 
 
+def xywh_to_xyah(boxes: np.ndarray) -> np.ndarray:
+    """(N, 4) rows of center x, center y, aspect ratio w/h and height of
+    (N, 4) ``x, y, w, h`` box rows; unchecked."""
+    x, y, w, h = np.asarray(boxes, dtype=float).reshape(-1, 4).T
+    return np.stack([x + w / 2.0, y + h / 2.0, w / h, h], axis=1)
+
+
 def xyah_to_xywh(xyah: np.ndarray) -> np.ndarray:
-    """Inverse of :meth:`BoundingBox.to_xyah` over rows; unchecked."""
+    """Inverse of :func:`xywh_to_xyah` over rows; unchecked."""
     cx, cy, a, h = np.asarray(xyah, dtype=float).reshape(-1, 4).T
     w = a * h
     return np.stack([cx - w / 2.0, cy - h / 2.0, w, h], axis=1)

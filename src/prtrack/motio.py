@@ -11,15 +11,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import BoundingBox, PartFeatureSet
+from .core import BoundingBox, PartFeatureSet, Tracklet
 from .embedder import EmbedderModel, PARAM_NAMES
 
 __all__ = [
     "ParseError",
     "MotRecord",
+    "gt_to_records",
+    "tracklets_to_records",
     "FeatureRecord",
     "write_mot",
     "parse_mot",
@@ -39,8 +42,10 @@ class ParseError(Exception):
         self.line = line
 
 
-@dataclass(frozen=True)
-class MotRecord:
+class MotRecord(NamedTuple):
+    """One MOT-challenge row: frame, id, box, confidence, class, visibility.
+    A named tuple, so a run's thousands of records are cheap to build."""
+
     frame: int
     id: int
     bb_left: float
@@ -55,6 +60,25 @@ class MotRecord:
     def box(self) -> BoundingBox:
         return BoundingBox(self.bb_left, self.bb_top,
                            self.bb_width, self.bb_height)
+
+
+def gt_to_records(gt_records) -> list[MotRecord]:
+    """MOT records of ``(frame, id, box)`` ground-truth rows."""
+    return [MotRecord(f, i, b.x, b.y, b.w, b.h) for f, i, b in gt_records]
+
+
+def tracklets_to_records(tracklets: list[Tracklet],
+                         id_map: dict[int, int] | None = None
+                         ) -> list[MotRecord]:
+    """MOT records of each tracklet's detections in turn; ``id_map``
+    renames tracklet ids."""
+    records = []
+    for t in tracklets:
+        tid = id_map.get(t.id, t.id) if id_map else t.id
+        records.extend(MotRecord(d.frame, tid, d.box.x, d.box.y, d.box.w,
+                                 d.box.h, d.confidence)
+                       for d in t.detections)
+    return records
 
 
 def write_mot(records: list[MotRecord], path) -> None:
@@ -211,6 +235,9 @@ def load_model(path) -> EmbedderModel:
                 if len(data[-1]) != cols:    # short, ragged, or past the end
                     raise ParseError(f"{name} row has {len(data[-1])} values, "
                                      f"expected {cols}", lineno)
+                if not all(map(math.isfinite, data[-1])):
+                    raise ParseError(f"{name} row has a non-finite value",
+                                     lineno)
             arrays[name] = np.array(data).reshape(rows, cols)
     missing = [n for n in PARAM_NAMES if n not in arrays]
     if missing:

@@ -10,9 +10,10 @@ import numpy as np
 
 from . import reference
 from .config import RunConfig
-from .core import Detection, Role, Tracklet
+from .core import BoundingBox, Detection, Role, Tracklet
 from .embedder import EmbedderModel, GridSample, forward_batch, train
-from .motio import MotRecord
+# The MOT record builders live with the format; re-exported here.
+from .motio import MotRecord, gt_to_records, tracklets_to_records
 from .postproc import (TooFewPlayers, assign_roles, assign_teams,
                        merge_tracklets)
 from .reid_metrics import RetrievalItem, RetrievalSet, evaluate_retrieval, \
@@ -77,36 +78,19 @@ def track_frames(frame_inputs: list[list[Detection]],
     return tracker.finish()
 
 
-def tracklets_to_records(tracklets: list[Tracklet],
-                         id_map: dict[int, int] | None = None
-                         ) -> list[MotRecord]:
-    records = []
-    for t in tracklets:
-        tid = id_map.get(t.id, t.id) if id_map else t.id
-        for d in t.detections:
-            records.append(MotRecord(
-                frame=d.frame, id=tid,
-                bb_left=d.box.x, bb_top=d.box.y,
-                bb_width=d.box.w, bb_height=d.box.h,
-                conf=d.confidence))
-    return records
-
-
-def gt_to_records(gt_records) -> list[MotRecord]:
-    return [MotRecord(frame=f, id=i, bb_left=b.x, bb_top=b.y,
-                      bb_width=b.w, bb_height=b.h)
-            for f, i, b in gt_records]
+def _by_frame(rows) -> dict[int, list[tuple[int, BoundingBox]]]:
+    """``frame -> [(id, box)]`` of ``(frame, id, box)`` rows, in row order."""
+    frames: dict[int, list] = {}
+    for frame, tid, box in rows:
+        frames.setdefault(frame, []).append((tid, box))
+    return frames
 
 
 def records_to_result(gt: list[MotRecord],
                       pred: list[MotRecord]) -> SequenceResult:
-    gt_frames: dict[int, list] = {}
-    pred_frames: dict[int, list] = {}
-    for r in gt:
-        gt_frames.setdefault(r.frame, []).append((r.id, r.box))
-    for r in pred:
-        pred_frames.setdefault(r.frame, []).append((r.id, r.box))
-    return SequenceResult(gt=gt_frames, pred=pred_frames)
+    return SequenceResult(gt=_by_frame((r.frame, r.id, r.box) for r in gt),
+                          pred=_by_frame((r.frame, r.id, r.box)
+                                         for r in pred))
 
 
 def evaluate_reid(model: EmbedderModel, queries: list[GridSample],
@@ -168,10 +152,12 @@ def run_pipeline(cfg: RunConfig):
     tracklets = track_frames(frame_inputs, cfg)
     merged, id_map = merge_tracklets(tracklets, cfg.merge)
 
-    gt_mot = gt_to_records(gt_records)
-    pred_mot = tracklets_to_records(merged)
-    result = records_to_result(gt_mot, pred_mot)
-    track_report = evaluate_sequence(result)
+    # Evaluated on the boxes in hand; records_to_result of the MOT records
+    # below would rebuild the same boxes.
+    track_report = evaluate_sequence(SequenceResult(
+        gt=_by_frame(gt_records),
+        pred=_by_frame((d.frame, t.id, d.box)
+                       for t in merged for d in t.detections)))
 
     reid_report = evaluate_reid(model, queries, gallery)
     cluster_acc = team_accuracy(merged, seed=cfg.seed)
@@ -201,8 +187,8 @@ def run_pipeline(cfg: RunConfig):
         "model": model,
         "tracklets": tracklets,
         "merged": merged,
-        "gt_mot": gt_mot,
+        "gt_mot": gt_to_records(gt_records),
         "raw_mot": tracklets_to_records(tracklets),
-        "merged_mot": pred_mot,
+        "merged_mot": tracklets_to_records(merged),
     }
     return report, artifacts

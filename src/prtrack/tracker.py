@@ -1,19 +1,32 @@
 """Online association: Kalman prediction, fused motion+appearance cost,
 linear assignment, EMA part-feature updates, and track lifecycle.
 
+The tracker holds its live tracks as row-aligned arrays: Kalman means
+``(T, 8)`` and covariances ``(T, 8, 8)``, EMA features ``(T, K+1, D)``
+ordered (foreground, part 1..K) with visibility ``(T, K+1)``, role-logit
+sums ``(T, 4)``, and integer ids, hits, misses and status codes; each row
+also keeps the list of its detections.  A step is a fixed number of batched
+calls: one Kalman predict over all rows, one fused cost, one assignment,
+then one Kalman update and one EMA over the matched rows.  Survivors keep
+their relative order and spawns are appended in detection order, which the
+assignment's tie-break toward low (row, col) pairs depends on.
+``Tracklet``, ``KalmanState`` and ``PartFeatureSet`` objects are built only
+at the API edge: by :meth:`OnlineTracker.finish` and the read-only
+:attr:`OnlineTracker.tracks` snapshot.
+
 Association reads only boxes and appearance features; team and role labels
 never enter the cost computation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import (BoundingBox, Detection, KalmanState, PartFeatureSet,
-                   TrackStatus, Tracklet, box_array, iou_matrix,
-                   part_distance_matrix, xyah_to_xywh)
+                   TrackStatus, Tracklet, _part_distances, _stack,
+                   box_array, iou_matrix, xywh_to_xyah, xyah_to_xywh)
 from .solvers import hungarian
 
 __all__ = [
@@ -54,6 +67,8 @@ class TrackerConfig:
             raise ValueError("appearance_weight must be in [0, 1]")
         if not (0.0 <= self.iou_gate <= 1.0):
             raise ValueError("iou_gate must be in [0, 1]")
+        if not self.match_threshold >= 0.0:
+            raise ValueError("match_threshold must be >= 0")
         if self.max_age < 1 or self.n_init < 1:
             raise ValueError("max_age and n_init must be >= 1")
 
@@ -76,56 +91,67 @@ def _motion_mats(dt: float = 1.0):
 _F, _H = _motion_mats()
 
 
-def kalman_init(box: BoundingBox) -> KalmanState:
-    mean = np.zeros(8)
-    mean[:4] = box.to_xyah()
-    h = box.h
-    stds = [2 * _STD_POS * h, 2 * _STD_POS * h, 1e-2, 2 * _STD_POS * h,
-            10 * _STD_VEL * h, 10 * _STD_VEL * h, 1e-5, 10 * _STD_VEL * h]
-    return KalmanState(mean, np.diag(np.square(stds)))
+def _diag(stds: np.ndarray) -> np.ndarray:
+    """(T, n, n) diagonal covariances of (T, n) standard deviations."""
+    t, n = stds.shape
+    cov = np.zeros((t, n * n))
+    cov[:, ::n + 1] = np.square(stds)
+    return cov.reshape(t, n, n)
 
 
-def _process_noise(h: float) -> np.ndarray:
-    stds = [_STD_POS * h, _STD_POS * h, 1e-2, _STD_POS * h,
-            _STD_VEL * h, _STD_VEL * h, 1e-5, _STD_VEL * h]
-    return np.diag(np.square(stds))
+def kalman_init(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means ``(N, 8)`` and covariances ``(N, 8, 8)`` of new tracks at
+    ``(N, 4)`` ``x, y, w, h`` boxes, at rest."""
+    xyah = xywh_to_xyah(boxes)
+    mean = np.zeros((len(xyah), 8))
+    mean[:, :4] = xyah
+    stds = xyah[:, 3:] * [2 * _STD_POS, 2 * _STD_POS, 0.0, 2 * _STD_POS,
+                          10 * _STD_VEL, 10 * _STD_VEL, 0.0, 10 * _STD_VEL]
+    stds[:, 2], stds[:, 6] = 1e-2, 1e-5  # aspect-ratio entries: not in h
+    return mean, _diag(stds)
 
 
-def _measurement_noise(h: float) -> np.ndarray:
-    stds = [_STD_POS * h, _STD_POS * h, 1e-1, _STD_POS * h]
-    return np.diag(np.square(stds))
+def kalman_predict(mean: np.ndarray,
+                   cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Constant-velocity prediction of T states, means ``(T, 8)`` and
+    covariances ``(T, 8, 8)``; covariance grows by process noise."""
+    stds = mean[:, 3:4] * [_STD_POS, _STD_POS, 0.0, _STD_POS,
+                           _STD_VEL, _STD_VEL, 0.0, _STD_VEL]
+    stds[:, 2], stds[:, 6] = 1e-2, 1e-5
+    return mean @ _F.T, _F @ cov @ _F.T + _diag(stds)
 
 
-def kalman_predict(state: KalmanState) -> KalmanState:
-    """Constant-velocity prediction; covariance grows by process noise."""
-    mean = _F @ state.mean
-    cov = _F @ state.covariance @ _F.T + _process_noise(state.mean[3])
-    return KalmanState(mean, cov)
+def kalman_update(mean: np.ndarray, cov: np.ndarray,
+                  boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Standard correction of T states on their ``(T, 4)`` ``x, y, w, h``
+    measured boxes, read as (cx, cy, a, h).  Each state's matrix products
+    and inverse are those of a single state, so results do not depend on T.
+    """
+    stds = mean[:, 3:4] * [_STD_POS, _STD_POS, 0.0, _STD_POS]
+    stds[:, 2] = 1e-1
+    s = _H @ cov @ _H.T + _diag(stds)
+    k = cov @ _H.T @ np.linalg.inv(s)
+    innovation = xywh_to_xyah(boxes) - mean @ _H.T
+    mean = mean + (k @ innovation[:, :, None])[:, :, 0]
+    cov = (np.eye(8) - k @ _H) @ cov
+    return mean, (cov + cov.transpose(0, 2, 1)) / 2.0
 
 
-def kalman_update(state: KalmanState, measurement: BoundingBox) -> KalmanState:
-    """Standard correction on the (cx, cy, a, h) measurement."""
-    z = measurement.to_xyah()
-    r = _measurement_noise(state.mean[3])
-    s = _H @ state.covariance @ _H.T + r
-    k = state.covariance @ _H.T @ np.linalg.inv(s)
-    innovation = z - _H @ state.mean
-    mean = state.mean + k @ innovation
-    cov = (np.eye(8) - k @ _H) @ state.covariance
-    cov = (cov + cov.T) / 2.0
-    return KalmanState(mean, cov)
-
-
-def build_cost(tracks: list[Tracklet], dets: list[Detection],
+def build_cost(tracks: np.ndarray, dets: np.ndarray,
+               track_feats: np.ndarray, track_vis: np.ndarray,
+               det_feats: np.ndarray, det_vis: np.ndarray,
                cfg: TrackerConfig) -> np.ndarray:
-    """Fused appearance+motion cost; gated entries are +inf.  A track whose
-    predicted box is degenerate has IoU 0 and matches on appearance only."""
-    if not tracks or not dets:
+    """(T, N) fused appearance+motion cost; gated entries are +inf.
+
+    ``tracks`` holds the T tracks' predicted Kalman means ``(T, 8)`` and
+    ``dets`` the N detections' ``(N, 4)`` ``x, y, w, h`` boxes; the feature
+    and visibility arrays are the two sides' stacked ``(., K+1, D)`` and
+    ``(., K+1)``.  A track whose predicted box is degenerate has IoU 0 and
+    matches on appearance only."""
+    if not len(tracks) or not len(dets):
         return np.zeros((len(tracks), len(dets)))
-    app = part_distance_matrix([t.ema_features for t in tracks],
-                               [d.features for d in dets])
-    predicted = xyah_to_xywh(np.array([t.kalman.mean[:4] for t in tracks]))
-    ious = iou_matrix(predicted, box_array([d.box for d in dets]))
+    app = _part_distances(track_feats, track_vis, det_feats, det_vis)
+    ious = iou_matrix(xyah_to_xywh(tracks[:, :4]), dets)
     w = cfg.appearance_weight
     with np.errstate(invalid="ignore"):
         cost = w * app + (1.0 - w) * (1.0 - ious)
@@ -135,27 +161,98 @@ def build_cost(tracks: list[Tracklet], dets: list[Detection],
     return cost
 
 
-def ema_update(ema: PartFeatureSet, det: PartFeatureSet, alpha: float,
-               normalized: bool = False) -> PartFeatureSet:
-    """EMA update per index k in (foreground, 1..K):
+def ema_update(ema: np.ndarray, ema_vis: np.ndarray,
+               feats: np.ndarray, vis: np.ndarray, alpha: float,
+               normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """EMA update of T tracks' features ``(T, K+1, D)`` and visibility
+    ``(T, K+1)`` by their detections' ``feats`` and ``vis``; per index k in
+    (foreground, 1..K):
     e_k <- alpha * e_k * v_k_track + (1 - alpha) * f_k * v_k_det.
 
     Track visibility bits become the OR of the previous bits and the
     detection's.  The default applies the formula literally (an invisible
     side contributes zero, shrinking the magnitude); ``normalized=True``
-    divides by the sum of the active weights instead.
+    divides by the sum of the active weights instead.  Returns the new
+    features and visibility.
     """
-    v_old = ema.visibility.astype(float)
-    v_new = det.visibility.astype(float)
-    old = ema.stacked()
-    new = det.stacked()
-    mixed = alpha * old * v_old[:, None] + (1 - alpha) * new * v_new[:, None]
+    v_old = ema_vis.astype(float)
+    v_new = vis.astype(float)
+    mixed = (alpha * ema * v_old[..., None]
+             + (1 - alpha) * feats * v_new[..., None])
     if normalized:
         denom = alpha * v_old + (1 - alpha) * v_new
         nonzero = denom > 0
         mixed[nonzero] /= denom[nonzero, None]
-    vis = np.maximum(ema.visibility, det.visibility)
-    return PartFeatureSet(parts=mixed[1:], foreground=mixed[0], visibility=vis)
+    return mixed, np.maximum(ema_vis, vis)
+
+
+# Status codes of live rows; a track leaves the rows when it finishes.
+_TENTATIVE, _CONFIRMED, _LOST = range(3)
+_STATUS = (TrackStatus.TENTATIVE, TrackStatus.CONFIRMED, TrackStatus.LOST)
+
+
+@dataclass
+class _Rows:
+    """Row-aligned state of T tracks."""
+
+    ids: np.ndarray      # (T,)
+    hits: np.ndarray     # (T,)
+    misses: np.ndarray   # (T,)
+    status: np.ndarray   # (T,) of _TENTATIVE, _CONFIRMED, _LOST
+    mean: np.ndarray     # (T, 8)
+    cov: np.ndarray      # (T, 8, 8)
+    ema: np.ndarray      # (T, K+1, D), (foreground, part 1..K)
+    vis: np.ndarray      # (T, K+1)
+    logits: np.ndarray   # (T, 4) role-logit sums
+    dets: list           # T lists of Detection
+
+    @classmethod
+    def empty(cls) -> "_Rows":
+        return cls(*(np.zeros(0, dtype=int) for _ in range(4)),
+                   np.zeros((0, 8)), np.zeros((0, 8, 8)),
+                   np.zeros((0, 0, 0)), np.zeros((0, 0), dtype=int),
+                   np.zeros((0, 4)), [])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows: np.ndarray) -> "_Rows":
+        return _Rows(*(getattr(self, f.name)[rows] for f in fields(self)[:-1]),
+                     [self.dets[i] for i in rows])
+
+    def extend(self, other: "_Rows") -> "_Rows":
+        if not len(self):
+            return other
+        return _Rows(*(np.concatenate([getattr(self, f.name),
+                                       getattr(other, f.name)])
+                       for f in fields(self)[:-1]),
+                     self.dets + other.dets)
+
+    def tracklets(self, finished: bool) -> list[Tracklet]:
+        """One new ``Tracklet`` per row, owning copies of the row's state."""
+        return [Tracklet(
+            id=int(self.ids[i]), detections=list(self.dets[i]),
+            ema_features=PartFeatureSet(parts=self.ema[i, 1:].copy(),
+                                        foreground=self.ema[i, 0].copy(),
+                                        visibility=self.vis[i].copy()),
+            kalman=KalmanState(self.mean[i].copy(), self.cov[i].copy()),
+            status=(TrackStatus.FINISHED if finished
+                    else _STATUS[self.status[i]]),
+            role_logit_sum=self.logits[i].copy()) for i in range(len(self))]
+
+
+def _detection_arrays(dets: list[Detection]):
+    """Boxes ``(N, 4)``, features ``(N, K+1, D)``, visibility ``(N, K+1)``,
+    role logits ``(N, 4)`` (0 where absent) and the rows that have them."""
+    boxes = box_array([d.box for d in dets])
+    if not dets:
+        return (boxes, np.zeros((0, 0, 0)), np.zeros((0, 0), dtype=int),
+                np.zeros((0, 4)), np.zeros(0, dtype=bool))
+    feats, vis = _stack([d.features for d in dets])
+    has = np.array([d.role_logits is not None for d in dets])
+    logits = np.array([d.role_logits if d.role_logits is not None
+                       else np.zeros(4) for d in dets])
+    return boxes, feats, vis, logits, has
 
 
 class OnlineTracker:
@@ -163,12 +260,17 @@ class OnlineTracker:
 
     def __init__(self, cfg: TrackerConfig = TrackerConfig()):
         self.cfg = cfg
-        self.tracks: list[Tracklet] = []
-        self.finished: list[Tracklet] = []
+        self._rows = _Rows.empty()
+        # Finished tracks that reached n_init hits, for finish().
+        self._retired: list[_Rows] = []
         self._next_id = 1
         self._last_frame = 0
-        self._hits: dict[int, int] = {}
-        self._misses: dict[int, int] = {}
+
+    @property
+    def tracks(self) -> list[Tracklet]:
+        """Snapshot of the live tracks in row order; changing it does not
+        change the tracker."""
+        return self._rows.tracklets(finished=False)
 
     def step(self, frame_input: FrameInput) -> list[tuple[int, int, BoundingBox]]:
         """Advance one frame; returns (frame, track id, box) for confirmed
@@ -181,77 +283,69 @@ class OnlineTracker:
         dets = frame_input.detections
         if any(d.frame != frame for d in dets):
             raise ValueError("detections must share the input frame index")
+        cfg, rows = self.cfg, self._rows
+        boxes, feats, vis, logits, has_logits = _detection_arrays(dets)
 
-        for t in self.tracks:
-            t.kalman = kalman_predict(t.kalman)
+        rows.mean, rows.cov = kalman_predict(rows.mean, rows.cov)
+        cost = build_cost(rows.mean, boxes, rows.ema, rows.vis, feats, vis,
+                          cfg)
+        pairs = hungarian(cost).pairs if cost.size else []
+        ti, di = np.array(pairs, dtype=int).reshape(-1, 2).T
+        if len(ti):
+            rows.mean[ti], rows.cov[ti] = kalman_update(
+                rows.mean[ti], rows.cov[ti], boxes[di])
+            rows.ema[ti], rows.vis[ti] = ema_update(
+                rows.ema[ti], rows.vis[ti], feats[di], vis[di], cfg.alpha,
+                cfg.normalized_ema)
+            own = has_logits[di]
+            rows.logits[ti[own]] += logits[di[own]]
+            for i, j in zip(ti, di):
+                rows.dets[i].append(dets[j])
+            rows.hits[ti] += 1
+            rows.misses[ti] = 0
+            promote = ti[rows.hits[ti] >= cfg.n_init]
+            rows.status[promote] = _CONFIRMED
 
-        cost = build_cost(self.tracks, dets, self.cfg)
-        assignment = hungarian(cost) if cost.size else None
-        matched_tracks, matched_dets = set(), set()
-        if assignment is not None:
-            for ti, di in assignment.pairs:
-                self._match(self.tracks[ti], dets[di])
-                matched_tracks.add(ti)
-                matched_dets.add(di)
+        matched = np.zeros(len(rows), dtype=bool)
+        matched[ti] = True
+        outputs = [(frame, int(rows.ids[i]), rows.dets[i][-1].box)
+                   for i in np.flatnonzero(matched
+                                           & (rows.status == _CONFIRMED))]
+        missed = ~matched
+        rows.misses[missed] += 1
+        finished = missed & ((rows.status == _TENTATIVE)
+                             | (rows.misses > cfg.max_age))
+        rows.status[missed & ~finished] = _LOST
+        if finished.any():
+            # A tentative track never reached n_init hits; finish() drops it.
+            retired = np.flatnonzero(finished & (rows.hits >= cfg.n_init))
+            if len(retired):
+                self._retired.append(rows.take(retired))
+            rows = rows.take(np.flatnonzero(~finished))
 
-        outputs = []
-        survivors = []
-        for i, t in enumerate(self.tracks):
-            if i in matched_tracks:
-                if t.status == TrackStatus.CONFIRMED:
-                    outputs.append((frame, t.id, t.detections[-1].box))
-                survivors.append(t)
-                continue
-            self._misses[t.id] += 1
-            if t.status == TrackStatus.TENTATIVE:
-                t.status = TrackStatus.FINISHED
-                self.finished.append(t)
-            elif self._misses[t.id] > self.cfg.max_age:
-                t.status = TrackStatus.FINISHED
-                self.finished.append(t)
-            else:
-                t.status = TrackStatus.LOST
-                survivors.append(t)
-        self.tracks = survivors
-
-        for j, d in enumerate(dets):
-            if j not in matched_dets:
-                self._spawn(d)
+        spawn = np.ones(len(dets), dtype=bool)
+        spawn[di] = False
+        new = np.flatnonzero(spawn)
+        if len(new):
+            mean, cov = kalman_init(boxes[new])
+            n = len(new)
+            rows = rows.extend(_Rows(
+                ids=np.arange(self._next_id, self._next_id + n),
+                hits=np.ones(n, dtype=int), misses=np.zeros(n, dtype=int),
+                status=np.full(n, _CONFIRMED if cfg.n_init <= 1
+                               else _TENTATIVE),
+                mean=mean, cov=cov, ema=feats[new], vis=vis[new],
+                logits=logits[new], dets=[[dets[j]] for j in new]))
+            self._next_id += n
+        self._rows = rows
         return outputs
-
-    def _match(self, t: Tracklet, d: Detection):
-        t.kalman = kalman_update(t.kalman, d.box)
-        t.ema_features = ema_update(t.ema_features, d.features,
-                                    self.cfg.alpha, self.cfg.normalized_ema)
-        t.detections.append(d)
-        if d.role_logits is not None:
-            t.role_logit_sum = t.role_logit_sum + d.role_logits
-        self._hits[t.id] += 1
-        self._misses[t.id] = 0
-        if (t.status in (TrackStatus.TENTATIVE, TrackStatus.LOST)
-                and self._hits[t.id] >= self.cfg.n_init):
-            t.status = TrackStatus.CONFIRMED
-
-    def _spawn(self, d: Detection):
-        t = Tracklet(id=self._next_id, detections=[d],
-                     ema_features=d.features, kalman=kalman_init(d.box),
-                     status=TrackStatus.TENTATIVE,
-                     role_logit_sum=(np.array(d.role_logits)
-                                     if d.role_logits is not None
-                                     else np.zeros(4)))
-        self._next_id += 1
-        self._hits[t.id] = 1
-        self._misses[t.id] = 0
-        if self.cfg.n_init <= 1:
-            t.status = TrackStatus.CONFIRMED
-        self.tracks.append(t)
 
     def finish(self) -> list[Tracklet]:
         """Close the sequence; returns every tracklet that was ever
         confirmed, with all member detections."""
-        for t in self.tracks:
-            t.status = TrackStatus.FINISHED
-        all_tracks = self.finished + self.tracks
-        self.tracks = []
-        confirmed = [t for t in all_tracks if self._hits[t.id] >= self.cfg.n_init]
-        return sorted(confirmed, key=lambda t: t.id)
+        live = self._rows.take(
+            np.flatnonzero(self._rows.hits >= self.cfg.n_init))
+        tracks = [t for rows in (*self._retired, live)
+                  for t in rows.tracklets(finished=True)]
+        self._rows, self._retired = _Rows.empty(), []
+        return sorted(tracks, key=lambda t: t.id)

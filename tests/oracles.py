@@ -1,12 +1,16 @@
 """Independent brute-force reference implementations used to check the
 library's solvers and metrics.  Everything here is written from the plain
 definitions with exhaustive enumeration; nothing is shared with the package
-internals beyond basic types."""
+internals beyond basic types, unless a function's docstring says so."""
 
 import itertools
 import math
 
 import numpy as np
+
+from prtrack.core import (PartFeatureSet, TrackStatus, Tracklet, box_array,
+                          iou_matrix, part_distance_matrix, xyah_to_xywh)
+from prtrack.solvers import hungarian
 
 
 def box_iou(a, b):
@@ -261,3 +265,147 @@ def brute_triplet(emb, labels, valid, margin, divide_each=True):
                 grad[a] += g
                 grad[x] -= g
     return value, (grad if divide_each else grad / m)
+
+
+# One track's constant-velocity Kalman filter on (cx, cy, a, h) and their
+# velocities, state by state.
+_F = np.eye(8) + np.eye(8, k=4)
+_H = np.eye(4, 8)
+# Standard deviations per pixel of box height, DeepSORT's.
+_POS, _VEL = 1.0 / 20.0, 1.0 / 160.0
+
+
+def _xyah(box):
+    return np.array([box.x + box.w / 2.0, box.y + box.h / 2.0,
+                     box.w / box.h, box.h])
+
+
+def _kalman_init(box):
+    mean = np.zeros(8)
+    mean[:4] = _xyah(box)
+    h = box.h
+    stds = [2 * _POS * h, 2 * _POS * h, 1e-2, 2 * _POS * h,
+            10 * _VEL * h, 10 * _VEL * h, 1e-5, 10 * _VEL * h]
+    return mean, np.diag(np.square(stds))
+
+
+def _kalman_predict(mean, cov):
+    h = mean[3]
+    stds = [_POS * h, _POS * h, 1e-2, _POS * h,
+            _VEL * h, _VEL * h, 1e-5, _VEL * h]
+    return _F @ mean, _F @ cov @ _F.T + np.diag(np.square(stds))
+
+
+def _kalman_update(mean, cov, box):
+    h = mean[3]
+    r = np.diag(np.square([_POS * h, _POS * h, 1e-1, _POS * h]))
+    s = _H @ cov @ _H.T + r
+    k = cov @ _H.T @ np.linalg.inv(s)
+    mean = mean + k @ (_xyah(box) - _H @ mean)
+    cov = (np.eye(8) - k @ _H) @ cov
+    return mean, (cov + cov.T) / 2.0
+
+
+def _ema(ema, det, alpha, normalized):
+    """Per-track EMA of a feature set: index k of (foreground, 1..K) mixes
+    alpha * e_k * v_k_track + (1 - alpha) * f_k * v_k_det, divided by the
+    active weights when ``normalized``; visibility is the OR."""
+    rows = []
+    for k in range(len(ema.visibility)):
+        e = ema.foreground if k == 0 else ema.parts[k - 1]
+        f = det.foreground if k == 0 else det.parts[k - 1]
+        vo, vn = float(ema.visibility[k]), float(det.visibility[k])
+        mixed = alpha * e * vo + (1 - alpha) * f * vn
+        denom = alpha * vo + (1 - alpha) * vn
+        rows.append(mixed / denom if normalized and denom > 0 else mixed)
+    vis = [max(a, b) for a, b in zip(ema.visibility, det.visibility)]
+    return PartFeatureSet(parts=np.array(rows[1:]), foreground=rows[0],
+                          visibility=np.array(vis))
+
+
+def brute_track(frames, cfg):
+    """Per-object reference of ``OnlineTracker``: one ``Tracklet`` per
+    track, predicted, matched and aged track by track with per-track Kalman
+    and EMA formulas of its own.  The association cost reads the package's
+    part-distance and IoU matrices and the assignment its ``hungarian``,
+    which have oracle tests of their own.
+
+    ``frames`` is a list of (frame index, detections).  Returns (steps,
+    tracklets): per frame, the step's outputs and the live tracks after it;
+    then the tracklets ``finish()`` returns, in id order.  A track is the
+    tuple ``(id, status, mean, covariance, features (K+1, D), visibility,
+    role-logit sum, detections)``."""
+    tracks, finished, hits, misses = [], [], {}, {}
+    next_id, steps = 1, []
+    for frame, dets in frames:
+        for t in tracks:
+            t.kalman = _kalman_predict(*t.kalman)
+        if tracks and dets:
+            app = part_distance_matrix([t.ema_features for t in tracks],
+                                       [d.features for d in dets])
+            ious = iou_matrix(
+                xyah_to_xywh(np.array([t.kalman[0][:4] for t in tracks])),
+                box_array([d.box for d in dets]))
+            w = cfg.appearance_weight
+            with np.errstate(invalid="ignore"):
+                cost = w * app + (1.0 - w) * (1.0 - ious)
+            cost[(ious < cfg.iou_gate) & (app > cfg.match_threshold)] = np.inf
+            cost[~np.isfinite(app)] = np.inf
+            pairs = hungarian(cost).pairs
+        else:
+            pairs = []
+        for ti, di in pairs:
+            t, d = tracks[ti], dets[di]
+            t.kalman = _kalman_update(*t.kalman, d.box)
+            t.ema_features = _ema(t.ema_features, d.features, cfg.alpha,
+                                  cfg.normalized_ema)
+            t.detections.append(d)
+            if d.role_logits is not None:
+                t.role_logit_sum = t.role_logit_sum + d.role_logits
+            hits[t.id] += 1
+            misses[t.id] = 0
+            if (t.status in (TrackStatus.TENTATIVE, TrackStatus.LOST)
+                    and hits[t.id] >= cfg.n_init):
+                t.status = TrackStatus.CONFIRMED
+        matched = {ti for ti, _ in pairs}
+        outputs, survivors = [], []
+        for i, t in enumerate(tracks):
+            if i in matched:
+                if t.status == TrackStatus.CONFIRMED:
+                    outputs.append((frame, t.id, t.detections[-1].box))
+                survivors.append(t)
+                continue
+            misses[t.id] += 1
+            if (t.status == TrackStatus.TENTATIVE
+                    or misses[t.id] > cfg.max_age):
+                t.status = TrackStatus.FINISHED
+                finished.append(t)
+            else:
+                t.status = TrackStatus.LOST
+                survivors.append(t)
+        tracks = survivors
+        used = {di for _, di in pairs}
+        for j, d in enumerate(dets):
+            if j in used:
+                continue
+            tracks.append(Tracklet(
+                id=next_id, detections=[d], ema_features=d.features,
+                kalman=_kalman_init(d.box),
+                status=(TrackStatus.CONFIRMED if cfg.n_init <= 1
+                        else TrackStatus.TENTATIVE),
+                role_logit_sum=(np.array(d.role_logits)
+                                if d.role_logits is not None
+                                else np.zeros(4))))
+            hits[next_id], misses[next_id] = 1, 0
+            next_id += 1
+        steps.append((outputs, [_state(t) for t in tracks]))
+    for t in tracks:
+        t.status = TrackStatus.FINISHED
+    done = [t for t in finished + tracks if hits[t.id] >= cfg.n_init]
+    return steps, [_state(t) for t in sorted(done, key=lambda t: t.id)]
+
+
+def _state(t):
+    return (t.id, t.status, *t.kalman,
+            np.vstack([t.ema_features.foreground, t.ema_features.parts]),
+            t.ema_features.visibility, t.role_logit_sum, list(t.detections))

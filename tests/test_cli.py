@@ -99,6 +99,15 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert main(["generate", "--config", str(bad),
                  "--out", str(tmp_path / "x")]) == 2
     assert "line 2" in capsys.readouterr().err
+    for text, key in (("tracker: {match_threshold: .nan}\n", "match_threshold"),
+                      ("scenario: {feature_noise_sigma: .inf}\n",
+                       "feature_noise_sigma"),
+                      ("sampling_stride: 2.5\n", "sampling_stride")):
+        bad.write_text(text)
+        out = tmp_path / key
+        assert main(["pipeline", "--config", str(bad), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "model.txt").exists()
 
 
 def test_unknown_detector_noise_fails_before_training(tmp_path, capsys):

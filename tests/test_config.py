@@ -42,6 +42,13 @@ def test_type_errors():
         config_from_dict({"tracker": {"normalized_ema": 1}})
     with pytest.raises(TypeError):
         config_from_dict({"scenario": "not a mapping"})
+    for doc, key in (({"detector_noise_param": "abc"}, "detector_noise_param"),
+                     ({"sampling_stride": 2.5}, "sampling_stride"),
+                     ({"seed": "x"}, "seed"),
+                     ({"seed": True}, "seed"),
+                     ({"scenario": {"frames": 10.0}}, "scenario.frames")):
+        with pytest.raises(TypeError, match=key):
+            config_from_dict(doc)
 
 
 def test_range_errors():
@@ -53,6 +60,19 @@ def test_range_errors():
         config_from_dict({"sampling_stride": 0})
     with pytest.raises(RangeError, match="detector_noise"):
         config_from_dict({"detector_noise": "jiter"})
+    nan, inf = float("nan"), float("inf")
+    for doc, key in (
+            ({"tracker": {"match_threshold": nan}}, "match_threshold"),
+            ({"tracker": {"match_threshold": -0.1}}, "match_threshold"),
+            ({"tracker": {"alpha": nan}}, "alpha"),
+            ({"scenario": {"feature_noise_sigma": inf}},
+             "feature_noise_sigma"),
+            ({"scenario": {"pitch_width": -inf}}, "pitch_width"),
+            ({"train": {"weights": {"lambda_team": nan}}}, "lambda_team"),
+            ({"detector_noise_param": -1.0}, "detector_noise_param"),
+            ({"detector_noise_param": nan}, "detector_noise_param")):
+        with pytest.raises(RangeError, match=key):
+            config_from_dict(doc)
 
 
 def test_reseeded_propagates():

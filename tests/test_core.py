@@ -6,7 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from prtrack.core import (BoundingBox, NoMutualVisibility, PartFeatureSet,
                           box_array, iou_matrix, part_distance,
-                          part_distance_matrix, xyah_to_xywh)
+                          part_distance_matrix, xywh_to_xyah,
+                          xyah_to_xywh)
 
 from conftest import random_feature_set
 from oracles import box_iou
@@ -149,7 +150,9 @@ def test_invisible_values_do_not_matter(sets, fill):
 
 def test_box_roundtrip():
     b = BoundingBox(10.0, 20.0, 30.0, 60.0)
-    np.testing.assert_allclose(xyah_to_xywh(b.to_xyah()),
+    np.testing.assert_array_equal(xywh_to_xyah(box_array([b])),
+                                  [[25.0, 50.0, 0.5, 60.0]])
+    np.testing.assert_allclose(xyah_to_xywh(xywh_to_xyah(box_array([b]))),
                                [[10.0, 20.0, 30.0, 60.0]])
     np.testing.assert_array_equal(box_array([b, b]), [[10, 20, 30, 60]] * 2)
     assert box_array([]).shape == (0, 4)

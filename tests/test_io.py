@@ -145,6 +145,8 @@ def test_model_checkpoint_bad_rows(tmp_path):
         "non-numeric": " ".join(row[:-1] + ["abc"]) + "\n",
         "short": " ".join(row[:-1]) + "\n",
         "ragged": " ".join(row + ["1.0"]) + "\n",
+        **{token: " ".join([token] + row[1:]) + "\n"
+           for token in ("nan", "inf", "-inf")},
     }
     bad = tmp_path / "bad.txt"
     for name, text in cases.items():

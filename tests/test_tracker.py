@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import brute_track
 from prtrack.core import (BoundingBox, Detection, PartFeatureSet,
-                          TrackStatus, xyah_to_xywh)
+                          TrackStatus, _stack, box_array, xyah_to_xywh)
 from prtrack.tracker import (FrameInput, NonMonotoneFrame, OnlineTracker,
                              TrackerConfig, build_cost, ema_update,
                              kalman_init, kalman_predict, kalman_update)
@@ -22,20 +25,40 @@ def det(frame, x, y, value, w=10.0, h=20.0):
                      role_logits=np.array([1.0, 0, 0, 0]))
 
 
+def cost_of(tracks, dets, cfg):
+    """``build_cost`` of live ``Tracklet``s against ``Detection``s."""
+    return build_cost(np.array([t.kalman.mean for t in tracks]),
+                      box_array([d.box for d in dets]),
+                      *_stack([t.ema_features for t in tracks]),
+                      *_stack([d.features for d in dets]), cfg)
+
+
+def ema_of(ema, new, alpha, normalized=False):
+    """``ema_update`` of one track, as a ``PartFeatureSet``."""
+    mixed, vis = ema_update(*_stack([ema]), *_stack([new]), alpha,
+                            normalized)
+    return PartFeatureSet(parts=mixed[0, 1:], foreground=mixed[0, 0],
+                          visibility=vis[0])
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrackerConfig(alpha=1.5)
     with pytest.raises(ValueError):
         TrackerConfig(max_age=0)
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="match_threshold"):
+            TrackerConfig(match_threshold=bad)
 
 
 def test_kalman_tracks_constant_velocity():
-    state = kalman_init(BoundingBox(0, 0, 10, 20))
+    mean, cov = kalman_init(box_array([BoundingBox(0, 0, 10, 20)]))
     for t in range(1, 30):
-        state = kalman_predict(state)
-        state = kalman_update(state, BoundingBox(3.0 * t, 0, 10, 20))
-    state = kalman_predict(state)
-    x, _, _, h = xyah_to_xywh(state.mean[:4])[0]
+        mean, cov = kalman_predict(mean, cov)
+        mean, cov = kalman_update(mean, cov,
+                                  box_array([BoundingBox(3.0 * t, 0, 10, 20)]))
+    mean, cov = kalman_predict(mean, cov)
+    x, _, _, h = xyah_to_xywh(mean[0, :4])[0]
     assert x == pytest.approx(90.0, abs=1.0)
     assert h == pytest.approx(20.0, abs=0.5)
 
@@ -43,11 +66,11 @@ def test_kalman_tracks_constant_velocity():
 def test_ema_update_literal():
     ema = features(1.0)
     new = features(2.0)
-    out = ema_update(ema, new, alpha=0.9)
+    out = ema_of(ema, new, alpha=0.9)
     np.testing.assert_allclose(out.parts, 0.9 * 1.0 + 0.1 * 2.0)
     # invisible detection part: track value decays toward zero
     new_partial = features(2.0, vis=[1, 1, 0])
-    out2 = ema_update(ema, new_partial, alpha=0.9)
+    out2 = ema_of(ema, new_partial, alpha=0.9)
     np.testing.assert_allclose(out2.parts[1], 0.9)
     np.testing.assert_array_equal(out2.visibility, [1, 1, 1])
 
@@ -55,13 +78,13 @@ def test_ema_update_literal():
 def test_ema_update_normalized_freezes_invisible():
     ema = features(1.0)
     new_partial = features(2.0, vis=[1, 1, 0])
-    out = ema_update(ema, new_partial, alpha=0.9, normalized=True)
+    out = ema_of(ema, new_partial, alpha=0.9, normalized=True)
     np.testing.assert_allclose(out.parts[1], 1.0)
     np.testing.assert_allclose(out.parts[0], 1.1)
     # previously-unseen part appears: takes the detection value outright
     ema0 = features(0.0, vis=[1, 1, 0])
     seen = features(3.0)
-    out2 = ema_update(ema0, seen, alpha=0.9, normalized=True)
+    out2 = ema_of(ema0, seen, alpha=0.9, normalized=True)
     np.testing.assert_allclose(out2.parts[1], 3.0)
 
 
@@ -73,7 +96,7 @@ def test_build_cost_gating():
     track = tracker.tracks[0]
     near_same = det(2, 1, 0, 1.0)
     far_diff = det(2, 500, 500, 9.0)
-    cost = build_cost([track], [near_same, far_diff], cfg)
+    cost = cost_of([track], [near_same, far_diff], cfg)
     assert np.isfinite(cost[0, 0])
     assert np.isinf(cost[0, 1])
 
@@ -93,7 +116,7 @@ def test_lost_track_with_negative_predicted_height():
     assert track.kalman.mean[3] < 0
     same = det(20, 0, 0, 1.0)
     other = det(20, 0, 0, 9.0)
-    cost = build_cost([track], [same, other], cfg)
+    cost = cost_of([track], [same, other], cfg)
     w = cfg.appearance_weight
     assert cost[0, 0] == pytest.approx(1.0 - w)  # app distance 0, IoU 0
     assert np.isinf(cost[0, 1])
@@ -170,3 +193,76 @@ def test_detection_frame_must_match():
     tracker = OnlineTracker()
     with pytest.raises(ValueError):
         tracker.step(FrameInput(2, [det(1, 0, 0, 1.0)]))
+
+
+@st.composite
+def sequences(draw):
+    """A tracker config and a random clip: people enter and leave, move
+    with jitter, hide parts, sometimes lose their role logits or appear
+    twice at once; frames can be empty and frame numbers skip."""
+    cfg = TrackerConfig(alpha=draw(st.sampled_from([0.0, 0.5, 0.9])),
+                        n_init=draw(st.integers(1, 3)),
+                        max_age=draw(st.integers(1, 5)),
+                        normalized_ema=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_people = draw(st.integers(0, 5))
+    p_present = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    p_hidden = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    jitter = draw(st.sampled_from([0.0, 2.0, 10.0]))
+    n_frames = draw(st.integers(1, 20))
+    frame_numbers = np.cumsum(rng.integers(1, 4, size=n_frames))
+    k, d = 2, 3
+    start = rng.uniform(0, 60, size=(n_people, 2))
+    velocity = rng.uniform(-4, 4, size=(n_people, 2))
+    size = rng.uniform(5, 30, size=(n_people, 2))
+    base = rng.normal(size=(n_people, k + 1, d))
+    frames = []
+    for f in frame_numbers:
+        dets = []
+        for p in range(n_people):
+            if rng.random() >= p_present:
+                continue
+            x, y = start[p] + velocity[p] * f + rng.normal(0, jitter + 1e-9,
+                                                             size=2)
+            w, h = size[p] * rng.uniform(0.8, 1.2, size=2)
+            emb = base[p] + rng.normal(0, 0.1, size=(k + 1, d))
+            feats = PartFeatureSet(
+                parts=emb[1:], foreground=emb[0],
+                visibility=(rng.random(k + 1) >= p_hidden).astype(int))
+            logits = rng.normal(size=4) if rng.random() < 0.8 else None
+            one = Detection(frame=int(f), box=BoundingBox(x, y, w, h),
+                            features=feats, role_logits=logits)
+            dets.append(one)
+            if rng.random() < 0.1:
+                dets.append(Detection(frame=int(f), box=one.box,
+                                      features=feats, role_logits=logits))
+        frames.append((int(f), dets))
+    return cfg, frames
+
+
+def state(tracklets):
+    return [(t.id, t.status, t.kalman.mean, t.kalman.covariance,
+             t.ema_features.stacked(), t.ema_features.visibility,
+             t.role_logit_sum, t.detections) for t in tracklets]
+
+
+def assert_same_tracks(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:2] == w[:2]
+        for a, b in zip(g[2:7], w[2:7]):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert [id(x) for x in g[7]] == [id(x) for x in w[7]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences())
+def test_tracker_equals_per_object_oracle(case):
+    cfg, frames = case
+    want_steps, want_tracklets = brute_track(frames, cfg)
+    tracker = OnlineTracker(cfg)
+    for (frame, dets), (want_out, want_live) in zip(frames, want_steps):
+        assert tracker.step(FrameInput(frame, dets)) == want_out
+        assert_same_tracks(state(tracker.tracks), want_live)
+    assert_same_tracks(state(tracker.finish()), want_tracklets)
+    assert tracker.tracks == [] and tracker.finish() == []
