@@ -10,8 +10,8 @@ from .losses import (DegenerateBatch, LossValue, LossWeights, TripletConfig,
                      cross_entropy_id, focal_loss, gilt_loss,
                      part_prediction_loss, total_loss, triplet_batch_hard)
 from .embedder import (EmbedderModel, FeatureGrid, GridSample, TrainConfig,
-                       forward, forward_batch, grad_check, loss_and_grad,
-                       sample_batch, train)
+                       forward_batch, grad_check, loss_and_grad, sample_batch,
+                       train)
 from .solvers import Assignment, DegenerateInput, hungarian, kmeans2
 from .tracker import FrameInput, OnlineTracker, TrackerConfig, build_cost, \
     ema_update, kalman_predict, kalman_update

@@ -3,13 +3,15 @@
 Subcommands: generate | train | embed | track | merge | cluster |
 eval-reid | eval-track | pipeline | report.  Runs operate on a directory
 holding the scenario manifest and derived files.  Exit codes: 0 success,
-1 usage error, 2 data error.  ``--seed`` (or env PRT_SEED) propagates to
-every stage.
+1 usage error, 2 data error: a malformed file or config value, or input a
+stage cannot work with.  Any other exception is a bug and propagates.
+``--seed`` (or env PRT_SEED) propagates to every stage.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import pickle
 import sys
@@ -17,22 +19,31 @@ from pathlib import Path
 
 import yaml
 
-from .config import (RangeError, RunConfig, UnknownKeyError, config_to_dict,
-                     load_config)
-from .motio import (FeatureRecord, MotRecord, ParseError, load_model,
-                    parse_features, parse_mot, save_model, write_features,
+from .config import (ConfigTypeError, RangeError, RunConfig, UnknownKeyError,
+                     config_to_dict, load_config)
+from .embedder import DimMismatch, InsufficientIdentities
+from .motio import (FeatureRecord, MotRecord, ParseError, _feature_rows,
+                    load_model, parse_mot, save_model, write_features,
                     write_mot)
-from .pipeline import (embed_detections, evaluate_reid, gt_to_records,
-                       records_to_result, run_pipeline, team_accuracy,
-                       track_frames, tracklets_to_records, train_on_scenario)
+from .pipeline import (_tracking_input, embed_detections, evaluate_reid,
+                       gt_to_records, records_to_result, run_pipeline,
+                       team_accuracy, track_frames, tracklets_to_records,
+                       train_on_scenario)
 from .postproc import TooFewPlayers, assign_roles, assign_teams, \
     merge_tracklets
+from .reid_metrics import EmptyGallery
 from .solvers import DegenerateInput
-from .simgen import generate, to_reid_dataset, to_tracking_input
+from .simgen import generate, to_reid_dataset
 from .track_metrics import EmptyGroundTruth, evaluate_sequence
 from . import reference
 
 _TRACK_COLUMNS = ("hota", "deta", "assa", "mota", "idf1", "id_switches")
+
+# Exceptions that mean bad input, reported with exit code 2.
+_DATA_ERRORS = (ParseError, FileNotFoundError, UnknownKeyError, RangeError,
+                ConfigTypeError, InsufficientIdentities, DimMismatch,
+                EmptyGallery, TooFewPlayers, DegenerateInput,
+                EmptyGroundTruth)
 
 
 class UsageError(Exception):
@@ -48,7 +59,13 @@ def _resolve_seed(args) -> int | None:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("PRT_SEED")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigTypeError(
+            f"PRT_SEED must be an integer, got {env!r}") from None
 
 
 def _load_run_config(args) -> RunConfig:
@@ -78,26 +95,26 @@ def _dump_yaml(data, path: Path):
         yaml.safe_dump(data, fh, sort_keys=True, default_flow_style=False)
 
 
+def _write_features(frame_inputs, path: Path) -> int:
+    """Write each detection's features keyed by its frame and its index in
+    the frame; returns the number of rows."""
+    records = [FeatureRecord(d.frame, j, d.features, d.role_logits)
+               for dets in frame_inputs for j, d in enumerate(dets)]
+    write_features(records, path)
+    return len(records)
+
+
 def cmd_generate(args) -> int:
     cfg = _load_run_config(args)
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
-    scenario = generate(cfg.scenario)
-    frame_inputs, gt_records = to_tracking_input(
-        scenario, detector_noise=cfg.detector_noise,
-        noise_param=cfg.detector_noise_param, features="oracle",
-        seed=cfg.seed)
+    frame_inputs, gt_records = _tracking_input(
+        cfg, generate(cfg.scenario), features="oracle")
     write_mot(gt_to_records(gt_records), run_dir / "gt.txt")
-    det_records, feat_records = [], []
-    for dets in frame_inputs:
-        for j, d in enumerate(dets):
-            det_records.append(MotRecord(
-                frame=d.frame, id=-1, bb_left=d.box.x, bb_top=d.box.y,
-                bb_width=d.box.w, bb_height=d.box.h, conf=d.confidence))
-            feat_records.append(FeatureRecord(d.frame, j, d.features,
-                                              d.role_logits))
-    write_mot(det_records, run_dir / "det.txt")
-    write_features(feat_records, run_dir / "features.txt")
+    write_mot([MotRecord(d.frame, -1, d.box.x, d.box.y, d.box.w, d.box.h,
+                         d.confidence)
+               for dets in frame_inputs for d in dets], run_dir / "det.txt")
+    _write_features(frame_inputs, run_dir / "features.txt")
     _dump_yaml(config_to_dict(cfg), _manifest_path(run_dir))
     print(f"wrote scenario bundle to {run_dir}")
     return 0
@@ -119,46 +136,44 @@ def cmd_embed(args) -> int:
     cfg = _load_manifest(run_dir)
     model = load_model(run_dir / "model.txt")
     scenario = generate(cfg.scenario)
-    frame_inputs, _ = to_tracking_input(
-        scenario, detector_noise=cfg.detector_noise,
-        noise_param=cfg.detector_noise_param, features="none", seed=cfg.seed)
+    frame_inputs, _ = _tracking_input(cfg, scenario)
     embed_detections(model, scenario, frame_inputs)
-    feat_records = []
-    for dets in frame_inputs:
-        for j, d in enumerate(dets):
-            feat_records.append(FeatureRecord(d.frame, j, d.features,
-                                              d.role_logits))
-    write_features(feat_records, run_dir / "features.txt")
-    print(f"embedded {len(feat_records)} detections with model features")
+    n = _write_features(frame_inputs, run_dir / "features.txt")
+    print(f"embedded {n} detections with model features")
     return 0
 
 
 def _load_frame_inputs(run_dir: Path, cfg: RunConfig):
-    """Rebuild tracker inputs from the detection and feature files."""
-    scenario = generate(cfg.scenario)
-    frame_inputs, gt_records = to_tracking_input(
-        scenario, detector_noise=cfg.detector_noise,
-        noise_param=cfg.detector_noise_param, features="none", seed=cfg.seed)
-    feats = parse_features(run_dir / "features.txt")
-    by_frame: dict[int, list] = {}
-    for fr in feats:
-        by_frame.setdefault(fr.frame, []).append(fr)
-    for dets in frame_inputs:
-        for j, d in enumerate(dets):
-            recs = by_frame.get(d.frame, [])
-            rec = next((r for r in recs if r.det_index == j), None)
-            if rec is None:
-                raise ParseError(f"missing features for frame {d.frame} "
-                                 f"det {j}", 0)
-            d.features = rec.features
-            d.role_logits = rec.role_logits
-    return frame_inputs, gt_records
+    """Rebuild tracker inputs from the scenario's detections and
+    ``features.txt``, whose rows pair one to one, in file order, with the
+    detections.  A missing, extra or misplaced row, or a row shaped unlike
+    the first, raises :class:`ParseError` naming its line."""
+    frame_inputs, _ = _tracking_input(cfg, generate(cfg.scenario))
+    rows = _feature_rows(run_dir / "features.txt")
+    dets = [(j, d) for frame in frame_inputs for j, d in enumerate(frame)]
+    for (line, rec), (j, d) in zip(rows, dets):
+        if (rec.frame, rec.det_index) != (d.frame, j):
+            raise ParseError(f"expected features of frame {d.frame} det {j}, "
+                             f"got frame {rec.frame} det {rec.det_index}",
+                             line)
+        if rec.features.parts.shape != rows[0][1].features.parts.shape:
+            raise ParseError("parts shaped unlike the first row's", line)
+        d.features, d.role_logits = rec.features, rec.role_logits
+    if len(rows) > len(dets):
+        line, rec = rows[len(dets)]
+        raise ParseError(f"extra features row of frame {rec.frame} "
+                         f"det {rec.det_index}", line)
+    if len(rows) < len(dets):
+        j, d = dets[len(rows)]
+        raise ParseError(f"missing features of frame {d.frame} det {j}",
+                         rows[-1][0] + 1 if rows else 1)
+    return frame_inputs
 
 
 def cmd_track(args) -> int:
     run_dir = Path(args.run)
     cfg = _load_manifest(run_dir)
-    frame_inputs, _ = _load_frame_inputs(run_dir, cfg)
+    frame_inputs = _load_frame_inputs(run_dir, cfg)
     tracklets = track_frames(frame_inputs, cfg)
     write_mot(tracklets_to_records(tracklets), run_dir / "track_raw.txt")
     with open(run_dir / "tracklets.pkl", "wb") as fh:
@@ -200,7 +215,7 @@ def cmd_cluster(args) -> int:
         team = teams.get(t.id, -1)
         lines.append(f"{t.id},{roles[t.id].name},{team}")
     (run_dir / "teams.txt").write_text("\n".join(lines) + "\n")
-    acc = team_accuracy(tracklets, seed=cfg.seed)
+    acc = team_accuracy(tracklets, teams)
     print(f"assigned teams to {len(teams)} player tracklets "
           f"(accuracy vs ground truth: {acc:.3f})")
     return 0
@@ -224,10 +239,7 @@ def cmd_eval_track(args) -> int:
     gt = parse_mot(args.gt)
     pred = parse_mot(args.pred)
     result = records_to_result(gt, pred)
-    report = evaluate_sequence(result)
-    row = {"hota": report.hota, "deta": report.deta, "assa": report.assa,
-           "mota": report.mota, "idf1": report.idf1,
-           "id_switches": report.id_switches}
+    row = dataclasses.asdict(evaluate_sequence(result))
     print(_format_track_table({"result": row}))
     if args.out:
         _dump_yaml(row, Path(args.out))
@@ -289,9 +301,8 @@ def cmd_report(args) -> int:
         rows[Path(run).name] = {k: data["tracking"][k]
                                 for k in _TRACK_COLUMNS}
     if len(rows) == 2:
-        (a_name, a), (b_name, b) = rows.items()
-        rows[f"delta"] = {
-            k: (b[k] - a[k]) for k in _TRACK_COLUMNS}
+        a, b = rows.values()
+        rows["delta"] = {k: b[k] - a[k] for k in _TRACK_COLUMNS}
     print(_format_track_table(rows))
     return 0
 
@@ -354,9 +365,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.fn(args)
-    except (ParseError, FileNotFoundError, UnknownKeyError, RangeError,
-            TooFewPlayers, DegenerateInput, EmptyGroundTruth, TypeError,
-            ValueError) as exc:
+    except _DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,8 @@ from .postproc import MergeConfig
 from .simgen import DETECTOR_NOISES, ConfigInvalid, ScenarioConfig
 from .tracker import TrackerConfig
 
-__all__ = ["UnknownKeyError", "RangeError", "RunConfig", "load_config"]
+__all__ = ["UnknownKeyError", "RangeError", "ConfigTypeError", "RunConfig",
+           "load_config"]
 
 
 class UnknownKeyError(Exception):
@@ -28,6 +29,10 @@ class UnknownKeyError(Exception):
 
 class RangeError(ValueError):
     pass
+
+
+class ConfigTypeError(TypeError):
+    """A config value, or the document itself, has the wrong type."""
 
 
 @dataclass
@@ -51,18 +56,9 @@ class RunConfig:
         )
 
 
-# Bounds (lo, hi) of numeric fields, by section-qualified key.
+# Bounds (lo, hi) of the top-level numeric fields.  The sections' bounds
+# are checked by their own config classes.
 _RANGES = {
-    "weights.lambda_pa": (0.0, None),
-    "weights.lambda_reid": (0.0, None),
-    "weights.lambda_team": (0.0, None),
-    "weights.lambda_role": (0.0, None),
-    "tracker.alpha": (0.0, 1.0),
-    "tracker.appearance_weight": (0.0, 1.0),
-    "tracker.iou_gate": (0.0, 1.0),
-    "scenario.occlusion_rate": (0.0, 1.0),
-    "scenario.exit_rate": (0.0, 1.0),
-    "scenario.feature_noise_sigma": (0.0, None),
     "detector_noise_param": (0.0, None),
     "sampling_stride": (1, None),
 }
@@ -71,23 +67,30 @@ _RANGES = {
 def _check_value(name: str, default, value) -> None:
     """Type and range checks of ``value`` for a field whose default is
     ``default``; the error names the key.  An integer field takes integers
-    only, a float field any finite number."""
+    only, a float field any finite number, a tuple field a list of
+    integers."""
     if isinstance(default, bool):
         if not isinstance(value, bool):
-            raise TypeError(f"{name} must be a boolean")
+            raise ConfigTypeError(f"{name} must be a boolean")
         return
     if isinstance(default, (int, float)):
         kind = int if isinstance(default, int) else (int, float)
         if isinstance(value, bool) or not isinstance(value, kind):
-            raise TypeError(f"{name} must be "
-                            + ("an integer" if kind is int else "a number"))
+            raise ConfigTypeError(
+                f"{name} must be "
+                + ("an integer" if kind is int else "a number"))
         lo, hi = _RANGES.get(name, (None, None))
         if ((isinstance(value, float) and not math.isfinite(value))
                 or (lo is not None and value < lo)
                 or (hi is not None and value > hi)):
             raise RangeError(name)
     elif isinstance(default, str) and not isinstance(value, str):
-        raise TypeError(f"{name} must be a string")
+        raise ConfigTypeError(f"{name} must be a string")
+    elif isinstance(default, tuple) and not (
+            isinstance(value, tuple)
+            and all(isinstance(v, int) and not isinstance(v, bool)
+                    for v in value)):
+        raise ConfigTypeError(f"{name} must be a list of integers")
 
 
 def _build(cls, section: str, data: dict):
@@ -99,7 +102,7 @@ def _build(cls, section: str, data: dict):
             raise UnknownKeyError(f"{section}.{key}")
         if key == "weights":
             if not isinstance(value, dict):
-                raise TypeError(f"{section}.{key} must be a mapping")
+                raise ConfigTypeError(f"{section}.{key} must be a mapping")
             kwargs[key] = _build(LossWeights, "weights", value)
             continue
         if key == "decay_epochs" and isinstance(value, list):
@@ -109,7 +112,7 @@ def _build(cls, section: str, data: dict):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise RangeError(str(exc)) from exc
+        raise RangeError(f"{section}.{exc}") from exc
 
 
 _SECTIONS = {
@@ -123,10 +126,11 @@ _SECTIONS = {
 def load_config(path) -> RunConfig:
     """Load and validate a YAML run configuration.
 
-    Raises :class:`UnknownKeyError` for unrecognized keys, ``TypeError``
-    for mistyped values, and :class:`RangeError` for out-of-range values.
-    The error message names the offending key.  Malformed YAML raises
-    :class:`~prtrack.motio.ParseError` naming the line.
+    Raises :class:`UnknownKeyError` for unrecognized keys,
+    :class:`ConfigTypeError` for mistyped values, and :class:`RangeError`
+    for out-of-range values.  The error message names the offending key.
+    Malformed YAML raises :class:`~prtrack.motio.ParseError` naming the
+    line.
     """
     with open(path) as fh:
         text = fh.read()
@@ -139,7 +143,7 @@ def load_config(path) -> RunConfig:
         raise ParseError(f"invalid YAML: {getattr(exc, 'problem', exc)}",
                          text.count("\n", 0, at) + 1) from exc
     if not isinstance(data, dict):
-        raise TypeError("config root must be a mapping")
+        raise ConfigTypeError("config root must be a mapping")
     return config_from_dict(data)
 
 
@@ -150,7 +154,7 @@ def config_from_dict(data: dict) -> RunConfig:
     for key, value in data.items():
         if key in _SECTIONS:
             if not isinstance(value, dict):
-                raise TypeError(f"{key} must be a mapping")
+                raise ConfigTypeError(f"{key} must be a mapping")
             kwargs[key] = _build(_SECTIONS[key], key, value)
         elif key in top_fields:
             _check_value(key, getattr(defaults, key), value)

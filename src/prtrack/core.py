@@ -56,8 +56,7 @@ class TrackStatus(enum.Enum):
 class PartFeatureSet:
     """K part embeddings, one foreground embedding, and K+1 visibility bits.
 
-    ``visibility`` is ordered (foreground, part 1, ..., part K).  The
-    concatenated embedding is derived from ``parts`` on demand.
+    ``visibility`` is ordered (foreground, part 1, ..., part K).
     """
 
     parts: np.ndarray        # (K, D)
@@ -89,11 +88,6 @@ class PartFeatureSet:
     @property
     def dim(self) -> int:
         return self.parts.shape[1]
-
-    @property
-    def concat(self) -> np.ndarray:
-        """Ordered concatenation of the K part embeddings."""
-        return self.parts.reshape(-1)
 
     def stacked(self) -> np.ndarray:
         """(K+1, D) array ordered (foreground, part 1..K), matching visibility."""

@@ -25,7 +25,6 @@ __all__ = [
     "EmbedderModel",
     "TrainConfig",
     "GridSample",
-    "forward",
     "forward_batch",
     "loss_and_grad",
     "sample_batch",
@@ -130,6 +129,13 @@ class TrainConfig:
     team_margin: float = 0.05
     focal_gamma: float = 2.0
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        # The batch-hard triplets need two samples of each identity.
+        if self.samples_per_identity < 2:
+            raise ValueError("samples_per_identity must be >= 2")
+
 
 def _forward_arrays(model: EmbedderModel, cells: np.ndarray):
     """Shared forward math on a (B, H, W, C) stack of grids.
@@ -166,19 +172,6 @@ def _forward_arrays(model: EmbedderModel, cells: np.ndarray):
         "f_parts": f_parts, "f_fg": f_fg, "f_g": f_g,
         "vis": vis, "role_logits": role_logits,
     }
-
-
-def forward(model: EmbedderModel, grid: FeatureGrid):
-    """Run one grid through the model.
-
-    Returns (PartFeatureSet, role_logits (4,), part_masks (H, W, K+1)).
-    """
-    cells = np.asarray(grid.cells, float)
-    fw = _forward_arrays(model, cells[None])
-    pfs = PartFeatureSet(parts=fw["f_parts"][0], foreground=fw["f_fg"][0],
-                         visibility=fw["vis"][0])
-    masks = fw["masks"][0].reshape(*cells.shape[:2], -1)
-    return pfs, fw["role_logits"][0], masks
 
 
 def forward_batch(model: EmbedderModel, grids: list[FeatureGrid]):

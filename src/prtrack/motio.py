@@ -1,5 +1,5 @@
-"""Text file formats: MOT-challenge records, per-detection feature records,
-tracklet summaries, and model checkpoints.
+"""Text file formats: MOT-challenge records, per-detection feature records
+and model checkpoints.
 
 All writers are deterministic: stable ordering and fixed decimal
 formatting, so identical inputs produce byte-identical files and every
@@ -67,18 +67,11 @@ def gt_to_records(gt_records) -> list[MotRecord]:
     return [MotRecord(f, i, b.x, b.y, b.w, b.h) for f, i, b in gt_records]
 
 
-def tracklets_to_records(tracklets: list[Tracklet],
-                         id_map: dict[int, int] | None = None
-                         ) -> list[MotRecord]:
-    """MOT records of each tracklet's detections in turn; ``id_map``
-    renames tracklet ids."""
-    records = []
-    for t in tracklets:
-        tid = id_map.get(t.id, t.id) if id_map else t.id
-        records.extend(MotRecord(d.frame, tid, d.box.x, d.box.y, d.box.w,
-                                 d.box.h, d.confidence)
-                       for d in t.detections)
-    return records
+def tracklets_to_records(tracklets: list[Tracklet]) -> list[MotRecord]:
+    """MOT records of each tracklet's detections in turn."""
+    return [MotRecord(d.frame, t.id, d.box.x, d.box.y, d.box.w, d.box.h,
+                      d.confidence)
+            for t in tracklets for d in t.detections]
 
 
 def write_mot(records: list[MotRecord], path) -> None:
@@ -158,6 +151,11 @@ def write_features(records: list[FeatureRecord], path) -> None:
 
 
 def parse_features(path) -> list[FeatureRecord]:
+    return [rec for _, rec in _feature_rows(path)]
+
+
+def _feature_rows(path) -> list[tuple[int, FeatureRecord]]:
+    """``(line number, record)`` of each non-blank line of a features file."""
     records = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -187,8 +185,8 @@ def parse_features(path) -> list[FeatureRecord]:
                 raise
             except (ValueError, IndexError) as exc:
                 raise ParseError(str(exc), lineno) from exc
-            records.append(FeatureRecord(frame, det_index, features,
-                                         role_logits))
+            records.append((lineno, FeatureRecord(frame, det_index, features,
+                                                  role_logits)))
     return records
 
 

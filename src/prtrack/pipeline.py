@@ -6,6 +6,8 @@ Each stage is usable on its own; the CLI wires them to files.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import reference
@@ -14,8 +16,7 @@ from .core import BoundingBox, Detection, Role, Tracklet
 from .embedder import EmbedderModel, GridSample, forward_batch, train
 # The MOT record builders live with the format; re-exported here.
 from .motio import MotRecord, gt_to_records, tracklets_to_records
-from .postproc import (TooFewPlayers, assign_roles, assign_teams,
-                       merge_tracklets)
+from .postproc import TooFewPlayers, assign_teams, merge_tracklets
 from .reid_metrics import RetrievalItem, RetrievalSet, evaluate_retrieval, \
     role_metrics
 from .simgen import Scenario, generate, to_reid_dataset, to_tracking_input
@@ -45,13 +46,24 @@ def train_on_scenario(cfg: RunConfig, scenario: Scenario):
     return model, history, (train_set, queries, gallery)
 
 
-def embed_samples(model: EmbedderModel,
-                  samples: list[GridSample]) -> list[RetrievalItem]:
+def _tracking_input(cfg: RunConfig, scenario: Scenario,
+                    features: str = "none"):
+    """The run's detections per frame and its ground-truth records, as
+    :func:`~prtrack.simgen.to_tracking_input` returns them."""
+    return to_tracking_input(scenario, detector_noise=cfg.detector_noise,
+                             noise_param=cfg.detector_noise_param,
+                             features=features, seed=cfg.seed)
+
+
+def embed_samples(model: EmbedderModel, samples: list[GridSample]
+                  ) -> tuple[list[RetrievalItem], np.ndarray]:
+    """Retrieval items and role logits ``(B, 4)`` of the samples, from one
+    forward pass."""
     if not samples:
-        return []
+        return [], np.zeros((0, 4))
     feats, role_logits = forward_batch(model, [s.grid for s in samples])
     return [RetrievalItem(f, s.identity, s.team, s.role, s.view)
-            for f, s in zip(feats, samples)]
+            for f, s in zip(feats, samples)], role_logits
 
 
 def embed_detections(model: EmbedderModel, scenario: Scenario,
@@ -96,12 +108,11 @@ def records_to_result(gt: list[MotRecord],
 def evaluate_reid(model: EmbedderModel, queries: list[GridSample],
                   gallery: list[GridSample]) -> dict:
     """Identity/team retrieval and role classification over a split."""
-    q_items = embed_samples(model, queries)
-    g_items = embed_samples(model, gallery)
+    q_items, q_role_logits = embed_samples(model, queries)
+    g_items, _ = embed_samples(model, gallery)
     retrieval = RetrievalSet(q_items, g_items)
     reid_map, reid_r1 = evaluate_retrieval(retrieval, "identity")
     team_map, team_r1 = evaluate_retrieval(retrieval, "team")
-    _, q_role_logits = forward_batch(model, [s.grid for s in queries])
     preds = [Role(int(np.argmax(rl))) for rl in q_role_logits]
     truths = [s.role for s in queries]
     acc, prec = role_metrics(preds, truths)
@@ -112,14 +123,11 @@ def evaluate_reid(model: EmbedderModel, queries: list[GridSample],
     }
 
 
-def team_accuracy(tracklets: list[Tracklet], seed: int = 0) -> float:
-    """Clustering accuracy of team assignment against majority ground-truth
-    team per tracklet, maximized over the two label permutations."""
-    roles = assign_roles(tracklets)
-    try:
-        teams = assign_teams(tracklets, seed=seed, roles=roles)
-    except (TooFewPlayers, DegenerateInput):
-        return float("nan")
+def team_accuracy(tracklets: list[Tracklet], teams: dict[int, int]) -> float:
+    """Clustering accuracy of the team labels ``teams`` (tracklet id ->
+    label, as :func:`~prtrack.postproc.assign_teams` returns them) against
+    the majority ground-truth team per tracklet, maximized over the two
+    label permutations; NaN when no labeled tracklet has a ground truth."""
     truth = {}
     for t in tracklets:
         if t.id not in teams:
@@ -145,9 +153,7 @@ def run_pipeline(cfg: RunConfig):
     scenario = generate(cfg.scenario)
     model, history, (train_set, queries, gallery) = train_on_scenario(
         cfg, scenario)
-    frame_inputs, gt_records = to_tracking_input(
-        scenario, detector_noise=cfg.detector_noise,
-        noise_param=cfg.detector_noise_param, features="none", seed=cfg.seed)
+    frame_inputs, gt_records = _tracking_input(cfg, scenario)
     embed_detections(model, scenario, frame_inputs)
     tracklets = track_frames(frame_inputs, cfg)
     merged, id_map = merge_tracklets(tracklets, cfg.merge)
@@ -160,7 +166,11 @@ def run_pipeline(cfg: RunConfig):
                        for t in merged for d in t.detections)))
 
     reid_report = evaluate_reid(model, queries, gallery)
-    cluster_acc = team_accuracy(merged, seed=cfg.seed)
+    try:
+        teams = assign_teams(merged, seed=cfg.seed)
+    except (TooFewPlayers, DegenerateInput):
+        teams = {}
+    cluster_acc = team_accuracy(merged, teams)
 
     report = {
         "seed": cfg.seed,
@@ -168,10 +178,7 @@ def run_pipeline(cfg: RunConfig):
         "reid": reid_report,
         "team_cluster_accuracy": cluster_acc,
         "tracking": {
-            "hota": track_report.hota, "deta": track_report.deta,
-            "assa": track_report.assa, "mota": track_report.mota,
-            "idf1": track_report.idf1,
-            "id_switches": track_report.id_switches,
+            **dataclasses.asdict(track_report),
             "tracklets_before_merge": len(tracklets),
             "tracklets_after_merge": len(merged),
         },

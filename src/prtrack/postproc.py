@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PartFeatureSet, Role, Tracklet, part_distance_matrix
-from .solvers import DegenerateInput, hungarian, kmeans2
+from .solvers import hungarian, kmeans2
 
 __all__ = [
     "TooFewPlayers",

@@ -10,7 +10,7 @@ signature, so the embedding model has learnable signal for all three tasks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,6 +65,10 @@ class ScenarioConfig:
     def validate(self):
         if self.n_players_per_team < 1 or self.frames < 1:
             raise ConfigInvalid("n_players_per_team and frames must be >= 1")
+        for name, lo in (("grid_h", 1), ("grid_w", 1), ("num_parts", 1),
+                         ("pitch_width", 0), ("pitch_height", 0)):
+            if getattr(self, name) < lo:
+                raise ConfigInvalid(f"{name} must be >= {lo}")
         if not (0.0 <= self.occlusion_rate <= 1.0):
             raise ConfigInvalid("occlusion_rate must be in [0, 1]")
         if not (0.0 <= self.exit_rate <= 1.0):
@@ -107,7 +111,6 @@ class Scenario:
     config: ScenarioConfig
     agents: list[Agent]
     frames: list[list[Observation]]  # frames[t] = observations of all agents
-    events: list[tuple] = field(default_factory=list)
 
     def agent(self, identity: int) -> Agent:
         return next(a for a in self.agents if a.identity == identity)
@@ -197,7 +200,6 @@ def generate(config: ScenarioConfig) -> Scenario:
     v_max = 6.0
 
     base_labels = _part_layout(config.grid_h, config.grid_w, k)
-    sig_grid = signatures[base_labels]  # (H, W, C) for the unoccluded layout
 
     # Occlusion and exit windows per agent.  Long occlusions ramp through a
     # partial phase (some parts hidden), a full phase (detection absent),
@@ -222,13 +224,6 @@ def generate(config: ScenarioConfig) -> Scenario:
                    for events_i in occl]
     exits = [_sample_events(rng, config.frames, config.exit_rate, 30, 120)
              for _ in range(n_agents)]
-
-    events = []
-    for i, a in enumerate(agents):
-        for s, e, kind in occl_phases[i]:
-            events.append(("occlusion", a.identity, s, e, kind[0]))
-        for s, e in exits[i]:
-            events.append(("exit", a.identity, s, e, "full"))
 
     frames_out: list[list[Observation]] = []
     for t in range(config.frames):
@@ -273,11 +268,14 @@ def generate(config: ScenarioConfig) -> Scenario:
             vel[low | high, axis] *= -1
             pos[:, axis] = np.clip(pos[:, axis], 0.05 * limit, 0.95 * limit)
 
-    return Scenario(config, agents, frames_out, events)
+    return Scenario(config, agents, frames_out)
 
 
-def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25,
-                    view_chunk: int = 125):
+# Frames per view: samples of one identity in one chunk share a view id.
+_VIEW_CHUNK = 125
+
+
+def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25):
     """Uniformly subsample frames per identity and split into a training
     list plus a query/gallery retrieval structure over held-out identities.
 
@@ -287,7 +285,6 @@ def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25,
     """
     if sampling_stride < 1:
         raise ValueError("stride must be >= 1")
-    cfg = scenario.config
     per_identity: dict[int, list[GridSample]] = {}
     for frame_obs in scenario.frames:
         for ob in frame_obs:
@@ -296,7 +293,7 @@ def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25,
             agent = scenario.agent(ob.identity)
             per_identity.setdefault(ob.identity, []).append(
                 GridSample(ob.grid, ob.identity, agent.team, agent.role,
-                           view=(ob.frame - 1) // view_chunk))
+                           view=(ob.frame - 1) // _VIEW_CHUNK))
     for ident, samples in per_identity.items():
         per_identity[ident] = samples[::sampling_stride]
 
@@ -306,16 +303,12 @@ def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25,
              if a.role == Role.PLAYER and a.team == 1]
     other = [a.identity for a in scenario.agents if a.role != Role.PLAYER]
 
-    def split(ids, n_train):
-        return ids[:n_train], ids[n_train:]
-
     train_ids, test_ids = [], []
     for group, minimum in ((left, 4), (right, 4), (other, 3)):
         n_train = max(minimum, int(math.ceil(len(group) / 2)))
         n_train = min(n_train, len(group))
-        tr, te = split(group, n_train)
-        train_ids.extend(tr)
-        test_ids.extend(te)
+        train_ids.extend(group[:n_train])
+        test_ids.extend(group[n_train:])
 
     train = [s for i in train_ids for s in per_identity.get(i, [])]
     queries, gallery = [], []
@@ -340,9 +333,12 @@ def oracle_feature_projection(config: ScenarioConfig, dim: int = 8):
     return proj, offsets
 
 
+# Oracle role logits: +scale/2 for the true role, -scale/2 for the others.
+_ROLE_LOGIT_SCALE = 6.0
+
+
 def _oracle_features(agent: Agent, part_vis: np.ndarray, proj, offsets,
-                     sigma: float, rng: np.random.Generator,
-                     role_logit_scale: float = 6.0):
+                     sigma: float, rng: np.random.Generator):
     k = part_vis.shape[0]
     dim = proj.shape[0]
     base = proj @ agent.latent
@@ -357,8 +353,8 @@ def _oracle_features(agent: Agent, part_vis: np.ndarray, proj, offsets,
     else:
         fg = np.zeros(dim)
         vis = np.zeros(k + 1, dtype=int)
-    role_logits = np.full(4, -role_logit_scale / 2)
-    role_logits[int(agent.role)] = role_logit_scale / 2
+    role_logits = np.full(4, -_ROLE_LOGIT_SCALE / 2)
+    role_logits[int(agent.role)] = _ROLE_LOGIT_SCALE / 2
     return PartFeatureSet(parts=parts, foreground=fg, visibility=vis), role_logits
 
 

@@ -11,7 +11,7 @@ localization threshold.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class EvalReport:
     mota: float = 0.0
     idf1: float = 0.0
     id_switches: int = 0
-    per_sequence: dict[str, dict] = field(default_factory=dict)
 
 
 def frame_match(ious: np.ndarray, alpha_loc: float) -> list[tuple[int, int]]:
@@ -173,14 +172,8 @@ def idf1(result: SequenceResult, alpha: float = 0.5) -> float:
     return 2 * idtp / denom if denom else 0.0
 
 
-def evaluate_sequence(result: SequenceResult, name: str = "seq") -> EvalReport:
+def evaluate_sequence(result: SequenceResult) -> EvalReport:
     h, d, a = hota(result)
     m, ids = mota_ids(result)
-    f1 = idf1(result)
-    report = EvalReport(hota=h, deta=d, assa=a, mota=m, idf1=f1,
-                        id_switches=ids)
-    report.per_sequence[name] = {
-        "hota": h, "deta": d, "assa": a, "mota": m, "idf1": f1,
-        "id_switches": ids,
-    }
-    return report
+    return EvalReport(hota=h, deta=d, assa=a, mota=m, idf1=idf1(result),
+                      id_switches=ids)

@@ -6,9 +6,11 @@ import yaml
 
 import pytest
 
+import prtrack.cli
 from prtrack.cli import build_parser, main
 from prtrack.config import load_config
-from prtrack.motio import parse_features, parse_mot
+from prtrack.embedder import EmbedderModel
+from prtrack.motio import parse_features, parse_mot, save_model
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +110,71 @@ def test_data_error_exit_code(tmp_path, capsys):
         assert main(["pipeline", "--config", str(bad), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not (out / "model.txt").exists()
+    bad.write_text("- 1\n- 2\n")
+    assert main(["generate", "--config", str(bad),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "config root must be a mapping" in capsys.readouterr().err
+    # Too few identities to train on, then no held-out player to retrieve.
+    for players, message in ((3, "need 4+4 player ids"),
+                             (4, "gallery is empty")):
+        bad.write_text(yaml.safe_dump({
+            "scenario": {"frames": 20, "n_players_per_team": players},
+            "train": {"epochs": 1}, "sampling_stride": 5}))
+        assert main(["pipeline", "--config", str(bad),
+                     "--out", str(tmp_path / f"p{players}")]) == 2
+        assert message in capsys.readouterr().err
+    # A checkpoint trained on 16 channels, embedding a 20-channel run.
+    bad.write_text("scenario: {frames: 2, channels: 20}\n")
+    wide = tmp_path / "wide"
+    assert main(["generate", "--config", str(bad), "--out", str(wide)]) == 0
+    save_model(EmbedderModel.init(channels=16), wide / "model.txt")
+    capsys.readouterr()
+    assert main(["embed", "--run", str(wide)]) == 2
+    assert "grid channels 20 != model channels 16" in capsys.readouterr().err
+
+
+def test_programmer_error_escapes(tmp_path, monkeypatch):
+    def broken(cfg):
+        raise ValueError("a bug, not bad input")
+    monkeypatch.setattr(prtrack.cli, "run_pipeline", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["pipeline", "--out", str(tmp_path / "run")])
+
+
+def test_track_pairs_feature_rows_in_file_order(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("scenario: {frames: 3}\n")
+    run = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(run)]) == 0
+    path = run / "features.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    n = len(lines)                        # 25 people in each of 3 frames
+    assert main(["track", "--run", str(run)]) == 0
+    # Line 2 with its last part dropped: frame det K D fg parts vis logits.
+    tok = lines[1].split()
+    k, d = int(tok[2]), int(tok[3])
+    fewer_parts = " ".join(tok[:2] + [str(k - 1)] + tok[3:4 + k * d]
+                           + tok[4 + (k + 1) * d:-5] + tok[-4:]) + "\n"
+    edits = {
+        "missing": (lines[:4] + lines[5:], "line 5: expected features of "
+                    "frame 1 det 4, got frame 1 det 5"),
+        "missing last": (lines[:-1], f"line {n}: missing features of "
+                         "frame 3 det 24"),
+        "extra": (lines + lines[-1:], f"line {n + 1}: extra features row "
+                  "of frame 3 det 24"),
+        "duplicate": (lines[:3] + lines[2:], "line 4: expected features of "
+                      "frame 1 det 3, got frame 1 det 2"),
+        "out of order": (lines[:1] + lines[2:3] + lines[1:2] + lines[3:],
+                         "line 2: expected features of frame 1 det 1, got "
+                         "frame 1 det 2"),
+        "shape": (lines[:1] + [fewer_parts] + lines[2:],
+                  "line 2: parts shaped unlike the first row's"),
+    }
+    for name, (text, message) in edits.items():
+        path.write_text("".join(text))
+        capsys.readouterr()
+        assert main(["track", "--run", str(run)]) == 2, name
+        assert message in capsys.readouterr().err, name
 
 
 def test_unknown_detector_noise_fails_before_training(tmp_path, capsys):

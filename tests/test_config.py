@@ -1,8 +1,9 @@
 import pytest
 import yaml
 
-from prtrack.config import (RangeError, RunConfig, UnknownKeyError,
-                            config_from_dict, config_to_dict, load_config)
+from prtrack.config import (ConfigTypeError, RangeError, RunConfig,
+                            UnknownKeyError, config_from_dict, config_to_dict,
+                            load_config)
 
 
 def test_defaults_roundtrip():
@@ -46,8 +47,11 @@ def test_type_errors():
                      ({"sampling_stride": 2.5}, "sampling_stride"),
                      ({"seed": "x"}, "seed"),
                      ({"seed": True}, "seed"),
-                     ({"scenario": {"frames": 10.0}}, "scenario.frames")):
-        with pytest.raises(TypeError, match=key):
+                     ({"scenario": {"frames": 10.0}}, "scenario.frames"),
+                     ({"train": {"decay_epochs": 20}}, "train.decay_epochs"),
+                     ({"train": {"decay_epochs": [20, 2.5]}},
+                      "train.decay_epochs")):
+        with pytest.raises(ConfigTypeError, match=key):
             config_from_dict(doc)
 
 
@@ -71,6 +75,20 @@ def test_range_errors():
             ({"train": {"weights": {"lambda_team": nan}}}, "lambda_team"),
             ({"detector_noise_param": -1.0}, "detector_noise_param"),
             ({"detector_noise_param": nan}, "detector_noise_param")):
+        with pytest.raises(RangeError, match=key):
+            config_from_dict(doc)
+    # Bounds that the component configs check, named by qualified key.
+    for doc, key in (
+            ({"tracker": {"alpha": 1.5}}, "tracker.alpha"),
+            ({"tracker": {"iou_gate": -0.1}}, "tracker.iou_gate"),
+            ({"scenario": {"exit_rate": 2.0}}, "scenario.exit_rate"),
+            ({"scenario": {"grid_w": 0}}, "scenario.grid_w"),
+            ({"scenario": {"pitch_height": -1.0}}, "scenario.pitch_height"),
+            ({"train": {"weights": {"lambda_pa": -1.0}}},
+             "weights.lambda_pa"),
+            ({"train": {"epochs": 0}}, "train.epochs"),
+            ({"train": {"samples_per_identity": 1}},
+             "train.samples_per_identity")):
         with pytest.raises(RangeError, match=key):
             config_from_dict(doc)
 

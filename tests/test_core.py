@@ -35,10 +35,8 @@ def test_feature_set_validation():
                            visibility=np.ones(3, dtype=int))
 
 
-def test_concat_and_stacked(rng):
+def test_stacked(rng):
     p = random_feature_set(rng, k=3, d=4)
-    assert p.concat.shape == (12,)
-    np.testing.assert_array_equal(p.concat, p.parts.reshape(-1))
     st = p.stacked()
     np.testing.assert_array_equal(st[0], p.foreground)
     np.testing.assert_array_equal(st[1:], p.parts)

@@ -3,9 +3,9 @@ import pytest
 
 from prtrack.core import Role
 from prtrack.embedder import (EmbedderModel, FeatureGrid, GridSample,
-                              InsufficientIdentities, TrainConfig, _lr_at,
-                              forward, forward_batch, grad_check,
-                              loss_and_grad, sample_batch, train)
+                              InsufficientIdentities, TrainConfig,
+                              _forward_arrays, _lr_at, forward_batch,
+                              grad_check, loss_and_grad, sample_batch, train)
 from prtrack.losses import LossWeights
 
 
@@ -35,14 +35,21 @@ def make_dataset(rng, n_left=4, n_right=4, n_other=3, per_id=5,
     return data
 
 
+def part_masks(model, grid):
+    """Soft part masks (H, W, K+1) of one grid."""
+    masks = _forward_arrays(model, grid.cells[None])["masks"][0]
+    return masks.reshape(*grid.cells.shape[:2], -1)
+
+
 def test_forward_shapes(rng):
     model = EmbedderModel.init(channels=6, num_parts=3, dim=4, n_ids=5)
     grid = make_grid(rng)
-    pfs, role_logits, masks = forward(model, grid)
+    (pfs,), role_logits = forward_batch(model, [grid])
+    masks = part_masks(model, grid)
     assert pfs.parts.shape == (3, 4)
     assert pfs.foreground.shape == (4,)
     assert pfs.visibility.shape == (4,)
-    assert role_logits.shape == (4,)
+    assert role_logits.shape == (1, 4)
     assert masks.shape == (4, 3, 4)
     np.testing.assert_allclose(masks.sum(axis=2), 1.0, atol=1e-12)
 
@@ -52,7 +59,7 @@ def test_forward_batch_matches_single(rng):
     grids = [make_grid(rng) for _ in range(4)]
     sets, logits = forward_batch(model, grids)
     for i, g in enumerate(grids):
-        single, rl, _ = forward(model, g)
+        (single,), (rl,) = forward_batch(model, [g])
         np.testing.assert_allclose(sets[i].parts, single.parts, atol=1e-12)
         np.testing.assert_allclose(sets[i].foreground, single.foreground,
                                    atol=1e-12)
@@ -63,8 +70,8 @@ def test_forward_batch_matches_single(rng):
 def test_visibility_follows_argmax(rng):
     model = EmbedderModel.init(channels=6, num_parts=3, dim=4, n_ids=5)
     grid = make_grid(rng)
-    pfs, _, masks = forward(model, grid)
-    argmax = masks.reshape(-1, 4).argmax(axis=1)
+    (pfs,), _ = forward_batch(model, [grid])
+    argmax = part_masks(model, grid).reshape(-1, 4).argmax(axis=1)
     for j in range(3):
         assert pfs.visibility[j + 1] == int((argmax == j + 1).any())
     assert pfs.visibility[0] == int(pfs.visibility[1:].any())

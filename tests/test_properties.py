@@ -1,0 +1,141 @@
+"""Property tests of the tracking metrics and the text formats.
+
+The metrics do not depend on the names of predicted ids and score a
+prediction equal to the ground truth as perfect; the MOT and feature
+writers round-trip random finite records at their declared precision.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prtrack.core import BoundingBox, PartFeatureSet
+from prtrack.motio import (FeatureRecord, MotRecord, parse_features,
+                           parse_mot, write_features, write_mot)
+from prtrack.track_metrics import SequenceResult, evaluate_sequence
+
+_coord = st.floats(-1e4, 1e4, allow_nan=False)
+_size = st.floats(1.0, 300.0)
+
+
+@st.composite
+def sequences(draw, lanes=False):
+    """Ground truth and predictions: frame -> [(id, box)], ids unique per
+    frame.  A prediction is a jittered ground-truth box or a stray box,
+    under an id drawn independently of the ground truth's.  With
+    ``lanes``, each ground-truth id keeps to a horizontal lane of its own,
+    so its boxes never overlap another id's."""
+    n_frames = draw(st.integers(1, 6))
+    gt, pred = {}, {}
+    for f in range(1, n_frames + 1):
+        ids = draw(st.lists(st.integers(1, 5), max_size=4, unique=True))
+        gt[f] = [(i, BoundingBox(500.0 * i + draw(st.floats(0, 100))
+                                 if lanes else draw(_coord),
+                                 draw(_coord), draw(_size), draw(_size)))
+                 for i in ids]
+        boxes = [BoundingBox(b.x + draw(st.floats(-20, 20)),
+                             b.y + draw(st.floats(-20, 20)), b.w, b.h)
+                 for _, b in gt[f] if draw(st.booleans())]
+        boxes += draw(st.lists(st.builds(BoundingBox, _coord, _coord, _size,
+                                         _size), max_size=2))
+        pred_ids = draw(st.lists(st.integers(1, 7), min_size=len(boxes),
+                                 max_size=len(boxes), unique=True))
+        pred[f] = list(zip(pred_ids, boxes))
+    if not any(gt.values()):
+        gt[1] = [(1, BoundingBox(0.0, 0.0, 10.0, 10.0))]
+    return gt, pred
+
+
+def _scores(gt, pred):
+    r = evaluate_sequence(SequenceResult(gt=gt, pred=pred))
+    return r.hota, r.deta, r.assa, r.mota, r.idf1, r.id_switches
+
+
+@settings(deadline=None)
+@given(sequences(), st.randoms(use_true_random=False))
+def test_metrics_ignore_predicted_id_names(seq, random):
+    gt, pred = seq
+    ids = sorted({i for v in pred.values() for i, _ in v})
+    names = random.sample(range(-50, 1000), len(ids))
+    rename = dict(zip(ids, names))
+    renamed = {f: [(rename[i], b) for i, b in v] for f, v in pred.items()}
+    *floats, switches = _scores(gt, pred)
+    *floats_renamed, switches_renamed = _scores(gt, renamed)
+    assert floats_renamed == pytest.approx(floats, abs=1e-12)
+    assert switches_renamed == switches
+
+
+@settings(deadline=None)
+@given(sequences(lanes=True))
+def test_prediction_equal_to_ground_truth_is_perfect(seq):
+    gt, _ = seq
+    assert _scores(gt, gt) == (1.0, 1.0, 1.0, 1.0, 1.0, 0)
+
+
+_record_float = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(deadline=None)
+@given(st.lists(st.builds(
+    MotRecord, frame=st.integers(0, 10**6), id=st.integers(-1, 10**6),
+    bb_left=_record_float, bb_top=_record_float,
+    bb_width=st.floats(1e-3, 1e6), bb_height=st.floats(1e-3, 1e6),
+    conf=_record_float, class_id=st.integers(-5, 5),
+    visibility=_record_float), max_size=8))
+def test_mot_roundtrip_at_six_decimals(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("mot") / "a.txt"
+    write_mot(records, path)
+    parsed = parse_mot(path)
+    expected = sorted(records, key=lambda r: (r.frame, r.id))
+    assert len(parsed) == len(expected)
+    for got, want in zip(parsed, expected):
+        assert got[:2] == want[:2] and got.class_id == want.class_id
+        np.testing.assert_allclose(got[2:7] + (got.visibility,),
+                                   want[2:7] + (want.visibility,),
+                                   rtol=0, atol=5e-7 + 1e-9)
+    again = path.with_name("b.txt")
+    write_mot(parsed, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+_feature_float = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def feature_records(draw):
+    k, d = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    out = []
+    for det_index in range(draw(st.integers(0, 5))):
+        vectors = draw(st.lists(_feature_float, min_size=(k + 1) * d + 4,
+                                max_size=(k + 1) * d + 4))
+        out.append(FeatureRecord(
+            frame=draw(st.integers(0, 10**6)), det_index=det_index,
+            features=PartFeatureSet(
+                parts=np.reshape(vectors[d:(k + 1) * d], (k, d)),
+                foreground=np.array(vectors[:d]),
+                visibility=np.array(draw(st.lists(
+                    st.integers(0, 1), min_size=k + 1, max_size=k + 1)))),
+            role_logits=np.array(vectors[-4:])))
+    return out
+
+
+@settings(deadline=None)
+@given(feature_records())
+def test_features_roundtrip_at_nine_significant_digits(tmp_path_factory,
+                                                       records):
+    path = tmp_path_factory.mktemp("features") / "f.txt"
+    write_features(records, path)
+    parsed = parse_features(path)
+    expected = sorted(records, key=lambda r: (r.frame, r.det_index))
+    assert len(parsed) == len(expected)
+    for got, want in zip(parsed, expected):
+        assert (got.frame, got.det_index) == (want.frame, want.det_index)
+        np.testing.assert_array_equal(got.features.visibility,
+                                      want.features.visibility)
+        for a, b in ((got.features.stacked(), want.features.stacked()),
+                     (got.role_logits, want.role_logits)):
+            np.testing.assert_allclose(a, b, rtol=5e-9 * (1 + 1e-6), atol=0)
+    again = path.with_name("g.txt")
+    write_features(parsed, again)
+    assert again.read_bytes() == path.read_bytes()
