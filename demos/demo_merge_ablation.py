@@ -7,19 +7,18 @@ there.  Merging on the part distance compares fragments index by index and
 rides out that bias; merging on the foreground embedding alone does not.
 """
 
-from prtrack.pipeline import (gt_to_records, records_to_result,
-                              tracklets_to_records)
+from prtrack.motio import tracklets_to_records
 from prtrack.postproc import MergeConfig, merge_tracklets
 from prtrack.simgen import ScenarioConfig, generate, to_tracking_input
-from prtrack.track_metrics import idf1, mota_ids
+from prtrack.track_metrics import SequenceResult, idf1, mota_ids
 from prtrack.tracker import FrameInput, OnlineTracker, TrackerConfig
 
 SEED = 3
 cfg = ScenarioConfig(n_players_per_team=9, occlusion_rate=0.3, frames=750,
                      seed=SEED)
 scenario = generate(cfg)
-frame_inputs, gt_records = to_tracking_input(scenario, features="oracle",
-                                             seed=SEED)
+frame_inputs, gt_mot = to_tracking_input(scenario, features="oracle",
+                                         seed=SEED)
 
 tracker = OnlineTracker(TrackerConfig(normalized_ema=True))
 for t, dets in enumerate(frame_inputs):
@@ -28,7 +27,6 @@ tracklets = tracker.finish()
 print(f"{len(scenario.agents)} agents -> {len(tracklets)} online tracklets "
       f"(occlusions fragment tracks)\n")
 
-gt_mot = gt_to_records(gt_records)
 variants = {
     "no merge": None,
     "foreground-only merge": MergeConfig(foreground_only=True),
@@ -40,6 +38,7 @@ for name, merge_cfg in variants.items():
         out = tracklets
     else:
         out, _ = merge_tracklets(tracklets, merge_cfg)
-    result = records_to_result(gt_mot, tracklets_to_records(out))
+    # One layout of the MOT records, read by both metrics.
+    result = SequenceResult(gt_mot, tracklets_to_records(out))
     _, ids = mota_ids(result)
     print(f"{name:24s} {len(out):>9d} {idf1(result):>8.4f} {ids:>5d}")

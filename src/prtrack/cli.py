@@ -20,14 +20,13 @@ from pathlib import Path
 import yaml
 
 from .config import (ConfigTypeError, RangeError, RunConfig, UnknownKeyError,
-                     config_to_dict, load_config)
+                     config_to_dict, load_config, load_yaml)
 from .embedder import DimMismatch, InsufficientIdentities
 from .motio import (FeatureRecord, MotRecord, ParseError, _feature_rows,
-                    load_model, parse_mot, save_model, write_features,
-                    write_mot)
+                    load_model, parse_mot, save_model, tracklets_to_records,
+                    write_features, write_mot)
 from .pipeline import (_tracking_input, embed_detections, evaluate_reid,
-                       gt_to_records, records_to_result, run_pipeline,
-                       team_accuracy, track_frames, tracklets_to_records,
+                       run_pipeline, team_accuracy, track_frames,
                        train_on_scenario)
 from .postproc import TooFewPlayers, assign_roles, assign_teams, \
     merge_tracklets
@@ -40,10 +39,10 @@ from . import reference
 _TRACK_COLUMNS = ("hota", "deta", "assa", "mota", "idf1", "id_switches")
 
 # Exceptions that mean bad input, reported with exit code 2.
-_DATA_ERRORS = (ParseError, FileNotFoundError, UnknownKeyError, RangeError,
-                ConfigTypeError, InsufficientIdentities, DimMismatch,
-                EmptyGallery, TooFewPlayers, DegenerateInput,
-                EmptyGroundTruth)
+_DATA_ERRORS = (ParseError, FileNotFoundError, IsADirectoryError,
+                UnknownKeyError, RangeError, ConfigTypeError,
+                InsufficientIdentities, DimMismatch, EmptyGallery,
+                TooFewPlayers, DegenerateInput, EmptyGroundTruth)
 
 
 class UsageError(Exception):
@@ -108,9 +107,9 @@ def cmd_generate(args) -> int:
     cfg = _load_run_config(args)
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
-    frame_inputs, gt_records = _tracking_input(
+    frame_inputs, gt_mot = _tracking_input(
         cfg, generate(cfg.scenario), features="oracle")
-    write_mot(gt_to_records(gt_records), run_dir / "gt.txt")
+    write_mot(gt_mot, run_dir / "gt.txt")
     write_mot([MotRecord(d.frame, -1, d.box.x, d.box.y, d.box.w, d.box.h,
                          d.confidence)
                for dets in frame_inputs for d in dets], run_dir / "det.txt")
@@ -236,10 +235,8 @@ def cmd_eval_reid(args) -> int:
 
 
 def cmd_eval_track(args) -> int:
-    gt = parse_mot(args.gt)
-    pred = parse_mot(args.pred)
-    result = records_to_result(gt, pred)
-    row = dataclasses.asdict(evaluate_sequence(result))
+    row = dataclasses.asdict(evaluate_sequence(parse_mot(args.gt),
+                                               parse_mot(args.pred)))
     print(_format_track_table({"result": row}))
     if args.out:
         _dump_yaml(row, Path(args.out))
@@ -296,10 +293,16 @@ def cmd_report(args) -> int:
     rows = {}
     for run in args.compare:
         path = Path(run) / "report.yaml"
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
-        rows[Path(run).name] = {k: data["tracking"][k]
-                                for k in _TRACK_COLUMNS}
+        data = load_yaml(path)
+        tracking = data.get("tracking") if isinstance(data, dict) else None
+        if not isinstance(tracking, dict):
+            raise ParseError("no tracking mapping", path=path)
+        row = {k: tracking.get(k) for k in _TRACK_COLUMNS}
+        for k, v in row.items():
+            if type(v) not in (int, float):     # a bool is not a number
+                raise ParseError(f"tracking.{k} is not a number: {v!r}",
+                                 path=path)
+        rows[Path(run).name] = row
     if len(rows) == 2:
         a, b = rows.values()
         rows["delta"] = {k: b[k] - a[k] for k in _TRACK_COLUMNS}

@@ -14,13 +14,13 @@ import yaml
 
 from .embedder import TrainConfig
 from .losses import LossWeights
-from .motio import ParseError
+from .motio import ParseError, read_text
 from .postproc import MergeConfig
 from .simgen import DETECTOR_NOISES, ConfigInvalid, ScenarioConfig
 from .tracker import TrackerConfig
 
 __all__ = ["UnknownKeyError", "RangeError", "ConfigTypeError", "RunConfig",
-           "load_config"]
+           "load_yaml", "load_config"]
 
 
 class UnknownKeyError(Exception):
@@ -123,6 +123,20 @@ _SECTIONS = {
 }
 
 
+def load_yaml(path):
+    """The YAML document in the file at ``path``; malformed YAML raises
+    :class:`~prtrack.motio.ParseError` naming the path and line."""
+    text = read_text(path)
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        # A parser error has a mark, a reader error a position in ``text``.
+        at = getattr(getattr(exc, "problem_mark", None), "index",
+                     getattr(exc, "position", 0))
+        raise ParseError(f"invalid YAML: {getattr(exc, 'problem', exc)}",
+                         text.count("\n", 0, at) + 1, path) from exc
+
+
 def load_config(path) -> RunConfig:
     """Load and validate a YAML run configuration.
 
@@ -130,18 +144,9 @@ def load_config(path) -> RunConfig:
     :class:`ConfigTypeError` for mistyped values, and :class:`RangeError`
     for out-of-range values.  The error message names the offending key.
     Malformed YAML raises :class:`~prtrack.motio.ParseError` naming the
-    line.
+    path and line.
     """
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        data = yaml.safe_load(text) or {}
-    except yaml.YAMLError as exc:
-        # A parser error has a mark, a reader error a position in ``text``.
-        at = getattr(getattr(exc, "problem_mark", None), "index",
-                     getattr(exc, "position", 0))
-        raise ParseError(f"invalid YAML: {getattr(exc, 'problem', exc)}",
-                         text.count("\n", 0, at) + 1) from exc
+    data = load_yaml(path) or {}
     if not isinstance(data, dict):
         raise ConfigTypeError("config root must be a mapping")
     return config_from_dict(data)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -21,9 +22,9 @@ from .embedder import EmbedderModel, PARAM_NAMES
 __all__ = [
     "ParseError",
     "MotRecord",
-    "gt_to_records",
     "tracklets_to_records",
     "FeatureRecord",
+    "read_text",
     "write_mot",
     "parse_mot",
     "write_features",
@@ -37,8 +38,12 @@ _G = "{:.9g}"   # feature vectors: 9 significant digits
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    """Malformed file content, located by line and, where given, file."""
+
+    def __init__(self, message: str, line: int | None = None, path=None):
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message if path is None else f"{path}: {message}")
         self.line = line
 
 
@@ -62,16 +67,22 @@ class MotRecord(NamedTuple):
                            self.bb_width, self.bb_height)
 
 
-def gt_to_records(gt_records) -> list[MotRecord]:
-    """MOT records of ``(frame, id, box)`` ground-truth rows."""
-    return [MotRecord(f, i, b.x, b.y, b.w, b.h) for f, i, b in gt_records]
-
-
 def tracklets_to_records(tracklets: list[Tracklet]) -> list[MotRecord]:
     """MOT records of each tracklet's detections in turn."""
     return [MotRecord(d.frame, t.id, d.box.x, d.box.y, d.box.w, d.box.h,
                       d.confidence)
             for t in tracklets for d in t.detections]
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``, all line ends read as
+    ``\\n``; other bytes raise :class:`ParseError` naming path and line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})",
+                         data.count(b"\n", 0, exc.start) + 1, path) from None
 
 
 def write_mot(records: list[MotRecord], path) -> None:
@@ -92,31 +103,29 @@ def write_mot(records: list[MotRecord], path) -> None:
 def parse_mot(path) -> list[MotRecord]:
     records = []
     last_frame = 0
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            fields = raw.split(",")
-            if len(fields) != 9:
-                raise ParseError(f"expected 9 fields, got {len(fields)}",
-                                 lineno)
-            try:
-                rec = MotRecord(
-                    frame=int(fields[0]), id=int(fields[1]),
-                    bb_left=float(fields[2]), bb_top=float(fields[3]),
-                    bb_width=float(fields[4]), bb_height=float(fields[5]),
-                    conf=float(fields[6]), class_id=int(fields[7]),
-                    visibility=float(fields[8]))
-                if not all(map(math.isfinite, (rec.conf, rec.visibility))):
-                    raise ValueError("conf and visibility must be finite")
-                rec.box  # BoundingBox rejects a non-finite or empty box
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            if rec.frame < last_frame:
-                warnings.warn(f"non-monotone frame at line {lineno}")
-            last_frame = rec.frame
-            records.append(rec)
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        fields = raw.split(",")
+        if len(fields) != 9:
+            raise ParseError(f"expected 9 fields, got {len(fields)}", lineno)
+        try:
+            rec = MotRecord(
+                frame=int(fields[0]), id=int(fields[1]),
+                bb_left=float(fields[2]), bb_top=float(fields[3]),
+                bb_width=float(fields[4]), bb_height=float(fields[5]),
+                conf=float(fields[6]), class_id=int(fields[7]),
+                visibility=float(fields[8]))
+            if not all(map(math.isfinite, (rec.conf, rec.visibility))):
+                raise ValueError("conf and visibility must be finite")
+            rec.box  # BoundingBox rejects a non-finite or empty box
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from exc
+        if rec.frame < last_frame:
+            warnings.warn(f"non-monotone frame at line {lineno}")
+        last_frame = rec.frame
+        records.append(rec)
     return records
 
 
@@ -157,36 +166,35 @@ def parse_features(path) -> list[FeatureRecord]:
 def _feature_rows(path) -> list[tuple[int, FeatureRecord]]:
     """``(line number, record)`` of each non-blank line of a features file."""
     records = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            tok = raw.split()
-            try:
-                frame, det_index, k, d = (int(tok[0]), int(tok[1]),
-                                          int(tok[2]), int(tok[3]))
-                expected = 4 + d + k * d + (k + 1) + 4
-                if len(tok) != expected:
-                    raise ParseError(
-                        f"expected {expected} tokens, got {len(tok)}", lineno)
-                pos = 4
-                fg = np.array([float(v) for v in tok[pos:pos + d]])
-                pos += d
-                parts = np.array(
-                    [float(v) for v in tok[pos:pos + k * d]]).reshape(k, d)
-                pos += k * d
-                vis = np.array([int(v) for v in tok[pos:pos + k + 1]])
-                pos += k + 1
-                role_logits = np.array([float(v) for v in tok[pos:pos + 4]])
-                features = PartFeatureSet(parts=parts, foreground=fg,
-                                          visibility=vis)
-            except ParseError:
-                raise
-            except (ValueError, IndexError) as exc:
-                raise ParseError(str(exc), lineno) from exc
-            records.append((lineno, FeatureRecord(frame, det_index, features,
-                                                  role_logits)))
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        tok = raw.split()
+        try:
+            frame, det_index, k, d = (int(tok[0]), int(tok[1]),
+                                      int(tok[2]), int(tok[3]))
+            expected = 4 + d + k * d + (k + 1) + 4
+            if len(tok) != expected:
+                raise ParseError(
+                    f"expected {expected} tokens, got {len(tok)}", lineno)
+            pos = 4
+            fg = np.array([float(v) for v in tok[pos:pos + d]])
+            pos += d
+            parts = np.array(
+                [float(v) for v in tok[pos:pos + k * d]]).reshape(k, d)
+            pos += k * d
+            vis = np.array([int(v) for v in tok[pos:pos + k + 1]])
+            pos += k + 1
+            role_logits = np.array([float(v) for v in tok[pos:pos + 4]])
+            features = PartFeatureSet(parts=parts, foreground=fg,
+                                      visibility=vis)
+        except ParseError:
+            raise
+        except (ValueError, IndexError) as exc:
+            raise ParseError(str(exc), lineno) from exc
+        records.append((lineno, FeatureRecord(frame, det_index, features,
+                                              role_logits)))
     return records
 
 
@@ -206,37 +214,36 @@ def save_model(model: EmbedderModel, path) -> None:
 
 
 def load_model(path) -> EmbedderModel:
-    with open(path) as fh:
-        magic = fh.readline().rstrip("\n")
-        if magic != _CKPT_MAGIC:
-            raise ParseError(f"bad checkpoint header {magic!r}", 1)
-        arrays = {}
-        lineno = 1
-        while True:
-            header = fh.readline()
+    lines = iter(read_text(path).split("\n"))
+    magic = next(lines)
+    if magic != _CKPT_MAGIC:
+        raise ParseError(f"bad checkpoint header {magic!r}", 1)
+    arrays = {}
+    lineno = 1
+    while True:
+        header = next(lines, "")
+        lineno += 1
+        if not header.strip():
+            break
+        try:
+            name, rows, cols = header.split()
+            rows, cols = int(rows), int(cols)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from exc
+        data = []
+        for _ in range(rows):
+            line = next(lines, "")
             lineno += 1
-            if not header.strip():
-                break
             try:
-                name, rows, cols = header.split()
-                rows, cols = int(rows), int(cols)
+                data.append([float(v) for v in line.split()])
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from exc
-            data = []
-            for _ in range(rows):
-                line = fh.readline()
-                lineno += 1
-                try:
-                    data.append([float(v) for v in line.split()])
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno) from exc
-                if len(data[-1]) != cols:    # short, ragged, or past the end
-                    raise ParseError(f"{name} row has {len(data[-1])} values, "
-                                     f"expected {cols}", lineno)
-                if not all(map(math.isfinite, data[-1])):
-                    raise ParseError(f"{name} row has a non-finite value",
-                                     lineno)
-            arrays[name] = np.array(data).reshape(rows, cols)
+            if len(data[-1]) != cols:    # short, ragged, or past the end
+                raise ParseError(f"{name} row has {len(data[-1])} values, "
+                                 f"expected {cols}", lineno)
+            if not all(map(math.isfinite, data[-1])):
+                raise ParseError(f"{name} row has a non-finite value", lineno)
+        arrays[name] = np.array(data).reshape(rows, cols)
     missing = [n for n in PARAM_NAMES if n not in arrays]
     if missing:
         raise ParseError(f"missing arrays {missing}", lineno)

@@ -12,16 +12,15 @@ import numpy as np
 
 from . import reference
 from .config import RunConfig
-from .core import BoundingBox, Detection, Role, Tracklet
+from .core import Detection, Role, Tracklet
 from .embedder import EmbedderModel, GridSample, forward_batch, train
-# The MOT record builders live with the format; re-exported here.
-from .motio import MotRecord, gt_to_records, tracklets_to_records
+from .motio import tracklets_to_records
 from .postproc import TooFewPlayers, assign_teams, merge_tracklets
 from .reid_metrics import RetrievalItem, RetrievalSet, evaluate_retrieval, \
     role_metrics
 from .simgen import Scenario, generate, to_reid_dataset, to_tracking_input
 from .solvers import DegenerateInput
-from .track_metrics import SequenceResult, evaluate_sequence
+from .track_metrics import evaluate_sequence
 from .tracker import FrameInput, OnlineTracker
 
 __all__ = [
@@ -29,9 +28,6 @@ __all__ = [
     "embed_samples",
     "embed_detections",
     "track_frames",
-    "tracklets_to_records",
-    "records_to_result",
-    "gt_to_records",
     "evaluate_reid",
     "team_accuracy",
     "run_pipeline",
@@ -90,21 +86,6 @@ def track_frames(frame_inputs: list[list[Detection]],
     return tracker.finish()
 
 
-def _by_frame(rows) -> dict[int, list[tuple[int, BoundingBox]]]:
-    """``frame -> [(id, box)]`` of ``(frame, id, box)`` rows, in row order."""
-    frames: dict[int, list] = {}
-    for frame, tid, box in rows:
-        frames.setdefault(frame, []).append((tid, box))
-    return frames
-
-
-def records_to_result(gt: list[MotRecord],
-                      pred: list[MotRecord]) -> SequenceResult:
-    return SequenceResult(gt=_by_frame((r.frame, r.id, r.box) for r in gt),
-                          pred=_by_frame((r.frame, r.id, r.box)
-                                         for r in pred))
-
-
 def evaluate_reid(model: EmbedderModel, queries: list[GridSample],
                   gallery: list[GridSample]) -> dict:
     """Identity/team retrieval and role classification over a split."""
@@ -153,17 +134,12 @@ def run_pipeline(cfg: RunConfig):
     scenario = generate(cfg.scenario)
     model, history, (train_set, queries, gallery) = train_on_scenario(
         cfg, scenario)
-    frame_inputs, gt_records = _tracking_input(cfg, scenario)
+    frame_inputs, gt_mot = _tracking_input(cfg, scenario)
     embed_detections(model, scenario, frame_inputs)
     tracklets = track_frames(frame_inputs, cfg)
     merged, id_map = merge_tracklets(tracklets, cfg.merge)
-
-    # Evaluated on the boxes in hand; records_to_result of the MOT records
-    # below would rebuild the same boxes.
-    track_report = evaluate_sequence(SequenceResult(
-        gt=_by_frame(gt_records),
-        pred=_by_frame((d.frame, t.id, d.box)
-                       for t in merged for d in t.detections)))
+    merged_mot = tracklets_to_records(merged)
+    track_report = evaluate_sequence(gt_mot, merged_mot)
 
     reid_report = evaluate_reid(model, queries, gallery)
     try:
@@ -194,8 +170,8 @@ def run_pipeline(cfg: RunConfig):
         "model": model,
         "tracklets": tracklets,
         "merged": merged,
-        "gt_mot": gt_to_records(gt_records),
+        "gt_mot": gt_mot,
         "raw_mot": tracklets_to_records(tracklets),
-        "merged_mot": tracklets_to_records(merged),
+        "merged_mot": merged_mot,
     }
     return report, artifacts

@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import BoundingBox, Detection, PartFeatureSet, Role
 from .embedder import FeatureGrid, GridSample
+from .motio import MotRecord
 
 __all__ = [
     "DETECTOR_NOISES",
@@ -369,24 +370,25 @@ def to_tracking_input(scenario: Scenario, detector_noise: str = "none",
     ground-truth-derived part features, 'none' leaves features empty
     (filled later by an embedding model).
 
-    Returns (frame inputs, gt records) where each gt record is
-    (frame, identity, box) and each frame input is a list of Detections.
+    Returns (frame inputs, gt records): a list of Detections per frame and
+    the :class:`~prtrack.motio.MotRecord` of each present agent per frame.
     """
     if detector_noise not in DETECTOR_NOISES:
         raise ValueError(f"unknown detector noise {detector_noise!r}")
     rng = np.random.default_rng(seed)
     proj, offsets = oracle_feature_projection(scenario.config)
     frame_inputs: list[list[Detection]] = []
-    gt_records: list[tuple[int, int, BoundingBox]] = []
+    gt_records: list[MotRecord] = []
     for frame_obs in scenario.frames:
         dets = []
         for ob in frame_obs:
             if not ob.present:
                 continue
-            gt_records.append((ob.frame, ob.identity, ob.box))
+            box = ob.box
+            gt_records.append(MotRecord(ob.frame, ob.identity,
+                                        box.x, box.y, box.w, box.h))
             if detector_noise == "dropout" and rng.random() < noise_param:
                 continue
-            box = ob.box
             if detector_noise == "jitter":
                 dx, dy = rng.normal(0.0, noise_param, 2)
                 box = BoundingBox(box.x + dx, box.y + dy, box.w, box.h)

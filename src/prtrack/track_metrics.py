@@ -1,21 +1,24 @@
 """Tracking metrics: HOTA (with DetA/AssA), CLEAR-MOT accuracy with
 identity switches, and identity-F1 under optimal global id matching.
 
-Each metric computes one (gt, pred) IoU matrix per frame with the package's
-single IoU kernel, :func:`prtrack.core.iou_matrix`.  All metrics share one
-per-frame matching primitive on that matrix: minimum-cost bipartite
-matching on (1 - IoU) restricted to pairs with IoU at or above the
-localization threshold.
+All three read one :class:`SequenceResult`, built once from ground-truth
+and predicted MOT records: per frame, the gt ids, the pred ids and their
+IoU matrix from the package's single IoU kernel,
+:func:`prtrack.core.iou_matrix`.  They share one per-frame matching
+primitive on that matrix: minimum-cost bipartite matching on (1 - IoU)
+restricted to pairs with IoU at or above the localization threshold.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundingBox, box_array, iou_matrix
+from .core import iou_matrix
+from .motio import MotRecord
 from .solvers import hungarian
 
 __all__ = [
@@ -36,21 +39,33 @@ class EmptyGroundTruth(Exception):
     pass
 
 
-@dataclass
+def _columns(records: list[MotRecord]):
+    """Frames, ids and ``(N, 4)`` boxes of MOT records, stably sorted by
+    frame, so each frame keeps its records' order."""
+    records = sorted(records, key=lambda r: r.frame)
+    return ([r.frame for r in records], [r.id for r in records],
+            np.array([r[2:6] for r in records], dtype=float).reshape(-1, 4))
+
+
 class SequenceResult:
-    """Per-frame ground truth and predictions: frame -> [(id, box)]."""
+    """One sequence's ground-truth and predicted MOT records, laid out for
+    the metrics.
 
-    gt: dict[int, list[tuple[int, BoundingBox]]]
-    pred: dict[int, list[tuple[int, BoundingBox]]]
+    ``frames`` holds, for each frame with a record, in ascending frame
+    order, the frame's gt ids and pred ids, each in record order, and
+    their ``(G_t, P_t)`` IoU matrix.  ``gt_ids`` and ``pred_ids`` hold
+    every record's id."""
 
-    def frames(self):
-        return sorted(set(self.gt) | set(self.pred))
-
-    def gt_count(self) -> int:
-        return sum(len(v) for v in self.gt.values())
-
-    def pred_count(self) -> int:
-        return sum(len(v) for v in self.pred.values())
+    def __init__(self, gt: list[MotRecord], pred: list[MotRecord]):
+        gt_frames, self.gt_ids, gt_boxes = _columns(gt)
+        pr_frames, self.pred_ids, pr_boxes = _columns(pred)
+        frames = sorted({*gt_frames, *pr_frames})
+        cuts = [[bisect(column, f) for f in frames]
+                for column in (gt_frames, pr_frames)
+                for bisect in (bisect_left, bisect_right)]
+        self.frames = [(self.gt_ids[a:b], self.pred_ids[c:d],
+                        iou_matrix(gt_boxes[a:b], pr_boxes[c:d]))
+                       for a, b, c, d in zip(*cuts)]
 
 
 @dataclass
@@ -71,40 +86,26 @@ def frame_match(ious: np.ndarray, alpha_loc: float) -> list[tuple[int, int]]:
     return hungarian(np.where(ious >= alpha_loc, 1.0 - ious, np.inf)).pairs
 
 
-def _frame_ious(result: SequenceResult):
-    """Per frame: (gt ids, pred ids, (gt, pred) IoU matrix)."""
-    out = {}
-    for f in result.frames():
-        gt_f = result.gt.get(f, [])
-        pr_f = result.pred.get(f, [])
-        out[f] = ([i for i, _ in gt_f], [i for i, _ in pr_f],
-                  iou_matrix(box_array([b for _, b in gt_f]),
-                             box_array([b for _, b in pr_f])))
-    return out
-
-
-def _matches_per_frame(frame_ious, alpha: float):
-    """Per-frame list of matched (gt id, pred id) pairs."""
-    return {f: [(gt_ids[i], pr_ids[j])
-                for i, j in frame_match(ious, alpha)]
-            for f, (gt_ids, pr_ids, ious) in frame_ious.items()}
+def _matches_per_frame(result: SequenceResult, alpha: float):
+    """Per frame, the matched (gt id, pred id) pairs."""
+    return [[(gt_ids[i], pr_ids[j]) for i, j in frame_match(ious, alpha)]
+            for gt_ids, pr_ids, ious in result.frames]
 
 
 def hota(result: SequenceResult,
          alphas=DEFAULT_ALPHAS) -> tuple[float, float, float]:
     """(HOTA, DetA, AssA) averaged over the localization thresholds."""
-    n_gt = result.gt_count()
+    n_gt = len(result.gt_ids)
     if n_gt == 0:
         raise EmptyGroundTruth("no ground-truth boxes")
-    n_pred = result.pred_count()
-    gt_totals = Counter(i for v in result.gt.values() for i, _ in v)
-    pred_totals = Counter(i for v in result.pred.values() for i, _ in v)
-    frame_ious = _frame_ious(result)
+    n_pred = len(result.pred_ids)
+    gt_totals = Counter(result.gt_ids)
+    pred_totals = Counter(result.pred_ids)
 
     hotas, detas, assas = [], [], []
     for alpha in alphas:
-        matches = _matches_per_frame(frame_ious, alpha)
-        tp_pairs = [p for pairs in matches.values() for p in pairs]
+        tp_pairs = [p for pairs in _matches_per_frame(result, alpha)
+                    for p in pairs]
         tp = len(tp_pairs)
         fn = n_gt - tp
         fp = n_pred - tp
@@ -136,15 +137,15 @@ def mota_ids(result: SequenceResult,
     the threshold, so a switch is counted wherever the IoU-optimal
     assignment moves a ground-truth id to another prediction.
     """
-    n_gt = result.gt_count()
-    matches = _matches_per_frame(_frame_ious(result), alpha)
-    tp = sum(len(v) for v in matches.values())
+    n_gt = len(result.gt_ids)
+    matches = _matches_per_frame(result, alpha)
+    tp = sum(map(len, matches))
     fn = n_gt - tp
-    fp = result.pred_count() - tp
+    fp = len(result.pred_ids) - tp
     last_match: dict[int, int] = {}
     idsw = 0
-    for f in result.frames():
-        for gi, pi in matches[f]:
+    for pairs in matches:
+        for gi, pi in pairs:
             if gi in last_match and last_match[gi] != pi:
                 idsw += 1
             last_match[gi] = pi
@@ -155,24 +156,28 @@ def mota_ids(result: SequenceResult,
 def idf1(result: SequenceResult, alpha: float = 0.5) -> float:
     """Identity-F1: optimal global gt-id/pred-id matching maximizing the
     per-frame overlap count, then F1 over identity-true detections."""
-    gt_list = np.unique([i for v in result.gt.values() for i, _ in v])
-    pred_list = np.unique([i for v in result.pred.values() for i, _ in v])
+    gt_list = np.unique(result.gt_ids)
+    pred_list = np.unique(result.pred_ids)
     if not pred_list.size or not gt_list.size:
         return 0.0
     overlap = np.zeros((gt_list.size, pred_list.size), dtype=int)
-    for gt_ids, pr_ids, ious in _frame_ious(result).values():
+    for gt_ids, pr_ids, ious in result.frames:
         rows, cols = np.nonzero(ious >= alpha)
         np.add.at(overlap, (np.searchsorted(gt_list, gt_ids)[rows],
                             np.searchsorted(pred_list, pr_ids)[cols]), 1)
     pairs = hungarian(-overlap).pairs
     idtp = sum(int(overlap[i, j]) for i, j in pairs)
-    idfn = result.gt_count() - idtp
-    idfp = result.pred_count() - idtp
+    idfn = len(result.gt_ids) - idtp
+    idfp = len(result.pred_ids) - idtp
     denom = 2 * idtp + idfp + idfn
     return 2 * idtp / denom if denom else 0.0
 
 
-def evaluate_sequence(result: SequenceResult) -> EvalReport:
+def evaluate_sequence(gt: list[MotRecord],
+                      pred: list[MotRecord]) -> EvalReport:
+    """All metrics of the predicted MOT records against the ground-truth
+    ones, on one :class:`SequenceResult`."""
+    result = SequenceResult(gt, pred)
     h, d, a = hota(result)
     m, ids = mota_ids(result)
     return EvalReport(hota=h, deta=d, assa=a, mota=m, idf1=idf1(result),

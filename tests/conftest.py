@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from prtrack.core import BoundingBox, PartFeatureSet
+from prtrack.motio import MotRecord
 
 
 def random_feature_set(rng, k=5, d=8, p_visible=0.7, force_any=True):
@@ -16,6 +17,13 @@ def random_feature_set(rng, k=5, d=8, p_visible=0.7, force_any=True):
 
 def box(x, y, w=10.0, h=10.0):
     return BoundingBox(x, y, w, h)
+
+
+def mot_records(frames):
+    """MOT records of a ``{frame: [(id, box)]}`` micro-sequence, frame by
+    frame, each frame's in list order."""
+    return [MotRecord(f, i, b.x, b.y, b.w, b.h)
+            for f, boxes in frames.items() for i, b in boxes]
 
 
 @pytest.fixture

@@ -23,9 +23,8 @@ from prtrack.losses import (LossWeights, TripletConfig, cross_entropy_id,
                             focal_loss, gilt_loss, masked_triplet_batch_hard,
                             part_prediction_loss, triplet_batch_hard)
 from prtrack.motio import (FeatureRecord, MotRecord, parse_features,
-                           parse_mot, write_features, write_mot)
-from prtrack.pipeline import (gt_to_records, records_to_result,
-                              tracklets_to_records)
+                           parse_mot, tracklets_to_records, write_features,
+                           write_mot)
 from prtrack.postproc import MergeConfig, merge_tracklets
 from prtrack.reid_metrics import (RetrievalItem, RetrievalSet,
                                   evaluate_retrieval)
@@ -36,7 +35,7 @@ from prtrack.track_metrics import (SequenceResult, evaluate_sequence, hota,
                                    idf1, mota_ids)
 from prtrack.tracker import FrameInput, OnlineTracker, TrackerConfig
 
-from conftest import random_feature_set
+from conftest import mot_records, random_feature_set
 from oracles import (brute_assignment, brute_hota, brute_idf1,
                      brute_mota_ids)
 from test_embedder import make_dataset
@@ -169,7 +168,7 @@ def test_acceptance_2b_metrics_vs_brute_force():
     alphas = (0.1, 0.3, 0.5, 0.7, 0.9)
     for seed in range(24):
         gt, pred = _micro_sequence(seed)
-        result = SequenceResult(gt=gt, pred=pred)
+        result = SequenceResult(mot_records(gt), mot_records(pred))
         h, d, a = hota(result, alphas=alphas)
         bh, bd, ba = brute_hota(gt, pred, alphas)
         assert abs(h - bh) < 1e-12 and abs(d - bd) < 1e-12 \
@@ -297,14 +296,12 @@ def test_acceptance_6_merge_ablation():
         assert (2 * cfg.n_players_per_team + cfg.n_goalkeepers
                 + cfg.n_referees + cfg.n_staff) == 23
         scenario = generate(cfg)
-        frame_inputs, gt_records = to_tracking_input(scenario,
-                                                     features="oracle",
-                                                     seed=seed)
+        frame_inputs, gt_mot = to_tracking_input(scenario,
+                                                 features="oracle", seed=seed)
         tracker = OnlineTracker(TrackerConfig(normalized_ema=True))
         for t, dets in enumerate(frame_inputs):
             tracker.step(FrameInput(frame=t + 1, detections=dets))
         tracklets = tracker.finish()
-        gt_mot = gt_to_records(gt_records)
         variants = {
             "none": tracklets,
             "fg": merge_tracklets(tracklets,
@@ -312,7 +309,7 @@ def test_acceptance_6_merge_ablation():
             "part": merge_tracklets(tracklets, MergeConfig())[0],
         }
         for name, tks in variants.items():
-            result = records_to_result(gt_mot, tracklets_to_records(tks))
+            result = SequenceResult(gt_mot, tracklets_to_records(tks))
             _, ids = mota_ids(result)
             sums[name] += (idf1(result), ids)
     none, fg, part = sums["none"], sums["fg"], sums["part"]
@@ -329,15 +326,13 @@ def test_acceptance_6_merge_ablation():
 def test_acceptance_7_perfect_input_identities():
     cfg = ScenarioConfig(frames=300, feature_noise_sigma=0.0, seed=5)
     scenario = generate(cfg)
-    frame_inputs, gt_records = to_tracking_input(scenario, features="oracle",
-                                                 feature_sigma=0.0, seed=5)
+    frame_inputs, gt_mot = to_tracking_input(scenario, features="oracle",
+                                             feature_sigma=0.0, seed=5)
     tracker = OnlineTracker(TrackerConfig())
     for t, dets in enumerate(frame_inputs):
         tracker.step(FrameInput(frame=t + 1, detections=dets))
     merged, _ = merge_tracklets(tracker.finish(), MergeConfig())
-    result = records_to_result(gt_to_records(gt_records),
-                               tracklets_to_records(merged))
-    report = evaluate_sequence(result)
+    report = evaluate_sequence(gt_mot, tracklets_to_records(merged))
     assert report.hota == 1.0
     assert report.mota == 1.0
     assert report.idf1 == 1.0

@@ -114,6 +114,17 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert main(["generate", "--config", str(bad),
                  "--out", str(tmp_path / "x")]) == 2
     assert "config root must be a mapping" in capsys.readouterr().err
+    # A directory, and bytes that are not UTF-8, where a file is read.
+    assert main(["generate", "--config", str(tmp_path),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+    bad.write_bytes(b"\xff\xfescenario: {}\n")
+    assert main(["generate", "--config", str(bad),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert f"{bad}: line 1: not UTF-8" in capsys.readouterr().err
+    gt.write_bytes(b"1,1,0,0,10,10,1,1,1\n\xff\xfe\n")
+    assert main(["eval-track", "--gt", str(gt), "--pred", str(pred)]) == 2
+    assert f"{gt}: line 2: not UTF-8" in capsys.readouterr().err
     # Too few identities to train on, then no held-out player to retrieve.
     for players, message in ((3, "need 4+4 player ids"),
                              (4, "gallery is empty")):
@@ -131,6 +142,10 @@ def test_data_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert main(["embed", "--run", str(wide)]) == 2
     assert "grid channels 20 != model channels 16" in capsys.readouterr().err
+    for name, command in (("model.txt", "embed"), ("features.txt", "track")):
+        (wide / name).write_bytes(b"\xff\xfe")
+        assert main([command, "--run", str(wide)]) == 2
+        assert f"{wide / name}: line 1: not UTF-8" in capsys.readouterr().err
 
 
 def test_programmer_error_escapes(tmp_path, monkeypatch):
@@ -224,3 +239,12 @@ def test_report_compare(tmp_path, capsys):
                  str(tmp_path / "b")]) == 0
     out = capsys.readouterr().out
     assert "delta" in out
+    path = tmp_path / "b" / "report.yaml"
+    for text, message in (("tracking: {hota: [1, 2\n", "line 2: invalid YAML"),
+                          ("reid: {}\n", "no tracking mapping"),
+                          ("tracking: {hota: high}\n",
+                           "tracking.hota is not a number")):
+        path.write_text(text)
+        assert main(["report", "--compare", str(tmp_path / "a"),
+                     str(tmp_path / "b")]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err

@@ -1,8 +1,9 @@
 """Property tests of the tracking metrics and the text formats.
 
-The metrics do not depend on the names of predicted ids and score a
-prediction equal to the ground truth as perfect; the MOT and feature
-writers round-trip random finite records at their declared precision.
+The metrics do not depend on the names of predicted ids or on the order of
+records across frames, and score a prediction equal to the ground truth as
+perfect; the MOT and feature writers round-trip random finite records at
+their declared precision.
 """
 
 import numpy as np
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from prtrack.core import BoundingBox, PartFeatureSet
 from prtrack.motio import (FeatureRecord, MotRecord, parse_features,
                            parse_mot, write_features, write_mot)
-from prtrack.track_metrics import SequenceResult, evaluate_sequence
+from prtrack.track_metrics import evaluate_sequence
+
+from conftest import mot_records
 
 _coord = st.floats(-1e4, 1e4, allow_nan=False)
 _size = st.floats(1.0, 300.0)
@@ -48,14 +51,29 @@ def sequences(draw, lanes=False):
 
 
 def _scores(gt, pred):
-    r = evaluate_sequence(SequenceResult(gt=gt, pred=pred))
+    r = evaluate_sequence(mot_records(gt), mot_records(pred))
     return r.hota, r.deta, r.assa, r.mota, r.idf1, r.id_switches
+
+
+def _interleaved(records, random):
+    """The records in a random order that keeps each frame's records in
+    their order."""
+    queues = {}
+    for r in records:
+        queues.setdefault(r.frame, []).append(r)
+    slots = [r.frame for r in records]
+    random.shuffle(slots)
+    return [queues[f].pop(0) for f in slots]
 
 
 @settings(deadline=None)
 @given(sequences(), st.randoms(use_true_random=False))
 def test_metrics_ignore_predicted_id_names(seq, random):
     gt, pred = seq
+    gt_records, pred_records = mot_records(gt), mot_records(pred)
+    assert evaluate_sequence(_interleaved(gt_records, random),
+                             _interleaved(pred_records, random)) == \
+        evaluate_sequence(gt_records, pred_records)
     ids = sorted({i for v in pred.values() for i, _ in v})
     names = random.sample(range(-50, 1000), len(ids))
     rename = dict(zip(ids, names))

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+from prtrack import track_metrics
 from prtrack.core import box_array, iou_matrix
 from prtrack.track_metrics import (EmptyGroundTruth, SequenceResult,
                                    evaluate_sequence, frame_match, hota,
                                    idf1, mota_ids)
 
-from conftest import box
+from conftest import box, mot_records
 
 
 def seq(gt, pred):
-    return SequenceResult(gt=gt, pred=pred)
+    return SequenceResult(mot_records(gt), mot_records(pred))
 
 
 def test_frame_match_threshold():
@@ -26,7 +27,7 @@ def test_frame_match_threshold():
 def test_perfect_tracking_is_all_ones():
     gt = {f: [(1, box(0, 0)), (2, box(50, 0))] for f in range(1, 6)}
     pred = {f: [(11, box(0, 0)), (12, box(50, 0))] for f in range(1, 6)}
-    r = evaluate_sequence(seq(gt, pred))
+    r = evaluate_sequence(mot_records(gt), mot_records(pred))
     assert r.hota == 1.0 and r.deta == 1.0 and r.assa == 1.0
     assert r.mota == 1.0 and r.idf1 == 1.0 and r.id_switches == 0
 
@@ -83,3 +84,27 @@ def test_hota_association_split():
     # each TP: TPA=4, FNA=4, FPA=0 -> A = 4/8
     assert assa == pytest.approx(0.5)
     assert h == pytest.approx(np.sqrt(0.5))
+
+
+def test_frames_and_ids_beyond_64_bits():
+    big = 2 ** 70
+    gt = {big + f: [(big, box(0, 0)), (-big, box(50, 0))] for f in range(3)}
+    pred = {big + f: [(-big, box(0, 0)), (big, box(50, 0))] for f in range(3)}
+    r = evaluate_sequence(mot_records(gt), mot_records(pred))
+    assert (r.hota, r.mota, r.idf1, r.id_switches) == (1.0, 1.0, 1.0, 0)
+
+
+def test_iou_kernel_called_once_per_frame(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return iou_matrix(a, b)
+
+    monkeypatch.setattr(track_metrics, "iou_matrix", counted)
+    # Frames 1-5 have ground truth, 3-7 predictions, frame 9 only a stray.
+    gt = {f: [(1, box(0, 0)), (2, box(50, 0))] for f in range(1, 6)}
+    pred = {f: [(7, box(1, 0))] for f in (*range(3, 8), 9)}
+    evaluate_sequence(mot_records(gt), mot_records(pred))
+    assert calls == [(2, 0), (2, 0), (2, 1), (2, 1), (2, 1), (0, 1), (0, 1),
+                     (0, 1)]
