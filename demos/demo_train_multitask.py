@@ -9,9 +9,10 @@ stays essentially unchanged.
 
 import numpy as np
 
-from prtrack import LossWeights, RetrievalItem, RetrievalSet, kmeans2
+from prtrack import LossWeights, RetrievalSet, kmeans2
 from prtrack.core import Role
 from prtrack.embedder import TrainConfig, forward_batch, train
+from prtrack.pipeline import embed_samples
 from prtrack.reid_metrics import evaluate_retrieval
 from prtrack.simgen import ScenarioConfig, generate, to_reid_dataset
 
@@ -21,12 +22,6 @@ scenario = generate(ScenarioConfig(seed=SEED, team_separation=0.7,
 train_set, queries, gallery = to_reid_dataset(scenario, sampling_stride=25)
 print(f"{len(train_set)} training samples, {len(queries)} queries, "
       f"{len(gallery)} gallery samples")
-
-
-def embed(model, samples):
-    feats, _ = forward_batch(model, [s.grid for s in samples])
-    return [RetrievalItem(f, s.identity, s.team, s.role, s.view)
-            for f, s in zip(feats, samples)]
 
 
 def cluster_accuracy(model, samples):
@@ -44,7 +39,8 @@ for name, weights in (("joint (reid+team+role)", LossWeights()),
                        LossWeights(lambda_team=0.0, lambda_role=0.0))):
     model, history = train(TrainConfig(seed=SEED, weights=weights),
                            train_set)
-    retrieval = RetrievalSet(embed(model, queries), embed(model, gallery))
+    retrieval = RetrievalSet(embed_samples(model, queries)[0],
+                             embed_samples(model, gallery)[0])
     reid_map, reid_r1 = evaluate_retrieval(retrieval, "identity")
     team_map, _ = evaluate_retrieval(retrieval, "team")
     acc = cluster_accuracy(model, queries + gallery)

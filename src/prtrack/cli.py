@@ -146,26 +146,28 @@ def _load_frame_inputs(run_dir: Path, cfg: RunConfig):
     """Rebuild tracker inputs from the scenario's detections and
     ``features.txt``, whose rows pair one to one, in file order, with the
     detections.  A missing, extra or misplaced row, or a row shaped unlike
-    the first, raises :class:`ParseError` naming its line."""
+    the first, raises :class:`ParseError` naming the file and line."""
     frame_inputs, _ = _tracking_input(cfg, generate(cfg.scenario))
-    rows = _feature_rows(run_dir / "features.txt")
+    path = run_dir / "features.txt"
+    rows = _feature_rows(path)
     dets = [(j, d) for frame in frame_inputs for j, d in enumerate(frame)]
     for (line, rec), (j, d) in zip(rows, dets):
         if (rec.frame, rec.det_index) != (d.frame, j):
             raise ParseError(f"expected features of frame {d.frame} det {j}, "
                              f"got frame {rec.frame} det {rec.det_index}",
-                             line)
+                             line, path)
         if rec.features.parts.shape != rows[0][1].features.parts.shape:
-            raise ParseError("parts shaped unlike the first row's", line)
+            raise ParseError("parts shaped unlike the first row's", line,
+                             path)
         d.features, d.role_logits = rec.features, rec.role_logits
     if len(rows) > len(dets):
         line, rec = rows[len(dets)]
         raise ParseError(f"extra features row of frame {rec.frame} "
-                         f"det {rec.det_index}", line)
+                         f"det {rec.det_index}", line, path)
     if len(rows) < len(dets):
         j, d = dets[len(rows)]
         raise ParseError(f"missing features of frame {d.frame} det {j}",
-                         rows[-1][0] + 1 if rows else 1)
+                         rows[-1][0] + 1 if rows else 1, path)
     return frame_inputs
 
 

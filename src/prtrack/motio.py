@@ -109,7 +109,8 @@ def parse_mot(path) -> list[MotRecord]:
             continue
         fields = raw.split(",")
         if len(fields) != 9:
-            raise ParseError(f"expected 9 fields, got {len(fields)}", lineno)
+            raise ParseError(f"expected 9 fields, got {len(fields)}", lineno,
+                             path)
         try:
             rec = MotRecord(
                 frame=int(fields[0]), id=int(fields[1]),
@@ -121,7 +122,7 @@ def parse_mot(path) -> list[MotRecord]:
                 raise ValueError("conf and visibility must be finite")
             rec.box  # BoundingBox rejects a non-finite or empty box
         except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
+            raise ParseError(str(exc), lineno, path) from exc
         if rec.frame < last_frame:
             warnings.warn(f"non-monotone frame at line {lineno}")
         last_frame = rec.frame
@@ -176,8 +177,8 @@ def _feature_rows(path) -> list[tuple[int, FeatureRecord]]:
                                       int(tok[2]), int(tok[3]))
             expected = 4 + d + k * d + (k + 1) + 4
             if len(tok) != expected:
-                raise ParseError(
-                    f"expected {expected} tokens, got {len(tok)}", lineno)
+                raise ParseError(f"expected {expected} tokens, "
+                                 f"got {len(tok)}", lineno, path)
             pos = 4
             fg = np.array([float(v) for v in tok[pos:pos + d]])
             pos += d
@@ -192,7 +193,7 @@ def _feature_rows(path) -> list[tuple[int, FeatureRecord]]:
         except ParseError:
             raise
         except (ValueError, IndexError) as exc:
-            raise ParseError(str(exc), lineno) from exc
+            raise ParseError(str(exc), lineno, path) from exc
         records.append((lineno, FeatureRecord(frame, det_index, features,
                                               role_logits)))
     return records
@@ -217,7 +218,7 @@ def load_model(path) -> EmbedderModel:
     lines = iter(read_text(path).split("\n"))
     magic = next(lines)
     if magic != _CKPT_MAGIC:
-        raise ParseError(f"bad checkpoint header {magic!r}", 1)
+        raise ParseError(f"bad checkpoint header {magic!r}", 1, path)
     arrays = {}
     lineno = 1
     while True:
@@ -229,7 +230,7 @@ def load_model(path) -> EmbedderModel:
             name, rows, cols = header.split()
             rows, cols = int(rows), int(cols)
         except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
+            raise ParseError(str(exc), lineno, path) from exc
         data = []
         for _ in range(rows):
             line = next(lines, "")
@@ -237,16 +238,17 @@ def load_model(path) -> EmbedderModel:
             try:
                 data.append([float(v) for v in line.split()])
             except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
+                raise ParseError(str(exc), lineno, path) from exc
             if len(data[-1]) != cols:    # short, ragged, or past the end
                 raise ParseError(f"{name} row has {len(data[-1])} values, "
-                                 f"expected {cols}", lineno)
+                                 f"expected {cols}", lineno, path)
             if not all(map(math.isfinite, data[-1])):
-                raise ParseError(f"{name} row has a non-finite value", lineno)
+                raise ParseError(f"{name} row has a non-finite value",
+                                 lineno, path)
         arrays[name] = np.array(data).reshape(rows, cols)
     missing = [n for n in PARAM_NAMES if n not in arrays]
     if missing:
-        raise ParseError(f"missing arrays {missing}", lineno)
+        raise ParseError(f"missing arrays {missing}", lineno, path)
     kwargs = {}
     for name in PARAM_NAMES:
         arr = arrays[name]

@@ -114,22 +114,20 @@ class Scenario:
     frames: list[list[Observation]]  # frames[t] = observations of all agents
 
     def agent(self, identity: int) -> Agent:
-        return next(a for a in self.agents if a.identity == identity)
+        """The agent of ``identity``; ids are 1..A in roster order."""
+        if not 1 <= identity <= len(self.agents):
+            raise KeyError(f"no agent with identity {identity}")
+        return self.agents[identity - 1]
 
 
 def _part_layout(h: int, w: int, k: int) -> np.ndarray:
     """Base silhouette labels: vertical part bands, background margins at
     the top and bottom corners."""
-    labels = np.zeros((h, w), dtype=int)
     edges = np.linspace(0, h, k + 1)
-    for row in range(h):
-        part = int(np.searchsorted(edges, row + 0.5) )
-        labels[row, :] = min(max(part, 1), k)
+    parts = np.clip(np.searchsorted(edges, np.arange(h) + 0.5), 1, k)
+    labels = np.repeat(parts[:, None], w, axis=1)
     if w >= 3:
-        labels[0, 0] = 0
-        labels[0, w - 1] = 0
-        labels[h - 1, 0] = 0
-        labels[h - 1, w - 1] = 0
+        labels[[0, 0, h - 1, h - 1], [0, w - 1, 0, w - 1]] = 0
     return labels
 
 
@@ -198,66 +196,60 @@ def generate(config: ScenarioConfig) -> Scenario:
     vel = rng.normal(0.0, 2.0, size=(n_agents, 2))
     box_h = rng.uniform(100.0, 140.0, n_agents)
     box_w = box_h * rng.uniform(0.38, 0.46, n_agents)
+    half_size = np.column_stack([box_w, box_h]) / 2
     v_max = 6.0
 
     base_labels = _part_layout(config.grid_h, config.grid_w, k)
+    latents = np.array([a.latent for a in agents])
 
-    # Occlusion and exit windows per agent.  Long occlusions ramp through a
-    # partial phase (some parts hidden), a full phase (detection absent),
-    # and a partial reappearance phase; short ones stay partial throughout.
+    # Occlusion and exit windows per agent, as an absent mask (A, F) and a
+    # hidden mask (A, F, K+1) over part labels, where label 0, the
+    # background, is never hidden.  Long occlusions ramp through a partial
+    # phase (some parts hidden), a full phase (detection absent), and a
+    # partial reappearance phase; short ones stay partial throughout.
+    absent = np.zeros((n_agents, config.frames), dtype=bool)
+    hidden = np.zeros((n_agents, config.frames, k + 1), dtype=bool)
+
+    def hide(i, s, e):
+        nhide = int(rng.integers(1, max(2, k)))
+        if rng.random() < 0.5:
+            hidden[i, s:e, 1:nhide + 1] = True      # occluder from above
+        else:
+            hidden[i, s:e, k + 1 - nhide:] = True   # from below
+
     occl = [_sample_events(rng, config.frames, config.occlusion_rate, 10, 60)
             for _ in range(n_agents)]
-
-    def _phase_plan(s, e):
-        dur = e - s
-        def partial():
-            nhide = int(rng.integers(1, max(2, k)))
-            top = bool(rng.random() < 0.5)
-            return ("partial", nhide, top)
-        if dur >= 24:
-            ramp = min(8, dur // 3)
-            return [(s, s + ramp, partial()),
-                    (s + ramp, e - ramp, ("full",)),
-                    (e - ramp, e, partial())]
-        return [(s, e, partial())]
-
-    occl_phases = [[p for ev in events_i for p in _phase_plan(*ev)]
-                   for events_i in occl]
-    exits = [_sample_events(rng, config.frames, config.exit_rate, 30, 120)
-             for _ in range(n_agents)]
+    for i, events in enumerate(occl):
+        for s, e in events:
+            if e - s >= 24:
+                ramp = min(8, (e - s) // 3)
+                hide(i, s, s + ramp)
+                absent[i, s + ramp:e - ramp] = True
+                hide(i, e - ramp, e)
+            else:
+                hide(i, s, e)
+    for i in range(n_agents):
+        for s, e in _sample_events(rng, config.frames, config.exit_rate,
+                                   30, 120):
+            absent[i, s:e] = True
+    part_visible = (~hidden[:, :, 1:]).astype(int)
 
     frames_out: list[list[Observation]] = []
     for t in range(config.frames):
-        obs_t = []
-        for i, a in enumerate(agents):
-            exited = any(s <= t < e for s, e in exits[i])
-            occluded_full = False
-            hidden_parts = np.zeros(k, dtype=bool)
-            for s, e, kind in occl_phases[i]:
-                if s <= t < e:
-                    if kind[0] == "full":
-                        occluded_full = True
-                    elif kind[2]:
-                        hidden_parts[:kind[1]] = True   # occluder from above
-                    else:
-                        hidden_parts[k - kind[1]:] = True  # from below
-            if exited or occluded_full:
-                obs_t.append(Observation(t + 1, a.identity, False,
-                                         None, None, None))
-                continue
-            box = BoundingBox(pos[i, 0] - box_w[i] / 2,
-                              pos[i, 1] - box_h[i] / 2,
-                              box_w[i], box_h[i])
-            part_vis = (~hidden_parts).astype(int)
-            labels = base_labels.copy()
-            for j in range(k):
-                if hidden_parts[j]:
-                    labels[labels == j + 1] = 0
-            cells = signatures[labels].copy()
-            cells[labels > 0] += a.latent
-            cells += rng.normal(0.0, config.feature_noise_sigma, cells.shape)
-            obs_t.append(Observation(t + 1, a.identity, True, box, part_vis,
-                                     FeatureGrid(cells, labels)))
+        rows = np.flatnonzero(~absent[:, t])
+        labels = np.where(hidden[rows, t][:, base_labels], 0, base_labels)
+        cells = signatures[labels]
+        np.add(cells, latents[rows, None, None], out=cells,
+               where=(labels > 0)[..., None])
+        cells += rng.normal(0.0, config.feature_noise_sigma, cells.shape)
+        corner = pos - half_size
+        obs_t = [Observation(t + 1, a.identity, False, None, None, None)
+                 for a in agents]
+        for j, i in enumerate(rows):
+            obs_t[i] = Observation(
+                t + 1, agents[i].identity, True,
+                BoundingBox(*corner[i], box_w[i], box_h[i]),
+                part_visible[i, t], FeatureGrid(cells[j], labels[j]))
         frames_out.append(obs_t)
 
         accel = rng.normal(0.0, 0.4, size=(n_agents, 2))
@@ -343,11 +335,10 @@ def _oracle_features(agent: Agent, part_vis: np.ndarray, proj, offsets,
     k = part_vis.shape[0]
     dim = proj.shape[0]
     base = proj @ agent.latent
-    parts = np.zeros((k, dim))
-    for j in range(k):
-        if part_vis[j]:
-            parts[j] = base + offsets[j + 1] + rng.normal(0.0, sigma, dim)
     visible = part_vis.astype(bool)
+    parts = np.zeros((k, dim))
+    parts[visible] = (base + offsets[1:][visible]
+                      + rng.normal(0.0, sigma, (int(visible.sum()), dim)))
     if visible.any():
         fg = parts[visible].mean(axis=0)
         vis = np.concatenate([[1], part_vis])

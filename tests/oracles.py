@@ -8,8 +8,11 @@ import math
 
 import numpy as np
 
-from prtrack.core import (PartFeatureSet, TrackStatus, Tracklet, box_array,
-                          iou_matrix, part_distance_matrix, xyah_to_xywh)
+from prtrack.core import (BoundingBox, PartFeatureSet, Role, TrackStatus,
+                          Tracklet, box_array, iou_matrix,
+                          part_distance_matrix, xyah_to_xywh)
+from prtrack.embedder import FeatureGrid
+from prtrack.simgen import Agent, Observation, Scenario, _sample_events
 from prtrack.solvers import hungarian
 
 
@@ -409,3 +412,145 @@ def _state(t):
     return (t.id, t.status, *t.kalman,
             np.vstack([t.ema_features.foreground, t.ema_features.parts]),
             t.ema_features.visibility, t.role_logit_sum, list(t.detections))
+
+
+def brute_generate(config):
+    """Per-(frame, agent) reference of ``simgen.generate``: each frame
+    rescans every agent's tagged occlusion phases and exit windows and
+    draws each present agent's cell noise in its own call.  It shares the
+    scenario types and ``_sample_events`` with the package; every generator
+    draw is made here, in the order the package must keep."""
+    config.validate()
+    rng = np.random.default_rng(config.seed)
+    c, k = config.channels, config.num_parts
+
+    # Orthogonal directions: one axis per role, one team axis each for
+    # players and goalkeepers, then part signatures.  Role separation and
+    # team separation are controlled independently.
+    q, _ = np.linalg.qr(rng.normal(size=(c, c)))
+    rs, ts = config.role_separation, config.team_separation
+    centroids = {
+        (Role.PLAYER, 0): rs * q[:, 0] - 0.5 * ts * q[:, 4],
+        (Role.PLAYER, 1): rs * q[:, 0] + 0.5 * ts * q[:, 4],
+        (Role.GOALKEEPER, 0): rs * q[:, 1] - 0.5 * ts * q[:, 5],
+        (Role.GOALKEEPER, 1): rs * q[:, 1] + 0.5 * ts * q[:, 5],
+        (Role.REFEREE, None): rs * q[:, 2],
+        (Role.STAFF, None): rs * q[:, 3],
+    }
+    signatures = config.part_signature_scale * q[:, 6:6 + k + 1].T  # (K+1, C)
+
+    agents: list[Agent] = []
+    ident = 1
+    def add(role, team):
+        nonlocal ident
+        offset = rng.normal(size=c)
+        offset *= config.identity_separation / np.linalg.norm(offset)
+        key = (role, team if role in (Role.PLAYER, Role.GOALKEEPER) else None)
+        agents.append(Agent(ident, team, role, centroids[key] + offset))
+        ident += 1
+
+    for team in (0, 1):
+        for _ in range(config.n_players_per_team):
+            add(Role.PLAYER, team)
+    for j in range(config.n_goalkeepers):
+        add(Role.GOALKEEPER, j % 2)
+    for _ in range(config.n_referees):
+        add(Role.REFEREE, None)
+    for _ in range(config.n_staff):
+        add(Role.STAFF, None)
+
+    # Smooth trajectories: bounded-acceleration random walk with wall bounce.
+    n_agents = len(agents)
+    pw, ph = config.pitch_width, config.pitch_height
+    pos = np.column_stack([rng.uniform(0.1 * pw, 0.9 * pw, n_agents),
+                           rng.uniform(0.1 * ph, 0.9 * ph, n_agents)])
+    vel = rng.normal(0.0, 2.0, size=(n_agents, 2))
+    box_h = rng.uniform(100.0, 140.0, n_agents)
+    box_w = box_h * rng.uniform(0.38, 0.46, n_agents)
+    v_max = 6.0
+
+    base_labels = _brute_part_layout(config.grid_h, config.grid_w, k)
+
+    # Occlusion and exit windows per agent.  Long occlusions ramp through a
+    # partial phase (some parts hidden), a full phase (detection absent),
+    # and a partial reappearance phase; short ones stay partial throughout.
+    occl = [_sample_events(rng, config.frames, config.occlusion_rate, 10, 60)
+            for _ in range(n_agents)]
+
+    def _phase_plan(s, e):
+        dur = e - s
+        def partial():
+            nhide = int(rng.integers(1, max(2, k)))
+            top = bool(rng.random() < 0.5)
+            return ("partial", nhide, top)
+        if dur >= 24:
+            ramp = min(8, dur // 3)
+            return [(s, s + ramp, partial()),
+                    (s + ramp, e - ramp, ("full",)),
+                    (e - ramp, e, partial())]
+        return [(s, e, partial())]
+
+    occl_phases = [[p for ev in events_i for p in _phase_plan(*ev)]
+                   for events_i in occl]
+    exits = [_sample_events(rng, config.frames, config.exit_rate, 30, 120)
+             for _ in range(n_agents)]
+
+    frames_out: list[list[Observation]] = []
+    for t in range(config.frames):
+        obs_t = []
+        for i, a in enumerate(agents):
+            exited = any(s <= t < e for s, e in exits[i])
+            occluded_full = False
+            hidden_parts = np.zeros(k, dtype=bool)
+            for s, e, kind in occl_phases[i]:
+                if s <= t < e:
+                    if kind[0] == "full":
+                        occluded_full = True
+                    elif kind[2]:
+                        hidden_parts[:kind[1]] = True   # occluder from above
+                    else:
+                        hidden_parts[k - kind[1]:] = True  # from below
+            if exited or occluded_full:
+                obs_t.append(Observation(t + 1, a.identity, False,
+                                         None, None, None))
+                continue
+            box = BoundingBox(pos[i, 0] - box_w[i] / 2,
+                              pos[i, 1] - box_h[i] / 2,
+                              box_w[i], box_h[i])
+            part_vis = (~hidden_parts).astype(int)
+            labels = base_labels.copy()
+            for j in range(k):
+                if hidden_parts[j]:
+                    labels[labels == j + 1] = 0
+            cells = signatures[labels].copy()
+            cells[labels > 0] += a.latent
+            cells += rng.normal(0.0, config.feature_noise_sigma, cells.shape)
+            obs_t.append(Observation(t + 1, a.identity, True, box, part_vis,
+                                     FeatureGrid(cells, labels)))
+        frames_out.append(obs_t)
+
+        accel = rng.normal(0.0, 0.4, size=(n_agents, 2))
+        vel = np.clip(vel + accel, -v_max, v_max)
+        pos = pos + vel
+        for axis, limit in ((0, pw), (1, ph)):
+            low = pos[:, axis] < 0.05 * limit
+            high = pos[:, axis] > 0.95 * limit
+            vel[low | high, axis] *= -1
+            pos[:, axis] = np.clip(pos[:, axis], 0.05 * limit, 0.95 * limit)
+
+    return Scenario(config, agents, frames_out)
+
+
+def _brute_part_layout(h, w, k):
+    """Row-by-row silhouette labels: part bands, background corners."""
+    labels = np.zeros((h, w), dtype=int)
+    edges = np.linspace(0, h, k + 1)
+    for row in range(h):
+        part = int(np.searchsorted(edges, row + 0.5))
+        labels[row, :] = min(max(part, 1), k)
+    if w >= 3:
+        labels[0, 0] = 0
+        labels[0, w - 1] = 0
+        labels[h - 1, 0] = 0
+        labels[h - 1, w - 1] = 0
+    return labels

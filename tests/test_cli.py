@@ -90,7 +90,8 @@ def test_data_error_exit_code(tmp_path, capsys):
     gt = tmp_path / "gt.txt"
     gt.write_text("1,1,0,0,10,10,1,1,1\n")
     assert main(["eval-track", "--gt", str(gt), "--pred", str(pred)]) == 2
-    assert "line 1" in capsys.readouterr().err
+    assert (f"{pred}: line 1: box fields must be finite"
+            in capsys.readouterr().err)
     empty_gt = tmp_path / "empty_gt.txt"
     empty_gt.write_text("")
     pred.write_text("1,1,0,0,10,10,1,1,1\n")
@@ -189,7 +190,7 @@ def test_track_pairs_feature_rows_in_file_order(tmp_path, capsys):
         path.write_text("".join(text))
         capsys.readouterr()
         assert main(["track", "--run", str(run)]) == 2, name
-        assert message in capsys.readouterr().err, name
+        assert f"{path}: {message}" in capsys.readouterr().err, name
 
 
 def test_unknown_detector_noise_fails_before_training(tmp_path, capsys):

@@ -52,9 +52,11 @@ def test_mot_parse_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_mot(p)
     assert err.value.line == 1
+    assert str(err.value).startswith(f"{p}: line 1: ")
     p.write_text("1,2,a,b,c,d,e,1,1\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_mot(p)
+    assert str(err.value).startswith(f"{p}: line 1: ")
     good = "1,1,0,0,10,10,1,1,1\n"
     for bad in ("1,1,0,0,nan,10,1,1,1", "1,1,inf,0,10,10,1,1,1",
                 "1,1,0,0,10,10,nan,1,1", "1,1,0,0,0,10,1,1,1",
@@ -63,6 +65,7 @@ def test_mot_parse_errors(tmp_path):
         with pytest.raises(ParseError) as err:
             parse_mot(p)
         assert err.value.line == 2
+        assert str(err.value).startswith(f"{p}: line 2: ")
 
 
 def test_mot_non_monotone_warns(tmp_path):
@@ -96,8 +99,9 @@ def test_feature_roundtrip(tmp_path, rng):
 def test_feature_parse_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("1 0 2 2 0.0\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_features(p)
+    assert str(err.value).startswith(f"{p}: line 1: ")
     # k=1, d=2: frame, det, k, d, foreground (2), parts (2), visibility (2),
     # role logits (4)
     good = "1 0 1 2 0.5 1.5 2.0 3.0 1 1 0.1 0.2 0.3 0.4"
@@ -105,8 +109,10 @@ def test_feature_parse_errors(tmp_path):
     for bad in ("1 0 1 2 nan 1.5 2.0 3.0 1 1 0.1 0.2 0.3 0.4",
                 "1 0 1 2 0.5 1.5 inf 3.0 1 1 0.1 0.2 0.3 0.4",
                 "1 0 1 2 0.5 1.5 2.0 -inf 1 1 0.1 0.2 0.3 0.4"):
-        with pytest.raises(ParseError, match="line 2: .*finite"):
+        with pytest.raises(ParseError) as err:
             parse_features(_write(p, good, bad))
+        assert str(err.value).startswith(f"{p}: line 2: ")
+        assert "finite" in str(err.value)
 
 
 def _write(path, *lines):
@@ -131,8 +137,9 @@ def test_model_checkpoint_exact_roundtrip(tmp_path):
 def test_model_checkpoint_bad_magic(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("not a checkpoint\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         load_model(p)
+    assert str(err.value).startswith(f"{p}: line 1: ")
 
 
 def test_model_checkpoint_bad_rows(tmp_path):
@@ -154,7 +161,9 @@ def test_model_checkpoint_bad_rows(tmp_path):
         with pytest.raises(ParseError) as err:
             load_model(bad)
         assert err.value.line == 3, name
+        assert str(err.value).startswith(f"{bad}: line 3: "), name
     bad.write_text("".join(lines[:4]))           # ends inside w_pix
     with pytest.raises(ParseError) as err:
         load_model(bad)
     assert err.value.line == 5
+    assert str(err.value).startswith(f"{bad}: line 5: ")

@@ -6,6 +6,8 @@ from prtrack.simgen import (ConfigInvalid, ScenarioConfig, generate,
                             oracle_feature_projection, to_reid_dataset,
                             to_tracking_input)
 
+from oracles import brute_generate
+
 
 def small_config(**kw):
     base = dict(frames=60, seed=0)
@@ -138,3 +140,49 @@ def test_team_and_role_separations_control_latents():
              if a.role == Role.PLAYER and a.team == 1]
     gap = np.linalg.norm(np.mean(left, axis=0) - np.mean(right, axis=0))
     assert gap == pytest.approx(6.0, rel=1e-9)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("kw", [
+    dict(frames=90, occlusion_rate=0.4, exit_rate=0.3, seed=1),
+    dict(frames=60, occlusion_rate=0.5, num_parts=1, channels=8, seed=2),
+    dict(frames=60, occlusion_rate=0.3, grid_w=2, feature_noise_sigma=0.0,
+         seed=3),
+    # One agent who is gone most of the clip: frames where nobody is present.
+    dict(frames=60, n_players_per_team=1, n_goalkeepers=0, n_referees=0,
+         n_staff=0, occlusion_rate=0.3, exit_rate=1.0, seed=4),
+])
+def test_generate_equals_per_agent_oracle(kw):
+    cfg = small_config(**kw)
+    got, want = generate(cfg), brute_generate(cfg)
+    for a, b in zip(got.agents, want.agents, strict=True):
+        assert (a.identity, a.team, a.role) == (b.identity, b.team, b.role)
+        assert _bits(a.latent) == _bits(b.latent)
+    empty = 0
+    for frame_got, frame_want in zip(got.frames, want.frames, strict=True):
+        empty += not any(ob.present for ob in frame_got)
+        for a, b in zip(frame_got, frame_want, strict=True):
+            assert (a.frame, a.identity, a.present) == \
+                (b.frame, b.identity, b.present)
+            if not b.present:
+                assert (a.box, a.part_visible, a.grid) == (None, None, None)
+                continue
+            assert _bits([a.box.x, a.box.y, a.box.w, a.box.h]) == \
+                _bits([b.box.x, b.box.y, b.box.w, b.box.h])
+            assert _bits(a.part_visible) == _bits(b.part_visible)
+            assert _bits(a.grid.cells) == _bits(b.grid.cells)
+            assert _bits(a.grid.part_labels) == _bits(b.grid.part_labels)
+    if cfg.exit_rate == 1.0:
+        assert empty > 0
+
+
+def test_agent_lookup_by_identity():
+    s = generate(small_config(frames=1))
+    assert [s.agent(a.identity) for a in s.agents] == s.agents
+    for unknown in (0, len(s.agents) + 1, -1):
+        with pytest.raises(KeyError):
+            s.agent(unknown)
