@@ -3,9 +3,12 @@
 Subcommands: generate | train | embed | track | merge | cluster |
 eval-reid | eval-track | pipeline | report.  Runs operate on a directory
 holding the scenario manifest and derived files.  Exit codes: 0 success,
-1 usage error, 2 data error: a malformed file or config value, or input a
-stage cannot work with.  Any other exception is a bug and propagates.
-``--seed`` (or env PRT_SEED) propagates to every stage.
+1 usage error, 2 data error: a :class:`prtrack.core.DataError` (a malformed
+file or config value, or input a stage cannot work with) or a missing or
+directory input path.  Config sections check their bounds when built,
+from YAML or Python; errors name the fully qualified key.  Any other
+exception is a bug and propagates.  ``--seed`` (or env PRT_SEED)
+propagates to every stage.
 """
 
 from __future__ import annotations
@@ -19,30 +22,24 @@ from pathlib import Path
 
 import yaml
 
-from .config import (ConfigTypeError, RangeError, RunConfig, UnknownKeyError,
-                     config_to_dict, load_config, load_yaml)
-from .embedder import DimMismatch, InsufficientIdentities
+from .config import (ConfigTypeError, RunConfig, config_to_dict, load_config,
+                     load_yaml)
+from .core import DataError
 from .motio import (FeatureRecord, MotRecord, ParseError, _feature_rows,
                     load_model, parse_mot, save_model, tracklets_to_records,
                     write_features, write_mot)
 from .pipeline import (_tracking_input, embed_detections, evaluate_reid,
                        run_pipeline, team_accuracy, track_frames,
                        train_on_scenario)
-from .postproc import TooFewPlayers, assign_roles, assign_teams, \
-    merge_tracklets
-from .reid_metrics import EmptyGallery
-from .solvers import DegenerateInput
+from .postproc import assign_roles, assign_teams, merge_tracklets
 from .simgen import generate, to_reid_dataset
-from .track_metrics import EmptyGroundTruth, evaluate_sequence
+from .track_metrics import evaluate_sequence
 from . import reference
 
 _TRACK_COLUMNS = ("hota", "deta", "assa", "mota", "idf1", "id_switches")
 
 # Exceptions that mean bad input, reported with exit code 2.
-_DATA_ERRORS = (ParseError, FileNotFoundError, IsADirectoryError,
-                UnknownKeyError, RangeError, ConfigTypeError,
-                InsufficientIdentities, DimMismatch, EmptyGallery,
-                TooFewPlayers, DegenerateInput, EmptyGroundTruth)
+_DATA_ERRORS = (DataError, FileNotFoundError, IsADirectoryError)
 
 
 class UsageError(Exception):

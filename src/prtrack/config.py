@@ -1,7 +1,10 @@
 """Run configuration: nested key-value document with strict validation.
 
-Unknown keys are rejected; every default is visible in the dataclass
-definitions of the component configs.
+Every default is visible in the component configs' dataclasses, and every
+config section checks its bounds when it is built, from YAML or Python.
+One recursive walk rejects unknown keys and mistyped values.  Its errors,
+all of them :class:`prtrack.core.DataError`, name the fully qualified key,
+such as ``train.weights.lambda_pa``.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from dataclasses import dataclass, field, fields
 
 import yaml
 
+from .core import DataError
 from .embedder import TrainConfig
-from .losses import LossWeights
 from .motio import ParseError, read_text
 from .postproc import MergeConfig
 from .simgen import DETECTOR_NOISES, ConfigInvalid, ScenarioConfig
@@ -23,15 +26,15 @@ __all__ = ["UnknownKeyError", "RangeError", "ConfigTypeError", "RunConfig",
            "load_yaml", "load_config"]
 
 
-class UnknownKeyError(Exception):
+class UnknownKeyError(DataError):
     pass
 
 
-class RangeError(ValueError):
+class RangeError(DataError, ValueError):
     pass
 
 
-class ConfigTypeError(TypeError):
+class ConfigTypeError(DataError, TypeError):
     """A config value, or the document itself, has the wrong type."""
 
 
@@ -46,6 +49,15 @@ class RunConfig:
     detector_noise_param: float = 0.0
     sampling_stride: int = 25
 
+    def __post_init__(self):
+        if self.detector_noise not in DETECTOR_NOISES:
+            raise ValueError(
+                f"detector_noise must be one of {DETECTOR_NOISES}")
+        if not self.detector_noise_param >= 0:
+            raise ValueError("detector_noise_param must be >= 0")
+        if self.sampling_stride < 1:
+            raise ValueError("sampling_stride must be >= 1")
+
     def reseeded(self, seed: int) -> "RunConfig":
         """Propagate one master seed into every component config."""
         return dataclasses.replace(
@@ -56,34 +68,22 @@ class RunConfig:
         )
 
 
-# Bounds (lo, hi) of the top-level numeric fields.  The sections' bounds
-# are checked by their own config classes.
-_RANGES = {
-    "detector_noise_param": (0.0, None),
-    "sampling_stride": (1, None),
-}
-
-
 def _check_value(name: str, default, value) -> None:
-    """Type and range checks of ``value`` for a field whose default is
-    ``default``; the error names the key.  An integer field takes integers
-    only, a float field any finite number, a tuple field a list of
-    integers."""
+    """Type checks of ``value`` for a field whose default is ``default``;
+    the error names the key.  A boolean field takes booleans only, an
+    integer field integers only, a float field any finite number, a tuple
+    field a list of integers."""
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigTypeError(f"{name} must be a boolean")
-        return
-    if isinstance(default, (int, float)):
+    elif isinstance(default, (int, float)):
         kind = int if isinstance(default, int) else (int, float)
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ConfigTypeError(
                 f"{name} must be "
                 + ("an integer" if kind is int else "a number"))
-        lo, hi = _RANGES.get(name, (None, None))
-        if ((isinstance(value, float) and not math.isfinite(value))
-                or (lo is not None and value < lo)
-                or (hi is not None and value > hi)):
-            raise RangeError(name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise RangeError(f"{name} must be finite")
     elif isinstance(default, str) and not isinstance(value, str):
         raise ConfigTypeError(f"{name} must be a string")
     elif isinstance(default, tuple) and not (
@@ -93,34 +93,32 @@ def _check_value(name: str, default, value) -> None:
         raise ConfigTypeError(f"{name} must be a list of integers")
 
 
-def _build(cls, section: str, data: dict):
+def _build(cls, prefix: str, data):
+    """The config dataclass ``cls`` built from the mapping ``data``, whose
+    keys are qualified by ``prefix`` in errors.  Recurses into every field
+    whose default is itself a dataclass."""
+    if not isinstance(data, dict):
+        raise ConfigTypeError(
+            f"{prefix.rstrip('.') or 'config root'} must be a mapping")
     valid = {f.name for f in fields(cls)}
     defaults = cls()
     kwargs = {}
     for key, value in data.items():
+        name = f"{prefix}{key}"
         if key not in valid:
-            raise UnknownKeyError(f"{section}.{key}")
-        if key == "weights":
-            if not isinstance(value, dict):
-                raise ConfigTypeError(f"{section}.{key} must be a mapping")
-            kwargs[key] = _build(LossWeights, "weights", value)
-            continue
-        if key == "decay_epochs" and isinstance(value, list):
-            value = tuple(value)
-        _check_value(f"{section}.{key}", getattr(defaults, key), value)
+            raise UnknownKeyError(name)
+        default = getattr(defaults, key)
+        if dataclasses.is_dataclass(default):
+            value = _build(type(default), f"{name}.", value)
+        else:
+            if isinstance(default, tuple) and isinstance(value, list):
+                value = tuple(value)
+            _check_value(name, default, value)
         kwargs[key] = value
     try:
         return cls(**kwargs)
-    except ValueError as exc:
-        raise RangeError(f"{section}.{exc}") from exc
-
-
-_SECTIONS = {
-    "scenario": ScenarioConfig,
-    "train": TrainConfig,
-    "tracker": TrackerConfig,
-    "merge": MergeConfig,
-}
+    except (ValueError, ConfigInvalid) as exc:
+        raise RangeError(f"{prefix}{exc}") from exc
 
 
 def load_yaml(path):
@@ -146,50 +144,14 @@ def load_config(path) -> RunConfig:
     Malformed YAML raises :class:`~prtrack.motio.ParseError` naming the
     path and line.
     """
-    data = load_yaml(path) or {}
-    if not isinstance(data, dict):
-        raise ConfigTypeError("config root must be a mapping")
-    return config_from_dict(data)
+    return config_from_dict(load_yaml(path) or {})
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    kwargs = {}
-    defaults = RunConfig()
-    top_fields = {f.name for f in fields(RunConfig)}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            if not isinstance(value, dict):
-                raise ConfigTypeError(f"{key} must be a mapping")
-            kwargs[key] = _build(_SECTIONS[key], key, value)
-        elif key in top_fields:
-            _check_value(key, getattr(defaults, key), value)
-            kwargs[key] = value
-        else:
-            raise UnknownKeyError(key)
-    cfg = RunConfig(**kwargs)
-    if cfg.detector_noise not in DETECTOR_NOISES:
-        raise RangeError("detector_noise")
-    try:
-        cfg.scenario.validate()
-    except ConfigInvalid as exc:
-        raise RangeError(f"scenario.{exc}") from exc
-    return cfg
+    return _build(RunConfig, "", data)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    out = {}
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if f.name in _SECTIONS:
-            section = {}
-            for sf in fields(value):
-                v = getattr(value, sf.name)
-                if dataclasses.is_dataclass(v):
-                    v = dataclasses.asdict(v)
-                elif isinstance(v, tuple):
-                    v = list(v)
-                section[sf.name] = v
-            out[f.name] = section
-        else:
-            out[f.name] = value
-    return out
+    """``cfg`` as a plain document: sections nest, tuples become lists."""
+    return dataclasses.asdict(cfg, dict_factory=lambda items: {
+        k: list(v) if isinstance(v, tuple) else v for k, v in items})

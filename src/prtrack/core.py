@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "DataError",
     "NoMutualVisibility",
     "Role",
     "TrackStatus",
@@ -31,6 +32,12 @@ __all__ = [
     "xyah_to_xywh",
     "iou_matrix",
 ]
+
+
+class DataError(Exception):
+    """Input a stage cannot work with: a malformed file or config value, or
+    data outside what a stage supports.  The command line reports it with
+    exit code 2; any other exception is a bug."""
 
 
 class NoMutualVisibility(Exception):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PartFeatureSet, Role
+from .core import DataError, PartFeatureSet, Role
 from .losses import (LossValue, LossWeights, TripletConfig, focal_loss,
                      gilt_loss, part_prediction_loss, softmax, total_loss,
                      triplet_batch_hard)
@@ -33,11 +33,11 @@ __all__ = [
 ]
 
 
-class DimMismatch(Exception):
+class DimMismatch(DataError):
     pass
 
 
-class InsufficientIdentities(Exception):
+class InsufficientIdentities(DataError):
     pass
 
 
@@ -79,6 +79,17 @@ class EmbedderModel:
     b_id_f: np.ndarray
     w_id_c: np.ndarray  # (K*D, n_ids)
     b_id_c: np.ndarray
+
+    def __post_init__(self):
+        # C, K+1, D and n_ids are read off w_pix, w_emb and w_id_g.
+        c, k1 = self.w_pix.shape[0], self.w_pix.shape[-1]
+        d, n = self.w_emb.shape[-1], self.w_id_g.shape[-1]
+        for name, shape in zip(PARAM_NAMES, (
+                (c, k1), (k1,), (c, d), (d,), (d, 4), (4,), (d, n), (n,),
+                (d, n), (n,), ((k1 - 1) * d, n), (n,))):
+            if (actual := getattr(self, name).shape) != shape:
+                raise ValueError(f"{name} has shape {actual}, "
+                                 f"expected {shape}")
 
     @property
     def num_parts(self) -> int:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BoundingBox, PartFeatureSet, Tracklet
+from .core import BoundingBox, DataError, PartFeatureSet, Tracklet
 from .embedder import EmbedderModel, PARAM_NAMES
 
 __all__ = [
@@ -37,7 +37,7 @@ _F = "{:.6f}"   # box/confidence precision
 _G = "{:.9g}"   # feature vectors: 9 significant digits
 
 
-class ParseError(Exception):
+class ParseError(DataError):
     """Malformed file content, located by line and, where given, file."""
 
     def __init__(self, message: str, line: int | None = None, path=None):
@@ -188,14 +188,14 @@ def _feature_rows(path) -> list[tuple[int, FeatureRecord]]:
             vis = np.array([int(v) for v in tok[pos:pos + k + 1]])
             pos += k + 1
             role_logits = np.array([float(v) for v in tok[pos:pos + 4]])
-            features = PartFeatureSet(parts=parts, foreground=fg,
-                                      visibility=vis)
-        except ParseError:
-            raise
+            if not np.isfinite(role_logits).all():
+                raise ValueError("role logits must be finite")
+            records.append((lineno, FeatureRecord(
+                frame, det_index,
+                PartFeatureSet(parts=parts, foreground=fg, visibility=vis),
+                role_logits)))
         except (ValueError, IndexError) as exc:
             raise ParseError(str(exc), lineno, path) from exc
-        records.append((lineno, FeatureRecord(frame, det_index, features,
-                                              role_logits)))
     return records
 
 
@@ -249,8 +249,11 @@ def load_model(path) -> EmbedderModel:
     missing = [n for n in PARAM_NAMES if n not in arrays]
     if missing:
         raise ParseError(f"missing arrays {missing}", lineno, path)
-    kwargs = {}
-    for name in PARAM_NAMES:
-        arr = arrays[name]
-        kwargs[name] = arr[0] if name.startswith("b_") else arr
-    return EmbedderModel(**kwargs)
+    # A bias is one row; a bias of any other row count fails the shape check.
+    kwargs = {name: arrays[name][0]
+              if name.startswith("b_") and len(arrays[name]) == 1
+              else arrays[name] for name in PARAM_NAMES}
+    try:
+        return EmbedderModel(**kwargs)
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from exc

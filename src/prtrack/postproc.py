@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PartFeatureSet, Role, Tracklet, part_distance_matrix
+from .core import (DataError, PartFeatureSet, Role, Tracklet,
+                   part_distance_matrix)
 from .solvers import hungarian, kmeans2
 
 __all__ = [
@@ -20,7 +21,7 @@ __all__ = [
 ]
 
 
-class TooFewPlayers(Exception):
+class TooFewPlayers(DataError):
     pass
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PartFeatureSet, Role, _part_distances, _stack
+from .core import DataError, PartFeatureSet, Role, _part_distances, _stack
 
 __all__ = [
     "EmptyGallery",
@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-class EmptyGallery(Exception):
+class EmptyGallery(DataError):
     pass
 
 

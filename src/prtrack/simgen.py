@@ -63,6 +63,9 @@ class ScenarioConfig:
     num_parts: int = 5
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         if self.n_players_per_team < 1 or self.frames < 1:
             raise ConfigInvalid("n_players_per_team and frames must be >= 1")
@@ -149,7 +152,6 @@ def _sample_events(rng: np.random.Generator, frames: int, rate: float,
 
 def generate(config: ScenarioConfig) -> Scenario:
     """Build a full scenario, deterministic per seed."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     c, k = config.channels, config.num_parts
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .core import DataError
+
 __all__ = ["Assignment", "DegenerateInput", "hungarian", "kmeans2"]
 
 # Deterministic tie-break: a vanishing bias that prefers low (row, col)
@@ -14,7 +16,7 @@ __all__ = ["Assignment", "DegenerateInput", "hungarian", "kmeans2"]
 _TIE_EPS = 1e-13
 
 
-class DegenerateInput(Exception):
+class DegenerateInput(DataError):
     """All clustering inputs coincide."""
 
 

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import iou_matrix
+from .core import DataError, iou_matrix
 from .motio import MotRecord
 from .solvers import hungarian
 
 __all__ = [
     "EmptyGroundTruth",
+    "DuplicateId",
     "SequenceResult",
     "EvalReport",
     "frame_match",
@@ -35,15 +36,25 @@ __all__ = [
 DEFAULT_ALPHAS = tuple(np.round(np.arange(0.05, 1.0, 0.05), 2))
 
 
-class EmptyGroundTruth(Exception):
+class EmptyGroundTruth(DataError):
     pass
 
 
-def _columns(records: list[MotRecord]):
+class DuplicateId(DataError):
+    """An id occurs twice in one frame of the ground truth or predictions."""
+
+
+def _columns(records: list[MotRecord], side: str):
     """Frames, ids and ``(N, 4)`` boxes of MOT records, stably sorted by
-    frame, so each frame keeps its records' order."""
+    frame, so each frame keeps its records' order.  An id repeated within
+    a frame raises :class:`DuplicateId` naming ``side``."""
     records = sorted(records, key=lambda r: r.frame)
-    return ([r.frame for r in records], [r.id for r in records],
+    frames, ids = [r.frame for r in records], [r.id for r in records]
+    pairs = list(zip(frames, ids))
+    if len(set(pairs)) < len(pairs):
+        frame, id_ = next(p for p, n in Counter(pairs).items() if n > 1)
+        raise DuplicateId(f"{side} id {id_} repeats in frame {frame}")
+    return (frames, ids,
             np.array([r[2:6] for r in records], dtype=float).reshape(-1, 4))
 
 
@@ -57,8 +68,8 @@ class SequenceResult:
     every record's id."""
 
     def __init__(self, gt: list[MotRecord], pred: list[MotRecord]):
-        gt_frames, self.gt_ids, gt_boxes = _columns(gt)
-        pr_frames, self.pred_ids, pr_boxes = _columns(pred)
+        gt_frames, self.gt_ids, gt_boxes = _columns(gt, "gt")
+        pr_frames, self.pred_ids, pr_boxes = _columns(pred, "pred")
         frames = sorted({*gt_frames, *pr_frames})
         cuts = [[bisect(column, f) for f in frames]
                 for column in (gt_frames, pr_frames)

@@ -1,4 +1,6 @@
 import argparse
+import importlib
+import pkgutil
 import shlex
 from pathlib import Path
 
@@ -8,9 +10,11 @@ import pytest
 
 import prtrack.cli
 from prtrack.cli import build_parser, main
-from prtrack.config import load_config
+from prtrack.config import RangeError, load_config
+from prtrack.core import DataError
 from prtrack.embedder import EmbedderModel
-from prtrack.motio import parse_features, parse_mot, save_model
+from prtrack.motio import ParseError, parse_features, parse_mot, save_model
+from prtrack.track_metrics import DuplicateId
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +102,11 @@ def test_data_error_exit_code(tmp_path, capsys):
     assert main(["eval-track", "--gt", str(empty_gt),
                  "--pred", str(pred)]) == 2
     assert "no ground-truth boxes" in capsys.readouterr().err
+    # gt holds id 1 in frames 1 and 2; pred repeats id 1 in frame 1.
+    gt.write_text("1,1,0,0,10,10,1,1,1\n2,1,0,0,10,10,1,1,1\n")
+    pred.write_text("1,1,0,0,10,10,1,1,1\n1,1,50,0,10,10,1,1,1\n")
+    assert main(["eval-track", "--gt", str(gt), "--pred", str(pred)]) == 2
+    assert "pred id 1 repeats in frame 1" in capsys.readouterr().err
     bad.write_text("scenario: {frames: [1, 2\n")
     assert main(["generate", "--config", str(bad),
                  "--out", str(tmp_path / "x")]) == 2
@@ -143,6 +152,24 @@ def test_data_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert main(["embed", "--run", str(wide)]) == 2
     assert "grid channels 20 != model channels 16" in capsys.readouterr().err
+    # A checkpoint whose b_pix disagrees with its w_pix in length.
+    model = wide / "model.txt"
+    save_model(EmbedderModel.init(channels=20), model)
+    lines = model.read_text().splitlines()
+    at = lines.index("b_pix 1 6")
+    lines[at:at + 2] = ["b_pix 1 5", " ".join(lines[at + 1].split()[:5])]
+    model.write_text("\n".join(lines) + "\n")
+    assert main(["embed", "--run", str(wide)]) == 2
+    assert (f"{model}: b_pix has shape (5,), expected (6,)"
+            in capsys.readouterr().err)
+    # Non-finite role logits in the first features row.
+    features = wide / "features.txt"
+    rows = features.read_text().splitlines(keepends=True)
+    rows[0] = " ".join(rows[0].split()[:-2] + ["inf", "nan"]) + "\n"
+    features.write_text("".join(rows))
+    assert main(["track", "--run", str(wide)]) == 2
+    assert (f"{features}: line 1: role logits must be finite"
+            in capsys.readouterr().err)
     for name, command in (("model.txt", "embed"), ("features.txt", "track")):
         (wide / name).write_bytes(b"\xff\xfe")
         assert main([command, "--run", str(wide)]) == 2
@@ -155,6 +182,28 @@ def test_programmer_error_escapes(tmp_path, monkeypatch):
     monkeypatch.setattr(prtrack.cli, "run_pipeline", broken)
     with pytest.raises(ValueError, match="a bug"):
         main(["pipeline", "--out", str(tmp_path / "run")])
+
+
+def test_every_data_error_exits_2(tmp_path, monkeypatch, capsys):
+    """Each DataError subclass the package defines maps to exit code 2."""
+    for module in pkgutil.iter_modules(prtrack.__path__):
+        importlib.import_module(f"prtrack.{module.name}")
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    found = {cls for cls in subclasses(DataError)
+             if cls.__module__.startswith("prtrack.")}
+    assert {ParseError, RangeError, DuplicateId} <= found
+    assert len(found) >= 11
+    for cls in sorted(found, key=lambda cls: cls.__name__):
+        def stage(cfg, cls=cls):
+            raise cls(f"raised {cls.__name__}")
+        monkeypatch.setattr(prtrack.cli, "run_pipeline", stage)
+        assert main(["pipeline", "--out", str(tmp_path / "run")]) == 2, cls
+        assert f"raised {cls.__name__}" in capsys.readouterr().err
 
 
 def test_track_pairs_feature_rows_in_file_order(tmp_path, capsys):

@@ -4,6 +4,7 @@ import yaml
 from prtrack.config import (ConfigTypeError, RangeError, RunConfig,
                             UnknownKeyError, config_from_dict, config_to_dict,
                             load_config)
+from prtrack.simgen import ConfigInvalid, ScenarioConfig
 
 
 def test_defaults_roundtrip():
@@ -34,6 +35,8 @@ def test_unknown_keys_rejected(tmp_path):
         config_from_dict({"scneario": {}})
     with pytest.raises(UnknownKeyError):
         config_from_dict({"scenario": {"framez": 10}})
+    with pytest.raises(UnknownKeyError, match="train.weights.nope"):
+        config_from_dict({"train": {"weights": {"nope": 1.0}}})
 
 
 def test_type_errors():
@@ -85,12 +88,26 @@ def test_range_errors():
             ({"scenario": {"grid_w": 0}}, "scenario.grid_w"),
             ({"scenario": {"pitch_height": -1.0}}, "scenario.pitch_height"),
             ({"train": {"weights": {"lambda_pa": -1.0}}},
-             "weights.lambda_pa"),
+             "train.weights.lambda_pa must be >= 0"),
             ({"train": {"epochs": 0}}, "train.epochs"),
             ({"train": {"samples_per_identity": 1}},
              "train.samples_per_identity")):
         with pytest.raises(RangeError, match=key):
             config_from_dict(doc)
+
+
+def test_configs_check_themselves():
+    """Built from Python, a config raises at construction, as from YAML."""
+    with pytest.raises(ConfigInvalid, match="frames"):
+        ScenarioConfig(frames=0)
+    for kwargs, key in (({"detector_noise": "jiter"}, "detector_noise"),
+                        ({"detector_noise_param": -1.0},
+                         "detector_noise_param"),
+                        ({"sampling_stride": 0}, "sampling_stride")):
+        with pytest.raises(ValueError, match=key):
+            RunConfig(**kwargs)
+    with pytest.raises(RangeError, match=r"^detector_noise must be one of"):
+        config_from_dict({"detector_noise": "jiter"})
 
 
 def test_reseeded_propagates():

@@ -108,7 +108,8 @@ def test_feature_parse_errors(tmp_path):
     assert len(parse_features(_write(p, good))) == 1
     for bad in ("1 0 1 2 nan 1.5 2.0 3.0 1 1 0.1 0.2 0.3 0.4",
                 "1 0 1 2 0.5 1.5 inf 3.0 1 1 0.1 0.2 0.3 0.4",
-                "1 0 1 2 0.5 1.5 2.0 -inf 1 1 0.1 0.2 0.3 0.4"):
+                "1 0 1 2 0.5 1.5 2.0 -inf 1 1 0.1 0.2 0.3 0.4",
+                "1 0 1 2 0.5 1.5 2.0 3.0 1 1 0.1 0.2 inf nan"):
         with pytest.raises(ParseError) as err:
             parse_features(_write(p, good, bad))
         assert str(err.value).startswith(f"{p}: line 2: ")
@@ -167,3 +168,10 @@ def test_model_checkpoint_bad_rows(tmp_path):
         load_model(bad)
     assert err.value.line == 5
     assert str(err.value).startswith(f"{bad}: line 5: ")
+    # Well-formed rows whose shapes disagree: b_pix of 3 next to w_pix 6x4.
+    assert lines[8] == "b_pix 1 4\n"
+    short = " ".join(lines[9].split()[:3]) + "\n"
+    bad.write_text("".join(lines[:8] + ["b_pix 1 3\n", short] + lines[10:]))
+    with pytest.raises(ParseError) as err:
+        load_model(bad)
+    assert str(err.value) == f"{bad}: b_pix has shape (3,), expected (4,)"

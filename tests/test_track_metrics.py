@@ -3,9 +3,9 @@ import pytest
 
 from prtrack import track_metrics
 from prtrack.core import box_array, iou_matrix
-from prtrack.track_metrics import (EmptyGroundTruth, SequenceResult,
-                                   evaluate_sequence, frame_match, hota,
-                                   idf1, mota_ids)
+from prtrack.track_metrics import (DuplicateId, EmptyGroundTruth,
+                                   SequenceResult, evaluate_sequence,
+                                   frame_match, hota, idf1, mota_ids)
 
 from conftest import box, mot_records
 
@@ -108,3 +108,14 @@ def test_iou_kernel_called_once_per_frame(monkeypatch):
     evaluate_sequence(mot_records(gt), mot_records(pred))
     assert calls == [(2, 0), (2, 0), (2, 1), (2, 1), (2, 1), (0, 1), (0, 1),
                      (0, 1)]
+
+
+def test_id_repeated_in_a_frame_rejected():
+    gt = {1: [(1, box(0, 0))], 2: [(1, box(0, 0))]}
+    twice = {1: [(1, box(0, 0)), (1, box(50, 0))]}
+    with pytest.raises(DuplicateId, match="pred id 1 repeats in frame 1"):
+        seq(gt, twice)
+    with pytest.raises(DuplicateId, match="gt id 1 repeats in frame 1"):
+        seq({**gt, **twice}, gt)
+    # The same id in two frames, or two ids in one frame, is fine.
+    seq(gt, {1: [(1, box(0, 0)), (2, box(50, 0))], 2: [(1, box(0, 0))]})
