@@ -25,14 +25,14 @@ import yaml
 from .config import (ConfigTypeError, RunConfig, config_to_dict, load_config,
                      load_yaml)
 from .core import DataError
-from .motio import (FeatureRecord, MotRecord, ParseError, _feature_rows,
+from .motio import (FeatureRecord, FeatureTable, ParseError, _feature_rows,
                     load_model, parse_mot, save_model, tracklets_to_records,
                     write_features, write_mot)
 from .pipeline import (_tracking_input, embed_detections, evaluate_reid,
                        run_pipeline, team_accuracy, track_frames,
                        train_on_scenario)
 from .postproc import assign_roles, assign_teams, merge_tracklets
-from .simgen import generate, to_reid_dataset
+from .simgen import detection_table, generate, to_reid_dataset
 from .track_metrics import evaluate_sequence
 from . import reference
 
@@ -91,26 +91,16 @@ def _dump_yaml(data, path: Path):
         yaml.safe_dump(data, fh, sort_keys=True, default_flow_style=False)
 
 
-def _write_features(frame_inputs, path: Path) -> int:
-    """Write each detection's features keyed by its frame and its index in
-    the frame; returns the number of rows."""
-    records = [FeatureRecord(d.frame, j, d.features, d.role_logits)
-               for dets in frame_inputs for j, d in enumerate(dets)]
-    write_features(records, path)
-    return len(records)
-
-
 def cmd_generate(args) -> int:
     cfg = _load_run_config(args)
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
-    frame_inputs, gt_mot = _tracking_input(
-        cfg, generate(cfg.scenario), features="oracle")
+    table, gt_mot = detection_table(
+        generate(cfg.scenario), cfg.detector_noise, cfg.detector_noise_param,
+        features="oracle", seed=cfg.seed)
     write_mot(gt_mot, run_dir / "gt.txt")
-    write_mot([MotRecord(d.frame, -1, d.box.x, d.box.y, d.box.w, d.box.h,
-                         d.confidence)
-               for dets in frame_inputs for d in dets], run_dir / "det.txt")
-    _write_features(frame_inputs, run_dir / "features.txt")
+    write_mot(table.mot_rows(), run_dir / "det.txt")
+    write_features(table.features, run_dir / "features.txt")
     _dump_yaml(config_to_dict(cfg), _manifest_path(run_dir))
     print(f"wrote scenario bundle to {run_dir}")
     return 0
@@ -134,8 +124,12 @@ def cmd_embed(args) -> int:
     scenario = generate(cfg.scenario)
     frame_inputs, _ = _tracking_input(cfg, scenario)
     embed_detections(model, scenario, frame_inputs)
-    n = _write_features(frame_inputs, run_dir / "features.txt")
-    print(f"embedded {n} detections with model features")
+    # Each detection's features, keyed by its frame and index in the frame.
+    records = [FeatureRecord(d.frame, j, d.features, d.role_logits)
+               for dets in frame_inputs for j, d in enumerate(dets)]
+    write_features(FeatureTable.from_records(records),
+                   run_dir / "features.txt")
+    print(f"embedded {len(records)} detections with model features")
     return 0
 
 

@@ -50,22 +50,23 @@ class RunConfig:
     sampling_stride: int = 25
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise RangeError("seed must be >= 0")
         if self.detector_noise not in DETECTOR_NOISES:
-            raise ValueError(
+            raise RangeError(
                 f"detector_noise must be one of {DETECTOR_NOISES}")
         if not self.detector_noise_param >= 0:
-            raise ValueError("detector_noise_param must be >= 0")
+            raise RangeError("detector_noise_param must be >= 0")
         if self.sampling_stride < 1:
-            raise ValueError("sampling_stride must be >= 1")
+            raise RangeError("sampling_stride must be >= 1")
 
     def reseeded(self, seed: int) -> "RunConfig":
-        """Propagate one master seed into every component config."""
-        return dataclasses.replace(
-            self,
-            seed=seed,
-            scenario=dataclasses.replace(self.scenario, seed=seed),
-            train=dataclasses.replace(self.train, seed=seed),
-        )
+        """Propagate one master seed into every component config.  The run
+        config checks ``seed`` first, so a bad seed is named as ``seed``."""
+        cfg = dataclasses.replace(self, seed=seed)
+        cfg.scenario = dataclasses.replace(self.scenario, seed=seed)
+        cfg.train = dataclasses.replace(self.train, seed=seed)
+        return cfg
 
 
 def _check_value(name: str, default, value) -> None:

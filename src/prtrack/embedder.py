@@ -146,6 +146,8 @@ class TrainConfig:
         # The batch-hard triplets need two samples of each identity.
         if self.samples_per_identity < 2:
             raise ValueError("samples_per_identity must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _forward_arrays(model: EmbedderModel, cells: np.ndarray):
@@ -308,6 +310,12 @@ def sample_batch(dataset: list[GridSample], rng: np.random.Generator,
                  samples_per_identity: int = 4) -> list[GridSample]:
     """Draw 4 left-team + 4 right-team player identities and 3 other-role
     identities, ``samples_per_identity`` grids each."""
+    return _draw_batch(_group_by_identity(dataset), rng, samples_per_identity)
+
+
+def _group_by_identity(dataset: list[GridSample]):
+    """``(samples by identity, left, right, other)``: the sorted player ids
+    of each team and the sorted ids of the other roles."""
     by_id: dict[int, list[GridSample]] = {}
     for s in dataset:
         by_id.setdefault(s.identity, []).append(s)
@@ -316,6 +324,14 @@ def sample_batch(dataset: list[GridSample], rng: np.random.Generator,
     right = sorted(i for i, ss in by_id.items()
                    if ss[0].role == Role.PLAYER and ss[0].team == 1)
     other = sorted(i for i, ss in by_id.items() if ss[0].role != Role.PLAYER)
+    return by_id, left, right, other
+
+
+def _draw_batch(groups, rng: np.random.Generator,
+                samples_per_identity: int) -> list[GridSample]:
+    """:func:`sample_batch`'s draw from :func:`_group_by_identity`'s
+    grouping."""
+    by_id, left, right, other = groups
     if len(left) < 4 or len(right) < 4 or len(other) < 3:
         raise InsufficientIdentities(
             f"need 4+4 player ids per team and 3 other-role ids, "
@@ -366,11 +382,12 @@ def train(cfg: TrainConfig, dataset: list[GridSample],
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
     history = []
+    groups = _group_by_identity(remapped)
     for epoch in range(cfg.epochs):
         lr = _lr_at(epoch, cfg)
         epoch_losses = []
         for _ in range(cfg.steps_per_epoch):
-            batch = sample_batch(remapped, rng, cfg.samples_per_identity)
+            batch = _draw_batch(groups, rng, cfg.samples_per_identity)
             value, grads, _ = loss_and_grad(model, batch, cfg)
             epoch_losses.append(value)
             t += 1

@@ -3,12 +3,17 @@ and model checkpoints.
 
 All writers are deterministic: stable ordering and fixed decimal
 formatting, so identical inputs produce byte-identical files and every
-format round-trips losslessly at its declared precision.
+format round-trips losslessly at its declared precision.  The MOT and
+feature writers format each line with one ``%`` template: ``%.6f`` for
+boxes, confidence and visibility, ``%.9g`` for feature values, ``%d`` for
+frames, ids and visibility bits.  Feature rows are written from a
+:class:`FeatureTable` of columns.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +29,7 @@ __all__ = [
     "MotRecord",
     "tracklets_to_records",
     "FeatureRecord",
+    "FeatureTable",
     "read_text",
     "write_mot",
     "parse_mot",
@@ -33,8 +39,12 @@ __all__ = [
     "load_model",
 ]
 
-_F = "{:.6f}"   # box/confidence precision
-_G = "{:.9g}"   # feature vectors: 9 significant digits
+# frame, id, box, confidence, class, visibility: 6 decimals for the floats.
+_MOT_LINE = "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%.6f\n"
+# Feature rows formatted per write, which bounds the Python floats alive at
+# once: a whole run's rows at once held about twice the memory of the old
+# per-record writer.
+_FEATURE_ROWS_PER_WRITE = 1024
 
 
 class ParseError(DataError):
@@ -85,19 +95,12 @@ def read_text(path) -> str:
                          data.count(b"\n", 0, exc.start) + 1, path) from None
 
 
-def write_mot(records: list[MotRecord], path) -> None:
-    lines = []
-    for r in sorted(records, key=lambda r: (r.frame, r.id)):
-        lines.append(",".join([
-            str(r.frame), str(r.id),
-            _F.format(r.bb_left), _F.format(r.bb_top),
-            _F.format(r.bb_width), _F.format(r.bb_height),
-            _F.format(r.conf), str(r.class_id), _F.format(r.visibility),
-        ]))
+def write_mot(records, path) -> None:
+    """Write ``records`` (:class:`MotRecord` objects or plain tuples in its
+    field order), stably sorted by frame and id."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        if lines:
-            fh.write("\n")
+        fh.write("".join([_MOT_LINE % r for r in sorted(
+            records, key=operator.itemgetter(0, 1))]))
 
 
 def parse_mot(path) -> list[MotRecord]:
@@ -138,26 +141,73 @@ class FeatureRecord:
     role_logits: np.ndarray  # (4,)
 
 
-def _vec(values) -> str:
-    return " ".join(_G.format(float(v)) for v in values)
+@dataclass(frozen=True)
+class FeatureTable:
+    """The feature rows of N detections as columns, each row keyed by its
+    frame and its index within the frame.  A table checks, once over its
+    whole arrays, what :class:`~prtrack.core.PartFeatureSet` checks per set:
+    shapes, finite embeddings and visibility bits in {0, 1}."""
+
+    frame: np.ndarray        # (N,) integers
+    det_index: np.ndarray    # (N,) integers
+    parts: np.ndarray        # (N, K, D)
+    foreground: np.ndarray   # (N, D)
+    visibility: np.ndarray   # (N, K+1) of {0, 1}, ordered (fg, parts)
+    role_logits: np.ndarray  # (N, 4)
+
+    def __post_init__(self):
+        n, k, d = self.parts.shape
+        if k < 1:
+            raise ValueError("parts must be an (N, K, D) array with K >= 1")
+        for name, shape in (("frame", (n,)), ("det_index", (n,)),
+                            ("foreground", (n, d)),
+                            ("visibility", (n, k + 1)),
+                            ("role_logits", (n, 4))):
+            if (actual := getattr(self, name).shape) != shape:
+                raise ValueError(f"{name} has shape {actual}, "
+                                 f"expected {shape}")
+        if not np.isin(self.visibility, (0, 1)).all():
+            raise ValueError("visibility entries must be 0 or 1")
+        if not (np.isfinite(self.parts).all()
+                and np.isfinite(self.foreground).all()):
+            raise ValueError("part and foreground embeddings must be finite")
+
+    @classmethod
+    def from_records(cls, records: list[FeatureRecord]) -> "FeatureTable":
+        """The rows of ``records``, in order; their feature sets must share
+        K and D."""
+        if not records:
+            return cls(np.zeros(0, int), np.zeros(0, int), np.zeros((0, 1, 0)),
+                       np.zeros((0, 0)), np.zeros((0, 2), int),
+                       np.zeros((0, 4)))
+        # Python ints, so frames and indices beyond 64 bits keep their value.
+        return cls(np.array([r.frame for r in records], dtype=object),
+                   np.array([r.det_index for r in records], dtype=object),
+                   np.stack([r.features.parts for r in records]),
+                   np.stack([r.features.foreground for r in records]),
+                   np.stack([r.features.visibility for r in records]),
+                   np.stack([r.role_logits for r in records]))
 
 
-def write_features(records: list[FeatureRecord], path) -> None:
-    lines = []
-    for r in sorted(records, key=lambda r: (r.frame, r.det_index)):
-        f = r.features
-        fields = [str(r.frame), str(r.det_index),
-                  str(f.num_parts), str(f.dim),
-                  _vec(f.foreground)]
-        for k in range(f.num_parts):
-            fields.append(_vec(f.parts[k]))
-        fields.append(" ".join(str(int(v)) for v in f.visibility))
-        fields.append(_vec(r.role_logits))
-        lines.append(" ".join(fields))
+def write_features(table: FeatureTable, path) -> None:
+    """One line per row of ``table``, stably sorted by frame and index in
+    the frame: frame, index, K, D, the foreground, the K parts, the K+1
+    visibility bits and the 4 role logits, separated by spaces."""
+    n, k, d = table.parts.shape
+    line = " ".join(["%d %d", str(k), str(d)] + ["%.9g"] * ((k + 1) * d)
+                    + ["%d"] * (k + 1) + ["%.9g"] * 4) + "\n"
+    keys = list(zip(table.frame.tolist(), table.det_index.tolist()))
+    order = sorted(range(n), key=keys.__getitem__)
+    vectors = np.concatenate([table.foreground, table.parts.reshape(n, k * d)],
+                             axis=1)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        if lines:
-            fh.write("\n")
+        for start in range(0, n, _FEATURE_ROWS_PER_WRITE):
+            rows = order[start:start + _FEATURE_ROWS_PER_WRITE]
+            fh.write("".join([line % (*keys[i], *v, *bits, *logits)
+                              for i, v, bits, logits in zip(
+                                  rows, vectors[rows].tolist(),
+                                  table.visibility[rows].tolist(),
+                                  table.role_logits[rows].tolist())]))
 
 
 def parse_features(path) -> list[FeatureRecord]:

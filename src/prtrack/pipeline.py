@@ -42,13 +42,13 @@ def train_on_scenario(cfg: RunConfig, scenario: Scenario):
     return model, history, (train_set, queries, gallery)
 
 
-def _tracking_input(cfg: RunConfig, scenario: Scenario,
-                    features: str = "none"):
-    """The run's detections per frame and its ground-truth records, as
-    :func:`~prtrack.simgen.to_tracking_input` returns them."""
+def _tracking_input(cfg: RunConfig, scenario: Scenario):
+    """The run's detections per frame, without features, and its
+    ground-truth records, as :func:`~prtrack.simgen.to_tracking_input`
+    returns them."""
     return to_tracking_input(scenario, detector_noise=cfg.detector_noise,
                              noise_param=cfg.detector_noise_param,
-                             features=features, seed=cfg.seed)
+                             features="none", seed=cfg.seed)
 
 
 def embed_samples(model: EmbedderModel, samples: list[GridSample]

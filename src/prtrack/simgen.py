@@ -5,6 +5,12 @@ trajectories on a pitch, identities, teams, roles, occlusion/exit events,
 and per-frame feature-grid observations whose cell contents encode a latent
 appearance (role/team centroid + identity offset + noise) plus a per-part
 signature, so the embedding model has learnable signal for all three tasks.
+
+A run's detections are built once, as columns: :func:`detection_table`
+fills a :class:`DetectionTable` of frames, boxes after detector noise,
+ground-truth labels and, optionally, ground-truth-derived oracle features.
+Only :func:`to_tracking_input`, the API edge, turns the table into
+per-frame ``Detection`` objects.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from .core import BoundingBox, Detection, PartFeatureSet, Role
 from .embedder import FeatureGrid, GridSample
-from .motio import MotRecord
+from .motio import FeatureTable, MotRecord
 
 __all__ = [
     "DETECTOR_NOISES",
@@ -27,12 +33,14 @@ __all__ = [
     "Scenario",
     "generate",
     "to_reid_dataset",
+    "DetectionTable",
+    "detection_table",
     "to_tracking_input",
     "oracle_feature_projection",
 ]
 
 
-# The detector noise models :func:`to_tracking_input` applies.
+# The detector noise models :func:`detection_table` applies.
 DETECTOR_NOISES = ("none", "jitter", "dropout")
 
 
@@ -73,6 +81,8 @@ class ScenarioConfig:
                          ("pitch_width", 0), ("pitch_height", 0)):
             if getattr(self, name) < lo:
                 raise ConfigInvalid(f"{name} must be >= {lo}")
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be >= 0")
         if not (0.0 <= self.occlusion_rate <= 1.0):
             raise ConfigInvalid("occlusion_rate must be in [0, 1]")
         if not (0.0 <= self.exit_rate <= 1.0):
@@ -332,24 +342,117 @@ def oracle_feature_projection(config: ScenarioConfig, dim: int = 8):
 _ROLE_LOGIT_SCALE = 6.0
 
 
-def _oracle_features(agent: Agent, part_vis: np.ndarray, proj, offsets,
-                     sigma: float, rng: np.random.Generator):
-    k = part_vis.shape[0]
-    dim = proj.shape[0]
-    base = proj @ agent.latent
-    visible = part_vis.astype(bool)
-    parts = np.zeros((k, dim))
-    parts[visible] = (base + offsets[1:][visible]
-                      + rng.normal(0.0, sigma, (int(visible.sum()), dim)))
-    if visible.any():
-        fg = parts[visible].mean(axis=0)
-        vis = np.concatenate([[1], part_vis])
-    else:
-        fg = np.zeros(dim)
-        vis = np.zeros(k + 1, dtype=int)
-    role_logits = np.full(4, -_ROLE_LOGIT_SCALE / 2)
-    role_logits[int(agent.role)] = _ROLE_LOGIT_SCALE / 2
-    return PartFeatureSet(parts=parts, foreground=fg, visibility=vis), role_logits
+@dataclass(frozen=True)
+class DetectionTable:
+    """A run's N detections as columns, in frame order and, within a frame,
+    in roster order.  Building one checks the boxes once over the whole
+    array, as :class:`~prtrack.core.BoundingBox` checks one box."""
+
+    frame: np.ndarray        # (N,) frame numbers, from 1
+    det_index: np.ndarray    # (N,) index of the detection within its frame
+    boxes: np.ndarray        # (N, 4) x, y, w, h, after detector noise
+    gt_identity: np.ndarray  # (N,)
+    gt_team: np.ndarray      # (N,) 0 left / 1 right, -1 for no team
+    gt_role: np.ndarray      # (N,) Role values
+    features: FeatureTable | None  # oracle features, keyed like the rows
+
+    def __post_init__(self):
+        if not np.isfinite(self.boxes).all():
+            raise ValueError("box fields must be finite")
+        if not (self.boxes[:, 2:] > 0).all():
+            raise ValueError("box width and height must be positive")
+
+    def mot_rows(self) -> list[tuple]:
+        """The detections as MOT rows in :class:`~prtrack.motio.MotRecord`
+        field order, with the unknown id -1 and confidence 1."""
+        n = len(self.frame)
+        return list(zip(self.frame.tolist(), [-1] * n,
+                        *self.boxes.T.tolist(), [1.0] * n, [1] * n,
+                        [1.0] * n))
+
+
+def detection_table(scenario: Scenario, detector_noise: str = "none",
+                    noise_param: float = 0.0, features: str = "oracle",
+                    feature_sigma: float = 0.05, seed: int = 0):
+    """The detections of every present agent in every frame, as a
+    :class:`DetectionTable`, and the :class:`~prtrack.motio.MotRecord` of
+    each present agent per frame.
+
+    ``detector_noise``: 'none', 'jitter' (gaussian box offsets of
+    ``noise_param`` pixels), or 'dropout' (drop each detection with
+    probability ``noise_param``).  ``features``: 'oracle' fills the
+    ground-truth-derived feature block, 'none' leaves it out.  A loop over
+    the detections makes the generator draws, in the order the per-detection
+    definition makes them: the dropout draw, the jitter pair, then the
+    visible parts' feature noise; everything else is array work.
+    """
+    if detector_noise not in DETECTOR_NOISES:
+        raise ValueError(f"unknown detector noise {detector_noise!r}")
+    present = [ob for frame_obs in scenario.frames
+               for ob in frame_obs if ob.present]
+    gt_records = [MotRecord(ob.frame, ob.identity,
+                            ob.box.x, ob.box.y, ob.box.w, ob.box.h)
+                  for ob in present]
+    oracle = features == "oracle"
+    if oracle:
+        k = scenario.config.num_parts
+        part_vis = np.array([ob.part_visible for ob in present],
+                            dtype=int).reshape(-1, k)
+        n_visible = part_vis.sum(axis=1).tolist()
+        proj, offsets = oracle_feature_projection(scenario.config)
+        dim = proj.shape[0]
+        noise = np.empty((sum(n_visible), dim))
+
+    rng = np.random.default_rng(seed)
+    dropout = detector_noise == "dropout"
+    jitter = detector_noise == "jitter"
+    kept, shifts, drawn = [], [], 0
+    for i in range(len(present)):
+        if dropout and rng.random() < noise_param:
+            continue
+        kept.append(i)
+        if jitter:
+            shifts.append(rng.normal(0.0, noise_param, 2))
+        if oracle:
+            n = n_visible[i]
+            noise[drawn:drawn + n] = rng.normal(0.0, feature_sigma, (n, dim))
+            drawn += n
+
+    frame = np.array([present[i].frame for i in kept], dtype=int)
+    # Rows are in frame order, so each row's index within its frame is its
+    # distance from the frame's first row.
+    det_index = np.arange(len(kept)) - np.searchsorted(frame, frame)
+    boxes = np.array([gt_records[i][2:6] for i in kept],
+                     dtype=float).reshape(-1, 4)
+    if jitter and kept:
+        boxes[:, :2] += shifts
+    agent = np.array([present[i].identity for i in kept], dtype=int) - 1
+    teams = np.array([-1 if a.team is None else a.team
+                      for a in scenario.agents], dtype=int)
+    roles = np.array([int(a.role) for a in scenario.agents], dtype=int)
+    block = None
+    if oracle:
+        vis = part_vis[kept]
+        rows, cols = np.nonzero(vis)
+        base = np.array([proj @ a.latent for a in scenario.agents])
+        values = base[agent[rows]]
+        values += offsets[1 + cols]
+        values += noise[:drawn]
+        parts = np.zeros((len(kept), k, dim))
+        parts[rows, cols] = values
+        count = vis.sum(axis=1)
+        foreground = np.divide(parts.sum(axis=1), count[:, None],
+                               out=np.zeros((len(kept), dim)),
+                               where=count[:, None] > 0)
+        role_logits = np.full((len(kept), 4), -_ROLE_LOGIT_SCALE / 2)
+        role_logits[np.arange(len(kept)), roles[agent]] = _ROLE_LOGIT_SCALE / 2
+        block = FeatureTable(frame, det_index, parts, foreground,
+                             np.concatenate([count[:, None] > 0, vis],
+                                            axis=1).astype(int),
+                             role_logits)
+    table = DetectionTable(frame, det_index, boxes, agent + 1, teams[agent],
+                           roles[agent], block)
+    return table, gt_records
 
 
 def to_tracking_input(scenario: Scenario, detector_noise: str = "none",
@@ -357,42 +460,28 @@ def to_tracking_input(scenario: Scenario, detector_noise: str = "none",
                       feature_sigma: float = 0.05, seed: int = 0):
     """Turn a scenario into per-frame tracker inputs plus ground truth.
 
-    ``detector_noise``: 'none', 'jitter' (gaussian box offsets of
-    ``noise_param`` pixels), or 'dropout' (drop each detection with
-    probability ``noise_param``).  ``features``: 'oracle' attaches
-    ground-truth-derived part features, 'none' leaves features empty
-    (filled later by an embedding model).
+    The arguments are those of :func:`detection_table`; ``features='none'``
+    leaves the detections' features empty, to be filled later by an
+    embedding model.
 
-    Returns (frame inputs, gt records): a list of Detections per frame and
-    the :class:`~prtrack.motio.MotRecord` of each present agent per frame.
+    Returns (frame inputs, gt records): a list of Detections per frame,
+    empty frames included, and the :class:`~prtrack.motio.MotRecord` of
+    each present agent per frame.
     """
-    if detector_noise not in DETECTOR_NOISES:
-        raise ValueError(f"unknown detector noise {detector_noise!r}")
-    rng = np.random.default_rng(seed)
-    proj, offsets = oracle_feature_projection(scenario.config)
-    frame_inputs: list[list[Detection]] = []
-    gt_records: list[MotRecord] = []
-    for frame_obs in scenario.frames:
-        dets = []
-        for ob in frame_obs:
-            if not ob.present:
-                continue
-            box = ob.box
-            gt_records.append(MotRecord(ob.frame, ob.identity,
-                                        box.x, box.y, box.w, box.h))
-            if detector_noise == "dropout" and rng.random() < noise_param:
-                continue
-            if detector_noise == "jitter":
-                dx, dy = rng.normal(0.0, noise_param, 2)
-                box = BoundingBox(box.x + dx, box.y + dy, box.w, box.h)
-            agent = scenario.agent(ob.identity)
-            feats = role_logits = None
-            if features == "oracle":
-                feats, role_logits = _oracle_features(
-                    agent, ob.part_visible, proj, offsets, feature_sigma, rng)
-            dets.append(Detection(frame=ob.frame, box=box, confidence=1.0,
-                                  features=feats, role_logits=role_logits,
-                                  gt_identity=ob.identity,
-                                  gt_team=agent.team, gt_role=agent.role))
-        frame_inputs.append(dets)
+    table, gt_records = detection_table(scenario, detector_noise, noise_param,
+                                        features, feature_sigma, seed)
+    f = table.features
+    frame_inputs: list[list[Detection]] = [[] for _ in scenario.frames]
+    # Box fields stay numpy scalars, the type of the scenario's own boxes.
+    for i, (frame, ident, *box) in enumerate(zip(
+            table.frame.tolist(), table.gt_identity.tolist(),
+            *map(list, table.boxes.T))):
+        agent = scenario.agent(ident)
+        frame_inputs[frame - 1].append(Detection(
+            frame=frame, box=BoundingBox(*box), confidence=1.0,
+            features=None if f is None else PartFeatureSet(
+                parts=f.parts[i], foreground=f.foreground[i],
+                visibility=f.visibility[i]),
+            role_logits=None if f is None else f.role_logits[i],
+            gt_identity=ident, gt_team=agent.team, gt_role=agent.role))
     return frame_inputs, gt_records

@@ -44,19 +44,19 @@ def hungarian(costs: np.ndarray, forbid_threshold: float = np.inf) -> Assignment
     scale = float(np.abs(costs[finite]).max())
     sentinel = max(1.0, scale) * 1e6
     work = np.where(finite, costs, sentinel)
-    rows = np.arange(costs.shape[0])[:, None]
-    cols = np.arange(costs.shape[1])[None, :]
-    work = work + _TIE_EPS * max(1.0, scale) * (rows * costs.shape[1] + cols)
+    n, m = costs.shape
+    tie = np.arange(n * m, dtype=float).reshape(n, m)
+    tie *= _TIE_EPS * max(1.0, scale)
+    work += tie
     ri, ci = linear_sum_assignment(work)
-    pairs = []
+    picked = costs[ri, ci]
+    keep = np.isfinite(picked) & ~(picked >= forbid_threshold)
+    # Plain additions in pair order: np.sum adds pairwise, and sum()
+    # compensates from Python 3.12 on, so either could change the total.
     total = 0.0
-    for r, c in zip(ri, ci):
-        cost = costs[r, c]
-        if not np.isfinite(cost) or cost >= forbid_threshold:
-            continue
-        pairs.append((int(r), int(c)))
-        total += float(cost)
-    return Assignment(pairs, total)
+    for cost in picked[keep].tolist():
+        total += cost
+    return Assignment(list(zip(ri[keep].tolist(), ci[keep].tolist())), total)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

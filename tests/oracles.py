@@ -8,11 +8,13 @@ import math
 
 import numpy as np
 
-from prtrack.core import (BoundingBox, PartFeatureSet, Role, TrackStatus,
-                          Tracklet, box_array, iou_matrix,
+from prtrack.core import (BoundingBox, Detection, PartFeatureSet, Role,
+                          TrackStatus, Tracklet, box_array, iou_matrix,
                           part_distance_matrix, xyah_to_xywh)
 from prtrack.embedder import FeatureGrid
-from prtrack.simgen import Agent, Observation, Scenario, _sample_events
+from prtrack.motio import MotRecord
+from prtrack.simgen import (Agent, Observation, Scenario, _sample_events,
+                            oracle_feature_projection)
 from prtrack.solvers import hungarian
 
 
@@ -554,3 +556,103 @@ def _brute_part_layout(h, w, k):
         labels[h - 1, 0] = 0
         labels[h - 1, w - 1] = 0
     return labels
+
+
+def brute_tracking_input(scenario, detector_noise="none", noise_param=0.0,
+                         features="oracle", feature_sigma=0.05, seed=0):
+    """Per-detection reference of ``simgen.to_tracking_input``: each present
+    agent's detection is drawn, jittered and given its oracle features on
+    its own, one ``PartFeatureSet`` at a time.  It shares the scenario
+    types, ``oracle_feature_projection`` and ``MotRecord`` with the
+    package; every generator draw is made here, in the order the package
+    must keep."""
+    rng = np.random.default_rng(seed)
+    proj, offsets = oracle_feature_projection(scenario.config)
+    frame_inputs, gt_records = [], []
+    for frame_obs in scenario.frames:
+        dets = []
+        for ob in frame_obs:
+            if not ob.present:
+                continue
+            box = ob.box
+            gt_records.append(MotRecord(ob.frame, ob.identity,
+                                        box.x, box.y, box.w, box.h))
+            if detector_noise == "dropout" and rng.random() < noise_param:
+                continue
+            if detector_noise == "jitter":
+                dx, dy = rng.normal(0.0, noise_param, 2)
+                box = BoundingBox(box.x + dx, box.y + dy, box.w, box.h)
+            agent = scenario.agent(ob.identity)
+            feats = role_logits = None
+            if features == "oracle":
+                feats, role_logits = _brute_oracle_features(
+                    agent, ob.part_visible, proj, offsets, feature_sigma, rng)
+            dets.append(Detection(frame=ob.frame, box=box, confidence=1.0,
+                                  features=feats, role_logits=role_logits,
+                                  gt_identity=ob.identity,
+                                  gt_team=agent.team, gt_role=agent.role))
+        frame_inputs.append(dets)
+    return frame_inputs, gt_records
+
+
+def _brute_oracle_features(agent, part_vis, proj, offsets, sigma, rng):
+    """One detection's oracle features: the agent's projected latent plus a
+    per-part offset and noise on each visible part, their mean as the
+    foreground, and role logits of +3 for the true role and -3 otherwise."""
+    k = part_vis.shape[0]
+    dim = proj.shape[0]
+    base = proj @ agent.latent
+    visible = part_vis.astype(bool)
+    parts = np.zeros((k, dim))
+    parts[visible] = (base + offsets[1:][visible]
+                      + rng.normal(0.0, sigma, (int(visible.sum()), dim)))
+    if visible.any():
+        fg = parts[visible].mean(axis=0)
+        vis = np.concatenate([[1], part_vis])
+    else:
+        fg = np.zeros(dim)
+        vis = np.zeros(k + 1, dtype=int)
+    role_logits = np.full(4, -3.0)
+    role_logits[int(agent.role)] = 3.0
+    return PartFeatureSet(parts=parts, foreground=fg,
+                          visibility=vis), role_logits
+
+
+def brute_write_mot(records, path):
+    """MOT rows written field by field with ``str.format``: frame and id as
+    integers, the box, confidence and visibility with 6 decimals."""
+    lines = []
+    for r in sorted(records, key=lambda r: (r.frame, r.id)):
+        lines.append(",".join([
+            str(r.frame), str(r.id),
+            "{:.6f}".format(r.bb_left), "{:.6f}".format(r.bb_top),
+            "{:.6f}".format(r.bb_width), "{:.6f}".format(r.bb_height),
+            "{:.6f}".format(r.conf), str(r.class_id),
+            "{:.6f}".format(r.visibility),
+        ]))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+        if lines:
+            fh.write("\n")
+
+
+def brute_write_features(records, path):
+    """Feature rows of ``FeatureRecord``s written value by value with
+    ``str.format``: 9 significant digits for the vectors."""
+    def vec(values):
+        return " ".join("{:.9g}".format(float(v)) for v in values)
+
+    lines = []
+    for r in sorted(records, key=lambda r: (r.frame, r.det_index)):
+        f = r.features
+        fields = [str(r.frame), str(r.det_index),
+                  str(f.num_parts), str(f.dim), vec(f.foreground)]
+        for k in range(f.num_parts):
+            fields.append(vec(f.parts[k]))
+        fields.append(" ".join(str(int(v)) for v in f.visibility))
+        fields.append(vec(r.role_logits))
+        lines.append(" ".join(fields))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+        if lines:
+            fh.write("\n")

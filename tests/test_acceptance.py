@@ -22,9 +22,9 @@ from prtrack.embedder import (EmbedderModel, TrainConfig, forward_batch,
 from prtrack.losses import (LossWeights, TripletConfig, cross_entropy_id,
                             focal_loss, gilt_loss, masked_triplet_batch_hard,
                             part_prediction_loss, triplet_batch_hard)
-from prtrack.motio import (FeatureRecord, MotRecord, parse_features,
-                           parse_mot, tracklets_to_records, write_features,
-                           write_mot)
+from prtrack.motio import (FeatureRecord, FeatureTable, MotRecord,
+                           parse_features, parse_mot, tracklets_to_records,
+                           write_features, write_mot)
 from prtrack.postproc import MergeConfig, merge_tracklets
 from prtrack.reid_metrics import (RetrievalItem, RetrievalSet,
                                   evaluate_retrieval)
@@ -399,6 +399,6 @@ def test_acceptance_9_format_roundtrip(tmp_path):
                 role_logits=rng.normal(size=4)))
         f1 = tmp_path / f"feat_{i}_a.txt"
         f2 = tmp_path / f"feat_{i}_b.txt"
-        write_features(feats, f1)
-        write_features(parse_features(f1), f2)
+        write_features(FeatureTable.from_records(feats), f1)
+        write_features(FeatureTable.from_records(parse_features(f1)), f2)
         assert f1.read_bytes() == f2.read_bytes()

@@ -120,6 +120,16 @@ def test_data_error_exit_code(tmp_path, capsys):
         assert main(["pipeline", "--config", str(bad), "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not (out / "model.txt").exists()
+    # A negative seed from the flag, the environment or the config file.
+    bad.write_text("seed: -1\n")
+    for argv, env in ((["--seed", "-1"], None), ([], "-1"),
+                      (["--config", str(bad)], None)):
+        with pytest.MonkeyPatch.context() as mp:
+            if env is not None:
+                mp.setenv("PRT_SEED", env)
+            assert main(["generate", *argv,
+                         "--out", str(tmp_path / "x")]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
     bad.write_text("- 1\n- 2\n")
     assert main(["generate", "--config", str(bad),
                  "--out", str(tmp_path / "x")]) == 2

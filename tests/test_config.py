@@ -91,9 +91,14 @@ def test_range_errors():
              "train.weights.lambda_pa must be >= 0"),
             ({"train": {"epochs": 0}}, "train.epochs"),
             ({"train": {"samples_per_identity": 1}},
-             "train.samples_per_identity")):
+             "train.samples_per_identity"),
+            ({"seed": -1}, "^seed must be >= 0"),
+            ({"scenario": {"seed": -1}}, "^scenario.seed must be >= 0"),
+            ({"train": {"seed": -1}}, "^train.seed must be >= 0")):
         with pytest.raises(RangeError, match=key):
             config_from_dict(doc)
+    with pytest.raises(RangeError, match="^seed must be >= 0"):
+        RunConfig().reseeded(-1)
 
 
 def test_configs_check_themselves():

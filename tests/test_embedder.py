@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prtrack import embedder
 from prtrack.core import Role
 from prtrack.embedder import (EmbedderModel, FeatureGrid, GridSample,
                               InsufficientIdentities, TrainConfig,
@@ -102,6 +103,26 @@ def test_sample_batch_insufficient(rng):
     data = make_dataset(rng, n_left=3)
     with pytest.raises(InsufficientIdentities):
         sample_batch(data, np.random.default_rng(0))
+
+
+def test_train_draws_sample_batch_batches(rng, monkeypatch):
+    """``train`` groups the samples once, and its steps draw the batches
+    that repeated ``sample_batch`` calls draw from a generator seeded
+    alike."""
+    data = make_dataset(rng, per_id=3)
+    cfg = TrainConfig(epochs=3, steps_per_epoch=2, samples_per_identity=2,
+                      seed=4)
+    seen = []
+    loss_and_grad_ = embedder.loss_and_grad
+
+    def spy(model, batch, cfg):
+        seen.append([id(s.grid) for s in batch])
+        return loss_and_grad_(model, batch, cfg)
+    monkeypatch.setattr(embedder, "loss_and_grad", spy)
+    train(cfg, data)
+    draws = np.random.default_rng(cfg.seed)
+    assert seen == [[id(s.grid) for s in sample_batch(data, draws, 2)]
+                    for _ in range(6)]
 
 
 def test_lr_schedule():

@@ -3,9 +3,11 @@ import pytest
 
 from prtrack.core import PartFeatureSet
 from prtrack.embedder import EmbedderModel
-from prtrack.motio import (FeatureRecord, MotRecord, ParseError, load_model,
-                           parse_features, parse_mot, save_model,
+from prtrack.motio import (FeatureRecord, FeatureTable, MotRecord, ParseError,
+                           load_model, parse_features, parse_mot, save_model,
                            write_features, write_mot)
+
+from oracles import brute_write_features
 
 
 def random_mot_records(rng, n=20):
@@ -81,11 +83,11 @@ def test_mot_non_monotone_warns(tmp_path):
 def test_feature_roundtrip(tmp_path, rng):
     path = tmp_path / "f.txt"
     records = random_feature_records(rng)
-    write_features(records, path)
+    write_features(FeatureTable.from_records(records), path)
     parsed = parse_features(path)
     assert len(parsed) == len(records)
     path2 = tmp_path / "f2.txt"
-    write_features(parsed, path2)
+    write_features(FeatureTable.from_records(parsed), path2)
     assert path.read_bytes() == path2.read_bytes()
     by_key = {(r.frame, r.det_index): r for r in records}
     for r in parsed:
@@ -94,6 +96,44 @@ def test_feature_roundtrip(tmp_path, rng):
                                    rtol=1e-8)
         np.testing.assert_array_equal(r.features.visibility,
                                       orig.features.visibility)
+
+
+def test_feature_writer_bytes_over_many_writes(tmp_path, rng):
+    """More rows than one write formats, in shuffled order: the same bytes
+    as the field-by-field writer."""
+    records = random_feature_records(rng, n=2500)
+    shuffled = [records[i] for i in rng.permutation(len(records))]
+    write_features(FeatureTable.from_records(shuffled), tmp_path / "a.txt")
+    brute_write_features(records, tmp_path / "b.txt")
+    assert (tmp_path / "a.txt").read_bytes() == \
+        (tmp_path / "b.txt").read_bytes()
+
+
+def test_feature_table_checks(rng):
+    table = FeatureTable.from_records(random_feature_records(rng, n=3))
+    assert table.parts.shape == (3, 3, 4)
+    good = {f: getattr(table, f) for f in ("frame", "det_index", "parts",
+                                           "foreground", "visibility",
+                                           "role_logits")}
+    nan_parts = table.parts.copy()
+    nan_parts[1, 2, 0] = np.nan
+    inf_fg = table.foreground.copy()
+    inf_fg[0, 1] = np.inf
+    two = table.visibility.copy()
+    two[2, 0] = 2
+    for name, bad, message in (
+            ("parts", nan_parts, "must be finite"),
+            ("foreground", inf_fg, "must be finite"),
+            ("visibility", two, "0 or 1"),
+            ("role_logits", table.role_logits[:, :3], "role_logits has shape"),
+            ("parts", np.zeros((3, 0, 4)), "K >= 1")):
+        with pytest.raises(ValueError, match=message):
+            FeatureTable(**{**good, name: bad})
+    mixed = random_feature_records(rng, n=2) + random_feature_records(
+        rng, n=1, k=2)
+    with pytest.raises(ValueError):
+        FeatureTable.from_records(mixed)
+    assert FeatureTable.from_records([]).parts.shape[0] == 0
 
 
 def test_feature_parse_errors(tmp_path):

@@ -3,7 +3,8 @@
 The metrics do not depend on the names of predicted ids or on the order of
 records across frames, and score a prediction equal to the ground truth as
 perfect; the MOT and feature writers round-trip random finite records at
-their declared precision.
+their declared precision, and write the same bytes as the field-by-field
+``str.format`` writers of ``tests/oracles.py``.
 """
 
 import numpy as np
@@ -12,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prtrack.core import BoundingBox, PartFeatureSet
-from prtrack.motio import (FeatureRecord, MotRecord, parse_features,
-                           parse_mot, write_features, write_mot)
+from prtrack.motio import (FeatureRecord, FeatureTable, MotRecord,
+                           parse_features, parse_mot, write_features,
+                           write_mot)
 from prtrack.track_metrics import evaluate_sequence
 
 from conftest import mot_records
+from oracles import brute_write_features, brute_write_mot
 
 _coord = st.floats(-1e4, 1e4, allow_nan=False)
 _size = st.floats(1.0, 300.0)
@@ -143,7 +146,7 @@ def feature_records(draw):
 def test_features_roundtrip_at_nine_significant_digits(tmp_path_factory,
                                                        records):
     path = tmp_path_factory.mktemp("features") / "f.txt"
-    write_features(records, path)
+    write_features(FeatureTable.from_records(records), path)
     parsed = parse_features(path)
     expected = sorted(records, key=lambda r: (r.frame, r.det_index))
     assert len(parsed) == len(expected)
@@ -155,5 +158,59 @@ def test_features_roundtrip_at_nine_significant_digits(tmp_path_factory,
                      (got.role_logits, want.role_logits)):
             np.testing.assert_allclose(a, b, rtol=5e-9 * (1 + 1e-6), atol=0)
     again = path.with_name("g.txt")
-    write_features(parsed, again)
+    write_features(FeatureTable.from_records(parsed), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+# Signed zeros, subnormals, huge and non-finite values, and integers that
+# are negative or need more than 64 bits.
+_any_float = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -2.2e-308, 1e300,
+                                        -1e300, 1e-7, 0.5e-6]),
+                       st.floats())
+_finite_float = st.one_of(st.sampled_from([-0.0, 5e-324, -1e-310, 1e300,
+                                           -1e300]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+_any_int = st.one_of(st.sampled_from([-1, 0, 2**63, -2**63 - 1, 2**70]),
+                     st.integers())
+
+
+@settings(deadline=None)
+@given(st.lists(st.builds(
+    MotRecord, frame=_any_int, id=_any_int, bb_left=_any_float,
+    bb_top=_any_float, bb_width=_any_float, bb_height=_any_float,
+    conf=_any_float, class_id=_any_int, visibility=_any_float),
+    max_size=8))
+def test_mot_writer_bytes_equal_format_writer(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("mot")
+    write_mot(records, path / "a.txt")
+    brute_write_mot(records, path / "b.txt")
+    assert (path / "a.txt").read_bytes() == (path / "b.txt").read_bytes()
+
+
+@st.composite
+def any_feature_records(draw):
+    k, d = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    out = []
+    for _ in range(draw(st.integers(0, 5))):
+        vectors = draw(st.lists(_finite_float, min_size=(k + 1) * d,
+                                max_size=(k + 1) * d))
+        out.append(FeatureRecord(
+            frame=draw(_any_int), det_index=draw(_any_int),
+            features=PartFeatureSet(
+                parts=np.reshape(vectors[d:], (k, d)),
+                foreground=np.array(vectors[:d]),
+                visibility=np.array(draw(st.lists(
+                    st.integers(0, 1), min_size=k + 1, max_size=k + 1)))),
+            role_logits=np.array(draw(st.lists(_any_float, min_size=4,
+                                               max_size=4)))))
+    return out
+
+
+@settings(deadline=None)
+@given(any_feature_records())
+def test_feature_writer_bytes_equal_format_writer(tmp_path_factory,
+                                                  records):
+    path = tmp_path_factory.mktemp("features")
+    write_features(FeatureTable.from_records(records), path / "a.txt")
+    brute_write_features(records, path / "b.txt")
+    assert (path / "a.txt").read_bytes() == (path / "b.txt").read_bytes()

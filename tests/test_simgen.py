@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from prtrack.core import Role
-from prtrack.simgen import (ConfigInvalid, ScenarioConfig, generate,
+from prtrack.simgen import (ConfigInvalid, DetectionTable, ScenarioConfig,
+                            detection_table, generate,
                             oracle_feature_projection, to_reid_dataset,
                             to_tracking_input)
 
-from oracles import brute_generate
+from oracles import brute_generate, brute_tracking_input
 
 
 def small_config(**kw):
@@ -186,3 +187,61 @@ def test_agent_lookup_by_identity():
     for unknown in (0, len(s.agents) + 1, -1):
         with pytest.raises(KeyError):
             s.agent(unknown)
+
+
+# Occlusion and exits; one part, so an occluded agent can have every part
+# hidden; one agent who is gone most of the clip, so frames are empty.
+_TRACKING_SCENARIOS = (
+    dict(frames=60, occlusion_rate=0.4, exit_rate=0.3, seed=1),
+    dict(frames=60, occlusion_rate=0.5, num_parts=1, channels=8, seed=2),
+    dict(frames=60, n_players_per_team=1, n_goalkeepers=0, n_referees=0,
+         n_staff=0, occlusion_rate=0.3, exit_rate=1.0, seed=4),
+)
+
+
+@pytest.mark.parametrize("features", ["oracle", "none"])
+@pytest.mark.parametrize("noise,param", [("none", 0.0), ("jitter", 8.0),
+                                         ("dropout", 0.2)])
+def test_tracking_input_equals_per_detection_oracle(noise, param, features):
+    hidden = empty = 0
+    for kw in _TRACKING_SCENARIOS:
+        s = generate(small_config(**kw))
+        args = (s, noise, param, features, 0.05, 7)
+        got, got_gt = to_tracking_input(*args)
+        want, want_gt = brute_tracking_input(*args)
+        assert got_gt == want_gt
+        assert _bits([r[2:] for r in got_gt]) == \
+            _bits([r[2:] for r in want_gt])
+        for frame_got, frame_want in zip(got, want, strict=True):
+            empty += not frame_want
+            for a, b in zip(frame_got, frame_want, strict=True):
+                assert (a.frame, a.confidence, a.gt_identity, a.gt_team,
+                        a.gt_role) == (b.frame, b.confidence, b.gt_identity,
+                                       b.gt_team, b.gt_role)
+                assert _bits([a.box.x, a.box.y, a.box.w, a.box.h]) == \
+                    _bits([b.box.x, b.box.y, b.box.w, b.box.h])
+                if features == "none":
+                    assert a.features is a.role_logits is None
+                    continue
+                for name in ("parts", "foreground", "visibility"):
+                    assert _bits(getattr(a.features, name)) == \
+                        _bits(getattr(b.features, name))
+                assert _bits(a.role_logits) == _bits(b.role_logits)
+                hidden += not b.features.visibility.any()
+    assert empty > 0
+    if features == "oracle":
+        assert hidden > 0
+
+
+def test_detection_table_checks_boxes():
+    table, _ = detection_table(generate(small_config(frames=3)))
+    assert table.boxes.shape == (len(table.frame), 4)
+    for row, col, value, message in ((0, 0, np.nan, "finite"),
+                                     (1, 2, 0.0, "positive"),
+                                     (2, 3, -1.0, "positive")):
+        boxes = table.boxes.copy()
+        boxes[row, col] = value
+        with pytest.raises(ValueError, match=message):
+            DetectionTable(table.frame, table.det_index, boxes,
+                           table.gt_identity, table.gt_team, table.gt_role,
+                           table.features)
