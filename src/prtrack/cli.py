@@ -25,14 +25,14 @@ import yaml
 from .config import (ConfigTypeError, RunConfig, config_to_dict, load_config,
                      load_yaml)
 from .core import DataError
-from .motio import (FeatureRecord, FeatureTable, ParseError, _feature_rows,
-                    load_model, parse_mot, save_model, tracklets_to_records,
+from .motio import (FeatureTable, ParseError, _feature_rows, load_model,
+                    parse_mot, save_model, tracklets_to_records,
                     write_features, write_mot)
-from .pipeline import (_tracking_input, embed_detections, evaluate_reid,
-                       run_pipeline, team_accuracy, track_frames,
-                       train_on_scenario)
+from .pipeline import (detections, evaluate_reid, run_pipeline,
+                       team_accuracy, track_frames, train_on_scenario)
 from .postproc import assign_roles, assign_teams, merge_tracklets
-from .simgen import detection_table, generate, to_reid_dataset
+from .simgen import (DetectionTable, embed_detections, generate,
+                     to_reid_dataset, tracker_frames)
 from .track_metrics import evaluate_sequence
 from . import reference
 
@@ -95,9 +95,7 @@ def cmd_generate(args) -> int:
     cfg = _load_run_config(args)
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
-    table, gt_mot = detection_table(
-        generate(cfg.scenario), cfg.detector_noise, cfg.detector_noise_param,
-        features="oracle", seed=cfg.seed)
+    table, gt_mot = detections(cfg, generate(cfg.scenario), "oracle")
     write_mot(gt_mot, run_dir / "gt.txt")
     write_mot(table.mot_rows(), run_dir / "det.txt")
     write_features(table.features, run_dir / "features.txt")
@@ -122,51 +120,47 @@ def cmd_embed(args) -> int:
     cfg = _load_manifest(run_dir)
     model = load_model(run_dir / "model.txt")
     scenario = generate(cfg.scenario)
-    frame_inputs, _ = _tracking_input(cfg, scenario)
-    embed_detections(model, scenario, frame_inputs)
-    # Each detection's features, keyed by its frame and index in the frame.
-    records = [FeatureRecord(d.frame, j, d.features, d.role_logits)
-               for dets in frame_inputs for j, d in enumerate(dets)]
-    write_features(FeatureTable.from_records(records),
-                   run_dir / "features.txt")
-    print(f"embedded {len(records)} detections with model features")
+    table, _ = detections(cfg, scenario, "none")
+    features = embed_detections(model, scenario, table)
+    write_features(features, run_dir / "features.txt")
+    print(f"embedded {len(features.frame)} detections with model features")
     return 0
 
 
-def _load_frame_inputs(run_dir: Path, cfg: RunConfig):
-    """Rebuild tracker inputs from the scenario's detections and
-    ``features.txt``, whose rows pair one to one, in file order, with the
-    detections.  A missing, extra or misplaced row, or a row shaped unlike
-    the first, raises :class:`ParseError` naming the file and line."""
-    frame_inputs, _ = _tracking_input(cfg, generate(cfg.scenario))
+def _load_features(run_dir: Path, table: DetectionTable) -> FeatureTable:
+    """The rows of ``features.txt``, which pair one to one, in file order,
+    with the rows of ``table``.  A missing, extra or misplaced row, or a
+    row shaped unlike the first, raises :class:`ParseError` naming the file
+    and line."""
     path = run_dir / "features.txt"
     rows = _feature_rows(path)
-    dets = [(j, d) for frame in frame_inputs for j, d in enumerate(frame)]
-    for (line, rec), (j, d) in zip(rows, dets):
-        if (rec.frame, rec.det_index) != (d.frame, j):
-            raise ParseError(f"expected features of frame {d.frame} det {j}, "
+    keys = list(zip(table.frame.tolist(), table.det_index.tolist()))
+    for (line, rec), (frame, j) in zip(rows, keys):
+        if (rec.frame, rec.det_index) != (frame, j):
+            raise ParseError(f"expected features of frame {frame} det {j}, "
                              f"got frame {rec.frame} det {rec.det_index}",
                              line, path)
         if rec.features.parts.shape != rows[0][1].features.parts.shape:
             raise ParseError("parts shaped unlike the first row's", line,
                              path)
-        d.features, d.role_logits = rec.features, rec.role_logits
-    if len(rows) > len(dets):
-        line, rec = rows[len(dets)]
+    if len(rows) > len(keys):
+        line, rec = rows[len(keys)]
         raise ParseError(f"extra features row of frame {rec.frame} "
                          f"det {rec.det_index}", line, path)
-    if len(rows) < len(dets):
-        j, d = dets[len(rows)]
-        raise ParseError(f"missing features of frame {d.frame} det {j}",
+    if len(rows) < len(keys):
+        frame, j = keys[len(rows)]
+        raise ParseError(f"missing features of frame {frame} det {j}",
                          rows[-1][0] + 1 if rows else 1, path)
-    return frame_inputs
+    return FeatureTable.from_records([rec for _, rec in rows])
 
 
 def cmd_track(args) -> int:
     run_dir = Path(args.run)
     cfg = _load_manifest(run_dir)
-    frame_inputs = _load_frame_inputs(run_dir, cfg)
-    tracklets = track_frames(frame_inputs, cfg)
+    table, _ = detections(cfg, generate(cfg.scenario), "none")
+    table = dataclasses.replace(table,
+                                features=_load_features(run_dir, table))
+    tracklets = track_frames(tracker_frames(table, cfg.scenario.frames), cfg)
     write_mot(tracklets_to_records(tracklets), run_dir / "track_raw.txt")
     with open(run_dir / "tracklets.pkl", "wb") as fh:
         pickle.dump(tracklets, fh)

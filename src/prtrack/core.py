@@ -158,10 +158,6 @@ class Tracklet:
     def last_frame(self) -> int:
         return self.detections[-1].frame
 
-    def overlaps(self, other: "Tracklet") -> bool:
-        return (self.first_frame <= other.last_frame
-                and other.first_frame <= self.last_frame)
-
 
 def _stack(sets: list[PartFeatureSet]) -> tuple[np.ndarray, np.ndarray]:
     """Features (N, K+1, D) and visibility (N, K+1) of N feature sets."""

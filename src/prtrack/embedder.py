@@ -143,6 +143,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.steps_per_epoch < 1:
+            raise ValueError("steps_per_epoch must be >= 1")
+        if not self.base_lr > 0:
+            raise ValueError("base_lr must be > 0")
         # The batch-hard triplets need two samples of each identity.
         if self.samples_per_identity < 2:
             raise ValueError("samples_per_identity must be >= 2")

@@ -2,6 +2,11 @@
 tracking -> tracklet merging -> team/role assignment -> evaluation.
 
 Each stage is usable on its own; the CLI wires them to files.
+:func:`detections` is the one mapping from a :class:`RunConfig` to the
+run's :class:`~prtrack.simgen.DetectionTable`.  Its features, oracle,
+model or parsed, travel as a :class:`~prtrack.motio.FeatureTable` keyed
+like its rows, and :func:`~prtrack.simgen.tracker_frames` turns the table
+into the tracker's per-frame input.
 """
 
 from __future__ import annotations
@@ -18,15 +23,16 @@ from .motio import tracklets_to_records
 from .postproc import TooFewPlayers, assign_teams, merge_tracklets
 from .reid_metrics import RetrievalItem, RetrievalSet, evaluate_retrieval, \
     role_metrics
-from .simgen import Scenario, generate, to_reid_dataset, to_tracking_input
+from .simgen import (Scenario, detection_table, embed_detections, generate,
+                     to_reid_dataset, tracker_frames)
 from .solvers import DegenerateInput
 from .track_metrics import evaluate_sequence
 from .tracker import FrameInput, OnlineTracker
 
 __all__ = [
     "train_on_scenario",
+    "detections",
     "embed_samples",
-    "embed_detections",
     "track_frames",
     "evaluate_reid",
     "team_accuracy",
@@ -42,13 +48,12 @@ def train_on_scenario(cfg: RunConfig, scenario: Scenario):
     return model, history, (train_set, queries, gallery)
 
 
-def _tracking_input(cfg: RunConfig, scenario: Scenario):
-    """The run's detections per frame, without features, and its
-    ground-truth records, as :func:`~prtrack.simgen.to_tracking_input`
-    returns them."""
-    return to_tracking_input(scenario, detector_noise=cfg.detector_noise,
-                             noise_param=cfg.detector_noise_param,
-                             features="none", seed=cfg.seed)
+def detections(cfg: RunConfig, scenario: Scenario, features: str):
+    """The run's :class:`~prtrack.simgen.DetectionTable` and ground-truth
+    records: :func:`~prtrack.simgen.detection_table` under the run's
+    detector noise and seed.  ``features`` is 'oracle' or 'none'."""
+    return detection_table(scenario, cfg.detector_noise,
+                           cfg.detector_noise_param, features, seed=cfg.seed)
 
 
 def embed_samples(model: EmbedderModel, samples: list[GridSample]
@@ -60,23 +65,6 @@ def embed_samples(model: EmbedderModel, samples: list[GridSample]
     feats, role_logits = forward_batch(model, [s.grid for s in samples])
     return [RetrievalItem(f, s.identity, s.team, s.role, s.view)
             for f, s in zip(feats, samples)], role_logits
-
-
-def embed_detections(model: EmbedderModel, scenario: Scenario,
-                     frame_inputs: list[list[Detection]]) -> None:
-    """Replace detection features and role logits with model outputs,
-    in place."""
-    # Per frame: one pass over the whole run raised peak RSS 106 -> 142 MB.
-    for frame_idx, dets in enumerate(frame_inputs):
-        if not dets:
-            continue
-        obs_by_id = {ob.identity: ob
-                     for ob in scenario.frames[frame_idx] if ob.present}
-        grids = [obs_by_id[d.gt_identity].grid for d in dets]
-        feats, role_logits = forward_batch(model, grids)
-        for d, f, rl in zip(dets, feats, role_logits):
-            d.features = f
-            d.role_logits = rl
 
 
 def track_frames(frame_inputs: list[list[Detection]],
@@ -135,9 +123,10 @@ def run_pipeline(cfg: RunConfig):
     scenario = generate(cfg.scenario)
     model, history, (train_set, queries, gallery) = train_on_scenario(
         cfg, scenario)
-    frame_inputs, gt_mot = _tracking_input(cfg, scenario)
-    embed_detections(model, scenario, frame_inputs)
-    tracklets = track_frames(frame_inputs, cfg)
+    table, gt_mot = detections(cfg, scenario, "none")
+    table = dataclasses.replace(
+        table, features=embed_detections(model, scenario, table))
+    tracklets = track_frames(tracker_frames(table, len(scenario.frames)), cfg)
     merged, id_map = merge_tracklets(tracklets, cfg.merge)
     merged_mot = tracklets_to_records(merged)
     track_report = evaluate_sequence(gt_mot, merged_mot)

@@ -28,7 +28,6 @@ class TooFewPlayers(DataError):
 @dataclass(frozen=True)
 class MergeConfig:
     merge_threshold: float = 0.3
-    allow_temporal_overlap: bool = False
     max_rounds: int = 10
     foreground_only: bool = False  # ablation: ignore per-part features
 
@@ -53,16 +52,16 @@ def tracklet_cost_matrix(tracklets: list[Tracklet],
                          cfg: MergeConfig = MergeConfig()) -> np.ndarray:
     """Pairwise appearance distances between tracklet EMA features.
 
-    The diagonal is +inf; temporally overlapping pairs are +inf unless
-    allowed by config.
+    The diagonal is +inf, and so is every pair whose frame spans
+    ``[first_frame, last_frame]`` overlap: a merge of such a pair could put
+    one id twice in a frame.
     """
     feats = [_merge_features(t, cfg.foreground_only) for t in tracklets]
     costs = part_distance_matrix(feats, feats)
     np.fill_diagonal(costs, np.inf)
-    if not cfg.allow_temporal_overlap:
-        first = np.array([t.first_frame for t in tracklets])
-        last = np.array([t.last_frame for t in tracklets])
-        costs[(first[:, None] <= last) & (first <= last[:, None])] = np.inf
+    first = np.array([t.first_frame for t in tracklets])
+    last = np.array([t.last_frame for t in tracklets])
+    costs[(first[:, None] <= last) & (first <= last[:, None])] = np.inf
     return costs
 
 

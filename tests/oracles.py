@@ -11,8 +11,8 @@ import numpy as np
 from prtrack.core import (BoundingBox, Detection, PartFeatureSet, Role,
                           TrackStatus, Tracklet, box_array, iou_matrix,
                           part_distance_matrix, xyah_to_xywh)
-from prtrack.embedder import FeatureGrid
-from prtrack.motio import MotRecord
+from prtrack.embedder import FeatureGrid, forward_batch
+from prtrack.motio import FeatureRecord, MotRecord
 from prtrack.simgen import (Agent, Observation, Scenario, _sample_events,
                             oracle_feature_projection)
 from prtrack.solvers import hungarian
@@ -593,6 +593,25 @@ def brute_tracking_input(scenario, detector_noise="none", noise_param=0.0,
                                   gt_team=agent.team, gt_role=agent.role))
         frame_inputs.append(dets)
     return frame_inputs, gt_records
+
+
+def brute_embed_detections(model, scenario, frame_inputs):
+    """Per-frame reference of ``simgen.embed_detections``: each frame's
+    detections look up their grids by identity among the frame's present
+    observations, and one ``embedder.forward_batch`` call, shared with the
+    package, embeds them.  Returns one ``FeatureRecord`` per detection, in
+    frame order, keyed by its frame and its index in the frame."""
+    records = []
+    for frame_idx, dets in enumerate(frame_inputs):
+        if not dets:
+            continue
+        obs_by_id = {ob.identity: ob
+                     for ob in scenario.frames[frame_idx] if ob.present}
+        grids = [obs_by_id[d.gt_identity].grid for d in dets]
+        feats, role_logits = forward_batch(model, grids)
+        records.extend(FeatureRecord(d.frame, j, f, rl) for j, (d, f, rl)
+                       in enumerate(zip(dets, feats, role_logits)))
+    return records
 
 
 def _brute_oracle_features(agent, part_vis, proj, offsets, sigma, rng):

@@ -71,6 +71,27 @@ def test_train_embed_track_merge_cluster_eval(run_dir, capsys):
     assert 0.0 <= track_report["hota"] <= 1.0
 
 
+def test_staged_chain_writes_pipeline_bytes(tmp_path):
+    """The stage commands write the files that pipeline writes, on occluded
+    input with 8 px box jitter, where track reads the features at 9
+    significant digits and pipeline keeps them at full precision."""
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "scenario": {"frames": 200, "n_players_per_team": 6,
+                     "occlusion_rate": 0.3},
+        "detector_noise": "jitter", "detector_noise_param": 8.0}))
+    staged, full = tmp_path / "staged", tmp_path / "full"
+    assert main(["generate", "--config", str(cfg), "--seed", "1",
+                 "--out", str(staged)]) == 0
+    for command in ("train", "embed", "track", "merge"):
+        assert main([command, "--run", str(staged)]) == 0
+    assert main(["pipeline", "--config", str(cfg), "--seed", "1",
+                 "--out", str(full)]) == 0
+    for name in ("gt.txt", "model.txt", "track_raw.txt", "track_merged.txt"):
+        assert (staged / name).read_bytes() == (full / name).read_bytes(), \
+            name
+
+
 def test_usage_error_exit_code():
     assert main(["track"]) == 1
     assert main(["no-such-command"]) == 1

@@ -92,6 +92,15 @@ def test_range_errors():
             ({"train": {"epochs": 0}}, "train.epochs"),
             ({"train": {"samples_per_identity": 1}},
              "train.samples_per_identity"),
+            ({"scenario": {"n_goalkeepers": -1}},
+             "^scenario.n_goalkeepers must be >= 0"),
+            ({"scenario": {"n_referees": -1}},
+             "^scenario.n_referees must be >= 0"),
+            ({"scenario": {"n_staff": -1}}, "^scenario.n_staff must be >= 0"),
+            ({"train": {"steps_per_epoch": 0}},
+             "^train.steps_per_epoch must be >= 1"),
+            ({"train": {"base_lr": -1.0}}, "^train.base_lr must be > 0"),
+            ({"train": {"base_lr": 0.0}}, "^train.base_lr must be > 0"),
             ({"seed": -1}, "^seed must be >= 0"),
             ({"scenario": {"seed": -1}}, "^scenario.seed must be >= 0"),
             ({"train": {"seed": -1}}, "^train.seed must be >= 0")):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prtrack.core import (BoundingBox, Detection, PartFeatureSet, Role,
-                          Tracklet)
+                          Tracklet, part_distance_matrix)
 from prtrack.postproc import (MergeConfig, TooFewPlayers, assign_roles,
                               assign_teams, merge_tracklets,
                               tracklet_cost_matrix)
@@ -33,20 +33,18 @@ def test_cost_matrix_diagonal_and_overlap():
     assert np.isinf(costs[0, 0]) and np.isinf(costs[1, 1])
     assert np.isinf(costs[0, 1]) and np.isinf(costs[1, 0])
     assert costs[0, 2] == pytest.approx(0.0)
-    allow = tracklet_cost_matrix([a, b, c],
-                                 MergeConfig(allow_temporal_overlap=True))
-    assert allow[0, 1] == pytest.approx(0.0)
     rng = np.random.default_rng(3)
     for _ in range(20):
         spans = [sorted(rng.integers(1, 40, 2)) for _ in range(12)]
         ts = [tracklet(i, range(lo, hi + 1), rng.normal(size=2))
               for i, (lo, hi) in enumerate(spans)]
         costs = tracklet_cost_matrix(ts)
-        allow = tracklet_cost_matrix(ts,
-                                     MergeConfig(allow_temporal_overlap=True))
-        overlap = np.array([[t.overlaps(u) for u in ts] for t in ts])
+        overlap = np.array([[lo <= hi2 and lo2 <= hi for lo2, hi2 in spans]
+                            for lo, hi in spans])
         np.testing.assert_array_equal(np.isinf(costs), overlap)
-        np.testing.assert_array_equal(costs[~overlap], allow[~overlap])
+        feats = [t.ema_features for t in ts]
+        np.testing.assert_array_equal(
+            costs[~overlap], part_distance_matrix(feats, feats)[~overlap])
 
 
 def test_merge_joins_matching_fragments():

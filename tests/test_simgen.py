@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from prtrack.core import Role
+from prtrack.embedder import EmbedderModel
 from prtrack.simgen import (ConfigInvalid, DetectionTable, ScenarioConfig,
-                            detection_table, generate,
+                            detection_table, embed_detections, generate,
                             oracle_feature_projection, to_reid_dataset,
-                            to_tracking_input)
+                            to_tracking_input, tracker_frames)
 
-from oracles import brute_generate, brute_tracking_input
+from oracles import (brute_embed_detections, brute_generate,
+                     brute_tracking_input)
 
 
 def small_config(**kw):
@@ -245,3 +249,52 @@ def test_detection_table_checks_boxes():
             DetectionTable(table.frame, table.det_index, boxes,
                            table.gt_identity, table.gt_team, table.gt_role,
                            table.features)
+
+
+# A full roster with occlusion and exits, so frames hold many detections;
+# two agents under heavy occlusion and exits, so a frame in the middle and
+# the last frames hold none.
+_EMBED_SCENARIOS = (
+    dict(frames=30, occlusion_rate=0.4, exit_rate=0.3, seed=1),
+    dict(frames=60, n_players_per_team=1, n_goalkeepers=0, n_referees=0,
+         n_staff=0, occlusion_rate=0.8, exit_rate=0.5, seed=16),
+)
+
+
+@pytest.mark.parametrize("noise,param", [("jitter", 8.0), ("dropout", 0.2)])
+def test_embed_detections_equals_per_frame_oracle(noise, param):
+    mid_empty = trailing_empty = 0
+    for kw in _EMBED_SCENARIOS:
+        cfg = small_config(**kw)
+        s = generate(cfg)
+        model = EmbedderModel.init(channels=cfg.channels,
+                                   num_parts=cfg.num_parts, seed=5)
+        table, _ = detection_table(s, noise, param, "none", seed=7)
+        got = embed_detections(model, s, table)
+        frame_inputs, _ = brute_tracking_input(s, noise, param, "none",
+                                               0.05, 7)
+        want = brute_embed_detections(model, s, frame_inputs)
+        assert got.frame.tolist() == [r.frame for r in want]
+        assert got.det_index.tolist() == [r.det_index for r in want]
+        for name, column in (
+                ("parts", [r.features.parts for r in want]),
+                ("foreground", [r.features.foreground for r in want]),
+                ("visibility", [r.features.visibility for r in want]),
+                ("role_logits", [r.role_logits for r in want])):
+            assert _bits(getattr(got, name)) == _bits(np.stack(column)), name
+
+        frames = tracker_frames(dataclasses.replace(table, features=got),
+                                cfg.frames)
+        assert len(frames) == cfg.frames
+        sizes = [len(dets) for dets in frames]
+        assert sizes == [len(dets) for dets in frame_inputs]
+        mid_empty += 0 in sizes[:max(np.flatnonzero(sizes)) + 1]
+        trailing_empty += sizes[-1] == 0
+        rows = [d for dets in frames for d in dets]
+        for d, rec in zip(rows, want, strict=True):
+            assert d.frame == rec.frame
+            for name in ("parts", "foreground", "visibility"):
+                assert _bits(getattr(d.features, name)) == \
+                    _bits(getattr(rec.features, name))
+            assert _bits(d.role_logits) == _bits(rec.role_logits)
+    assert mid_empty and trailing_empty
