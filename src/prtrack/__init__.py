@@ -22,8 +22,8 @@ from .reid_metrics import (EmptyGallery, RetrievalItem, RetrievalSet,
 from .track_metrics import (EmptyGroundTruth, EvalReport, SequenceResult,
                             evaluate_sequence, frame_match, hota, idf1,
                             mota_ids)
-from .simgen import (ConfigInvalid, Scenario, ScenarioConfig, generate,
-                     to_reid_dataset, to_tracking_input)
+from .simgen import (Scenario, ScenarioConfig, generate, to_reid_dataset,
+                     to_tracking_input)
 from .config import RunConfig, load_config
 from .pipeline import run_pipeline
 

@@ -19,7 +19,7 @@ from .core import DataError
 from .embedder import TrainConfig
 from .motio import ParseError, read_text
 from .postproc import MergeConfig
-from .simgen import DETECTOR_NOISES, ConfigInvalid, ScenarioConfig
+from .simgen import DETECTOR_NOISES, ScenarioConfig
 from .tracker import TrackerConfig
 
 __all__ = ["UnknownKeyError", "RangeError", "ConfigTypeError", "RunConfig",
@@ -118,7 +118,7 @@ def _build(cls, prefix: str, data):
         kwargs[key] = value
     try:
         return cls(**kwargs)
-    except (ValueError, ConfigInvalid) as exc:
+    except ValueError as exc:
         raise RangeError(f"{prefix}{exc}") from exc
 
 

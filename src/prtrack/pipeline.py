@@ -126,7 +126,7 @@ def run_pipeline(cfg: RunConfig):
     table, gt_mot = detections(cfg, scenario, "none")
     table = dataclasses.replace(
         table, features=embed_detections(model, scenario, table))
-    tracklets = track_frames(tracker_frames(table, len(scenario.frames)), cfg)
+    tracklets = track_frames(tracker_frames(table, cfg.scenario.frames), cfg)
     merged, id_map = merge_tracklets(tracklets, cfg.merge)
     merged_mot = tracklets_to_records(merged)
     track_report = evaluate_sequence(gt_mot, merged_mot)

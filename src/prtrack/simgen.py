@@ -6,6 +6,12 @@ and per-frame feature-grid observations whose cell contents encode a latent
 appearance (role/team centroid + identity offset + noise) plus a per-part
 signature, so the embedding model has learnable signal for all three tasks.
 
+A :class:`Scenario` holds its observations as columns, one row per present
+(frame, agent), in frame order and, within a frame, in roster order:
+``frame`` and ``identity`` ``(N,)``, ``boxes`` ``(N, 4)``,
+``part_visible`` ``(N, K)``, ``cells`` ``(N, H, W, C)`` and
+``part_labels`` ``(N, H, W)``.  An absent agent has no row.
+
 A run's detections are built once, as columns: :func:`detection_table`
 fills a :class:`DetectionTable` of frames, boxes after detector noise,
 ground-truth labels and, optionally, ground-truth-derived oracle features.
@@ -19,6 +25,7 @@ per-frame ``Detection`` objects for the tracker.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +36,8 @@ from .motio import FeatureTable, MotRecord
 
 __all__ = [
     "DETECTOR_NOISES",
-    "ConfigInvalid",
     "ScenarioConfig",
     "Agent",
-    "Observation",
     "Scenario",
     "generate",
     "to_reid_dataset",
@@ -47,10 +52,6 @@ __all__ = [
 
 # The detector noise models :func:`detection_table` applies.
 DETECTOR_NOISES = ("none", "jitter", "dropout")
-
-
-class ConfigInvalid(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -77,32 +78,32 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if self.n_players_per_team < 1 or self.frames < 1:
-            raise ConfigInvalid("n_players_per_team and frames must be >= 1")
+            raise ValueError("n_players_per_team and frames must be >= 1")
         for name, lo in (("grid_h", 1), ("grid_w", 1), ("num_parts", 1),
                          ("pitch_width", 0), ("pitch_height", 0),
                          ("n_goalkeepers", 0), ("n_referees", 0),
                          ("n_staff", 0)):
             if getattr(self, name) < lo:
-                raise ConfigInvalid(f"{name} must be >= {lo}")
+                raise ValueError(f"{name} must be >= {lo}")
+        # Each part's band of the silhouette needs a grid row of its own.
+        if self.grid_h < self.num_parts:
+            raise ValueError("grid_h must be >= num_parts")
         if self.seed < 0:
-            raise ConfigInvalid("seed must be >= 0")
+            raise ValueError("seed must be >= 0")
         if not (0.0 <= self.occlusion_rate <= 1.0):
-            raise ConfigInvalid("occlusion_rate must be in [0, 1]")
+            raise ValueError("occlusion_rate must be in [0, 1]")
         if not (0.0 <= self.exit_rate <= 1.0):
-            raise ConfigInvalid("exit_rate must be in [0, 1]")
+            raise ValueError("exit_rate must be in [0, 1]")
         if self.feature_noise_sigma < 0:
-            raise ConfigInvalid("feature_noise_sigma must be >= 0")
+            raise ValueError("feature_noise_sigma must be >= 0")
         if min(self.team_separation, self.role_separation,
                self.identity_separation) < 0:
-            raise ConfigInvalid("team_separation, role_separation and "
-                                "identity_separation must be >= 0")
+            raise ValueError("team_separation, role_separation and "
+                             "identity_separation must be >= 0")
         needed = 6 + self.num_parts + 1
         if self.channels < needed:
-            raise ConfigInvalid(
+            raise ValueError(
                 f"channels must be >= {needed} to host centroids and part "
                 f"signatures")
 
@@ -116,28 +117,49 @@ class Agent:
 
 
 @dataclass
-class Observation:
-    """One agent in one frame."""
-
-    frame: int
-    identity: int
-    present: bool
-    box: BoundingBox | None
-    part_visible: np.ndarray | None  # (K,)
-    grid: FeatureGrid | None
-
-
-@dataclass
 class Scenario:
+    """A generated clip: the roster, and one row per present (frame, agent)
+    in frame order and, within a frame, in roster order.  An absent agent
+    has no row."""
+
     config: ScenarioConfig
     agents: list[Agent]
-    frames: list[list[Observation]]  # frames[t] = observations of all agents
+    frame: np.ndarray         # (N,) frame numbers, from 1
+    identity: np.ndarray      # (N,) agent identities, 1..A in roster order
+    boxes: np.ndarray         # (N, 4) x, y, w, h
+    part_visible: np.ndarray  # (N, K) 1 for a part no occluder hides
+    cells: np.ndarray         # (N, H, W, C) feature-grid cells
+    part_labels: np.ndarray   # (N, H, W) cell part labels, 0 = background
 
     def agent(self, identity: int) -> Agent:
         """The agent of ``identity``; ids are 1..A in roster order."""
         if not 1 <= identity <= len(self.agents):
             raise KeyError(f"no agent with identity {identity}")
         return self.agents[identity - 1]
+
+
+def _check_boxes(boxes: np.ndarray) -> None:
+    """The checks of :class:`~prtrack.core.BoundingBox`, over an ``(N, 4)``
+    array of x, y, w, h rows at once."""
+    if not np.isfinite(boxes).all():
+        raise ValueError("box fields must be finite")
+    if not (boxes[:, 2:] > 0).all():
+        raise ValueError("box width and height must be positive")
+
+
+def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array in an anonymous memory map of its own,
+    which goes back to the system as soon as the array is freed.
+
+    A scenario's cells are one block of tens of MB.  From the C heap, the
+    freed block of one scenario could stay resident beside the next,
+    larger one: on the ``reid_train`` benchmark, which generates scenarios
+    of three sizes in turn, peak RSS read 140 MB instead of 120 MB in
+    about half the runs.
+    """
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, max(1, 8 * size)), float,
+                         size).reshape(shape)
 
 
 def _part_layout(h: int, w: int, k: int) -> np.ndarray:
@@ -251,25 +273,32 @@ def generate(config: ScenarioConfig) -> Scenario:
         for s, e in _sample_events(rng, config.frames, config.exit_rate,
                                    30, 120):
             absent[i, s:e] = True
-    part_visible = (~hidden[:, :, 1:]).astype(int)
+    # One row per present (frame, agent), frame-major: nonzero walks the
+    # (F, A) presence mask in row-major order.
+    present = ~absent.T
+    frame_idx, agent_idx = np.nonzero(present)
+    n = len(frame_idx)
+    ends = np.cumsum(present.sum(axis=1)).tolist()
+    boxes = np.empty((n, 4))
+    boxes[:, 2], boxes[:, 3] = box_w[agent_idx], box_h[agent_idx]
+    part_visible = (~hidden[agent_idx, frame_idx, 1:]).astype(int)
+    cells = _mapped_empty((n, config.grid_h, config.grid_w, c))
+    part_labels = np.empty((n, *base_labels.shape), dtype=base_labels.dtype)
 
-    frames_out: list[list[Observation]] = []
-    for t in range(config.frames):
-        rows = np.flatnonzero(~absent[:, t])
-        labels = np.where(hidden[rows, t][:, base_labels], 0, base_labels)
-        cells = signatures[labels]
-        np.add(cells, latents[rows, None, None], out=cells,
+    lo = 0
+    for t, hi in enumerate(ends):
+        rows = agent_idx[lo:hi]
+        labels = part_labels[lo:hi]
+        labels[...] = np.where(hidden[rows, t][:, base_labels], 0,
+                               base_labels)
+        block = cells[lo:hi]
+        # 'clip' writes into ``block`` directly, where 'raise' buffers.
+        np.take(signatures, labels, axis=0, out=block, mode="clip")
+        np.add(block, latents[rows, None, None], out=block,
                where=(labels > 0)[..., None])
-        cells += rng.normal(0.0, config.feature_noise_sigma, cells.shape)
-        corner = pos - half_size
-        obs_t = [Observation(t + 1, a.identity, False, None, None, None)
-                 for a in agents]
-        for j, i in enumerate(rows):
-            obs_t[i] = Observation(
-                t + 1, agents[i].identity, True,
-                BoundingBox(*corner[i], box_w[i], box_h[i]),
-                part_visible[i, t], FeatureGrid(cells[j], labels[j]))
-        frames_out.append(obs_t)
+        block += rng.normal(0.0, config.feature_noise_sigma, block.shape)
+        boxes[lo:hi, :2] = pos[rows] - half_size[rows]
+        lo = hi
 
         accel = rng.normal(0.0, 0.4, size=(n_agents, 2))
         vel = np.clip(vel + accel, -v_max, v_max)
@@ -280,7 +309,9 @@ def generate(config: ScenarioConfig) -> Scenario:
             vel[low | high, axis] *= -1
             pos[:, axis] = np.clip(pos[:, axis], 0.05 * limit, 0.95 * limit)
 
-    return Scenario(config, agents, frames_out)
+    _check_boxes(boxes)
+    return Scenario(config, agents, frame_idx + 1, agent_idx + 1, boxes,
+                    part_visible, cells, part_labels)
 
 
 # Frames per view: samples of one identity in one chunk share a view id.
@@ -297,17 +328,18 @@ def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25):
     """
     if sampling_stride < 1:
         raise ValueError("stride must be >= 1")
-    per_identity: dict[int, list[GridSample]] = {}
-    for frame_obs in scenario.frames:
-        for ob in frame_obs:
-            if not ob.present:
-                continue
-            agent = scenario.agent(ob.identity)
-            per_identity.setdefault(ob.identity, []).append(
-                GridSample(ob.grid, ob.identity, agent.team, agent.role,
-                           view=(ob.frame - 1) // _VIEW_CHUNK))
-    for ident, samples in per_identity.items():
-        per_identity[ident] = samples[::sampling_stride]
+
+    def samples(agent: Agent) -> list[GridSample]:
+        rows = np.flatnonzero(
+            scenario.identity == agent.identity)[::sampling_stride]
+        return [GridSample(FeatureGrid(scenario.cells[r],
+                                       scenario.part_labels[r]),
+                           agent.identity, agent.team, agent.role,
+                           view=(frame - 1) // _VIEW_CHUNK)
+                for r, frame in zip(rows.tolist(),
+                                    scenario.frame[rows].tolist())]
+
+    per_identity = {a.identity: samples(a) for a in scenario.agents}
 
     left = [a.identity for a in scenario.agents
             if a.role == Role.PLAYER and a.team == 0]
@@ -322,10 +354,10 @@ def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25):
         train_ids.extend(group[:n_train])
         test_ids.extend(group[n_train:])
 
-    train = [s for i in train_ids for s in per_identity.get(i, [])]
+    train = [s for i in train_ids for s in per_identity[i]]
     queries, gallery = [], []
     for ident in test_ids:
-        samples = per_identity.get(ident, [])
+        samples = per_identity[ident]
         if len(samples) < 2:
             gallery.extend(samples)
             continue
@@ -364,10 +396,7 @@ class DetectionTable:
     features: FeatureTable | None  # features keyed like the rows
 
     def __post_init__(self):
-        if not np.isfinite(self.boxes).all():
-            raise ValueError("box fields must be finite")
-        if not (self.boxes[:, 2:] > 0).all():
-            raise ValueError("box width and height must be positive")
+        _check_boxes(self.boxes)
 
     def mot_rows(self) -> list[tuple]:
         """The detections as MOT rows in :class:`~prtrack.motio.MotRecord`
@@ -395,16 +424,13 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
     """
     if detector_noise not in DETECTOR_NOISES:
         raise ValueError(f"unknown detector noise {detector_noise!r}")
-    present = [ob for frame_obs in scenario.frames
-               for ob in frame_obs if ob.present]
-    gt_records = [MotRecord(ob.frame, ob.identity,
-                            ob.box.x, ob.box.y, ob.box.w, ob.box.h)
-                  for ob in present]
+    gt_records = list(map(MotRecord, scenario.frame.tolist(),
+                          scenario.identity.tolist(),
+                          *scenario.boxes.T.tolist()))
     oracle = features == "oracle"
     if oracle:
         k = scenario.config.num_parts
-        part_vis = np.array([ob.part_visible for ob in present],
-                            dtype=int).reshape(-1, k)
+        part_vis = scenario.part_visible
         n_visible = part_vis.sum(axis=1).tolist()
         proj, offsets = oracle_feature_projection(scenario.config)
         dim = proj.shape[0]
@@ -414,7 +440,7 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
     dropout = detector_noise == "dropout"
     jitter = detector_noise == "jitter"
     kept, shifts, drawn = [], [], 0
-    for i in range(len(present)):
+    for i in range(len(scenario.frame)):
         if dropout and rng.random() < noise_param:
             continue
         kept.append(i)
@@ -425,15 +451,15 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
             noise[drawn:drawn + n] = rng.normal(0.0, feature_sigma, (n, dim))
             drawn += n
 
-    frame = np.array([present[i].frame for i in kept], dtype=int)
+    kept = np.array(kept, dtype=int)
+    frame = scenario.frame[kept]
     # Rows are in frame order, so each row's index within its frame is its
     # distance from the frame's first row.
     det_index = np.arange(len(kept)) - np.searchsorted(frame, frame)
-    boxes = np.array([gt_records[i][2:6] for i in kept],
-                     dtype=float).reshape(-1, 4)
-    if jitter and kept:
+    boxes = scenario.boxes[kept]
+    if jitter and len(kept):
         boxes[:, :2] += shifts
-    agent = np.array([present[i].identity for i in kept], dtype=int) - 1
+    agent = scenario.identity[kept] - 1
     teams = np.array([-1 if a.team is None else a.team
                       for a in scenario.agents], dtype=int)
     roles = np.array([int(a.role) for a in scenario.agents], dtype=int)
@@ -466,20 +492,20 @@ def embed_detections(model: EmbedderModel, scenario: Scenario,
                      table: DetectionTable) -> FeatureTable:
     """The model features of the table's detections, keyed like its rows.
 
-    Each row's grid is the scenario's observation of its identity in its
-    frame.  One forward pass per frame fills the columns: one pass over the
-    whole run raised peak RSS from 106 to 142 MB.
+    Each row's grid is the scenario's row of its frame and identity, found
+    by one search on the scenario's frame-major (frame, identity) keys.  One
+    forward pass per frame fills the columns: one pass over the whole run
+    raised peak RSS from 106 to 142 MB.
     """
     n, k, d = len(table.frame), model.num_parts, model.dim
     parts, foreground = np.empty((n, k, d)), np.empty((n, d))
     visibility, role_logits = np.empty((n, k + 1), dtype=int), np.empty((n, 4))
-    frames, starts = np.unique(table.frame, return_index=True)
-    for frame, lo, hi in zip(frames.tolist(), starts.tolist(),
-                             [*starts[1:].tolist(), n]):
-        observations = scenario.frames[frame - 1]
-        fw = _forward_arrays(model, np.stack([
-            observations[i - 1].grid.cells
-            for i in table.gt_identity[lo:hi].tolist()]))
+    a = len(scenario.agents)
+    rows = np.searchsorted((scenario.frame - 1) * a + scenario.identity,
+                           (table.frame - 1) * a + table.gt_identity)
+    _, starts = np.unique(table.frame, return_index=True)
+    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), n]):
+        fw = _forward_arrays(model, scenario.cells[rows[lo:hi]])
         parts[lo:hi], foreground[lo:hi] = fw["f_parts"], fw["f_fg"]
         visibility[lo:hi], role_logits[lo:hi] = fw["vis"], fw["role_logits"]
     return FeatureTable(table.frame, table.det_index, parts, foreground,
@@ -495,7 +521,6 @@ def tracker_frames(table: DetectionTable,
     with no team for -1."""
     f = table.features
     frame_inputs: list[list[Detection]] = [[] for _ in range(frames)]
-    # Box fields stay numpy scalars, the type of the scenario's own boxes.
     for i, (frame, ident, team, role, *box) in enumerate(zip(
             table.frame.tolist(), table.gt_identity.tolist(),
             table.gt_team.tolist(), table.gt_role.tolist(),
@@ -525,4 +550,4 @@ def to_tracking_input(scenario: Scenario, detector_noise: str = "none",
     """
     table, gt_records = detection_table(scenario, detector_noise, noise_param,
                                         features, feature_sigma, seed)
-    return tracker_frames(table, len(scenario.frames)), gt_records
+    return tracker_frames(table, scenario.config.frames), gt_records

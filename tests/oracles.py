@@ -5,16 +5,17 @@ internals beyond basic types, unless a function's docstring says so."""
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from prtrack.core import (BoundingBox, Detection, PartFeatureSet, Role,
                           TrackStatus, Tracklet, box_array, iou_matrix,
                           part_distance_matrix, xyah_to_xywh)
-from prtrack.embedder import FeatureGrid, forward_batch
+from prtrack.embedder import FeatureGrid, GridSample, forward_batch
 from prtrack.motio import FeatureRecord, MotRecord
-from prtrack.simgen import (Agent, Observation, Scenario, _sample_events,
-                            oracle_feature_projection)
+from prtrack.simgen import (_VIEW_CHUNK, Agent, ScenarioConfig,
+                            _sample_events, oracle_feature_projection)
 from prtrack.solvers import hungarian
 
 
@@ -416,13 +417,38 @@ def _state(t):
             t.ema_features.visibility, t.role_logit_sum, list(t.detections))
 
 
+@dataclass
+class Observation:
+    """One agent in one frame; an absent agent's fields are None."""
+
+    frame: int
+    identity: int
+    present: bool
+    box: BoundingBox | None
+    part_visible: np.ndarray | None  # (K,)
+    grid: FeatureGrid | None
+
+
+@dataclass
+class Scenario:
+    """The roster and one list of :class:`Observation`s per frame, one for
+    each agent, present or not."""
+
+    config: ScenarioConfig
+    agents: list[Agent]
+    frames: list[list[Observation]]  # frames[t] = observations of all agents
+
+    def agent(self, identity):
+        return self.agents[identity - 1]
+
+
 def brute_generate(config):
     """Per-(frame, agent) reference of ``simgen.generate``: each frame
     rescans every agent's tagged occlusion phases and exit windows and
-    draws each present agent's cell noise in its own call.  It shares the
-    scenario types and ``_sample_events`` with the package; every generator
+    draws each present agent's cell noise in its own call.  It returns the
+    test-local :class:`Scenario` of per-(frame, agent) records.  It shares
+    ``Agent`` and ``_sample_events`` with the package; every generator
     draw is made here, in the order the package must keep."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     c, k = config.channels, config.num_parts
 
@@ -558,14 +584,61 @@ def _brute_part_layout(h, w, k):
     return labels
 
 
+def brute_reid_dataset(scenario, sampling_stride=25):
+    """Per-observation reference of ``simgen.to_reid_dataset`` over the
+    records of :func:`brute_generate`: each present observation becomes a
+    sample of its identity, every ``sampling_stride``-th sample per
+    identity is kept, and the split takes the first half of each roster
+    group (at least 4 players per team and 3 others) for training.  A
+    held-out identity gives its first quarter of samples to the queries and
+    the rest to the gallery, or all to the gallery below 2 samples.  It
+    shares the view chunk length with the package."""
+    per_identity = {}
+    for frame_obs in scenario.frames:
+        for ob in frame_obs:
+            if not ob.present:
+                continue
+            agent = scenario.agent(ob.identity)
+            per_identity.setdefault(ob.identity, []).append(
+                GridSample(ob.grid, ob.identity, agent.team, agent.role,
+                           view=(ob.frame - 1) // _VIEW_CHUNK))
+    for ident, samples in per_identity.items():
+        per_identity[ident] = samples[::sampling_stride]
+
+    left = [a.identity for a in scenario.agents
+            if a.role == Role.PLAYER and a.team == 0]
+    right = [a.identity for a in scenario.agents
+             if a.role == Role.PLAYER and a.team == 1]
+    other = [a.identity for a in scenario.agents if a.role != Role.PLAYER]
+
+    train_ids, test_ids = [], []
+    for group, minimum in ((left, 4), (right, 4), (other, 3)):
+        n_train = max(minimum, int(math.ceil(len(group) / 2)))
+        n_train = min(n_train, len(group))
+        train_ids.extend(group[:n_train])
+        test_ids.extend(group[n_train:])
+
+    train = [s for i in train_ids for s in per_identity.get(i, [])]
+    queries, gallery = [], []
+    for ident in test_ids:
+        samples = per_identity.get(ident, [])
+        if len(samples) < 2:
+            gallery.extend(samples)
+            continue
+        n_query = max(1, len(samples) // 4)
+        queries.extend(samples[:n_query])
+        gallery.extend(samples[n_query:])
+    return train, queries, gallery
+
+
 def brute_tracking_input(scenario, detector_noise="none", noise_param=0.0,
                          features="oracle", feature_sigma=0.05, seed=0):
-    """Per-detection reference of ``simgen.to_tracking_input``: each present
-    agent's detection is drawn, jittered and given its oracle features on
-    its own, one ``PartFeatureSet`` at a time.  It shares the scenario
-    types, ``oracle_feature_projection`` and ``MotRecord`` with the
-    package; every generator draw is made here, in the order the package
-    must keep."""
+    """Per-detection reference of ``simgen.to_tracking_input`` over the
+    records of :func:`brute_generate`: each present agent's detection is
+    drawn, jittered and given its oracle features on its own, one
+    ``PartFeatureSet`` at a time.  It shares ``oracle_feature_projection``
+    and ``MotRecord`` with the package; every generator draw is made here,
+    in the order the package must keep."""
     rng = np.random.default_rng(seed)
     proj, offsets = oracle_feature_projection(scenario.config)
     frame_inputs, gt_records = [], []
@@ -596,11 +669,12 @@ def brute_tracking_input(scenario, detector_noise="none", noise_param=0.0,
 
 
 def brute_embed_detections(model, scenario, frame_inputs):
-    """Per-frame reference of ``simgen.embed_detections``: each frame's
-    detections look up their grids by identity among the frame's present
-    observations, and one ``embedder.forward_batch`` call, shared with the
-    package, embeds them.  Returns one ``FeatureRecord`` per detection, in
-    frame order, keyed by its frame and its index in the frame."""
+    """Per-frame reference of ``simgen.embed_detections`` over the records
+    of :func:`brute_generate`: each frame's detections look up their grids
+    by identity among the frame's present observations, and one
+    ``embedder.forward_batch`` call, shared with the package, embeds them.
+    Returns one ``FeatureRecord`` per detection, in frame order, keyed by
+    its frame and its index in the frame."""
     records = []
     for frame_idx, dets in enumerate(frame_inputs):
         if not dets:

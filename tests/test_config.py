@@ -4,7 +4,7 @@ import yaml
 from prtrack.config import (ConfigTypeError, RangeError, RunConfig,
                             UnknownKeyError, config_from_dict, config_to_dict,
                             load_config)
-from prtrack.simgen import ConfigInvalid, ScenarioConfig
+from prtrack.simgen import ScenarioConfig
 
 
 def test_defaults_roundtrip():
@@ -103,6 +103,8 @@ def test_range_errors():
             ({"train": {"base_lr": 0.0}}, "^train.base_lr must be > 0"),
             ({"seed": -1}, "^seed must be >= 0"),
             ({"scenario": {"seed": -1}}, "^scenario.seed must be >= 0"),
+            ({"scenario": {"grid_h": 2}},
+             "^scenario.grid_h must be >= num_parts"),
             ({"train": {"seed": -1}}, "^train.seed must be >= 0")):
         with pytest.raises(RangeError, match=key):
             config_from_dict(doc)
@@ -112,7 +114,7 @@ def test_range_errors():
 
 def test_configs_check_themselves():
     """Built from Python, a config raises at construction, as from YAML."""
-    with pytest.raises(ConfigInvalid, match="frames"):
+    with pytest.raises(ValueError, match="frames must be >= 1"):
         ScenarioConfig(frames=0)
     for kwargs, key in (({"detector_noise": "jiter"}, "detector_noise"),
                         ({"detector_noise_param": -1.0},

@@ -5,13 +5,13 @@ import pytest
 
 from prtrack.core import Role
 from prtrack.embedder import EmbedderModel
-from prtrack.simgen import (ConfigInvalid, DetectionTable, ScenarioConfig,
-                            detection_table, embed_detections, generate,
+from prtrack.simgen import (DetectionTable, ScenarioConfig, detection_table,
+                            embed_detections, generate,
                             oracle_feature_projection, to_reid_dataset,
                             to_tracking_input, tracker_frames)
 
 from oracles import (brute_embed_detections, brute_generate,
-                     brute_tracking_input)
+                     brute_reid_dataset, brute_tracking_input)
 
 
 def small_config(**kw):
@@ -21,15 +21,17 @@ def small_config(**kw):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigInvalid):
-        ScenarioConfig(n_players_per_team=0).validate()
-    with pytest.raises(ConfigInvalid):
-        ScenarioConfig(occlusion_rate=1.5).validate()
-    with pytest.raises(ConfigInvalid):
-        ScenarioConfig(feature_noise_sigma=-1).validate()
-    with pytest.raises(ConfigInvalid):
-        ScenarioConfig(channels=5).validate()
-    ScenarioConfig().validate()
+    with pytest.raises(ValueError, match="n_players_per_team"):
+        ScenarioConfig(n_players_per_team=0)
+    with pytest.raises(ValueError, match="occlusion_rate"):
+        ScenarioConfig(occlusion_rate=1.5)
+    with pytest.raises(ValueError, match="feature_noise_sigma"):
+        ScenarioConfig(feature_noise_sigma=-1)
+    with pytest.raises(ValueError, match="channels"):
+        ScenarioConfig(channels=5)
+    with pytest.raises(ValueError, match="grid_h must be >= num_parts"):
+        ScenarioConfig(grid_h=4, num_parts=5)
+    ScenarioConfig()
 
 
 def test_roster_and_determinism():
@@ -40,45 +42,37 @@ def test_roster_and_determinism():
     roles = [a.role for a in s1.agents]
     assert roles.count(Role.PLAYER) == 20
     assert roles.count(Role.GOALKEEPER) == 2
-    assert len(s1.frames) == 60
-    for f1, f2 in zip(s1.frames, s2.frames):
-        for o1, o2 in zip(f1, f2):
-            assert o1.present == o2.present
-            if o1.present:
-                np.testing.assert_array_equal(o1.grid.cells, o2.grid.cells)
+    assert np.unique(s1.frame).tolist() == list(range(1, 61))
+    for name in ("frame", "identity", "cells"):
+        np.testing.assert_array_equal(getattr(s1, name), getattr(s2, name))
 
 
 def test_boxes_stay_on_pitch():
     s = generate(small_config(frames=200))
-    for frame in s.frames:
-        for ob in frame:
-            if ob.present:
-                c = ob.box.center
-                assert 0 <= c[0] <= s.config.pitch_width
-                assert 0 <= c[1] <= s.config.pitch_height
+    x, y, w, h = s.boxes.T
+    cx, cy = x + w / 2.0, y + h / 2.0
+    assert ((0 <= cx) & (cx <= s.config.pitch_width)).all()
+    assert ((0 <= cy) & (cy <= s.config.pitch_height)).all()
 
 
 def test_occlusion_produces_absences_and_partial_visibility():
     s = generate(small_config(frames=300, occlusion_rate=0.4, seed=1))
-    absent = partial = 0
-    for frame in s.frames:
-        for ob in frame:
-            if not ob.present:
-                absent += 1
-            elif ob.part_visible.sum() < s.config.num_parts:
-                partial += 1
-                hidden = np.flatnonzero(ob.part_visible == 0) + 1
-                assert not np.isin(ob.grid.part_labels, hidden).any()
+    absent = s.config.frames * len(s.agents) - len(s.frame)
+    partial = 0
+    for part_visible, part_labels in zip(s.part_visible, s.part_labels):
+        if part_visible.sum() < s.config.num_parts:
+            partial += 1
+            hidden = np.flatnonzero(part_visible == 0) + 1
+            assert not np.isin(part_labels, hidden).any()
     assert absent > 0
     assert partial > 0
 
 
 def test_no_occlusion_means_full_visibility():
     s = generate(small_config(frames=40))
-    for frame in s.frames:
-        for ob in frame:
-            assert ob.present
-            assert ob.part_visible.sum() == s.config.num_parts
+    assert list(zip(s.frame.tolist(), s.identity.tolist())) == [
+        (t, a.identity) for t in range(1, 41) for a in s.agents]
+    assert (s.part_visible.sum(axis=1) == s.config.num_parts).all()
 
 
 def test_reid_dataset_split_disjoint():
@@ -96,6 +90,29 @@ def test_reid_dataset_split_disjoint():
     assert left >= 4 and right >= 4 and other >= 3
     with pytest.raises(ValueError):
         to_reid_dataset(s, sampling_stride=0)
+
+
+# 150 frames, so samples fall in two views; exits on most of the clip, so
+# some held-out identity has fewer than 2 samples and goes to the gallery
+# only, at every stride.
+_REID_SCENARIO = dict(frames=150, n_players_per_team=6, occlusion_rate=0.3,
+                      exit_rate=0.8, seed=3)
+
+
+@pytest.mark.parametrize("stride", [1, 5, 25])
+def test_reid_dataset_equals_per_observation_oracle(stride):
+    cfg = small_config(**_REID_SCENARIO)
+    got = to_reid_dataset(generate(cfg), sampling_stride=stride)
+    want = brute_reid_dataset(brute_generate(cfg), sampling_stride=stride)
+    for got_split, want_split in zip(got, want, strict=True):
+        for a, b in zip(got_split, want_split, strict=True):
+            assert (a.identity, a.team, a.role, a.view) == \
+                (b.identity, b.team, b.role, b.view)
+            assert _bits(a.grid.cells) == _bits(b.grid.cells)
+            assert _bits(a.grid.part_labels) == _bits(b.grid.part_labels)
+    _, queries, gallery = got
+    assert {s.identity for s in gallery} - {s.identity for s in queries}
+    assert {s.view for split in got for s in split} == {0, 1}
 
 
 def test_tracking_input_oracle_features():
@@ -167,20 +184,19 @@ def test_generate_equals_per_agent_oracle(kw):
     for a, b in zip(got.agents, want.agents, strict=True):
         assert (a.identity, a.team, a.role) == (b.identity, b.team, b.role)
         assert _bits(a.latent) == _bits(b.latent)
-    empty = 0
-    for frame_got, frame_want in zip(got.frames, want.frames, strict=True):
-        empty += not any(ob.present for ob in frame_got)
-        for a, b in zip(frame_got, frame_want, strict=True):
-            assert (a.frame, a.identity, a.present) == \
-                (b.frame, b.identity, b.present)
-            if not b.present:
-                assert (a.box, a.part_visible, a.grid) == (None, None, None)
-                continue
-            assert _bits([a.box.x, a.box.y, a.box.w, a.box.h]) == \
-                _bits([b.box.x, b.box.y, b.box.w, b.box.h])
-            assert _bits(a.part_visible) == _bits(b.part_visible)
-            assert _bits(a.grid.cells) == _bits(b.grid.cells)
-            assert _bits(a.grid.part_labels) == _bits(b.grid.part_labels)
+    observations = [ob for frame in want.frames for ob in frame]
+    present = [ob for ob in observations if ob.present]
+    keys = list(zip(got.frame.tolist(), got.identity.tolist()))
+    assert keys == [(ob.frame, ob.identity) for ob in present]
+    assert not {(ob.frame, ob.identity) for ob in observations
+                if not ob.present} & set(keys)
+    for r, b in enumerate(present):
+        assert _bits(got.boxes[r]) == \
+            _bits([b.box.x, b.box.y, b.box.w, b.box.h])
+        assert _bits(got.part_visible[r]) == _bits(b.part_visible)
+        assert _bits(got.cells[r]) == _bits(b.grid.cells)
+        assert _bits(got.part_labels[r]) == _bits(b.grid.part_labels)
+    empty = cfg.frames - len(np.unique(got.frame))
     if cfg.exit_rate == 1.0:
         assert empty > 0
 
@@ -209,10 +225,10 @@ _TRACKING_SCENARIOS = (
 def test_tracking_input_equals_per_detection_oracle(noise, param, features):
     hidden = empty = 0
     for kw in _TRACKING_SCENARIOS:
-        s = generate(small_config(**kw))
-        args = (s, noise, param, features, 0.05, 7)
-        got, got_gt = to_tracking_input(*args)
-        want, want_gt = brute_tracking_input(*args)
+        cfg = small_config(**kw)
+        args = (noise, param, features, 0.05, 7)
+        got, got_gt = to_tracking_input(generate(cfg), *args)
+        want, want_gt = brute_tracking_input(brute_generate(cfg), *args)
         assert got_gt == want_gt
         assert _bits([r[2:] for r in got_gt]) == \
             _bits([r[2:] for r in want_gt])
@@ -271,9 +287,10 @@ def test_embed_detections_equals_per_frame_oracle(noise, param):
                                    num_parts=cfg.num_parts, seed=5)
         table, _ = detection_table(s, noise, param, "none", seed=7)
         got = embed_detections(model, s, table)
-        frame_inputs, _ = brute_tracking_input(s, noise, param, "none",
+        records = brute_generate(cfg)
+        frame_inputs, _ = brute_tracking_input(records, noise, param, "none",
                                                0.05, 7)
-        want = brute_embed_detections(model, s, frame_inputs)
+        want = brute_embed_detections(model, records, frame_inputs)
         assert got.frame.tolist() == [r.frame for r in want]
         assert got.det_index.tolist() == [r.det_index for r in want]
         for name, column in (
