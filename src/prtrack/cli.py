@@ -32,7 +32,7 @@ from .pipeline import (detections, evaluate_reid, run_pipeline,
                        team_accuracy, track_frames, train_on_scenario)
 from .postproc import assign_roles, assign_teams, merge_tracklets
 from .simgen import (DetectionTable, embed_detections, generate,
-                     to_reid_dataset, tracker_frames)
+                     to_reid_dataset)
 from .track_metrics import evaluate_sequence
 from . import reference
 
@@ -160,7 +160,7 @@ def cmd_track(args) -> int:
     table, _ = detections(cfg, generate(cfg.scenario), "none")
     table = dataclasses.replace(table,
                                 features=_load_features(run_dir, table))
-    tracklets = track_frames(tracker_frames(table, cfg.scenario.frames), cfg)
+    tracklets = track_frames(table, cfg)
     write_mot(tracklets_to_records(tracklets), run_dir / "track_raw.txt")
     with open(run_dir / "tracklets.pkl", "wb") as fh:
         pickle.dump(tracklets, fh)

@@ -166,7 +166,7 @@ class FeatureTable:
             if (actual := getattr(self, name).shape) != shape:
                 raise ValueError(f"{name} has shape {actual}, "
                                  f"expected {shape}")
-        if not np.isin(self.visibility, (0, 1)).all():
+        if not ((self.visibility == 0) | (self.visibility == 1)).all():
             raise ValueError("visibility entries must be 0 or 1")
         if not (np.isfinite(self.parts).all()
                 and np.isfinite(self.foreground).all()):

@@ -5,8 +5,8 @@ Each stage is usable on its own; the CLI wires them to files.
 :func:`detections` is the one mapping from a :class:`RunConfig` to the
 run's :class:`~prtrack.simgen.DetectionTable`.  Its features, oracle,
 model or parsed, travel as a :class:`~prtrack.motio.FeatureTable` keyed
-like its rows, and :func:`~prtrack.simgen.tracker_frames` turns the table
-into the tracker's per-frame input.
+like its rows.  :func:`track_frames` steps the tracker over its frames'
+rows; ``Detection`` objects appear only in the tracklets of ``finish()``.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ import numpy as np
 
 from . import reference
 from .config import RunConfig
-from .core import Detection, Role, Tracklet
+from .core import Role, Tracklet
 from .embedder import EmbedderModel, GridSample, forward_batch, train
 from .motio import tracklets_to_records
 from .postproc import TooFewPlayers, assign_teams, merge_tracklets
 from .reid_metrics import RetrievalItem, RetrievalSet, evaluate_retrieval, \
     role_metrics
-from .simgen import (Scenario, detection_table, embed_detections, generate,
-                     to_reid_dataset, tracker_frames)
+from .simgen import (DetectionTable, Scenario, detection_table,
+                     embed_detections, generate, to_reid_dataset)
 from .solvers import DegenerateInput
 from .track_metrics import evaluate_sequence
 from .tracker import FrameInput, OnlineTracker
@@ -67,11 +67,11 @@ def embed_samples(model: EmbedderModel, samples: list[GridSample]
             for f, s in zip(feats, samples)], role_logits
 
 
-def track_frames(frame_inputs: list[list[Detection]],
-                 cfg: RunConfig) -> list[Tracklet]:
+def track_frames(table: DetectionTable, cfg: RunConfig) -> list[Tracklet]:
+    """Online tracklets of the table's frames 1 to ``cfg.scenario.frames``."""
     tracker = OnlineTracker(cfg.tracker)
-    for frame_idx, dets in enumerate(frame_inputs):
-        tracker.step(FrameInput(frame=frame_idx + 1, detections=dets))
+    for frame, dets in enumerate(table.by_frame(cfg.scenario.frames), 1):
+        tracker.step(FrameInput(frame=frame, detections=dets))
     return tracker.finish()
 
 
@@ -126,7 +126,7 @@ def run_pipeline(cfg: RunConfig):
     table, gt_mot = detections(cfg, scenario, "none")
     table = dataclasses.replace(
         table, features=embed_detections(model, scenario, table))
-    tracklets = track_frames(tracker_frames(table, cfg.scenario.frames), cfg)
+    tracklets = track_frames(table, cfg)
     merged, id_map = merge_tracklets(tracklets, cfg.merge)
     merged_mot = tracklets_to_records(merged)
     track_report = evaluate_sequence(gt_mot, merged_mot)

@@ -32,7 +32,7 @@ class MergeConfig:
     foreground_only: bool = False  # ablation: ignore per-part features
 
     def __post_init__(self):
-        if self.merge_threshold <= 0:
+        if not self.merge_threshold > 0:
             raise ValueError("merge_threshold must be > 0")
 
 

@@ -17,20 +17,20 @@ fills a :class:`DetectionTable` of frames, boxes after detector noise,
 ground-truth labels and, optionally, ground-truth-derived oracle features.
 Features of every source travel as a :class:`~prtrack.motio.FeatureTable`
 keyed like the table's rows: the oracle block, the model features of
-:func:`embed_detections`, or rows parsed from a features file.  Only
-:func:`tracker_frames`, the API edge, turns a table and its features into
-per-frame ``Detection`` objects for the tracker.
+:func:`embed_detections`, or rows parsed from a features file.  The tracker
+steps over :meth:`DetectionTable.by_frame`'s per-frame tables and builds
+``Detection`` objects only at its API edge, ``OnlineTracker.finish()``.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import BoundingBox, Detection, PartFeatureSet, Role
+from .core import Role
 from .embedder import EmbedderModel, FeatureGrid, GridSample, _forward_arrays
 from .motio import FeatureTable, MotRecord
 
@@ -44,7 +44,6 @@ __all__ = [
     "DetectionTable",
     "detection_table",
     "embed_detections",
-    "tracker_frames",
     "to_tracking_input",
     "oracle_feature_projection",
 ]
@@ -80,27 +79,26 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_players_per_team < 1 or self.frames < 1:
             raise ValueError("n_players_per_team and frames must be >= 1")
+        for name in ("pitch_width", "pitch_height", "feature_noise_sigma",
+                     "role_separation", "team_separation",
+                     "identity_separation", "part_signature_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name, lo in (("grid_h", 1), ("grid_w", 1), ("num_parts", 1),
                          ("pitch_width", 0), ("pitch_height", 0),
                          ("n_goalkeepers", 0), ("n_referees", 0),
-                         ("n_staff", 0)):
+                         ("n_staff", 0), ("seed", 0),
+                         ("feature_noise_sigma", 0), ("role_separation", 0),
+                         ("team_separation", 0), ("identity_separation", 0)):
             if getattr(self, name) < lo:
                 raise ValueError(f"{name} must be >= {lo}")
         # Each part's band of the silhouette needs a grid row of its own.
         if self.grid_h < self.num_parts:
             raise ValueError("grid_h must be >= num_parts")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if not (0.0 <= self.occlusion_rate <= 1.0):
             raise ValueError("occlusion_rate must be in [0, 1]")
         if not (0.0 <= self.exit_rate <= 1.0):
             raise ValueError("exit_rate must be in [0, 1]")
-        if self.feature_noise_sigma < 0:
-            raise ValueError("feature_noise_sigma must be >= 0")
-        if min(self.team_separation, self.role_separation,
-               self.identity_separation) < 0:
-            raise ValueError("team_separation, role_separation and "
-                             "identity_separation must be >= 0")
         needed = 6 + self.num_parts + 1
         if self.channels < needed:
             raise ValueError(
@@ -130,12 +128,6 @@ class Scenario:
     part_visible: np.ndarray  # (N, K) 1 for a part no occluder hides
     cells: np.ndarray         # (N, H, W, C) feature-grid cells
     part_labels: np.ndarray   # (N, H, W) cell part labels, 0 = background
-
-    def agent(self, identity: int) -> Agent:
-        """The agent of ``identity``; ids are 1..A in roster order."""
-        if not 1 <= identity <= len(self.agents):
-            raise KeyError(f"no agent with identity {identity}")
-        return self.agents[identity - 1]
 
 
 def _check_boxes(boxes: np.ndarray) -> None:
@@ -398,6 +390,21 @@ class DetectionTable:
     def __post_init__(self):
         _check_boxes(self.boxes)
 
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def by_frame(self, frames: int) -> list["DetectionTable"]:
+        """One table per frame, frames 1 to ``frames``, empty frames
+        included; each holds views of this table's rows of its frame."""
+        ends = np.searchsorted(self.frame, np.arange(1, frames + 1),
+                               side="right").tolist()
+        f = self.features
+        return [DetectionTable(
+            *(getattr(self, c.name)[lo:hi] for c in fields(self)[:-1]),
+            None if f is None else FeatureTable(
+                *(getattr(f, c.name)[lo:hi] for c in fields(f))))
+            for lo, hi in zip([0, *ends], ends)]
+
     def mot_rows(self) -> list[tuple]:
         """The detections as MOT rows in :class:`~prtrack.motio.MotRecord`
         field order, with the unknown id -1 and confidence 1."""
@@ -512,30 +519,6 @@ def embed_detections(model: EmbedderModel, scenario: Scenario,
                         visibility, role_logits)
 
 
-def tracker_frames(table: DetectionTable,
-                   frames: int) -> list[list[Detection]]:
-    """The tracker's input: the table's detections as one list of
-    ``Detection``s per frame, frames 1 to ``frames``, empty frames
-    included.  Each detection carries its row of ``table.features``, if
-    the table has features, and the ground truth of the table's columns,
-    with no team for -1."""
-    f = table.features
-    frame_inputs: list[list[Detection]] = [[] for _ in range(frames)]
-    for i, (frame, ident, team, role, *box) in enumerate(zip(
-            table.frame.tolist(), table.gt_identity.tolist(),
-            table.gt_team.tolist(), table.gt_role.tolist(),
-            *map(list, table.boxes.T))):
-        frame_inputs[frame - 1].append(Detection(
-            frame=frame, box=BoundingBox(*box), confidence=1.0,
-            features=None if f is None else PartFeatureSet(
-                parts=f.parts[i], foreground=f.foreground[i],
-                visibility=f.visibility[i]),
-            role_logits=None if f is None else f.role_logits[i],
-            gt_identity=ident, gt_team=None if team < 0 else team,
-            gt_role=Role(role)))
-    return frame_inputs
-
-
 def to_tracking_input(scenario: Scenario, detector_noise: str = "none",
                       noise_param: float = 0.0, features: str = "oracle",
                       feature_sigma: float = 0.05, seed: int = 0):
@@ -544,10 +527,10 @@ def to_tracking_input(scenario: Scenario, detector_noise: str = "none",
     The arguments are those of :func:`detection_table`; ``features='none'``
     leaves the detections' features empty.
 
-    Returns (frame inputs, gt records): :func:`tracker_frames` of the
-    detection table, and the :class:`~prtrack.motio.MotRecord` of each
-    present agent per frame.
+    Returns (frame inputs, gt records): the detection table's
+    :meth:`~DetectionTable.by_frame` tables, one per frame of the clip, and
+    the :class:`~prtrack.motio.MotRecord` of each present agent per frame.
     """
     table, gt_records = detection_table(scenario, detector_noise, noise_param,
                                         features, feature_sigma, seed)
-    return tracker_frames(table, scenario.config.frames), gt_records
+    return table.by_frame(scenario.config.frames), gt_records

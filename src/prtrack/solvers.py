@@ -31,7 +31,7 @@ def hungarian(costs: np.ndarray, forbid_threshold: float = np.inf) -> Assignment
 
     +inf entries are always forbidden.  Rectangular matrices yield a maximal
     partial assignment.  Ties between cost-equal optima break toward the
-    lowest (row, col) pairs.
+    lowest (row, col) pairs.  Pairs come in increasing row order.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.size == 0:

@@ -4,15 +4,15 @@ linear assignment, EMA part-feature updates, and track lifecycle.
 The tracker holds its live tracks as row-aligned arrays: Kalman means
 ``(T, 8)`` and covariances ``(T, 8, 8)``, EMA features ``(T, K+1, D)``
 ordered (foreground, part 1..K) with visibility ``(T, K+1)``, role-logit
-sums ``(T, 4)``, and integer ids, hits, misses and status codes; each row
-also keeps the list of its detections.  A step is a fixed number of batched
-calls: one Kalman predict over all rows, one fused cost, one assignment,
-then one Kalman update and one EMA over the matched rows.  Survivors keep
-their relative order and spawns are appended in detection order, which the
-assignment's tie-break toward low (row, col) pairs depends on.
-``Tracklet``, ``KalmanState`` and ``PartFeatureSet`` objects are built only
-at the API edge: by :meth:`OnlineTracker.finish` and the read-only
-:attr:`OnlineTracker.tracks` snapshot.
+sums ``(T, 4)``, integer ids, hits, misses and status codes, and lists of
+member row indices.  A step reads one frame's rows of the detection table
+as arrays and makes a fixed number of batched calls: one Kalman predict
+over all rows, one fused cost, one assignment, then one Kalman update and
+one EMA over the matched rows.  Survivors keep their relative order and
+spawns are appended in detection order, which the assignment's tie-break
+toward low (row, col) pairs depends on.  ``Tracklet``, ``Detection`` and
+``PartFeatureSet`` objects are built only at the API edge: by
+:meth:`OnlineTracker.finish` and the :attr:`OnlineTracker.tracks` snapshot.
 
 Association reads only boxes and appearance features; team and role labels
 never enter the cost computation.
@@ -24,9 +24,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import (BoundingBox, Detection, KalmanState, PartFeatureSet,
-                   TrackStatus, Tracklet, _part_distances, _stack,
-                   box_array, iou_matrix, xywh_to_xyah, xyah_to_xywh)
+from .core import (BoundingBox, Detection, KalmanState, PartFeatureSet, Role,
+                   TrackStatus, Tracklet, _part_distances, iou_matrix,
+                   xywh_to_xyah, xyah_to_xywh)
+from .simgen import DetectionTable
 from .solvers import hungarian
 
 __all__ = [
@@ -76,7 +77,7 @@ class TrackerConfig:
 @dataclass
 class FrameInput:
     frame: int
-    detections: list[Detection]
+    detections: DetectionTable
 
 
 def _motion_mats(dt: float = 1.0):
@@ -204,7 +205,7 @@ class _Rows:
     ema: np.ndarray      # (T, K+1, D), (foreground, part 1..K)
     vis: np.ndarray      # (T, K+1)
     logits: np.ndarray   # (T, 4) role-logit sums
-    dets: list           # T lists of Detection
+    members: list        # T lists of detection row indices
 
     @classmethod
     def empty(cls) -> "_Rows":
@@ -218,7 +219,7 @@ class _Rows:
 
     def take(self, rows: np.ndarray) -> "_Rows":
         return _Rows(*(getattr(self, f.name)[rows] for f in fields(self)[:-1]),
-                     [self.dets[i] for i in rows])
+                     [self.members[i] for i in rows])
 
     def extend(self, other: "_Rows") -> "_Rows":
         if not len(self):
@@ -226,12 +227,13 @@ class _Rows:
         return _Rows(*(np.concatenate([getattr(self, f.name),
                                        getattr(other, f.name)])
                        for f in fields(self)[:-1]),
-                     self.dets + other.dets)
+                     self.members + other.members)
 
-    def tracklets(self, finished: bool) -> list[Tracklet]:
-        """One new ``Tracklet`` per row, owning copies of the row's state."""
+    def tracklets(self, finished: bool, dets: list) -> list[Tracklet]:
+        """One new ``Tracklet`` per row, owning copies of the row's state;
+        ``dets`` holds the ``Detection`` of each detection row."""
         return [Tracklet(
-            id=int(self.ids[i]), detections=list(self.dets[i]),
+            id=int(self.ids[i]), detections=[dets[r] for r in self.members[i]],
             ema_features=PartFeatureSet(parts=self.ema[i, 1:].copy(),
                                         foreground=self.ema[i, 0].copy(),
                                         visibility=self.vis[i].copy()),
@@ -239,20 +241,6 @@ class _Rows:
             status=(TrackStatus.FINISHED if finished
                     else _STATUS[self.status[i]]),
             role_logit_sum=self.logits[i].copy()) for i in range(len(self))]
-
-
-def _detection_arrays(dets: list[Detection]):
-    """Boxes ``(N, 4)``, features ``(N, K+1, D)``, visibility ``(N, K+1)``,
-    role logits ``(N, 4)`` (0 where absent) and the rows that have them."""
-    boxes = box_array([d.box for d in dets])
-    if not dets:
-        return (boxes, np.zeros((0, 0, 0)), np.zeros((0, 0), dtype=int),
-                np.zeros((0, 4)), np.zeros(0, dtype=bool))
-    feats, vis = _stack([d.features for d in dets])
-    has = np.array([d.role_logits is not None for d in dets])
-    logits = np.array([d.role_logits if d.role_logits is not None
-                       else np.zeros(4) for d in dets])
-    return boxes, feats, vis, logits, has
 
 
 class OnlineTracker:
@@ -265,12 +253,29 @@ class OnlineTracker:
         self._retired: list[_Rows] = []
         self._next_id = 1
         self._last_frame = 0
+        # The tables stepped so far; track members index their rows.
+        self._tables: list[DetectionTable] = []
+        self._n_rows = 0
 
     @property
     def tracks(self) -> list[Tracklet]:
         """Snapshot of the live tracks in row order; changing it does not
         change the tracker."""
-        return self._rows.tracklets(finished=False)
+        return self._rows.tracklets(False, self._detections())
+
+    def _detections(self) -> list[Detection]:
+        """The ``Detection`` of each row stepped so far, with the ground
+        truth of its table's columns and no team for -1."""
+        return [Detection(frame, BoundingBox(*box), 1.0,
+                          PartFeatureSet(*feats), logits, ident,
+                          None if team < 0 else team, Role(role))
+                for t in self._tables
+                for frame, box, *feats, logits, ident, team, role in zip(
+                    t.frame.tolist(), zip(*map(list, t.boxes.T)),
+                    t.features.parts, t.features.foreground,
+                    t.features.visibility, t.features.role_logits,
+                    t.gt_identity.tolist(), t.gt_team.tolist(),
+                    t.gt_role.tolist())]
 
     def step(self, frame_input: FrameInput) -> list[tuple[int, int, BoundingBox]]:
         """Advance one frame; returns (frame, track id, box) for confirmed
@@ -281,10 +286,17 @@ class OnlineTracker:
                 f"frame {frame} after {self._last_frame}")
         self._last_frame = frame
         dets = frame_input.detections
-        if any(d.frame != frame for d in dets):
+        f = dets.features
+        if f is None:
+            raise ValueError("the tracker needs detection features")
+        if (dets.frame != frame).any():
             raise ValueError("detections must share the input frame index")
         cfg, rows = self.cfg, self._rows
-        boxes, feats, vis, logits, has_logits = _detection_arrays(dets)
+        boxes, vis, logits = dets.boxes, f.visibility, f.role_logits
+        feats = np.concatenate([f.foreground[:, None], f.parts], axis=1)
+        start = self._n_rows
+        self._tables.append(dets)
+        self._n_rows += len(dets)
 
         rows.mean, rows.cov = kalman_predict(rows.mean, rows.cov)
         cost = build_cost(rows.mean, boxes, rows.ema, rows.vis, feats, vis,
@@ -297,10 +309,9 @@ class OnlineTracker:
             rows.ema[ti], rows.vis[ti] = ema_update(
                 rows.ema[ti], rows.vis[ti], feats[di], vis[di], cfg.alpha,
                 cfg.normalized_ema)
-            own = has_logits[di]
-            rows.logits[ti[own]] += logits[di[own]]
-            for i, j in zip(ti, di):
-                rows.dets[i].append(dets[j])
+            rows.logits[ti] += logits[di]
+            for i, j in zip(ti.tolist(), di.tolist()):
+                rows.members[i].append(start + j)
             rows.hits[ti] += 1
             rows.misses[ti] = 0
             promote = ti[rows.hits[ti] >= cfg.n_init]
@@ -308,9 +319,9 @@ class OnlineTracker:
 
         matched = np.zeros(len(rows), dtype=bool)
         matched[ti] = True
-        outputs = [(frame, int(rows.ids[i]), rows.dets[i][-1].box)
-                   for i in np.flatnonzero(matched
-                                           & (rows.status == _CONFIRMED))]
+        shown = rows.status[ti] == _CONFIRMED   # pairs are in row order
+        outputs = [(frame, i, BoundingBox(*box)) for i, box in zip(
+            rows.ids[ti[shown]].tolist(), boxes[di[shown]].tolist())]
         missed = ~matched
         rows.misses[missed] += 1
         finished = missed & ((rows.status == _TENTATIVE)
@@ -335,7 +346,8 @@ class OnlineTracker:
                 status=np.full(n, _CONFIRMED if cfg.n_init <= 1
                                else _TENTATIVE),
                 mean=mean, cov=cov, ema=feats[new], vis=vis[new],
-                logits=logits[new], dets=[[dets[j]] for j in new]))
+                logits=logits[new],
+                members=[[start + j] for j in new.tolist()]))
             self._next_id += n
         self._rows = rows
         return outputs
@@ -345,7 +357,9 @@ class OnlineTracker:
         confirmed, with all member detections."""
         live = self._rows.take(
             np.flatnonzero(self._rows.hits >= self.cfg.n_init))
+        dets = self._detections()
         tracks = [t for rows in (*self._retired, live)
-                  for t in rows.tracklets(finished=True)]
+                  for t in rows.tracklets(True, dets)]
         self._rows, self._retired = _Rows.empty(), []
+        self._tables, self._n_rows = [], 0
         return sorted(tracks, key=lambda t: t.id)

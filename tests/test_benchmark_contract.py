@@ -1,13 +1,17 @@
 """The benchmark's tracer (``perfbench/spans.py``) reads its per-layer
-metrics from named prtrack functions.  Entering it here makes a rename or a
-deletion of one of them fail the unit tests, not only a traced benchmark
-run."""
+metrics from named prtrack functions and counts work from their arguments
+and results.  Entering it here makes a rename or a deletion of one of them,
+or a change to what a counter reads, fail the unit tests, not only a traced
+benchmark run."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
 import prtrack.cli  # noqa: F401  (loads every prtrack module)
+# Called through the module, so that calls reach the tracer's wrappers.
+import prtrack.simgen as simgen
+from prtrack.tracker import FrameInput, OnlineTracker
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -31,3 +35,18 @@ def test_tracer_finds_every_traced_function():
         pass
     assert tracer.spans == []
     assert _namespaces() == before     # every wrapper was taken out again
+
+
+def test_tracer_counts_tracking_input_and_step_rows():
+    spans = _load_spans()
+    scenario = simgen.generate(simgen.ScenarioConfig(
+        frames=4, n_players_per_team=2, exit_rate=0.5, seed=3))
+    table, _ = simgen.detection_table(scenario)
+    with spans.Tracer() as tracer:
+        frames, _ = simgen.to_tracking_input(scenario)
+        tracker = OnlineTracker()
+        for frame, dets in enumerate(frames, 1):
+            tracker.step(FrameInput(frame, dets))
+    assert len(table) > 0
+    assert tracer.counts["simgen.detections"] == len(table)
+    assert tracer.counts["tracker.detections"] == len(table)

@@ -129,5 +129,6 @@ def test_assign_teams_too_few_players():
 
 
 def test_merge_config_validation():
-    with pytest.raises(ValueError):
-        MergeConfig(merge_threshold=0.0)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="merge_threshold"):
+            MergeConfig(merge_threshold=bad)

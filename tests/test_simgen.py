@@ -8,7 +8,7 @@ from prtrack.embedder import EmbedderModel
 from prtrack.simgen import (DetectionTable, ScenarioConfig, detection_table,
                             embed_detections, generate,
                             oracle_feature_projection, to_reid_dataset,
-                            to_tracking_input, tracker_frames)
+                            to_tracking_input)
 
 from oracles import (brute_embed_detections, brute_generate,
                      brute_reid_dataset, brute_tracking_input)
@@ -31,6 +31,18 @@ def test_config_validation():
         ScenarioConfig(channels=5)
     with pytest.raises(ValueError, match="grid_h must be >= num_parts"):
         ScenarioConfig(grid_h=4, num_parts=5)
+    for name, bad in (("pitch_width", float("nan")),
+                      ("pitch_height", float("inf")),
+                      ("feature_noise_sigma", float("nan")),
+                      ("role_separation", float("inf")),
+                      ("team_separation", float("nan")),
+                      ("identity_separation", float("inf")),
+                      ("part_signature_scale", float("nan")),
+                      ("part_signature_scale", float("-inf"))):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ScenarioConfig(**{name: bad})
+    with pytest.raises(ValueError, match="^team_separation must be >= 0"):
+        ScenarioConfig(team_separation=-1.0)
     ScenarioConfig()
 
 
@@ -120,14 +132,14 @@ def test_tracking_input_oracle_features():
     frame_inputs, gt_records = to_tracking_input(s, features="oracle",
                                                  feature_sigma=0.0, seed=0)
     assert len(frame_inputs) == 30
-    n_dets = sum(len(d) for d in frame_inputs)
-    assert n_dets == len(gt_records)
-    d = frame_inputs[0][0]
-    assert d.features.visibility.all()
-    assert int(np.argmax(d.role_logits)) == int(d.gt_role)
+    assert sum(map(len, frame_inputs)) == len(gt_records)
+    first, sixth = frame_inputs[0], frame_inputs[5]
+    assert first.features.visibility[0].all()
+    assert np.argmax(first.features.role_logits[0]) == first.gt_role[0]
     # same identity, no noise: identical features in every frame
-    d2 = next(x for x in frame_inputs[5] if x.gt_identity == d.gt_identity)
-    np.testing.assert_allclose(d.features.parts, d2.features.parts)
+    j = np.flatnonzero(sixth.gt_identity == first.gt_identity[0])[0]
+    np.testing.assert_allclose(first.features.parts[0],
+                               sixth.features.parts[j])
 
 
 def test_tracking_input_noise_modes():
@@ -138,7 +150,7 @@ def test_tracking_input_noise_modes():
     assert sum(map(len, drop)) < sum(map(len, clean))
     jit, _ = to_tracking_input(s, detector_noise="jitter",
                                noise_param=3.0, seed=0)
-    assert jit[0][0].box.x != clean[0][0].box.x
+    assert jit[0].boxes[0, 0] != clean[0].boxes[0, 0]
     with pytest.raises(ValueError):
         to_tracking_input(s, detector_noise="blur")
 
@@ -201,14 +213,6 @@ def test_generate_equals_per_agent_oracle(kw):
         assert empty > 0
 
 
-def test_agent_lookup_by_identity():
-    s = generate(small_config(frames=1))
-    assert [s.agent(a.identity) for a in s.agents] == s.agents
-    for unknown in (0, len(s.agents) + 1, -1):
-        with pytest.raises(KeyError):
-            s.agent(unknown)
-
-
 # Occlusion and exits; one part, so an occluded agent can have every part
 # hidden; one agent who is gone most of the clip, so frames are empty.
 _TRACKING_SCENARIOS = (
@@ -234,19 +238,25 @@ def test_tracking_input_equals_per_detection_oracle(noise, param, features):
             _bits([r[2:] for r in want_gt])
         for frame_got, frame_want in zip(got, want, strict=True):
             empty += not frame_want
-            for a, b in zip(frame_got, frame_want, strict=True):
-                assert (a.frame, a.confidence, a.gt_identity, a.gt_team,
-                        a.gt_role) == (b.frame, b.confidence, b.gt_identity,
-                                       b.gt_team, b.gt_role)
-                assert _bits([a.box.x, a.box.y, a.box.w, a.box.h]) == \
+            assert len(frame_got) == len(frame_want)
+            assert frame_got.det_index.tolist() == list(range(len(frame_got)))
+            f = frame_got.features
+            assert (f is None) == (features == "none")
+            for r, b in enumerate(frame_want):
+                assert b.confidence == 1.0
+                assert (frame_got.frame[r], frame_got.gt_identity[r],
+                        frame_got.gt_team[r], frame_got.gt_role[r]) == \
+                    (b.frame, b.gt_identity,
+                     -1 if b.gt_team is None else b.gt_team, b.gt_role)
+                assert _bits(frame_got.boxes[r]) == \
                     _bits([b.box.x, b.box.y, b.box.w, b.box.h])
-                if features == "none":
-                    assert a.features is a.role_logits is None
+                if f is None:
+                    assert b.features is b.role_logits is None
                     continue
                 for name in ("parts", "foreground", "visibility"):
-                    assert _bits(getattr(a.features, name)) == \
+                    assert _bits(getattr(f, name)[r]) == \
                         _bits(getattr(b.features, name))
-                assert _bits(a.role_logits) == _bits(b.role_logits)
+                assert _bits(f.role_logits[r]) == _bits(b.role_logits)
                 hidden += not b.features.visibility.any()
     assert empty > 0
     if features == "oracle":
@@ -300,18 +310,18 @@ def test_embed_detections_equals_per_frame_oracle(noise, param):
                 ("role_logits", [r.role_logits for r in want])):
             assert _bits(getattr(got, name)) == _bits(np.stack(column)), name
 
-        frames = tracker_frames(dataclasses.replace(table, features=got),
-                                cfg.frames)
+        frames = dataclasses.replace(table, features=got).by_frame(
+            cfg.frames)
         assert len(frames) == cfg.frames
-        sizes = [len(dets) for dets in frames]
+        sizes = [len(t) for t in frames]
         assert sizes == [len(dets) for dets in frame_inputs]
         mid_empty += 0 in sizes[:max(np.flatnonzero(sizes)) + 1]
         trailing_empty += sizes[-1] == 0
-        rows = [d for dets in frames for d in dets]
-        for d, rec in zip(rows, want, strict=True):
-            assert d.frame == rec.frame
+        rows = [(t, r) for t in frames for r in range(len(t))]
+        for (t, r), rec in zip(rows, want, strict=True):
+            assert t.frame[r] == t.features.frame[r] == rec.frame
             for name in ("parts", "foreground", "visibility"):
-                assert _bits(getattr(d.features, name)) == \
+                assert _bits(getattr(t.features, name)[r]) == \
                     _bits(getattr(rec.features, name))
-            assert _bits(d.role_logits) == _bits(rec.role_logits)
+            assert _bits(t.features.role_logits[r]) == _bits(rec.role_logits)
     assert mid_empty and trailing_empty

@@ -15,6 +15,7 @@ def test_hungarian_matches_enumeration(rng):
         best, best_sets = brute_assignment(costs)
         assert got.total_cost == pytest.approx(best, abs=1e-9)
         assert frozenset(got.pairs) in best_sets
+        assert got.pairs == sorted(got.pairs)   # in row order
 
 
 def test_hungarian_tie_break_prefers_low_indices():

@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 from oracles import brute_track
 from prtrack.core import (BoundingBox, Detection, PartFeatureSet,
                           TrackStatus, _stack, box_array, xyah_to_xywh)
+from prtrack.motio import FeatureTable
+from prtrack.simgen import (DetectionTable, ScenarioConfig, generate,
+                            to_tracking_input)
 from prtrack.tracker import (FrameInput, NonMonotoneFrame, OnlineTracker,
                              TrackerConfig, build_cost, ema_update,
                              kalman_init, kalman_predict, kalman_update)
@@ -23,6 +26,23 @@ def det(frame, x, y, value, w=10.0, h=20.0):
     return Detection(frame=frame, box=BoundingBox(x, y, w, h),
                      features=features(value),
                      role_logits=np.array([1.0, 0, 0, 0]))
+
+
+def frame_input(frame, dets, k=2, d=3):
+    """The tracker input of one frame's ``Detection``s: a detection table
+    of their rows, with placeholder ground truth."""
+    n = len(dets)
+    frames, index = np.array([x.frame for x in dets], dtype=int), np.arange(n)
+    features = FeatureTable(
+        frames, index,
+        np.array([x.features.parts for x in dets]).reshape(n, k, d),
+        np.array([x.features.foreground for x in dets]).reshape(n, d),
+        np.array([x.features.visibility for x in dets],
+                 dtype=int).reshape(n, k + 1),
+        np.array([x.role_logits for x in dets]).reshape(n, 4))
+    return FrameInput(frame, DetectionTable(
+        frames, index, box_array([x.box for x in dets]), np.zeros(n, int),
+        np.full(n, -1), np.zeros(n, int), features))
 
 
 def cost_of(tracks, dets, cfg):
@@ -92,7 +112,7 @@ def test_build_cost_gating():
     cfg = TrackerConfig(appearance_weight=0.75, match_threshold=0.4,
                         iou_gate=0.3)
     tracker = OnlineTracker(cfg)
-    tracker.step(FrameInput(1, [det(1, 0, 0, 1.0)]))
+    tracker.step(frame_input(1, [det(1, 0, 0, 1.0)]))
     track = tracker.tracks[0]
     near_same = det(2, 1, 0, 1.0)
     far_diff = det(2, 500, 500, 9.0)
@@ -107,10 +127,10 @@ def test_lost_track_with_negative_predicted_height():
     cfg = TrackerConfig(n_init=1, max_age=30)
     tracker = OnlineTracker(cfg)
     for t in range(1, 9):
-        tracker.step(FrameInput(t, [det(t, 0, 0, 1.0, w=4.0 - 0.4 * t,
-                                        h=40.0 - 4.0 * t)]))
+        tracker.step(frame_input(t, [det(t, 0, 0, 1.0, w=4.0 - 0.4 * t,
+                                         h=40.0 - 4.0 * t)]))
     for t in range(9, 20):
-        tracker.step(FrameInput(t, []))
+        tracker.step(frame_input(t, []))
     track = tracker.tracks[0]
     assert track.status == TrackStatus.LOST
     assert track.kalman.mean[3] < 0
@@ -120,8 +140,8 @@ def test_lost_track_with_negative_predicted_height():
     w = cfg.appearance_weight
     assert cost[0, 0] == pytest.approx(1.0 - w)  # app distance 0, IoU 0
     assert np.isinf(cost[0, 1])
-    tracker.step(FrameInput(20, [same]))
-    tracker.step(FrameInput(21, [det(21, 0, 0, 1.0)]))
+    tracker.step(frame_input(20, [same]))
+    tracker.step(frame_input(21, [det(21, 0, 0, 1.0)]))
     tracks = tracker.finish()
     assert [len(t.detections) for t in tracks] == [10]
 
@@ -132,7 +152,7 @@ def test_tracker_keeps_identities_through_crossing():
     for t in range(1, 21):
         a = det(t, 10.0 * t, 0, 1.0)
         b = det(t, 10.0 * (21 - t), 0, 5.0)
-        tracker.step(FrameInput(t, [a, b]))
+        tracker.step(frame_input(t, [a, b]))
     tracks = tracker.finish()
     assert len(tracks) == 2
     for tr in tracks:
@@ -142,19 +162,19 @@ def test_tracker_keeps_identities_through_crossing():
 
 def test_tentative_track_needs_n_init_hits():
     tracker = OnlineTracker(TrackerConfig(n_init=3))
-    out1 = tracker.step(FrameInput(1, [det(1, 0, 0, 1.0)]))
+    out1 = tracker.step(frame_input(1, [det(1, 0, 0, 1.0)]))
     assert out1 == []
-    out2 = tracker.step(FrameInput(2, [det(2, 1, 0, 1.0)]))
+    out2 = tracker.step(frame_input(2, [det(2, 1, 0, 1.0)]))
     assert out2 == []
-    out3 = tracker.step(FrameInput(3, [det(3, 2, 0, 1.0)]))
+    out3 = tracker.step(frame_input(3, [det(3, 2, 0, 1.0)]))
     assert len(out3) == 1
     assert tracker.tracks[0].status == TrackStatus.CONFIRMED
 
 
 def test_unconfirmed_track_dropped_on_miss():
     tracker = OnlineTracker(TrackerConfig(n_init=3))
-    tracker.step(FrameInput(1, [det(1, 0, 0, 1.0)]))
-    tracker.step(FrameInput(2, []))
+    tracker.step(frame_input(1, [det(1, 0, 0, 1.0)]))
+    tracker.step(frame_input(2, []))
     assert tracker.tracks == []
     assert tracker.finish() == []
 
@@ -163,12 +183,12 @@ def test_confirmed_track_survives_max_age():
     cfg = TrackerConfig(n_init=1, max_age=5)
     tracker = OnlineTracker(cfg)
     for t in range(1, 4):
-        tracker.step(FrameInput(t, [det(t, float(t), 0, 1.0)]))
+        tracker.step(frame_input(t, [det(t, float(t), 0, 1.0)]))
     for t in range(4, 9):
-        tracker.step(FrameInput(t, []))
+        tracker.step(frame_input(t, []))
     assert len(tracker.tracks) == 1
     assert tracker.tracks[0].status == TrackStatus.LOST
-    tracker.step(FrameInput(9, []))
+    tracker.step(frame_input(9, []))
     assert tracker.tracks == []
     assert len(tracker.finish()) == 1
 
@@ -176,7 +196,7 @@ def test_confirmed_track_survives_max_age():
 def test_finish_includes_preconfirmation_detections():
     tracker = OnlineTracker(TrackerConfig(n_init=3))
     for t in range(1, 6):
-        tracker.step(FrameInput(t, [det(t, float(t), 0, 1.0)]))
+        tracker.step(frame_input(t, [det(t, float(t), 0, 1.0)]))
     tracks = tracker.finish()
     assert len(tracks) == 1
     assert [d.frame for d in tracks[0].detections] == [1, 2, 3, 4, 5]
@@ -184,22 +204,29 @@ def test_finish_includes_preconfirmation_detections():
 
 def test_non_monotone_frame_rejected():
     tracker = OnlineTracker()
-    tracker.step(FrameInput(5, []))
+    tracker.step(frame_input(5, []))
     with pytest.raises(NonMonotoneFrame):
-        tracker.step(FrameInput(5, []))
+        tracker.step(frame_input(5, []))
 
 
 def test_detection_frame_must_match():
     tracker = OnlineTracker()
-    with pytest.raises(ValueError):
-        tracker.step(FrameInput(2, [det(1, 0, 0, 1.0)]))
+    with pytest.raises(ValueError, match="frame index"):
+        tracker.step(frame_input(2, [det(1, 0, 0, 1.0)]))
+
+
+def test_step_needs_features():
+    frames, _ = to_tracking_input(generate(ScenarioConfig(frames=2)),
+                                  features="none")
+    with pytest.raises(ValueError, match="needs detection features"):
+        OnlineTracker().step(FrameInput(1, frames[0]))
 
 
 @st.composite
 def sequences(draw):
     """A tracker config and a random clip: people enter and leave, move
-    with jitter, hide parts, sometimes lose their role logits or appear
-    twice at once; frames can be empty and frame numbers skip."""
+    with jitter, hide parts, sometimes appear twice at once; frames can be
+    empty and frame numbers skip."""
     cfg = TrackerConfig(alpha=draw(st.sampled_from([0.0, 0.5, 0.9])),
                         n_init=draw(st.integers(1, 3)),
                         max_age=draw(st.integers(1, 5)),
@@ -229,7 +256,7 @@ def sequences(draw):
             feats = PartFeatureSet(
                 parts=emb[1:], foreground=emb[0],
                 visibility=(rng.random(k + 1) >= p_hidden).astype(int))
-            logits = rng.normal(size=4) if rng.random() < 0.8 else None
+            logits = rng.normal(size=4)
             one = Detection(frame=int(f), box=BoundingBox(x, y, w, h),
                             features=feats, role_logits=logits)
             dets.append(one)
@@ -246,13 +273,26 @@ def state(tracklets):
              t.role_logit_sum, t.detections) for t in tracklets]
 
 
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def members(dets):
+    """Each detection's frame, box, features and role logits, bit for bit."""
+    return [(d.frame, _bits([d.box.x, d.box.y, d.box.w, d.box.h]),
+             _bits(d.features.parts), _bits(d.features.foreground),
+             _bits(d.features.visibility), _bits(d.role_logits))
+            for d in dets]
+
+
 def assert_same_tracks(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g[:2] == w[:2]
         for a, b in zip(g[2:7], w[2:7]):
             assert a.shape == b.shape and np.array_equal(a, b)
-        assert [id(x) for x in g[7]] == [id(x) for x in w[7]]
+        assert members(g[7]) == members(w[7])
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,7 +302,7 @@ def test_tracker_equals_per_object_oracle(case):
     want_steps, want_tracklets = brute_track(frames, cfg)
     tracker = OnlineTracker(cfg)
     for (frame, dets), (want_out, want_live) in zip(frames, want_steps):
-        assert tracker.step(FrameInput(frame, dets)) == want_out
+        assert tracker.step(frame_input(frame, dets)) == want_out
         assert_same_tracks(state(tracker.tracks), want_live)
     assert_same_tracks(state(tracker.finish()), want_tracklets)
     assert tracker.tracks == [] and tracker.finish() == []
