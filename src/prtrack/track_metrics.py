@@ -7,6 +7,17 @@ IoU matrix from the package's single IoU kernel,
 :func:`prtrack.core.iou_matrix`.  They share one per-frame matching
 primitive on that matrix: minimum-cost bipartite matching on (1 - IoU)
 restricted to pairs with IoU at or above the localization threshold.
+
+A frame's mask ``ious >= alpha`` shrinks as alpha grows, so two thresholds
+whose masks hold the same number of entries have the same mask, and so the
+same matching.  :meth:`SequenceResult.matches` keys each frame's matchings
+by that number and solves each distinct mask once: HOTA's thresholds and
+MOTA's share the work.  A mask with at most one entry per row and per
+column is matched without an assignment: :func:`frame_match` returns its
+entries in row order, which are the pairs :func:`prtrack.solvers.hungarian`
+returns, because an assignment that leaves out an allowed pair takes one
+more forbidden pair, and a forbidden pair costs far more than all allowed
+pairs together.  Only the other masks reach the assignment.
 """
 
 from __future__ import annotations
@@ -65,7 +76,8 @@ class SequenceResult:
     ``frames`` holds, for each frame with a record, in ascending frame
     order, the frame's gt ids and pred ids, each in record order, and
     their ``(G_t, P_t)`` IoU matrix.  ``gt_ids`` and ``pred_ids`` hold
-    every record's id."""
+    every record's id.  :meth:`matches` keeps each frame's matchings for
+    the life of the result."""
 
     def __init__(self, gt: list[MotRecord], pred: list[MotRecord]):
         gt_frames, self.gt_ids, gt_boxes = _columns(gt, "gt")
@@ -77,6 +89,64 @@ class SequenceResult:
         self.frames = [(self.gt_ids[a:b], self.pred_ids[c:d],
                         iou_matrix(gt_boxes[a:b], pr_boxes[c:d]))
                        for a, b, c, d in zip(*cuts)]
+        self._gt_codes, self._gt_totals = _codes(self.gt_ids)
+        self._pred_codes, self._pred_totals = _codes(self.pred_ids)
+        # Each frame's first gt and pred record.
+        self._starts = list(zip(cuts[0], cuts[2]))
+        # A threshold is above 0, so a zero IoU is never in a mask.
+        self._sorted_ious = [sorted(ious[ious > 0].tolist())
+                             for _, _, ious in self.frames]
+        # Per frame: mask size -> its matched (gt, pred) record positions.
+        self._solved: list[dict[int, np.ndarray]] = [{} for _ in self.frames]
+
+    def matches(self, alpha: float) -> list[list[tuple[int, int]]]:
+        """Per frame, :func:`frame_match` of its IoU matrix at ``alpha``.
+        Each frame's distinct mask is matched once, on the first call that
+        needs it."""
+        return [list(zip(*(rows - start).T.tolist()))
+                for rows, start in zip(self._solve(alpha), self._starts)]
+
+    def _matched_codes(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """gt and pred codes of the matched pairs at ``alpha``, in frame
+        order and, within a frame, in gt row order."""
+        rows = np.concatenate([_NO_PAIRS, *self._solve(alpha)])
+        return self._gt_codes[rows[:, 0]], self._pred_codes[rows[:, 1]]
+
+    def _solve(self, alpha: float) -> list[np.ndarray]:
+        _check_alpha(alpha)
+        alpha = float(alpha)
+        entries = []
+        for (_, _, ious), values, start, solved in zip(
+                self.frames, self._sorted_ious, self._starts, self._solved):
+            # The mask ious >= alpha holds the ``size`` largest entries.
+            size = len(values) - bisect_left(values, alpha)
+            entry = solved.get(size)
+            if entry is None:
+                entry = solved[size] = np.array(
+                    frame_match(ious, alpha), dtype=np.intp
+                ).reshape(-1, 2) + start
+            entries.append(entry)
+        return entries
+
+
+_NO_PAIRS = np.zeros((0, 2), dtype=np.intp)
+
+
+def _codes(ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each id's code, numbered in order of first occurrence, and each
+    code's number of records."""
+    index: dict[int, int] = {}
+    codes = np.array([index.setdefault(i, len(index)) for i in ids],
+                     dtype=np.intp)
+    return codes, np.bincount(codes, minlength=len(index))
+
+
+def _check_alpha(alpha: float) -> None:
+    """A localization threshold is a finite number in (0, 1]; at 0 two
+    disjoint boxes would match."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(
+            f"localization threshold must be in (0, 1], got {alpha!r}")
 
 
 @dataclass
@@ -91,45 +161,52 @@ class EvalReport:
 
 def frame_match(ious: np.ndarray, alpha_loc: float) -> list[tuple[int, int]]:
     """Matched (gt index, pred index) pairs by IoU-optimal assignment on one
-    frame's (gt, pred) IoU matrix, restricted to pairs with IoU >= alpha_loc."""
-    if not ious.size:
-        return []
-    return hungarian(np.where(ious >= alpha_loc, 1.0 - ious, np.inf)).pairs
-
-
-def _matches_per_frame(result: SequenceResult, alpha: float):
-    """Per frame, the matched (gt id, pred id) pairs."""
-    return [[(gt_ids[i], pr_ids[j]) for i, j in frame_match(ious, alpha)]
-            for gt_ids, pr_ids, ious in result.frames]
+    frame's (gt, pred) IoU matrix, restricted to pairs with IoU >= alpha_loc,
+    in gt index order.  A mask with at most one allowed pair per row and
+    per column is its own matching."""
+    _check_alpha(alpha_loc)
+    mask = ious >= alpha_loc
+    rows, cols = (index.tolist() for index in np.nonzero(mask))
+    if len(set(rows)) == len(rows) == len(set(cols)):
+        return list(zip(rows, cols))
+    return hungarian(np.where(mask, 1.0 - ious, np.inf)).pairs
 
 
 def hota(result: SequenceResult,
          alphas=DEFAULT_ALPHAS) -> tuple[float, float, float]:
-    """(HOTA, DetA, AssA) averaged over the localization thresholds."""
+    """(HOTA, DetA, AssA) averaged over the localization thresholds.
+
+    AssA adds each (gt id, pred id) pair's term one at a time, in the order
+    of the pair's first match, so its total does not depend on numpy's
+    summation order."""
+    alphas = tuple(alphas)
+    if not alphas:
+        raise ValueError("hota needs at least one localization threshold")
     n_gt = len(result.gt_ids)
     if n_gt == 0:
         raise EmptyGroundTruth("no ground-truth boxes")
     n_pred = len(result.pred_ids)
-    gt_totals = Counter(result.gt_ids)
-    pred_totals = Counter(result.pred_ids)
+    gt_totals, pred_totals = result._gt_totals, result._pred_totals
 
     hotas, detas, assas = [], [], []
     for alpha in alphas:
-        tp_pairs = [p for pairs in _matches_per_frame(result, alpha)
-                    for p in pairs]
-        tp = len(tp_pairs)
+        gt_codes, pred_codes = result._matched_codes(alpha)
+        tp = len(gt_codes)
         fn = n_gt - tp
         fp = n_pred - tp
         deta = tp / (tp + fn + fp) if (tp + fn + fp) else 0.0
         if tp == 0:
             assa = 0.0
         else:
-            co = Counter(tp_pairs)
+            _, first, tpa = np.unique(gt_codes * len(pred_totals) + pred_codes,
+                                      return_index=True, return_counts=True)
+            order = np.argsort(first)
+            first, tpa = first[order], tpa[order]
+            fna = gt_totals[gt_codes[first]] - tpa
+            fpa = pred_totals[pred_codes[first]] - tpa
             acc = 0.0
-            for (gi, pi), tpa in co.items():
-                fna = gt_totals[gi] - tpa
-                fpa = pred_totals[pi] - tpa
-                acc += tpa * (tpa / (tpa + fna + fpa))
+            for term in (tpa * (tpa / (tpa + fna + fpa))).tolist():
+                acc += term
             assa = acc / tp
         detas.append(deta)
         assas.append(assa)
@@ -149,17 +226,15 @@ def mota_ids(result: SequenceResult,
     assignment moves a ground-truth id to another prediction.
     """
     n_gt = len(result.gt_ids)
-    matches = _matches_per_frame(result, alpha)
-    tp = sum(map(len, matches))
+    gt_codes, pred_codes = result._matched_codes(alpha)
+    tp = len(gt_codes)
     fn = n_gt - tp
     fp = len(result.pred_ids) - tp
-    last_match: dict[int, int] = {}
-    idsw = 0
-    for pairs in matches:
-        for gi, pi in pairs:
-            if gi in last_match and last_match[gi] != pi:
-                idsw += 1
-            last_match[gi] = pi
+    # Each gt id's matches in frame order (a stable sort keeps it).
+    order = np.argsort(gt_codes, kind="stable")
+    gt_codes, pred_codes = gt_codes[order], pred_codes[order]
+    idsw = int(np.count_nonzero((gt_codes[1:] == gt_codes[:-1])
+                                & (pred_codes[1:] != pred_codes[:-1])))
     mota = 1.0 - (fn + fp + idsw) / n_gt if n_gt else 0.0
     return float(mota), idsw
 
@@ -167,6 +242,7 @@ def mota_ids(result: SequenceResult,
 def idf1(result: SequenceResult, alpha: float = 0.5) -> float:
     """Identity-F1: optimal global gt-id/pred-id matching maximizing the
     per-frame overlap count, then F1 over identity-true detections."""
+    _check_alpha(alpha)
     gt_list = np.unique(result.gt_ids)
     pred_list = np.unique(result.pred_ids)
     if not pred_list.size or not gt_list.size:

@@ -277,9 +277,11 @@ class OnlineTracker:
                     t.gt_identity.tolist(), t.gt_team.tolist(),
                     t.gt_role.tolist())]
 
-    def step(self, frame_input: FrameInput) -> list[tuple[int, int, BoundingBox]]:
-        """Advance one frame; returns (frame, track id, box) for confirmed
-        tracks matched in this frame."""
+    def step(self, frame_input: FrameInput
+             ) -> tuple[int, np.ndarray, np.ndarray]:
+        """Advance one frame; returns the frame, the ids of the confirmed
+        tracks matched in it and their matched ``(M, 4)`` box rows of the
+        frame's table, in track order."""
         frame = frame_input.frame
         if frame <= self._last_frame:
             raise NonMonotoneFrame(
@@ -320,8 +322,7 @@ class OnlineTracker:
         matched = np.zeros(len(rows), dtype=bool)
         matched[ti] = True
         shown = rows.status[ti] == _CONFIRMED   # pairs are in row order
-        outputs = [(frame, i, BoundingBox(*box)) for i, box in zip(
-            rows.ids[ti[shown]].tolist(), boxes[di[shown]].tolist())]
+        outputs = frame, rows.ids[ti[shown]], boxes[di[shown]]
         missed = ~matched
         rows.misses[missed] += 1
         finished = missed & ((rows.status == _TENTATIVE)

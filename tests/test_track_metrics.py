@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prtrack import track_metrics
-from prtrack.core import box_array, iou_matrix
+from prtrack.core import BoundingBox, box_array, iou_matrix
+from prtrack.solvers import hungarian
 from prtrack.track_metrics import (DuplicateId, EmptyGroundTruth,
                                    SequenceResult, evaluate_sequence,
                                    frame_match, hota, idf1, mota_ids)
@@ -119,3 +122,128 @@ def test_id_repeated_in_a_frame_rejected():
         seq({**gt, **twice}, gt)
     # The same id in two frames, or two ids in one frame, is fine.
     seq(gt, {1: [(1, box(0, 0)), (2, box(50, 0))], 2: [(1, box(0, 0))]})
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, float("nan"),
+                                   float("inf"), -float("inf")])
+def test_thresholds_outside_unit_interval_rejected(alpha):
+    r = seq({1: [(1, box(0, 0))]}, {1: [(2, box(50, 0))]})
+    for call in (lambda: frame_match(np.array([[0.0]]), alpha),
+                 lambda: hota(r, alphas=(0.5, alpha)),
+                 lambda: mota_ids(r, alpha=alpha),
+                 lambda: idf1(r, alpha=alpha),
+                 lambda: r.matches(alpha)):
+        with pytest.raises(ValueError, match="localization threshold"):
+            call()
+
+
+def test_hota_needs_a_threshold():
+    r = seq({1: [(1, box(0, 0))]}, {1: [(1, box(0, 0))]})
+    with pytest.raises(ValueError, match="at least one"):
+        hota(r, alphas=())
+    assert hota(r, alphas=(1.0,)) == (1.0, 1.0, 1.0)
+
+
+def _reference_match(ious, alpha):
+    return hungarian(np.where(ious >= alpha, 1.0 - ious, np.inf)).pairs
+
+
+_iou = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                 st.floats(0.0, 1.0))
+
+
+@st.composite
+def iou_cases(draw):
+    """An IoU matrix with ties, zeros and values that the threshold equals,
+    and the threshold.  Half the matrices keep at most one entry per row
+    and per column, at the entries of a partial permutation."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    ious = np.array(draw(st.lists(_iou, min_size=n * m, max_size=n * m)),
+                    dtype=float).reshape(n, m)
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(max(n, m))))
+        ious[~np.eye(max(n, m), dtype=bool)[order][:n, :m]] = 0.0
+    alpha = draw(st.one_of(
+        st.sampled_from(sorted({*ious.ravel().tolist(), 0.5} - {0.0})),
+        st.floats(0.0, 1.0, exclude_min=True)))
+    return ious, alpha
+
+
+@settings(deadline=None, max_examples=300)
+@given(iou_cases())
+def test_frame_match_equals_assignment(case):
+    ious, alpha = case
+    mask = ious >= alpha
+    single = (mask.sum(axis=0) <= 1).all() and (mask.sum(axis=1) <= 1).all()
+    got = frame_match(ious, alpha)
+    assert got == _reference_match(ious, alpha)
+    assert all(type(x) is int for pair in got for x in pair)
+    if single:
+        assert got == list(zip(*np.nonzero(mask)))
+
+
+_grid = st.sampled_from([0.0, 2.0, 4.0, 6.0])
+
+
+@st.composite
+def grid_sequences(draw):
+    """Ground truth and predictions on a coarse box grid, so IoU values tie
+    and repeat across frames, and many pairs do not overlap."""
+    def frame_boxes():
+        boxes = draw(st.lists(st.builds(BoundingBox, _grid, _grid,
+                                        st.sampled_from([2.0, 4.0]),
+                                        st.sampled_from([2.0, 4.0])),
+                              max_size=4))
+        return list(enumerate(boxes))
+    n_frames = draw(st.integers(1, 4))
+    return ({f: frame_boxes() for f in range(1, n_frames + 1)},
+            {f: frame_boxes() for f in range(1, n_frames + 1)})
+
+
+@settings(deadline=None, max_examples=200)
+@given(grid_sequences(), st.data())
+def test_memoized_matches_equal_per_threshold_matching(sequence, data):
+    r = seq(*sequence)
+    values = sorted({v for _, _, ious in r.frames
+                     for v in ious.ravel().tolist()} - {0.0})
+    alpha = st.floats(0.0, 1.0, exclude_min=True)
+    if values:
+        alpha = st.one_of(st.sampled_from(values), alpha)
+    alphas = data.draw(st.lists(alpha, min_size=1, max_size=8))
+    alphas += data.draw(st.lists(st.sampled_from(alphas), max_size=4))
+    for a in alphas:
+        want = [frame_match(ious, a) for _, _, ious in r.frames]
+        assert r.matches(a) == want
+        assert [_reference_match(ious, a) for _, _, ious in r.frames] == want
+    if r.gt_ids:
+        fresh = SequenceResult(mot_records(sequence[0]),
+                               mot_records(sequence[1]))
+        assert hota(r, alphas) == hota(fresh, alphas)
+        assert mota_ids(r) == mota_ids(fresh)
+
+
+def test_thresholds_share_each_frames_matching(monkeypatch):
+    # Apart boxes: every mask holds at most one entry per row and column.
+    gt = {f: [(1, box(0, 0)), (2, box(50, 0))] for f in range(1, 6)}
+    pred = {f: [(7, box(1, 0)), (8, box(50, 0))] for f in range(3, 8)}
+    r = seq(gt, pred)
+    solved, assigned = [], []
+
+    def counted_match(ious, alpha):
+        solved.append(alpha)
+        return frame_match(ious, alpha)
+
+    def counted_hungarian(costs, *args):
+        assigned.append(costs.shape)
+        return hungarian(costs, *args)
+
+    monkeypatch.setattr(track_metrics, "frame_match", counted_match)
+    monkeypatch.setattr(track_metrics, "hungarian", counted_hungarian)
+    hota(r)
+    assert assigned == []
+    # Frames 3-5 have two masks (both pairs, then the exact one alone),
+    # the other frames one, whatever the threshold.
+    assert len(solved) == 2 * 3 + 4
+    solved.clear()
+    assert mota_ids(r) == (1.0 - (4 + 4) / 10, 0)   # 4 FN, 4 FP
+    assert solved == []

@@ -45,6 +45,15 @@ def frame_input(frame, dets, k=2, d=3):
         np.full(n, -1), np.zeros(n, int), features))
 
 
+def outputs(step):
+    """A step's matched confirmed tracks as (frame, id, box) rows; the id
+    and box columns must have one row per match."""
+    frame, ids, boxes = step
+    assert ids.shape == (len(boxes),) and boxes.shape == (len(ids), 4)
+    return [(frame, i, tuple(box)) for i, box in zip(ids.tolist(),
+                                                      boxes.tolist())]
+
+
 def cost_of(tracks, dets, cfg):
     """``build_cost`` of live ``Tracklet``s against ``Detection``s."""
     return build_cost(np.array([t.kalman.mean for t in tracks]),
@@ -163,11 +172,11 @@ def test_tracker_keeps_identities_through_crossing():
 def test_tentative_track_needs_n_init_hits():
     tracker = OnlineTracker(TrackerConfig(n_init=3))
     out1 = tracker.step(frame_input(1, [det(1, 0, 0, 1.0)]))
-    assert out1 == []
+    assert outputs(out1) == []
     out2 = tracker.step(frame_input(2, [det(2, 1, 0, 1.0)]))
-    assert out2 == []
+    assert outputs(out2) == []
     out3 = tracker.step(frame_input(3, [det(3, 2, 0, 1.0)]))
-    assert len(out3) == 1
+    assert outputs(out3) == [(3, 1, (2.0, 0.0, 10.0, 20.0))]
     assert tracker.tracks[0].status == TrackStatus.CONFIRMED
 
 
@@ -302,7 +311,8 @@ def test_tracker_equals_per_object_oracle(case):
     want_steps, want_tracklets = brute_track(frames, cfg)
     tracker = OnlineTracker(cfg)
     for (frame, dets), (want_out, want_live) in zip(frames, want_steps):
-        assert tracker.step(frame_input(frame, dets)) == want_out
+        assert outputs(tracker.step(frame_input(frame, dets))) == [
+            (f, i, (b.x, b.y, b.w, b.h)) for f, i, b in want_out]
         assert_same_tracks(state(tracker.tracks), want_live)
     assert_same_tracks(state(tracker.finish()), want_tracklets)
     assert tracker.tracks == [] and tracker.finish() == []
