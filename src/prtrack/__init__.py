@@ -9,9 +9,9 @@ from .core import (BoundingBox, Detection, KalmanState, NoMutualVisibility,
 from .losses import (DegenerateBatch, LossValue, LossWeights, TripletConfig,
                      cross_entropy_id, focal_loss, gilt_loss,
                      part_prediction_loss, total_loss, triplet_batch_hard)
-from .embedder import (EmbedderModel, FeatureGrid, GridSample, TrainConfig,
-                       forward_batch, grad_check, loss_and_grad, sample_batch,
-                       train)
+from .embedder import (EmbedderModel, FeatureGrid, GridSample, TrainBatch,
+                       TrainConfig, forward_batch, grad_check, loss_and_grad,
+                       sample_batch, train)
 from .solvers import Assignment, DegenerateInput, hungarian, kmeans2
 from .tracker import FrameInput, OnlineTracker, TrackerConfig, build_cost, \
     ema_update, kalman_predict, kalman_update

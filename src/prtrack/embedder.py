@@ -5,11 +5,31 @@ pixel classifier produces soft part masks; part and foreground embeddings
 are attention-pooled projections of the grid cells; linear heads provide
 identity logits (training only) and role logits.  Trained with the weighted
 multi-task objective via hand-derived gradients and Adam.
+
+A training step is a few array operations on state built once per
+:func:`train` call, and each gives the bits of the per-sample, per-parameter
+algorithm it replaced:
+
+- The training set is stacked once into a :class:`TrainBatch` of columns.
+  A step draws row indices, with the same generator calls as drawing
+  samples, and gathers its rows with one ``take`` per column: the stack
+  of the same rows, so the forward pass reads the same values.
+- Adam keeps the parameters, ``m`` and ``v`` as flat vectors, and the
+  model holds a view into the parameter vector per parameter.  Adam is
+  elementwise, and the flat update does each element's operations in the
+  per-parameter order, so the flat and the per-parameter updates agree to
+  the bit.
+- The ``(B, K, N, D)`` part residual of the backward pass, the one
+  intermediate above malloc's mmap threshold, is written into a workspace
+  array that :func:`train` passes to every step, not page-faulted in anew
+  each step: the same values in an array of the same shape and layout, so
+  the contraction that reads it gives the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -25,6 +45,7 @@ __all__ = [
     "EmbedderModel",
     "TrainConfig",
     "GridSample",
+    "TrainBatch",
     "forward_batch",
     "loss_and_grad",
     "sample_batch",
@@ -56,6 +77,39 @@ class GridSample:
     team: int | None   # 0/1, players only
     role: Role
     view: int = 0
+
+
+@dataclass(frozen=True)
+class TrainBatch:
+    """Training samples as columns, one row per sample."""
+
+    cells: np.ndarray        # (R, H, W, C) float
+    part_labels: np.ndarray  # (R, H, W) ints in [0, K]
+    identity: np.ndarray     # (R,)
+    role: np.ndarray         # (R,) Role values
+    team: np.ndarray         # (R,) 0/1, -1 where the sample has no team
+
+    @staticmethod
+    def from_samples(samples: list[GridSample]) -> "TrainBatch":
+        """The samples' columns, in the samples' order."""
+        if not samples:
+            raise InsufficientIdentities("no training samples")
+        return TrainBatch(
+            cells=np.stack([np.asarray(s.grid.cells, float) for s in samples]),
+            part_labels=np.stack([np.asarray(s.grid.part_labels, int)
+                                  for s in samples]),
+            identity=np.array([s.identity for s in samples], dtype=int),
+            role=np.array([int(s.role) for s in samples], dtype=int),
+            team=np.array([-1 if s.team is None else s.team
+                           for s in samples], dtype=int))
+
+    def __len__(self) -> int:
+        return len(self.identity)
+
+    def take(self, rows: np.ndarray) -> "TrainBatch":
+        """The batch of the rows ``rows``, in that order."""
+        return TrainBatch(*(np.take(getattr(self, f.name), rows, axis=0)
+                            for f in fields(self)))
 
 
 # Parameter names in a fixed order, used by Adam, checkpoints, and grad checks.
@@ -147,6 +201,18 @@ class TrainConfig:
             raise ValueError("steps_per_epoch must be >= 1")
         if not self.base_lr > 0:
             raise ValueError("base_lr must be > 0")
+        if not math.isfinite(self.base_lr):
+            raise ValueError("base_lr must be finite")
+        if self.warmup_epochs < 0:
+            raise ValueError("warmup_epochs must be >= 0")
+        if any(epoch < 0 for epoch in self.decay_epochs):
+            raise ValueError("decay_epochs must be >= 0")
+        # A negative focal gamma makes the role loss NaN once p_t saturates.
+        for name in ("focal_gamma", "reid_margin", "team_margin"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
         # The batch-hard triplets need two samples of each identity.
         if self.samples_per_identity < 2:
             raise ValueError("samples_per_identity must be >= 2")
@@ -177,8 +243,9 @@ def _forward_arrays(model: EmbedderModel, cells: np.ndarray):
     f_fg = np.einsum("bn,bnd->bd", fg_w, proj) / fg_sum[:, None]
     f_g = proj.mean(axis=1)
 
-    argmax = z.argmax(axis=2)                    # (B, N)
-    vis_parts = (argmax[:, :, None] == np.arange(1, k + 1)).any(axis=1)
+    shown = np.zeros((b, k + 1), dtype=bool)     # some cell's argmax class
+    shown[np.arange(b)[:, None], z.argmax(axis=2)] = True
+    vis_parts = shown[:, 1:]
     vis = np.concatenate([vis_parts.any(axis=1, keepdims=True), vis_parts],
                          axis=1).astype(int)     # (B, K+1): fg, parts
 
@@ -203,24 +270,34 @@ def forward_batch(model: EmbedderModel, grids: list[FeatureGrid]):
     return sets, fw["role_logits"]
 
 
-def loss_and_grad(model: EmbedderModel, batch: list[GridSample],
-                  cfg: TrainConfig):
+def _scratch(workspace: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``workspace[name]``, an uninitialised array replaced only when it
+    lacks the shape ``shape``."""
+    buf = workspace.get(name)
+    if buf is None or buf.shape != shape:
+        buf = workspace[name] = np.empty(shape)
+    return buf
+
+
+def loss_and_grad(model: EmbedderModel, batch: TrainBatch,
+                  cfg: TrainConfig, workspace: dict | None = None):
     """Total multi-task loss over a batch and model-shaped gradients.
+
+    ``workspace`` holds scratch arrays that the call overwrites; a loop
+    that passes one dict to every call allocates them once.  The results
+    do not depend on it.
 
     Returns (loss value, {param name: gradient}, per-component values).
     """
-    cells = np.stack([np.asarray(s.grid.cells, float) for s in batch])
-    labels_grid = np.stack([np.asarray(s.grid.part_labels, int) for s in batch])
-    fw = _forward_arrays(model, cells)
+    fw = _forward_arrays(model, batch.cells)
     b, n = fw["z"].shape[:2]
     k, d = model.num_parts, model.dim
-    ids = np.array([s.identity for s in batch])
-    roles = np.array([int(s.role) for s in batch])
+    ids, roles = batch.identity, batch.role
     wts = cfg.weights
 
     # --- component losses -------------------------------------------------
     # Part prediction: per-image cell-sum, averaged over the batch.
-    pa = part_prediction_loss(fw["z"], labels_grid.reshape(b, n))
+    pa = part_prediction_loss(fw["z"], batch.part_labels.reshape(b, n))
     pa = LossValue(pa.value / b, pa.gradients / b)
 
     id_logits = {
@@ -233,8 +310,7 @@ def loss_and_grad(model: EmbedderModel, batch: list[GridSample],
 
     players = roles == int(Role.PLAYER)
     if players.sum() >= 4:
-        teams = np.array([batch[i].team for i in np.where(players)[0]])
-        team = triplet_batch_hard(fw["f_fg"][players], teams,
+        team = triplet_batch_hard(fw["f_fg"][players], batch.team[players],
                                   TripletConfig(margin=cfg.team_margin))
     else:
         team = LossValue(0.0, np.zeros((int(players.sum()), d)))
@@ -285,7 +361,9 @@ def loss_and_grad(model: EmbedderModel, batch: list[GridSample],
 
     # Part embeddings: f_k = sum_c m p / sum_c m.
     d_proj += np.einsum("bnk,bkd->bnd", part_w, d_parts / part_sum[:, :, None])
-    resid = proj[:, None, :, :] - fw["f_parts"][:, :, None, :]  # (B, K, N, D)
+    resid = np.subtract(proj[:, None, :, :], fw["f_parts"][:, :, None, :],
+                        out=_scratch({} if workspace is None else workspace,
+                                     "resid", (b, k, n, d)))
     d_mask[:, :, 1:] += np.einsum(
         "bknd,bkd->bnk", resid, d_parts / part_sum[:, :, None])
 
@@ -311,45 +389,48 @@ def loss_and_grad(model: EmbedderModel, batch: list[GridSample],
 
 
 def sample_batch(dataset: list[GridSample], rng: np.random.Generator,
-                 samples_per_identity: int = 4) -> list[GridSample]:
+                 samples_per_identity: int = 4) -> TrainBatch:
     """Draw 4 left-team + 4 right-team player identities and 3 other-role
-    identities, ``samples_per_identity`` grids each."""
-    return _draw_batch(_group_by_identity(dataset), rng, samples_per_identity)
+    identities, ``samples_per_identity`` grids each, as a
+    :class:`TrainBatch`."""
+    table = TrainBatch.from_samples(dataset)
+    return table.take(_draw_batch(_group_by_identity(table), rng,
+                                  samples_per_identity))
 
 
-def _group_by_identity(dataset: list[GridSample]):
-    """``(samples by identity, left, right, other)``: the sorted player ids
-    of each team and the sorted ids of the other roles."""
-    by_id: dict[int, list[GridSample]] = {}
-    for s in dataset:
-        by_id.setdefault(s.identity, []).append(s)
-    left = sorted(i for i, ss in by_id.items()
-                  if ss[0].role == Role.PLAYER and ss[0].team == 0)
-    right = sorted(i for i, ss in by_id.items()
-                   if ss[0].role == Role.PLAYER and ss[0].team == 1)
-    other = sorted(i for i, ss in by_id.items() if ss[0].role != Role.PLAYER)
-    return by_id, left, right, other
+def _group_by_identity(table: TrainBatch):
+    """``(rows by identity, left, right, other)``: each identity's row
+    indices in table order, the sorted player ids of each team and the
+    sorted ids of the other roles, as each identity's first row has it."""
+    ids, first, counts = np.unique(table.identity, return_index=True,
+                                   return_counts=True)
+    rows = np.split(np.argsort(table.identity, kind="stable"),
+                    np.cumsum(counts)[:-1])
+    player = table.role[first] == int(Role.PLAYER)
+    team = table.team[first]
+    return (dict(zip(ids.tolist(), rows)), ids[player & (team == 0)],
+            ids[player & (team == 1)], ids[~player])
 
 
 def _draw_batch(groups, rng: np.random.Generator,
-                samples_per_identity: int) -> list[GridSample]:
-    """:func:`sample_batch`'s draw from :func:`_group_by_identity`'s
-    grouping."""
+                samples_per_identity: int) -> np.ndarray:
+    """The table rows of :func:`sample_batch`'s draw from
+    :func:`_group_by_identity`'s grouping."""
     by_id, left, right, other = groups
     if len(left) < 4 or len(right) < 4 or len(other) < 3:
         raise InsufficientIdentities(
             f"need 4+4 player ids per team and 3 other-role ids, "
             f"got {len(left)}/{len(right)}/{len(other)}")
-    chosen = (list(rng.choice(left, 4, replace=False))
-              + list(rng.choice(right, 4, replace=False))
-              + list(rng.choice(other, 3, replace=False)))
-    batch = []
+    chosen = (rng.choice(left, 4, replace=False).tolist()
+              + rng.choice(right, 4, replace=False).tolist()
+              + rng.choice(other, 3, replace=False).tolist())
+    rows = []
     for ident in chosen:
         pool = by_id[ident]
         replace = len(pool) < samples_per_identity
-        picks = rng.choice(len(pool), samples_per_identity, replace=replace)
-        batch.extend(pool[j] for j in picks)
-    return batch
+        rows.append(pool[rng.choice(len(pool), samples_per_identity,
+                                    replace=replace)])
+    return np.concatenate(rows)
 
 
 def _lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -363,51 +444,72 @@ def _lr_at(epoch: int, cfg: TrainConfig) -> float:
     return lr
 
 
-def train(cfg: TrainConfig, dataset: list[GridSample],
-          model: EmbedderModel | None = None):
+def _param_views(flat: np.ndarray, model: EmbedderModel
+                 ) -> dict[str, np.ndarray]:
+    """Views into the flat vector ``flat`` shaped like ``model``'s
+    parameters, laid out in PARAM_NAMES order."""
+    views, start = {}, 0
+    for name in PARAM_NAMES:
+        shape = getattr(model, name).shape
+        size = math.prod(shape)
+        views[name] = flat[start:start + size].reshape(shape)
+        start += size
+    return views
+
+
+def train(cfg: TrainConfig, dataset: list[GridSample]):
     """Adam training with linear warmup and step decay.
+
+    The samples are stacked once into a :class:`TrainBatch` whose
+    identities are renumbered 0..n_ids-1 in sorted order.  Each step
+    gathers its drawn rows and calls :func:`loss_and_grad` once, with one
+    workspace for all steps.  The model's parameters are views into one
+    flat vector, which Adam updates in place with flat ``m`` and ``v``.
+    The module docstring says why each of these gives the bits of the
+    per-sample, per-parameter algorithm.
 
     Returns (model, per-epoch mean loss history).  Deterministic per seed.
     """
     rng = np.random.default_rng(cfg.seed)
-    ids = sorted({s.identity for s in dataset})
-    if model is None:
-        sample = dataset[0]
-        h, w, c = np.asarray(sample.grid.cells).shape
-        k = int(max(np.asarray(s.grid.part_labels).max() for s in dataset))
-        model = EmbedderModel.init(channels=c, num_parts=k, dim=8,
-                                   n_ids=len(ids), seed=cfg.seed)
-    id_index = {ident: j for j, ident in enumerate(ids)}
-    remapped = [GridSample(s.grid, id_index[s.identity], s.team, s.role, s.view)
-                for s in dataset]
+    table = TrainBatch.from_samples(dataset)
+    ids, identity = np.unique(table.identity, return_inverse=True)
+    table = replace(table, identity=identity)
+    model = EmbedderModel.init(channels=table.cells.shape[-1],
+                               num_parts=int(table.part_labels.max()), dim=8,
+                               n_ids=len(ids), seed=cfg.seed)
+    theta = np.concatenate(list(model.params().values()), axis=None)
+    model = EmbedderModel(**_param_views(theta, model))
 
-    m_state = {k_: np.zeros_like(p) for k_, p in model.params().items()}
-    v_state = {k_: np.zeros_like(p) for k_, p in model.params().items()}
+    m_state, v_state = np.zeros_like(theta), np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
     history = []
-    groups = _group_by_identity(remapped)
+    groups = _group_by_identity(table)
+    workspace = {}
     for epoch in range(cfg.epochs):
         lr = _lr_at(epoch, cfg)
         epoch_losses = []
         for _ in range(cfg.steps_per_epoch):
-            batch = _draw_batch(groups, rng, cfg.samples_per_identity)
-            value, grads, _ = loss_and_grad(model, batch, cfg)
+            rows = _draw_batch(groups, rng, cfg.samples_per_identity)
+            value, grads, _ = loss_and_grad(model, table.take(rows), cfg,
+                                            workspace)
             epoch_losses.append(value)
             t += 1
-            for name in PARAM_NAMES:
-                gr = grads[name]
-                m_state[name] = beta1 * m_state[name] + (1 - beta1) * gr
-                v_state[name] = beta2 * v_state[name] + (1 - beta2) * gr**2
-                mhat = m_state[name] / (1 - beta1**t)
-                vhat = v_state[name] / (1 - beta2**t)
-                p = getattr(model, name)
-                setattr(model, name, p - lr * mhat / (np.sqrt(vhat) + eps))
+            # p - lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+            gr = np.concatenate([grads[name] for name in PARAM_NAMES],
+                                axis=None)
+            m_state *= beta1
+            m_state += (1 - beta1) * gr
+            v_state *= beta2
+            v_state += (1 - beta2) * gr**2
+            step = lr * (m_state / (1 - beta1**t))
+            step /= np.sqrt(v_state / (1 - beta2**t)) + eps
+            theta -= step
         history.append(float(np.mean(epoch_losses)))
     return model, history
 
 
-def grad_check(model: EmbedderModel, batch: list[GridSample],
+def grad_check(model: EmbedderModel, batch: TrainBatch,
                cfg: TrainConfig, step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients
     over every model parameter."""

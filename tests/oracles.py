@@ -12,7 +12,13 @@ import numpy as np
 from prtrack.core import (BoundingBox, Detection, PartFeatureSet, Role,
                           TrackStatus, Tracklet, box_array, iou_matrix,
                           part_distance_matrix, xyah_to_xywh)
-from prtrack.embedder import FeatureGrid, GridSample, forward_batch
+from prtrack.embedder import (PARAM_NAMES, EmbedderModel, FeatureGrid,
+                              GridSample, _forward_arrays, _lr_at,
+                              forward_batch)
+from prtrack.losses import (LossValue, TripletConfig, _batch_hard_triplets,
+                            _check_labels, cross_entropy_id, focal_loss,
+                            part_prediction_loss, total_loss,
+                            triplet_batch_hard)
 from prtrack.motio import FeatureRecord, MotRecord
 from prtrack.simgen import (_VIEW_CHUNK, Agent, ScenarioConfig,
                             _sample_events, oracle_feature_projection)
@@ -749,3 +755,220 @@ def brute_write_features(records, path):
         fh.write("\n".join(lines))
         if lines:
             fh.write("\n")
+
+
+def _brute_gilt_loss(parts, part_visibility, id_logits, labels, cfg):
+    """``losses.gilt_loss`` with one ``cross_entropy_id`` call per holistic
+    scope, as the package had it before the scopes shared one softmax.
+    The part triplets are the package's kernel, checked on its own by
+    ``brute_triplet``."""
+    parts = np.asarray(parts, dtype=float)       # (N, K, D)
+    vis = np.asarray(part_visibility)            # (N, K)
+    labels = np.asarray(labels)
+    k = parts.shape[1]
+    _check_labels(labels)
+
+    scopes = ("global", "concat", "foreground")
+    ce_value = 0.0
+    logit_grads = {}
+    for scope in scopes:
+        lv = cross_entropy_id(id_logits[scope], labels)
+        ce_value += lv.value / len(scopes)
+        logit_grads[scope] = lv.gradients / len(scopes)
+
+    values, grads = _batch_hard_triplets(parts.transpose(1, 0, 2), labels,
+                                         vis.T.astype(bool), cfg.margin)
+    # cumsum adds the v / k in scope order, as a loop over scopes would.
+    part_value = float(np.cumsum(values / k)[-1])
+    part_grads = grads.transpose(1, 0, 2) / k
+
+    return LossValue(ce_value + part_value,
+                     {"id_logits": logit_grads, "parts": part_grads})
+
+
+def brute_loss_and_grad(model, batch, cfg):
+    """``embedder.loss_and_grad`` on a list of ``GridSample``s, stacked
+    sample by sample, with fresh arrays for every intermediate.  Shares the
+    forward pass and the component losses other than
+    :func:`_brute_gilt_loss` with the package."""
+    cells = np.stack([np.asarray(s.grid.cells, float) for s in batch])
+    labels_grid = np.stack([np.asarray(s.grid.part_labels, int) for s in batch])
+    fw = _forward_arrays(model, cells)
+    b, n = fw["z"].shape[:2]
+    k, d = model.num_parts, model.dim
+    ids = np.array([s.identity for s in batch])
+    roles = np.array([int(s.role) for s in batch])
+    wts = cfg.weights
+
+    # --- component losses -------------------------------------------------
+    # Part prediction: per-image cell-sum, averaged over the batch.
+    pa = part_prediction_loss(fw["z"], labels_grid.reshape(b, n))
+    pa = LossValue(pa.value / b, pa.gradients / b)
+
+    id_logits = {
+        "global": fw["f_g"] @ model.w_id_g + model.b_id_g,
+        "foreground": fw["f_fg"] @ model.w_id_f + model.b_id_f,
+        "concat": fw["f_parts"].reshape(b, k * d) @ model.w_id_c + model.b_id_c,
+    }
+    reid = _brute_gilt_loss(fw["f_parts"], fw["vis"][:, 1:], id_logits, ids,
+                            TripletConfig(margin=cfg.reid_margin))
+
+    players = roles == int(Role.PLAYER)
+    if players.sum() >= 4:
+        teams = np.array([batch[i].team for i in np.where(players)[0]])
+        team = triplet_batch_hard(fw["f_fg"][players], teams,
+                                  TripletConfig(margin=cfg.team_margin))
+    else:
+        team = LossValue(0.0, np.zeros((int(players.sum()), d)))
+
+    role = focal_loss(fw["role_logits"], roles, cfg.focal_gamma)
+
+    components = {"pa": pa, "reid": reid, "team": team, "role": role}
+    tot = total_loss(components, wts)
+    g = tot.gradients  # per-component gradients, already weight-scaled
+
+    # --- backward ---------------------------------------------------------
+    grads = {name: np.zeros_like(p) for name, p in model.params().items()}
+    d_fg_emb = np.zeros((b, d))     # grad wrt foreground embedding
+    d_g_emb = np.zeros((b, d))      # grad wrt global embedding
+    d_parts = np.array(g["reid"]["parts"])  # (B, K, D)
+
+    # Identity heads (holistic scopes).
+    dlg = g["reid"]["id_logits"]
+    grads["w_id_g"] += fw["f_g"].T @ dlg["global"]
+    grads["b_id_g"] += dlg["global"].sum(axis=0)
+    d_g_emb += dlg["global"] @ model.w_id_g.T
+    grads["w_id_f"] += fw["f_fg"].T @ dlg["foreground"]
+    grads["b_id_f"] += dlg["foreground"].sum(axis=0)
+    d_fg_emb += dlg["foreground"] @ model.w_id_f.T
+    flat_parts = fw["f_parts"].reshape(b, k * d)
+    grads["w_id_c"] += flat_parts.T @ dlg["concat"]
+    grads["b_id_c"] += dlg["concat"].sum(axis=0)
+    d_parts += (dlg["concat"] @ model.w_id_c.T).reshape(b, k, d)
+
+    # Team triplet on player foreground embeddings.
+    if players.any():
+        d_fg_emb[players] += g["team"]
+
+    # Role head (focal) on the foreground embedding.
+    d_role_z = g["role"]
+    grads["w_role"] += fw["f_fg"].T @ d_role_z
+    grads["b_role"] += d_role_z.sum(axis=0)
+    d_fg_emb += d_role_z @ model.w_role.T
+
+    # Backprop pooled embeddings into per-cell projections and mask weights.
+    proj, part_w, fg_w = fw["proj"], fw["part_w"], fw["fg_w"]
+    part_sum, fg_sum = fw["part_sum"], fw["fg_sum"]
+    d_proj = np.zeros_like(proj)                      # (B, N, D)
+    d_mask = np.zeros_like(fw["masks"])               # (B, N, K+1)
+
+    # Global embedding: plain mean over cells.
+    d_proj += d_g_emb[:, None, :] / n
+
+    # Part embeddings: f_k = sum_c m p / sum_c m.
+    d_proj += np.einsum("bnk,bkd->bnd", part_w, d_parts / part_sum[:, :, None])
+    resid = proj[:, None, :, :] - fw["f_parts"][:, :, None, :]  # (B, K, N, D)
+    d_mask[:, :, 1:] += np.einsum(
+        "bknd,bkd->bnk", resid, d_parts / part_sum[:, :, None])
+
+    # Foreground embedding via weight 1 - m_background.
+    d_proj += fg_w[:, :, None] * d_fg_emb[:, None, :] / fg_sum[:, None, None]
+    resid_f = proj - fw["f_fg"][:, None, :]
+    d_fg_w = np.einsum("bnd,bd->bn", resid_f, d_fg_emb / fg_sum[:, None])
+    d_mask[:, :, 0] -= d_fg_w
+
+    # Softmax backward for the mask weights, plus direct part-prediction grad.
+    m = fw["masks"]
+    dz = m * (d_mask - (d_mask * m).sum(axis=2, keepdims=True))
+    dz += g["pa"]
+
+    x = fw["x"]
+    grads["w_pix"] += np.einsum("bnc,bnk->ck", x, dz)
+    grads["b_pix"] += dz.sum(axis=(0, 1))
+    grads["w_emb"] += np.einsum("bnc,bnd->cd", x, d_proj)
+    grads["b_emb"] += d_proj.sum(axis=(0, 1))
+
+    comp_values = {name: lv.value for name, lv in components.items()}
+    return tot.value, grads, comp_values
+
+
+def brute_group_by_identity(dataset):
+    """``(samples by identity, left, right, other)`` of a list of
+    ``GridSample``s, each identity's role and team read off its first
+    sample."""
+    by_id = {}
+    for s in dataset:
+        by_id.setdefault(s.identity, []).append(s)
+    left = sorted(i for i, ss in by_id.items()
+                  if ss[0].role == Role.PLAYER and ss[0].team == 0)
+    right = sorted(i for i, ss in by_id.items()
+                   if ss[0].role == Role.PLAYER and ss[0].team == 1)
+    other = sorted(i for i, ss in by_id.items() if ss[0].role != Role.PLAYER)
+    return by_id, left, right, other
+
+
+def brute_draw_batch(groups, rng, samples_per_identity):
+    """A training batch as a list of ``GridSample``s: 4 + 4 player
+    identities of the two teams and 3 others, then each identity's picks."""
+    by_id, left, right, other = groups
+    chosen = (list(rng.choice(left, 4, replace=False))
+              + list(rng.choice(right, 4, replace=False))
+              + list(rng.choice(other, 3, replace=False)))
+    batch = []
+    for ident in chosen:
+        pool = by_id[ident]
+        replace = len(pool) < samples_per_identity
+        picks = rng.choice(len(pool), samples_per_identity, replace=replace)
+        batch.extend(pool[j] for j in picks)
+    return batch
+
+
+def brute_train(cfg, dataset):
+    """``embedder.train`` step by step: a batch of ``GridSample``s per
+    step, :func:`brute_loss_and_grad`, and Adam on each parameter array in
+    turn, each update a new array.  Shares the model initialisation and
+    the learning-rate schedule with the package."""
+    rng = np.random.default_rng(cfg.seed)
+    ids = sorted({s.identity for s in dataset})
+    sample = dataset[0]
+    h, w, c = np.asarray(sample.grid.cells).shape
+    k = int(max(np.asarray(s.grid.part_labels).max() for s in dataset))
+    model = EmbedderModel.init(channels=c, num_parts=k, dim=8,
+                               n_ids=len(ids), seed=cfg.seed)
+    id_index = {ident: j for j, ident in enumerate(ids)}
+    remapped = [GridSample(s.grid, id_index[s.identity], s.team, s.role, s.view)
+                for s in dataset]
+
+    m_state = {k_: np.zeros_like(p) for k_, p in model.params().items()}
+    v_state = {k_: np.zeros_like(p) for k_, p in model.params().items()}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    t = 0
+    history = []
+    groups = brute_group_by_identity(remapped)
+    for epoch in range(cfg.epochs):
+        lr = _lr_at(epoch, cfg)
+        epoch_losses = []
+        for _ in range(cfg.steps_per_epoch):
+            batch = brute_draw_batch(groups, rng, cfg.samples_per_identity)
+            value, grads, _ = brute_loss_and_grad(model, batch, cfg)
+            epoch_losses.append(value)
+            t += 1
+            for name in PARAM_NAMES:
+                gr = grads[name]
+                m_state[name] = beta1 * m_state[name] + (1 - beta1) * gr
+                v_state[name] = beta2 * v_state[name] + (1 - beta2) * gr**2
+                mhat = m_state[name] / (1 - beta1**t)
+                vhat = v_state[name] / (1 - beta2**t)
+                p = getattr(model, name)
+                setattr(model, name, p - lr * mhat / (np.sqrt(vhat) + eps))
+        history.append(float(np.mean(epoch_losses)))
+    return model, history
+
+
+def brute_softmax(logits):
+    """Softmax over the last axis, shifted by numpy's row maximum of that
+    axis, as ``losses.softmax`` had it before it took the maxima from a
+    transposed copy."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)

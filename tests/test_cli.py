@@ -135,7 +135,11 @@ def test_data_error_exit_code(tmp_path, capsys):
     for text, key in (("tracker: {match_threshold: .nan}\n", "match_threshold"),
                       ("scenario: {feature_noise_sigma: .inf}\n",
                        "feature_noise_sigma"),
-                      ("sampling_stride: 2.5\n", "sampling_stride")):
+                      ("sampling_stride: 2.5\n", "sampling_stride"),
+                      ("train: {focal_gamma: -1.0}\n", "train.focal_gamma"),
+                      ("train: {reid_margin: -0.5}\n", "train.reid_margin"),
+                      ("train: {warmup_epochs: -2}\n",
+                       "train.warmup_epochs")):
         bad.write_text(text)
         out = tmp_path / key
         assert main(["pipeline", "--config", str(bad), "--out", str(out)]) == 2

@@ -4,6 +4,7 @@ import yaml
 from prtrack.config import (ConfigTypeError, RangeError, RunConfig,
                             UnknownKeyError, config_from_dict, config_to_dict,
                             load_config)
+from prtrack.embedder import TrainConfig
 from prtrack.simgen import ScenarioConfig
 
 
@@ -105,7 +106,22 @@ def test_range_errors():
             ({"scenario": {"seed": -1}}, "^scenario.seed must be >= 0"),
             ({"scenario": {"grid_h": 2}},
              "^scenario.grid_h must be >= num_parts"),
-            ({"train": {"seed": -1}}, "^train.seed must be >= 0")):
+            ({"train": {"seed": -1}}, "^train.seed must be >= 0"),
+            ({"train": {"focal_gamma": -1.0}},
+             "^train.focal_gamma must be >= 0"),
+            ({"train": {"reid_margin": -0.5}},
+             "^train.reid_margin must be >= 0"),
+            ({"train": {"team_margin": -0.01}},
+             "^train.team_margin must be >= 0"),
+            ({"train": {"focal_gamma": nan}},
+             "^train.focal_gamma must be finite"),
+            ({"train": {"reid_margin": nan}},
+             "^train.reid_margin must be finite"),
+            ({"train": {"base_lr": inf}}, "^train.base_lr must be finite"),
+            ({"train": {"warmup_epochs": -2}},
+             "^train.warmup_epochs must be >= 0"),
+            ({"train": {"decay_epochs": [20, -1]}},
+             "^train.decay_epochs must be >= 0")):
         with pytest.raises(RangeError, match=key):
             config_from_dict(doc)
     with pytest.raises(RangeError, match="^seed must be >= 0"):
@@ -124,6 +140,18 @@ def test_configs_check_themselves():
             RunConfig(**kwargs)
     with pytest.raises(RangeError, match=r"^detector_noise must be one of"):
         config_from_dict({"detector_noise": "jiter"})
+    nan, inf = float("nan"), float("inf")
+    for kwargs, message in (
+            ({"focal_gamma": nan}, "^focal_gamma must be finite"),
+            ({"focal_gamma": -1.0}, "^focal_gamma must be >= 0"),
+            ({"reid_margin": nan}, "^reid_margin must be finite"),
+            ({"team_margin": inf}, "^team_margin must be finite"),
+            ({"base_lr": inf}, "^base_lr must be finite"),
+            ({"base_lr": nan}, "^base_lr must be > 0"),
+            ({"warmup_epochs": -1}, "^warmup_epochs must be >= 0"),
+            ({"decay_epochs": (-1, 35)}, "^decay_epochs must be >= 0")):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kwargs)
 
 
 def test_reseeded_propagates():

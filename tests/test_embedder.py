@@ -1,13 +1,20 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from prtrack import embedder
 from prtrack.core import Role
-from prtrack.embedder import (EmbedderModel, FeatureGrid, GridSample,
-                              InsufficientIdentities, TrainConfig,
-                              _forward_arrays, _lr_at, forward_batch,
-                              grad_check, loss_and_grad, sample_batch, train)
+from prtrack.embedder import (PARAM_NAMES, EmbedderModel, FeatureGrid,
+                              GridSample, InsufficientIdentities, TrainBatch,
+                              TrainConfig, _forward_arrays, _lr_at,
+                              forward_batch, grad_check, loss_and_grad,
+                              sample_batch, train)
 from prtrack.losses import LossWeights
+from prtrack.simgen import ScenarioConfig, generate, to_reid_dataset
+
+from oracles import (brute_draw_batch, brute_group_by_identity,
+                     brute_loss_and_grad, brute_train)
 
 
 def make_grid(rng, h=4, w=3, c=6, k=3):
@@ -69,13 +76,21 @@ def test_forward_batch_matches_single(rng):
 
 
 def test_visibility_follows_argmax(rng):
+    """A part is visible when some cell's mask argmax is that part; on
+    grids of 3 cells and on 2x2 grids, some parts are hidden."""
     model = EmbedderModel.init(channels=6, num_parts=3, dim=4, n_ids=5)
-    grid = make_grid(rng)
-    (pfs,), _ = forward_batch(model, [grid])
-    argmax = part_masks(model, grid).reshape(-1, 4).argmax(axis=1)
-    for j in range(3):
-        assert pfs.visibility[j + 1] == int((argmax == j + 1).any())
-    assert pfs.visibility[0] == int(pfs.visibility[1:].any())
+    grids = [make_grid(rng)] + [
+        FeatureGrid(rng.normal(size=(h, w, 6)), np.zeros((h, w), int))
+        for h, w in [(1, 3), (2, 2)] * 10]
+    hidden = 0
+    for grid in grids:
+        (pfs,), _ = forward_batch(model, [grid])
+        argmax = part_masks(model, grid).reshape(-1, 4).argmax(axis=1)
+        for j in range(3):
+            assert pfs.visibility[j + 1] == int((argmax == j + 1).any())
+        assert pfs.visibility[0] == int(pfs.visibility[1:].any())
+        hidden += 3 - pfs.visibility[1:].sum()
+    assert hidden > 0
 
 
 def test_gradients_match_finite_differences(rng):
@@ -93,9 +108,8 @@ def test_sample_batch_composition(rng):
     data = make_dataset(rng)
     batch = sample_batch(data, np.random.default_rng(1))
     assert len(batch) == 11 * 4
-    ids = [s.identity for s in batch]
-    assert len(set(ids)) == 11
-    teams = [s.team for s in batch if s.role == Role.PLAYER]
+    assert len(set(batch.identity.tolist())) == 11
+    teams = batch.team[batch.role == int(Role.PLAYER)].tolist()
     assert teams.count(0) == 16 and teams.count(1) == 16
 
 
@@ -103,10 +117,14 @@ def test_sample_batch_insufficient(rng):
     data = make_dataset(rng, n_left=3)
     with pytest.raises(InsufficientIdentities):
         sample_batch(data, np.random.default_rng(0))
+    with pytest.raises(InsufficientIdentities, match="no training samples"):
+        sample_batch([], np.random.default_rng(0))
+    with pytest.raises(InsufficientIdentities, match="no training samples"):
+        train(TrainConfig(), [])
 
 
 def test_train_draws_sample_batch_batches(rng, monkeypatch):
-    """``train`` groups the samples once, and its steps draw the batches
+    """``train`` stacks the samples once, and its steps gather the batches
     that repeated ``sample_batch`` calls draw from a generator seeded
     alike."""
     data = make_dataset(rng, per_id=3)
@@ -115,14 +133,18 @@ def test_train_draws_sample_batch_batches(rng, monkeypatch):
     seen = []
     loss_and_grad_ = embedder.loss_and_grad
 
-    def spy(model, batch, cfg):
-        seen.append([id(s.grid) for s in batch])
-        return loss_and_grad_(model, batch, cfg)
+    def spy(model, batch, cfg, workspace):
+        seen.append(batch)
+        return loss_and_grad_(model, batch, cfg, workspace)
     monkeypatch.setattr(embedder, "loss_and_grad", spy)
     train(cfg, data)
     draws = np.random.default_rng(cfg.seed)
-    assert seen == [[id(s.grid) for s in sample_batch(data, draws, 2)]
-                    for _ in range(6)]
+    assert len(seen) == 6
+    for got in seen:
+        want = sample_batch(data, draws, 2)
+        for f in fields(TrainBatch):
+            np.testing.assert_array_equal(getattr(got, f.name),
+                                          getattr(want, f.name))
 
 
 def test_lr_schedule():
@@ -152,3 +174,76 @@ def test_train_reid_only_weights(rng):
                       weights=LossWeights(lambda_team=0.0, lambda_role=0.0))
     model, history = train(cfg, data)
     assert len(history) == 2
+
+
+def _occluded_train_set(seed=3):
+    scenario = generate(ScenarioConfig(frames=130, n_players_per_team=6,
+                                       occlusion_rate=0.3, seed=seed))
+    train_set, _, _ = to_reid_dataset(scenario, sampling_stride=5)
+    return train_set
+
+
+# (dataset, config) pairs of the oracle tests: an occluded scenario's
+# training split; identities with fewer samples than a batch takes of each,
+# so each is drawn with replacement; and the cross-entropy role loss on
+# identities with exactly as many samples as a batch takes, drawn without.
+def _oracle_cases():
+    return [
+        (_occluded_train_set(), TrainConfig(epochs=4, steps_per_epoch=3,
+                                            seed=3)),
+        (make_dataset(np.random.default_rng(8), per_id=2),
+         TrainConfig(epochs=5, steps_per_epoch=2, samples_per_identity=3,
+                     seed=1)),
+        (make_dataset(np.random.default_rng(9), per_id=3),
+         TrainConfig(epochs=5, steps_per_epoch=2, samples_per_identity=3,
+                     focal_gamma=0.0, seed=2)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3),
+                         ids=["occluded", "replace", "gamma0"])
+def test_train_equals_per_sample_oracle(case):
+    """Gathered batches and the flat Adam update give the per-sample,
+    per-parameter training's model and loss history to the bit."""
+    data, cfg = _oracle_cases()[case]
+    model, history = train(cfg, data)
+    want_model, want_history = brute_train(cfg, data)
+    assert history == want_history
+    for name in PARAM_NAMES:
+        got, want = getattr(model, name), getattr(want_model, name)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("case", range(3),
+                         ids=["occluded", "replace", "gamma0"])
+def test_loss_and_grad_equals_per_sample_oracle(case):
+    """On batches drawn as training draws them, ``loss_and_grad`` on the
+    gathered columns returns the oracle's loss, gradients and component
+    values to the bit, with a fresh workspace and with one reused."""
+    data, cfg = _oracle_cases()[case]
+    model, _ = train(TrainConfig(epochs=1, steps_per_epoch=1,
+                                 samples_per_identity=cfg.samples_per_identity,
+                                 seed=cfg.seed), data)
+    ids = sorted({s.identity for s in data})
+    remapped = [GridSample(s.grid, ids.index(s.identity), s.team, s.role)
+                for s in data]
+    rng, brute_rng = np.random.default_rng(5), np.random.default_rng(5)
+    workspace = {}
+    for step in range(3):
+        batch = sample_batch(remapped, rng, cfg.samples_per_identity)
+        samples = brute_draw_batch(brute_group_by_identity(remapped),
+                                   brute_rng, cfg.samples_per_identity)
+        for f in fields(TrainBatch):
+            np.testing.assert_array_equal(
+                getattr(batch, f.name),
+                getattr(TrainBatch.from_samples(samples), f.name))
+        value, grads, comps = loss_and_grad(
+            model, batch, cfg, workspace if step else None)
+        want_value, want_grads, want_comps = brute_loss_and_grad(
+            model, samples, cfg)
+        assert value == want_value
+        assert comps == want_comps
+        assert list(grads) == list(want_grads)
+        for name, g in grads.items():
+            assert g.tobytes() == want_grads[name].tobytes(), name

@@ -10,7 +10,7 @@ from prtrack.losses import (DegenerateBatch, LossWeights, LossValue,
                             part_prediction_loss, softmax, total_loss,
                             triplet_batch_hard)
 
-from oracles import brute_triplet
+from oracles import brute_softmax, brute_triplet
 
 
 def fd_check(fn, x, grad, coords, step=1e-6, tol=1e-6):
@@ -31,6 +31,26 @@ def fd_check(fn, x, grad, coords, step=1e-6, tol=1e-6):
 def test_softmax_rows_sum_to_one(rng):
     p = softmax(rng.normal(size=(6, 9)))
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+
+
+# Logits with ties, zeros of both signs, and magnitudes from 1e-300 to 1e3,
+# plus -inf entries in rows that keep a finite maximum.
+_logit = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 700.0]),
+                   st.floats(-1e3, 1e3, allow_subnormal=True))
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3), st.data())
+def test_softmax_equals_row_max_softmax(shape, data):
+    """The transposed-copy row maximum gives numpy's row-max softmax to
+    the bit."""
+    logits = data.draw(arrays(float, tuple(shape), elements=_logit))
+    hide = data.draw(arrays(bool, tuple(shape)))
+    hide[..., 0] = False
+    logits[hide] = -np.inf
+    got, want = softmax(logits), brute_softmax(logits)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_cross_entropy_value_and_grad(rng):
