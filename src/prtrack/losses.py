@@ -25,6 +25,7 @@ summing the terms first and dividing once (none for 2^j anchors).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,9 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda_pa", "lambda_reid", "lambda_team", "lambda_role"):
-            if getattr(self, name) < 0:
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+            if value < 0:
                 raise ValueError(f"{name} must be >= 0")
 
 

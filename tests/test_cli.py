@@ -1,7 +1,11 @@
 import argparse
 import importlib
+import os
 import pkgutil
 import shlex
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import yaml
@@ -90,6 +94,39 @@ def test_staged_chain_writes_pipeline_bytes(tmp_path):
     for name in ("gt.txt", "model.txt", "track_raw.txt", "track_merged.txt"):
         assert (staged / name).read_bytes() == (full / name).read_bytes(), \
             name
+
+
+def test_commands_without_assignment_do_not_load_scipy_optimize(tmp_path):
+    """generate, train, embed and eval-reid never import scipy.optimize;
+    hungarian loads it on its first call.  A fresh interpreter, because
+    this one has it loaded already."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import yaml
+        import prtrack
+        from prtrack import cli
+        run, cfg = sys.argv[1:]
+        with open(cfg, "w") as f:
+            yaml.safe_dump({"seed": 1, "train": {"epochs": 2},
+                            "scenario": {"frames": 30,
+                                         "n_players_per_team": 6}}, f)
+        codes = [cli.main(["generate", "--config", cfg, "--out", run])]
+        codes += [cli.main([stage, "--run", run])
+                  for stage in ("train", "embed", "eval-reid")]
+        assert codes == [0, 0, 0, 0], codes
+        assert "scipy.optimize" not in sys.modules
+        got = prtrack.hungarian(np.array([[4.0, 1.0], [2.0, 8.0]]))
+        assert got.pairs == [(0, 1), (1, 0)], got
+        assert "scipy.optimize" in sys.modules
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "run"),
+         str(tmp_path / "run.yaml")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_usage_error_exit_code():

@@ -294,3 +294,11 @@ def test_total_loss_weighted_sum():
 def test_loss_weights_validation():
     with pytest.raises(ValueError):
         LossWeights(lambda_team=-0.1)
+
+
+@pytest.mark.parametrize("name", ["lambda_pa", "lambda_reid", "lambda_team",
+                                  "lambda_role"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_loss_weights_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        LossWeights(**{name: value})

@@ -77,3 +77,11 @@ def test_kmeans2_degenerate():
         kmeans2(np.ones((5, 2)), seed=0)
     with pytest.raises(ValueError):
         kmeans2(np.ones((1, 2)), seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans2_rejects_non_finite_points(rng, bad):
+    pts = rng.normal(size=(10, 3))
+    pts[4, 1] = bad
+    with pytest.raises(ValueError, match="points must be finite"):
+        kmeans2(pts, seed=0)
