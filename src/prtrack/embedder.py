@@ -7,8 +7,8 @@ identity logits (training only) and role logits.  Trained with the weighted
 multi-task objective via hand-derived gradients and Adam.
 
 A training step is a few array operations on state built once per
-:func:`train` call, and each gives the bits of the per-sample, per-parameter
-algorithm it replaced:
+:func:`train` call.  The first two below give the bits of the per-sample,
+per-parameter algorithm they replaced; the third changes its last digits:
 
 - The training set is stacked once into a :class:`TrainBatch` of columns.
   A step draws row indices, with the same generator calls as drawing
@@ -19,11 +19,12 @@ algorithm it replaced:
   elementwise, and the flat update does each element's operations in the
   per-parameter order, so the flat and the per-parameter updates agree to
   the bit.
-- The ``(B, K, N, D)`` part residual of the backward pass, the one
-  intermediate above malloc's mmap threshold, is written into a workspace
-  array that :func:`train` passes to every step, not page-faulted in anew
-  each step: the same values in an array of the same shape and layout, so
-  the contraction that reads it gives the same bits.
+- The pooling contractions of the forward and backward passes are matrix
+  products, which numpy hands to BLAS, and the part residual
+  ``p - f_k`` of the mask gradient is expanded so that no ``(B, K, N, D)``
+  array is built.  The sums run in another order than the ``einsum``
+  loops they replaced, so the gradients differ from those by about 1e-15
+  relative.  They do not depend on BLAS's thread count.
 """
 
 from __future__ import annotations
@@ -239,8 +240,8 @@ def _forward_arrays(model: EmbedderModel, cells: np.ndarray):
     fg_w = 1.0 - masks[:, :, 0]                  # (B, N)
     part_sum = part_w.sum(axis=1)                # (B, K)
     fg_sum = fg_w.sum(axis=1)                    # (B,)
-    f_parts = np.einsum("bnk,bnd->bkd", part_w, proj) / part_sum[:, :, None]
-    f_fg = np.einsum("bn,bnd->bd", fg_w, proj) / fg_sum[:, None]
+    f_parts = part_w.transpose(0, 2, 1) @ proj / part_sum[:, :, None]
+    f_fg = (fg_w[:, None, :] @ proj)[:, 0] / fg_sum[:, None]
     f_g = proj.mean(axis=1)
 
     shown = np.zeros((b, k + 1), dtype=bool)     # some cell's argmax class
@@ -270,22 +271,9 @@ def forward_batch(model: EmbedderModel, grids: list[FeatureGrid]):
     return sets, fw["role_logits"]
 
 
-def _scratch(workspace: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """``workspace[name]``, an uninitialised array replaced only when it
-    lacks the shape ``shape``."""
-    buf = workspace.get(name)
-    if buf is None or buf.shape != shape:
-        buf = workspace[name] = np.empty(shape)
-    return buf
-
-
 def loss_and_grad(model: EmbedderModel, batch: TrainBatch,
-                  cfg: TrainConfig, workspace: dict | None = None):
+                  cfg: TrainConfig):
     """Total multi-task loss over a batch and model-shaped gradients.
-
-    ``workspace`` holds scratch arrays that the call overwrites; a loop
-    that passes one dict to every call allocates them once.  The results
-    do not depend on it.
 
     Returns (loss value, {param name: gradient}, per-component values).
     """
@@ -359,29 +347,28 @@ def loss_and_grad(model: EmbedderModel, batch: TrainBatch,
     # Global embedding: plain mean over cells.
     d_proj += d_g_emb[:, None, :] / n
 
-    # Part embeddings: f_k = sum_c m p / sum_c m.
-    d_proj += np.einsum("bnk,bkd->bnd", part_w, d_parts / part_sum[:, :, None])
-    resid = np.subtract(proj[:, None, :, :], fw["f_parts"][:, :, None, :],
-                        out=_scratch({} if workspace is None else workspace,
-                                     "resid", (b, k, n, d)))
-    d_mask[:, :, 1:] += np.einsum(
-        "bknd,bkd->bnk", resid, d_parts / part_sum[:, :, None])
+    # Part embeddings: f_k = sum_c m p / sum_c m.  The mask gradient
+    # sum_d (p - f_k) dp_k expands to p . dp_k - f_k . dp_k.
+    dp = d_parts / part_sum[:, :, None]               # (B, K, D)
+    d_proj += part_w @ dp
+    d_mask[:, :, 1:] += (proj @ dp.transpose(0, 2, 1)
+                         - (fw["f_parts"] * dp).sum(axis=2)[:, None, :])
 
     # Foreground embedding via weight 1 - m_background.
+    dfg = d_fg_emb / fg_sum[:, None]                  # (B, D)
     d_proj += fg_w[:, :, None] * d_fg_emb[:, None, :] / fg_sum[:, None, None]
-    resid_f = proj - fw["f_fg"][:, None, :]
-    d_fg_w = np.einsum("bnd,bd->bn", resid_f, d_fg_emb / fg_sum[:, None])
-    d_mask[:, :, 0] -= d_fg_w
+    d_mask[:, :, 0] -= ((proj @ dfg[:, :, None])[:, :, 0]
+                        - (fw["f_fg"] * dfg).sum(axis=1)[:, None])
 
     # Softmax backward for the mask weights, plus direct part-prediction grad.
     m = fw["masks"]
     dz = m * (d_mask - (d_mask * m).sum(axis=2, keepdims=True))
     dz += g["pa"]
 
-    x = fw["x"]
-    grads["w_pix"] += np.einsum("bnc,bnk->ck", x, dz)
+    x = fw["x"].reshape(b * n, -1)
+    grads["w_pix"] += x.T @ dz.reshape(b * n, -1)
     grads["b_pix"] += dz.sum(axis=(0, 1))
-    grads["w_emb"] += np.einsum("bnc,bnd->cd", x, d_proj)
+    grads["w_emb"] += x.T @ d_proj.reshape(b * n, -1)
     grads["b_emb"] += d_proj.sum(axis=(0, 1))
 
     comp_values = {name: lv.value for name, lv in components.items()}
@@ -462,11 +449,10 @@ def train(cfg: TrainConfig, dataset: list[GridSample]):
 
     The samples are stacked once into a :class:`TrainBatch` whose
     identities are renumbered 0..n_ids-1 in sorted order.  Each step
-    gathers its drawn rows and calls :func:`loss_and_grad` once, with one
-    workspace for all steps.  The model's parameters are views into one
-    flat vector, which Adam updates in place with flat ``m`` and ``v``.
-    The module docstring says why each of these gives the bits of the
-    per-sample, per-parameter algorithm.
+    gathers its drawn rows and calls :func:`loss_and_grad` once.  The
+    model's parameters are views into one flat vector, which Adam updates
+    in place with flat ``m`` and ``v``.  The module docstring says why
+    these give the bits of the per-sample, per-parameter algorithm.
 
     Returns (model, per-epoch mean loss history).  Deterministic per seed.
     """
@@ -485,14 +471,12 @@ def train(cfg: TrainConfig, dataset: list[GridSample]):
     t = 0
     history = []
     groups = _group_by_identity(table)
-    workspace = {}
     for epoch in range(cfg.epochs):
         lr = _lr_at(epoch, cfg)
         epoch_losses = []
         for _ in range(cfg.steps_per_epoch):
             rows = _draw_batch(groups, rng, cfg.samples_per_identity)
-            value, grads, _ = loss_and_grad(model, table.take(rows), cfg,
-                                            workspace)
+            value, grads, _ = loss_and_grad(model, table.take(rows), cfg)
             epoch_losses.append(value)
             t += 1
             # p - lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)

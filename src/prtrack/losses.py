@@ -117,8 +117,11 @@ def focal_loss(logits: np.ndarray, targets: np.ndarray,
     pt = np.clip(p[idx, targets], _EPS, 1.0)
     one_m = 1.0 - pt
     value = float((one_m**gamma * (-np.log(pt))).mean())
-    # d/dp_t of (1-p_t)^g * (-ln p_t), then chain through softmax.
-    dl_dpt = gamma * one_m ** (gamma - 1) * np.log(pt) - one_m**gamma / pt
+    # d/dp_t of (1-p_t)^g * (-ln p_t), then chain through softmax.  Where
+    # p_t is 1, (1-p_t)^(g-1) is infinite for g < 1 but ln p_t is 0 and the
+    # product tends to 0: a base of 1 there gives that 0.
+    base = np.where(one_m == 0.0, 1.0, one_m)
+    dl_dpt = gamma * base ** (gamma - 1) * np.log(pt) - one_m**gamma / pt
     onehot = np.zeros_like(p)
     onehot[idx, targets] = 1.0
     dpt_dz = pt[:, None] * (onehot - p)

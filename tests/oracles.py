@@ -786,14 +786,31 @@ def _brute_gilt_loss(parts, part_visibility, id_logits, labels, cfg):
                      {"id_logits": logit_grads, "parts": part_grads})
 
 
-def brute_loss_and_grad(model, batch, cfg):
+def _einsum_pooling(model, fw):
+    """``fw`` with the pooled embeddings and role logits of the forward
+    pass computed by ``np.einsum`` sums over the cells."""
+    f_parts = (np.einsum("bnk,bnd->bkd", fw["part_w"], fw["proj"])
+               / fw["part_sum"][:, :, None])
+    f_fg = np.einsum("bn,bnd->bd", fw["fg_w"], fw["proj"]) / fw["fg_sum"][:, None]
+    return {**fw, "f_parts": f_parts, "f_fg": f_fg,
+            "role_logits": f_fg @ model.w_role + model.b_role}
+
+
+def brute_loss_and_grad(model, batch, cfg, einsum=False):
     """``embedder.loss_and_grad`` on a list of ``GridSample``s, stacked
     sample by sample, with fresh arrays for every intermediate.  Shares the
     forward pass and the component losses other than
-    :func:`_brute_gilt_loss` with the package."""
+    :func:`_brute_gilt_loss` with the package.
+
+    With ``einsum`` true, the pooling contractions of the forward and
+    backward passes are ``np.einsum`` sums, the backward one over the
+    ``(B, K, N, D)`` part residual: the definition that the package's
+    matrix products equal up to summation order."""
     cells = np.stack([np.asarray(s.grid.cells, float) for s in batch])
     labels_grid = np.stack([np.asarray(s.grid.part_labels, int) for s in batch])
     fw = _forward_arrays(model, cells)
+    if einsum:
+        fw = _einsum_pooling(model, fw)
     b, n = fw["z"].shape[:2]
     k, d = model.num_parts, model.dim
     ids = np.array([s.identity for s in batch])
@@ -866,16 +883,25 @@ def brute_loss_and_grad(model, batch, cfg):
     d_proj += d_g_emb[:, None, :] / n
 
     # Part embeddings: f_k = sum_c m p / sum_c m.
-    d_proj += np.einsum("bnk,bkd->bnd", part_w, d_parts / part_sum[:, :, None])
-    resid = proj[:, None, :, :] - fw["f_parts"][:, :, None, :]  # (B, K, N, D)
-    d_mask[:, :, 1:] += np.einsum(
-        "bknd,bkd->bnk", resid, d_parts / part_sum[:, :, None])
+    dp = d_parts / part_sum[:, :, None]               # (B, K, D)
+    if einsum:
+        d_proj += np.einsum("bnk,bkd->bnd", part_w, dp)
+        resid = proj[:, None, :, :] - fw["f_parts"][:, :, None, :]
+        d_mask[:, :, 1:] += np.einsum("bknd,bkd->bnk", resid, dp)
+    else:
+        d_proj += part_w @ dp
+        d_mask[:, :, 1:] += (proj @ dp.transpose(0, 2, 1)
+                             - (fw["f_parts"] * dp).sum(axis=2)[:, None, :])
 
     # Foreground embedding via weight 1 - m_background.
+    dfg = d_fg_emb / fg_sum[:, None]                  # (B, D)
     d_proj += fg_w[:, :, None] * d_fg_emb[:, None, :] / fg_sum[:, None, None]
-    resid_f = proj - fw["f_fg"][:, None, :]
-    d_fg_w = np.einsum("bnd,bd->bn", resid_f, d_fg_emb / fg_sum[:, None])
-    d_mask[:, :, 0] -= d_fg_w
+    if einsum:
+        resid_f = proj - fw["f_fg"][:, None, :]
+        d_mask[:, :, 0] -= np.einsum("bnd,bd->bn", resid_f, dfg)
+    else:
+        d_mask[:, :, 0] -= ((proj @ dfg[:, :, None])[:, :, 0]
+                            - (fw["f_fg"] * dfg).sum(axis=1)[:, None])
 
     # Softmax backward for the mask weights, plus direct part-prediction grad.
     m = fw["masks"]
@@ -883,9 +909,14 @@ def brute_loss_and_grad(model, batch, cfg):
     dz += g["pa"]
 
     x = fw["x"]
-    grads["w_pix"] += np.einsum("bnc,bnk->ck", x, dz)
+    if einsum:
+        grads["w_pix"] += np.einsum("bnc,bnk->ck", x, dz)
+        grads["w_emb"] += np.einsum("bnc,bnd->cd", x, d_proj)
+    else:
+        x = x.reshape(b * n, -1)
+        grads["w_pix"] += x.T @ dz.reshape(b * n, -1)
+        grads["w_emb"] += x.T @ d_proj.reshape(b * n, -1)
     grads["b_pix"] += dz.sum(axis=(0, 1))
-    grads["w_emb"] += np.einsum("bnc,bnd->cd", x, d_proj)
     grads["b_emb"] += d_proj.sum(axis=(0, 1))
 
     comp_values = {name: lv.value for name, lv in components.items()}

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,9 +138,9 @@ def test_train_draws_sample_batch_batches(rng, monkeypatch):
     seen = []
     loss_and_grad_ = embedder.loss_and_grad
 
-    def spy(model, batch, cfg, workspace):
+    def spy(model, batch, cfg):
         seen.append(batch)
-        return loss_and_grad_(model, batch, cfg, workspace)
+        return loss_and_grad_(model, batch, cfg)
     monkeypatch.setattr(embedder, "loss_and_grad", spy)
     train(cfg, data)
     draws = np.random.default_rng(cfg.seed)
@@ -174,6 +179,36 @@ def test_train_reid_only_weights(rng):
                       weights=LossWeights(lambda_team=0.0, lambda_role=0.0))
     model, history = train(cfg, data)
     assert len(history) == 2
+
+
+def test_trained_model_does_not_depend_on_blas_threads(tmp_path):
+    """Training writes the same model file at 1 and at 2 BLAS threads.
+    OpenBLAS reads its thread count when it loads, so each count gets a
+    fresh interpreter."""
+    script = textwrap.dedent("""
+        import sys
+        from prtrack.embedder import TrainConfig, train
+        from prtrack.motio import save_model
+        from prtrack.simgen import ScenarioConfig, generate, to_reid_dataset
+        scenario = generate(ScenarioConfig(frames=130, n_players_per_team=6,
+                                           occlusion_rate=0.3, seed=3))
+        train_set, _, _ = to_reid_dataset(scenario, sampling_stride=5)
+        model, _ = train(TrainConfig(epochs=4, steps_per_epoch=3, seed=3),
+                         train_set)
+        save_model(model, sys.argv[1])
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        path = tmp_path / f"model_{threads}.txt"
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 
 def _occluded_train_set(seed=3):
@@ -215,12 +250,10 @@ def test_train_equals_per_sample_oracle(case):
         assert got.tobytes() == want.tobytes(), name
 
 
-@pytest.mark.parametrize("case", range(3),
-                         ids=["occluded", "replace", "gamma0"])
-def test_loss_and_grad_equals_per_sample_oracle(case):
-    """On batches drawn as training draws them, ``loss_and_grad`` on the
-    gathered columns returns the oracle's loss, gradients and component
-    values to the bit, with a fresh workspace and with one reused."""
+def _oracle_batches(case):
+    """``(model, cfg, batch, samples)`` for three steps of an oracle case:
+    a model trained one step, and the batches that ``sample_batch`` and
+    the oracle's per-sample draw take from generators seeded alike."""
     data, cfg = _oracle_cases()[case]
     model, _ = train(TrainConfig(epochs=1, steps_per_epoch=1,
                                  samples_per_identity=cfg.samples_per_identity,
@@ -229,17 +262,25 @@ def test_loss_and_grad_equals_per_sample_oracle(case):
     remapped = [GridSample(s.grid, ids.index(s.identity), s.team, s.role)
                 for s in data]
     rng, brute_rng = np.random.default_rng(5), np.random.default_rng(5)
-    workspace = {}
-    for step in range(3):
+    for _ in range(3):
         batch = sample_batch(remapped, rng, cfg.samples_per_identity)
         samples = brute_draw_batch(brute_group_by_identity(remapped),
                                    brute_rng, cfg.samples_per_identity)
+        yield model, cfg, batch, samples
+
+
+@pytest.mark.parametrize("case", range(3),
+                         ids=["occluded", "replace", "gamma0"])
+def test_loss_and_grad_equals_per_sample_oracle(case):
+    """On batches drawn as training draws them, ``loss_and_grad`` on the
+    gathered columns returns the oracle's loss, gradients and component
+    values to the bit."""
+    for model, cfg, batch, samples in _oracle_batches(case):
         for f in fields(TrainBatch):
             np.testing.assert_array_equal(
                 getattr(batch, f.name),
                 getattr(TrainBatch.from_samples(samples), f.name))
-        value, grads, comps = loss_and_grad(
-            model, batch, cfg, workspace if step else None)
+        value, grads, comps = loss_and_grad(model, batch, cfg)
         want_value, want_grads, want_comps = brute_loss_and_grad(
             model, samples, cfg)
         assert value == want_value
@@ -247,3 +288,21 @@ def test_loss_and_grad_equals_per_sample_oracle(case):
         assert list(grads) == list(want_grads)
         for name, g in grads.items():
             assert g.tobytes() == want_grads[name].tobytes(), name
+
+
+@pytest.mark.parametrize("case", range(3),
+                         ids=["occluded", "replace", "gamma0"])
+def test_loss_and_grad_matches_einsum_definition(case):
+    """The matrix products of ``loss_and_grad`` give the ``einsum``
+    contractions' loss within 1e-12 relative and each gradient within
+    1e-12 of that parameter's largest ``einsum`` gradient entry: they
+    differ only in summation order."""
+    for model, cfg, batch, samples in _oracle_batches(case):
+        value, grads, _ = loss_and_grad(model, batch, cfg)
+        want_value, want_grads, _ = brute_loss_and_grad(
+            model, samples, cfg, einsum=True)
+        assert abs(value - want_value) <= 1e-12 * abs(want_value)
+        for name, g in grads.items():
+            want = want_grads[name]
+            assert (np.abs(g - want).max()
+                    <= 1e-12 * np.abs(want).max()), name

@@ -95,6 +95,20 @@ def test_focal_gradient(rng):
              logits, lv.gradients, range(0, 28, 5))
 
 
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_focal_gradient_where_p_t_is_one(gamma):
+    """A row whose p_t rounds to 1 has a zero gradient, also for gamma < 1,
+    and leaves the other rows' gradients as they are alone."""
+    logits = np.array([[50.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    lv = focal_loss(logits, np.array([0, 1]), gamma)
+    assert np.isfinite(lv.value)
+    np.testing.assert_array_equal(lv.gradients[0], 0.0)
+    alone = focal_loss(logits[1:], np.array([1]), gamma)
+    np.testing.assert_array_equal(lv.gradients[1], alone.gradients[0] / 2)
+    fd_check(lambda: focal_loss(logits, np.array([0, 1]), gamma).value,
+             logits, lv.gradients, range(8))
+
+
 def test_part_prediction_is_cell_sum(rng):
     logits = rng.normal(size=(3, 2, 4))
     labels = rng.integers(0, 4, size=(3, 2))
