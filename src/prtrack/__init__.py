@@ -3,7 +3,7 @@ desk scale: joint re-identification / team / role embeddings, an online
 tracker with EMA part features, appearance-based tracklet merging, and a
 full retrieval + tracking evaluation suite on synthetic scenarios."""
 
-from .core import (BoundingBox, Detection, KalmanState, NoMutualVisibility,
+from .core import (BoundingBox, KalmanState, NoMutualVisibility,
                    PartFeatureSet, Role, TrackStatus, Tracklet, iou_matrix,
                    part_distance, part_distance_matrix)
 from .losses import (DegenerateBatch, LossValue, LossWeights, TripletConfig,

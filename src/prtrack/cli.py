@@ -16,15 +16,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import pickle
 import sys
+import zipfile
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .config import (ConfigTypeError, RunConfig, config_to_dict, load_config,
                      load_yaml)
-from .core import DataError
+from .core import DataError, PartFeatureSet, TrackStatus, Tracklet
 from .motio import (FeatureTable, ParseError, _feature_rows, load_model,
                     parse_mot, save_model, tracklets_to_records,
                     write_features, write_mot)
@@ -162,25 +163,111 @@ def cmd_track(args) -> int:
                                 features=_load_features(run_dir, table))
     tracklets = track_frames(table, cfg)
     write_mot(tracklets_to_records(tracklets), run_dir / "track_raw.txt")
-    with open(run_dir / "tracklets.pkl", "wb") as fh:
-        pickle.dump(tracklets, fh)
+    _save_tracklets(tracklets, run_dir / "tracklets.npz")
     print(f"online tracking produced {len(tracklets)} tracklets")
     return 0
 
 
-def _load_tracklets(run_dir: Path, name: str = "tracklets.pkl"):
-    with open(run_dir / name, "rb") as fh:
-        return pickle.load(fh)
+# The arrays of a tracklets file and their dtype kind and shape: T
+# tracklets with K parts of dimension D, and their N member rows.
+_TRACKLET_ARRAYS = {
+    "id": "i T", "count": "i T", "ema": "f T K+1 D",
+    "ema_visibility": "i T K+1", "role_logit_sum": "f T 4",
+    "frame": "i N", "det_index": "i N", "boxes": "f N 4",
+    "gt_identity": "i N", "gt_team": "i N", "gt_role": "i N",
+    "parts": "f N K D", "foreground": "f N D", "visibility": "i N K+1",
+    "role_logits": "f N 4",
+}
+
+
+def _save_tracklets(tracklets: list[Tracklet], path: Path) -> None:
+    """Each tracklet's id, member count, EMA features (foreground, part
+    1..K) with visibility and role-logit sum, then the columns of all
+    member rows, tracklet after tracklet, as an uncompressed ``.npz``."""
+    rows = DetectionTable.concat([t.detections for t in tracklets])
+    f = rows.features
+    t, k, d = len(tracklets), *f.parts.shape[1:]
+    np.savez(
+        path, allow_pickle=False, id=np.array([x.id for x in tracklets], int),
+        count=np.array([len(x.detections) for x in tracklets], int),
+        ema=np.array([x.ema_features.stacked() for x in tracklets],
+                     float).reshape(t, k + 1, d),
+        ema_visibility=np.array([x.ema_features.visibility
+                                 for x in tracklets], int).reshape(t, k + 1),
+        role_logit_sum=np.array([x.role_logit_sum for x in tracklets],
+                                float).reshape(t, 4),
+        frame=rows.frame, det_index=rows.det_index, boxes=rows.boxes,
+        gt_identity=rows.gt_identity, gt_team=rows.gt_team,
+        gt_role=rows.gt_role, parts=f.parts, foreground=f.foreground,
+        visibility=f.visibility, role_logits=f.role_logits)
+
+
+def _load_tracklets(path: Path) -> list[Tracklet]:
+    """The tracklets of a file of :func:`_save_tracklets`, finished and
+    without Kalman state.  A file that is no such archive, a missing or
+    misshapen array, or an invalid value raises :class:`ParseError`
+    naming the file."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ParseError("a single array, not an archive", path=path)
+        with npz:
+            missing = [name for name in _TRACKLET_ARRAYS
+                       if name not in npz.files]
+            a = {name: npz[name] for name in _TRACKLET_ARRAYS
+                 if name not in missing}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"not a tracklets archive: {exc}",
+                         path=path) from None
+    if missing:
+        raise ParseError(f"missing arrays {missing}", path=path)
+    if a["parts"].ndim != 3:
+        raise ParseError(f"parts has shape {a['parts'].shape}, expected "
+                         "(N, K, D)", path=path)
+    n, k, d = a["parts"].shape
+    sizes = {"T": a["id"].size, "N": n, "K": k, "K+1": k + 1, "D": d}
+    for name, spec in _TRACKLET_ARRAYS.items():
+        kind, *dims = spec.split()
+        shape = tuple(sizes[x] if x in sizes else int(x) for x in dims)
+        if a[name].shape != shape:
+            raise ParseError(f"{name} has shape {a[name].shape}, expected "
+                             f"{shape}", path=path)
+        if a[name].dtype.kind != kind:
+            raise ParseError(f"{name} has dtype {a[name].dtype}", path=path)
+        if kind == "f" and not np.isfinite(a[name]).all():
+            raise ParseError(f"{name} has a non-finite value", path=path)
+    count, frame = a["count"], a["frame"]
+    ends = np.cumsum(count)
+    if (count < 1).any() or count.sum() != n:
+        raise ParseError(f"member counts do not split the {n} rows",
+                         path=path)
+    if len(np.unique(a["id"])) < len(count):
+        raise ParseError("tracklet ids repeat", path=path)
+    if (np.delete(np.diff(frame), ends[:-1] - 1) <= 0).any():
+        raise ParseError("a tracklet's frames do not increase", path=path)
+    try:
+        rows = DetectionTable(
+            *(a[c] for c in ("frame", "det_index", "boxes", "gt_identity",
+                             "gt_team", "gt_role")),
+            FeatureTable(frame, a["det_index"], a["parts"], a["foreground"],
+                         a["visibility"], a["role_logits"]))
+        return [Tracklet(id=tid, detections=rows.take(slice(lo, hi)),
+                         ema_features=PartFeatureSet(ema[1:], ema[0], vis),
+                         status=TrackStatus.FINISHED, role_logit_sum=logits)
+                for tid, lo, hi, ema, vis, logits in zip(
+                    a["id"].tolist(), (ends - count).tolist(), ends.tolist(),
+                    a["ema"], a["ema_visibility"], a["role_logit_sum"])]
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from None
 
 
 def cmd_merge(args) -> int:
     run_dir = Path(args.run)
     cfg = _load_manifest(run_dir)
-    tracklets = _load_tracklets(run_dir)
+    tracklets = _load_tracklets(run_dir / "tracklets.npz")
     merged, id_map = merge_tracklets(tracklets, cfg.merge)
     write_mot(tracklets_to_records(merged), run_dir / "track_merged.txt")
-    with open(run_dir / "tracklets_merged.pkl", "wb") as fh:
-        pickle.dump(merged, fh)
+    _save_tracklets(merged, run_dir / "tracklets_merged.npz")
     _dump_yaml({int(k): int(v) for k, v in id_map.items()},
                run_dir / "idmap.yaml")
     print(f"merged {len(tracklets)} -> {len(merged)} tracklets")
@@ -190,10 +277,9 @@ def cmd_merge(args) -> int:
 def cmd_cluster(args) -> int:
     run_dir = Path(args.run)
     cfg = _load_manifest(run_dir)
-    name = ("tracklets_merged.pkl"
-            if (run_dir / "tracklets_merged.pkl").exists()
-            else "tracklets.pkl")
-    tracklets = _load_tracklets(run_dir, name)
+    path = run_dir / "tracklets_merged.npz"
+    tracklets = _load_tracklets(path if path.exists()
+                                else run_dir / "tracklets.npz")
     roles = assign_roles(tracklets)
     teams = assign_teams(tracklets, seed=cfg.seed, roles=roles)
     lines = []

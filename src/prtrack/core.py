@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .simgen import DetectionTable
 
 __all__ = [
     "DataError",
@@ -22,7 +26,6 @@ __all__ = [
     "TrackStatus",
     "PartFeatureSet",
     "BoundingBox",
-    "Detection",
     "KalmanState",
     "Tracklet",
     "part_distance",
@@ -122,18 +125,6 @@ class BoundingBox:
 
 
 @dataclass
-class Detection:
-    frame: int
-    box: BoundingBox
-    confidence: float = 1.0
-    features: PartFeatureSet | None = None
-    role_logits: np.ndarray | None = None  # (4,)
-    gt_identity: int | None = None
-    gt_team: int | None = None  # 0 = left, 1 = right
-    gt_role: Role | None = None
-
-
-@dataclass
 class KalmanState:
     """8-state constant-velocity box state: (cx, cy, a, h) and velocities."""
 
@@ -144,7 +135,7 @@ class KalmanState:
 @dataclass
 class Tracklet:
     id: int
-    detections: list[Detection] = field(default_factory=list)
+    detections: DetectionTable  # member rows, in frame order
     ema_features: PartFeatureSet | None = None
     kalman: KalmanState | None = None
     status: TrackStatus = TrackStatus.TENTATIVE
@@ -152,11 +143,11 @@ class Tracklet:
 
     @property
     def first_frame(self) -> int:
-        return self.detections[0].frame
+        return int(self.detections.frame[0])
 
     @property
     def last_frame(self) -> int:
-        return self.detections[-1].frame
+        return int(self.detections.frame[-1])
 
 
 def _stack(sets: list[PartFeatureSet]) -> tuple[np.ndarray, np.ndarray]:

@@ -79,9 +79,9 @@ class MotRecord(NamedTuple):
 
 def tracklets_to_records(tracklets: list[Tracklet]) -> list[MotRecord]:
     """MOT records of each tracklet's detections in turn."""
-    return [MotRecord(d.frame, t.id, d.box.x, d.box.y, d.box.w, d.box.h,
-                      d.confidence)
-            for t in tracklets for d in t.detections]
+    return [MotRecord(frame, t.id, *box) for t in tracklets
+            for frame, box in zip(t.detections.frame.tolist(),
+                                  t.detections.boxes.tolist())]
 
 
 def read_text(path) -> str:

@@ -6,7 +6,7 @@ Each stage is usable on its own; the CLI wires them to files.
 run's :class:`~prtrack.simgen.DetectionTable`.  Its features, oracle,
 model or parsed, travel as a :class:`~prtrack.motio.FeatureTable` keyed
 like its rows.  :func:`track_frames` steps the tracker over its frames'
-rows; ``Detection`` objects appear only in the tracklets of ``finish()``.
+rows, and each tracklet of ``finish()`` holds its member rows as a table.
 """
 
 from __future__ import annotations
@@ -100,12 +100,9 @@ def team_accuracy(tracklets: list[Tracklet], teams: dict[int, int]) -> float:
     label permutations; NaN when no labeled tracklet has a ground truth."""
     truth = {}
     for t in tracklets:
-        if t.id not in teams:
-            continue
-        gt_teams = [d.gt_team for d in t.detections if d.gt_team is not None]
-        if not gt_teams:
-            continue
-        truth[t.id] = int(np.bincount(gt_teams).argmax())
+        gt = t.detections.gt_team
+        if t.id in teams and (gt >= 0).any():
+            truth[t.id] = int(np.bincount(gt[gt >= 0]).argmax())
     common = [tid for tid in teams if tid in truth]
     if not common:
         return float("nan")

@@ -9,6 +9,7 @@ import numpy as np
 
 from .core import (DataError, PartFeatureSet, Role, Tracklet,
                    part_distance_matrix)
+from .simgen import DetectionTable
 from .solvers import hungarian, kmeans2
 
 __all__ = [
@@ -76,7 +77,8 @@ def _combine(a: Tracklet, b: Tracklet) -> Tracklet:
     vis = np.maximum(fa.visibility, fb.visibility)
     merged_feats = PartFeatureSet(parts=stacked[1:], foreground=stacked[0],
                                   visibility=vis)
-    dets = sorted(first.detections + second.detections, key=lambda d: d.frame)
+    rows = DetectionTable.concat([first.detections, second.detections])
+    dets = rows.take(np.argsort(rows.frame, kind="stable"))
     role_sum = first.role_logit_sum
     if role_sum is not None and second.role_logit_sum is not None:
         role_sum = role_sum + second.role_logit_sum

@@ -18,8 +18,8 @@ ground-truth labels and, optionally, ground-truth-derived oracle features.
 Features of every source travel as a :class:`~prtrack.motio.FeatureTable`
 keyed like the table's rows: the oracle block, the model features of
 :func:`embed_detections`, or rows parsed from a features file.  The tracker
-steps over :meth:`DetectionTable.by_frame`'s per-frame tables and builds
-``Detection`` objects only at its API edge, ``OnlineTracker.finish()``.
+steps over :meth:`DetectionTable.by_frame`'s per-frame tables; a tracklet
+holds its member rows as a table, :meth:`DetectionTable.take` of them.
 """
 
 from __future__ import annotations
@@ -393,17 +393,37 @@ class DetectionTable:
     def __len__(self) -> int:
         return len(self.frame)
 
+    def take(self, rows) -> "DetectionTable":
+        """The rows ``rows``, a slice or an index array, with their
+        features: views for a slice, copies for an index array."""
+        f = self.features
+        return DetectionTable(
+            *(getattr(self, c.name)[rows] for c in fields(self)[:-1]),
+            None if f is None else FeatureTable(
+                *(getattr(f, c.name)[rows] for c in fields(f))))
+
+    @staticmethod
+    def concat(tables: list["DetectionTable"]) -> "DetectionTable":
+        """The rows of ``tables`` in turn; they all have features or none
+        has.  No tables make an empty table with empty features."""
+        if not tables:
+            none = np.zeros(0, dtype=int)
+            return DetectionTable(none, none, np.zeros((0, 4)), none, none,
+                                  none, FeatureTable.from_records([]))
+        f = [t.features for t in tables]
+        return DetectionTable(
+            *(np.concatenate([getattr(t, c.name) for t in tables])
+              for c in fields(DetectionTable)[:-1]),
+            None if f[0] is None else FeatureTable(
+                *(np.concatenate([getattr(x, c.name) for x in f])
+                  for c in fields(FeatureTable))))
+
     def by_frame(self, frames: int) -> list["DetectionTable"]:
         """One table per frame, frames 1 to ``frames``, empty frames
         included; each holds views of this table's rows of its frame."""
         ends = np.searchsorted(self.frame, np.arange(1, frames + 1),
                                side="right").tolist()
-        f = self.features
-        return [DetectionTable(
-            *(getattr(self, c.name)[lo:hi] for c in fields(self)[:-1]),
-            None if f is None else FeatureTable(
-                *(getattr(f, c.name)[lo:hi] for c in fields(f))))
-            for lo, hi in zip([0, *ends], ends)]
+        return [self.take(slice(lo, hi)) for lo, hi in zip([0, *ends], ends)]
 
     def mot_rows(self) -> list[tuple]:
         """The detections as MOT rows in :class:`~prtrack.motio.MotRecord`

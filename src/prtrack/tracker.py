@@ -10,9 +10,9 @@ as arrays and makes a fixed number of batched calls: one Kalman predict
 over all rows, one fused cost, one assignment, then one Kalman update and
 one EMA over the matched rows.  Survivors keep their relative order and
 spawns are appended in detection order, which the assignment's tie-break
-toward low (row, col) pairs depends on.  ``Tracklet``, ``Detection`` and
-``PartFeatureSet`` objects are built only at the API edge: by
-:meth:`OnlineTracker.finish` and the :attr:`OnlineTracker.tracks` snapshot.
+toward low (row, col) pairs depends on.  ``Tracklet`` objects, holding
+their member rows of the stepped tables, are built only at the API edge:
+by :meth:`OnlineTracker.finish` and the :attr:`OnlineTracker.tracks` snapshot.
 
 Association reads only boxes and appearance features; team and role labels
 never enter the cost computation.
@@ -24,9 +24,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import (BoundingBox, Detection, KalmanState, PartFeatureSet, Role,
-                   TrackStatus, Tracklet, _part_distances, iou_matrix,
-                   xywh_to_xyah, xyah_to_xywh)
+from .core import (KalmanState, PartFeatureSet, TrackStatus, Tracklet,
+                   _part_distances, iou_matrix, xywh_to_xyah, xyah_to_xywh)
 from .simgen import DetectionTable
 from .solvers import hungarian
 
@@ -229,11 +228,12 @@ class _Rows:
                        for f in fields(self)[:-1]),
                      self.members + other.members)
 
-    def tracklets(self, finished: bool, dets: list) -> list[Tracklet]:
-        """One new ``Tracklet`` per row, owning copies of the row's state;
-        ``dets`` holds the ``Detection`` of each detection row."""
+    def tracklets(self, finished: bool,
+                  table: DetectionTable) -> list[Tracklet]:
+        """One new ``Tracklet`` per row, owning copies of the row's state
+        and of its member rows of ``table``, the detection rows."""
         return [Tracklet(
-            id=int(self.ids[i]), detections=[dets[r] for r in self.members[i]],
+            id=int(self.ids[i]), detections=table.take(self.members[i]),
             ema_features=PartFeatureSet(parts=self.ema[i, 1:].copy(),
                                         foreground=self.ema[i, 0].copy(),
                                         visibility=self.vis[i].copy()),
@@ -261,21 +261,7 @@ class OnlineTracker:
     def tracks(self) -> list[Tracklet]:
         """Snapshot of the live tracks in row order; changing it does not
         change the tracker."""
-        return self._rows.tracklets(False, self._detections())
-
-    def _detections(self) -> list[Detection]:
-        """The ``Detection`` of each row stepped so far, with the ground
-        truth of its table's columns and no team for -1."""
-        return [Detection(frame, BoundingBox(*box), 1.0,
-                          PartFeatureSet(*feats), logits, ident,
-                          None if team < 0 else team, Role(role))
-                for t in self._tables
-                for frame, box, *feats, logits, ident, team, role in zip(
-                    t.frame.tolist(), zip(*map(list, t.boxes.T)),
-                    t.features.parts, t.features.foreground,
-                    t.features.visibility, t.features.role_logits,
-                    t.gt_identity.tolist(), t.gt_team.tolist(),
-                    t.gt_role.tolist())]
+        return self._rows.tracklets(False, DetectionTable.concat(self._tables))
 
     def step(self, frame_input: FrameInput
              ) -> tuple[int, np.ndarray, np.ndarray]:
@@ -358,9 +344,9 @@ class OnlineTracker:
         confirmed, with all member detections."""
         live = self._rows.take(
             np.flatnonzero(self._rows.hits >= self.cfg.n_init))
-        dets = self._detections()
+        table = DetectionTable.concat(self._tables)
         tracks = [t for rows in (*self._retired, live)
-                  for t in rows.tracklets(True, dets)]
+                  for t in rows.tracklets(True, table)]
         self._rows, self._retired = _Rows.empty(), []
         self._tables, self._n_rows = [], 0
         return sorted(tracks, key=lambda t: t.id)

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prtrack.core import (BoundingBox, Detection, PartFeatureSet, Role,
-                          TrackStatus, Tracklet, box_array, iou_matrix,
+from prtrack.core import (BoundingBox, PartFeatureSet, Role, TrackStatus,
+                          Tracklet, box_array, iou_matrix,
                           part_distance_matrix, xyah_to_xywh)
 from prtrack.embedder import (PARAM_NAMES, EmbedderModel, FeatureGrid,
                               GridSample, _forward_arrays, _lr_at,
@@ -23,6 +23,21 @@ from prtrack.motio import FeatureRecord, MotRecord
 from prtrack.simgen import (_VIEW_CHUNK, Agent, ScenarioConfig,
                             _sample_events, oracle_feature_projection)
 from prtrack.solvers import hungarian
+
+
+@dataclass
+class Detection:
+    """One detection as a record of its own, as the per-object reference
+    algorithms read it."""
+
+    frame: int
+    box: BoundingBox
+    confidence: float = 1.0
+    features: PartFeatureSet | None = None
+    role_logits: np.ndarray | None = None  # (4,)
+    gt_identity: int | None = None
+    gt_team: int | None = None  # 0 = left, 1 = right
+    gt_role: Role | None = None
 
 
 def box_iou(a, b):

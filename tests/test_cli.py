@@ -1,5 +1,6 @@
 import argparse
 import importlib
+import io
 import os
 import pkgutil
 import shlex
@@ -8,6 +9,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 import pytest
@@ -75,25 +77,114 @@ def test_train_embed_track_merge_cluster_eval(run_dir, capsys):
     assert 0.0 <= track_report["hota"] <= 1.0
 
 
-def test_staged_chain_writes_pipeline_bytes(tmp_path):
+def test_staged_chain_writes_pipeline_bytes(tmp_path, capsys):
     """The stage commands write the files that pipeline writes, on occluded
     input with 8 px box jitter, where track reads the features at 9
-    significant digits and pipeline keeps them at full precision."""
+    significant digits and pipeline keeps them at full precision; cluster
+    prints the team accuracy that pipeline reports.  With the normalized
+    EMA, seed 1 merges 32 tracklets into 25, so merged tracklets cross the
+    stage files."""
+    config = {"scenario": {"frames": 200, "n_players_per_team": 6,
+                           "occlusion_rate": 0.3},
+              "detector_noise": "jitter", "detector_noise_param": 8.0}
+    for name, tracker in (("literal", {}),
+                          ("normalized", {"normalized_ema": True})):
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(yaml.safe_dump({**config, "tracker": tracker}))
+        staged, full = tmp_path / f"{name}_staged", tmp_path / f"{name}_full"
+        assert main(["generate", "--config", str(cfg), "--seed", "1",
+                     "--out", str(staged)]) == 0
+        for command in ("train", "embed", "track", "merge", "cluster"):
+            assert main([command, "--run", str(staged)]) == 0
+        accuracy = capsys.readouterr().out.rsplit("ground truth: ", 1)[1]
+        assert main(["pipeline", "--config", str(cfg), "--seed", "1",
+                     "--out", str(full)]) == 0
+        for f in ("gt.txt", "model.txt", "track_raw.txt",
+                  "track_merged.txt"):
+            assert (staged / f).read_bytes() == (full / f).read_bytes(), \
+                (name, f)
+        report = yaml.safe_load((full / "report.yaml").read_text())
+        assert accuracy == f"{report['team_cluster_accuracy']:.3f})\n"
+
+
+@pytest.fixture(scope="module")
+def tracked_run(tmp_path_factory):
+    """A small run taken through generate and track, on oracle features."""
+    root = tmp_path_factory.mktemp("tracked")
+    cfg = root / "run.yaml"
+    cfg.write_text(yaml.safe_dump({"scenario": {"frames": 40,
+                                                "n_players_per_team": 4}}))
+    run = root / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(run)]) == 0
+    assert main(["track", "--run", str(run)]) == 0
+    return run
+
+
+def _rewritten(path, **changes):
+    """The arrays of the tracklets file ``path`` with ``changes``; a change
+    to None drops its array."""
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays.update(changes)
+    return {name: a for name, a in arrays.items() if a is not None}
+
+
+def test_corrupt_tracklets_files_exit_2(tracked_run, tmp_path, capsys):
+    good = tracked_run / "tracklets.npz"
+    data = good.read_bytes()
+    arrays = _rewritten(good)
+    frame = arrays["frame"].copy()
+    frame[1] = frame[0]
+    vis = arrays["visibility"].copy()
+    vis[0, 0] = 2
+    npy = io.BytesIO()
+    np.save(npy, arrays["id"])
+    corruptions = {
+        "garbage": (b"not an archive at all", "not a tracklets archive"),
+        "single array": (npy.getvalue(), "a single array, not an archive"),
+        "truncated": (data[:len(data) // 2], "not a tracklets archive"),
+        "missing key": (_rewritten(good, ema=None), "missing arrays ['ema']"),
+        "object array": (_rewritten(good, id=arrays["id"].astype(object)),
+                         "Object arrays cannot be loaded"),
+        "wrong shape": (_rewritten(good, boxes=arrays["boxes"][:, :3]),
+                        "boxes has shape"),
+        "repeated frame": (_rewritten(good, frame=frame),
+                           "frames do not increase"),
+        "visibility bit": (_rewritten(good, visibility=vis),
+                           "visibility entries must be 0 or 1"),
+    }
+    for name, command in (("tracklets.npz", "merge"),
+                          ("tracklets_merged.npz", "cluster")):
+        run = tmp_path / command
+        run.mkdir()
+        (run / "manifest.yaml").write_bytes(
+            (tracked_run / "manifest.yaml").read_bytes())
+        path = run / name
+        for case, (content, message) in corruptions.items():
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                np.savez(path, **content)
+            assert main([command, "--run", str(run)]) == 2, (name, case)
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {path}: "), (name, case)
+            assert message in err, (name, case)
+
+
+def test_run_without_tracklets(tmp_path, capsys):
+    """Two frames are too few to confirm a track: track and merge write
+    empty files, and cluster finds no players to split into teams."""
     cfg = tmp_path / "run.yaml"
-    cfg.write_text(yaml.safe_dump({
-        "scenario": {"frames": 200, "n_players_per_team": 6,
-                     "occlusion_rate": 0.3},
-        "detector_noise": "jitter", "detector_noise_param": 8.0}))
-    staged, full = tmp_path / "staged", tmp_path / "full"
-    assert main(["generate", "--config", str(cfg), "--seed", "1",
-                 "--out", str(staged)]) == 0
-    for command in ("train", "embed", "track", "merge"):
-        assert main([command, "--run", str(staged)]) == 0
-    assert main(["pipeline", "--config", str(cfg), "--seed", "1",
-                 "--out", str(full)]) == 0
-    for name in ("gt.txt", "model.txt", "track_raw.txt", "track_merged.txt"):
-        assert (staged / name).read_bytes() == (full / name).read_bytes(), \
-            name
+    cfg.write_text("scenario: {frames: 2}\n")
+    run = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(run)]) == 0
+    for command in ("track", "merge"):
+        assert main([command, "--run", str(run)]) == 0
+    assert (run / "track_raw.txt").read_bytes() == b""
+    assert (run / "track_merged.txt").read_bytes() == b""
+    capsys.readouterr()
+    assert main(["cluster", "--run", str(run)]) == 2
+    assert "got 0 player tracklets" in capsys.readouterr().err
 
 
 def test_commands_without_assignment_do_not_load_scipy_optimize(tmp_path):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prtrack.core import (BoundingBox, Detection, PartFeatureSet, Role,
-                          Tracklet, part_distance_matrix)
+from prtrack.core import PartFeatureSet, Role, Tracklet, part_distance_matrix
 from prtrack.postproc import (MergeConfig, TooFewPlayers, assign_roles,
                               assign_teams, merge_tracklets,
                               tracklet_cost_matrix)
+from prtrack.simgen import DetectionTable
+from test_tracker import sequences, tracklets_of
 
 
 def feat(vec, vis=None, k=2):
@@ -17,8 +20,12 @@ def feat(vec, vis=None, k=2):
 
 
 def tracklet(tid, frames, vec, vis=None, role=Role.PLAYER, team=None):
-    dets = [Detection(frame=f, box=BoundingBox(0, 0, 10, 10),
-                      gt_team=team, gt_role=role) for f in frames]
+    n = len(frames)
+    dets = DetectionTable(np.array(frames, dtype=int), np.zeros(n, int),
+                          np.tile([0.0, 0.0, 10.0, 10.0], (n, 1)),
+                          np.zeros(n, int),
+                          np.full(n, -1 if team is None else team),
+                          np.full(n, int(role)), None)
     logits = np.full(4, -1.0)
     logits[int(role)] = 1.0
     return Tracklet(id=tid, detections=dets, ema_features=feat(vec, vis),
@@ -55,7 +62,7 @@ def test_merge_joins_matching_fragments():
     assert len(merged) == 2
     assert id_map == {1: 1, 5: 1, 7: 7}
     joined = next(t for t in merged if t.id == 1)
-    assert [d.frame for d in joined.detections] == [1, 2, 3, 10, 11, 12]
+    assert joined.detections.frame.tolist() == [1, 2, 3, 10, 11, 12]
 
 
 def test_merge_features_count_weighted():
@@ -132,3 +139,40 @@ def test_merge_config_validation():
     for bad in (0.0, float("nan")):
         with pytest.raises(ValueError, match="merge_threshold"):
             MergeConfig(merge_threshold=bad)
+
+
+def keys(t):
+    """A tracklet's member rows as (frame, index in the frame) pairs."""
+    return set(zip(t.detections.frame.tolist(),
+                   t.detections.det_index.tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences(), st.sampled_from([0.3, 1.0, 3.0]), st.sampled_from([1, 10]),
+       st.booleans())
+def test_merge_invariants(case, threshold, rounds, foreground_only):
+    """On the tracklets of a random clip: the merged member sets partition
+    the input's along ``id_map``, which sends every input id to a surviving
+    id; a merged tracklet's frames strictly increase; and its EMA is the
+    count-weighted mean of its sources' EMAs."""
+    tracklets = tracklets_of(*case)
+    merged, id_map = merge_tracklets(
+        tracklets, MergeConfig(merge_threshold=threshold, max_rounds=rounds,
+                               foreground_only=foreground_only))
+    survivors = {t.id: t for t in merged}
+    assert len(survivors) == len(merged)
+    assert set(id_map) == {t.id for t in tracklets}
+    assert set(id_map.values()) == set(survivors)
+    for tid, m in survivors.items():
+        sources = [t for t in tracklets if id_map[t.id] == tid]
+        assert keys(m) == set().union(*map(keys, sources))
+        assert len(m.detections) == sum(len(t.detections) for t in sources)
+        assert (np.diff(m.detections.frame) > 0).all()
+        counts = np.array([len(t.detections) for t in sources])
+        mean = sum(n * t.ema_features.stacked()
+                   for n, t in zip(counts, sources)) / counts.sum()
+        np.testing.assert_allclose(m.ema_features.stacked(), mean, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_array_equal(
+            m.ema_features.visibility,
+            np.max([t.ema_features.visibility for t in sources], axis=0))

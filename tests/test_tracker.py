@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_track
-from prtrack.core import (BoundingBox, Detection, PartFeatureSet,
-                          TrackStatus, _stack, box_array, xyah_to_xywh)
+from oracles import Detection, brute_track
+from prtrack.core import (BoundingBox, PartFeatureSet, TrackStatus, _stack,
+                          box_array, xyah_to_xywh)
 from prtrack.motio import FeatureTable
 from prtrack.simgen import (DetectionTable, ScenarioConfig, generate,
                             to_tracking_input)
@@ -165,7 +165,7 @@ def test_tracker_keeps_identities_through_crossing():
     tracks = tracker.finish()
     assert len(tracks) == 2
     for tr in tracks:
-        values = {d.features.parts[0, 0] for d in tr.detections}
+        values = set(tr.detections.features.parts[:, 0, 0].tolist())
         assert len(values) == 1
 
 
@@ -208,7 +208,7 @@ def test_finish_includes_preconfirmation_detections():
         tracker.step(frame_input(t, [det(t, float(t), 0, 1.0)]))
     tracks = tracker.finish()
     assert len(tracks) == 1
-    assert [d.frame for d in tracks[0].detections] == [1, 2, 3, 4, 5]
+    assert tracks[0].detections.frame.tolist() == [1, 2, 3, 4, 5]
 
 
 def test_non_monotone_frame_rejected():
@@ -295,13 +295,21 @@ def members(dets):
             for d in dets]
 
 
+def member_rows(table):
+    """``members`` of a tracklet's detection table, row by row."""
+    f = table.features
+    return [(frame, *map(_bits, row)) for frame, *row in zip(
+        table.frame.tolist(), table.boxes, f.parts, f.foreground,
+        f.visibility, f.role_logits)]
+
+
 def assert_same_tracks(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g[:2] == w[:2]
         for a, b in zip(g[2:7], w[2:7]):
             assert a.shape == b.shape and np.array_equal(a, b)
-        assert members(g[7]) == members(w[7])
+        assert member_rows(g[7]) == members(w[7])
 
 
 @settings(max_examples=150, deadline=None)
@@ -316,3 +324,32 @@ def test_tracker_equals_per_object_oracle(case):
         assert_same_tracks(state(tracker.tracks), want_live)
     assert_same_tracks(state(tracker.finish()), want_tracklets)
     assert tracker.tracks == [] and tracker.finish() == []
+
+
+def tracklets_of(cfg, frames):
+    """The tracklets of a tracker stepped over ``frames``."""
+    tracker = OnlineTracker(cfg)
+    for frame, dets in frames:
+        tracker.step(frame_input(frame, dets))
+    return tracker.finish()
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences())
+def test_tracker_invariants(case):
+    """Each stepped row is in at most one tracklet, a tracklet's frames
+    strictly increase, ids are unique, every tracklet was confirmed and
+    every EMA is finite."""
+    cfg, frames = case
+    tracklets = tracklets_of(cfg, frames)
+    rows = [(f, j) for t in tracklets for f, j in zip(
+        t.detections.frame.tolist(), t.detections.det_index.tolist())]
+    assert len(set(rows)) == len(rows)
+    stepped = {(f, j) for f, dets in frames for j in range(len(dets))}
+    assert set(rows) <= stepped
+    for t in tracklets:
+        assert (np.diff(t.detections.frame) > 0).all()
+        assert len(t.detections) >= cfg.n_init
+        assert np.isfinite(t.ema_features.stacked()).all()
+    ids = [t.id for t in tracklets]
+    assert len(set(ids)) == len(ids)
