@@ -188,15 +188,17 @@ def test_run_without_tracklets(tmp_path, capsys):
 
 
 def test_commands_without_assignment_do_not_load_scipy_optimize(tmp_path):
-    """generate, train, embed and eval-reid never import scipy.optimize;
-    hungarian loads it on its first call.  A fresh interpreter, because
-    this one has it loaded already."""
+    """No command imports scipy.optimize.  generate, train, embed and
+    eval-reid load nothing of scipy; track, merge and eval-track load only
+    the compiled solver ``scipy.optimize._lsap``, through hungarian, and it
+    gives the pairs of ``scipy.optimize.linear_sum_assignment``.  A fresh
+    interpreter, because this one has scipy.optimize loaded already."""
     script = textwrap.dedent("""
         import sys
         import numpy as np
         import yaml
         import prtrack
-        from prtrack import cli
+        from prtrack import cli, solvers
         run, cfg = sys.argv[1:]
         with open(cfg, "w") as f:
             yaml.safe_dump({"seed": 1, "train": {"epochs": 2},
@@ -206,10 +208,25 @@ def test_commands_without_assignment_do_not_load_scipy_optimize(tmp_path):
         codes += [cli.main([stage, "--run", run])
                   for stage in ("train", "embed", "eval-reid")]
         assert codes == [0, 0, 0, 0], codes
-        assert "scipy.optimize" not in sys.modules
+        assert not [m for m in sys.modules if m.startswith("scipy")]
+        codes = [cli.main([stage, "--run", run])
+                 for stage in ("track", "merge")]
+        codes.append(cli.main(["eval-track", "--gt", f"{run}/gt.txt",
+                               "--pred", f"{run}/track_merged.txt"]))
+        assert codes == [0, 0, 0], codes
         got = prtrack.hungarian(np.array([[4.0, 1.0], [2.0, 8.0]]))
         assert got.pairs == [(0, 1), (1, 0)], got
-        assert "scipy.optimize" in sys.modules
+        assert "scipy.optimize" not in sys.modules
+        import scipy.optimize
+        rng = np.random.default_rng(0)
+        matrices = [rng.normal(size=shape)
+                    for shape in ((1, 1), (4, 4), (3, 7), (8, 2))]
+        matrices.append(np.where(rng.random((6, 6)) < 0.3, 1e6,
+                                 rng.normal(size=(6, 6))))
+        for costs in matrices:
+            got = solvers._linear_sum_assignment(costs)
+            want = scipy.optimize.linear_sum_assignment(costs)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
     """)
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prtrack.core import PartFeatureSet, Role, Tracklet, part_distance_matrix
@@ -8,7 +10,7 @@ from prtrack.postproc import (MergeConfig, TooFewPlayers, assign_roles,
                               assign_teams, merge_tracklets,
                               tracklet_cost_matrix)
 from prtrack.simgen import DetectionTable
-from test_tracker import sequences, tracklets_of
+from test_tracker import _bits, member_rows, sequences, tracklets_of
 
 
 def feat(vec, vis=None, k=2):
@@ -147,8 +149,15 @@ def keys(t):
                    t.detections.det_index.tolist()))
 
 
+# Random clips, half of them with people whose tracks end and restart.
+_clips = st.one_of(sequences(), sequences(restarts=True))
+_merge_configs = st.builds(
+    MergeConfig, merge_threshold=st.sampled_from([0.3, 1.0, 3.0]),
+    max_rounds=st.sampled_from([1, 10]), foreground_only=st.booleans())
+
+
 @settings(max_examples=150, deadline=None)
-@given(sequences(), st.sampled_from([0.3, 1.0, 3.0]), st.sampled_from([1, 10]),
+@given(_clips, st.sampled_from([0.3, 1.0, 3.0]), st.sampled_from([1, 10]),
        st.booleans())
 def test_merge_invariants(case, threshold, rounds, foreground_only):
     """On the tracklets of a random clip: the merged member sets partition
@@ -176,3 +185,63 @@ def test_merge_invariants(case, threshold, rounds, foreground_only):
         np.testing.assert_array_equal(
             m.ema_features.visibility,
             np.max([t.ema_features.visibility for t in sources], axis=0))
+
+
+def merge_rounds(tracklets, cfg):
+    """``merge_tracklets`` as single rounds, each fed the previous round's
+    output: per round, its input, cost matrix, output and id map."""
+    one_round = dataclasses.replace(cfg, max_rounds=1)
+    current = tracklets
+    for _ in range(cfg.max_rounds):
+        merged, id_map = merge_tracklets(current, one_round)
+        yield current, tracklet_cost_matrix(current, cfg), merged, id_map
+        if len(merged) == len(current):
+            return
+        current = merged
+
+
+@settings(max_examples=150, deadline=None)
+@given(_clips, _merge_configs)
+def test_merge_accepts_only_pairs_below_threshold(case, cfg):
+    """Every pair that a round joins costs less than ``merge_threshold`` in
+    that round's cost matrix; the rounds compose to one call's result."""
+    tracklets = tracklets_of(*case)
+    id_map = {t.id: t.id for t in tracklets}
+    for current, costs, merged, step in merge_rounds(tracklets, cfg):
+        for survivor in {t.id for t in merged}:
+            joined = [i for i, t in enumerate(current)
+                      if step[t.id] == survivor]
+            assert len(joined) in (1, 2)
+            if len(joined) == 2:
+                assert costs[joined[0], joined[1]] < cfg.merge_threshold
+        id_map = {k: step[v] for k, v in id_map.items()}
+    want, want_map = merge_tracklets(tracklets, cfg)
+    assert id_map == want_map
+    assert [t.id for t in merged] == [t.id for t in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_clips, _merge_configs, st.randoms(use_true_random=False))
+def test_merge_ignores_input_order(case, cfg, random):
+    """The merged tracklets and ``id_map`` do not depend on the order of the
+    input list.  Draws in which a round's cost matrix holds a finite cost
+    twice above its diagonal are left out: the assignment breaks ties by
+    (row, col), and so by list order."""
+    tracklets = tracklets_of(*case)
+    for _, costs, _, _ in merge_rounds(tracklets, cfg):
+        upper = costs[np.triu_indices_from(costs, 1)]
+        finite = upper[np.isfinite(upper)]
+        assume(np.unique(finite).size == finite.size)
+    want, want_map = merge_tracklets(tracklets, cfg)
+    got, got_map = merge_tracklets(
+        random.sample(tracklets, len(tracklets)), cfg)
+    assert got_map == want_map
+    assert sorted(t.id for t in got) == sorted(t.id for t in want)
+    by_id = {t.id: t for t in want}
+    for g in got:
+        w = by_id[g.id]
+        assert member_rows(g.detections) == member_rows(w.detections)
+        assert _bits(g.ema_features.stacked()) == \
+            _bits(w.ema_features.stacked())
+        np.testing.assert_array_equal(g.ema_features.visibility,
+                                      w.ema_features.visibility)

@@ -1,22 +1,24 @@
 """Property tests of the tracking metrics and the text formats.
 
 The metrics do not depend on the names of predicted ids or on the order of
-records across frames, and score a prediction equal to the ground truth as
-perfect; the MOT and feature writers round-trip random finite records at
-their declared precision, and write the same bytes as the field-by-field
-``str.format`` writers of ``tests/oracles.py``.
+records across frames or, without IoU ties, within a frame; they lie in
+their ranges, HOTA at one threshold is the geometric mean of DetA and AssA,
+and a prediction equal to the ground truth scores as perfect; the MOT and
+feature writers round-trip random finite records at their declared
+precision, and write the same bytes as the field-by-field ``str.format``
+writers of ``tests/oracles.py``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from prtrack.core import BoundingBox, PartFeatureSet
+from prtrack.core import BoundingBox, PartFeatureSet, box_array, iou_matrix
 from prtrack.motio import (FeatureRecord, FeatureTable, MotRecord,
                            parse_features, parse_mot, write_features,
                            write_mot)
-from prtrack.track_metrics import evaluate_sequence
+from prtrack.track_metrics import SequenceResult, evaluate_sequence, hota
 
 from conftest import mot_records
 from oracles import brute_write_features, brute_write_mot
@@ -92,6 +94,51 @@ def test_metrics_ignore_predicted_id_names(seq, random):
 def test_prediction_equal_to_ground_truth_is_perfect(seq):
     gt, _ = seq
     assert _scores(gt, gt) == (1.0, 1.0, 1.0, 1.0, 1.0, 0)
+
+
+@settings(deadline=None)
+@given(sequences())
+def test_metrics_lie_in_their_ranges(seq):
+    r = evaluate_sequence(*map(mot_records, seq))
+    for name in ("hota", "deta", "assa", "idf1"):
+        assert 0.0 <= getattr(r, name) <= 1.0, name
+    assert r.mota <= 1.0
+    assert r.id_switches >= 0
+
+
+@settings(deadline=None)
+@given(sequences(), st.floats(0.01, 1.0))
+def test_hota_at_one_threshold_is_geometric_mean(seq, alpha):
+    h, d, a = hota(SequenceResult(*map(mot_records, seq)), alphas=(alpha,))
+    assert abs(h ** 2 - d * a) <= 1e-12
+
+
+def _has_iou_ties(gt, pred):
+    """Whether a frame's gt/pred IoU matrix holds a positive value twice."""
+    for f, boxes in gt.items():
+        ious = iou_matrix(box_array([b for _, b in boxes]),
+                          box_array([b for _, b in pred.get(f, [])]))
+        positive = ious[ious > 0]
+        if np.unique(positive).size < positive.size:
+            return True
+    return False
+
+
+@settings(deadline=None)
+@given(sequences(), st.randoms(use_true_random=False))
+def test_metrics_ignore_row_order_within_a_frame(seq, random):
+    """No metric moves when each frame's gt and predicted rows are permuted.
+    Draws with an IoU tie in a frame are left out: ``hungarian`` breaks
+    ties between cost-equal matchings by (row, col), so a permutation may
+    pick another matching of the same cost there."""
+    gt, pred = seq
+    assume(not _has_iou_ties(gt, pred))
+    shuffled = [{f: random.sample(v, len(v)) for f, v in side.items()}
+                for side in (gt, pred)]
+    *floats, switches = _scores(gt, pred)
+    *floats_shuffled, switches_shuffled = _scores(*shuffled)
+    assert floats_shuffled == pytest.approx(floats, abs=1e-12)
+    assert switches_shuffled == switches
 
 
 _record_float = st.floats(-1e6, 1e6, allow_nan=False)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prtrack import solvers
 from prtrack.solvers import Assignment, DegenerateInput, hungarian, kmeans2
 
 from oracles import brute_assignment
@@ -45,6 +46,48 @@ def test_hungarian_empty_and_nan():
     assert hungarian(np.zeros((0, 3))) == Assignment([], 0.0)
     with pytest.raises(ValueError):
         hungarian(np.array([[np.nan]]))
+
+
+def test_hungarian_rejects_negative_infinity():
+    with pytest.raises(ValueError, match="cost matrix contains -inf"):
+        hungarian(np.array([[-np.inf, 1.0], [1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("costs", [[1.0, 2.0], [], 3.0, np.zeros((2, 2, 2))])
+def test_hungarian_rejects_non_2d(costs):
+    with pytest.raises(ValueError, match="cost matrix must be 2-D"):
+        hungarian(costs)
+
+
+def test_hungarian_rejects_nan_threshold():
+    with pytest.raises(ValueError, match="forbid_threshold is NaN"):
+        hungarian(np.eye(2), forbid_threshold=np.nan)
+
+
+def test_hungarian_falls_back_to_scipy_optimize(monkeypatch, rng):
+    """Where scipy has no ``_lsap`` extension file, ``hungarian`` takes the
+    solver from ``scipy.optimize``, with the same pairs."""
+    matrices = [rng.normal(size=(n, m)) for n, m in ((1, 1), (3, 5), (6, 2))]
+    matrices += [np.where(rng.random((5, 5)) < 0.4, np.inf, c)
+                 for c in rng.normal(size=(20, 5, 5))]
+    matrices += [np.zeros((3, 3)), np.round(rng.normal(size=(6, 6)))]
+    want = [hungarian(c) for c in matrices]
+    searched = []
+
+    class NoExtension:
+        def __init__(self, path, *loader_details):
+            searched.append(path)
+
+        def find_spec(self, fullname, target=None):
+            return None
+
+    monkeypatch.setattr(solvers, "FileFinder", NoExtension)
+    monkeypatch.setattr(solvers, "_linear_sum_assignment", None)
+    assert [hungarian(c) for c in matrices] == want
+    assert searched
+    import scipy.optimize
+    assert solvers._linear_sum_assignment is \
+        scipy.optimize.linear_sum_assignment
 
 
 def test_hungarian_rectangular_partial():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import Detection, brute_track
 from prtrack.core import (BoundingBox, PartFeatureSet, TrackStatus, _stack,
@@ -115,6 +116,42 @@ def test_ema_update_normalized_freezes_invisible():
     seen = features(3.0)
     out2 = ema_of(ema0, seen, alpha=0.9, normalized=True)
     np.testing.assert_allclose(out2.parts[1], 3.0)
+
+
+# Finite values whose product with an alpha of at least 0.01 stays normal.
+_ema_float = st.floats(-1e6, 1e6, allow_subnormal=False).filter(
+    lambda x: x == 0 or abs(x) >= 1e-200)
+
+
+@st.composite
+def ema_cases(draw):
+    """EMA state and detections of T tracks, and an alpha in (0, 1].  At
+    alpha 0 the normalized weights of a part hidden in the detection sum
+    to 0, so there is no EMA to keep."""
+    t, k, d = (draw(st.integers(1, n)) for n in (4, 3, 4))
+    ema, feats = (draw(arrays(float, (t, k + 1, d), elements=_ema_float))
+                  for _ in range(2))
+    ema_vis, vis = (draw(arrays(int, (t, k + 1), elements=st.integers(0, 1)))
+                    for _ in range(2))
+    alpha = draw(st.one_of(st.sampled_from([0.5, 0.9, 1.0]),
+                           st.floats(0.01, 1.0)))
+    return ema, ema_vis, feats, vis, alpha
+
+
+@settings(deadline=None)
+@given(ema_cases())
+def test_normalized_ema_keeps_parts_hidden_in_the_detection(case):
+    """With ``normalized``, a part that the track has seen and the
+    detection hides keeps its EMA within 1 ulp (alpha * e / alpha).  In
+    both modes the visibility bits become the OR of the track's and the
+    detection's."""
+    ema, ema_vis, feats, vis, alpha = case
+    for normalized in (False, True):
+        mixed, mixed_vis = ema_update(ema, ema_vis, feats, vis, alpha,
+                                      normalized)
+        np.testing.assert_array_equal(mixed_vis, ema_vis | vis)
+    kept = (ema_vis == 1) & (vis == 0)
+    np.testing.assert_array_max_ulp(mixed[kept], ema[kept], maxulp=1)
 
 
 def test_build_cost_gating():
@@ -232,31 +269,45 @@ def test_step_needs_features():
 
 
 @st.composite
-def sequences(draw):
+def sequences(draw, restarts=False):
     """A tracker config and a random clip: people enter and leave, move
     with jitter, hide parts, sometimes appear twice at once; frames can be
-    empty and frame numbers skip."""
+    empty and frame numbers skip.  With ``restarts``, there is at least one
+    person, and each comes and goes in blocks of steps and stays away for
+    more than ``max_age`` steps, so that the person's track ends and a new
+    one starts later: fragments for the merge to join."""
     cfg = TrackerConfig(alpha=draw(st.sampled_from([0.0, 0.5, 0.9])),
                         n_init=draw(st.integers(1, 3)),
                         max_age=draw(st.integers(1, 5)),
                         normalized_ema=draw(st.booleans()))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_people = draw(st.integers(0, 5))
-    p_present = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    n_people = draw(st.integers(1 if restarts else 0, 5))
+    p_present = draw(st.sampled_from([0.7, 1.0] if restarts
+                                     else [0.3, 0.7, 1.0]))
     p_hidden = draw(st.sampled_from([0.0, 0.3, 0.7]))
     jitter = draw(st.sampled_from([0.0, 2.0, 10.0]))
-    n_frames = draw(st.integers(1, 20))
+    n_frames = draw(st.integers(8, 30) if restarts else st.integers(1, 20))
     frame_numbers = np.cumsum(rng.integers(1, 4, size=n_frames))
     k, d = 2, 3
     start = rng.uniform(0, 60, size=(n_people, 2))
     velocity = rng.uniform(-4, 4, size=(n_people, 2))
     size = rng.uniform(5, 30, size=(n_people, 2))
     base = rng.normal(size=(n_people, k + 1, d))
+    present = np.ones((n_people, n_frames), dtype=bool)
+    if restarts:
+        for p in range(n_people):
+            blocks, on = [], rng.random() < 0.5
+            while len(blocks) < n_frames:
+                low, high = ((cfg.n_init, cfg.n_init + 6) if on
+                             else (cfg.max_age + 1, cfg.max_age + 4))
+                blocks += [on] * int(rng.integers(low, high))
+                on = not on
+            present[p] = blocks[:n_frames]
     frames = []
-    for f in frame_numbers:
+    for step, f in enumerate(frame_numbers):
         dets = []
         for p in range(n_people):
-            if rng.random() >= p_present:
+            if not present[p, step] or rng.random() >= p_present:
                 continue
             x, y = start[p] + velocity[p] * f + rng.normal(0, jitter + 1e-9,
                                                              size=2)
