@@ -9,12 +9,12 @@ stays essentially unchanged.
 
 import numpy as np
 
-from prtrack import LossWeights, RetrievalSet, kmeans2
+from prtrack import LossWeights, kmeans2
 from prtrack.core import Role
 from prtrack.embedder import TrainConfig, forward_batch, train
-from prtrack.pipeline import embed_samples
-from prtrack.reid_metrics import evaluate_retrieval
-from prtrack.simgen import ScenarioConfig, generate, to_reid_dataset
+from prtrack.pipeline import evaluate_reid
+from prtrack.simgen import (ScenarioConfig, generate, reid_batch,
+                            to_reid_dataset)
 
 SEED = 0
 scenario = generate(ScenarioConfig(seed=SEED, team_separation=0.7,
@@ -24,13 +24,15 @@ print(f"{len(train_set)} training samples, {len(queries)} queries, "
       f"{len(gallery)} gallery samples")
 
 
-def cluster_accuracy(model, samples):
-    players = [s for s in samples if s.role == Role.PLAYER]
-    feats, _ = forward_batch(model, [s.grid for s in players])
-    emb = np.array([f.foreground for f in feats])
+def cluster_accuracy(model, rows):
+    """2-means accuracy of the player rows' foreground embeddings."""
+    batch = reid_batch(scenario, rows)
+    players = batch.role == Role.PLAYER
+    feats, _, _ = forward_batch(model, batch.cells[players])
+    emb = feats[:, 0]
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     labels, _ = kmeans2(emb, seed=0)
-    truth = np.array([s.team for s in players])
+    truth = batch.team[players]
     return max((labels == truth).mean(), (1 - labels == truth).mean())
 
 
@@ -38,14 +40,12 @@ for name, weights in (("joint (reid+team+role)", LossWeights()),
                       ("identity only",
                        LossWeights(lambda_team=0.0, lambda_role=0.0))):
     model, history = train(TrainConfig(seed=SEED, weights=weights),
-                           train_set)
-    retrieval = RetrievalSet(embed_samples(model, queries)[0],
-                             embed_samples(model, gallery)[0])
-    reid_map, reid_r1 = evaluate_retrieval(retrieval, "identity")
-    team_map, _ = evaluate_retrieval(retrieval, "team")
-    acc = cluster_accuracy(model, queries + gallery)
+                           reid_batch(scenario, train_set))
+    report = evaluate_reid(model, scenario, queries, gallery)
+    acc = cluster_accuracy(model, np.concatenate([queries, gallery]))
     print(f"\n{name}")
     print(f"  loss {history[0]:.3f} -> {history[-1]:.3f}")
-    print(f"  identity mAP {reid_map:.4f}  rank-1 {reid_r1:.4f}")
-    print(f"  team mAP     {team_map:.4f}")
+    print(f"  identity mAP {report['reid_map']:.4f}  "
+          f"rank-1 {report['reid_rank1']:.4f}")
+    print(f"  team mAP     {report['team_map']:.4f}")
     print(f"  2-means team accuracy {acc:.4f}")

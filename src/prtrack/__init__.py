@@ -9,21 +9,20 @@ from .core import (BoundingBox, KalmanState, NoMutualVisibility,
 from .losses import (DegenerateBatch, LossValue, LossWeights, TripletConfig,
                      cross_entropy_id, focal_loss, gilt_loss,
                      part_prediction_loss, total_loss, triplet_batch_hard)
-from .embedder import (EmbedderModel, FeatureGrid, GridSample, TrainBatch,
-                       TrainConfig, forward_batch, grad_check, loss_and_grad,
-                       sample_batch, train)
+from .embedder import (EmbedderModel, TrainBatch, TrainConfig, forward_batch,
+                       grad_check, loss_and_grad, sample_batch, train)
 from .solvers import Assignment, DegenerateInput, hungarian, kmeans2
 from .tracker import FrameInput, OnlineTracker, TrackerConfig, build_cost, \
     ema_update, kalman_predict, kalman_update
 from .postproc import (MergeConfig, TooFewPlayers, assign_roles, assign_teams,
                        merge_tracklets, tracklet_cost_matrix)
-from .reid_metrics import (EmptyGallery, RetrievalItem, RetrievalSet,
-                           evaluate_retrieval, map_cmc, rank, role_metrics)
+from .reid_metrics import (EmptyGallery, RetrievalTable, evaluate_retrieval,
+                           map_cmc, rank, role_metrics)
 from .track_metrics import (EmptyGroundTruth, EvalReport, SequenceResult,
                             evaluate_sequence, frame_match, hota, idf1,
                             mota_ids)
-from .simgen import (Scenario, ScenarioConfig, generate, to_reid_dataset,
-                     to_tracking_input)
+from .simgen import (Scenario, ScenarioConfig, generate, reid_batch,
+                     to_reid_dataset, to_tracking_input)
 from .config import RunConfig, load_config
 from .pipeline import run_pipeline
 

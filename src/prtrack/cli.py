@@ -300,7 +300,7 @@ def cmd_eval_reid(args) -> int:
     scenario = generate(cfg.scenario)
     _, queries, gallery = to_reid_dataset(
         scenario, sampling_stride=cfg.sampling_stride)
-    report = evaluate_reid(model, queries, gallery)
+    report = evaluate_reid(model, scenario, queries, gallery)
     _dump_yaml(report, run_dir / "reid_report.yaml")
     for key, value in sorted(report.items()):
         print(f"{key}: {value:.4f}")

@@ -5,15 +5,18 @@ pixel classifier produces soft part masks; part and foreground embeddings
 are attention-pooled projections of the grid cells; linear heads provide
 identity logits (training only) and role logits.  Trained with the weighted
 multi-task objective via hand-derived gradients and Adam.
+:func:`forward_batch` is the one forward entry point outside training: it
+embeds a ``(B, H, W, C)`` stack of grids into arrays, for detections and
+retrieval samples alike.
 
 A training step is a few array operations on state built once per
 :func:`train` call.  The first two below give the bits of the per-sample,
 per-parameter algorithm they replaced; the third changes its last digits:
 
-- The training set is stacked once into a :class:`TrainBatch` of columns.
-  A step draws row indices, with the same generator calls as drawing
-  samples, and gathers its rows with one ``take`` per column: the stack
-  of the same rows, so the forward pass reads the same values.
+- The training set is a :class:`TrainBatch` of columns, one row per
+  sample.  A step draws row indices, with the same generator calls as
+  drawing samples, and gathers its rows with one ``take`` per column: the
+  stack of the same rows, so the forward pass reads the same values.
 - Adam keeps the parameters, ``m`` and ``v`` as flat vectors, and the
   model holds a view into the parameter vector per parameter.  Adam is
   elementwise, and the flat update does each element's operations in the
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import DataError, PartFeatureSet, Role
+from .core import DataError, Role
 from .losses import (LossValue, LossWeights, TripletConfig, focal_loss,
                      gilt_loss, part_prediction_loss, softmax, total_loss,
                      triplet_batch_hard)
@@ -42,10 +45,8 @@ from .losses import (LossValue, LossWeights, TripletConfig, focal_loss,
 __all__ = [
     "DimMismatch",
     "InsufficientIdentities",
-    "FeatureGrid",
     "EmbedderModel",
     "TrainConfig",
-    "GridSample",
     "TrainBatch",
     "forward_batch",
     "loss_and_grad",
@@ -64,45 +65,16 @@ class InsufficientIdentities(DataError):
 
 
 @dataclass(frozen=True)
-class FeatureGrid:
-    """H'xW' grid of C-dim cell features with per-cell part labels (0 = bg)."""
-
-    cells: np.ndarray        # (H, W, C)
-    part_labels: np.ndarray  # (H, W) ints in [0, K]
-
-
-@dataclass
-class GridSample:
-    grid: FeatureGrid
-    identity: int
-    team: int | None   # 0/1, players only
-    role: Role
-    view: int = 0
-
-
-@dataclass(frozen=True)
 class TrainBatch:
-    """Training samples as columns, one row per sample."""
+    """Samples as columns, one row per sample: each sample's grid of C-dim
+    cell features, standing in for the backbone's feature map, and its
+    labels."""
 
     cells: np.ndarray        # (R, H, W, C) float
-    part_labels: np.ndarray  # (R, H, W) ints in [0, K]
+    part_labels: np.ndarray  # (R, H, W) ints in [0, K], 0 = background
     identity: np.ndarray     # (R,)
     role: np.ndarray         # (R,) Role values
     team: np.ndarray         # (R,) 0/1, -1 where the sample has no team
-
-    @staticmethod
-    def from_samples(samples: list[GridSample]) -> "TrainBatch":
-        """The samples' columns, in the samples' order."""
-        if not samples:
-            raise InsufficientIdentities("no training samples")
-        return TrainBatch(
-            cells=np.stack([np.asarray(s.grid.cells, float) for s in samples]),
-            part_labels=np.stack([np.asarray(s.grid.part_labels, int)
-                                  for s in samples]),
-            identity=np.array([s.identity for s in samples], dtype=int),
-            role=np.array([int(s.role) for s in samples], dtype=int),
-            team=np.array([-1 if s.team is None else s.team
-                           for s in samples], dtype=int))
 
     def __len__(self) -> int:
         return len(self.identity)
@@ -259,16 +231,15 @@ def _forward_arrays(model: EmbedderModel, cells: np.ndarray):
     }
 
 
-def forward_batch(model: EmbedderModel, grids: list[FeatureGrid]):
-    """Vectorized forward over same-shape grids.
+def forward_batch(model: EmbedderModel, grids: np.ndarray):
+    """The embeddings of a ``(B, H, W, C)`` stack of grid cells.
 
-    Returns (list of PartFeatureSet, role_logits (B, 4)).
+    Returns (features ``(B, K+1, D)`` ordered (foreground, part 1..K),
+    visibility ``(B, K+1)`` in the same order, role logits ``(B, 4)``).
     """
-    cells = np.stack([np.asarray(g.cells, float) for g in grids])
-    fw = _forward_arrays(model, cells)
-    sets = [PartFeatureSet(parts=parts, foreground=fg, visibility=vis)
-            for parts, fg, vis in zip(fw["f_parts"], fw["f_fg"], fw["vis"])]
-    return sets, fw["role_logits"]
+    fw = _forward_arrays(model, grids)
+    features = np.concatenate([fw["f_fg"][:, None], fw["f_parts"]], axis=1)
+    return features, fw["vis"], fw["role_logits"]
 
 
 def loss_and_grad(model: EmbedderModel, batch: TrainBatch,
@@ -375,20 +346,21 @@ def loss_and_grad(model: EmbedderModel, batch: TrainBatch,
     return tot.value, grads, comp_values
 
 
-def sample_batch(dataset: list[GridSample], rng: np.random.Generator,
+def sample_batch(batch: TrainBatch, rng: np.random.Generator,
                  samples_per_identity: int = 4) -> TrainBatch:
     """Draw 4 left-team + 4 right-team player identities and 3 other-role
-    identities, ``samples_per_identity`` grids each, as a
-    :class:`TrainBatch`."""
-    table = TrainBatch.from_samples(dataset)
-    return table.take(_draw_batch(_group_by_identity(table), rng,
+    identities of ``batch``, ``samples_per_identity`` rows each."""
+    return batch.take(_draw_batch(_group_by_identity(batch), rng,
                                   samples_per_identity))
 
 
 def _group_by_identity(table: TrainBatch):
     """``(rows by identity, left, right, other)``: each identity's row
     indices in table order, the sorted player ids of each team and the
-    sorted ids of the other roles, as each identity's first row has it."""
+    sorted ids of the other roles, as each identity's first row has it.
+    An empty table raises :class:`InsufficientIdentities`."""
+    if not len(table):
+        raise InsufficientIdentities("no training samples")
     ids, first, counts = np.unique(table.identity, return_index=True,
                                    return_counts=True)
     rows = np.split(np.argsort(table.identity, kind="stable"),
@@ -444,22 +416,23 @@ def _param_views(flat: np.ndarray, model: EmbedderModel
     return views
 
 
-def train(cfg: TrainConfig, dataset: list[GridSample]):
+def train(cfg: TrainConfig, batch: TrainBatch):
     """Adam training with linear warmup and step decay.
 
-    The samples are stacked once into a :class:`TrainBatch` whose
-    identities are renumbered 0..n_ids-1 in sorted order.  Each step
-    gathers its drawn rows and calls :func:`loss_and_grad` once.  The
-    model's parameters are views into one flat vector, which Adam updates
-    in place with flat ``m`` and ``v``.  The module docstring says why
-    these give the bits of the per-sample, per-parameter algorithm.
+    The identities of the training set ``batch`` are renumbered
+    0..n_ids-1 in sorted order; an empty ``batch`` raises
+    :class:`InsufficientIdentities`.  Each step gathers its drawn rows and
+    calls :func:`loss_and_grad` once.  The model's parameters are views
+    into one flat vector, which Adam updates in place with flat ``m`` and
+    ``v``.  The module docstring says why these give the bits of the
+    per-sample, per-parameter algorithm.
 
     Returns (model, per-epoch mean loss history).  Deterministic per seed.
     """
     rng = np.random.default_rng(cfg.seed)
-    table = TrainBatch.from_samples(dataset)
-    ids, identity = np.unique(table.identity, return_inverse=True)
-    table = replace(table, identity=identity)
+    groups = _group_by_identity(batch)
+    ids, identity = np.unique(batch.identity, return_inverse=True)
+    table = replace(batch, identity=identity)
     model = EmbedderModel.init(channels=table.cells.shape[-1],
                                num_parts=int(table.part_labels.max()), dim=8,
                                n_ids=len(ids), seed=cfg.seed)
@@ -470,7 +443,6 @@ def train(cfg: TrainConfig, dataset: list[GridSample]):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
     history = []
-    groups = _group_by_identity(table)
     for epoch in range(cfg.epochs):
         lr = _lr_at(epoch, cfg)
         epoch_losses = []

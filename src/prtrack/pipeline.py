@@ -7,6 +7,10 @@ run's :class:`~prtrack.simgen.DetectionTable`.  Its features, oracle,
 model or parsed, travel as a :class:`~prtrack.motio.FeatureTable` keyed
 like its rows.  :func:`track_frames` steps the tracker over its frames'
 rows, and each tracklet of ``finish()`` holds its member rows as a table.
+Re-id samples are rows of the scenario: training takes their
+:func:`~prtrack.simgen.reid_batch`, and :func:`evaluate_reid` embeds each
+retrieval side with one forward pass into a
+:class:`~prtrack.reid_metrics.RetrievalTable`.
 """
 
 from __future__ import annotations
@@ -17,14 +21,13 @@ import numpy as np
 
 from . import reference
 from .config import RunConfig
-from .core import Role, Tracklet
-from .embedder import EmbedderModel, GridSample, forward_batch, train
+from .core import Tracklet
+from .embedder import EmbedderModel, forward_batch, train
 from .motio import tracklets_to_records
 from .postproc import TooFewPlayers, assign_teams, merge_tracklets
-from .reid_metrics import RetrievalItem, RetrievalSet, evaluate_retrieval, \
-    role_metrics
+from .reid_metrics import RetrievalTable, evaluate_retrieval, role_metrics
 from .simgen import (DetectionTable, Scenario, detection_table,
-                     embed_detections, generate, to_reid_dataset)
+                     embed_detections, generate, reid_batch, to_reid_dataset)
 from .solvers import DegenerateInput
 from .track_metrics import evaluate_sequence
 from .tracker import FrameInput, OnlineTracker
@@ -32,7 +35,6 @@ from .tracker import FrameInput, OnlineTracker
 __all__ = [
     "train_on_scenario",
     "detections",
-    "embed_samples",
     "track_frames",
     "evaluate_reid",
     "team_accuracy",
@@ -41,11 +43,13 @@ __all__ = [
 
 
 def train_on_scenario(cfg: RunConfig, scenario: Scenario):
-    """Train the embedding model on the scenario's training identities."""
-    train_set, queries, gallery = to_reid_dataset(
+    """Train the embedding model on the scenario's training identities.
+
+    Returns (model, loss history, (train, query, gallery) row indices)."""
+    train_rows, queries, gallery = to_reid_dataset(
         scenario, sampling_stride=cfg.sampling_stride)
-    model, history = train(cfg.train, train_set)
-    return model, history, (train_set, queries, gallery)
+    model, history = train(cfg.train, reid_batch(scenario, train_rows))
+    return model, history, (train_rows, queries, gallery)
 
 
 def detections(cfg: RunConfig, scenario: Scenario, features: str):
@@ -56,17 +60,6 @@ def detections(cfg: RunConfig, scenario: Scenario, features: str):
                            cfg.detector_noise_param, features, seed=cfg.seed)
 
 
-def embed_samples(model: EmbedderModel, samples: list[GridSample]
-                  ) -> tuple[list[RetrievalItem], np.ndarray]:
-    """Retrieval items and role logits ``(B, 4)`` of the samples, from one
-    forward pass."""
-    if not samples:
-        return [], np.zeros((0, 4))
-    feats, role_logits = forward_batch(model, [s.grid for s in samples])
-    return [RetrievalItem(f, s.identity, s.team, s.role, s.view)
-            for f, s in zip(feats, samples)], role_logits
-
-
 def track_frames(table: DetectionTable, cfg: RunConfig) -> list[Tracklet]:
     """Online tracklets of the table's frames 1 to ``cfg.scenario.frames``."""
     tracker = OnlineTracker(cfg.tracker)
@@ -75,17 +68,26 @@ def track_frames(table: DetectionTable, cfg: RunConfig) -> list[Tracklet]:
     return tracker.finish()
 
 
-def evaluate_reid(model: EmbedderModel, queries: list[GridSample],
-                  gallery: list[GridSample]) -> dict:
-    """Identity/team retrieval and role classification over a split."""
-    q_items, q_role_logits = embed_samples(model, queries)
-    g_items, _ = embed_samples(model, gallery)
-    retrieval = RetrievalSet(q_items, g_items)
-    reid_map, reid_r1 = evaluate_retrieval(retrieval, "identity")
-    team_map, team_r1 = evaluate_retrieval(retrieval, "team")
-    preds = [Role(int(np.argmax(rl))) for rl in q_role_logits]
-    truths = [s.role for s in queries]
-    acc, prec = role_metrics(preds, truths)
+def _embed_rows(model: EmbedderModel, scenario: Scenario, rows: np.ndarray
+                ) -> tuple[RetrievalTable, np.ndarray]:
+    """The retrieval table and role logits ``(R, 4)`` of the scenario's
+    rows ``rows``, from one forward pass."""
+    batch = reid_batch(scenario, rows)
+    features, visibility, role_logits = forward_batch(model, batch.cells)
+    return RetrievalTable(features, visibility, batch.identity, batch.team,
+                          batch.role, scenario.view[rows]), role_logits
+
+
+def evaluate_reid(model: EmbedderModel, scenario: Scenario,
+                  queries: np.ndarray, gallery: np.ndarray) -> dict:
+    """Identity/team retrieval and role classification over the query and
+    gallery rows of the scenario, as :func:`~prtrack.simgen.to_reid_dataset`
+    splits them."""
+    q_table, q_role_logits = _embed_rows(model, scenario, queries)
+    g_table, _ = _embed_rows(model, scenario, gallery)
+    reid_map, reid_r1 = evaluate_retrieval(q_table, g_table, "identity")
+    team_map, team_r1 = evaluate_retrieval(q_table, g_table, "team")
+    acc, prec = role_metrics(q_role_logits.argmax(axis=1), q_table.role)
     return {
         "reid_map": reid_map, "reid_rank1": reid_r1,
         "team_map": team_map, "team_rank1": team_r1,
@@ -118,8 +120,7 @@ def run_pipeline(cfg: RunConfig):
     the report dictionary and artifacts holds the model, tracklets, and MOT
     record lists for file output."""
     scenario = generate(cfg.scenario)
-    model, history, (train_set, queries, gallery) = train_on_scenario(
-        cfg, scenario)
+    model, history, (_, queries, gallery) = train_on_scenario(cfg, scenario)
     table, gt_mot = detections(cfg, scenario, "none")
     table = dataclasses.replace(
         table, features=embed_detections(model, scenario, table))
@@ -128,7 +129,7 @@ def run_pipeline(cfg: RunConfig):
     merged_mot = tracklets_to_records(merged)
     track_report = evaluate_sequence(gt_mot, merged_mot)
 
-    reid_report = evaluate_reid(model, queries, gallery)
+    reid_report = evaluate_reid(model, scenario, queries, gallery)
     try:
         teams = assign_teams(merged, seed=cfg.seed)
     except (TooFewPlayers, DegenerateInput):

@@ -1,11 +1,15 @@
 """Retrieval-style evaluation: query/gallery ranking under the part
 distance, mAP and CMC Rank-1 for identity and team, accuracy/precision for
-role classification."""
+role classification.
+
+Queries and gallery are each one :class:`RetrievalTable` of columns, one
+row per sample.  Each query is ranked by one row of the package's
+part-distance kernel over the whole gallery, masked and sorted after."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -14,8 +18,7 @@ from .core import DataError, PartFeatureSet, Role, _part_distances, _stack
 __all__ = [
     "EmptyGallery",
     "LengthMismatch",
-    "RetrievalItem",
-    "RetrievalSet",
+    "RetrievalTable",
     "rank",
     "map_cmc",
     "role_metrics",
@@ -31,19 +34,24 @@ class LengthMismatch(Exception):
     pass
 
 
-@dataclass
-class RetrievalItem:
-    features: PartFeatureSet
-    identity: int
-    team: int | None
-    role: Role
-    view: int = 0
+@dataclass(frozen=True)
+class RetrievalTable:
+    """Embedded samples as columns, one row per sample."""
 
+    features: np.ndarray    # (N, K+1, D) ordered (foreground, part 1..K)
+    visibility: np.ndarray  # (N, K+1) in the same order
+    identity: np.ndarray    # (N,)
+    team: np.ndarray        # (N,) 0/1, -1 where the sample has no team
+    role: np.ndarray        # (N,) Role values
+    view: np.ndarray        # (N,) view ids
 
-@dataclass
-class RetrievalSet:
-    queries: list[RetrievalItem]
-    gallery: list[RetrievalItem]
+    def __len__(self) -> int:
+        return len(self.identity)
+
+    def take(self, rows) -> "RetrievalTable":
+        """The rows ``rows``, an index or boolean array, in that order."""
+        return RetrievalTable(*(getattr(self, f.name)[rows]
+                                for f in fields(self)))
 
 
 def rank(query: PartFeatureSet, gallery: list[PartFeatureSet]) -> list[int]:
@@ -70,8 +78,9 @@ def _average_precision(flags: np.ndarray) -> float:
 def map_cmc(rankings: list[np.ndarray]) -> tuple[float, float]:
     """mAP and Rank-1 over per-query ranked relevance flags.
 
-    Each entry is the 0/1 positive flags of one query's ranked gallery.
-    Queries without a positive are excluded with a warning.
+    Each entry is the 0/1 positive flags of one query's ranked gallery,
+    possibly empty.  Queries without a positive are excluded with a warning
+    that names the entry's index.
     """
     aps, top1 = [], []
     for i, flags in enumerate(rankings):
@@ -87,14 +96,15 @@ def map_cmc(rankings: list[np.ndarray]) -> tuple[float, float]:
     return float(np.mean(aps)), float(np.mean(top1))
 
 
-def role_metrics(predictions: list[Role],
-                 truths: list[Role]) -> tuple[float, float]:
+def role_metrics(predictions: np.ndarray,
+                 truths: np.ndarray) -> tuple[float, float]:
     """Accuracy and macro (unweighted per-class) precision over the four
-    roles; classes with no predictions contribute 0 precision."""
+    roles, from int arrays of :class:`~prtrack.core.Role` values; classes
+    with no predictions contribute 0 precision."""
     if len(predictions) != len(truths):
         raise LengthMismatch(f"{len(predictions)} vs {len(truths)}")
-    preds = np.array([int(p) for p in predictions])
-    gts = np.array([int(t) for t in truths])
+    preds = np.asarray(predictions, dtype=int)
+    gts = np.asarray(truths, dtype=int)
     accuracy = float((preds == gts).mean()) if len(preds) else float("nan")
     precisions = []
     for cls in range(4):
@@ -106,43 +116,40 @@ def role_metrics(predictions: list[Role],
     return accuracy, float(np.mean(precisions))
 
 
-def evaluate_retrieval(retrieval: RetrievalSet, match_key: str = "identity",
+def evaluate_retrieval(queries: RetrievalTable, gallery: RetrievalTable,
+                       match_key: str = "identity",
                        exclude_same_view: bool = True) -> tuple[float, float]:
     """mAP and Rank-1 for identity or team retrieval.
 
-    Gallery items sharing the query's identity and view (same tracklet
+    Gallery rows sharing the query's identity and view (same tracklet
     fragment) are excluded from that query's ranking, following standard
-    retrieval protocol.  For team matching, only player samples are
-    considered on both sides.
+    retrieval protocol; a query with no row left gets an empty ranking,
+    which :func:`map_cmc` excludes.  For team matching, only player rows
+    are considered on both sides.
 
-    The gallery is stacked into arrays once per call.  Each query's ranking
-    is one row of the package's part-distance kernel
-    (``core._part_distances``) over its kept gallery columns, sorted stably,
-    so ties break by gallery index as in :func:`rank`.
+    Each query's ranking is one row of the package's part-distance kernel
+    (``core._part_distances``) over the whole gallery, so every pair's
+    distance has the bits of :func:`rank`'s.  The row is masked, then
+    sorted stably, so ties break by gallery index as in :func:`rank`.
     """
     if match_key not in ("identity", "team"):
         raise ValueError("match_key must be 'identity' or 'team'")
-    queries = retrieval.queries
-    gallery = retrieval.gallery
     if match_key == "team":
-        queries = [q for q in queries if q.role == Role.PLAYER]
-        gallery = [g for g in gallery if g.role == Role.PLAYER]
-    if not gallery:
+        queries = queries.take(queries.role == int(Role.PLAYER))
+        gallery = gallery.take(gallery.role == int(Role.PLAYER))
+    if not len(gallery):
         raise EmptyGallery("gallery is empty")
-    feats, vis = _stack([g.features for g in gallery])
-    identities = np.array([g.identity for g in gallery])
-    views = np.array([g.view for g in gallery])
-    keys = np.array([getattr(g, match_key) for g in gallery])
-    keep = np.ones(len(gallery), dtype=bool)
+    keys, query_keys = getattr(gallery, match_key), getattr(queries, match_key)
     rankings = []
-    for q in queries:
+    for i in range(len(queries)):
+        dists = _part_distances(queries.features[i:i + 1],
+                                queries.visibility[i:i + 1],
+                                gallery.features, gallery.visibility)[0]
+        ranked = keys
         if exclude_same_view:
-            keep = (identities != q.identity) | (views != q.view)
-            if not keep.any():
-                continue
-        dists = _part_distances(*_stack([q.features]), feats[keep],
-                                vis[keep])[0]
+            keep = ((gallery.identity != queries.identity[i])
+                    | (gallery.view != queries.view[i]))
+            dists, ranked = dists[keep], keys[keep]
         order = np.argsort(dists, kind="stable")
-        rankings.append((keys[keep][order] == getattr(q, match_key))
-                        .astype(int))
+        rankings.append((ranked[order] == query_keys[i]).astype(int))
     return map_cmc(rankings)

@@ -12,6 +12,11 @@ A :class:`Scenario` holds its observations as columns, one row per present
 ``part_visible`` ``(N, K)``, ``cells`` ``(N, H, W, C)`` and
 ``part_labels`` ``(N, H, W)``.  An absent agent has no row.
 
+Re-id samples are rows of the scenario: :func:`to_reid_dataset` splits
+them into training, query and gallery row indices, :func:`reid_batch`
+takes their cells and labels as an :class:`~prtrack.embedder.TrainBatch`,
+and :attr:`Scenario.view` gives each row's view for same-view filtering.
+
 A run's detections are built once, as columns: :func:`detection_table`
 fills a :class:`DetectionTable` of frames, boxes after detector noise,
 ground-truth labels and, optionally, ground-truth-derived oracle features.
@@ -31,7 +36,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import Role
-from .embedder import EmbedderModel, FeatureGrid, GridSample, _forward_arrays
+from .embedder import EmbedderModel, TrainBatch, forward_batch
 from .motio import FeatureTable, MotRecord
 
 __all__ = [
@@ -41,6 +46,7 @@ __all__ = [
     "Scenario",
     "generate",
     "to_reid_dataset",
+    "reid_batch",
     "DetectionTable",
     "detection_table",
     "embed_detections",
@@ -51,6 +57,9 @@ __all__ = [
 
 # The detector noise models :func:`detection_table` applies.
 DETECTOR_NOISES = ("none", "jitter", "dropout")
+
+# Frames per view: samples of one identity in one chunk share a view id.
+_VIEW_CHUNK = 125
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,19 @@ class Scenario:
     part_visible: np.ndarray  # (N, K) 1 for a part no occluder hides
     cells: np.ndarray         # (N, H, W, C) feature-grid cells
     part_labels: np.ndarray   # (N, H, W) cell part labels, 0 = background
+
+    @property
+    def view(self) -> np.ndarray:
+        """(N,) the view of each row: its frame's chunk of
+        ``_VIEW_CHUNK`` frames, from 0."""
+        return (self.frame - 1) // _VIEW_CHUNK
+
+    def roster(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(team, role)`` of agents 1..A, in roster order: 0 left, 1
+        right or -1 for no team, and :class:`~prtrack.core.Role` values."""
+        return (np.array([-1 if a.team is None else a.team
+                          for a in self.agents], dtype=int),
+                np.array([int(a.role) for a in self.agents], dtype=int))
 
 
 def _check_boxes(boxes: np.ndarray) -> None:
@@ -306,57 +328,52 @@ def generate(config: ScenarioConfig) -> Scenario:
                     part_visible, cells, part_labels)
 
 
-# Frames per view: samples of one identity in one chunk share a view id.
-_VIEW_CHUNK = 125
-
-
 def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25):
-    """Uniformly subsample frames per identity and split into a training
-    list plus a query/gallery retrieval structure over held-out identities.
+    """Every ``sampling_stride``-th row of each identity, split into a
+    training set and a query/gallery retrieval structure over held-out
+    identities.
 
-    Returns (train samples, query samples, gallery samples), all lists of
-    :class:`GridSample`.  Identity splits are disjoint; samples carry a view
-    id (frame chunk) used for same-view gallery filtering.
+    Returns (train rows, query rows, gallery rows), int arrays of row
+    indices into the scenario, identity by identity in roster order and
+    each identity's rows in frame order.  Identity splits are disjoint:
+    each roster group (left players, right players, other roles) gives its
+    first half, at least 4, 4 and 3 identities, to training.  A held-out
+    identity gives its first quarter of rows to the queries and the rest to
+    the gallery, or all to the gallery below 2 rows.
     """
     if sampling_stride < 1:
         raise ValueError("stride must be >= 1")
+    team, role = scenario.roster()
+    ids = np.arange(1, len(role) + 1)
+    player = role == int(Role.PLAYER)
+    groups = ((ids[player & (team == 0)], 4), (ids[player & (team == 1)], 4),
+              (ids[~player], 3))
 
-    def samples(agent: Agent) -> list[GridSample]:
-        rows = np.flatnonzero(
-            scenario.identity == agent.identity)[::sampling_stride]
-        return [GridSample(FeatureGrid(scenario.cells[r],
-                                       scenario.part_labels[r]),
-                           agent.identity, agent.team, agent.role,
-                           view=(frame - 1) // _VIEW_CHUNK)
-                for r, frame in zip(rows.tolist(),
-                                    scenario.frame[rows].tolist())]
+    train, queries, gallery = [], [], []
+    for group, minimum in groups:
+        n_train = min(max(minimum, math.ceil(len(group) / 2)), len(group))
+        for i, ident in enumerate(group.tolist()):
+            rows = np.flatnonzero(
+                scenario.identity == ident)[::sampling_stride]
+            if i < n_train:
+                train.append(rows)
+                continue
+            n_query = max(1, len(rows) // 4) if len(rows) >= 2 else 0
+            queries.append(rows[:n_query])
+            gallery.append(rows[n_query:])
+    none = [np.zeros(0, dtype=int)]
+    return (np.concatenate(none + train), np.concatenate(none + queries),
+            np.concatenate(none + gallery))
 
-    per_identity = {a.identity: samples(a) for a in scenario.agents}
 
-    left = [a.identity for a in scenario.agents
-            if a.role == Role.PLAYER and a.team == 0]
-    right = [a.identity for a in scenario.agents
-             if a.role == Role.PLAYER and a.team == 1]
-    other = [a.identity for a in scenario.agents if a.role != Role.PLAYER]
-
-    train_ids, test_ids = [], []
-    for group, minimum in ((left, 4), (right, 4), (other, 3)):
-        n_train = max(minimum, int(math.ceil(len(group) / 2)))
-        n_train = min(n_train, len(group))
-        train_ids.extend(group[:n_train])
-        test_ids.extend(group[n_train:])
-
-    train = [s for i in train_ids for s in per_identity[i]]
-    queries, gallery = [], []
-    for ident in test_ids:
-        samples = per_identity[ident]
-        if len(samples) < 2:
-            gallery.extend(samples)
-            continue
-        n_query = max(1, len(samples) // 4)
-        queries.extend(samples[:n_query])
-        gallery.extend(samples[n_query:])
-    return train, queries, gallery
+def reid_batch(scenario: Scenario, rows: np.ndarray) -> TrainBatch:
+    """The samples at the scenario's rows ``rows``, in that order, as a
+    :class:`~prtrack.embedder.TrainBatch`: their cells, part labels and
+    identities, and their agents' teams and roles."""
+    team, role = scenario.roster()
+    agent = scenario.identity[rows] - 1
+    return TrainBatch(scenario.cells[rows], scenario.part_labels[rows],
+                      scenario.identity[rows], role[agent], team[agent])
 
 
 def oracle_feature_projection(config: ScenarioConfig, dim: int = 8):
@@ -487,9 +504,7 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
     if jitter and len(kept):
         boxes[:, :2] += shifts
     agent = scenario.identity[kept] - 1
-    teams = np.array([-1 if a.team is None else a.team
-                      for a in scenario.agents], dtype=int)
-    roles = np.array([int(a.role) for a in scenario.agents], dtype=int)
+    teams, roles = scenario.roster()
     block = None
     if oracle:
         vis = part_vis[kept]
@@ -521,8 +536,9 @@ def embed_detections(model: EmbedderModel, scenario: Scenario,
 
     Each row's grid is the scenario's row of its frame and identity, found
     by one search on the scenario's frame-major (frame, identity) keys.  One
-    forward pass per frame fills the columns: one pass over the whole run
-    raised peak RSS from 106 to 142 MB.
+    :func:`~prtrack.embedder.forward_batch` call per frame fills the
+    columns: one pass over the whole run raised peak RSS from 106 to
+    142 MB.
     """
     n, k, d = len(table.frame), model.num_parts, model.dim
     parts, foreground = np.empty((n, k, d)), np.empty((n, d))
@@ -532,9 +548,9 @@ def embed_detections(model: EmbedderModel, scenario: Scenario,
                            (table.frame - 1) * a + table.gt_identity)
     _, starts = np.unique(table.frame, return_index=True)
     for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), n]):
-        fw = _forward_arrays(model, scenario.cells[rows[lo:hi]])
-        parts[lo:hi], foreground[lo:hi] = fw["f_parts"], fw["f_fg"]
-        visibility[lo:hi], role_logits[lo:hi] = fw["vis"], fw["role_logits"]
+        feats, vis, logits = forward_batch(model, scenario.cells[rows[lo:hi]])
+        foreground[lo:hi], parts[lo:hi] = feats[:, 0], feats[:, 1:]
+        visibility[lo:hi], role_logits[lo:hi] = vis, logits
     return FeatureTable(table.frame, table.det_index, parts, foreground,
                         visibility, role_logits)
 

@@ -12,14 +12,14 @@ import numpy as np
 from prtrack.core import (BoundingBox, PartFeatureSet, Role, TrackStatus,
                           Tracklet, box_array, iou_matrix,
                           part_distance_matrix, xyah_to_xywh)
-from prtrack.embedder import (PARAM_NAMES, EmbedderModel, FeatureGrid,
-                              GridSample, _forward_arrays, _lr_at,
-                              forward_batch)
+from prtrack.embedder import (PARAM_NAMES, EmbedderModel, TrainBatch,
+                              _forward_arrays, _lr_at, forward_batch)
 from prtrack.losses import (LossValue, TripletConfig, _batch_hard_triplets,
                             _check_labels, cross_entropy_id, focal_loss,
                             part_prediction_loss, total_loss,
                             triplet_batch_hard)
 from prtrack.motio import FeatureRecord, MotRecord
+from prtrack.reid_metrics import rank
 from prtrack.simgen import (_VIEW_CHUNK, Agent, ScenarioConfig,
                             _sample_events, oracle_feature_projection)
 from prtrack.solvers import hungarian
@@ -38,6 +38,51 @@ class Detection:
     gt_identity: int | None = None
     gt_team: int | None = None  # 0 = left, 1 = right
     gt_role: Role | None = None
+
+
+@dataclass(frozen=True)
+class FeatureGrid:
+    """One sample's H x W grid of C-dim cell features with per-cell part
+    labels (0 = background), as a record of its own."""
+
+    cells: np.ndarray        # (H, W, C)
+    part_labels: np.ndarray  # (H, W) ints in [0, K]
+
+
+@dataclass
+class GridSample:
+    """One re-id sample as a record of its own, as the per-sample
+    reference algorithms read it."""
+
+    grid: FeatureGrid
+    identity: int
+    team: int | None   # 0/1, players only
+    role: Role
+    view: int = 0
+
+
+@dataclass
+class RetrievalItem:
+    """One embedded retrieval sample as a record of its own."""
+
+    features: PartFeatureSet
+    identity: int
+    team: int | None
+    role: Role
+    view: int = 0
+
+
+def stack_samples(samples):
+    """The ``GridSample``s' columns as an ``embedder.TrainBatch``, stacked
+    sample by sample in list order."""
+    return TrainBatch(
+        cells=np.stack([np.asarray(s.grid.cells, float) for s in samples]),
+        part_labels=np.stack([np.asarray(s.grid.part_labels, int)
+                              for s in samples]),
+        identity=np.array([s.identity for s in samples], dtype=int),
+        role=np.array([int(s.role) for s in samples], dtype=int),
+        team=np.array([-1 if s.team is None else s.team for s in samples],
+                      dtype=int))
 
 
 def box_iou(a, b):
@@ -210,14 +255,14 @@ def _part_distance(q, g):
     return total / count if count else math.inf
 
 
-def brute_retrieval(retrieval, match_key, exclude_same_view):
-    """(mAP, rank-1) of identity or team retrieval, query by query.
+def brute_retrieval(queries, gallery, match_key, exclude_same_view):
+    """(mAP, rank-1) of identity or team retrieval over lists of
+    :class:`RetrievalItem`s, query by query.
 
     Team retrieval keeps players only.  A query's gallery leaves out items of
     its identity and view when ``exclude_same_view``; the rest is sorted by
     (distance, gallery index).  AP is the mean precision at each relevant
     item's rank; queries with no relevant item are left out."""
-    queries, gallery = retrieval.queries, retrieval.gallery
     if match_key == "team":
         # Role.PLAYER is 0.
         queries = [q for q in queries if q.role == 0]
@@ -652,6 +697,66 @@ def brute_reid_dataset(scenario, sampling_stride=25):
     return train, queries, gallery
 
 
+def brute_evaluate_reid(model, queries, gallery):
+    """``pipeline.evaluate_reid`` on lists of :class:`GridSample`s, sample
+    by sample: each sample is embedded by a forward pass of its own into a
+    :class:`RetrievalItem`, each query is ranked on its own by
+    ``reid_metrics.rank`` over the gallery items it keeps, and the role
+    figures are counted query by query.  A query with no gallery item left,
+    or no positive among them, is left out.  Shares the forward pass and
+    ``rank`` with the package."""
+    def embed(sample):
+        cells = np.asarray(sample.grid.cells, float)[None]
+        feats, vis, role_logits = forward_batch(model, cells)
+        item = RetrievalItem(PartFeatureSet(feats[0, 1:], feats[0, 0],
+                                            vis[0]),
+                             sample.identity, sample.team, sample.role,
+                             sample.view)
+        return item, Role(int(np.argmax(role_logits[0])))
+
+    embedded = [embed(s) for s in queries]
+    q_items = [item for item, _ in embedded]
+    g_items = [embed(s)[0] for s in gallery]
+
+    def retrieval(match_key):
+        qs, gs = q_items, g_items
+        if match_key == "team":
+            qs = [q for q in qs if q.role == Role.PLAYER]
+            gs = [g for g in gs if g.role == Role.PLAYER]
+        aps, top1 = [], []
+        for q in qs:
+            kept = [g for g in gs
+                    if g.identity != q.identity or g.view != q.view]
+            if not kept:
+                continue
+            order = rank(q.features, [g.features for g in kept])
+            hits = [getattr(kept[j], match_key) == getattr(q, match_key)
+                    for j in order]
+            precisions = [(n + 1) / (r + 1) for n, r in
+                          enumerate(r for r, hit in enumerate(hits) if hit)]
+            if precisions:
+                aps.append(np.mean(precisions))
+                top1.append(float(hits[0]))
+        if not aps:
+            return math.nan, math.nan
+        return float(np.mean(aps)), float(np.mean(top1))
+
+    preds = [role for _, role in embedded]
+    truths = [s.role for s in queries]
+    accuracy = (sum(p == t for p, t in zip(preds, truths)) / len(truths)
+                if truths else math.nan)
+    precisions = []
+    for cls in Role:
+        hits = [t == cls for p, t in zip(preds, truths) if p == cls]
+        precisions.append(sum(hits) / len(hits) if hits else 0.0)
+    reid_map, reid_rank1 = retrieval("identity")
+    team_map, team_rank1 = retrieval("team")
+    return {"reid_map": reid_map, "reid_rank1": reid_rank1,
+            "team_map": team_map, "team_rank1": team_rank1,
+            "role_accuracy": accuracy,
+            "role_precision": sum(precisions) / len(precisions)}
+
+
 def brute_tracking_input(scenario, detector_noise="none", noise_param=0.0,
                          features="oracle", feature_sigma=0.05, seed=0):
     """Per-detection reference of ``simgen.to_tracking_input`` over the
@@ -702,10 +807,12 @@ def brute_embed_detections(model, scenario, frame_inputs):
             continue
         obs_by_id = {ob.identity: ob
                      for ob in scenario.frames[frame_idx] if ob.present}
-        grids = [obs_by_id[d.gt_identity].grid for d in dets]
-        feats, role_logits = forward_batch(model, grids)
-        records.extend(FeatureRecord(d.frame, j, f, rl) for j, (d, f, rl)
-                       in enumerate(zip(dets, feats, role_logits)))
+        cells = np.stack([obs_by_id[d.gt_identity].grid.cells for d in dets])
+        feats, vis, role_logits = forward_batch(model, cells)
+        records.extend(
+            FeatureRecord(d.frame, j, PartFeatureSet(f[1:], f[0], v), rl)
+            for j, (d, f, v, rl)
+            in enumerate(zip(dets, feats, vis, role_logits)))
     return records
 
 

@@ -26,10 +26,9 @@ from prtrack.motio import (FeatureRecord, FeatureTable, MotRecord,
                            parse_features, parse_mot, tracklets_to_records,
                            write_features, write_mot)
 from prtrack.postproc import MergeConfig, merge_tracklets
-from prtrack.reid_metrics import (RetrievalItem, RetrievalSet,
-                                  evaluate_retrieval)
-from prtrack.simgen import (ScenarioConfig, generate, to_reid_dataset,
-                            to_tracking_input)
+from prtrack.pipeline import evaluate_reid
+from prtrack.simgen import (ScenarioConfig, generate, reid_batch,
+                            to_reid_dataset, to_tracking_input)
 from prtrack.solvers import hungarian, kmeans2
 from prtrack.track_metrics import (SequenceResult, evaluate_sequence, hota,
                                    idf1, mota_ids)
@@ -222,19 +221,14 @@ _JOINT = LossWeights()
 _REID_ONLY = LossWeights(lambda_team=0.0, lambda_role=0.0)
 
 
-def _embed_items(model, samples):
-    feats, _ = forward_batch(model, [s.grid for s in samples])
-    return [RetrievalItem(f, s.identity, s.team, s.role, s.view)
-            for f, s in zip(feats, samples)]
-
-
-def _cluster_accuracy(model, samples):
-    players = [s for s in samples if s.role == Role.PLAYER]
-    feats, _ = forward_batch(model, [s.grid for s in players])
-    emb = np.array([f.foreground for f in feats])
+def _cluster_accuracy(model, scenario, rows):
+    batch = reid_batch(scenario, rows)
+    players = batch.role == Role.PLAYER
+    feats, _, _ = forward_batch(model, batch.cells[players])
+    emb = feats[:, 0]
     emb /= np.maximum(np.linalg.norm(emb, axis=1, keepdims=True), 1e-12)
     labels, _ = kmeans2(emb, seed=0)
-    truth = np.array([s.team for s in players])
+    truth = batch.team[players]
     return max(float((labels == truth).mean()),
                float((1 - labels == truth).mean()))
 
@@ -252,13 +246,12 @@ def multitask_benchmark():
                                                       sampling_stride=25)
         for name, weights in (("joint", _JOINT), ("reid", _REID_ONLY)):
             model, _ = train(TrainConfig(seed=seed, weights=weights),
-                             train_set)
-            retrieval = RetrievalSet(_embed_items(model, queries),
-                                     _embed_items(model, gallery))
-            reid_map, _ = evaluate_retrieval(retrieval, "identity")
-            team_map, _ = evaluate_retrieval(retrieval, "team")
-            cluster = _cluster_accuracy(model, queries + gallery)
-            rows[name].append((reid_map, team_map, cluster))
+                             reid_batch(scenario, train_set))
+            report = evaluate_reid(model, scenario, queries, gallery)
+            cluster = _cluster_accuracy(model, scenario,
+                                        np.concatenate([queries, gallery]))
+            rows[name].append((report["reid_map"], report["team_map"],
+                               cluster))
     return ({k: np.array(v) for k, v in rows.items()},
             time.time() - start)
 
@@ -278,8 +271,10 @@ def test_acceptance_5_team_clustering(multitask_benchmark):
     scenario = generate(ScenarioConfig(seed=0))
     train_set, queries, gallery = to_reid_dataset(scenario,
                                                   sampling_stride=25)
-    model, _ = train(TrainConfig(seed=0, weights=_JOINT), train_set)
-    assert _cluster_accuracy(model, queries + gallery) >= 0.95
+    model, _ = train(TrainConfig(seed=0, weights=_JOINT),
+                     reid_batch(scenario, train_set))
+    assert _cluster_accuracy(model, scenario,
+                             np.concatenate([queries, gallery])) >= 0.95
 
 
 # --------------------------------------------------------------------------

@@ -10,16 +10,18 @@ import pytest
 
 from prtrack import embedder
 from prtrack.core import Role
-from prtrack.embedder import (PARAM_NAMES, EmbedderModel, FeatureGrid,
-                              GridSample, InsufficientIdentities, TrainBatch,
+from prtrack.embedder import (PARAM_NAMES, EmbedderModel,
+                              InsufficientIdentities, TrainBatch,
                               TrainConfig, _forward_arrays, _lr_at,
                               forward_batch, grad_check, loss_and_grad,
                               sample_batch, train)
 from prtrack.losses import LossWeights
-from prtrack.simgen import ScenarioConfig, generate, to_reid_dataset
+from prtrack.simgen import ScenarioConfig
 
-from oracles import (brute_draw_batch, brute_group_by_identity,
-                     brute_loss_and_grad, brute_train)
+from oracles import (FeatureGrid, GridSample, brute_draw_batch,
+                     brute_generate, brute_group_by_identity,
+                     brute_loss_and_grad, brute_reid_dataset, brute_train,
+                     stack_samples)
 
 
 def make_grid(rng, h=4, w=3, c=6, k=3):
@@ -31,8 +33,10 @@ def make_grid(rng, h=4, w=3, c=6, k=3):
     return FeatureGrid(rng.normal(size=(h, w, c)), labels)
 
 
-def make_dataset(rng, n_left=4, n_right=4, n_other=3, per_id=5,
+def make_samples(rng, n_left=4, n_right=4, n_other=3, per_id=5,
                  h=4, w=3, c=6, k=3):
+    """Random grids of ``per_id`` samples per identity, as a list of
+    ``GridSample``s."""
     data = []
     ident = 0
     def add(team, role, count):
@@ -48,6 +52,11 @@ def make_dataset(rng, n_left=4, n_right=4, n_other=3, per_id=5,
     return data
 
 
+def make_dataset(rng, **kw):
+    """:func:`make_samples`'s samples as a ``TrainBatch``."""
+    return stack_samples(make_samples(rng, **kw))
+
+
 def part_masks(model, grid):
     """Soft part masks (H, W, K+1) of one grid."""
     masks = _forward_arrays(model, grid.cells[None])["masks"][0]
@@ -57,11 +66,10 @@ def part_masks(model, grid):
 def test_forward_shapes(rng):
     model = EmbedderModel.init(channels=6, num_parts=3, dim=4, n_ids=5)
     grid = make_grid(rng)
-    (pfs,), role_logits = forward_batch(model, [grid])
+    feats, vis, role_logits = forward_batch(model, grid.cells[None])
     masks = part_masks(model, grid)
-    assert pfs.parts.shape == (3, 4)
-    assert pfs.foreground.shape == (4,)
-    assert pfs.visibility.shape == (4,)
+    assert feats.shape == (1, 4, 4)
+    assert vis.shape == (1, 4)
     assert role_logits.shape == (1, 4)
     assert masks.shape == (4, 3, 4)
     np.testing.assert_allclose(masks.sum(axis=2), 1.0, atol=1e-12)
@@ -69,14 +77,12 @@ def test_forward_shapes(rng):
 
 def test_forward_batch_matches_single(rng):
     model = EmbedderModel.init(channels=6, num_parts=3, dim=4, n_ids=5)
-    grids = [make_grid(rng) for _ in range(4)]
-    sets, logits = forward_batch(model, grids)
-    for i, g in enumerate(grids):
-        (single,), (rl,) = forward_batch(model, [g])
-        np.testing.assert_allclose(sets[i].parts, single.parts, atol=1e-12)
-        np.testing.assert_allclose(sets[i].foreground, single.foreground,
-                                   atol=1e-12)
-        np.testing.assert_array_equal(sets[i].visibility, single.visibility)
+    cells = np.stack([make_grid(rng).cells for _ in range(4)])
+    feats, vis, logits = forward_batch(model, cells)
+    for i in range(len(cells)):
+        (single,), (single_vis,), (rl,) = forward_batch(model, cells[i:i + 1])
+        np.testing.assert_allclose(feats[i], single, atol=1e-12)
+        np.testing.assert_array_equal(vis[i], single_vis)
         np.testing.assert_allclose(logits[i], rl, atol=1e-12)
 
 
@@ -89,12 +95,12 @@ def test_visibility_follows_argmax(rng):
         for h, w in [(1, 3), (2, 2)] * 10]
     hidden = 0
     for grid in grids:
-        (pfs,), _ = forward_batch(model, [grid])
+        _, (vis,), _ = forward_batch(model, grid.cells[None])
         argmax = part_masks(model, grid).reshape(-1, 4).argmax(axis=1)
         for j in range(3):
-            assert pfs.visibility[j + 1] == int((argmax == j + 1).any())
-        assert pfs.visibility[0] == int(pfs.visibility[1:].any())
-        hidden += 3 - pfs.visibility[1:].sum()
+            assert vis[j + 1] == int((argmax == j + 1).any())
+        assert vis[0] == int(vis[1:].any())
+        hidden += 3 - vis[1:].sum()
     assert hidden > 0
 
 
@@ -122,16 +128,16 @@ def test_sample_batch_insufficient(rng):
     data = make_dataset(rng, n_left=3)
     with pytest.raises(InsufficientIdentities):
         sample_batch(data, np.random.default_rng(0))
+    empty = data.take(np.zeros(0, dtype=int))
     with pytest.raises(InsufficientIdentities, match="no training samples"):
-        sample_batch([], np.random.default_rng(0))
+        sample_batch(empty, np.random.default_rng(0))
     with pytest.raises(InsufficientIdentities, match="no training samples"):
-        train(TrainConfig(), [])
+        train(TrainConfig(), empty)
 
 
 def test_train_draws_sample_batch_batches(rng, monkeypatch):
-    """``train`` stacks the samples once, and its steps gather the batches
-    that repeated ``sample_batch`` calls draw from a generator seeded
-    alike."""
+    """``train``'s steps gather the batches that repeated ``sample_batch``
+    calls draw from a generator seeded alike."""
     data = make_dataset(rng, per_id=3)
     cfg = TrainConfig(epochs=3, steps_per_epoch=2, samples_per_identity=2,
                       seed=4)
@@ -189,12 +195,13 @@ def test_trained_model_does_not_depend_on_blas_threads(tmp_path):
         import sys
         from prtrack.embedder import TrainConfig, train
         from prtrack.motio import save_model
-        from prtrack.simgen import ScenarioConfig, generate, to_reid_dataset
+        from prtrack.simgen import (ScenarioConfig, generate, reid_batch,
+                                    to_reid_dataset)
         scenario = generate(ScenarioConfig(frames=130, n_players_per_team=6,
                                            occlusion_rate=0.3, seed=3))
-        train_set, _, _ = to_reid_dataset(scenario, sampling_stride=5)
+        train_rows, _, _ = to_reid_dataset(scenario, sampling_stride=5)
         model, _ = train(TrainConfig(epochs=4, steps_per_epoch=3, seed=3),
-                         train_set)
+                         reid_batch(scenario, train_rows))
         save_model(model, sys.argv[1])
     """)
     src = Path(__file__).resolve().parents[1] / "src"
@@ -212,13 +219,14 @@ def test_trained_model_does_not_depend_on_blas_threads(tmp_path):
 
 
 def _occluded_train_set(seed=3):
-    scenario = generate(ScenarioConfig(frames=130, n_players_per_team=6,
-                                       occlusion_rate=0.3, seed=seed))
-    train_set, _, _ = to_reid_dataset(scenario, sampling_stride=5)
+    cfg = ScenarioConfig(frames=130, n_players_per_team=6, occlusion_rate=0.3,
+                         seed=seed)
+    train_set, _, _ = brute_reid_dataset(brute_generate(cfg),
+                                         sampling_stride=5)
     return train_set
 
 
-# (dataset, config) pairs of the oracle tests: an occluded scenario's
+# (samples, config) pairs of the oracle tests: an occluded scenario's
 # training split; identities with fewer samples than a batch takes of each,
 # so each is drawn with replacement; and the cross-entropy role loss on
 # identities with exactly as many samples as a batch takes, drawn without.
@@ -226,10 +234,10 @@ def _oracle_cases():
     return [
         (_occluded_train_set(), TrainConfig(epochs=4, steps_per_epoch=3,
                                             seed=3)),
-        (make_dataset(np.random.default_rng(8), per_id=2),
+        (make_samples(np.random.default_rng(8), per_id=2),
          TrainConfig(epochs=5, steps_per_epoch=2, samples_per_identity=3,
                      seed=1)),
-        (make_dataset(np.random.default_rng(9), per_id=3),
+        (make_samples(np.random.default_rng(9), per_id=3),
          TrainConfig(epochs=5, steps_per_epoch=2, samples_per_identity=3,
                      focal_gamma=0.0, seed=2)),
     ]
@@ -241,7 +249,7 @@ def test_train_equals_per_sample_oracle(case):
     """Gathered batches and the flat Adam update give the per-sample,
     per-parameter training's model and loss history to the bit."""
     data, cfg = _oracle_cases()[case]
-    model, history = train(cfg, data)
+    model, history = train(cfg, stack_samples(data))
     want_model, want_history = brute_train(cfg, data)
     assert history == want_history
     for name in PARAM_NAMES:
@@ -257,13 +265,14 @@ def _oracle_batches(case):
     data, cfg = _oracle_cases()[case]
     model, _ = train(TrainConfig(epochs=1, steps_per_epoch=1,
                                  samples_per_identity=cfg.samples_per_identity,
-                                 seed=cfg.seed), data)
+                                 seed=cfg.seed), stack_samples(data))
     ids = sorted({s.identity for s in data})
     remapped = [GridSample(s.grid, ids.index(s.identity), s.team, s.role)
                 for s in data]
+    table = stack_samples(remapped)
     rng, brute_rng = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(3):
-        batch = sample_batch(remapped, rng, cfg.samples_per_identity)
+        batch = sample_batch(table, rng, cfg.samples_per_identity)
         samples = brute_draw_batch(brute_group_by_identity(remapped),
                                    brute_rng, cfg.samples_per_identity)
         yield model, cfg, batch, samples
@@ -279,7 +288,7 @@ def test_loss_and_grad_equals_per_sample_oracle(case):
         for f in fields(TrainBatch):
             np.testing.assert_array_equal(
                 getattr(batch, f.name),
-                getattr(TrainBatch.from_samples(samples), f.name))
+                getattr(stack_samples(samples), f.name))
         value, grads, comps = loss_and_grad(model, batch, cfg)
         want_value, want_grads, want_comps = brute_loss_and_grad(
             model, samples, cfg)

@@ -7,8 +7,8 @@ from prtrack.core import Role
 from prtrack.embedder import EmbedderModel
 from prtrack.simgen import (DetectionTable, ScenarioConfig, detection_table,
                             embed_detections, generate,
-                            oracle_feature_projection, to_reid_dataset,
-                            to_tracking_input)
+                            oracle_feature_projection, reid_batch,
+                            to_reid_dataset, to_tracking_input)
 
 from oracles import (brute_embed_detections, brute_generate,
                      brute_reid_dataset, brute_tracking_input)
@@ -90,8 +90,8 @@ def test_no_occlusion_means_full_visibility():
 def test_reid_dataset_split_disjoint():
     s = generate(small_config(frames=120))
     train, queries, gallery = to_reid_dataset(s, sampling_stride=10)
-    train_ids = {x.identity for x in train}
-    test_ids = {x.identity for x in queries} | {x.identity for x in gallery}
+    train_ids = set(s.identity[train].tolist())
+    test_ids = set(s.identity[np.concatenate([queries, gallery])].tolist())
     assert train_ids.isdisjoint(test_ids)
     left = sum(1 for a in s.agents if a.role == Role.PLAYER and a.team == 0
                and a.identity in train_ids)
@@ -114,17 +114,22 @@ _REID_SCENARIO = dict(frames=150, n_players_per_team=6, occlusion_rate=0.3,
 @pytest.mark.parametrize("stride", [1, 5, 25])
 def test_reid_dataset_equals_per_observation_oracle(stride):
     cfg = small_config(**_REID_SCENARIO)
-    got = to_reid_dataset(generate(cfg), sampling_stride=stride)
+    s = generate(cfg)
+    got = to_reid_dataset(s, sampling_stride=stride)
     want = brute_reid_dataset(brute_generate(cfg), sampling_stride=stride)
-    for got_split, want_split in zip(got, want, strict=True):
-        for a, b in zip(got_split, want_split, strict=True):
-            assert (a.identity, a.team, a.role, a.view) == \
-                (b.identity, b.team, b.role, b.view)
-            assert _bits(a.grid.cells) == _bits(b.grid.cells)
-            assert _bits(a.grid.part_labels) == _bits(b.grid.part_labels)
+    for rows, want_split in zip(got, want, strict=True):
+        assert rows.dtype == int
+        batch = reid_batch(s, rows)
+        assert len(rows) == len(want_split)
+        for r, b in enumerate(want_split):
+            assert (batch.identity[r], batch.team[r], batch.role[r],
+                    s.view[rows[r]]) == \
+                (b.identity, -1 if b.team is None else b.team, b.role, b.view)
+            assert _bits(batch.cells[r]) == _bits(b.grid.cells)
+            assert _bits(batch.part_labels[r]) == _bits(b.grid.part_labels)
     _, queries, gallery = got
-    assert {s.identity for s in gallery} - {s.identity for s in queries}
-    assert {s.view for split in got for s in split} == {0, 1}
+    assert set(s.identity[gallery]) - set(s.identity[queries])
+    assert set(s.view[np.concatenate(got)].tolist()) == {0, 1}
 
 
 def test_tracking_input_oracle_features():
