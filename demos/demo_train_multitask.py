@@ -13,20 +13,21 @@ from prtrack import LossWeights, kmeans2
 from prtrack.core import Role
 from prtrack.embedder import TrainConfig, forward_batch, train
 from prtrack.pipeline import evaluate_reid
-from prtrack.simgen import (ScenarioConfig, generate, reid_batch,
-                            to_reid_dataset)
+from prtrack.simgen import (GALLERY, QUERY, TRAIN, ScenarioConfig,
+                            generate, reid_samples)
 
 SEED = 0
 scenario = generate(ScenarioConfig(seed=SEED, team_separation=0.7,
                                    feature_noise_sigma=0.6))
-train_set, queries, gallery = to_reid_dataset(scenario, sampling_stride=25)
-print(f"{len(train_set)} training samples, {len(queries)} queries, "
-      f"{len(gallery)} gallery samples")
+samples = reid_samples(scenario, sampling_stride=25)
+n_train, n_query, n_gallery = np.bincount(samples.subset, minlength=3)
+print(f"{n_train} training samples, {n_query} queries, "
+      f"{n_gallery} gallery samples")
 
 
-def cluster_accuracy(model, rows):
-    """2-means accuracy of the player rows' foreground embeddings."""
-    batch = reid_batch(scenario, rows)
+def cluster_accuracy(model, batch):
+    """2-means accuracy of the batch's player rows' foreground
+    embeddings."""
     players = batch.role == Role.PLAYER
     feats, _, _ = forward_batch(model, batch.cells[players])
     emb = feats[:, 0]
@@ -40,9 +41,9 @@ for name, weights in (("joint (reid+team+role)", LossWeights()),
                       ("identity only",
                        LossWeights(lambda_team=0.0, lambda_role=0.0))):
     model, history = train(TrainConfig(seed=SEED, weights=weights),
-                           reid_batch(scenario, train_set))
-    report = evaluate_reid(model, scenario, queries, gallery)
-    acc = cluster_accuracy(model, np.concatenate([queries, gallery]))
+                           samples.batch(TRAIN))
+    report = evaluate_reid(model, samples)
+    acc = cluster_accuracy(model, samples.batch(QUERY, GALLERY))
     print(f"\n{name}")
     print(f"  loss {history[0]:.3f} -> {history[-1]:.3f}")
     print(f"  identity mAP {report['reid_map']:.4f}  "

@@ -2,10 +2,13 @@
 
 Subcommands: generate | train | embed | track | merge | cluster |
 eval-reid | eval-track | pipeline | report.  Runs operate on a directory
-holding the scenario manifest and derived files.  Exit codes: 0 success,
-1 usage error, 2 data error: a :class:`prtrack.core.DataError` (a malformed
-file or config value, or input a stage cannot work with) or a missing or
-directory input path.  Config sections check their bounds when built,
+holding the scenario manifest and derived files.  ``generate`` writes the
+re-id samples (``reid_samples.npz``), which ``train`` and ``eval-reid``
+read instead of generating the scenario again; ``embed`` and ``track``
+regenerate it.  Exit codes: 0 success, 1 usage error, 2 data error: a
+:class:`prtrack.core.DataError` (a malformed file or config value, or
+input a stage cannot work with) or a missing or directory input path.
+Config sections check their bounds when built,
 from YAML or Python; errors name the fully qualified key.  Any other
 exception is a bug and propagates.  ``--seed`` (or env PRT_SEED)
 propagates to every stage.
@@ -17,7 +20,6 @@ import argparse
 import dataclasses
 import os
 import sys
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +28,14 @@ import yaml
 from .config import (ConfigTypeError, RunConfig, config_to_dict, load_config,
                      load_yaml)
 from .core import DataError, PartFeatureSet, TrackStatus, Tracklet
-from .motio import (FeatureTable, ParseError, _feature_rows, load_model,
-                    parse_mot, save_model, tracklets_to_records,
-                    write_features, write_mot)
+from .motio import (FeatureTable, ParseError, _feature_rows, load_arrays,
+                    load_model, parse_mot, save_arrays, save_model,
+                    tracklets_to_records, write_features, write_mot)
 from .pipeline import (detections, evaluate_reid, run_pipeline,
                        team_accuracy, track_frames, train_on_scenario)
 from .postproc import assign_roles, assign_teams, merge_tracklets
 from .simgen import (DetectionTable, embed_detections, generate,
-                     to_reid_dataset)
+                     load_reid_samples, reid_samples, save_reid_samples)
 from .track_metrics import evaluate_sequence
 from . import reference
 
@@ -92,11 +94,27 @@ def _dump_yaml(data, path: Path):
         yaml.safe_dump(data, fh, sort_keys=True, default_flow_style=False)
 
 
+def _samples_path(run_dir: Path) -> Path:
+    return run_dir / "reid_samples.npz"
+
+
+def _load_samples(run_dir: Path, cfg: RunConfig):
+    """The run's re-id samples, as ``generate`` wrote them for the
+    manifest's scenario and sampling stride."""
+    return load_reid_samples(_samples_path(run_dir), cfg.scenario,
+                             cfg.sampling_stride)
+
+
 def cmd_generate(args) -> int:
     cfg = _load_run_config(args)
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
-    table, gt_mot = detections(cfg, generate(cfg.scenario), "oracle")
+    scenario = generate(cfg.scenario)
+    save_reid_samples(reid_samples(scenario, cfg.sampling_stride),
+                      _samples_path(run_dir))
+    # The detections read no cells: free them before building the table.
+    scenario = dataclasses.replace(scenario, cells=None)
+    table, gt_mot = detections(cfg, scenario, "oracle")
     write_mot(gt_mot, run_dir / "gt.txt")
     write_mot(table.mot_rows(), run_dir / "det.txt")
     write_features(table.features, run_dir / "features.txt")
@@ -108,8 +126,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     run_dir = Path(args.run)
     cfg = _load_manifest(run_dir)
-    scenario = generate(cfg.scenario)
-    model, history, _ = train_on_scenario(cfg, scenario)
+    model, history = train_on_scenario(cfg, _load_samples(run_dir, cfg))
     save_model(model, run_dir / "model.txt")
     print(f"trained {cfg.train.epochs} epochs; "
           f"loss {history[0]:.4f} -> {history[-1]:.4f}")
@@ -130,9 +147,10 @@ def cmd_embed(args) -> int:
 
 def _load_features(run_dir: Path, table: DetectionTable) -> FeatureTable:
     """The rows of ``features.txt``, which pair one to one, in file order,
-    with the rows of ``table``.  A missing, extra or misplaced row, or a
-    row shaped unlike the first, raises :class:`ParseError` naming the file
-    and line."""
+    with the rows of ``table``, keyed by the table's int ``frame`` and
+    ``det_index`` columns.  A missing, extra or misplaced row, or a row
+    shaped unlike the first, raises :class:`ParseError` naming the file and
+    line."""
     path = run_dir / "features.txt"
     rows = _feature_rows(path)
     keys = list(zip(table.frame.tolist(), table.det_index.tolist()))
@@ -152,7 +170,9 @@ def _load_features(run_dir: Path, table: DetectionTable) -> FeatureTable:
         frame, j = keys[len(rows)]
         raise ParseError(f"missing features of frame {frame} det {j}",
                          rows[-1][0] + 1 if rows else 1, path)
-    return FeatureTable.from_records([rec for _, rec in rows])
+    return dataclasses.replace(
+        FeatureTable.from_records([rec for _, rec in rows]),
+        frame=table.frame, det_index=table.det_index)
 
 
 def cmd_track(args) -> int:
@@ -187,8 +207,8 @@ def _save_tracklets(tracklets: list[Tracklet], path: Path) -> None:
     rows = DetectionTable.concat([t.detections for t in tracklets])
     f = rows.features
     t, k, d = len(tracklets), *f.parts.shape[1:]
-    np.savez(
-        path, allow_pickle=False, id=np.array([x.id for x in tracklets], int),
+    save_arrays(path, dict(
+        id=np.array([x.id for x in tracklets], int),
         count=np.array([len(x.detections) for x in tracklets], int),
         ema=np.array([x.ema_features.stacked() for x in tracklets],
                      float).reshape(t, k + 1, d),
@@ -199,7 +219,17 @@ def _save_tracklets(tracklets: list[Tracklet], path: Path) -> None:
         frame=rows.frame, det_index=rows.det_index, boxes=rows.boxes,
         gt_identity=rows.gt_identity, gt_team=rows.gt_team,
         gt_role=rows.gt_role, parts=f.parts, foreground=f.foreground,
-        visibility=f.visibility, role_logits=f.role_logits)
+        visibility=f.visibility, role_logits=f.role_logits))
+
+
+def _tracklet_sizes(a: dict[str, np.ndarray]) -> dict[str, int]:
+    """The dimensions of :data:`_TRACKLET_ARRAYS`, from the arrays of a
+    tracklets file."""
+    if a["parts"].ndim != 3:
+        raise ValueError(f"parts has shape {a['parts'].shape}, expected "
+                         "(N, K, D)")
+    n, k, d = a["parts"].shape
+    return {"T": a["id"].size, "N": n, "K": k, "K+1": k + 1, "D": d}
 
 
 def _load_tracklets(path: Path) -> list[Tracklet]:
@@ -207,36 +237,9 @@ def _load_tracklets(path: Path) -> list[Tracklet]:
     without Kalman state.  A file that is no such archive, a missing or
     misshapen array, or an invalid value raises :class:`ParseError`
     naming the file."""
-    try:
-        npz = np.load(path, allow_pickle=False)
-        if not isinstance(npz, np.lib.npyio.NpzFile):
-            raise ParseError("a single array, not an archive", path=path)
-        with npz:
-            missing = [name for name in _TRACKLET_ARRAYS
-                       if name not in npz.files]
-            a = {name: npz[name] for name in _TRACKLET_ARRAYS
-                 if name not in missing}
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ParseError(f"not a tracklets archive: {exc}",
-                         path=path) from None
-    if missing:
-        raise ParseError(f"missing arrays {missing}", path=path)
-    if a["parts"].ndim != 3:
-        raise ParseError(f"parts has shape {a['parts'].shape}, expected "
-                         "(N, K, D)", path=path)
-    n, k, d = a["parts"].shape
-    sizes = {"T": a["id"].size, "N": n, "K": k, "K+1": k + 1, "D": d}
-    for name, spec in _TRACKLET_ARRAYS.items():
-        kind, *dims = spec.split()
-        shape = tuple(sizes[x] if x in sizes else int(x) for x in dims)
-        if a[name].shape != shape:
-            raise ParseError(f"{name} has shape {a[name].shape}, expected "
-                             f"{shape}", path=path)
-        if a[name].dtype.kind != kind:
-            raise ParseError(f"{name} has dtype {a[name].dtype}", path=path)
-        if kind == "f" and not np.isfinite(a[name]).all():
-            raise ParseError(f"{name} has a non-finite value", path=path)
+    a = load_arrays(path, _TRACKLET_ARRAYS, "tracklets", _tracklet_sizes)
     count, frame = a["count"], a["frame"]
+    n = len(frame)
     ends = np.cumsum(count)
     if (count < 1).any() or count.sum() != n:
         raise ParseError(f"member counts do not split the {n} rows",
@@ -297,10 +300,7 @@ def cmd_eval_reid(args) -> int:
     run_dir = Path(args.run)
     cfg = _load_manifest(run_dir)
     model = load_model(run_dir / "model.txt")
-    scenario = generate(cfg.scenario)
-    _, queries, gallery = to_reid_dataset(
-        scenario, sampling_stride=cfg.sampling_stride)
-    report = evaluate_reid(model, scenario, queries, gallery)
+    report = evaluate_reid(model, _load_samples(run_dir, cfg))
     _dump_yaml(report, run_dir / "reid_report.yaml")
     for key, value in sorted(report.items()):
         print(f"{key}: {value:.4f}")

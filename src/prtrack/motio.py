@@ -1,5 +1,6 @@
-"""Text file formats: MOT-challenge records, per-detection feature records
-and model checkpoints.
+"""File formats: MOT-challenge records, per-detection feature records and
+model checkpoints as text, and the stages' array archives as uncompressed,
+pickle-free ``.npz`` files (:func:`save_arrays`, :func:`load_arrays`).
 
 All writers are deterministic: stable ordering and fixed decimal
 formatting, so identical inputs produce byte-identical files and every
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -37,6 +39,8 @@ __all__ = [
     "parse_features",
     "save_model",
     "load_model",
+    "save_arrays",
+    "load_arrays",
 ]
 
 # frame, id, box, confidence, class, visibility: 6 decimals for the floats.
@@ -45,6 +49,9 @@ _MOT_LINE = "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%.6f\n"
 # once: a whole run's rows at once held about twice the memory of the old
 # per-record writer.
 _FEATURE_ROWS_PER_WRITE = 1024
+# Bytes per read of an array that load_arrays reads into a caller's buffer:
+# below glibc's initial mmap threshold, so the chunks reuse heap memory.
+_READ_CHUNK = 1 << 16
 
 
 class ParseError(DataError):
@@ -307,3 +314,100 @@ def load_model(path) -> EmbedderModel:
         return EmbedderModel(**kwargs)
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from exc
+
+
+def save_arrays(path, arrays: dict) -> None:
+    """The arrays as an uncompressed ``.npz`` archive that ``np.load``
+    reads with ``allow_pickle=False``.  An entry may also be a pair
+    ``(array, rows)``, written as ``array[rows]`` one row at a time, without
+    gathering the rows.  Unlike ``np.savez``, arrays go to the file from
+    their own buffers, without a copy of the whole array, and every member
+    has the zip format's fixed 1980 timestamp, so equal arrays make equal
+    files."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for name, entry in arrays.items():
+            array, rows = entry if isinstance(entry, tuple) else (entry, None)
+            array = np.asarray(array, order="C")
+            shape = array.shape if rows is None else (len(rows),
+                                                      *array.shape[1:])
+            header = {"descr": np.lib.format.dtype_to_descr(array.dtype),
+                      "fortran_order": False, "shape": shape}
+            with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w",
+                         force_zip64=True) as fh:
+                np.lib.format.write_array_header_1_0(fh, header)
+                for block in ((array,) if rows is None
+                              else (array[r] for r in rows.tolist())):
+                    fh.write(block.reshape(-1).view(np.uint8).data)
+
+
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _read_into(zf: zipfile.ZipFile, name: str, alloc) -> np.ndarray:
+    """The array of member ``name`` of an ``.npz`` archive, read in chunks
+    into ``alloc(shape, dtype)``."""
+    with zf.open(f"{name}.npy") as fh:
+        version = np.lib.format.read_magic(fh)
+        if version not in _NPY_HEADERS:
+            raise ValueError(f"{name} has .npy version {version}")
+        shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
+        if dtype.hasobject:
+            raise ValueError("Object arrays cannot be loaded when "
+                             "allow_pickle=False")
+        if math.prod(shape) * dtype.itemsize > zf.getinfo(
+                f"{name}.npy").file_size:
+            raise EOFError(f"{name} is shorter than its shape {shape}")
+        array = alloc(shape[::-1] if fortran_order else shape, dtype)
+        buf = array.reshape(-1).view(np.uint8).data
+        for lo in range(0, len(buf), _READ_CHUNK):
+            chunk = buf[lo:lo + _READ_CHUNK]
+            if fh.readinto(chunk) < len(chunk):
+                raise EOFError(f"{name} ends early")
+    return array.T if fortran_order else array
+
+
+def load_arrays(path, spec: dict[str, str], what: str, sizes,
+                into=None) -> dict[str, np.ndarray]:
+    """The arrays named in ``spec`` of the ``.npz`` archive at ``path``,
+    opened without pickle and checked against ``spec``.
+
+    ``spec`` gives each array's dtype kind and shape, as in ``"f N K+1
+    D"``: each dimension is an int or a name of ``sizes(arrays)``, which
+    may raise ``ValueError`` on arrays it cannot size.  Float arrays must
+    be finite.  ``into`` maps names to allocators ``(shape, dtype) ->
+    array`` that those arrays are read into, instead of numpy's own.  A
+    file that is no such archive, a missing or misshapen array or a
+    non-finite float raises :class:`ParseError` naming the file; ``what``
+    names the archive in its message.
+    """
+    into = into or {}
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):
+            raise ParseError("a single array, not an archive", path=path)
+        with npz:
+            missing = [name for name in spec if name not in npz.files]
+            arrays = {name: _read_into(npz.zip, name, into[name])
+                      if name in into else npz[name]
+                      for name in spec if name not in missing}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"not a {what} archive: {exc}", path=path) from None
+    if missing:
+        raise ParseError(f"missing arrays {missing}", path=path)
+    try:
+        dims = sizes(arrays)
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from None
+    for name, entry in spec.items():
+        kind, *names = entry.split()
+        shape = tuple(dims[x] if x in dims else int(x) for x in names)
+        array = arrays[name]
+        if array.shape != shape:
+            raise ParseError(f"{name} has shape {array.shape}, expected "
+                             f"{shape}", path=path)
+        if array.dtype.kind != kind:
+            raise ParseError(f"{name} has dtype {array.dtype}", path=path)
+        if kind == "f" and not np.isfinite(array).all():
+            raise ParseError(f"{name} has a non-finite value", path=path)
+    return arrays

@@ -7,10 +7,12 @@ run's :class:`~prtrack.simgen.DetectionTable`.  Its features, oracle,
 model or parsed, travel as a :class:`~prtrack.motio.FeatureTable` keyed
 like its rows.  :func:`track_frames` steps the tracker over its frames'
 rows, and each tracklet of ``finish()`` holds its member rows as a table.
-Re-id samples are rows of the scenario: training takes their
-:func:`~prtrack.simgen.reid_batch`, and :func:`evaluate_reid` embeds each
-retrieval side with one forward pass into a
-:class:`~prtrack.reid_metrics.RetrievalTable`.
+Re-id training and scoring read a :class:`~prtrack.simgen.ReidSamples`
+table, the one :func:`~prtrack.simgen.reid_samples` builds from the
+scenario here and ``prtrack generate`` writes for the ``train`` and
+``eval-reid`` stages: training takes its training rows, and
+:func:`evaluate_reid` embeds each retrieval side with one forward pass into
+a :class:`~prtrack.reid_metrics.RetrievalTable`.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .embedder import EmbedderModel, forward_batch, train
 from .motio import tracklets_to_records
 from .postproc import TooFewPlayers, assign_teams, merge_tracklets
 from .reid_metrics import RetrievalTable, evaluate_retrieval, role_metrics
-from .simgen import (DetectionTable, Scenario, detection_table,
-                     embed_detections, generate, reid_batch, to_reid_dataset)
+from .simgen import (GALLERY, QUERY, TRAIN, DetectionTable, ReidSamples,
+                     Scenario, detection_table, embed_detections, generate,
+                     reid_samples)
 from .solvers import DegenerateInput
 from .track_metrics import evaluate_sequence
 from .tracker import FrameInput, OnlineTracker
@@ -42,14 +45,10 @@ __all__ = [
 ]
 
 
-def train_on_scenario(cfg: RunConfig, scenario: Scenario):
-    """Train the embedding model on the scenario's training identities.
-
-    Returns (model, loss history, (train, query, gallery) row indices)."""
-    train_rows, queries, gallery = to_reid_dataset(
-        scenario, sampling_stride=cfg.sampling_stride)
-    model, history = train(cfg.train, reid_batch(scenario, train_rows))
-    return model, history, (train_rows, queries, gallery)
+def train_on_scenario(cfg: RunConfig, samples: ReidSamples):
+    """Train the embedding model on the training rows of a scenario's re-id
+    samples.  Returns (model, loss history)."""
+    return train(cfg.train, samples.batch(TRAIN))
 
 
 def detections(cfg: RunConfig, scenario: Scenario, features: str):
@@ -68,23 +67,22 @@ def track_frames(table: DetectionTable, cfg: RunConfig) -> list[Tracklet]:
     return tracker.finish()
 
 
-def _embed_rows(model: EmbedderModel, scenario: Scenario, rows: np.ndarray
+def _embed_rows(model: EmbedderModel, samples: ReidSamples, subset: int
                 ) -> tuple[RetrievalTable, np.ndarray]:
-    """The retrieval table and role logits ``(R, 4)`` of the scenario's
-    rows ``rows``, from one forward pass."""
-    batch = reid_batch(scenario, rows)
+    """The retrieval table and role logits ``(R, 4)`` of the samples of
+    ``subset``, from one forward pass."""
+    batch = samples.batch(subset)
     features, visibility, role_logits = forward_batch(model, batch.cells)
-    return RetrievalTable(features, visibility, batch.identity, batch.team,
-                          batch.role, scenario.view[rows]), role_logits
+    table = RetrievalTable(features, visibility, batch.identity, batch.team,
+                           batch.role, samples.view[samples.rows(subset)])
+    return table, role_logits
 
 
-def evaluate_reid(model: EmbedderModel, scenario: Scenario,
-                  queries: np.ndarray, gallery: np.ndarray) -> dict:
+def evaluate_reid(model: EmbedderModel, samples: ReidSamples) -> dict:
     """Identity/team retrieval and role classification over the query and
-    gallery rows of the scenario, as :func:`~prtrack.simgen.to_reid_dataset`
-    splits them."""
-    q_table, q_role_logits = _embed_rows(model, scenario, queries)
-    g_table, _ = _embed_rows(model, scenario, gallery)
+    gallery rows of a scenario's re-id samples."""
+    q_table, q_role_logits = _embed_rows(model, samples, QUERY)
+    g_table, _ = _embed_rows(model, samples, GALLERY)
     reid_map, reid_r1 = evaluate_retrieval(q_table, g_table, "identity")
     team_map, team_r1 = evaluate_retrieval(q_table, g_table, "team")
     acc, prec = role_metrics(q_role_logits.argmax(axis=1), q_table.role)
@@ -120,7 +118,8 @@ def run_pipeline(cfg: RunConfig):
     the report dictionary and artifacts holds the model, tracklets, and MOT
     record lists for file output."""
     scenario = generate(cfg.scenario)
-    model, history, (_, queries, gallery) = train_on_scenario(cfg, scenario)
+    samples = reid_samples(scenario, cfg.sampling_stride)
+    model, history = train_on_scenario(cfg, samples)
     table, gt_mot = detections(cfg, scenario, "none")
     table = dataclasses.replace(
         table, features=embed_detections(model, scenario, table))
@@ -129,7 +128,7 @@ def run_pipeline(cfg: RunConfig):
     merged_mot = tracklets_to_records(merged)
     track_report = evaluate_sequence(gt_mot, merged_mot)
 
-    reid_report = evaluate_reid(model, scenario, queries, gallery)
+    reid_report = evaluate_reid(model, samples)
     try:
         teams = assign_teams(merged, seed=cfg.seed)
     except (TooFewPlayers, DegenerateInput):

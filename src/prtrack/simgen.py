@@ -13,9 +13,14 @@ A :class:`Scenario` holds its observations as columns, one row per present
 ``part_labels`` ``(N, H, W)``.  An absent agent has no row.
 
 Re-id samples are rows of the scenario: :func:`to_reid_dataset` splits
-them into training, query and gallery row indices, :func:`reid_batch`
-takes their cells and labels as an :class:`~prtrack.embedder.TrainBatch`,
-and :attr:`Scenario.view` gives each row's view for same-view filtering.
+them into training, query and gallery row indices, and :func:`reid_samples`
+takes those rows as a :class:`ReidSamples` table: part labels, identity,
+team, role, view and subset columns, each sample's row of the scenario's
+cells, and the scenario config and sampling stride it was made for.
+:func:`save_reid_samples` writes the table as a pickle-free ``.npz`` stage
+file, streaming each sample's cells from the scenario, and
+:func:`load_reid_samples` reads and checks it, so the stages that only
+train or score re-id need not generate the scenario again.
 
 A run's detections are built once, as columns: :func:`detection_table`
 fills a :class:`DetectionTable` of frames, boxes after detector noise,
@@ -31,13 +36,16 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
+import yaml
 
 from .core import Role
 from .embedder import EmbedderModel, TrainBatch, forward_batch
-from .motio import FeatureTable, MotRecord
+from .motio import (FeatureTable, MotRecord, ParseError, load_arrays,
+                    save_arrays)
 
 __all__ = [
     "DETECTOR_NOISES",
@@ -46,7 +54,13 @@ __all__ = [
     "Scenario",
     "generate",
     "to_reid_dataset",
-    "reid_batch",
+    "TRAIN",
+    "QUERY",
+    "GALLERY",
+    "ReidSamples",
+    "reid_samples",
+    "save_reid_samples",
+    "load_reid_samples",
     "DetectionTable",
     "detection_table",
     "embed_detections",
@@ -161,18 +175,20 @@ def _check_boxes(boxes: np.ndarray) -> None:
         raise ValueError("box width and height must be positive")
 
 
-def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float array in an anonymous memory map of its own,
-    which goes back to the system as soon as the array is freed.
+def _mapped_empty(shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """An uninitialised array in an anonymous memory map of its own, which
+    goes back to the system as soon as the array is freed.
 
     A scenario's cells are one block of tens of MB.  From the C heap, the
     freed block of one scenario could stay resident beside the next,
     larger one: on the ``reid_train`` benchmark, which generates scenarios
     of three sizes in turn, peak RSS read 140 MB instead of 120 MB in
-    about half the runs.
+    about half the runs.  The cells of a re-id samples file are read into
+    such a map too.
     """
+    dtype = np.dtype(dtype)
     size = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, max(1, 8 * size)), float,
+    return np.frombuffer(mmap.mmap(-1, max(1, dtype.itemsize * size)), dtype,
                          size).reshape(shape)
 
 
@@ -366,14 +382,136 @@ def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25):
             np.concatenate(none + gallery))
 
 
-def reid_batch(scenario: Scenario, rows: np.ndarray) -> TrainBatch:
-    """The samples at the scenario's rows ``rows``, in that order, as a
-    :class:`~prtrack.embedder.TrainBatch`: their cells, part labels and
-    identities, and their agents' teams and roles."""
+# The subsets of the re-id split, as :attr:`ReidSamples.subset` holds them.
+TRAIN, QUERY, GALLERY = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class ReidSamples:
+    """The re-id split of a scenario as columns, one row per sample: the
+    training rows, then the queries, then the gallery, each subset in
+    :func:`to_reid_dataset`'s order; with the scenario config and sampling
+    stride the split was made for.
+
+    Sample ``i``'s feature-grid cells are ``cells[cell_row[i]]``: a table
+    built from a scenario points into the scenario's cells, which it does
+    not copy, and a table read from a file holds its samples' cells in row
+    order."""
+
+    config: ScenarioConfig
+    sampling_stride: int
+    cells: np.ndarray        # (M, H, W, C) feature-grid cells
+    cell_row: np.ndarray     # (R,) each sample's row of ``cells``
+    part_labels: np.ndarray  # (R, H, W) cell part labels, 0 = background
+    identity: np.ndarray     # (R,) agent identities
+    team: np.ndarray         # (R,) 0 left / 1 right, -1 for no team
+    role: np.ndarray         # (R,) Role values
+    view: np.ndarray         # (R,) views, for same-view filtering
+    subset: np.ndarray       # (R,) TRAIN, QUERY or GALLERY, in that order
+
+    def rows(self, *subsets: int) -> slice:
+        """The rows of the consecutive subsets ``subsets``, as one slice."""
+        lo, hi = np.searchsorted(self.subset,
+                                 [min(subsets), max(subsets) + 1]).tolist()
+        return slice(lo, hi)
+
+    def batch(self, *subsets: int) -> TrainBatch:
+        """The rows of :meth:`rows` as a
+        :class:`~prtrack.embedder.TrainBatch`."""
+        r = self.rows(*subsets)
+        return TrainBatch(self.cells[self.cell_row[r]], self.part_labels[r],
+                          self.identity[r], self.role[r], self.team[r])
+
+
+def reid_samples(scenario: Scenario, sampling_stride: int = 25
+                 ) -> ReidSamples:
+    """The rows of :func:`to_reid_dataset`'s split as a
+    :class:`ReidSamples` table: their part labels, identities, views and
+    rows of the scenario's cells, and their agents' teams and roles."""
+    split = to_reid_dataset(scenario, sampling_stride)
+    rows = np.concatenate(split)
     team, role = scenario.roster()
     agent = scenario.identity[rows] - 1
-    return TrainBatch(scenario.cells[rows], scenario.part_labels[rows],
-                      scenario.identity[rows], role[agent], team[agent])
+    return ReidSamples(
+        scenario.config, sampling_stride, scenario.cells, rows,
+        scenario.part_labels[rows], scenario.identity[rows], team[agent],
+        role[agent], scenario.view[rows],
+        np.repeat([TRAIN, QUERY, GALLERY], [len(x) for x in split]))
+
+
+# The arrays of a re-id samples file and their dtype kind and shape: the
+# config and stride it was made for, then the columns of R samples of
+# H x W cells with C channels.
+_SAMPLE_ARRAYS = {
+    "made_for": "U", "cells": "f R H W C", "part_labels": "i R H W",
+    "identity": "i R", "team": "i R", "role": "i R", "view": "i R",
+    "subset": "i R",
+}
+
+
+def _made_for(config: ScenarioConfig, sampling_stride: int) -> str:
+    """The scenario config and sampling stride of a split, as the YAML of
+    a run manifest's ``scenario:`` and ``sampling_stride`` keys."""
+    return yaml.safe_dump({"scenario": asdict(config),
+                           "sampling_stride": sampling_stride},
+                          sort_keys=True)
+
+
+def save_reid_samples(samples: ReidSamples, path) -> None:
+    """The table as an uncompressed, pickle-free ``.npz`` archive: its
+    config and stride as YAML, then its columns, with each sample's cells
+    written from its row of the table's cells."""
+    save_arrays(path, {
+        "made_for": np.array(_made_for(samples.config,
+                                       samples.sampling_stride)),
+        "cells": (samples.cells, samples.cell_row),
+        **{name: getattr(samples, name) for name in _SAMPLE_ARRAYS
+           if name not in ("made_for", "cells")}})
+
+
+def load_reid_samples(path, config: ScenarioConfig,
+                      sampling_stride: int) -> ReidSamples:
+    """The table of a file of :func:`save_reid_samples`, made for the
+    scenario config ``config`` and ``sampling_stride``; its cells are read
+    into a memory map of their own.
+
+    A missing file, or one made for another config or stride, raises
+    :class:`~prtrack.motio.ParseError` that says to run ``generate``
+    again.  A file that is no such archive or holds a missing, misshapen
+    or non-finite array, a part label outside [0, K], a team outside
+    {-1, 0, 1}, an unknown role, or subsets out of their order raises it
+    too.  Every message names the file.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ParseError("no re-id samples file; run generate again",
+                         path=path)
+    want = _made_for(config, sampling_stride)
+
+    def sizes(a):
+        if str(a["made_for"]) != want:
+            raise ValueError("made for another scenario or sampling_stride "
+                             "than the manifest's; run generate again")
+        return {"R": a["identity"].size, "H": config.grid_h,
+                "W": config.grid_w, "C": config.channels}
+
+    a = load_arrays(path, _SAMPLE_ARRAYS, "re-id samples", sizes,
+                    into={"cells": _mapped_empty})
+    for name, valid in (
+            ("part_labels", (a["part_labels"] >= 0)
+             & (a["part_labels"] <= config.num_parts)),
+            ("team", np.isin(a["team"], (-1, 0, 1))),
+            ("role", np.isin(a["role"], [int(r) for r in Role])),
+            ("subset", np.isin(a["subset"], (TRAIN, QUERY, GALLERY)))):
+        if not valid.all():
+            raise ParseError(f"{name} has a value out of range", path=path)
+    if (np.diff(a["subset"]) < 0).any():
+        raise ParseError("subsets are not in the order train, query, "
+                         "gallery", path=path)
+    return ReidSamples(config, sampling_stride, a["cells"],
+                       np.arange(len(a["cells"])),
+                       *(a[name] for name in _SAMPLE_ARRAYS
+                         if name not in ("made_for", "cells")))
 
 
 def oracle_feature_projection(config: ScenarioConfig, dim: int = 8):

@@ -27,8 +27,8 @@ from prtrack.motio import (FeatureRecord, FeatureTable, MotRecord,
                            write_features, write_mot)
 from prtrack.postproc import MergeConfig, merge_tracklets
 from prtrack.pipeline import evaluate_reid
-from prtrack.simgen import (ScenarioConfig, generate, reid_batch,
-                            to_reid_dataset, to_tracking_input)
+from prtrack.simgen import (GALLERY, QUERY, TRAIN, ScenarioConfig,
+                            generate, reid_samples, to_tracking_input)
 from prtrack.solvers import hungarian, kmeans2
 from prtrack.track_metrics import (SequenceResult, evaluate_sequence, hota,
                                    idf1, mota_ids)
@@ -221,8 +221,7 @@ _JOINT = LossWeights()
 _REID_ONLY = LossWeights(lambda_team=0.0, lambda_role=0.0)
 
 
-def _cluster_accuracy(model, scenario, rows):
-    batch = reid_batch(scenario, rows)
+def _cluster_accuracy(model, batch):
     players = batch.role == Role.PLAYER
     feats, _, _ = forward_batch(model, batch.cells[players])
     emb = feats[:, 0]
@@ -242,14 +241,12 @@ def multitask_benchmark():
     for seed in range(5):
         scenario = generate(ScenarioConfig(seed=seed, team_separation=0.7,
                                            feature_noise_sigma=0.6))
-        train_set, queries, gallery = to_reid_dataset(scenario,
-                                                      sampling_stride=25)
+        samples = reid_samples(scenario, sampling_stride=25)
         for name, weights in (("joint", _JOINT), ("reid", _REID_ONLY)):
             model, _ = train(TrainConfig(seed=seed, weights=weights),
-                             reid_batch(scenario, train_set))
-            report = evaluate_reid(model, scenario, queries, gallery)
-            cluster = _cluster_accuracy(model, scenario,
-                                        np.concatenate([queries, gallery]))
+                             samples.batch(TRAIN))
+            report = evaluate_reid(model, samples)
+            cluster = _cluster_accuracy(model, samples.batch(QUERY, GALLERY))
             rows[name].append((report["reid_map"], report["team_map"],
                                cluster))
     return ({k: np.array(v) for k, v in rows.items()},
@@ -269,12 +266,10 @@ def test_acceptance_5_team_clustering(multitask_benchmark):
     assert rows["joint"][:, 2].mean() >= rows["reid"][:, 2].mean()
     # separable regime: wide team separation, joint-trained embeddings
     scenario = generate(ScenarioConfig(seed=0))
-    train_set, queries, gallery = to_reid_dataset(scenario,
-                                                  sampling_stride=25)
+    samples = reid_samples(scenario, sampling_stride=25)
     model, _ = train(TrainConfig(seed=0, weights=_JOINT),
-                     reid_batch(scenario, train_set))
-    assert _cluster_accuracy(model, scenario,
-                             np.concatenate([queries, gallery])) >= 0.95
+                     samples.batch(TRAIN))
+    assert _cluster_accuracy(model, samples.batch(QUERY, GALLERY)) >= 0.95
 
 
 # --------------------------------------------------------------------------

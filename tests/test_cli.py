@@ -15,11 +15,16 @@ import yaml
 import pytest
 
 import prtrack.cli
+import prtrack.pipeline
+import prtrack.simgen
 from prtrack.cli import build_parser, main
 from prtrack.config import RangeError, load_config
 from prtrack.core import DataError
 from prtrack.embedder import EmbedderModel
 from prtrack.motio import ParseError, parse_features, parse_mot, save_model
+from prtrack.pipeline import detections, evaluate_reid, train_on_scenario
+from prtrack.simgen import (GALLERY, QUERY, TRAIN, generate,
+                            load_reid_samples, reid_samples)
 from prtrack.track_metrics import DuplicateId
 
 
@@ -185,6 +190,144 @@ def test_run_without_tracklets(tmp_path, capsys):
     capsys.readouterr()
     assert main(["cluster", "--run", str(run)]) == 2
     assert "got 0 player tracklets" in capsys.readouterr().err
+
+
+def _samples_run(run_dir, path):
+    """A run directory at ``path`` with the manifest and the re-id samples
+    file of ``run_dir``, and a model for eval-reid."""
+    path.mkdir()
+    for name in ("manifest.yaml", "reid_samples.npz"):
+        (path / name).write_bytes((run_dir / name).read_bytes())
+    model = EmbedderModel.init(channels=16, num_parts=5, dim=8, n_ids=4,
+                               seed=0)
+    save_model(model, path / "model.txt")
+    return path
+
+
+def test_samples_file_equals_pipeline_samples(run_dir):
+    """generate writes the re-id samples that pipeline builds in memory,
+    bit for bit."""
+    cfg = load_config(run_dir / "manifest.yaml")
+    got = load_reid_samples(run_dir / "reid_samples.npz", cfg.scenario,
+                            cfg.sampling_stride)
+    want = reid_samples(generate(cfg.scenario), cfg.sampling_stride)
+    assert (got.config, got.sampling_stride) == (want.config,
+                                                 want.sampling_stride)
+    pairs = [(got.cells[got.cell_row], want.cells[want.cell_row])]
+    pairs += [(getattr(got, name), getattr(want, name))
+              for name in ("part_labels", "identity", "team", "role", "view",
+                           "subset")]
+    for a, b in pairs:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                   b.tobytes())
+    assert set(got.subset.tolist()) == {TRAIN, QUERY, GALLERY}
+
+
+@pytest.mark.filterwarnings("ignore:query .* has no positives")
+def test_train_and_eval_reid_do_not_generate(run_dir, tmp_path, monkeypatch):
+    """train and eval-reid read the samples file: with generate raising,
+    they write the model and the report of the in-memory samples."""
+    run = _samples_run(run_dir, tmp_path / "run")
+
+    def no_generate(config):
+        raise AssertionError("generate called")
+
+    with monkeypatch.context() as patch:
+        for module in (prtrack.cli, prtrack.pipeline, prtrack.simgen):
+            patch.setattr(module, "generate", no_generate)
+        assert main(["train", "--run", str(run)]) == 0
+        assert main(["eval-reid", "--run", str(run)]) == 0
+    cfg = load_config(run / "manifest.yaml")
+    samples = reid_samples(generate(cfg.scenario), cfg.sampling_stride)
+    model, _ = train_on_scenario(cfg, samples)
+    save_model(model, tmp_path / "want.txt")
+    assert (run / "model.txt").read_bytes() == \
+        (tmp_path / "want.txt").read_bytes()
+    report = yaml.safe_load((run / "reid_report.yaml").read_text())
+    want = evaluate_reid(model, samples)     # NaN figures: compare reprs
+    assert repr(sorted(report.items())) == repr(sorted(want.items()))
+
+
+def _rewritten_samples(path, **changes):
+    """The arrays of the re-id samples file ``path`` with ``changes``; a
+    change to None drops its array."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays.update(changes)
+    return {name: a for name, a in arrays.items() if a is not None}
+
+
+def test_corrupt_samples_files_exit_2(run_dir, tmp_path, capsys):
+    good = run_dir / "reid_samples.npz"
+    data = good.read_bytes()
+    a = _rewritten_samples(good)
+
+    def changed(name, index, value):
+        array = a[name].copy()
+        array[index] = value
+        return _rewritten_samples(good, **{name: array})
+
+    corruptions = {
+        "garbage": (b"not an archive at all", "not a re-id samples archive"),
+        "truncated": (data[:len(data) // 2], "not a re-id samples archive"),
+        "missing array": (_rewritten_samples(good, subset=None),
+                          "missing arrays ['subset']"),
+        "wrong shape": (_rewritten_samples(good, cells=a["cells"][:, :3]),
+                        "cells has shape"),
+        "object array": (_rewritten_samples(
+            good, identity=a["identity"].astype(object)),
+            "Object arrays cannot be loaded"),
+        "non-finite cell": (changed("cells", (0, 0, 0, 0), np.nan),
+                            "cells has a non-finite value"),
+        "part label": (changed("part_labels", (0, 0, 0), 6),
+                       "part_labels has a value out of range"),
+        "team": (changed("team", 0, 2), "team has a value out of range"),
+        "role": (changed("role", 0, 4), "role has a value out of range"),
+        "subset value": (changed("subset", 0, 3),
+                         "subset has a value out of range"),
+        "subset order": (_rewritten_samples(good, subset=a["subset"][::-1]),
+                         "subsets are not in the order"),
+    }
+    for command in ("train", "eval-reid"):
+        run = _samples_run(run_dir, tmp_path / command)
+        path = run / "reid_samples.npz"
+        for case, (content, message) in corruptions.items():
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                np.savez(path, **content)
+            assert main([command, "--run", str(run)]) == 2, (command, case)
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {path}: "), (command, case)
+            assert message in err, (command, case)
+
+
+@pytest.mark.parametrize("edit", ["stride", "scenario", "missing file"])
+def test_samples_of_another_run_exit_2(run_dir, tmp_path, capsys, edit):
+    """A manifest edited after generate, or a run without a samples file,
+    asks for generate to run again."""
+    run = _samples_run(run_dir, tmp_path / "run")
+    manifest = yaml.safe_load((run / "manifest.yaml").read_text())
+    if edit == "stride":
+        manifest["sampling_stride"] += 1
+    elif edit == "scenario":
+        manifest["scenario"]["feature_noise_sigma"] = 0.5
+    else:
+        (run / "reid_samples.npz").unlink()
+    (run / "manifest.yaml").write_text(yaml.safe_dump(manifest))
+    for command in ("train", "eval-reid"):
+        assert main([command, "--run", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {run / 'reid_samples.npz'}: ")
+        assert "run generate again" in err
+
+
+def test_loaded_features_keep_the_tables_int_keys(run_dir):
+    cfg = load_config(run_dir / "manifest.yaml")
+    table, _ = detections(cfg, generate(cfg.scenario), "none")
+    features = prtrack.cli._load_features(run_dir, table)
+    assert features.frame.dtype.kind == "i"
+    assert features.det_index.dtype.kind == "i"
 
 
 def test_commands_without_assignment_do_not_load_scipy_optimize(tmp_path):

@@ -195,13 +195,13 @@ def test_trained_model_does_not_depend_on_blas_threads(tmp_path):
         import sys
         from prtrack.embedder import TrainConfig, train
         from prtrack.motio import save_model
-        from prtrack.simgen import (ScenarioConfig, generate, reid_batch,
-                                    to_reid_dataset)
+        from prtrack.simgen import (TRAIN, ScenarioConfig, generate,
+                                    reid_samples)
         scenario = generate(ScenarioConfig(frames=130, n_players_per_team=6,
                                            occlusion_rate=0.3, seed=3))
-        train_rows, _, _ = to_reid_dataset(scenario, sampling_stride=5)
+        samples = reid_samples(scenario, sampling_stride=5)
         model, _ = train(TrainConfig(epochs=4, steps_per_epoch=3, seed=3),
-                         reid_batch(scenario, train_rows))
+                         samples.batch(TRAIN))
         save_model(model, sys.argv[1])
     """)
     src = Path(__file__).resolve().parents[1] / "src"

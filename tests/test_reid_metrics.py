@@ -12,7 +12,7 @@ from prtrack.pipeline import evaluate_reid, train_on_scenario
 from prtrack.reid_metrics import (EmptyGallery, LengthMismatch,
                                   RetrievalTable, evaluate_retrieval, map_cmc,
                                   rank, role_metrics)
-from prtrack.simgen import generate
+from prtrack.simgen import generate, reid_samples
 
 from conftest import random_feature_set
 from oracles import (RetrievalItem, brute_evaluate_reid, brute_generate,
@@ -218,9 +218,9 @@ def test_evaluate_reid_equals_per_sample_oracle(run, tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(_REID_RUNS[run]))
     cfg = load_config(path)
-    scenario = generate(cfg.scenario)
-    model, _, (_, queries, gallery) = train_on_scenario(cfg, scenario)
-    got = evaluate_reid(model, scenario, queries, gallery)
+    samples = reid_samples(generate(cfg.scenario), cfg.sampling_stride)
+    model, _ = train_on_scenario(cfg, samples)
+    got = evaluate_reid(model, samples)
     _, query_samples, gallery_samples = brute_reid_dataset(
         brute_generate(cfg.scenario), cfg.sampling_stride)
     want = brute_evaluate_reid(model, query_samples, gallery_samples)

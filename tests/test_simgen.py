@@ -5,9 +5,10 @@ import pytest
 
 from prtrack.core import Role
 from prtrack.embedder import EmbedderModel
-from prtrack.simgen import (DetectionTable, ScenarioConfig, detection_table,
+from prtrack.simgen import (GALLERY, QUERY, TRAIN, DetectionTable,
+                            ScenarioConfig, detection_table,
                             embed_detections, generate,
-                            oracle_feature_projection, reid_batch,
+                            oracle_feature_projection, reid_samples,
                             to_reid_dataset, to_tracking_input)
 
 from oracles import (brute_embed_detections, brute_generate,
@@ -116,14 +117,17 @@ def test_reid_dataset_equals_per_observation_oracle(stride):
     cfg = small_config(**_REID_SCENARIO)
     s = generate(cfg)
     got = to_reid_dataset(s, sampling_stride=stride)
+    samples = reid_samples(s, sampling_stride=stride)
     want = brute_reid_dataset(brute_generate(cfg), sampling_stride=stride)
-    for rows, want_split in zip(got, want, strict=True):
+    for rows, subset, want_split in zip(got, (TRAIN, QUERY, GALLERY), want,
+                                        strict=True):
         assert rows.dtype == int
-        batch = reid_batch(s, rows)
-        assert len(rows) == len(want_split)
+        batch = samples.batch(subset)
+        view = samples.view[samples.rows(subset)]
+        assert len(rows) == len(batch) == len(want_split)
         for r, b in enumerate(want_split):
             assert (batch.identity[r], batch.team[r], batch.role[r],
-                    s.view[rows[r]]) == \
+                    view[r]) == \
                 (b.identity, -1 if b.team is None else b.team, b.role, b.view)
             assert _bits(batch.cells[r]) == _bits(b.grid.cells)
             assert _bits(batch.part_labels[r]) == _bits(b.grid.part_labels)
