@@ -7,7 +7,6 @@ there.  Merging on the part distance compares fragments index by index and
 rides out that bias; merging on the foreground embedding alone does not.
 """
 
-from prtrack.motio import tracklets_to_records
 from prtrack.postproc import MergeConfig, merge_tracklets
 from prtrack.simgen import ScenarioConfig, generate, to_tracking_input
 from prtrack.track_metrics import SequenceResult, idf1, mota_ids
@@ -39,6 +38,6 @@ for name, merge_cfg in variants.items():
     else:
         out, _ = merge_tracklets(tracklets, merge_cfg)
     # One layout of the MOT records, read by both metrics.
-    result = SequenceResult(gt_mot, tracklets_to_records(out))
+    result = SequenceResult(gt_mot, out.mot_rows())
     _, ids = mota_ids(result)
     print(f"{name:24s} {len(out):>9d} {idf1(result):>8.4f} {ids:>5d}")

@@ -12,8 +12,8 @@ from .losses import (DegenerateBatch, LossValue, LossWeights, TripletConfig,
 from .embedder import (EmbedderModel, TrainBatch, TrainConfig, forward_batch,
                        grad_check, loss_and_grad, sample_batch, train)
 from .solvers import Assignment, DegenerateInput, hungarian, kmeans2
-from .tracker import FrameInput, OnlineTracker, TrackerConfig, build_cost, \
-    ema_update, kalman_predict, kalman_update
+from .tracker import FrameInput, OnlineTracker, TrackerConfig, \
+    TrackletTable, build_cost, ema_update, kalman_predict, kalman_update
 from .postproc import (MergeConfig, TooFewPlayers, assign_roles, assign_teams,
                        merge_tracklets, tracklet_cost_matrix)
 from .reid_metrics import (EmptyGallery, RetrievalTable, evaluate_retrieval,

@@ -27,16 +27,17 @@ import yaml
 
 from .config import (ConfigTypeError, RunConfig, config_to_dict, load_config,
                      load_yaml)
-from .core import DataError, PartFeatureSet, TrackStatus, Tracklet
+from .core import DataError
 from .motio import (FeatureTable, ParseError, _feature_rows, load_arrays,
                     load_model, parse_mot, save_arrays, save_model,
-                    tracklets_to_records, write_features, write_mot)
+                    write_features, write_mot)
 from .pipeline import (detections, evaluate_reid, run_pipeline,
                        team_accuracy, track_frames, train_on_scenario)
 from .postproc import assign_roles, assign_teams, merge_tracklets
 from .simgen import (DetectionTable, embed_detections, generate,
                      load_reid_samples, reid_samples, save_reid_samples)
 from .track_metrics import evaluate_sequence
+from .tracker import TrackletTable
 from . import reference
 
 _TRACK_COLUMNS = ("hota", "deta", "assa", "mota", "idf1", "id_switches")
@@ -182,7 +183,7 @@ def cmd_track(args) -> int:
     table = dataclasses.replace(table,
                                 features=_load_features(run_dir, table))
     tracklets = track_frames(table, cfg)
-    write_mot(tracklets_to_records(tracklets), run_dir / "track_raw.txt")
+    write_mot(tracklets.mot_rows(), run_dir / "track_raw.txt")
     _save_tracklets(tracklets, run_dir / "tracklets.npz")
     print(f"online tracking produced {len(tracklets)} tracklets")
     return 0
@@ -200,22 +201,13 @@ _TRACKLET_ARRAYS = {
 }
 
 
-def _save_tracklets(tracklets: list[Tracklet], path: Path) -> None:
-    """Each tracklet's id, member count, EMA features (foreground, part
-    1..K) with visibility and role-logit sum, then the columns of all
-    member rows, tracklet after tracklet, as an uncompressed ``.npz``."""
-    rows = DetectionTable.concat([t.detections for t in tracklets])
-    f = rows.features
-    t, k, d = len(tracklets), *f.parts.shape[1:]
+def _save_tracklets(tracklets: TrackletTable, path: Path) -> None:
+    """The columns of ``tracklets``, EMA visibility as ``ema_visibility``,
+    and the columns of their member rows, as an uncompressed ``.npz``."""
+    rows, f = tracklets.detections, tracklets.detections.features
     save_arrays(path, dict(
-        id=np.array([x.id for x in tracklets], int),
-        count=np.array([len(x.detections) for x in tracklets], int),
-        ema=np.array([x.ema_features.stacked() for x in tracklets],
-                     float).reshape(t, k + 1, d),
-        ema_visibility=np.array([x.ema_features.visibility
-                                 for x in tracklets], int).reshape(t, k + 1),
-        role_logit_sum=np.array([x.role_logit_sum for x in tracklets],
-                                float).reshape(t, 4),
+        id=tracklets.id, count=tracklets.count, ema=tracklets.ema,
+        ema_visibility=tracklets.vis, role_logit_sum=tracklets.role_logit_sum,
         frame=rows.frame, det_index=rows.det_index, boxes=rows.boxes,
         gt_identity=rows.gt_identity, gt_team=rows.gt_team,
         gt_role=rows.gt_role, parts=f.parts, foreground=f.foreground,
@@ -232,21 +224,18 @@ def _tracklet_sizes(a: dict[str, np.ndarray]) -> dict[str, int]:
     return {"T": a["id"].size, "N": n, "K": k, "K+1": k + 1, "D": d}
 
 
-def _load_tracklets(path: Path) -> list[Tracklet]:
-    """The tracklets of a file of :func:`_save_tracklets`, finished and
-    without Kalman state.  A file that is no such archive, a missing or
-    misshapen array, or an invalid value raises :class:`ParseError`
-    naming the file."""
+def _load_tracklets(path: Path) -> TrackletTable:
+    """The tracklets of a file of :func:`_save_tracklets`.  A file that is
+    no such archive, a missing or misshapen array, or an invalid value
+    raises :class:`ParseError` naming the file."""
     a = load_arrays(path, _TRACKLET_ARRAYS, "tracklets", _tracklet_sizes)
     count, frame = a["count"], a["frame"]
-    n = len(frame)
-    ends = np.cumsum(count)
-    if (count < 1).any() or count.sum() != n:
-        raise ParseError(f"member counts do not split the {n} rows",
+    if (count < 1).any() or count.sum() != len(frame):
+        raise ParseError(f"member counts do not split the {len(frame)} rows",
                          path=path)
     if len(np.unique(a["id"])) < len(count):
         raise ParseError("tracklet ids repeat", path=path)
-    if (np.delete(np.diff(frame), ends[:-1] - 1) <= 0).any():
+    if (np.delete(np.diff(frame), np.cumsum(count)[:-1] - 1) <= 0).any():
         raise ParseError("a tracklet's frames do not increase", path=path)
     try:
         rows = DetectionTable(
@@ -254,14 +243,12 @@ def _load_tracklets(path: Path) -> list[Tracklet]:
                              "gt_team", "gt_role")),
             FeatureTable(frame, a["det_index"], a["parts"], a["foreground"],
                          a["visibility"], a["role_logits"]))
-        return [Tracklet(id=tid, detections=rows.take(slice(lo, hi)),
-                         ema_features=PartFeatureSet(ema[1:], ema[0], vis),
-                         status=TrackStatus.FINISHED, role_logit_sum=logits)
-                for tid, lo, hi, ema, vis, logits in zip(
-                    a["id"].tolist(), (ends - count).tolist(), ends.tolist(),
-                    a["ema"], a["ema_visibility"], a["role_logit_sum"])]
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from None
+    if not np.isin(a["ema_visibility"], (0, 1)).all():
+        raise ParseError("visibility entries must be 0 or 1", path=path)
+    return TrackletTable(a["id"], count, a["ema"], a["ema_visibility"],
+                         a["role_logit_sum"], rows)
 
 
 def cmd_merge(args) -> int:
@@ -269,7 +256,7 @@ def cmd_merge(args) -> int:
     cfg = _load_manifest(run_dir)
     tracklets = _load_tracklets(run_dir / "tracklets.npz")
     merged, id_map = merge_tracklets(tracklets, cfg.merge)
-    write_mot(tracklets_to_records(merged), run_dir / "track_merged.txt")
+    write_mot(merged.mot_rows(), run_dir / "track_merged.txt")
     _save_tracklets(merged, run_dir / "tracklets_merged.npz")
     _dump_yaml({int(k): int(v) for k, v in id_map.items()},
                run_dir / "idmap.yaml")
@@ -285,11 +272,8 @@ def cmd_cluster(args) -> int:
                                 else run_dir / "tracklets.npz")
     roles = assign_roles(tracklets)
     teams = assign_teams(tracklets, seed=cfg.seed, roles=roles)
-    lines = []
-    for t in sorted(tracklets, key=lambda t: t.id):
-        team = teams.get(t.id, -1)
-        lines.append(f"{t.id},{roles[t.id].name},{team}")
-    (run_dir / "teams.txt").write_text("\n".join(lines) + "\n")
+    (run_dir / "teams.txt").write_text("".join(
+        f"{i},{roles[i].name},{teams.get(i, -1)}\n" for i in sorted(roles)))
     acc = team_accuracy(tracklets, teams)
     print(f"assigned teams to {len(teams)} player tracklets "
           f"(accuracy vs ground truth: {acc:.3f})")

@@ -141,14 +141,6 @@ class Tracklet:
     status: TrackStatus = TrackStatus.TENTATIVE
     role_logit_sum: np.ndarray | None = None
 
-    @property
-    def first_frame(self) -> int:
-        return int(self.detections.frame[0])
-
-    @property
-    def last_frame(self) -> int:
-        return int(self.detections.frame[-1])
-
 
 def _stack(sets: list[PartFeatureSet]) -> tuple[np.ndarray, np.ndarray]:
     """Features (N, K+1, D) and visibility (N, K+1) of N feature sets."""

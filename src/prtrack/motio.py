@@ -23,13 +23,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BoundingBox, DataError, PartFeatureSet, Tracklet
+from .core import BoundingBox, DataError, PartFeatureSet
 from .embedder import EmbedderModel, PARAM_NAMES
 
 __all__ = [
     "ParseError",
     "MotRecord",
-    "tracklets_to_records",
     "FeatureRecord",
     "FeatureTable",
     "read_text",
@@ -82,13 +81,6 @@ class MotRecord(NamedTuple):
     def box(self) -> BoundingBox:
         return BoundingBox(self.bb_left, self.bb_top,
                            self.bb_width, self.bb_height)
-
-
-def tracklets_to_records(tracklets: list[Tracklet]) -> list[MotRecord]:
-    """MOT records of each tracklet's detections in turn."""
-    return [MotRecord(frame, t.id, *box) for t in tracklets
-            for frame, box in zip(t.detections.frame.tolist(),
-                                  t.detections.boxes.tolist())]
 
 
 def read_text(path) -> str:

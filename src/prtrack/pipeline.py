@@ -6,7 +6,8 @@ Each stage is usable on its own; the CLI wires them to files.
 run's :class:`~prtrack.simgen.DetectionTable`.  Its features, oracle,
 model or parsed, travel as a :class:`~prtrack.motio.FeatureTable` keyed
 like its rows.  :func:`track_frames` steps the tracker over its frames'
-rows, and each tracklet of ``finish()`` holds its member rows as a table.
+rows; ``finish()`` returns one :class:`~prtrack.tracker.TrackletTable`,
+whose columns merging, clustering and :func:`team_accuracy` read.
 Re-id training and scoring read a :class:`~prtrack.simgen.ReidSamples`
 table, the one :func:`~prtrack.simgen.reid_samples` builds from the
 scenario here and ``prtrack generate`` writes for the ``train`` and
@@ -23,9 +24,7 @@ import numpy as np
 
 from . import reference
 from .config import RunConfig
-from .core import Tracklet
 from .embedder import EmbedderModel, forward_batch, train
-from .motio import tracklets_to_records
 from .postproc import TooFewPlayers, assign_teams, merge_tracklets
 from .reid_metrics import RetrievalTable, evaluate_retrieval, role_metrics
 from .simgen import (GALLERY, QUERY, TRAIN, DetectionTable, ReidSamples,
@@ -33,7 +32,7 @@ from .simgen import (GALLERY, QUERY, TRAIN, DetectionTable, ReidSamples,
                      reid_samples)
 from .solvers import DegenerateInput
 from .track_metrics import evaluate_sequence
-from .tracker import FrameInput, OnlineTracker
+from .tracker import FrameInput, OnlineTracker, TrackletTable
 
 __all__ = [
     "train_on_scenario",
@@ -59,7 +58,7 @@ def detections(cfg: RunConfig, scenario: Scenario, features: str):
                            cfg.detector_noise_param, features, seed=cfg.seed)
 
 
-def track_frames(table: DetectionTable, cfg: RunConfig) -> list[Tracklet]:
+def track_frames(table: DetectionTable, cfg: RunConfig) -> TrackletTable:
     """Online tracklets of the table's frames 1 to ``cfg.scenario.frames``."""
     tracker = OnlineTracker(cfg.tracker)
     for frame, dets in enumerate(table.by_frame(cfg.scenario.frames), 1):
@@ -93,24 +92,20 @@ def evaluate_reid(model: EmbedderModel, samples: ReidSamples) -> dict:
     }
 
 
-def team_accuracy(tracklets: list[Tracklet], teams: dict[int, int]) -> float:
+def team_accuracy(tracklets: TrackletTable, teams: dict[int, int]) -> float:
     """Clustering accuracy of the team labels ``teams`` (tracklet id ->
     label, as :func:`~prtrack.postproc.assign_teams` returns them) against
     the majority ground-truth team per tracklet, maximized over the two
     label permutations; NaN when no labeled tracklet has a ground truth."""
-    truth = {}
-    for t in tracklets:
-        gt = t.detections.gt_team
-        if t.id in teams and (gt >= 0).any():
-            truth[t.id] = int(np.bincount(gt[gt >= 0]).argmax())
-    common = [tid for tid in teams if tid in truth]
-    if not common:
+    gt = tracklets.detections.gt_team
+    votes = np.zeros((len(tracklets), gt.max(initial=0) + 1), dtype=int)
+    np.add.at(votes, (tracklets.owner()[gt >= 0], gt[gt >= 0]), 1)
+    common = votes.any(axis=1) & np.isin(tracklets.id, list(teams))
+    if not common.any():
         return float("nan")
-    pred = np.array([teams[t] for t in common])
-    gt = np.array([truth[t] for t in common])
-    direct = (pred == gt).mean()
-    flipped = (1 - pred == gt).mean()
-    return float(max(direct, flipped))
+    pred = np.array([teams[t] for t in tracklets.id[common].tolist()])
+    gt = votes[common].argmax(axis=1)
+    return float(max((pred == gt).mean(), (1 - pred == gt).mean()))
 
 
 def run_pipeline(cfg: RunConfig):
@@ -125,7 +120,7 @@ def run_pipeline(cfg: RunConfig):
         table, features=embed_detections(model, scenario, table))
     tracklets = track_frames(table, cfg)
     merged, id_map = merge_tracklets(tracklets, cfg.merge)
-    merged_mot = tracklets_to_records(merged)
+    merged_mot = merged.mot_rows()
     track_report = evaluate_sequence(gt_mot, merged_mot)
 
     reid_report = evaluate_reid(model, samples)
@@ -158,7 +153,7 @@ def run_pipeline(cfg: RunConfig):
         "tracklets": tracklets,
         "merged": merged,
         "gt_mot": gt_mot,
-        "raw_mot": tracklets_to_records(tracklets),
+        "raw_mot": tracklets.mot_rows(),
         "merged_mot": merged_mot,
     }
     return report, artifacts

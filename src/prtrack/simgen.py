@@ -28,8 +28,8 @@ ground-truth labels and, optionally, ground-truth-derived oracle features.
 Features of every source travel as a :class:`~prtrack.motio.FeatureTable`
 keyed like the table's rows: the oracle block, the model features of
 :func:`embed_detections`, or rows parsed from a features file.  The tracker
-steps over :meth:`DetectionTable.by_frame`'s per-frame tables; a tracklet
-holds its member rows as a table, :meth:`DetectionTable.take` of them.
+steps over :meth:`DetectionTable.by_frame`'s per-frame tables, and its
+:class:`~prtrack.tracker.TrackletTable` holds all member rows as one table.
 """
 
 from __future__ import annotations
@@ -580,11 +580,13 @@ class DetectionTable:
                                side="right").tolist()
         return [self.take(slice(lo, hi)) for lo, hi in zip([0, *ends], ends)]
 
-    def mot_rows(self) -> list[tuple]:
+    def mot_rows(self, ids: np.ndarray | None = None) -> list[tuple]:
         """The detections as MOT rows in :class:`~prtrack.motio.MotRecord`
-        field order, with the unknown id -1 and confidence 1."""
+        field order, with confidence 1 and the ids ``ids`` (by default the
+        unknown id -1)."""
         n = len(self.frame)
-        return list(zip(self.frame.tolist(), [-1] * n,
+        return list(zip(self.frame.tolist(),
+                        [-1] * n if ids is None else ids.tolist(),
                         *self.boxes.T.tolist(), [1.0] * n, [1] * n,
                         [1.0] * n))
 

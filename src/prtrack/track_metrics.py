@@ -56,11 +56,12 @@ class DuplicateId(DataError):
 
 
 def _columns(records: list[MotRecord], side: str):
-    """Frames, ids and ``(N, 4)`` boxes of MOT records, stably sorted by
-    frame, so each frame keeps its records' order.  An id repeated within
-    a frame raises :class:`DuplicateId` naming ``side``."""
-    records = sorted(records, key=lambda r: r.frame)
-    frames, ids = [r.frame for r in records], [r.id for r in records]
+    """Frames, ids and ``(N, 4)`` boxes of MOT records (or plain tuples in
+    their field order), stably sorted by frame, so each frame keeps its
+    records' order.  An id repeated within a frame raises
+    :class:`DuplicateId` naming ``side``."""
+    records = sorted(records, key=lambda r: r[0])
+    frames, ids = [r[0] for r in records], [r[1] for r in records]
     pairs = list(zip(frames, ids))
     if len(set(pairs)) < len(pairs):
         frame, id_ = next(p for p, n in Counter(pairs).items() if n > 1)

@@ -10,9 +10,9 @@ as arrays and makes a fixed number of batched calls: one Kalman predict
 over all rows, one fused cost, one assignment, then one Kalman update and
 one EMA over the matched rows.  Survivors keep their relative order and
 spawns are appended in detection order, which the assignment's tie-break
-toward low (row, col) pairs depends on.  ``Tracklet`` objects, holding
-their member rows of the stepped tables, are built only at the API edge:
-by :meth:`OnlineTracker.finish` and the :attr:`OnlineTracker.tracks` snapshot.
+toward low (row, col) pairs depends on.  :meth:`OnlineTracker.finish`
+returns the finished tracklets as one :class:`TrackletTable` of columns;
+only the :attr:`OnlineTracker.tracks` snapshot builds ``Tracklet``s.
 
 Association reads only boxes and appearance features; team and role labels
 never enter the cost computation.
@@ -33,6 +33,7 @@ __all__ = [
     "NonMonotoneFrame",
     "TrackerConfig",
     "FrameInput",
+    "TrackletTable",
     "kalman_init",
     "kalman_predict",
     "kalman_update",
@@ -220,16 +221,16 @@ class _Rows:
         return _Rows(*(getattr(self, f.name)[rows] for f in fields(self)[:-1]),
                      [self.members[i] for i in rows])
 
-    def extend(self, other: "_Rows") -> "_Rows":
-        if not len(self):
-            return other
-        return _Rows(*(np.concatenate([getattr(self, f.name),
-                                       getattr(other, f.name)])
-                       for f in fields(self)[:-1]),
-                     self.members + other.members)
+    @staticmethod
+    def concat(parts: list["_Rows"]) -> "_Rows":
+        parts = [p for p in parts if len(p)]
+        if not parts:
+            return _Rows.empty()
+        return _Rows(*(np.concatenate([getattr(p, f.name) for p in parts])
+                       for f in fields(_Rows)[:-1]),
+                     [m for p in parts for m in p.members])
 
-    def tracklets(self, finished: bool,
-                  table: DetectionTable) -> list[Tracklet]:
+    def tracklets(self, table: DetectionTable) -> list[Tracklet]:
         """One new ``Tracklet`` per row, owning copies of the row's state
         and of its member rows of ``table``, the detection rows."""
         return [Tracklet(
@@ -238,9 +239,54 @@ class _Rows:
                                         foreground=self.ema[i, 0].copy(),
                                         visibility=self.vis[i].copy()),
             kalman=KalmanState(self.mean[i].copy(), self.cov[i].copy()),
-            status=(TrackStatus.FINISHED if finished
-                    else _STATUS[self.status[i]]),
+            status=_STATUS[self.status[i]],
             role_logit_sum=self.logits[i].copy()) for i in range(len(self))]
+
+
+@dataclass
+class TrackletTable:
+    """T finished tracklets as columns, and their N member detections as
+    one table: tracklet after tracklet in row order, each tracklet's rows
+    in frame order."""
+
+    id: np.ndarray              # (T,)
+    count: np.ndarray           # (T,) member rows of each tracklet
+    ema: np.ndarray             # (T, K+1, D), (foreground, part 1..K)
+    vis: np.ndarray             # (T, K+1)
+    role_logit_sum: np.ndarray  # (T, 4)
+    detections: DetectionTable  # (N,) rows, N = count.sum()
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def owner(self) -> np.ndarray:
+        """(N,) row index of each member row's tracklet."""
+        return np.repeat(np.arange(len(self)), self.count)
+
+    def spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """(T,) first and last frames of the tracklets."""
+        ends = np.cumsum(self.count)
+        return self.detections.frame[ends - self.count], \
+            self.detections.frame[ends - 1]
+
+    def take(self, rows: np.ndarray,
+             owner: np.ndarray | None = None) -> "TrackletTable":
+        """The tracklets ``rows``, an index array, with their member rows;
+        ``owner`` (default :meth:`owner`) maps each member row to its
+        tracklet's row, and the rows of tracklets left out are dropped."""
+        position = np.full(len(self), len(rows))  # left out: sorted last
+        position[rows] = np.arange(len(rows))
+        pos = position[self.owner() if owner is None else owner]
+        count = np.bincount(pos, minlength=len(rows) + 1)[:-1]
+        return TrackletTable(
+            self.id[rows], count, self.ema[rows], self.vis[rows],
+            self.role_logit_sum[rows], self.detections.take(
+                np.lexsort((self.detections.frame, pos))[:count.sum()]))
+
+    def mot_rows(self) -> list[tuple]:
+        """:meth:`~prtrack.simgen.DetectionTable.mot_rows` of the member
+        rows, under their tracklets' ids."""
+        return self.detections.mot_rows(np.repeat(self.id, self.count))
 
 
 class OnlineTracker:
@@ -261,7 +307,7 @@ class OnlineTracker:
     def tracks(self) -> list[Tracklet]:
         """Snapshot of the live tracks in row order; changing it does not
         change the tracker."""
-        return self._rows.tracklets(False, DetectionTable.concat(self._tables))
+        return self._rows.tracklets(DetectionTable.concat(self._tables))
 
     def step(self, frame_input: FrameInput
              ) -> tuple[int, np.ndarray, np.ndarray]:
@@ -327,26 +373,30 @@ class OnlineTracker:
         if len(new):
             mean, cov = kalman_init(boxes[new])
             n = len(new)
-            rows = rows.extend(_Rows(
+            rows = _Rows.concat([rows, _Rows(
                 ids=np.arange(self._next_id, self._next_id + n),
                 hits=np.ones(n, dtype=int), misses=np.zeros(n, dtype=int),
                 status=np.full(n, _CONFIRMED if cfg.n_init <= 1
                                else _TENTATIVE),
                 mean=mean, cov=cov, ema=feats[new], vis=vis[new],
                 logits=logits[new],
-                members=[[start + j] for j in new.tolist()]))
+                members=[[start + j] for j in new.tolist()])])
             self._next_id += n
         self._rows = rows
         return outputs
 
-    def finish(self) -> list[Tracklet]:
+    def finish(self) -> TrackletTable:
         """Close the sequence; returns every tracklet that was ever
-        confirmed, with all member detections."""
-        live = self._rows.take(
-            np.flatnonzero(self._rows.hits >= self.cfg.n_init))
-        table = DetectionTable.concat(self._tables)
-        tracks = [t for rows in (*self._retired, live)
-                  for t in rows.tracklets(True, table)]
+        confirmed, with all member detections, in id order."""
+        rows = _Rows.concat([*self._retired, self._rows])
+        done = np.flatnonzero(rows.hits >= self.cfg.n_init)
+        rows = rows.take(done[np.argsort(rows.ids[done])])
+        table = DetectionTable.concat(self._tables).take(
+            np.array([j for m in rows.members for j in m], dtype=int))
+        t, (k, d) = len(rows), table.features.parts.shape[1:]
         self._rows, self._retired = _Rows.empty(), []
         self._tables, self._n_rows = [], 0
-        return sorted(tracks, key=lambda t: t.id)
+        return TrackletTable(
+            rows.ids, np.array([len(m) for m in rows.members], dtype=int),
+            rows.ema.reshape(t, k + 1, d), rows.vis.reshape(t, k + 1),
+            rows.logits, table)

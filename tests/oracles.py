@@ -483,6 +483,72 @@ def _state(t):
             t.ema_features.visibility, t.role_logit_sum, list(t.detections))
 
 
+def _brute_combine(a, b):
+    """Union of two merge records under the earlier one's id; features
+    recombined as a detection-count-weighted mean."""
+    first, second = (a, b) if a[4][0].frame <= b[4][0].frame else (b, a)
+    na, nb = len(first[4]), len(second[4])
+    wa = na / (na + nb)
+    return (first[0], wa * first[1] + (1 - wa) * second[1],
+            np.maximum(first[2], second[2]), first[3] + second[3],
+            sorted(first[4] + second[4], key=lambda d: d.frame))
+
+
+def brute_merge(tracklets, cfg):
+    """Per-object reference of ``merge_tracklets`` on the tracklets of
+    ``brute_track``, joined pair by pair.  A round's cost matrix is the
+    package's ``part_distance_matrix`` of the tracklets' feature sets, with
+    the parts hidden when ``cfg.foreground_only``, and +inf for every pair
+    whose frame spans overlap; its assignment is the package's
+    ``hungarian``.  Both have oracle tests of their own.
+
+    Returns (merged, id_map): the merged tracklets in id order, each the
+    tuple ``(id, features (K+1, D), visibility, role-logit sum,
+    detections)``, and {original id: surviving id}."""
+    current = [(t[0], t[4], t[5], t[6], list(t[7])) for t in tracklets]
+    id_map = {t[0]: t[0] for t in current}
+    for _ in range(cfg.max_rounds):
+        if len(current) < 2:
+            break
+        sets = []
+        for _, feats, vis, _, _ in current:
+            if cfg.foreground_only:
+                vis = np.array([vis[0]] + [0] * (len(vis) - 1))
+            sets.append(PartFeatureSet(parts=feats[1:], foreground=feats[0],
+                                       visibility=vis))
+        costs = part_distance_matrix(sets, sets)
+        spans = [(t[4][0].frame, t[4][-1].frame) for t in current]
+        for i, (lo, hi) in enumerate(spans):
+            for j, (lo2, hi2) in enumerate(spans):
+                if lo <= hi2 and lo2 <= hi:
+                    costs[i, j] = np.inf
+        assignment = hungarian(costs, forbid_threshold=cfg.merge_threshold)
+        candidates = sorted(
+            {(min(i, j), max(i, j)) for i, j in assignment.pairs},
+            key=lambda p: (costs[p[0], p[1]], p))
+        used, merges = set(), []
+        for i, j in candidates:
+            if i in used or j in used:
+                continue
+            used.update((i, j))
+            merges.append((i, j))
+        if not merges:
+            break
+        merged_out, consumed = [], set()
+        for i, j in merges:
+            combined = _brute_combine(current[i], current[j])
+            for src in (current[i], current[j]):
+                for orig, tgt in list(id_map.items()):
+                    if tgt == src[0]:
+                        id_map[orig] = combined[0]
+            merged_out.append(combined)
+            consumed.update((i, j))
+        merged_out.extend(t for idx, t in enumerate(current)
+                          if idx not in consumed)
+        current = sorted(merged_out, key=lambda t: t[0])
+    return current, id_map
+
+
 @dataclass
 class Observation:
     """One agent in one frame; an absent agent's fields are None."""

@@ -23,8 +23,8 @@ from prtrack.losses import (LossWeights, TripletConfig, cross_entropy_id,
                             focal_loss, gilt_loss, masked_triplet_batch_hard,
                             part_prediction_loss, triplet_batch_hard)
 from prtrack.motio import (FeatureRecord, FeatureTable, MotRecord,
-                           parse_features, parse_mot, tracklets_to_records,
-                           write_features, write_mot)
+                           parse_features, parse_mot, write_features,
+                           write_mot)
 from prtrack.postproc import MergeConfig, merge_tracklets
 from prtrack.pipeline import evaluate_reid
 from prtrack.simgen import (GALLERY, QUERY, TRAIN, ScenarioConfig,
@@ -299,7 +299,7 @@ def test_acceptance_6_merge_ablation():
             "part": merge_tracklets(tracklets, MergeConfig())[0],
         }
         for name, tks in variants.items():
-            result = SequenceResult(gt_mot, tracklets_to_records(tks))
+            result = SequenceResult(gt_mot, tks.mot_rows())
             _, ids = mota_ids(result)
             sums[name] += (idf1(result), ids)
     none, fg, part = sums["none"], sums["fg"], sums["part"]
@@ -322,7 +322,7 @@ def test_acceptance_7_perfect_input_identities():
     for t, dets in enumerate(frame_inputs):
         tracker.step(FrameInput(frame=t + 1, detections=dets))
     merged, _ = merge_tracklets(tracker.finish(), MergeConfig())
-    report = evaluate_sequence(gt_mot, tracklets_to_records(merged))
+    report = evaluate_sequence(gt_mot, merged.mot_rows())
     assert report.hota == 1.0
     assert report.mota == 1.0
     assert report.idf1 == 1.0

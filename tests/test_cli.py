@@ -18,14 +18,17 @@ import prtrack.cli
 import prtrack.pipeline
 import prtrack.simgen
 from prtrack.cli import build_parser, main
-from prtrack.config import RangeError, load_config
+from prtrack.config import RangeError, config_from_dict, load_config
 from prtrack.core import DataError
 from prtrack.embedder import EmbedderModel
 from prtrack.motio import ParseError, parse_features, parse_mot, save_model
-from prtrack.pipeline import detections, evaluate_reid, train_on_scenario
+from prtrack.pipeline import (detections, evaluate_reid, track_frames,
+                              train_on_scenario)
+from prtrack.postproc import merge_tracklets
 from prtrack.simgen import (GALLERY, QUERY, TRAIN, generate,
                             load_reid_samples, reid_samples)
 from prtrack.track_metrics import DuplicateId
+from test_tracker import _bits
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +177,46 @@ def test_corrupt_tracklets_files_exit_2(tracked_run, tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith(f"data error: {path}: "), (name, case)
             assert message in err, (name, case)
+
+
+def test_tracklets_file_round_trip(tmp_path):
+    """Loading a tracklets file gives back the table that was saved, bit
+    for bit in every column and member row, before and after a merge; the
+    archive holds each array under its name, dtype and shape."""
+    cfg = config_from_dict({
+        "scenario": {"frames": 150, "n_players_per_team": 6,
+                     "occlusion_rate": 0.3},
+        "detector_noise": "jitter", "detector_noise_param": 8.0,
+        "tracker": {"normalized_ema": True}})
+    table, _ = detections(cfg, generate(cfg.scenario), "oracle")
+    raw = track_frames(table, cfg)
+    merged, _ = merge_tracklets(raw, cfg.merge)
+    assert 0 < len(merged) < len(raw)
+    for tracklets in (raw, merged):
+        path = tmp_path / "tracklets.npz"
+        prtrack.cli._save_tracklets(tracklets, path)
+        t, n = len(tracklets), len(tracklets.detections)
+        k, d = tracklets.detections.features.parts.shape[1:]
+        with np.load(path, allow_pickle=False) as npz:
+            layout = [(x, str(npz[x].dtype), npz[x].shape)
+                      for x in npz.files]
+        i, f = "int64", "float64"
+        assert layout == [
+            ("id", i, (t,)), ("count", i, (t,)), ("ema", f, (t, k + 1, d)),
+            ("ema_visibility", i, (t, k + 1)), ("role_logit_sum", f, (t, 4)),
+            ("frame", i, (n,)), ("det_index", i, (n,)), ("boxes", f, (n, 4)),
+            ("gt_identity", i, (n,)), ("gt_team", i, (n,)),
+            ("gt_role", i, (n,)), ("parts", f, (n, k, d)),
+            ("foreground", f, (n, d)), ("visibility", i, (n, k + 1)),
+            ("role_logits", f, (n, 4))]
+        got = prtrack.cli._load_tracklets(path)
+        for name in ("id", "count", "ema", "vis", "role_logit_sum"):
+            assert _bits(getattr(got, name)) == _bits(getattr(tracklets, name))
+        for a, b in ((got.detections, tracklets.detections),
+                     (got.detections.features, tracklets.detections.features)):
+            for name in vars(b):
+                if name != "features":
+                    assert _bits(getattr(a, name)) == _bits(getattr(b, name))
 
 
 def test_run_without_tracklets(tmp_path, capsys):

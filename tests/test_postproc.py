@@ -5,12 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from prtrack.core import PartFeatureSet, Role, Tracklet, part_distance_matrix
+from oracles import brute_merge, brute_track
+from prtrack.core import PartFeatureSet, Role, part_distance_matrix
 from prtrack.postproc import (MergeConfig, TooFewPlayers, assign_roles,
                               assign_teams, merge_tracklets,
                               tracklet_cost_matrix)
 from prtrack.simgen import DetectionTable
-from test_tracker import _bits, member_rows, sequences, tracklets_of
+from prtrack.tracker import TrackletTable
+from test_tracker import (_bits, member_rows, members, sequences, split,
+                          tracklets_of)
 
 
 def feat(vec, vis=None, k=2):
@@ -22,6 +25,7 @@ def feat(vec, vis=None, k=2):
 
 
 def tracklet(tid, frames, vec, vis=None, role=Role.PLAYER, team=None):
+    """A table of one tracklet with EMA ``vec`` in every index."""
     n = len(frames)
     dets = DetectionTable(np.array(frames, dtype=int), np.zeros(n, int),
                           np.tile([0.0, 0.0, 10.0, 10.0], (n, 1)),
@@ -30,15 +34,24 @@ def tracklet(tid, frames, vec, vis=None, role=Role.PLAYER, team=None):
                           np.full(n, int(role)), None)
     logits = np.full(4, -1.0)
     logits[int(role)] = 1.0
-    return Tracklet(id=tid, detections=dets, ema_features=feat(vec, vis),
-                    role_logit_sum=logits * len(frames))
+    f = feat(vec, vis)
+    return TrackletTable(np.array([tid]), np.array([n]), f.stacked()[None],
+                         f.visibility[None], logits[None] * n, dets)
+
+
+def table(*tracklets):
+    """One table of the rows of one-tracklet tables, in argument order."""
+    return TrackletTable(
+        *(np.concatenate([getattr(t, name) for t in tracklets])
+          for name in ("id", "count", "ema", "vis", "role_logit_sum")),
+        DetectionTable.concat([t.detections for t in tracklets]))
 
 
 def test_cost_matrix_diagonal_and_overlap():
     a = tracklet(1, [1, 2, 3], [0.0, 0.0])
     b = tracklet(2, [2, 3, 4], [0.0, 0.0])       # overlaps a
     c = tracklet(3, [10, 11], [0.0, 0.0])
-    costs = tracklet_cost_matrix([a, b, c])
+    costs = tracklet_cost_matrix(table(a, b, c))
     assert np.isinf(costs[0, 0]) and np.isinf(costs[1, 1])
     assert np.isinf(costs[0, 1]) and np.isinf(costs[1, 0])
     assert costs[0, 2] == pytest.approx(0.0)
@@ -47,39 +60,60 @@ def test_cost_matrix_diagonal_and_overlap():
         spans = [sorted(rng.integers(1, 40, 2)) for _ in range(12)]
         ts = [tracklet(i, range(lo, hi + 1), rng.normal(size=2))
               for i, (lo, hi) in enumerate(spans)]
-        costs = tracklet_cost_matrix(ts)
+        costs = tracklet_cost_matrix(table(*ts))
         overlap = np.array([[lo <= hi2 and lo2 <= hi for lo2, hi2 in spans]
                             for lo, hi in spans])
         np.testing.assert_array_equal(np.isinf(costs), overlap)
-        feats = [t.ema_features for t in ts]
+        feats = [feat(t.ema[0, 0], t.vis[0]) for t in ts]
         np.testing.assert_array_equal(
             costs[~overlap], part_distance_matrix(feats, feats)[~overlap])
+
+
+def test_table_take_keeps_only_the_chosen_tracklets():
+    a = tracklet(1, [1, 2, 3], [1.0, 0.0])
+    b = tracklet(2, [5, 6], [0.0, 1.0])
+    c = tracklet(3, [4], [2.0, 2.0])
+    both = table(a, b)
+    for rows, want in (([1], [b]), ([0], [a]), ([2, 0], [c, a])):
+        whole = table(a, b, c) if 2 in rows else both
+        got = whole.take(np.array(rows))
+        assert got.id.tolist() == [t.id[0] for t in want]
+        assert got.count.tolist() == [t.count[0] for t in want]
+        assert got.detections.frame.tolist() == [
+            f for t in want for f in t.detections.frame.tolist()]
+        np.testing.assert_array_equal(
+            got.ema, np.concatenate([t.ema for t in want]))
+
+
+def test_merge_of_no_tracklets():
+    assert merge_tracklets([]) == ([], {})
 
 
 def test_merge_joins_matching_fragments():
     a = tracklet(1, [1, 2, 3], [1.0, 0.0])
     b = tracklet(5, [10, 11, 12], [1.0, 0.05])
     c = tracklet(7, [20, 21], [9.0, 9.0])
-    merged, id_map = merge_tracklets([a, b, c])
+    merged, id_map = merge_tracklets(table(a, b, c))
     assert len(merged) == 2
     assert id_map == {1: 1, 5: 1, 7: 7}
-    joined = next(t for t in merged if t.id == 1)
+    joined = next(t for t in split(merged) if t.id == 1)
     assert joined.detections.frame.tolist() == [1, 2, 3, 10, 11, 12]
 
 
 def test_merge_features_count_weighted():
     a = tracklet(1, [1, 2, 3], [0.0, 0.0])       # 3 detections
     b = tracklet(2, [10], [0.3, 0.0])            # 1 detection
-    merged, _ = merge_tracklets([a, b], MergeConfig(merge_threshold=0.5))
+    merged, _ = merge_tracklets(table(a, b), MergeConfig(merge_threshold=0.5))
     assert len(merged) == 1
-    np.testing.assert_allclose(merged[0].ema_features.foreground,
+    np.testing.assert_allclose(merged.ema[0, 0],
                                [0.075, 0.0], atol=1e-12)
 
 
 def test_merge_respects_threshold():
     a = tracklet(1, [1, 2], [0.0, 0.0])
     b = tracklet(2, [10, 11], [1.0, 0.0])
-    merged, id_map = merge_tracklets([a, b], MergeConfig(merge_threshold=0.3))
+    merged, id_map = merge_tracklets(table(a, b),
+                                     MergeConfig(merge_threshold=0.3))
     assert len(merged) == 2
     assert id_map == {1: 1, 2: 2}
 
@@ -88,7 +122,7 @@ def test_merge_rounds_chain_fragments():
     a = tracklet(1, [1, 2], [0.0, 0.0])
     b = tracklet(2, [10, 11], [0.05, 0.0])
     c = tracklet(3, [20, 21], [0.1, 0.0])
-    merged, id_map = merge_tracklets([a, b, c])
+    merged, id_map = merge_tracklets(table(a, b, c))
     assert len(merged) == 1
     assert set(id_map.values()) == {1}
 
@@ -98,35 +132,33 @@ def test_foreground_only_ignores_part_mismatch():
     a = tracklet(1, [1, 2], base)
     b = tracklet(2, [10, 11], base)
     # corrupt one part embedding of b far beyond the threshold
-    parts = b.ema_features.parts.copy()
-    parts[1] += 10.0
-    b.ema_features = PartFeatureSet(parts=parts, foreground=base,
-                                    visibility=b.ema_features.visibility)
-    part_based, _ = merge_tracklets([a, b])
+    b.ema[0, 2] += 10.0
+    part_based, _ = merge_tracklets(table(a, b))
     assert len(part_based) == 2
-    fg_only, _ = merge_tracklets([a, b], MergeConfig(foreground_only=True))
+    fg_only, _ = merge_tracklets(table(a, b),
+                                 MergeConfig(foreground_only=True))
     assert len(fg_only) == 1
 
 
 def test_assign_roles_votes_and_tie_breaks():
     t = tracklet(1, [1, 2], [0.0, 0.0], role=Role.REFEREE)
-    roles = assign_roles([t])
+    roles = assign_roles(t)
     assert roles[1] == Role.REFEREE
-    t.role_logit_sum = np.zeros(4)
-    assert assign_roles([t])[1] == Role.PLAYER  # lowest index wins ties
+    t.role_logit_sum = np.zeros((1, 4))
+    assert assign_roles(t)[1] == Role.PLAYER  # lowest index wins ties
     t.role_logit_sum = None
     with pytest.raises(ValueError):
-        assign_roles([t])
+        assign_roles(t)
 
 
 def test_assign_teams_two_clusters():
     left = [tracklet(i, [i], [5.0, 0.0]) for i in range(1, 5)]
     right = [tracklet(i, [i], [-5.0, 0.0]) for i in range(5, 9)]
     ref = tracklet(9, [1], [0.0, 9.0], role=Role.REFEREE)
-    teams = assign_teams(left + right + [ref], seed=0)
+    teams = assign_teams(table(*left, *right, ref), seed=0)
     assert 9 not in teams
-    assert len({teams[t.id] for t in left}) == 1
-    assert len({teams[t.id] for t in right}) == 1
+    assert len({teams[i] for i in range(1, 5)}) == 1
+    assert len({teams[i] for i in range(5, 9)}) == 1
     assert teams[1] != teams[5]
 
 
@@ -134,7 +166,7 @@ def test_assign_teams_too_few_players():
     ref = tracklet(1, [1], [0.0, 0.0], role=Role.REFEREE)
     staff = tracklet(2, [1], [1.0, 0.0], role=Role.STAFF)
     with pytest.raises(TooFewPlayers):
-        assign_teams([ref, staff])
+        assign_teams(table(ref, staff))
 
 
 def test_merge_config_validation():
@@ -164,11 +196,12 @@ def test_merge_invariants(case, threshold, rounds, foreground_only):
     the input's along ``id_map``, which sends every input id to a surviving
     id; a merged tracklet's frames strictly increase; and its EMA is the
     count-weighted mean of its sources' EMAs."""
-    tracklets = tracklets_of(*case)
+    rows = tracklets_of(*case)
     merged, id_map = merge_tracklets(
-        tracklets, MergeConfig(merge_threshold=threshold, max_rounds=rounds,
-                               foreground_only=foreground_only))
-    survivors = {t.id: t for t in merged}
+        rows, MergeConfig(merge_threshold=threshold, max_rounds=rounds,
+                          foreground_only=foreground_only))
+    tracklets = split(rows)
+    survivors = {t.id: t for t in split(merged)}
     assert len(survivors) == len(merged)
     assert set(id_map) == {t.id for t in tracklets}
     assert set(id_map.values()) == set(survivors)
@@ -178,13 +211,11 @@ def test_merge_invariants(case, threshold, rounds, foreground_only):
         assert len(m.detections) == sum(len(t.detections) for t in sources)
         assert (np.diff(m.detections.frame) > 0).all()
         counts = np.array([len(t.detections) for t in sources])
-        mean = sum(n * t.ema_features.stacked()
+        mean = sum(n * t.ema
                    for n, t in zip(counts, sources)) / counts.sum()
-        np.testing.assert_allclose(m.ema_features.stacked(), mean, rtol=0,
-                                   atol=1e-12)
+        np.testing.assert_allclose(m.ema, mean, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(
-            m.ema_features.visibility,
-            np.max([t.ema_features.visibility for t in sources], axis=0))
+            m.vis, np.max([t.vis for t in sources], axis=0))
 
 
 def merge_rounds(tracklets, cfg):
@@ -206,18 +237,18 @@ def test_merge_accepts_only_pairs_below_threshold(case, cfg):
     """Every pair that a round joins costs less than ``merge_threshold`` in
     that round's cost matrix; the rounds compose to one call's result."""
     tracklets = tracklets_of(*case)
-    id_map = {t.id: t.id for t in tracklets}
+    id_map = {i: i for i in tracklets.id.tolist()}
     for current, costs, merged, step in merge_rounds(tracklets, cfg):
-        for survivor in {t.id for t in merged}:
-            joined = [i for i, t in enumerate(current)
-                      if step[t.id] == survivor]
+        for survivor in set(merged.id.tolist()):
+            joined = [i for i, tid in enumerate(current.id.tolist())
+                      if step[tid] == survivor]
             assert len(joined) in (1, 2)
             if len(joined) == 2:
                 assert costs[joined[0], joined[1]] < cfg.merge_threshold
         id_map = {k: step[v] for k, v in id_map.items()}
     want, want_map = merge_tracklets(tracklets, cfg)
     assert id_map == want_map
-    assert [t.id for t in merged] == [t.id for t in want]
+    assert merged.id.tolist() == want.id.tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -233,15 +264,37 @@ def test_merge_ignores_input_order(case, cfg, random):
         finite = upper[np.isfinite(upper)]
         assume(np.unique(finite).size == finite.size)
     want, want_map = merge_tracklets(tracklets, cfg)
-    got, got_map = merge_tracklets(
-        random.sample(tracklets, len(tracklets)), cfg)
+    got, got_map = merge_tracklets(tracklets.take(np.array(
+        random.sample(range(len(tracklets)), len(tracklets)), dtype=int)),
+        cfg)
     assert got_map == want_map
-    assert sorted(t.id for t in got) == sorted(t.id for t in want)
-    by_id = {t.id: t for t in want}
-    for g in got:
+    assert sorted(got.id.tolist()) == sorted(want.id.tolist())
+    by_id = {t.id: t for t in split(want)}
+    for g in split(got):
         w = by_id[g.id]
         assert member_rows(g.detections) == member_rows(w.detections)
-        assert _bits(g.ema_features.stacked()) == \
-            _bits(w.ema_features.stacked())
-        np.testing.assert_array_equal(g.ema_features.visibility,
-                                      w.ema_features.visibility)
+        assert _bits(g.ema) == _bits(w.ema)
+        np.testing.assert_array_equal(g.vis, w.vis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_clips, _merge_configs, st.randoms(use_true_random=False))
+def test_merge_equals_per_object_oracle(case, cfg, random):
+    """On the tracklets of a random clip, in a random order, the merge
+    equals ``brute_merge`` of the per-object tracker's tracklets in the
+    same order bit for bit: ids, ``id_map``, each tracklet's member rows,
+    EMA, visibility, role-logit sum and count."""
+    tracker_cfg, frames = case
+    tracklets = brute_track(frames, tracker_cfg)[1]
+    order = random.sample(range(len(tracklets)), len(tracklets))
+    want, want_map = brute_merge([tracklets[i] for i in order], cfg)
+    got, got_map = merge_tracklets(
+        tracklets_of(*case).take(np.array(order, dtype=int)), cfg)
+    assert got_map == want_map
+    assert got.id.tolist() == [w[0] for w in want]
+    assert got.count.tolist() == [len(w[4]) for w in want]
+    for g, w in zip(split(got), want):
+        assert _bits(g.ema) == _bits(w[1])
+        assert _bits(g.vis) == _bits(w[2])
+        assert _bits(g.role_logit_sum) == _bits(w[3])
+        assert member_rows(g.detections) == members(w[4])

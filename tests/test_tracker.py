@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,8 +190,7 @@ def test_lost_track_with_negative_predicted_height():
     assert np.isinf(cost[0, 1])
     tracker.step(frame_input(20, [same]))
     tracker.step(frame_input(21, [det(21, 0, 0, 1.0)]))
-    tracks = tracker.finish()
-    assert [len(t.detections) for t in tracks] == [10]
+    assert tracker.finish().count.tolist() == [10]
 
 
 def test_tracker_keeps_identities_through_crossing():
@@ -201,7 +202,7 @@ def test_tracker_keeps_identities_through_crossing():
         tracker.step(frame_input(t, [a, b]))
     tracks = tracker.finish()
     assert len(tracks) == 2
-    for tr in tracks:
+    for tr in split(tracks):
         values = set(tr.detections.features.parts[:, 0, 0].tolist())
         assert len(values) == 1
 
@@ -222,7 +223,7 @@ def test_unconfirmed_track_dropped_on_miss():
     tracker.step(frame_input(1, [det(1, 0, 0, 1.0)]))
     tracker.step(frame_input(2, []))
     assert tracker.tracks == []
-    assert tracker.finish() == []
+    assert len(tracker.finish()) == 0
 
 
 def test_confirmed_track_survives_max_age():
@@ -245,7 +246,7 @@ def test_finish_includes_preconfirmation_detections():
         tracker.step(frame_input(t, [det(t, float(t), 0, 1.0)]))
     tracks = tracker.finish()
     assert len(tracks) == 1
-    assert tracks[0].detections.frame.tolist() == [1, 2, 3, 4, 5]
+    assert tracks.detections.frame.tolist() == [1, 2, 3, 4, 5]
 
 
 def test_non_monotone_frame_rejected():
@@ -327,6 +328,19 @@ def sequences(draw, restarts=False):
     return cfg, frames
 
 
+# One finished tracklet of a ``TrackletTable``, with its member rows.
+Row = namedtuple("Row", "id ema vis role_logit_sum detections")
+
+
+def split(table):
+    """The tracklets of a ``TrackletTable`` one by one, as ``Row``s."""
+    ends = np.cumsum(table.count).tolist()
+    return [Row(i, e, v, r, table.detections.take(slice(lo, hi)))
+            for i, e, v, r, lo, hi in zip(
+                table.id.tolist(), table.ema, table.vis,
+                table.role_logit_sum, [0, *ends], ends)]
+
+
 def state(tracklets):
     return [(t.id, t.status, t.kalman.mean, t.kalman.covariance,
              t.ema_features.stacked(), t.ema_features.visibility,
@@ -363,6 +377,19 @@ def assert_same_tracks(got, want):
         assert member_rows(g[7]) == members(w[7])
 
 
+def assert_same_tracklets(table, want):
+    """``assert_same_tracks`` for finished tracklets, which hold no status
+    and no Kalman state."""
+    assert table.count.tolist() == [len(w[7]) for w in want]
+    got = split(table)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.id == w[0]
+        for a, b in zip(g[1:4], w[4:7]):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        assert member_rows(g.detections) == members(w[7])
+
+
 @settings(max_examples=150, deadline=None)
 @given(sequences())
 def test_tracker_equals_per_object_oracle(case):
@@ -373,12 +400,12 @@ def test_tracker_equals_per_object_oracle(case):
         assert outputs(tracker.step(frame_input(frame, dets))) == [
             (f, i, (b.x, b.y, b.w, b.h)) for f, i, b in want_out]
         assert_same_tracks(state(tracker.tracks), want_live)
-    assert_same_tracks(state(tracker.finish()), want_tracklets)
-    assert tracker.tracks == [] and tracker.finish() == []
+    assert_same_tracklets(tracker.finish(), want_tracklets)
+    assert tracker.tracks == [] and len(tracker.finish()) == 0
 
 
 def tracklets_of(cfg, frames):
-    """The tracklets of a tracker stepped over ``frames``."""
+    """The ``TrackletTable`` of a tracker stepped over ``frames``."""
     tracker = OnlineTracker(cfg)
     for frame, dets in frames:
         tracker.step(frame_input(frame, dets))
@@ -390,9 +417,13 @@ def tracklets_of(cfg, frames):
 def test_tracker_invariants(case):
     """Each stepped row is in at most one tracklet, a tracklet's frames
     strictly increase, ids are unique, every tracklet was confirmed and
-    every EMA is finite."""
+    every EMA is finite.  The member rows are the tracklets' rows in turn,
+    in id order."""
     cfg, frames = case
-    tracklets = tracklets_of(cfg, frames)
+    table = tracklets_of(cfg, frames)
+    assert table.count.sum() == len(table.detections) and (
+        np.diff(table.id) > 0).all()
+    tracklets = split(table)
     rows = [(f, j) for t in tracklets for f, j in zip(
         t.detections.frame.tolist(), t.detections.det_index.tolist())]
     assert len(set(rows)) == len(rows)
@@ -401,6 +432,6 @@ def test_tracker_invariants(case):
     for t in tracklets:
         assert (np.diff(t.detections.frame) > 0).all()
         assert len(t.detections) >= cfg.n_init
-        assert np.isfinite(t.ema_features.stacked()).all()
+        assert np.isfinite(t.ema).all()
     ids = [t.id for t in tracklets]
     assert len(set(ids)) == len(ids)
