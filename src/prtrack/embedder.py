@@ -10,8 +10,8 @@ embeds a ``(B, H, W, C)`` stack of grids into arrays, for detections and
 retrieval samples alike.
 
 A training step is a few array operations on state built once per
-:func:`train` call.  The first two below give the bits of the per-sample,
-per-parameter algorithm they replaced; the third changes its last digits:
+:func:`train` call.  The first four below give the bits of the per-sample,
+per-parameter algorithm they replaced; the last changes its last digits:
 
 - The training set is a :class:`TrainBatch` of columns, one row per
   sample.  A step draws row indices, with the same generator calls as
@@ -21,7 +21,16 @@ per-parameter algorithm they replaced; the third changes its last digits:
   model holds a view into the parameter vector per parameter.  Adam is
   elementwise, and the flat update does each element's operations in the
   per-parameter order, so the flat and the per-parameter updates agree to
-  the bit.
+  the bit.  :func:`loss_and_grad` writes the gradients into views of one
+  flat vector in the same layout, each assigned once, and Adam reads that
+  vector as it is.
+- One call of the batch-hard triplet kernel serves the K part scopes of
+  the re-id objective and the team triplet, as scope K+1 over the
+  foreground embeddings of all rows with the players valid
+  (:func:`~prtrack.losses.gilt_and_team_loss`).  Each scope's floats are
+  those of a call of its own.
+- The part-prediction loss takes the forward pass's softmax of the pixel
+  logits; it does not compute the same softmax again.
 - The pooling contractions of the forward and backward passes are matrix
   products, which numpy hands to BLAS, and the part residual
   ``p - f_k`` of the mask gradient is expanded so that no ``(B, K, N, D)``
@@ -39,8 +48,8 @@ import numpy as np
 
 from .core import DataError, Role
 from .losses import (LossValue, LossWeights, TripletConfig, focal_loss,
-                     gilt_loss, part_prediction_loss, softmax, total_loss,
-                     triplet_batch_hard)
+                     gilt_and_team_loss, part_prediction_loss, softmax,
+                     total_loss)
 
 __all__ = [
     "DimMismatch",
@@ -247,16 +256,18 @@ def loss_and_grad(model: EmbedderModel, batch: TrainBatch,
     """Total multi-task loss over a batch and model-shaped gradients.
 
     Returns (loss value, {param name: gradient}, per-component values).
+    The gradients are views into one flat vector laid out in PARAM_NAMES
+    order, as :func:`_param_views` lays out the parameters.
     """
     fw = _forward_arrays(model, batch.cells)
     b, n = fw["z"].shape[:2]
     k, d = model.num_parts, model.dim
     ids, roles = batch.identity, batch.role
-    wts = cfg.weights
 
     # --- component losses -------------------------------------------------
-    # Part prediction: per-image cell-sum, averaged over the batch.
-    pa = part_prediction_loss(fw["z"], batch.part_labels.reshape(b, n))
+    # Part prediction on the forward pass's softmax: per-image cell-sum,
+    # averaged over the batch.
+    pa = part_prediction_loss(fw["masks"], batch.part_labels.reshape(b, n))
     pa = LossValue(pa.value / b, pa.gradients / b)
 
     id_logits = {
@@ -264,72 +275,66 @@ def loss_and_grad(model: EmbedderModel, batch: TrainBatch,
         "foreground": fw["f_fg"] @ model.w_id_f + model.b_id_f,
         "concat": fw["f_parts"].reshape(b, k * d) @ model.w_id_c + model.b_id_c,
     }
-    reid = gilt_loss(fw["f_parts"], fw["vis"][:, 1:], id_logits, ids,
-                     TripletConfig(margin=cfg.reid_margin))
-
+    # The team triplet over the players' foreground embeddings, as scope
+    # K+1 of the part triplets' kernel call; no player is valid below four.
     players = roles == int(Role.PLAYER)
-    if players.sum() >= 4:
-        team = triplet_batch_hard(fw["f_fg"][players], batch.team[players],
-                                  TripletConfig(margin=cfg.team_margin))
-    else:
-        team = LossValue(0.0, np.zeros((int(players.sum()), d)))
+    reid, team = gilt_and_team_loss(
+        fw["f_parts"], fw["vis"][:, 1:], id_logits, ids,
+        TripletConfig(margin=cfg.reid_margin), fw["f_fg"], batch.team,
+        players if players.sum() >= 4 else np.zeros(b, dtype=bool),
+        TripletConfig(margin=cfg.team_margin))
 
     role = focal_loss(fw["role_logits"], roles, cfg.focal_gamma)
 
     components = {"pa": pa, "reid": reid, "team": team, "role": role}
-    tot = total_loss(components, wts)
+    tot = total_loss(components, cfg.weights)
     g = tot.gradients  # per-component gradients, already weight-scaled
 
     # --- backward ---------------------------------------------------------
-    grads = {name: np.zeros_like(p) for name, p in model.params().items()}
-    d_fg_emb = np.zeros((b, d))     # grad wrt foreground embedding
-    d_g_emb = np.zeros((b, d))      # grad wrt global embedding
-    d_parts = np.array(g["reid"]["parts"])  # (B, K, D)
+    grads = _param_views(
+        np.empty(sum(p.size for p in model.params().values())), model)
 
     # Identity heads (holistic scopes).
     dlg = g["reid"]["id_logits"]
-    grads["w_id_g"] += fw["f_g"].T @ dlg["global"]
-    grads["b_id_g"] += dlg["global"].sum(axis=0)
-    d_g_emb += dlg["global"] @ model.w_id_g.T
-    grads["w_id_f"] += fw["f_fg"].T @ dlg["foreground"]
-    grads["b_id_f"] += dlg["foreground"].sum(axis=0)
-    d_fg_emb += dlg["foreground"] @ model.w_id_f.T
+    np.matmul(fw["f_g"].T, dlg["global"], out=grads["w_id_g"])
+    dlg["global"].sum(axis=0, out=grads["b_id_g"])
+    d_g_emb = dlg["global"] @ model.w_id_g.T  # grad wrt global embedding
+    np.matmul(fw["f_fg"].T, dlg["foreground"], out=grads["w_id_f"])
+    dlg["foreground"].sum(axis=0, out=grads["b_id_f"])
+    d_fg_emb = dlg["foreground"] @ model.w_id_f.T  # wrt foreground emb.
     flat_parts = fw["f_parts"].reshape(b, k * d)
-    grads["w_id_c"] += flat_parts.T @ dlg["concat"]
-    grads["b_id_c"] += dlg["concat"].sum(axis=0)
-    d_parts += (dlg["concat"] @ model.w_id_c.T).reshape(b, k, d)
+    np.matmul(flat_parts.T, dlg["concat"], out=grads["w_id_c"])
+    dlg["concat"].sum(axis=0, out=grads["b_id_c"])
+    d_parts = g["reid"]["parts"] + (dlg["concat"] @ model.w_id_c.T
+                                    ).reshape(b, k, d)  # (B, K, D)
 
     # Team triplet on player foreground embeddings.
-    if players.any():
-        d_fg_emb[players] += g["team"]
+    np.add(d_fg_emb, g["team"], out=d_fg_emb, where=players[:, None])
 
     # Role head (focal) on the foreground embedding.
     d_role_z = g["role"]
-    grads["w_role"] += fw["f_fg"].T @ d_role_z
-    grads["b_role"] += d_role_z.sum(axis=0)
+    np.matmul(fw["f_fg"].T, d_role_z, out=grads["w_role"])
+    d_role_z.sum(axis=0, out=grads["b_role"])
     d_fg_emb += d_role_z @ model.w_role.T
 
     # Backprop pooled embeddings into per-cell projections and mask weights.
     proj, part_w, fg_w = fw["proj"], fw["part_w"], fw["fg_w"]
     part_sum, fg_sum = fw["part_sum"], fw["fg_sum"]
-    d_proj = np.zeros_like(proj)                      # (B, N, D)
-    d_mask = np.zeros_like(fw["masks"])               # (B, N, K+1)
+    d_mask = np.empty_like(fw["masks"])               # (B, N, K+1)
 
-    # Global embedding: plain mean over cells.
-    d_proj += d_g_emb[:, None, :] / n
-
-    # Part embeddings: f_k = sum_c m p / sum_c m.  The mask gradient
-    # sum_d (p - f_k) dp_k expands to p . dp_k - f_k . dp_k.
+    # Global embedding: plain mean over cells.  Part embeddings: f_k =
+    # sum_c m p / sum_c m.  The mask gradient sum_d (p - f_k) dp_k expands
+    # to p . dp_k - f_k . dp_k.
     dp = d_parts / part_sum[:, :, None]               # (B, K, D)
-    d_proj += part_w @ dp
-    d_mask[:, :, 1:] += (proj @ dp.transpose(0, 2, 1)
-                         - (fw["f_parts"] * dp).sum(axis=2)[:, None, :])
+    d_proj = d_g_emb[:, None, :] / n + part_w @ dp    # (B, N, D)
+    d_mask[:, :, 1:] = (proj @ dp.transpose(0, 2, 1)
+                        - (fw["f_parts"] * dp).sum(axis=2)[:, None, :])
 
     # Foreground embedding via weight 1 - m_background.
     dfg = d_fg_emb / fg_sum[:, None]                  # (B, D)
     d_proj += fg_w[:, :, None] * d_fg_emb[:, None, :] / fg_sum[:, None, None]
-    d_mask[:, :, 0] -= ((proj @ dfg[:, :, None])[:, :, 0]
-                        - (fw["f_fg"] * dfg).sum(axis=1)[:, None])
+    d_mask[:, :, 0] = ((fw["f_fg"] * dfg).sum(axis=1)[:, None]
+                       - (proj @ dfg[:, :, None])[:, :, 0])
 
     # Softmax backward for the mask weights, plus direct part-prediction grad.
     m = fw["masks"]
@@ -337,10 +342,10 @@ def loss_and_grad(model: EmbedderModel, batch: TrainBatch,
     dz += g["pa"]
 
     x = fw["x"].reshape(b * n, -1)
-    grads["w_pix"] += x.T @ dz.reshape(b * n, -1)
-    grads["b_pix"] += dz.sum(axis=(0, 1))
-    grads["w_emb"] += x.T @ d_proj.reshape(b * n, -1)
-    grads["b_emb"] += d_proj.sum(axis=(0, 1))
+    np.matmul(x.T, dz.reshape(b * n, -1), out=grads["w_pix"])
+    dz.sum(axis=(0, 1), out=grads["b_pix"])
+    np.matmul(x.T, d_proj.reshape(b * n, -1), out=grads["w_emb"])
+    d_proj.sum(axis=(0, 1), out=grads["b_emb"])
 
     comp_values = {name: lv.value for name, lv in components.items()}
     return tot.value, grads, comp_values
@@ -424,7 +429,8 @@ def train(cfg: TrainConfig, batch: TrainBatch):
     :class:`InsufficientIdentities`.  Each step gathers its drawn rows and
     calls :func:`loss_and_grad` once.  The model's parameters are views
     into one flat vector, which Adam updates in place with flat ``m`` and
-    ``v``.  The module docstring says why these give the bits of the
+    ``v`` from the flat vector that the step's gradients are views of.  The
+    module docstring says why these give the bits of the
     per-sample, per-parameter algorithm.
 
     Returns (model, per-epoch mean loss history).  Deterministic per seed.
@@ -452,8 +458,7 @@ def train(cfg: TrainConfig, batch: TrainBatch):
             epoch_losses.append(value)
             t += 1
             # p - lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
-            gr = np.concatenate([grads[name] for name in PARAM_NAMES],
-                                axis=None)
+            gr = grads[PARAM_NAMES[0]].base  # the flat gradient vector
             m_state *= beta1
             m_state += (1 - beta1) * gr
             v_state *= beta2

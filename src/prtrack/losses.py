@@ -18,9 +18,21 @@ values and gradients are those of three :func:`cross_entropy_id` calls.
 
 Every batch-hard triplet, the K part scopes of :func:`gilt_loss` as well
 as the plain and the masked one, is one call of the private array kernel
-``_batch_hard_triplets``.  It keeps the float order of a per-anchor loop,
-so :func:`triplet_batch_hard` gradients can differ by about 1 ulp from
-summing the terms first and dividing once (none for 2^j anchors).
+``_batch_hard_triplets``.  The kernel takes S scopes at once, each with
+its own labels, validity and margin, and a scope's floats do not depend on
+the others: :func:`gilt_and_team_loss` passes the team triplet, over all
+rows with the players valid, as scope K+1 of the part scopes' call.  The
+kernel reads the hardest distances at their ``argmax``/``argmin`` and
+scatters the gradient terms with one ``np.bincount`` over flat cell
+indices, in the order ``np.add.at`` would add them.  It keeps the float
+order of a per-anchor loop, so :func:`triplet_batch_hard` gradients can
+differ by about 1 ulp from summing the terms first and dividing once
+(none for 2^j anchors).
+
+:func:`part_prediction_loss` takes the cells' class probabilities, so a
+caller that already has the softmax of the logits (the embedder's forward
+pass does) passes it instead of having it computed again; the gradient is
+still with respect to the logits.
 """
 
 from __future__ import annotations
@@ -41,6 +53,7 @@ __all__ = [
     "focal_loss",
     "part_prediction_loss",
     "gilt_loss",
+    "gilt_and_team_loss",
     "total_loss",
     "softmax",
 ]
@@ -129,22 +142,30 @@ def focal_loss(logits: np.ndarray, targets: np.ndarray,
     return LossValue(value, grad)
 
 
-def part_prediction_loss(grid_logits: np.ndarray,
+def part_prediction_loss(grid_probs: np.ndarray,
                          grid_labels: np.ndarray) -> LossValue:
     """Sum (not mean) of pixel-wise cross-entropy over all grid cells.
 
-    Logits ``(..., C)``, one grid ``(H, W, C)`` or a batch ``(B, H, W, C)``,
-    with labels ``(...)``; the gradient has the logits' shape.
+    Takes the cells' class probabilities ``(..., C)``, the :func:`softmax`
+    of their logits, for one grid ``(H, W, C)`` or a batch ``(B, H, W,
+    C)``, with labels ``(...)`` in ``[0, C)``.  The gradient is the one
+    with respect to the logits, ``probs - onehot``, in the probabilities'
+    shape.
     """
-    logits = np.asarray(grid_logits, dtype=float)
+    probs = np.asarray(grid_probs, dtype=float)
     labels = np.asarray(grid_labels, dtype=int)
-    if labels.shape != logits.shape[:-1]:
-        raise ValueError("labels must have the logits' shape without C")
-    p, tgt, idx = _probs(logits.reshape(-1, logits.shape[-1]),
-                         labels.reshape(-1))
-    value = float(-np.log(np.clip(p[idx, tgt], _EPS, None)).sum())
-    p[idx, tgt] -= 1.0
-    return LossValue(value, p.reshape(logits.shape))
+    if labels.shape != probs.shape[:-1]:
+        raise ValueError("labels must have the probabilities' shape without C")
+    c = probs.shape[-1]
+    if labels.min() < 0 or labels.max() >= c:
+        raise ValueError("targets out of range")
+    p, tgt = probs.reshape(-1, c), labels.reshape(-1)
+    idx = np.arange(len(tgt))
+    picked = p[idx, tgt]
+    value = float(-np.log(np.clip(picked, _EPS, None)).sum())
+    grad = p.copy()
+    grad[idx, tgt] = picked - 1.0
+    return LossValue(value, grad.reshape(probs.shape))
 
 
 def _check_labels(labels: np.ndarray) -> None:
@@ -154,15 +175,17 @@ def _check_labels(labels: np.ndarray) -> None:
 
 
 def _batch_hard_triplets(emb: np.ndarray, labels: np.ndarray,
-                         valid: np.ndarray, margin: float):
+                         valid: np.ndarray, margins: np.ndarray):
     """The batch-hard triplet kernel over S scopes at once.
 
-    Embeddings ``emb`` (S, N, D), ``labels`` (N,) shared by all scopes,
-    ``valid`` (S, N).  An anchor qualifies when it is valid and has a valid
-    positive and a valid negative; its hardest positive is the first
-    farthest, its hardest negative the first nearest.  Returns values (S,),
-    each the mean of ``max(0, d_ap - d_an + margin)`` over the scope's m
-    qualifying anchors (0 when m = 0), and gradients (S, N, D).
+    Embeddings ``emb`` (S, N, D); per scope, ``labels`` (S, N), ``valid``
+    (S, N) and ``margins`` (S,).  An anchor qualifies when it is valid and
+    has a valid positive and a valid negative; its hardest positive is the
+    first farthest, its hardest negative the first nearest.  Returns values
+    (S,), each the mean of ``max(0, d_ap - d_an + margin)`` over the
+    scope's m qualifying anchors (0 when m = 0), and gradients (S, N, D).
+    A scope computes the same floats as it would alone, whatever the other
+    scopes hold.
 
     Float order, as a per-anchor loop would have it: a scope's mean sums
     its terms in anchor order as one 1-D array; each gradient term ``(e_a
@@ -170,16 +193,22 @@ def _batch_hard_triplets(emb: np.ndarray, labels: np.ndarray,
     negative's, and not at all when ``d <= 1e-12``.  Dividing each term
     by m, not the sum once, can move a gradient by about 1 ulp.
     """
-    s, n, _ = emb.shape
+    s, n, dim = emb.shape
     sq = (emb**2).sum(axis=2)
     d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * emb @ emb.transpose(0, 2, 1)
     dist = np.sqrt(np.clip(d2, 0.0, None))                # (S, N, N)
-    same = labels[:, None] == labels[None, :]
+    same = labels[:, :, None] == labels[:, None, :]
     pair_ok = valid[:, :, None] & valid[:, None, :]
     pos_d = np.where(pair_ok & same & ~np.eye(n, dtype=bool), dist, -np.inf)
     neg_d = np.where(pair_ok & ~same, dist, np.inf)
-    hp, hn = pos_d.argmax(axis=2), neg_d.argmin(axis=2)  # (S, N)
-    t = pos_d.max(axis=2) - neg_d.min(axis=2) + margin   # -inf: no pos/neg
+    # The hardest distances sit at the arg indices: -inf where there is no
+    # positive or negative.  ``hp``, ``hn`` and ``t`` have a row s * N + a
+    # per scope s and anchor a.
+    rows = np.arange(s * n)
+    hp = pos_d.reshape(s * n, n).argmax(axis=1)
+    hn = neg_d.reshape(s * n, n).argmin(axis=1)
+    t = (pos_d.reshape(s * n, n)[rows, hp] - neg_d.reshape(s * n, n)[rows, hn]
+         ).reshape(s, n) + margins[:, None]
     qualifies = np.isfinite(t)
     m = qualifies.sum(axis=1)                             # (S,)
 
@@ -191,19 +220,26 @@ def _batch_hard_triplets(emb: np.ndarray, labels: np.ndarray,
     values = np.divide(packed.sum(axis=1, where=front), m, out=np.zeros(s),
                        where=m > 0)
 
-    # Each active anchor's terms, positive then negative: +w to it, -w to x.
-    sc, a = np.nonzero(t > 0)
-    x = np.stack([hp[sc, a], hn[sc, a]], axis=1).ravel()
-    sign = np.tile([1.0, -1.0], len(sc))
-    sc, a = sc.repeat(2), a.repeat(2)
-    d = dist[sc, a, x]
+    # Each active anchor's terms, positive then negative: +w to its row,
+    # -w to the row of x, in the same scope.
+    anchor = np.flatnonzero(t > 0)
+    x = np.stack([hp[anchor], hn[anchor]], axis=1).ravel()
+    sign = np.tile([1.0, -1.0], len(anchor))
+    anchor = anchor.repeat(2)
+    d = dist.reshape(-1)[anchor * n + x]
     keep = d > _EPS
-    sc, a, x, d, sign = sc[keep], a[keep], x[keep], d[keep], sign[keep]
-    w = sign[:, None] * ((emb[sc, a] - emb[sc, x]) / d[:, None] / m[sc, None])
-    grad = np.zeros(emb.shape)
-    np.add.at(grad, (np.stack([sc, sc], axis=1), np.stack([a, x], axis=1)),
-              np.stack([w, -w], axis=1))
-    return values, grad
+    anchor, x, d, sign = anchor[keep], x[keep], d[keep], sign[keep]
+    other = anchor - anchor % n + x
+    flat = emb.reshape(s * n, dim)
+    w = sign[:, None] * ((flat[anchor] - flat[other]) / d[:, None]
+                         / m[anchor // n, None])
+    # np.add.at's order: term by term, +w to the anchor's cells, then -w to
+    # x's.  bincount adds each flat cell's weights in that order.
+    cells = (np.stack([anchor, other], axis=1)[:, :, None] * dim
+             + np.arange(dim)).ravel()
+    grad = np.bincount(cells, np.stack([w, -w], axis=1).ravel(),
+                       minlength=emb.size)
+    return values, grad.reshape(emb.shape)
 
 
 def triplet_batch_hard(embeddings: np.ndarray, labels: np.ndarray,
@@ -231,8 +267,8 @@ def masked_triplet_batch_hard(embeddings: np.ndarray, labels: np.ndarray,
     """
     emb = np.asarray(embeddings, dtype=float)
     values, grad = _batch_hard_triplets(
-        emb[None], np.asarray(labels), np.asarray(valid).astype(bool)[None],
-        cfg.margin)
+        emb[None], np.asarray(labels)[None],
+        np.asarray(valid).astype(bool)[None], np.array([cfg.margin]))
     return LossValue(float(values[0]), grad[0])
 
 
@@ -247,10 +283,37 @@ def gilt_loss(parts: np.ndarray, part_visibility: np.ndarray,
 
     gradients: {'id_logits': {scope: array}, 'parts': (N, K, D) array}
     """
+    return _gilt(parts, part_visibility, id_logits, labels, cfg)[0]
+
+
+def gilt_and_team_loss(parts: np.ndarray, part_visibility: np.ndarray,
+                       id_logits: dict[str, np.ndarray], labels: np.ndarray,
+                       cfg: TripletConfig, foreground: np.ndarray,
+                       team: np.ndarray, team_valid: np.ndarray,
+                       team_cfg: TripletConfig
+                       ) -> tuple[LossValue, LossValue]:
+    """:func:`gilt_loss` and the team triplet, ``masked_triplet_batch_hard(
+    foreground, team, team_valid, team_cfg)``, from one triplet kernel
+    call: the team triplet is scope K+1 of the part scopes' call.  The
+    values and gradients are those of the two functions.  When some row is
+    valid, the valid rows' team labels must pass the checks of
+    :func:`triplet_batch_hard`."""
+    reid, values, grads = _gilt(
+        parts, part_visibility, id_logits, labels, cfg,
+        (np.asarray(foreground, dtype=float), np.asarray(team),
+         np.asarray(team_valid).astype(bool), team_cfg.margin))
+    return reid, LossValue(float(values[0]), grads[0])
+
+
+def _gilt(parts, part_visibility, id_logits, labels, cfg, extra=None):
+    """:func:`gilt_loss`'s loss, and the kernel's values and gradients of
+    the scope ``extra``, ``(embeddings (N, D), labels, valid, margin)``,
+    appended to the part scopes: shapes (1,) and (1, N, D), or (0,) and
+    (0, N, D) without one."""
     parts = np.asarray(parts, dtype=float)       # (N, K, D)
     vis = np.asarray(part_visibility)            # (N, K)
     labels = np.asarray(labels)
-    k = parts.shape[1]
+    n, k = parts.shape[:2]
     _check_labels(labels)
 
     # One softmax for the three scopes (see the module docstring).
@@ -265,14 +328,26 @@ def gilt_loss(parts: np.ndarray, part_visibility: np.ndarray,
     p[:, idx, targets] -= 1.0
     logit_grads = dict(zip(scopes, p / len(idx) / len(scopes)))
 
-    values, grads = _batch_hard_triplets(parts.transpose(1, 0, 2), labels,
-                                         vis.T.astype(bool), cfg.margin)
+    emb = parts.transpose(1, 0, 2)
+    scope_labels = np.broadcast_to(labels, (k, n))
+    valid = vis.T.astype(bool)
+    margins = np.full(k, cfg.margin)
+    if extra is not None:
+        e, lab, ok, margin = extra
+        if ok.any():
+            _check_labels(lab[ok])
+        emb = np.concatenate([emb, e[None]])
+        scope_labels = np.concatenate([scope_labels, lab[None]])
+        valid = np.concatenate([valid, ok[None]])
+        margins = np.append(margins, margin)
+    values, grads = _batch_hard_triplets(emb, scope_labels, valid, margins)
     # cumsum adds the v / k in scope order, as a loop over scopes would.
-    part_value = float(np.cumsum(values / k)[-1])
-    part_grads = grads.transpose(1, 0, 2) / k
+    part_value = float(np.cumsum(values[:k] / k)[-1])
+    part_grads = grads[:k].transpose(1, 0, 2) / k
 
-    return LossValue(ce_value + part_value,
+    reid = LossValue(ce_value + part_value,
                      {"id_logits": logit_grads, "parts": part_grads})
+    return reid, values[k:], grads[k:]
 
 
 def total_loss(components: dict[str, LossValue],

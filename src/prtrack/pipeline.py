@@ -24,9 +24,11 @@ import numpy as np
 
 from . import reference
 from .config import RunConfig
+from .core import Role
 from .embedder import EmbedderModel, forward_batch, train
 from .postproc import TooFewPlayers, assign_teams, merge_tracklets
-from .reid_metrics import RetrievalTable, evaluate_retrieval, role_metrics
+from .reid_metrics import (EmptyGallery, RetrievalTable, evaluate_retrieval,
+                           role_metrics)
 from .simgen import (GALLERY, QUERY, TRAIN, DetectionTable, ReidSamples,
                      Scenario, detection_table, embed_detections, generate,
                      reid_samples)
@@ -108,12 +110,25 @@ def team_accuracy(tracklets: TrackletTable, teams: dict[int, int]) -> float:
     return float(max((pred == gt).mean(), (1 - pred == gt).mean()))
 
 
+def _check_gallery(samples: ReidSamples) -> None:
+    """Raise :class:`~prtrack.reid_metrics.EmptyGallery` when the gallery
+    holds no player, which team retrieval needs: before training, not
+    after tracking."""
+    gallery = samples.rows(GALLERY)
+    if not (samples.role[gallery] == int(Role.PLAYER)).any():
+        raise EmptyGallery(
+            f"gallery is empty: no player is held out of training, whose "
+            f"batches need 4+4 player ids; scenario.n_players_per_team is "
+            f"{samples.config.n_players_per_team} and must be at least 5")
+
+
 def run_pipeline(cfg: RunConfig):
     """Full chain on one seed; returns (report, artifacts) where report is
     the report dictionary and artifacts holds the model, tracklets, and MOT
     record lists for file output."""
     scenario = generate(cfg.scenario)
     samples = reid_samples(scenario, cfg.sampling_stride)
+    _check_gallery(samples)
     model, history = train_on_scenario(cfg, samples)
     table, gt_mot = detections(cfg, scenario, "none")
     table = dataclasses.replace(

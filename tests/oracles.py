@@ -964,8 +964,9 @@ def _brute_gilt_loss(parts, part_visibility, id_logits, labels, cfg):
         ce_value += lv.value / len(scopes)
         logit_grads[scope] = lv.gradients / len(scopes)
 
-    values, grads = _batch_hard_triplets(parts.transpose(1, 0, 2), labels,
-                                         vis.T.astype(bool), cfg.margin)
+    values, grads = _batch_hard_triplets(
+        parts.transpose(1, 0, 2), np.broadcast_to(labels, (k, len(labels))),
+        vis.T.astype(bool), np.full(k, cfg.margin))
     # cumsum adds the v / k in scope order, as a loop over scopes would.
     part_value = float(np.cumsum(values / k)[-1])
     part_grads = grads.transpose(1, 0, 2) / k
@@ -1006,8 +1007,10 @@ def brute_loss_and_grad(model, batch, cfg, einsum=False):
     wts = cfg.weights
 
     # --- component losses -------------------------------------------------
-    # Part prediction: per-image cell-sum, averaged over the batch.
-    pa = part_prediction_loss(fw["z"], labels_grid.reshape(b, n))
+    # Part prediction: per-image cell-sum, averaged over the batch, on a
+    # softmax of the logits of its own.
+    pa = part_prediction_loss(brute_softmax(fw["z"]),
+                              labels_grid.reshape(b, n))
     pa = LossValue(pa.value / b, pa.gradients / b)
 
     id_logits = {
@@ -1182,6 +1185,20 @@ def brute_train(cfg, dataset):
                 setattr(model, name, p - lr * mhat / (np.sqrt(vhat) + eps))
         history.append(float(np.mean(epoch_losses)))
     return model, history
+
+
+def brute_part_prediction_loss(logits, labels):
+    """``losses.part_prediction_loss`` as it was when it took logits: the
+    sum over cells of cross-entropy on :func:`brute_softmax` of the
+    ``(..., C)`` logits; returns (value, gradient ``p - onehot``)."""
+    logits = np.asarray(logits, dtype=float)
+    c = logits.shape[-1]
+    p = brute_softmax(logits.reshape(-1, c))
+    tgt = np.asarray(labels, dtype=int).reshape(-1)
+    idx = np.arange(len(tgt))
+    value = float(-np.log(np.clip(p[idx, tgt], 1e-12, None)).sum())
+    p[idx, tgt] -= 1.0
+    return value, p.reshape(logits.shape)
 
 
 def brute_softmax(logits):

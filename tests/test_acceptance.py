@@ -21,7 +21,7 @@ from prtrack.embedder import (EmbedderModel, TrainConfig, forward_batch,
                               grad_check, sample_batch, train)
 from prtrack.losses import (LossWeights, TripletConfig, cross_entropy_id,
                             focal_loss, gilt_loss, masked_triplet_batch_hard,
-                            part_prediction_loss, triplet_batch_hard)
+                            part_prediction_loss, softmax, triplet_batch_hard)
 from prtrack.motio import (FeatureRecord, FeatureTable, MotRecord,
                            parse_features, parse_mot, write_features,
                            write_mot)
@@ -77,8 +77,8 @@ def test_acceptance_1_gradient_suite():
 
         grid = rng.normal(size=(3, 2, 4))
         labels = rng.integers(0, 4, size=(3, 2))
-        lv = part_prediction_loss(grid, labels)
-        _fd_ok(lambda: part_prediction_loss(grid, labels).value,
+        lv = part_prediction_loss(softmax(grid), labels)
+        _fd_ok(lambda: part_prediction_loss(softmax(grid), labels).value,
                grid, lv.gradients, 2, rng)
 
         emb = rng.normal(size=(8, 4))

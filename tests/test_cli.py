@@ -1,4 +1,5 @@
 import argparse
+import gc
 import importlib
 import io
 import os
@@ -540,6 +541,45 @@ def test_data_error_exit_code(tmp_path, capsys):
         (wide / name).write_bytes(b"\xff\xfe")
         assert main([command, "--run", str(wide)]) == 2
         assert f"{wide / name}: line 1: not UTF-8" in capsys.readouterr().err
+
+
+def test_pipeline_without_held_out_player_fails_before_training(
+        tmp_path, monkeypatch, capsys):
+    """Four players a team all go to training: the run stops on the empty
+    gallery, naming the config key, before it trains anything."""
+    trained = []
+    monkeypatch.setattr(prtrack.pipeline, "train_on_scenario",
+                        lambda *args: trained.append(args))
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "scenario": {"frames": 20, "n_players_per_team": 4},
+        "train": {"epochs": 1}, "sampling_stride": 5}))
+    assert main(["pipeline", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "gallery is empty" in err
+    assert "scenario.n_players_per_team is 4" in err
+    assert not trained
+
+
+def test_main_leaves_no_argparse_garbage(tmp_path, capsys):
+    """The process builds one parser: once it exists, a command leaves no
+    parser, action or formatter for the cyclic collector."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("scenario: {frames: 5}\n")
+    argv = ["generate", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        found = [o for o in gc.garbage if type(o).__module__ == "argparse"
+                 or isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not found
 
 
 def test_programmer_error_escapes(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +113,21 @@ def test_gradients_match_finite_differences(rng):
     cfg = TrainConfig(seed=0)
     worst = grad_check(model, batch, cfg)
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_loss_and_grad_rejects_part_labels_out_of_range(rng, bad):
+    """The part loss reads the forward pass's softmax and still checks the
+    labels against its K+1 classes."""
+    model = EmbedderModel.init(channels=6, num_parts=3, dim=4, n_ids=11,
+                               seed=3)
+    batch = sample_batch(make_dataset(rng, per_id=2),
+                         np.random.default_rng(0), samples_per_identity=2)
+    labels = batch.part_labels.copy()
+    labels[3, 1, 2] = bad
+    with pytest.raises(ValueError, match="targets out of range"):
+        loss_and_grad(model, replace(batch, part_labels=labels),
+                      TrainConfig())
 
 
 def test_sample_batch_composition(rng):

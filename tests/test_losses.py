@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from prtrack.losses import (DegenerateBatch, LossWeights, LossValue,
-                            TripletConfig, cross_entropy_id, focal_loss,
+                            TripletConfig, _batch_hard_triplets,
+                            cross_entropy_id, focal_loss, gilt_and_team_loss,
                             gilt_loss, masked_triplet_batch_hard,
                             part_prediction_loss, softmax, total_loss,
                             triplet_batch_hard)
 
-from oracles import brute_softmax, brute_triplet
+from oracles import brute_part_prediction_loss, brute_softmax, brute_triplet
 
 
 def fd_check(fn, x, grad, coords, step=1e-6, tol=1e-6):
@@ -112,24 +113,50 @@ def test_focal_gradient_where_p_t_is_one(gamma):
 def test_part_prediction_is_cell_sum(rng):
     logits = rng.normal(size=(3, 2, 4))
     labels = rng.integers(0, 4, size=(3, 2))
-    lv = part_prediction_loss(logits, labels)
+    lv = part_prediction_loss(softmax(logits), labels)
     p = softmax(logits.reshape(-1, 4))
     expected = -np.log(p[np.arange(6), labels.reshape(-1)]).sum()
     assert lv.value == pytest.approx(expected, abs=1e-10)
-    fd_check(lambda: part_prediction_loss(logits, labels).value,
+    fd_check(lambda: part_prediction_loss(softmax(logits), labels).value,
              logits, lv.gradients, range(0, 24, 5))
     # A (B, H, W, C) batch: the stacked per-image gradients, the summed value.
     logits = rng.normal(size=(5, 3, 2, 4))
     labels = rng.integers(0, 4, size=(5, 3, 2))
-    lv = part_prediction_loss(logits, labels)
-    per_image = [part_prediction_loss(g, lab) for g, lab in zip(logits, labels)]
+    lv = part_prediction_loss(softmax(logits), labels)
+    per_image = [part_prediction_loss(softmax(g), lab)
+                 for g, lab in zip(logits, labels)]
     assert lv.gradients.shape == logits.shape
     np.testing.assert_array_equal(
         lv.gradients, np.stack([p.gradients for p in per_image]))
     assert lv.value == pytest.approx(sum(p.value for p in per_image),
                                      rel=1e-12)
     with pytest.raises(ValueError):
-        part_prediction_loss(logits, labels[:, :, :1])
+        part_prediction_loss(softmax(logits), labels[:, :, :1])
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       st.integers(1, 5), st.data())
+def test_part_prediction_from_probabilities_equals_logits_result(shape, c,
+                                                                 data):
+    """On the softmax of logits, the loss is the logits-taking loss's value
+    and gradient to the bit."""
+    logits = data.draw(arrays(float, (*shape, c), elements=_logit))
+    labels = data.draw(arrays(int, tuple(shape),
+                              elements=st.integers(0, c - 1)))
+    lv = part_prediction_loss(softmax(logits), labels)
+    value, grad = brute_part_prediction_loss(logits, labels)
+    assert np.float64(lv.value).tobytes() == np.float64(value).tobytes()
+    assert lv.gradients.shape == grad.shape
+    assert lv.gradients.tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_part_prediction_rejects_labels_out_of_range(bad):
+    labels = np.zeros((2, 3), dtype=int)
+    labels[1, 2] = bad
+    with pytest.raises(ValueError, match="targets out of range"):
+        part_prediction_loss(softmax(np.zeros((2, 3, 4))), labels)
 
 
 def test_triplet_batch_hard_value(rng):
@@ -290,6 +317,62 @@ def test_masked_triplet_hidden_samples_do_not_matter(batch):
     lv2 = masked_triplet_batch_hard(moved, labels, valid)
     assert lv2.value == lv.value
     np.testing.assert_array_equal(lv2.gradients, lv.gradients)
+
+
+@st.composite
+def scope_batches(draw):
+    """S scopes of N rows with labels, validity and margins of their own;
+    the last scope's invalid rows carry label -1, as non-players carry no
+    team."""
+    s, n, d = (draw(st.integers(1, 4)), draw(st.integers(2, 12)),
+               draw(st.integers(1, 4)))
+    values = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+    labels = draw(arrays(int, (s, n), elements=st.integers(0, 2)))
+    valid = draw(arrays(bool, (s, n)))
+    labels[-1][~valid[-1]] = -1
+    return (draw(arrays(float, (s, n, d), elements=values)), labels, valid,
+            draw(arrays(float, s, elements=st.floats(0, 1))))
+
+
+@settings(deadline=None)
+@given(scope_batches())
+def test_multi_scope_kernel_equals_single_scope_calls(batch):
+    """One kernel call over S scopes gives each scope's value and gradient
+    of a single-scope call to the bit."""
+    emb, labels, valid, margins = batch
+    values, grads = _batch_hard_triplets(emb, labels, valid, margins)
+    assert values.shape == (len(emb),) and grads.shape == emb.shape
+    for j in range(len(emb)):
+        lv = masked_triplet_batch_hard(emb[j], labels[j], valid[j],
+                                       TripletConfig(margins[j]))
+        assert values[j].tobytes() == np.float64(lv.value).tobytes()
+        assert grads[j].tobytes() == lv.gradients.tobytes()
+
+
+def test_gilt_and_team_loss_equals_separate_losses(rng):
+    """The team triplet as the last scope of gilt's kernel call gives the
+    values and gradients of the two losses to the bit; a degenerate team
+    batch still raises."""
+    parts, vis, labels, logits = _gilt_inputs(rng)
+    fg = rng.normal(size=(8, 4))
+    team = np.array([0, 1, 0, 1, 1, 0, -1, -1])
+    valid = team >= 0
+    cfg, team_cfg = TripletConfig(0.3), TripletConfig(0.05)
+    reid, got = gilt_and_team_loss(parts, vis, logits, labels, cfg, fg,
+                                   team, valid, team_cfg)
+    want = gilt_loss(parts, vis, logits, labels, cfg)
+    assert reid.value == want.value
+    assert (reid.gradients["parts"].tobytes()
+            == want.gradients["parts"].tobytes())
+    for scope, g in want.gradients["id_logits"].items():
+        assert reid.gradients["id_logits"][scope].tobytes() == g.tobytes()
+    alone = triplet_batch_hard(fg[valid], team[valid], team_cfg)
+    assert got.value == alone.value
+    assert got.gradients[valid].tobytes() == alone.gradients.tobytes()
+    assert not got.gradients[~valid].any()
+    with pytest.raises(DegenerateBatch):
+        gilt_and_team_loss(parts, vis, logits, labels, cfg, fg,
+                           np.where(valid, 0, -1), valid, team_cfg)
 
 
 def test_total_loss_weighted_sum():
