@@ -10,7 +10,15 @@ embeds a ``(B, H, W, C)`` stack of grids into arrays, for detections and
 retrieval samples alike.
 
 A training step is a few array operations on state built once per
-:func:`train` call.  The first four below give the bits of the per-sample,
+:func:`train` call, before its loop (``_StepPlan``): the flat gradient
+vector with a view per parameter; the re-id objective's scope buffers,
+the ``(3, B, n_ids)`` identity logits and the ``(K+1, B, ·)``
+embeddings, visibility and same-label matrices that its triplet kernel
+reads; and the kernel's per-shape constants, the off-diagonal mask, the
+row offsets and the gradient sign vector.  Each step overwrites them; a
+:func:`loss_and_grad` call without a plan builds its own.  Adam's
+products and quotients go to two buffers of the parameter vector's size.
+The first four points below give the bits of the per-sample,
 per-parameter algorithm they replaced; the last changes its last digits:
 
 - The training set is a :class:`TrainBatch` of columns, one row per
@@ -30,7 +38,12 @@ per-parameter algorithm they replaced; the last changes its last digits:
   (:func:`~prtrack.losses.gilt_and_team_loss`).  Each scope's floats are
   those of a call of its own.
 - The part-prediction loss takes the forward pass's softmax of the pixel
-  logits; it does not compute the same softmax again.
+  logits; it does not compute the same softmax again.  That softmax's
+  row sums over the K+1 classes, and the mask backward's
+  ``sum(d_mask * m)`` over them, are column adds: numpy adds fewer than
+  8 last-axis entries left to right from zero, and so do they
+  (``losses._sum_last``).  Filling the plan's buffers copies values;
+  the products into them are the same products.
 - The pooling contractions of the forward and backward passes are matrix
   products, which numpy hands to BLAS, and the part residual
   ``p - f_k`` of the mask gradient is expanded so that no ``(B, K, N, D)``
@@ -47,9 +60,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .core import DataError, Role
-from .losses import (LossValue, LossWeights, TripletConfig, focal_loss,
-                     gilt_and_team_loss, part_prediction_loss, softmax,
-                     total_loss)
+from .losses import (LossValue, LossWeights, _gilt, _GiltPlan, _sum_last,
+                     focal_loss, part_prediction_loss, softmax, total_loss)
 
 __all__ = [
     "DimMismatch",
@@ -227,9 +239,8 @@ def _forward_arrays(model: EmbedderModel, cells: np.ndarray):
 
     shown = np.zeros((b, k + 1), dtype=bool)     # some cell's argmax class
     shown[np.arange(b)[:, None], z.argmax(axis=2)] = True
-    vis_parts = shown[:, 1:]
-    vis = np.concatenate([vis_parts.any(axis=1, keepdims=True), vis_parts],
-                         axis=1).astype(int)     # (B, K+1): fg, parts
+    vis = shown.astype(int)                      # (B, K+1): fg, parts
+    vis[:, 0] = shown[:, 1:].any(axis=1)
 
     role_logits = f_fg @ model.w_role + model.b_role
     return {
@@ -251,14 +262,34 @@ def forward_batch(model: EmbedderModel, grids: np.ndarray):
     return features, fw["vis"], fw["role_logits"]
 
 
+class _StepPlan:
+    """What every training step on batches of ``b`` rows shares: the
+    re-id objective's scope buffers and kernel constants, and the flat
+    gradient vector with a view per parameter, laid out as
+    :func:`_param_views` lays out the parameters.  Each step overwrites
+    them."""
+
+    def __init__(self, model: EmbedderModel, cfg: TrainConfig, b: int):
+        k = model.num_parts
+        self.gilt = _GiltPlan(b, k, model.dim, model.n_ids,
+                              [cfg.reid_margin] * k + [cfg.team_margin])
+        self.grads = _param_views(
+            np.empty(sum(p.size for p in model.params().values())), model)
+
+
 def loss_and_grad(model: EmbedderModel, batch: TrainBatch,
-                  cfg: TrainConfig):
+                  cfg: TrainConfig, plan: _StepPlan | None = None):
     """Total multi-task loss over a batch and model-shaped gradients.
 
     Returns (loss value, {param name: gradient}, per-component values).
     The gradients are views into one flat vector laid out in PARAM_NAMES
-    order, as :func:`_param_views` lays out the parameters.
+    order, as :func:`_param_views` lays out the parameters.  ``plan`` is
+    the state that :func:`train` builds once for its steps; the gradients
+    are then its views, which the next call with it overwrites.  A call
+    without one builds its own.
     """
+    if plan is None:
+        plan = _StepPlan(model, cfg, len(batch))
     fw = _forward_arrays(model, batch.cells)
     b, n = fw["z"].shape[:2]
     k, d = model.num_parts, model.dim
@@ -270,19 +301,25 @@ def loss_and_grad(model: EmbedderModel, batch: TrainBatch,
     pa = part_prediction_loss(fw["masks"], batch.part_labels.reshape(b, n))
     pa = LossValue(pa.value / b, pa.gradients / b)
 
-    id_logits = {
-        "global": fw["f_g"] @ model.w_id_g + model.b_id_g,
-        "foreground": fw["f_fg"] @ model.w_id_f + model.b_id_f,
-        "concat": fw["f_parts"].reshape(b, k * d) @ model.w_id_c + model.b_id_c,
-    }
-    # The team triplet over the players' foreground embeddings, as scope
-    # K+1 of the part triplets' kernel call; no player is valid below four.
+    # The re-id objective's scopes, written into the plan's buffers: the
+    # identity logits in scope order, the K part scopes and, as scope K+1
+    # of the same kernel call, the team triplet over the players'
+    # foreground embeddings; no player is valid below four.
+    gp = plan.gilt
+    flat_parts = fw["f_parts"].reshape(b, k * d)
+    for logits, f, w, bias in (
+            (gp.logits[0], fw["f_g"], model.w_id_g, model.b_id_g),
+            (gp.logits[1], flat_parts, model.w_id_c, model.b_id_c),
+            (gp.logits[2], fw["f_fg"], model.w_id_f, model.b_id_f)):
+        np.matmul(f, w, out=logits)
+        logits += bias
+    gp.emb[:k] = fw["f_parts"].transpose(1, 0, 2)
+    gp.emb[k] = fw["f_fg"]
+    gp.valid[:k] = fw["vis"][:, 1:].T
     players = roles == int(Role.PLAYER)
-    reid, team = gilt_and_team_loss(
-        fw["f_parts"], fw["vis"][:, 1:], id_logits, ids,
-        TripletConfig(margin=cfg.reid_margin), fw["f_fg"], batch.team,
-        players if players.sum() >= 4 else np.zeros(b, dtype=bool),
-        TripletConfig(margin=cfg.team_margin))
+    gp.valid[k] = players if players.sum() >= 4 else False
+    reid, team_values, team_grads = _gilt(gp, ids, batch.team)
+    team = LossValue(float(team_values[0]), team_grads[0])
 
     role = focal_loss(fw["role_logits"], roles, cfg.focal_gamma)
 
@@ -291,8 +328,7 @@ def loss_and_grad(model: EmbedderModel, batch: TrainBatch,
     g = tot.gradients  # per-component gradients, already weight-scaled
 
     # --- backward ---------------------------------------------------------
-    grads = _param_views(
-        np.empty(sum(p.size for p in model.params().values())), model)
+    grads = plan.grads
 
     # Identity heads (holistic scopes).
     dlg = g["reid"]["id_logits"]
@@ -302,7 +338,6 @@ def loss_and_grad(model: EmbedderModel, batch: TrainBatch,
     np.matmul(fw["f_fg"].T, dlg["foreground"], out=grads["w_id_f"])
     dlg["foreground"].sum(axis=0, out=grads["b_id_f"])
     d_fg_emb = dlg["foreground"] @ model.w_id_f.T  # wrt foreground emb.
-    flat_parts = fw["f_parts"].reshape(b, k * d)
     np.matmul(flat_parts.T, dlg["concat"], out=grads["w_id_c"])
     dlg["concat"].sum(axis=0, out=grads["b_id_c"])
     d_parts = g["reid"]["parts"] + (dlg["concat"] @ model.w_id_c.T
@@ -338,7 +373,7 @@ def loss_and_grad(model: EmbedderModel, batch: TrainBatch,
 
     # Softmax backward for the mask weights, plus direct part-prediction grad.
     m = fw["masks"]
-    dz = m * (d_mask - (d_mask * m).sum(axis=2, keepdims=True))
+    dz = m * (d_mask - _sum_last(d_mask * m)[:, :, None])
     dz += g["pa"]
 
     x = fw["x"].reshape(b * n, -1)
@@ -427,7 +462,8 @@ def train(cfg: TrainConfig, batch: TrainBatch):
     The identities of the training set ``batch`` are renumbered
     0..n_ids-1 in sorted order; an empty ``batch`` raises
     :class:`InsufficientIdentities`.  Each step gathers its drawn rows and
-    calls :func:`loss_and_grad` once.  The model's parameters are views
+    calls :func:`loss_and_grad` once, with the state that the call builds
+    for all its steps.  The model's parameters are views
     into one flat vector, which Adam updates in place with flat ``m`` and
     ``v`` from the flat vector that the step's gradients are views of.  The
     module docstring says why these give the bits of the
@@ -445,7 +481,10 @@ def train(cfg: TrainConfig, batch: TrainBatch):
     theta = np.concatenate(list(model.params().values()), axis=None)
     model = EmbedderModel(**_param_views(theta, model))
 
+    # A batch holds _draw_batch's 4 + 4 + 3 identities.
+    plan = _StepPlan(model, cfg, 11 * cfg.samples_per_identity)
     m_state, v_state = np.zeros_like(theta), np.zeros_like(theta)
+    step, scratch = np.empty_like(theta), np.empty_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
     history = []
@@ -454,17 +493,22 @@ def train(cfg: TrainConfig, batch: TrainBatch):
         epoch_losses = []
         for _ in range(cfg.steps_per_epoch):
             rows = _draw_batch(groups, rng, cfg.samples_per_identity)
-            value, grads, _ = loss_and_grad(model, table.take(rows), cfg)
+            value, grads, _ = loss_and_grad(model, table.take(rows), cfg,
+                                            plan=plan)
             epoch_losses.append(value)
             t += 1
-            # p - lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
             gr = grads[PARAM_NAMES[0]].base  # the flat gradient vector
+            # p - lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps),
+            # each product and quotient of the expression into a buffer.
             m_state *= beta1
-            m_state += (1 - beta1) * gr
+            m_state += np.multiply(1 - beta1, gr, out=scratch)
             v_state *= beta2
-            v_state += (1 - beta2) * gr**2
-            step = lr * (m_state / (1 - beta1**t))
-            step /= np.sqrt(v_state / (1 - beta2**t)) + eps
+            np.square(gr, out=scratch)
+            v_state += np.multiply(1 - beta2, scratch, out=scratch)
+            np.multiply(lr, np.divide(m_state, 1 - beta1**t, out=step),
+                        out=step)
+            np.divide(v_state, 1 - beta2**t, out=scratch)
+            step /= np.add(np.sqrt(scratch, out=scratch), eps, out=scratch)
             theta -= step
         history.append(float(np.mean(epoch_losses)))
     return model, history

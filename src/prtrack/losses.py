@@ -27,7 +27,18 @@ scatters the gradient terms with one ``np.bincount`` over flat cell
 indices, in the order ``np.add.at`` would add them.  It keeps the float
 order of a per-anchor loop, so :func:`triplet_batch_hard` gradients can
 differ by about 1 ulp from summing the terms first and dividing once
-(none for 2^j anchors).
+(none for 2^j anchors).  What every call of one ``(S, N, D)`` shape
+shares, the off-diagonal mask, row offsets, sign vector and cell
+offsets, is a ``_TripletPlan``; the training loop builds one per
+``train`` call inside a ``_GiltPlan``, whose buffers it fills each step
+with the scopes' logits, embeddings and visibility.  The K part scopes
+share one same-identity matrix, computed once a step.  The label check
+counts non-negative int labels with ``np.bincount`` instead of
+``np.unique``'s sort.  None of this moves a float operation.
+
+:func:`softmax` takes its row maxima from a transposed copy, and its row
+sums below 8 classes as column adds, which add in numpy's order; both
+give the bits of numpy's own reductions (see the function).
 
 :func:`part_prediction_loss` takes the cells' class probabilities, so a
 caller that already has the softmax of the logits (the embedder's forward
@@ -96,11 +107,30 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     # its rows: numpy's max over a short last axis costs about 0.1 us per
     # row.  A maximum is exact in any order, and a zero maximum shifts
     # every logit to the same bits whatever its sign, so the result is the
-    # one of ``logits.max(axis=-1, keepdims=True)``.
-    top = np.ascontiguousarray(np.moveaxis(logits, -1, 0)).max(axis=0)
-    z = logits - top[..., None]
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    # one of ``logits.max(axis=-1, keepdims=True)``.  The transpose is the
+    # view ``np.moveaxis(logits, -1, 0)`` without its argument handling.
+    top = np.ascontiguousarray(
+        logits.transpose(-1, *range(logits.ndim - 1))).max(axis=0)
+    e = np.exp(logits - top[..., None])
+    return e / _sum_last(e)[..., None]
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` to the bit, faster for fewer than 8 columns.
+
+    numpy adds fewer than 8 last-axis entries left to right from zero,
+    ``((0 + a0) + a1) + ...``, one row at a time; the column adds here do
+    the same additions a column at a time, without the per-row cost.  The
+    zero start only turns a row of -0.0 into +0.0.  From 8 columns on
+    numpy sums pairwise with 8 accumulators, so those rows go to ``sum``.
+    """
+    c = a.shape[-1]
+    if not 1 <= c < 8:
+        return a.sum(axis=-1)
+    total = a[..., 0] + 0.0
+    for j in range(1, c):
+        total += a[..., j]
+    return total
 
 
 def _probs(logits: np.ndarray, targets: np.ndarray):
@@ -169,13 +199,40 @@ def part_prediction_loss(grid_probs: np.ndarray,
 
 
 def _check_labels(labels: np.ndarray) -> None:
-    _, counts = np.unique(labels, return_counts=True)
+    """Raise :class:`DegenerateBatch` unless ``labels`` hold at least two
+    labels with at least two samples each.  Non-negative int labels no
+    larger than four times their count are counted with ``np.bincount``,
+    other labels with ``np.unique``'s sort; both give the same counts."""
+    labels = np.asarray(labels)
+    if (labels.dtype.kind in "iu" and labels.size and labels.min() >= 0
+            and labels.max() <= 4 * labels.size):
+        counts = np.bincount(labels)
+        counts = counts[counts > 0]
+    else:
+        _, counts = np.unique(labels, return_counts=True)
     if len(counts) < 2 or counts.min() < 2:
         raise DegenerateBatch("need >= 2 labels with >= 2 samples each")
 
 
+class _TripletPlan:
+    """The constants of the batch-hard kernel on ``(S, N, D)`` embeddings,
+    which every call of that shape shares: built once, read by each
+    call."""
+
+    def __init__(self, s: int, n: int, dim: int):
+        self.shape = (s, n, dim)
+        self.off_diagonal = ~np.eye(n, dtype=bool)
+        rows = np.arange(s * n)
+        self.row_start = rows * n              # flat index of (row, 0)
+        self.scope_start = rows - rows % n     # first row of row's scope
+        self.ranks = np.arange(n)
+        self.sign = np.tile([1.0, -1.0], s * n)
+        self.cell_offsets = np.arange(dim)
+
+
 def _batch_hard_triplets(emb: np.ndarray, labels: np.ndarray,
-                         valid: np.ndarray, margins: np.ndarray):
+                         valid: np.ndarray, margins: np.ndarray,
+                         plan: _TripletPlan | None = None):
     """The batch-hard triplet kernel over S scopes at once.
 
     Embeddings ``emb`` (S, N, D); per scope, ``labels`` (S, N), ``valid``
@@ -185,7 +242,8 @@ def _batch_hard_triplets(emb: np.ndarray, labels: np.ndarray,
     (S,), each the mean of ``max(0, d_ap - d_an + margin)`` over the
     scope's m qualifying anchors (0 when m = 0), and gradients (S, N, D).
     A scope computes the same floats as it would alone, whatever the other
-    scopes hold.
+    scopes hold.  ``plan`` holds the constants of the shape; a call
+    without one builds them.
 
     Float order, as a per-anchor loop would have it: a scope's mean sums
     its terms in anchor order as one 1-D array; each gradient term ``(e_a
@@ -193,28 +251,40 @@ def _batch_hard_triplets(emb: np.ndarray, labels: np.ndarray,
     negative's, and not at all when ``d <= 1e-12``.  Dividing each term
     by m, not the sum once, can move a gradient by about 1 ulp.
     """
+    return _hardest_triplets(emb, labels[:, :, None] == labels[:, None, :],
+                             valid, margins, plan)
+
+
+def _hardest_triplets(emb, same, valid, margins, plan=None):
+    """:func:`_batch_hard_triplets` on the ``(S, N, N)`` matrix ``same``
+    of pairs with one label, in place of the labels."""
+    if plan is None:
+        plan = _TripletPlan(*emb.shape)
+    elif plan.shape != emb.shape:
+        raise ValueError(f"a plan for {plan.shape} cannot take embeddings "
+                         f"{emb.shape}")
     s, n, dim = emb.shape
     sq = (emb**2).sum(axis=2)
     d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * emb @ emb.transpose(0, 2, 1)
     dist = np.sqrt(np.clip(d2, 0.0, None))                # (S, N, N)
-    same = labels[:, :, None] == labels[:, None, :]
     pair_ok = valid[:, :, None] & valid[:, None, :]
-    pos_d = np.where(pair_ok & same & ~np.eye(n, dtype=bool), dist, -np.inf)
-    neg_d = np.where(pair_ok & ~same, dist, np.inf)
+    # Rows s * N + a per scope s and anchor a; ``pair_ok > same`` is
+    # ``pair_ok & ~same``.
+    pos_d = np.where(pair_ok & same & plan.off_diagonal, dist,
+                     -np.inf).reshape(s * n, n)
+    neg_d = np.where(pair_ok > same, dist, np.inf).reshape(s * n, n)
     # The hardest distances sit at the arg indices: -inf where there is no
-    # positive or negative.  ``hp``, ``hn`` and ``t`` have a row s * N + a
-    # per scope s and anchor a.
-    rows = np.arange(s * n)
-    hp = pos_d.reshape(s * n, n).argmax(axis=1)
-    hn = neg_d.reshape(s * n, n).argmin(axis=1)
-    t = (pos_d.reshape(s * n, n)[rows, hp] - neg_d.reshape(s * n, n)[rows, hn]
+    # positive or negative.  ``hp``, ``hn`` and ``t`` have a row s * N + a.
+    hp = pos_d.argmax(axis=1)
+    hn = neg_d.argmin(axis=1)
+    t = (pos_d.take(plan.row_start + hp) - neg_d.take(plan.row_start + hn)
          ).reshape(s, n) + margins[:, None]
     qualifies = np.isfinite(t)
     m = qualifies.sum(axis=1)                             # (S,)
 
     # Each scope's terms packed to the front of its row: the masked sum
     # then adds them in the pairwise order of a 1-D sum over the m terms.
-    front = np.arange(n) < m[:, None]
+    front = plan.ranks < m[:, None]
     packed = np.zeros((s, n))
     packed[front] = np.maximum(t[qualifies], 0.0)
     values = np.divide(packed.sum(axis=1, where=front), m, out=np.zeros(s),
@@ -223,22 +293,24 @@ def _batch_hard_triplets(emb: np.ndarray, labels: np.ndarray,
     # Each active anchor's terms, positive then negative: +w to its row,
     # -w to the row of x, in the same scope.
     anchor = np.flatnonzero(t > 0)
-    x = np.stack([hp[anchor], hn[anchor]], axis=1).ravel()
-    sign = np.tile([1.0, -1.0], len(anchor))
+    x = np.stack([hp, hn], axis=1)[anchor].ravel()
+    sign = plan.sign[:len(x)]
     anchor = anchor.repeat(2)
-    d = dist.reshape(-1)[anchor * n + x]
+    d = dist.take(plan.row_start[anchor] + x)
     keep = d > _EPS
-    anchor, x, d, sign = anchor[keep], x[keep], d[keep], sign[keep]
-    other = anchor - anchor % n + x
+    if not keep.all():
+        anchor, x, d, sign = anchor[keep], x[keep], d[keep], sign[keep]
+    other = plan.scope_start[anchor] + x
     flat = emb.reshape(s * n, dim)
-    w = sign[:, None] * ((flat[anchor] - flat[other]) / d[:, None]
-                         / m[anchor // n, None])
     # np.add.at's order: term by term, +w to the anchor's cells, then -w to
     # x's.  bincount adds each flat cell's weights in that order.
-    cells = (np.stack([anchor, other], axis=1)[:, :, None] * dim
-             + np.arange(dim)).ravel()
-    grad = np.bincount(cells, np.stack([w, -w], axis=1).ravel(),
-                       minlength=emb.size)
+    terms = np.empty((len(x), 2, dim))
+    np.multiply(sign[:, None], (flat[anchor] - flat[other]) / d[:, None]
+                / m[anchor // n, None], out=terms[:, 0])
+    np.negative(terms[:, 0], out=terms[:, 1])
+    cells = ((np.stack([anchor, other], axis=1) * dim)[:, :, None]
+             + plan.cell_offsets)
+    grad = np.bincount(cells.ravel(), terms.ravel(), minlength=emb.size)
     return values, grad.reshape(emb.shape)
 
 
@@ -283,7 +355,9 @@ def gilt_loss(parts: np.ndarray, part_visibility: np.ndarray,
 
     gradients: {'id_logits': {scope: array}, 'parts': (N, K, D) array}
     """
-    return _gilt(parts, part_visibility, id_logits, labels, cfg)[0]
+    k = np.shape(parts)[1]
+    plan = _GiltPlan.of(parts, part_visibility, id_logits, [cfg.margin] * k)
+    return _gilt(plan, np.asarray(labels))[0]
 
 
 def gilt_and_team_loss(parts: np.ndarray, part_visibility: np.ndarray,
@@ -298,49 +372,84 @@ def gilt_and_team_loss(parts: np.ndarray, part_visibility: np.ndarray,
     values and gradients are those of the two functions.  When some row is
     valid, the valid rows' team labels must pass the checks of
     :func:`triplet_batch_hard`."""
-    reid, values, grads = _gilt(
-        parts, part_visibility, id_logits, labels, cfg,
-        (np.asarray(foreground, dtype=float), np.asarray(team),
-         np.asarray(team_valid).astype(bool), team_cfg.margin))
+    k = np.shape(parts)[1]
+    plan = _GiltPlan.of(parts, part_visibility, id_logits,
+                        [cfg.margin] * k + [team_cfg.margin])
+    plan.emb[k] = foreground
+    plan.valid[k] = team_valid
+    reid, values, grads = _gilt(plan, np.asarray(labels), np.asarray(team))
     return reid, LossValue(float(values[0]), grads[0])
 
 
-def _gilt(parts, part_visibility, id_logits, labels, cfg, extra=None):
-    """:func:`gilt_loss`'s loss, and the kernel's values and gradients of
-    the scope ``extra``, ``(embeddings (N, D), labels, valid, margin)``,
-    appended to the part scopes: shapes (1,) and (1, N, D), or (0,) and
-    (0, N, D) without one."""
-    parts = np.asarray(parts, dtype=float)       # (N, K, D)
-    vis = np.asarray(part_visibility)            # (N, K)
-    labels = np.asarray(labels)
-    n, k = parts.shape[:2]
+_SCOPES = ("global", "concat", "foreground")
+
+
+class _GiltPlan:
+    """The inputs of :func:`_gilt` for N rows, K parts of D dims, n_ids
+    identities and the S scopes of the kernel, K parts and maybe one more,
+    with margins ``margins`` (S,): buffers that a caller fills before each
+    call, and the kernel's constants.  The training loop builds one per
+    :func:`~prtrack.embedder.train` call; :meth:`of` builds one for a
+    call of its own."""
+
+    def __init__(self, n: int, k: int, dim: int, n_ids: int, margins):
+        self.margins = np.array(margins, dtype=float)
+        s = len(self.margins)
+        self.k = k
+        self.logits = np.empty((len(_SCOPES), n, n_ids))  # scope order
+        self.emb = np.empty((s, n, dim))          # K parts, then the extra
+        self.valid = np.empty((s, n), dtype=bool)
+        self.same = np.empty((s, n, n), dtype=bool)
+        self.triplets = _TripletPlan(s, n, dim)
+
+    @classmethod
+    def of(cls, parts, part_visibility, id_logits, margins) -> "_GiltPlan":
+        """A plan with the part scopes and logits filled from arrays."""
+        parts = np.asarray(parts, dtype=float)   # (N, K, D)
+        logits = [np.asarray(id_logits[scope], float) for scope in _SCOPES]
+        n, k, dim = parts.shape
+        plan = cls(n, k, dim, logits[0].shape[-1], margins)
+        plan.logits[...] = logits
+        plan.emb[:k] = parts.transpose(1, 0, 2)
+        plan.valid[:k] = np.asarray(part_visibility).T
+        return plan
+
+
+def _gilt(plan: _GiltPlan, labels: np.ndarray, extra_labels=None):
+    """:func:`gilt_loss`'s loss over the filled ``plan``, and the kernel's
+    values and gradients of the scopes after the K part scopes, labelled
+    ``extra_labels``: shapes (1,) and (1, N, D) with one, (0,) and (0, N,
+    D) without.
+
+    The three identity cross-entropies come from one softmax over the
+    ``(3, N, n_ids)`` logits; the K part scopes share one same-identity
+    matrix."""
+    k = plan.k
     _check_labels(labels)
-
-    # One softmax for the three scopes (see the module docstring).
-    scopes = ("global", "concat", "foreground")
-    p, targets, idx = _probs(np.stack([np.asarray(id_logits[scope], float)
-                                       for scope in scopes]), labels)
+    p, targets, idx = _probs(plan.logits, labels)
+    # Each scope's own mean, added in scope order (see the module
+    # docstring): the mean over axis 1 of C-ordered rows is each row's 1-D
+    # mean.  ``take`` returns them C-ordered; ``p[:, idx, targets]`` would
+    # not.
+    flat = idx * p.shape[-1] + targets
+    picked = -np.log(np.clip(p.reshape(len(p), -1).take(flat, axis=1),
+                             _EPS, None))
     ce_value = 0.0
-    for scope_p in p:
-        value = float(-np.log(np.clip(scope_p[idx, targets], _EPS,
-                                      None)).mean())
-        ce_value += value / len(scopes)
+    for value in picked.mean(axis=1).tolist():
+        ce_value += value / len(_SCOPES)
     p[:, idx, targets] -= 1.0
-    logit_grads = dict(zip(scopes, p / len(idx) / len(scopes)))
+    logit_grads = dict(zip(_SCOPES, p / len(idx) / len(_SCOPES)))
 
-    emb = parts.transpose(1, 0, 2)
-    scope_labels = np.broadcast_to(labels, (k, n))
-    valid = vis.T.astype(bool)
-    margins = np.full(k, cfg.margin)
-    if extra is not None:
-        e, lab, ok, margin = extra
+    same = plan.same
+    np.equal(labels[:, None], labels[None, :], out=same[0])
+    same[1:k] = same[0]
+    if extra_labels is not None:
+        ok = plan.valid[k]
         if ok.any():
-            _check_labels(lab[ok])
-        emb = np.concatenate([emb, e[None]])
-        scope_labels = np.concatenate([scope_labels, lab[None]])
-        valid = np.concatenate([valid, ok[None]])
-        margins = np.append(margins, margin)
-    values, grads = _batch_hard_triplets(emb, scope_labels, valid, margins)
+            _check_labels(extra_labels[ok])
+        np.equal(extra_labels[:, None], extra_labels[None, :], out=same[k])
+    values, grads = _hardest_triplets(plan.emb, same, plan.valid,
+                                      plan.margins, plan.triplets)
     # cumsum adds the v / k in scope order, as a loop over scopes would.
     part_value = float(np.cumsum(values[:k] / k)[-1])
     part_grads = grads[:k].transpose(1, 0, 2) / k

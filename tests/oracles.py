@@ -13,7 +13,7 @@ from prtrack.core import (BoundingBox, PartFeatureSet, Role, TrackStatus,
                           Tracklet, box_array, iou_matrix,
                           part_distance_matrix, xyah_to_xywh)
 from prtrack.embedder import (PARAM_NAMES, EmbedderModel, TrainBatch,
-                              _forward_arrays, _lr_at, forward_batch)
+                              _lr_at, forward_batch)
 from prtrack.losses import (LossValue, TripletConfig, _batch_hard_triplets,
                             _check_labels, cross_entropy_id, focal_loss,
                             part_prediction_loss, total_loss,
@@ -975,6 +975,46 @@ def _brute_gilt_loss(parts, part_visibility, id_logits, labels, cfg):
                      {"id_logits": logit_grads, "parts": part_grads})
 
 
+def brute_forward(model, cells):
+    """``embedder._forward_arrays`` on a ``(B, H, W, C)`` stack of grids,
+    one grid at a time, with the expressions of the package's forward pass
+    before the training step kept state across steps: the softmax of
+    :func:`brute_softmax`, ``.sum`` and ``.mean`` over the cells, the
+    ``@`` pooling products, and the visible classes read off each cell's
+    ``argmax``.  Each grid's arrays keep a batch axis of one and are
+    stacked; the pooling weights are views of the stacked masks, as the
+    package's are.  The role head, like the identity heads of
+    :func:`brute_loss_and_grad`, is one product over the stacked
+    foreground embeddings: one row's product is a matrix-vector product,
+    which BLAS may round otherwise."""
+    k = model.num_parts
+    keys = ("x", "z", "masks", "proj", "part_sum", "fg_sum", "f_parts",
+            "f_fg", "f_g", "vis")
+    rows = {key: [] for key in keys}
+    for grid in np.asarray(cells, dtype=float):
+        h, w, c = grid.shape
+        x = grid.reshape(1, h * w, c)
+        z = x @ model.w_pix + model.b_pix
+        masks = brute_softmax(z)
+        proj = x @ model.w_emb + model.b_emb
+        part_w, fg_w = masks[:, :, 1:], 1.0 - masks[:, :, 0]
+        part_sum, fg_sum = part_w.sum(axis=1), fg_w.sum(axis=1)
+        f_parts = part_w.transpose(0, 2, 1) @ proj / part_sum[:, :, None]
+        f_fg = (fg_w[:, None, :] @ proj)[:, 0] / fg_sum[:, None]
+        shown = np.zeros(k + 1, dtype=bool)
+        shown[z[0].argmax(axis=1)] = True
+        vis = np.array([[int(shown[1:].any())]
+                        + shown[1:].astype(int).tolist()])
+        for key, value in zip(keys, (x, z, masks, proj, part_sum, fg_sum,
+                                     f_parts, f_fg, proj.mean(axis=1), vis)):
+            rows[key].append(value)
+    fw = {key: np.concatenate(values) for key, values in rows.items()}
+    fw["role_logits"] = fw["f_fg"] @ model.w_role + model.b_role
+    fw["part_w"] = fw["masks"][:, :, 1:]
+    fw["fg_w"] = 1.0 - fw["masks"][:, :, 0]
+    return fw
+
+
 def _einsum_pooling(model, fw):
     """``fw`` with the pooled embeddings and role logits of the forward
     pass computed by ``np.einsum`` sums over the cells."""
@@ -987,9 +1027,9 @@ def _einsum_pooling(model, fw):
 
 def brute_loss_and_grad(model, batch, cfg, einsum=False):
     """``embedder.loss_and_grad`` on a list of ``GridSample``s, stacked
-    sample by sample, with fresh arrays for every intermediate.  Shares the
-    forward pass and the component losses other than
-    :func:`_brute_gilt_loss` with the package.
+    sample by sample, with fresh arrays for every intermediate and the
+    forward pass of :func:`brute_forward`.  Shares the component losses
+    other than :func:`_brute_gilt_loss` with the package.
 
     With ``einsum`` true, the pooling contractions of the forward and
     backward passes are ``np.einsum`` sums, the backward one over the
@@ -997,7 +1037,7 @@ def brute_loss_and_grad(model, batch, cfg, einsum=False):
     matrix products equal up to summation order."""
     cells = np.stack([np.asarray(s.grid.cells, float) for s in batch])
     labels_grid = np.stack([np.asarray(s.grid.part_labels, int) for s in batch])
-    fw = _forward_arrays(model, cells)
+    fw = brute_forward(model, cells)
     if einsum:
         fw = _einsum_pooling(model, fw)
     b, n = fw["z"].shape[:2]

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +123,7 @@ def tracked_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("tracked")
     cfg = root / "run.yaml"
     cfg.write_text(yaml.safe_dump({"scenario": {"frames": 40,
-                                                "n_players_per_team": 4}}))
+                                                "n_players_per_team": 5}}))
     run = root / "run"
     assert main(["generate", "--config", str(cfg), "--out", str(run)]) == 0
     assert main(["track", "--run", str(run)]) == 0
@@ -560,6 +561,50 @@ def test_pipeline_without_held_out_player_fails_before_training(
     assert "gallery is empty" in err
     assert "scenario.n_players_per_team is 4" in err
     assert not trained
+
+
+def test_generate_without_held_out_player_writes_nothing(tmp_path, capsys):
+    """``generate`` makes the pipeline's gallery check before it writes
+    anything: four players a team exit 2 with the pipeline's message, and
+    no re-id samples file is left for ``train`` to read."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "scenario": {"frames": 20, "n_players_per_team": 4},
+        "train": {"epochs": 1}, "sampling_stride": 5}))
+    run = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert "gallery is empty" in err
+    assert "scenario.n_players_per_team is 4" in err
+    assert not (run / "reid_samples.npz").exists()
+
+
+def test_main_pins_the_mmap_threshold_under_glibc_only(monkeypatch,
+                                                      tmp_path):
+    """Every command first sets glibc's map threshold to 1 MiB through
+    mallopt; where ``confstr`` names no glibc, it loads no library."""
+    import ctypes
+
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(prtrack.cli.os, "confstr",
+                        lambda name: "glibc 2.36")
+    assert main(["eval-track", "--gt", str(tmp_path / "missing"),
+                 "--pred", str(tmp_path / "missing")]) == 2
+    assert calls == [(-3, 1 << 20)]
+
+    def no_glibc(name):
+        raise ValueError("unrecognized configuration name")
+    for confstr in (no_glibc, lambda name: None):
+        monkeypatch.setattr(prtrack.cli.os, "confstr", confstr)
+        prtrack.cli._pin_mmap_threshold()
+    assert calls == [(-3, 1 << 20)]
 
 
 def test_main_leaves_no_argparse_garbage(tmp_path, capsys):

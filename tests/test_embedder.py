@@ -19,7 +19,7 @@ from prtrack.losses import LossWeights
 from prtrack.simgen import ScenarioConfig
 
 from oracles import (FeatureGrid, GridSample, brute_draw_batch,
-                     brute_generate, brute_group_by_identity,
+                     brute_forward, brute_generate, brute_group_by_identity,
                      brute_loss_and_grad, brute_reid_dataset, brute_train,
                      stack_samples)
 
@@ -84,6 +84,29 @@ def test_forward_batch_matches_single(rng):
         np.testing.assert_allclose(feats[i], single, atol=1e-12)
         np.testing.assert_array_equal(vis[i], single_vis)
         np.testing.assert_allclose(logits[i], rl, atol=1e-12)
+
+
+def test_forward_batch_equals_per_sample_oracle(rng):
+    """``forward_batch`` gives the features, visibility and role logits of
+    the oracle's grid-by-grid forward pass to the bit: on random grids, on
+    grids of zeros, whose logits all tie at an untrained model's zero
+    bias, and under a model trained a few steps."""
+    data = make_dataset(rng, per_id=3)
+    untrained = EmbedderModel.init(channels=6, num_parts=3, dim=8,
+                                   n_ids=11, seed=2)
+    trained, _ = train(TrainConfig(epochs=2, steps_per_epoch=2,
+                                   samples_per_identity=2, seed=2), data)
+    grids = np.concatenate([data.cells[:20], np.zeros((3, 4, 3, 6))])
+    for model in (untrained, trained):
+        feats, vis, role_logits = forward_batch(model, grids)
+        fw = brute_forward(model, grids)
+        want = np.concatenate([fw["f_fg"][:, None], fw["f_parts"]], axis=1)
+        assert feats.tobytes() == want.tobytes()
+        assert vis.dtype == fw["vis"].dtype
+        assert vis.tobytes() == fw["vis"].tobytes()
+        assert role_logits.tobytes() == fw["role_logits"].tobytes()
+        if model is untrained:   # tied logits: the first class, background
+            np.testing.assert_array_equal(vis[-3:], 0)
 
 
 def test_visibility_follows_argmax(rng):
@@ -159,9 +182,9 @@ def test_train_draws_sample_batch_batches(rng, monkeypatch):
     seen = []
     loss_and_grad_ = embedder.loss_and_grad
 
-    def spy(model, batch, cfg):
+    def spy(model, batch, cfg, **kw):
         seen.append(batch)
-        return loss_and_grad_(model, batch, cfg)
+        return loss_and_grad_(model, batch, cfg, **kw)
     monkeypatch.setattr(embedder, "loss_and_grad", spy)
     train(cfg, data)
     draws = np.random.default_rng(cfg.seed)
@@ -200,6 +223,25 @@ def test_train_reid_only_weights(rng):
                       weights=LossWeights(lambda_team=0.0, lambda_role=0.0))
     model, history = train(cfg, data)
     assert len(history) == 2
+
+
+def test_train_keeps_no_state_between_calls(rng):
+    """``train`` builds its per-call state afresh: calls with two configs
+    of different batch sizes, alternated in one process, each return the
+    model and history of that config's first call to the bit."""
+    data = make_dataset(rng, per_id=3)
+    cfgs = [TrainConfig(epochs=2, steps_per_epoch=2, samples_per_identity=2,
+                        seed=1),
+            TrainConfig(epochs=3, steps_per_epoch=1, samples_per_identity=3,
+                        team_margin=0.2, seed=5)]
+    first = [train(cfg, data) for cfg in cfgs]
+    for _ in range(2):
+        for cfg, (want_model, want_history) in zip(cfgs, first):
+            model, history = train(cfg, data)
+            assert history == want_history
+            for name in PARAM_NAMES:
+                assert (getattr(model, name).tobytes()
+                        == getattr(want_model, name).tobytes()), name
 
 
 def test_trained_model_does_not_depend_on_blas_threads(tmp_path):

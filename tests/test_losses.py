@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from prtrack.losses import (DegenerateBatch, LossWeights, LossValue,
                             TripletConfig, _batch_hard_triplets,
+                            _check_labels, _sum_last, _TripletPlan,
                             cross_entropy_id, focal_loss, gilt_and_team_loss,
                             gilt_loss, masked_triplet_batch_hard,
                             part_prediction_loss, softmax, total_loss,
@@ -347,6 +348,76 @@ def test_multi_scope_kernel_equals_single_scope_calls(batch):
                                        TripletConfig(margins[j]))
         assert values[j].tobytes() == np.float64(lv.value).tobytes()
         assert grads[j].tobytes() == lv.gradients.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(scope_batches(), min_size=2, max_size=6), st.data())
+def test_planned_kernel_equals_fresh_calls(batches, data):
+    """Calls that share one plan per ``(S, N, D)`` shape, with the shapes
+    interleaved, give the bits of calls that build their own."""
+    plans = {}
+    order = data.draw(st.permutations(list(range(len(batches))) * 2))
+    for i in order:
+        emb, labels, valid, margins = batches[i]
+        plan = plans.setdefault(emb.shape, _TripletPlan(*emb.shape))
+        got = _batch_hard_triplets(emb, labels, valid, margins, plan)
+        want = _batch_hard_triplets(emb, labels, valid, margins)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_kernel_rejects_a_plan_of_another_shape(rng):
+    with pytest.raises(ValueError, match="a plan for"):
+        _batch_hard_triplets(rng.normal(size=(2, 4, 3)),
+                             np.zeros((2, 4), int), np.ones((2, 4), bool),
+                             np.zeros(2), _TripletPlan(2, 5, 3))
+
+
+def _unique_rule_raises(labels):
+    _, counts = np.unique(labels, return_counts=True)
+    return len(counts) < 2 or counts.min() < 2
+
+
+# Int labels: small non-negative ones (the counting path), negative ones,
+# and sparse large ones (both left to np.unique), and none at all.
+_labels = st.one_of(
+    arrays(int, st.integers(0, 12), elements=st.integers(0, 5)),
+    arrays(int, st.integers(0, 12), elements=st.integers(-3, 3)),
+    arrays(int, st.integers(0, 12),
+           elements=st.sampled_from([0, 1, 7, 40, 10**6, 2**62])),
+    arrays(np.uint8, st.integers(0, 12), elements=st.integers(0, 255)))
+
+
+@settings(deadline=None)
+@given(_labels)
+def test_check_labels_follows_the_unique_rule(labels):
+    """The label check raises exactly when ``np.unique``'s counts hold
+    fewer than two labels or a label with fewer than two samples."""
+    try:
+        _check_labels(labels)
+    except DegenerateBatch:
+        raised = True
+    else:
+        raised = False
+    assert raised == _unique_rule_raises(labels)
+
+
+# Floats with zeros of both signs, infinities and magnitudes far apart.
+_term = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1e300]),
+                  st.floats(-1e6, 1e6, allow_subnormal=True))
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=0, max_size=2),
+       st.integers(1, 15), st.data())
+def test_sum_last_equals_numpy_sum(lead, c, data):
+    """The column adds give ``sum(axis=-1)`` to the bit, for every width:
+    below 8 columns they add in numpy's order, from 8 on numpy sums."""
+    a = data.draw(arrays(float, (*lead, c), elements=_term))
+    if data.draw(st.booleans()) and a.ndim > 1:
+        a = np.asfortranarray(a)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _sum_last(a).tobytes() == a.sum(axis=-1).tobytes()
 
 
 def test_gilt_and_team_loss_equals_separate_losses(rng):
