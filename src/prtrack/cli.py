@@ -5,7 +5,9 @@ eval-reid | eval-track | pipeline | report.  Runs operate on a directory
 holding the scenario manifest and derived files.  ``generate`` writes the
 re-id samples (``reid_samples.npz``), which ``train`` and ``eval-reid``
 read instead of generating the scenario again; ``embed`` and ``track``
-regenerate it.  Exit codes: 0 success, 1 usage error, 2 data error: a
+regenerate it.  Each command fills feature-grid cells only for the rows it
+reads: ``generate`` for the re-id sample rows, ``embed`` for every row,
+``track`` for none.  Exit codes: 0 success, 1 usage error, 2 data error: a
 :class:`prtrack.core.DataError` (a malformed file or config value, or
 input a stage cannot work with) or a missing or directory input path.
 Config sections check their bounds when built,
@@ -109,7 +111,7 @@ def _load_samples(run_dir: Path, cfg: RunConfig):
 
 def cmd_generate(args) -> int:
     cfg = _load_run_config(args)
-    scenario = generate(cfg.scenario)
+    scenario = generate(cfg.scenario, cfg.sampling_stride)
     samples = reid_samples(scenario, cfg.sampling_stride)
     # The pipeline's check, before anything is written: without a player
     # in the gallery, eval-reid would fail after training.
@@ -185,7 +187,7 @@ def _load_features(run_dir: Path, table: DetectionTable) -> FeatureTable:
 def cmd_track(args) -> int:
     run_dir = Path(args.run)
     cfg = _load_manifest(run_dir)
-    table, _ = detections(cfg, generate(cfg.scenario), "none")
+    table, _ = detections(cfg, generate(cfg.scenario, None), "none")
     table = dataclasses.replace(table,
                                 features=_load_features(run_dir, table))
     tracklets = track_frames(table, cfg)

@@ -9,8 +9,12 @@ signature, so the embedding model has learnable signal for all three tasks.
 A :class:`Scenario` holds its observations as columns, one row per present
 (frame, agent), in frame order and, within a frame, in roster order:
 ``frame`` and ``identity`` ``(N,)``, ``boxes`` ``(N, 4)``,
-``part_visible`` ``(N, K)``, ``cells`` ``(N, H, W, C)`` and
-``part_labels`` ``(N, H, W)``.  An absent agent has no row.
+``part_visible`` ``(N, K)`` and ``part_labels`` ``(N, H, W)``.  An absent
+agent has no row.  Feature-grid cells are built only for the rows a caller
+reads, as :class:`ReidSamples` holds them: ``cells`` ``(M, H, W, C)`` and
+``cell_row`` ``(N,)``, each row's row of ``cells`` or -1.  :func:`generate`
+builds them for every row, for every ``sampling_stride``-th row of each
+identity (the re-id sample rows), or for none, from the same random stream.
 
 Re-id samples are rows of the scenario: :func:`to_reid_dataset` splits
 them into training, query and gallery row indices, and :func:`reid_samples`
@@ -141,7 +145,12 @@ class Agent:
 class Scenario:
     """A generated clip: the roster, and one row per present (frame, agent)
     in frame order and, within a frame, in roster order.  An absent agent
-    has no row."""
+    has no row.
+
+    Row ``i``'s feature-grid cells are ``cells[cell_row[i]]``.  Only the
+    rows :func:`generate` was asked for have cells, in row order; the
+    others have ``cell_row`` -1, and their cells were never filled.  Every
+    other column is the same whichever rows have cells."""
 
     config: ScenarioConfig
     agents: list[Agent]
@@ -149,7 +158,8 @@ class Scenario:
     identity: np.ndarray      # (N,) agent identities, 1..A in roster order
     boxes: np.ndarray         # (N, 4) x, y, w, h
     part_visible: np.ndarray  # (N, K) 1 for a part no occluder hides
-    cells: np.ndarray         # (N, H, W, C) feature-grid cells
+    cells: np.ndarray         # (M, H, W, C) feature-grid cells of M rows
+    cell_row: np.ndarray      # (N,) each row's row of ``cells``, or -1
     part_labels: np.ndarray   # (N, H, W) cell part labels, 0 = background
 
     @property
@@ -157,6 +167,16 @@ class Scenario:
         """(N,) the view of each row: its frame's chunk of
         ``_VIEW_CHUNK`` frames, from 0."""
         return (self.frame - 1) // _VIEW_CHUNK
+
+    def cells_of(self, rows) -> np.ndarray:
+        """The rows of :attr:`cells` that hold the cells of rows ``rows``.
+        A row without cells raises ``ValueError``: the scenario was
+        generated for other rows."""
+        found = self.cell_row[rows]
+        if (found < 0).any():
+            raise ValueError("a scenario row has no cells: generate the "
+                             "scenario with cells for the rows read")
+        return found
 
     def roster(self) -> tuple[np.ndarray, np.ndarray]:
         """``(team, role)`` of agents 1..A, in roster order: 0 left, 1
@@ -179,12 +199,15 @@ def _mapped_empty(shape: tuple[int, ...], dtype=float) -> np.ndarray:
     """An uninitialised array in an anonymous memory map of its own, which
     goes back to the system as soon as the array is freed.
 
-    A scenario's cells are one block of tens of MB.  From the C heap, the
-    freed block of one scenario could stay resident beside the next,
-    larger one: on the ``reid_train`` benchmark, which generates scenarios
-    of three sizes in turn, peak RSS read 140 MB instead of 120 MB in
-    about half the runs.  The cells of a re-id samples file are read into
-    such a map too.
+    A full scenario's cells are one block of several MB: 11.8 MB for the
+    2,884 rows of the ``track_occluded`` benchmark config at seed 21.  From
+    the C heap, the freed block of one scenario can stay resident beside
+    the next: ``cli.cmd_pipeline`` on that config, called from Python at
+    seeds 21-23 in turn, read a peak RSS of 74.8 MB with the cells on the
+    heap and 62.9 MB with them in maps.  ``cli.main`` pins glibc's map
+    threshold, which spares the commands the same way, but the pin does
+    not reach library callers.  The cells of a re-id samples file are read
+    into such a map too.
     """
     dtype = np.dtype(dtype)
     size = math.prod(shape)
@@ -219,8 +242,27 @@ def _sample_events(rng: np.random.Generator, frames: int, rate: float,
     return events
 
 
-def generate(config: ScenarioConfig) -> Scenario:
-    """Build a full scenario, deterministic per seed."""
+def _strided_rows(identity: np.ndarray, stride: int) -> np.ndarray:
+    """``(N,)`` bool: every ``stride``-th row of each identity, from its
+    first row on, where ``identity`` is the identity column of N rows."""
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    order = np.argsort(identity, kind="stable")
+    grouped = identity[order]
+    rank = np.empty(len(order), dtype=int)
+    rank[order] = np.arange(len(order)) - np.searchsorted(grouped, grouped)
+    return rank % stride == 0
+
+
+def generate(config: ScenarioConfig, cell_stride: int | None = 1
+             ) -> Scenario:
+    """Build a scenario, deterministic per seed.
+
+    Cells are filled for every ``cell_stride``-th row of each identity:
+    every row at 1, the rows of :func:`to_reid_dataset` at its
+    ``sampling_stride``, and no row for None.  Every other column, and
+    every cell that is filled, is the same at any ``cell_stride``.
+    """
     rng = np.random.default_rng(config.seed)
     c, k = config.channels, config.num_parts
 
@@ -312,23 +354,35 @@ def generate(config: ScenarioConfig) -> Scenario:
     boxes = np.empty((n, 4))
     boxes[:, 2], boxes[:, 3] = box_w[agent_idx], box_h[agent_idx]
     part_visible = (~hidden[agent_idx, frame_idx, 1:]).astype(int)
-    cells = _mapped_empty((n, config.grid_h, config.grid_w, c))
+    keep = (np.zeros(n, dtype=bool) if cell_stride is None
+            else _strided_rows(agent_idx, cell_stride))
+    cell_row = np.full(n, -1)
+    cell_row[keep] = np.arange(np.count_nonzero(keep))
+    cell_ends = np.cumsum(np.r_[0, keep])[ends].tolist()
+    grid = (config.grid_h, config.grid_w, c)
+    cells = _mapped_empty((cell_ends[-1], *grid))
     part_labels = np.empty((n, *base_labels.shape), dtype=base_labels.dtype)
 
-    lo = 0
-    for t, hi in enumerate(ends):
+    lo = cell_lo = 0
+    for t, (hi, cell_hi) in enumerate(zip(ends, cell_ends)):
         rows = agent_idx[lo:hi]
         labels = part_labels[lo:hi]
         labels[...] = np.where(hidden[rows, t][:, base_labels], 0,
                                base_labels)
-        block = cells[lo:hi]
+        # The frame's rows that get cells: a view when all of them do.
+        sel = (slice(None) if cell_hi - cell_lo == hi - lo
+               else np.flatnonzero(keep[lo:hi]))
+        block = cells[cell_lo:cell_hi]
         # 'clip' writes into ``block`` directly, where 'raise' buffers.
-        np.take(signatures, labels, axis=0, out=block, mode="clip")
-        np.add(block, latents[rows, None, None], out=block,
-               where=(labels > 0)[..., None])
-        block += rng.normal(0.0, config.feature_noise_sigma, block.shape)
+        np.take(signatures, labels[sel], axis=0, out=block, mode="clip")
+        np.add(block, latents[rows[sel], None, None], out=block,
+               where=(labels[sel] > 0)[..., None])
+        # The noise of every row is drawn, whether it gets cells or not:
+        # the motion draws below follow it in the same stream.
+        block += rng.normal(0.0, config.feature_noise_sigma,
+                            (hi - lo, *grid))[sel]
         boxes[lo:hi, :2] = pos[rows] - half_size[rows]
-        lo = hi
+        lo, cell_lo = hi, cell_hi
 
         accel = rng.normal(0.0, 0.4, size=(n_agents, 2))
         vel = np.clip(vel + accel, -v_max, v_max)
@@ -341,7 +395,7 @@ def generate(config: ScenarioConfig) -> Scenario:
 
     _check_boxes(boxes)
     return Scenario(config, agents, frame_idx + 1, agent_idx + 1, boxes,
-                    part_visible, cells, part_labels)
+                    part_visible, cells, cell_row, part_labels)
 
 
 def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25):
@@ -357,8 +411,7 @@ def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25):
     identity gives its first quarter of rows to the queries and the rest to
     the gallery, or all to the gallery below 2 rows.
     """
-    if sampling_stride < 1:
-        raise ValueError("stride must be >= 1")
+    sampled = _strided_rows(scenario.identity, sampling_stride)
     team, role = scenario.roster()
     ids = np.arange(1, len(role) + 1)
     player = role == int(Role.PLAYER)
@@ -369,8 +422,7 @@ def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25):
     for group, minimum in groups:
         n_train = min(max(minimum, math.ceil(len(group) / 2)), len(group))
         for i, ident in enumerate(group.tolist()):
-            rows = np.flatnonzero(
-                scenario.identity == ident)[::sampling_stride]
+            rows = np.flatnonzero(sampled & (scenario.identity == ident))
             if i < n_train:
                 train.append(rows)
                 continue
@@ -427,13 +479,16 @@ def reid_samples(scenario: Scenario, sampling_stride: int = 25
                  ) -> ReidSamples:
     """The rows of :func:`to_reid_dataset`'s split as a
     :class:`ReidSamples` table: their part labels, identities, views and
-    rows of the scenario's cells, and their agents' teams and roles."""
+    rows of the scenario's cells, and their agents' teams and roles.  The
+    scenario needs cells for those rows, as :func:`generate` builds them at
+    ``cell_stride`` 1 or ``sampling_stride``."""
     split = to_reid_dataset(scenario, sampling_stride)
     rows = np.concatenate(split)
     team, role = scenario.roster()
     agent = scenario.identity[rows] - 1
     return ReidSamples(
-        scenario.config, sampling_stride, scenario.cells, rows,
+        scenario.config, sampling_stride, scenario.cells,
+        scenario.cells_of(rows),
         scenario.part_labels[rows], scenario.identity[rows], team[agent],
         role[agent], scenario.view[rows],
         np.repeat([TRAIN, QUERY, GALLERY], [len(x) for x in split]))
@@ -601,10 +656,13 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
     ``detector_noise``: 'none', 'jitter' (gaussian box offsets of
     ``noise_param`` pixels), or 'dropout' (drop each detection with
     probability ``noise_param``).  ``features``: 'oracle' fills the
-    ground-truth-derived feature block, 'none' leaves it out.  A loop over
-    the detections makes the generator draws, in the order the per-detection
-    definition makes them: the dropout draw, the jitter pair, then the
-    visible parts' feature noise; everything else is array work.
+    ground-truth-derived feature block, 'none' leaves it out.  The
+    generator draws come in the order the per-detection definition makes
+    them: the dropout draw, the jitter pair, then the visible parts'
+    feature noise.  Without dropout they are all normal draws, made in one
+    call and scaled afterwards as ``rng.normal(0, scale, ...)`` scales
+    them; dropout's uniform draws interleave with them, so a loop over the
+    detections makes those.  Everything else is array work.
     """
     if detector_noise not in DETECTOR_NOISES:
         raise ValueError(f"unknown detector noise {detector_noise!r}")
@@ -612,36 +670,47 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
                           scenario.identity.tolist(),
                           *scenario.boxes.T.tolist()))
     oracle = features == "oracle"
+    jitter = detector_noise == "jitter"
+    for name, scale, used in (("noise_param", noise_param, jitter),
+                              ("feature_sigma", feature_sigma, oracle)):
+        if used and scale < 0:
+            raise ValueError(f"{name} must be >= 0")
+    # Each row's normal draws: its jitter pair, then ``dim`` for each
+    # visible part.
+    width = np.full(len(scenario.frame), 2 if jitter else 0)
     if oracle:
         k = scenario.config.num_parts
         part_vis = scenario.part_visible
-        n_visible = part_vis.sum(axis=1).tolist()
         proj, offsets = oracle_feature_projection(scenario.config)
         dim = proj.shape[0]
-        noise = np.empty((sum(n_visible), dim))
+        width += dim * part_vis.sum(axis=1)
 
     rng = np.random.default_rng(seed)
-    dropout = detector_noise == "dropout"
-    jitter = detector_noise == "jitter"
-    kept, shifts, drawn = [], [], 0
-    for i in range(len(scenario.frame)):
-        if dropout and rng.random() < noise_param:
-            continue
-        kept.append(i)
+    if detector_noise == "dropout":
+        kept, noise = [], [np.zeros(0)]
+        for i, n in enumerate(width.tolist()):
+            if rng.random() < noise_param:
+                continue
+            kept.append(i)
+            if n:
+                noise.append(rng.normal(0.0, feature_sigma, n))
+        kept, noise = np.array(kept, dtype=int), np.concatenate(noise)
+    else:
+        kept = np.arange(len(width))
+        z = rng.standard_normal(width.sum())
+        is_shift = np.zeros(len(z), dtype=bool)
         if jitter:
-            shifts.append(rng.normal(0.0, noise_param, 2))
-        if oracle:
-            n = n_visible[i]
-            noise[drawn:drawn + n] = rng.normal(0.0, feature_sigma, (n, dim))
-            drawn += n
+            first = np.cumsum(width) - width
+            is_shift[first] = is_shift[first + 1] = True
+            shifts = 0.0 + noise_param * z[is_shift].reshape(-1, 2)
+        noise = 0.0 + feature_sigma * z[~is_shift]
 
-    kept = np.array(kept, dtype=int)
     frame = scenario.frame[kept]
     # Rows are in frame order, so each row's index within its frame is its
     # distance from the frame's first row.
     det_index = np.arange(len(kept)) - np.searchsorted(frame, frame)
     boxes = scenario.boxes[kept]
-    if jitter and len(kept):
+    if jitter:
         boxes[:, :2] += shifts
     agent = scenario.identity[kept] - 1
     teams, roles = scenario.roster()
@@ -652,7 +721,7 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
         base = np.array([proj @ a.latent for a in scenario.agents])
         values = base[agent[rows]]
         values += offsets[1 + cols]
-        values += noise[:drawn]
+        values += noise.reshape(-1, dim)
         parts = np.zeros((len(kept), k, dim))
         parts[rows, cols] = values
         count = vis.sum(axis=1)
@@ -674,8 +743,9 @@ def embed_detections(model: EmbedderModel, scenario: Scenario,
                      table: DetectionTable) -> FeatureTable:
     """The model features of the table's detections, keyed like its rows.
 
-    Each row's grid is the scenario's row of its frame and identity, found
-    by one search on the scenario's frame-major (frame, identity) keys.  One
+    Each row's grid is the cells of the scenario's row of its frame and
+    identity, found by one search on the scenario's frame-major (frame,
+    identity) keys; the scenario needs cells for every such row.  One
     :func:`~prtrack.embedder.forward_batch` call per frame fills the
     columns: one pass over the whole run raised peak RSS from 106 to
     142 MB.
@@ -684,8 +754,9 @@ def embed_detections(model: EmbedderModel, scenario: Scenario,
     parts, foreground = np.empty((n, k, d)), np.empty((n, d))
     visibility, role_logits = np.empty((n, k + 1), dtype=int), np.empty((n, 4))
     a = len(scenario.agents)
-    rows = np.searchsorted((scenario.frame - 1) * a + scenario.identity,
-                           (table.frame - 1) * a + table.gt_identity)
+    rows = scenario.cells_of(np.searchsorted(
+        (scenario.frame - 1) * a + scenario.identity,
+        (table.frame - 1) * a + table.gt_identity))
     _, starts = np.unique(table.frame, return_index=True)
     for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), n]):
         feats, vis, logits = forward_batch(model, scenario.cells[rows[lo:hi]])

@@ -579,6 +579,36 @@ def test_generate_without_held_out_player_writes_nothing(tmp_path, capsys):
     assert not (run / "reid_samples.npz").exists()
 
 
+def test_commands_build_cells_for_the_rows_they_read(tmp_path,
+                                                     monkeypatch):
+    """``generate`` maps cells for its re-id sample rows alone, and
+    ``track``, whose detections read no cells, for no row."""
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "scenario": {"frames": 40, "n_players_per_team": 6,
+                     "occlusion_rate": 0.3},
+        "sampling_stride": 5}))
+    run = tmp_path / "run"
+    shapes = []
+
+    def recorded(shape, dtype=float):
+        shapes.append(tuple(shape))
+        return mapped_empty(shape, dtype)
+
+    mapped_empty = prtrack.simgen._mapped_empty
+    monkeypatch.setattr(prtrack.simgen, "_mapped_empty", recorded)
+    assert main(["generate", "--config", str(cfg), "--out", str(run)]) == 0
+    with np.load(run / "reid_samples.npz", allow_pickle=False) as npz:
+        samples = npz["identity"].size
+    scenario = load_config(run / "manifest.yaml").scenario
+    grid = (scenario.grid_h, scenario.grid_w, scenario.channels)
+    assert 0 < samples < 40 * 23
+    assert shapes == [(samples, *grid)]
+    shapes.clear()
+    assert main(["track", "--run", str(run)]) == 0
+    assert shapes and all(shape == (0, *grid) for shape in shapes)
+
+
 def test_main_pins_the_mmap_threshold_under_glibc_only(monkeypatch,
                                                       tmp_path):
     """Every command first sets glibc's map threshold to 1 MiB through

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from prtrack.core import Role
+from prtrack.core import DataError, Role
 from prtrack.embedder import EmbedderModel
 from prtrack.simgen import (GALLERY, QUERY, TRAIN, DetectionTable,
                             ScenarioConfig, detection_table,
@@ -162,6 +162,11 @@ def test_tracking_input_noise_modes():
     assert jit[0].boxes[0, 0] != clean[0].boxes[0, 0]
     with pytest.raises(ValueError):
         to_tracking_input(s, detector_noise="blur")
+    # A negative scale fails as rng.normal's does, drawn at once or not.
+    for args in (("jitter", -1.0), ("none", 0.0, "oracle", -0.1),
+                 ("dropout", 0.2, "oracle", -0.1)):
+        with pytest.raises(ValueError):
+            to_tracking_input(s, *args)
 
 
 def test_oracle_projection_deterministic():
@@ -334,3 +339,74 @@ def test_embed_detections_equals_per_frame_oracle(noise, param):
                     _bits(getattr(rec.features, name))
             assert _bits(t.features.role_logits[r]) == _bits(rec.role_logits)
     assert mid_empty and trailing_empty
+
+
+def _strided(identity, stride):
+    """Every ``stride``-th row of each identity, in row order."""
+    return np.sort(np.concatenate(
+        [np.flatnonzero(identity == i)[::stride]
+         for i in np.unique(identity)]))
+
+
+@pytest.mark.parametrize("kw", [
+    _REID_SCENARIO,
+    # Frames where nobody is present.
+    dict(frames=60, n_players_per_team=1, n_goalkeepers=0, n_referees=0,
+         n_staff=0, occlusion_rate=0.3, exit_rate=1.0, seed=4),
+])
+@pytest.mark.parametrize("stride", [1, 5, 25, None])
+def test_partial_cells_equal_the_full_scenario(kw, stride):
+    """Cells for a subset of rows leave every other column and every drawn
+    cell as the full scenario has them."""
+    cfg = small_config(**kw)
+    full, got = generate(cfg), generate(cfg, stride)
+    for a, b in zip(got.agents, full.agents, strict=True):
+        assert _bits(a.latent) == _bits(b.latent)
+    for name in ("frame", "identity", "boxes", "part_visible",
+                 "part_labels"):
+        assert _bits(getattr(got, name)) == _bits(getattr(full, name)), name
+    kept = (np.zeros(0, dtype=int) if stride is None
+            else _strided(full.identity, stride))
+    assert np.flatnonzero(got.cell_row >= 0).tolist() == kept.tolist()
+    assert got.cell_row[kept].tolist() == list(range(len(kept)))
+    assert got.cells.shape == (len(kept), *full.cells.shape[1:])
+    assert _bits(got.cells) == _bits(full.cells[kept])
+    want = [ob for frame in brute_generate(cfg).frames for ob in frame
+            if ob.present]
+    for r in kept.tolist():
+        assert _bits(got.cells[got.cell_row[r]]) == _bits(want[r].grid.cells)
+    with pytest.raises(ValueError, match="stride must be >= 1"):
+        generate(cfg, 0)
+
+
+@pytest.mark.parametrize("stride", [1, 5, 25])
+def test_reid_samples_of_a_partial_scenario(stride):
+    """A scenario with cells for the sample rows alone gives the samples of
+    the full one; with cells for fewer rows, it raises ``ValueError``."""
+    cfg = small_config(**_REID_SCENARIO)
+    got = reid_samples(generate(cfg, stride), stride)
+    want = reid_samples(generate(cfg), stride)
+    for subset in (TRAIN, QUERY, GALLERY):
+        a, b = got.batch(subset), want.batch(subset)
+        for name in ("cells", "part_labels", "identity", "role", "team"):
+            assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+    for name in ("part_labels", "identity", "team", "role", "view",
+                 "subset"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    for other in (None, stride * 2):
+        with pytest.raises(ValueError, match="has no cells"):
+            reid_samples(generate(cfg, other), stride)
+
+
+@pytest.mark.parametrize("stride", [None, 5])
+def test_embed_detections_needs_cells_for_every_row(stride):
+    """A detection whose scenario row has no cells is a caller's bug: a
+    ``ValueError``, which the command line does not report as bad input."""
+    cfg = small_config(frames=20)
+    s = generate(cfg, stride)
+    model = EmbedderModel.init(channels=cfg.channels,
+                               num_parts=cfg.num_parts, seed=5)
+    table, _ = detection_table(s, features="none")
+    with pytest.raises(ValueError, match="has no cells") as info:
+        embed_detections(model, s, table)
+    assert not isinstance(info.value, DataError)
