@@ -30,9 +30,9 @@ import yaml
 from .config import (ConfigTypeError, RunConfig, config_to_dict, load_config,
                      load_yaml)
 from .core import DataError
-from .motio import (FeatureTable, ParseError, _feature_rows, load_arrays,
-                    load_model, parse_mot, save_arrays, save_model,
-                    write_features, write_mot)
+from .motio import (FeatureTable, ParseError, load_arrays, load_model,
+                    parse_features, parse_mot, row_lines, save_arrays,
+                    save_model, write_features, write_mot)
 from .pipeline import (_check_gallery, detections, evaluate_reid,
                        run_pipeline, team_accuracy, track_frames,
                        train_on_scenario)
@@ -157,31 +157,26 @@ def cmd_embed(args) -> int:
 def _load_features(run_dir: Path, table: DetectionTable) -> FeatureTable:
     """The rows of ``features.txt``, which pair one to one, in file order,
     with the rows of ``table``, keyed by the table's int ``frame`` and
-    ``det_index`` columns.  A missing, extra or misplaced row, or a row
-    shaped unlike the first, raises :class:`ParseError` naming the file and
-    line."""
+    ``det_index`` columns.  A malformed, missing, extra or misplaced row
+    raises :class:`ParseError` naming the file and line."""
     path = run_dir / "features.txt"
-    rows = _feature_rows(path)
-    keys = list(zip(table.frame.tolist(), table.det_index.tolist()))
-    for (line, rec), (frame, j) in zip(rows, keys):
-        if (rec.frame, rec.det_index) != (frame, j):
-            raise ParseError(f"expected features of frame {frame} det {j}, "
-                             f"got frame {rec.frame} det {rec.det_index}",
-                             line, path)
-        if rec.features.parts.shape != rows[0][1].features.parts.shape:
-            raise ParseError("parts shaped unlike the first row's", line,
-                             path)
-    if len(rows) > len(keys):
-        line, rec = rows[len(keys)]
-        raise ParseError(f"extra features row of frame {rec.frame} "
-                         f"det {rec.det_index}", line, path)
-    if len(rows) < len(keys):
-        frame, j = keys[len(rows)]
-        raise ParseError(f"missing features of frame {frame} det {j}",
-                         rows[-1][0] + 1 if rows else 1, path)
-    return dataclasses.replace(
-        FeatureTable.from_records([rec for _, rec in rows]),
-        frame=table.frame, det_index=table.det_index)
+    features = parse_features(path)
+    n, m = len(features), len(table)
+    k = min(n, m)
+    wrong = np.flatnonzero((features.frame[:k] != table.frame[:k])
+                           | (features.det_index[:k] != table.det_index[:k]))
+    i = int(wrong[0]) if len(wrong) else k      # the first unpaired row
+    if i == n == m:
+        return dataclasses.replace(features, frame=table.frame,
+                                   det_index=table.det_index)
+    got, want = (f"frame {t.frame[i]} det {t.det_index[i]}" if i < len(t)
+                 else None for t in (features, table))
+    message = (f"expected features of {want}, got {got}" if got and want
+               else f"extra features row of {got}" if got
+               else f"missing features of {want}")
+    # A missing row is reported on the line after the last row.
+    lines = row_lines(path).tolist() or [0]
+    raise ParseError(message, lines[i] if i < n else lines[-1] + 1, path)
 
 
 def cmd_track(args) -> int:

@@ -10,7 +10,6 @@ unmatchable and map to +inf in cost matrices.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -114,10 +113,7 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.x, self.y, self.w, self.h))):
-            raise ValueError("box fields must be finite")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError("box width and height must be positive")
+        _check_boxes(np.array([[self.x, self.y, self.w, self.h]], dtype=float))
 
     @property
     def center(self) -> tuple[float, float]:
@@ -195,6 +191,15 @@ def part_distance_matrix(
     if not a or not b:
         return np.zeros((len(a), len(b)))
     return _part_distances(*_stack(a), *_stack(b))
+
+
+def _check_boxes(boxes: np.ndarray) -> None:
+    """Finite fields and positive sizes, over an ``(N, 4)`` array of x, y,
+    w, h rows; :class:`BoundingBox` checks its one row."""
+    if not np.isfinite(boxes).all():
+        raise ValueError("box fields must be finite")
+    if not (boxes[:, 2:] > 0).all():
+        raise ValueError("box width and height must be positive")
 
 
 def box_array(boxes: list[BoundingBox]) -> np.ndarray:

@@ -1,37 +1,42 @@
-"""File formats: MOT-challenge records, per-detection feature records and
-model checkpoints as text, and the stages' array archives as uncompressed,
+"""File formats: MOT-challenge rows, per-detection feature rows and model
+checkpoints as text, and the stages' array archives as uncompressed,
 pickle-free ``.npz`` files (:func:`save_arrays`, :func:`load_arrays`).
+
+Each text format has one column representation, which its writer takes
+and its reader returns: a :class:`MotTable` and a :class:`FeatureTable`.
+A reader converts the tokens column by column with ``int`` and ``float``
+and checks whole columns; only where that fails does it convert each
+line alone, to name the first bad line in its :class:`ParseError`.
 
 All writers are deterministic: stable ordering and fixed decimal
 formatting, so identical inputs produce byte-identical files and every
 format round-trips losslessly at its declared precision.  The MOT and
 feature writers format each line with one ``%`` template: ``%.6f`` for
 boxes, confidence and visibility, ``%.9g`` for feature values, ``%d`` for
-frames, ids and visibility bits.  Feature rows are written from a
-:class:`FeatureTable` of columns.
+frames, ids and visibility bits.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 import zipfile
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import BoundingBox, DataError, PartFeatureSet
+from .core import DataError, _check_boxes
 from .embedder import EmbedderModel, PARAM_NAMES
 
 __all__ = [
     "ParseError",
-    "MotRecord",
-    "FeatureRecord",
+    "MotTable",
     "FeatureTable",
     "read_text",
+    "row_lines",
     "write_mot",
     "parse_mot",
     "write_features",
@@ -44,10 +49,11 @@ __all__ = [
 
 # frame, id, box, confidence, class, visibility: 6 decimals for the floats.
 _MOT_LINE = "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%.6f\n"
-# Feature rows formatted per write, which bounds the Python floats alive at
-# once: a whole run's rows at once held about twice the memory of the old
-# per-record writer.
-_FEATURE_ROWS_PER_WRITE = 1024
+# Lines formatted per write or parsed per block, which bounds the Python
+# floats and strings alive at once: parsing a default run's 18,750
+# feature lines at once raised the peak RSS of ``prtrack track`` from 92
+# to 144 MB.
+_LINES_PER_BLOCK = 1024
 # Bytes per read of an array that load_arrays reads into a caller's buffer:
 # below glibc's initial mmap threshold, so the chunks reuse heap memory.
 _READ_CHUNK = 1 << 16
@@ -63,24 +69,27 @@ class ParseError(DataError):
         self.line = line
 
 
-class MotRecord(NamedTuple):
-    """One MOT-challenge row: frame, id, box, confidence, class, visibility.
-    A named tuple, so a run's thousands of records are cheap to build."""
+@dataclass(frozen=True)
+class MotTable:
+    """N MOT-challenge rows as columns.  The reader reads int64 integer
+    columns; the writer formats object arrays of Python ints too."""
 
-    frame: int
-    id: int
-    bb_left: float
-    bb_top: float
-    bb_width: float
-    bb_height: float
-    conf: float = 1.0
-    class_id: int = 1
-    visibility: float = 1.0
+    frame: np.ndarray       # (N,) integers
+    id: np.ndarray          # (N,) integers
+    boxes: np.ndarray       # (N, 4) left, top, width, height
+    conf: np.ndarray        # (N,)
+    class_id: np.ndarray    # (N,) integers
+    visibility: np.ndarray  # (N,)
 
-    @property
-    def box(self) -> BoundingBox:
-        return BoundingBox(self.bb_left, self.bb_top,
-                           self.bb_width, self.bb_height)
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    @classmethod
+    def of_boxes(cls, frame, ids, boxes) -> "MotTable":
+        """Rows of confidence 1, class 1 and visibility 1."""
+        n = len(frame)
+        return cls(frame, ids, boxes, np.ones(n), np.ones(n, dtype=int),
+                   np.ones(n))
 
 
 def read_text(path) -> str:
@@ -94,50 +103,103 @@ def read_text(path) -> str:
                          data.count(b"\n", 0, exc.start) + 1, path) from None
 
 
-def write_mot(records, path) -> None:
-    """Write ``records`` (:class:`MotRecord` objects or plain tuples in its
-    field order), stably sorted by frame and id."""
+def row_lines(path) -> np.ndarray:
+    """The line number of each row of the text file at ``path``: of each
+    non-blank line, counted from 1."""
+    lines = read_text(path).split("\n")
+    return np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)),
+                                      bool, len(lines))) + 1
+
+
+def _read_rows(path, split, columns) -> list[np.ndarray]:
+    """``columns(rows)`` of the non-blank lines of the text file at
+    ``path``, split into tokens by ``split``, a block of lines at a time
+    after the first row.  Where ``columns`` raises ``ValueError`` or
+    ``IndexError``, the :class:`ParseError` names the first line that
+    fails alone, else the first that fails after the first row."""
+    lines = read_text(path).split("\n")
+    blocks, first = [], []
+    try:
+        for lo in range(0, len(lines), _LINES_PER_BLOCK):
+            rows = list(filter(None, map(split,
+                                         lines[lo:lo + _LINES_PER_BLOCK])))
+            if rows:
+                first = first or rows[:1]
+                blocks.append([c[1:] for c in columns(first + rows)])
+    except (ValueError, IndexError):
+        for before in ([], first):
+            for lineno, row in enumerate(map(split, lines), start=1):
+                try:
+                    if row:
+                        columns(before + [row])
+                except (ValueError, IndexError) as exc:
+                    raise ParseError(str(exc), lineno, path) from None
+        raise AssertionError(f"{path}: no line fails on its own")
+    return ([np.concatenate(c) for c in zip(*blocks)] if blocks
+            else columns([]))
+
+
+def _ints(tokens, name: str) -> np.ndarray:
+    """``int`` of each token, in int64; a value outside it raises
+    ``ValueError`` naming ``name``."""
+    try:
+        return np.fromiter(map(int, tokens), np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} is outside the int64 range") from None
+
+
+def _floats(tokens) -> np.ndarray:
+    return np.fromiter(map(float, tokens), float)
+
+
+def _write_rows(path, line: str, keys, *columns) -> None:
+    """One ``line`` per row of the ``(N,)`` or ``(N, M)`` columns, filled
+    with the row's values, the rows stably sorted by the ``(N,)`` keys."""
+    order = np.lexsort(keys[::-1])
+    columns = [c[:, None] if c.ndim == 1 else c for c in (*keys, *columns)]
     with open(path, "w") as fh:
-        fh.write("".join([_MOT_LINE % r for r in sorted(
-            records, key=operator.itemgetter(0, 1))]))
+        for lo in range(0, len(order), _LINES_PER_BLOCK):
+            rows = order[lo:lo + _LINES_PER_BLOCK]
+            values = np.concatenate([c[rows].astype(object) for c in columns],
+                                    axis=1)
+            fh.write(line * len(rows) % tuple(values.ravel().tolist()))
 
 
-def parse_mot(path) -> list[MotRecord]:
-    records = []
-    last_frame = 0
-    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        fields = raw.split(",")
-        if len(fields) != 9:
-            raise ParseError(f"expected 9 fields, got {len(fields)}", lineno,
-                             path)
-        try:
-            rec = MotRecord(
-                frame=int(fields[0]), id=int(fields[1]),
-                bb_left=float(fields[2]), bb_top=float(fields[3]),
-                bb_width=float(fields[4]), bb_height=float(fields[5]),
-                conf=float(fields[6]), class_id=int(fields[7]),
-                visibility=float(fields[8]))
-            if not all(map(math.isfinite, (rec.conf, rec.visibility))):
-                raise ValueError("conf and visibility must be finite")
-            rec.box  # BoundingBox rejects a non-finite or empty box
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno, path) from exc
-        if rec.frame < last_frame:
-            warnings.warn(f"non-monotone frame at line {lineno}")
-        last_frame = rec.frame
-        records.append(rec)
-    return records
+def write_mot(table: MotTable, path) -> None:
+    """Write the rows of ``table``, stably sorted by frame and id."""
+    _write_rows(path, _MOT_LINE, (table.frame, table.id), table.boxes,
+                table.conf, table.class_id, table.visibility)
 
 
-@dataclass(frozen=True)
-class FeatureRecord:
-    frame: int
-    det_index: int
-    features: PartFeatureSet
-    role_logits: np.ndarray  # (4,)
+def _mot_fields(line: str) -> list[str]:
+    return line.strip().split(",") if line.strip() else []
+
+
+def _mot_columns(rows: list[list[str]]):
+    """The :class:`MotTable` columns of MOT rows: nine fields each, frame,
+    id and class in int64, finite confidence, visibility and box, and a
+    box of positive size; each field is converted in field order."""
+    if bad := set(map(len, rows)) - {9}:
+        raise ValueError(f"expected 9 fields, got {bad.pop()}")
+    fields = list(chain.from_iterable(rows))
+    frame, ids = _ints(fields[0::9], "frame"), _ints(fields[1::9], "id")
+    boxes = np.stack([_floats(fields[j::9]) for j in range(2, 6)], axis=1)
+    conf, class_id = _floats(fields[6::9]), _ints(fields[7::9], "class")
+    visibility = _floats(fields[8::9])
+    if not (np.isfinite(conf).all() and np.isfinite(visibility).all()):
+        raise ValueError("conf and visibility must be finite")
+    _check_boxes(boxes)
+    return frame, ids, boxes, conf, class_id, visibility
+
+
+def parse_mot(path) -> MotTable:
+    """The rows of a MOT file, one per non-blank line, in file order.  A
+    frame below the row's before (below 0 on the first row) warns."""
+    table = MotTable(*_read_rows(path, _mot_fields, _mot_columns))
+    falls = np.flatnonzero(table.frame < np.append(0, table.frame[:-1]))
+    for line in row_lines(path)[falls].tolist() if len(falls) else []:
+        warnings.warn(f"non-monotone frame at line {line}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -171,21 +233,13 @@ class FeatureTable:
                 and np.isfinite(self.foreground).all()):
             raise ValueError("part and foreground embeddings must be finite")
 
+    def __len__(self) -> int:
+        return len(self.frame)
+
     @classmethod
-    def from_records(cls, records: list[FeatureRecord]) -> "FeatureTable":
-        """The rows of ``records``, in order; their feature sets must share
-        K and D."""
-        if not records:
-            return cls(np.zeros(0, int), np.zeros(0, int), np.zeros((0, 1, 0)),
-                       np.zeros((0, 0)), np.zeros((0, 2), int),
-                       np.zeros((0, 4)))
-        # Python ints, so frames and indices beyond 64 bits keep their value.
-        return cls(np.array([r.frame for r in records], dtype=object),
-                   np.array([r.det_index for r in records], dtype=object),
-                   np.stack([r.features.parts for r in records]),
-                   np.stack([r.features.foreground for r in records]),
-                   np.stack([r.features.visibility for r in records]),
-                   np.stack([r.role_logits for r in records]))
+    def empty(cls) -> "FeatureTable":
+        """No rows, of K 1 and D 0."""
+        return cls(*_feature_columns([]))
 
 
 def write_features(table: FeatureTable, path) -> None:
@@ -195,57 +249,50 @@ def write_features(table: FeatureTable, path) -> None:
     n, k, d = table.parts.shape
     line = " ".join(["%d %d", str(k), str(d)] + ["%.9g"] * ((k + 1) * d)
                     + ["%d"] * (k + 1) + ["%.9g"] * 4) + "\n"
-    keys = list(zip(table.frame.tolist(), table.det_index.tolist()))
-    order = sorted(range(n), key=keys.__getitem__)
-    vectors = np.concatenate([table.foreground, table.parts.reshape(n, k * d)],
-                             axis=1)
-    with open(path, "w") as fh:
-        for start in range(0, n, _FEATURE_ROWS_PER_WRITE):
-            rows = order[start:start + _FEATURE_ROWS_PER_WRITE]
-            fh.write("".join([line % (*keys[i], *v, *bits, *logits)
-                              for i, v, bits, logits in zip(
-                                  rows, vectors[rows].tolist(),
-                                  table.visibility[rows].tolist(),
-                                  table.role_logits[rows].tolist())]))
+    _write_rows(path, line, (table.frame, table.det_index), table.foreground,
+                table.parts.reshape(n, k * d), table.visibility,
+                table.role_logits)
 
 
-def parse_features(path) -> list[FeatureRecord]:
-    return [rec for _, rec in _feature_rows(path)]
+def _feature_columns(rows: list[list[str]]):
+    """The :class:`FeatureTable` columns of feature rows shaped as the
+    first: frame and index in int64, K and D, then exactly the values they
+    imply.  A row's tokens are converted, and its rules checked, in the
+    order of the per-line reader that built a ``PartFeatureSet`` a row."""
+    frame, det_index, ks, ds = (
+        _ints(map(itemgetter(j), rows), name)
+        for j, name in enumerate(("frame", "index", "K", "D")))
+    k, d = (int(ks[0]), int(ds[0])) if rows else (1, 0)
+    if (ks != k).any() or (ds != d).any():
+        raise ValueError("parts shaped unlike the first row's")
+    vis_at = 4 + (k + 1) * d                 # the first visibility bit
+    width = vis_at + k + 1 + 4
+    if bad := set(map(len, rows)) - {width}:
+        raise ValueError(f"expected {width} tokens, got {bad.pop()}")
+    if k < 0 or d < 0:
+        raise ValueError(f"K {k} and D {d} must not be negative")
+    n, tokens = len(rows), list(chain.from_iterable(rows))
+
+    def block(lo, hi):                       # columns lo..hi-1, (hi-lo, N)
+        return chain.from_iterable(tokens[j::width] for j in range(lo, hi))
+    vectors = _floats(block(4, vis_at)).reshape(vis_at - 4, n).T
+    vis = _ints(block(vis_at, vis_at + k + 1), "visibility")
+    vis = vis.reshape(k + 1, n).T
+    logits = _floats(block(width - 4, width)).reshape(4, n).T
+    if not np.isfinite(logits).all():
+        raise ValueError("role logits must be finite")
+    if k < 1:
+        raise ValueError("parts must be a (K, D) array with K >= 1")
+    columns = (frame, det_index, vectors[:, d:].reshape(n, k, d),
+               vectors[:, :d], vis, logits)
+    FeatureTable(*columns)           # the visibility and finiteness checks
+    return columns
 
 
-def _feature_rows(path) -> list[tuple[int, FeatureRecord]]:
-    """``(line number, record)`` of each non-blank line of a features file."""
-    records = []
-    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        tok = raw.split()
-        try:
-            frame, det_index, k, d = (int(tok[0]), int(tok[1]),
-                                      int(tok[2]), int(tok[3]))
-            expected = 4 + d + k * d + (k + 1) + 4
-            if len(tok) != expected:
-                raise ParseError(f"expected {expected} tokens, "
-                                 f"got {len(tok)}", lineno, path)
-            pos = 4
-            fg = np.array([float(v) for v in tok[pos:pos + d]])
-            pos += d
-            parts = np.array(
-                [float(v) for v in tok[pos:pos + k * d]]).reshape(k, d)
-            pos += k * d
-            vis = np.array([int(v) for v in tok[pos:pos + k + 1]])
-            pos += k + 1
-            role_logits = np.array([float(v) for v in tok[pos:pos + 4]])
-            if not np.isfinite(role_logits).all():
-                raise ValueError("role logits must be finite")
-            records.append((lineno, FeatureRecord(
-                frame, det_index,
-                PartFeatureSet(parts=parts, foreground=fg, visibility=vis),
-                role_logits)))
-        except (ValueError, IndexError) as exc:
-            raise ParseError(str(exc), lineno, path) from exc
-    return records
+def parse_features(path) -> FeatureTable:
+    """The rows of a features file, one per non-blank line, in file order,
+    as :func:`write_features` writes them."""
+    return FeatureTable(*_read_rows(path, str.split, _feature_columns))
 
 
 _CKPT_MAGIC = "prtrack-model v1"

@@ -54,7 +54,7 @@ def train_on_scenario(cfg: RunConfig, samples: ReidSamples):
 
 def detections(cfg: RunConfig, scenario: Scenario, features: str):
     """The run's :class:`~prtrack.simgen.DetectionTable` and ground-truth
-    records: :func:`~prtrack.simgen.detection_table` under the run's
+    MOT table: :func:`~prtrack.simgen.detection_table` under the run's
     detector noise and seed.  ``features`` is 'oracle' or 'none'."""
     return detection_table(scenario, cfg.detector_noise,
                            cfg.detector_noise_param, features, seed=cfg.seed)
@@ -125,7 +125,7 @@ def _check_gallery(samples: ReidSamples) -> None:
 def run_pipeline(cfg: RunConfig):
     """Full chain on one seed; returns (report, artifacts) where report is
     the report dictionary and artifacts holds the model, tracklets, and MOT
-    record lists for file output."""
+    tables (ground truth, raw, merged) for file output."""
     scenario = generate(cfg.scenario)
     samples = reid_samples(scenario, cfg.sampling_stride)
     _check_gallery(samples)

@@ -46,9 +46,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .core import Role
+from .core import Role, _check_boxes
 from .embedder import EmbedderModel, TrainBatch, forward_batch
-from .motio import (FeatureTable, MotRecord, ParseError, load_arrays,
+from .motio import (FeatureTable, MotTable, ParseError, load_arrays,
                     save_arrays)
 
 __all__ = [
@@ -184,15 +184,6 @@ class Scenario:
         return (np.array([-1 if a.team is None else a.team
                           for a in self.agents], dtype=int),
                 np.array([int(a.role) for a in self.agents], dtype=int))
-
-
-def _check_boxes(boxes: np.ndarray) -> None:
-    """The checks of :class:`~prtrack.core.BoundingBox`, over an ``(N, 4)``
-    array of x, y, w, h rows at once."""
-    if not np.isfinite(boxes).all():
-        raise ValueError("box fields must be finite")
-    if not (boxes[:, 2:] > 0).all():
-        raise ValueError("box width and height must be positive")
 
 
 def _mapped_empty(shape: tuple[int, ...], dtype=float) -> np.ndarray:
@@ -619,7 +610,7 @@ class DetectionTable:
         if not tables:
             none = np.zeros(0, dtype=int)
             return DetectionTable(none, none, np.zeros((0, 4)), none, none,
-                                  none, FeatureTable.from_records([]))
+                                  none, FeatureTable.empty())
         f = [t.features for t in tables]
         return DetectionTable(
             *(np.concatenate([getattr(t, c.name) for t in tables])
@@ -635,23 +626,21 @@ class DetectionTable:
                                side="right").tolist()
         return [self.take(slice(lo, hi)) for lo, hi in zip([0, *ends], ends)]
 
-    def mot_rows(self, ids: np.ndarray | None = None) -> list[tuple]:
-        """The detections as MOT rows in :class:`~prtrack.motio.MotRecord`
-        field order, with confidence 1 and the ids ``ids`` (by default the
-        unknown id -1)."""
-        n = len(self.frame)
-        return list(zip(self.frame.tolist(),
-                        [-1] * n if ids is None else ids.tolist(),
-                        *self.boxes.T.tolist(), [1.0] * n, [1] * n,
-                        [1.0] * n))
+    def mot_rows(self, ids: np.ndarray | None = None) -> MotTable:
+        """The detections as a :class:`~prtrack.motio.MotTable` of the ids
+        ``ids`` (by default the unknown id -1), with confidence 1."""
+        return MotTable.of_boxes(
+            self.frame, np.full(len(self.frame), -1) if ids is None else ids,
+            self.boxes)
 
 
 def detection_table(scenario: Scenario, detector_noise: str = "none",
                     noise_param: float = 0.0, features: str = "oracle",
                     feature_sigma: float = 0.05, seed: int = 0):
     """The detections of every present agent in every frame, as a
-    :class:`DetectionTable`, and the :class:`~prtrack.motio.MotRecord` of
-    each present agent per frame.
+    :class:`DetectionTable`, and the ground truth, the box of each present
+    agent per frame, as a :class:`~prtrack.motio.MotTable` in the
+    scenario's row order.
 
     ``detector_noise``: 'none', 'jitter' (gaussian box offsets of
     ``noise_param`` pixels), or 'dropout' (drop each detection with
@@ -666,9 +655,7 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
     """
     if detector_noise not in DETECTOR_NOISES:
         raise ValueError(f"unknown detector noise {detector_noise!r}")
-    gt_records = list(map(MotRecord, scenario.frame.tolist(),
-                          scenario.identity.tolist(),
-                          *scenario.boxes.T.tolist()))
+    gt = MotTable.of_boxes(scenario.frame, scenario.identity, scenario.boxes)
     oracle = features == "oracle"
     jitter = detector_noise == "jitter"
     for name, scale, used in (("noise_param", noise_param, jitter),
@@ -736,7 +723,7 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
                              role_logits)
     table = DetectionTable(frame, det_index, boxes, agent + 1, teams[agent],
                            roles[agent], block)
-    return table, gt_records
+    return table, gt
 
 
 def embed_detections(model: EmbedderModel, scenario: Scenario,
@@ -774,10 +761,10 @@ def to_tracking_input(scenario: Scenario, detector_noise: str = "none",
     The arguments are those of :func:`detection_table`; ``features='none'``
     leaves the detections' features empty.
 
-    Returns (frame inputs, gt records): the detection table's
+    Returns (frame inputs, ground truth): the detection table's
     :meth:`~DetectionTable.by_frame` tables, one per frame of the clip, and
-    the :class:`~prtrack.motio.MotRecord` of each present agent per frame.
+    :func:`detection_table`'s ground-truth :class:`~prtrack.motio.MotTable`.
     """
-    table, gt_records = detection_table(scenario, detector_noise, noise_param,
-                                        features, feature_sigma, seed)
-    return table.by_frame(scenario.config.frames), gt_records
+    table, gt = detection_table(scenario, detector_noise, noise_param,
+                                features, feature_sigma, seed)
+    return table.by_frame(scenario.config.frames), gt

@@ -1,9 +1,10 @@
 """Tracking metrics: HOTA (with DetA/AssA), CLEAR-MOT accuracy with
 identity switches, and identity-F1 under optimal global id matching.
 
-All three read one :class:`SequenceResult`, built once from ground-truth
-and predicted MOT records: per frame, the gt ids, the pred ids and their
-IoU matrix from the package's single IoU kernel,
+All three read one :class:`SequenceResult`, built once from the
+ground-truth and predicted :class:`~prtrack.motio.MotTable` columns: per
+frame, the gt ids, the pred ids and their IoU matrix from the package's
+single IoU kernel,
 :func:`prtrack.core.iou_matrix`.  They share one per-frame matching
 primitive on that matrix: minimum-cost bipartite matching on (1 - IoU)
 restricted to pairs with IoU at or above the localization threshold.
@@ -22,14 +23,13 @@ pairs together.  Only the other masks reach the assignment.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DataError, iou_matrix
-from .motio import MotRecord
+from .motio import MotTable
 from .solvers import hungarian
 
 __all__ = [
@@ -55,38 +55,40 @@ class DuplicateId(DataError):
     """An id occurs twice in one frame of the ground truth or predictions."""
 
 
-def _columns(records: list[MotRecord], side: str):
-    """Frames, ids and ``(N, 4)`` boxes of MOT records (or plain tuples in
-    their field order), stably sorted by frame, so each frame keeps its
-    records' order.  An id repeated within a frame raises
-    :class:`DuplicateId` naming ``side``."""
-    records = sorted(records, key=lambda r: r[0])
-    frames, ids = [r[0] for r in records], [r[1] for r in records]
-    pairs = list(zip(frames, ids))
-    if len(set(pairs)) < len(pairs):
-        frame, id_ = next(p for p, n in Counter(pairs).items() if n > 1)
-        raise DuplicateId(f"{side} id {id_} repeats in frame {frame}")
-    return (frames, ids,
-            np.array([r[2:6] for r in records], dtype=float).reshape(-1, 4))
+def _columns(table: MotTable, side: str):
+    """Frames, ids and ``(N, 4)`` boxes of a MOT table, stably sorted by
+    frame, so each frame keeps its rows' order.  An id repeated within a
+    frame raises :class:`DuplicateId` naming ``side``: of the repeated
+    (frame, id) pairs, the one that comes first in that order."""
+    order = np.argsort(table.frame, kind="stable")
+    frames, ids = table.frame[order], table.id[order]
+    by_pair = np.lexsort((ids, frames))
+    repeats = ((frames[by_pair[1:]] == frames[by_pair[:-1]])
+               & (ids[by_pair[1:]] == ids[by_pair[:-1]]))
+    if repeats.any():
+        first = by_pair[:-1][repeats].min()
+        raise DuplicateId(f"{side} id {ids[first]} repeats in frame "
+                          f"{frames[first]}")
+    return frames, ids, table.boxes[order]
 
 
 class SequenceResult:
-    """One sequence's ground-truth and predicted MOT records, laid out for
+    """One sequence's ground-truth and predicted MOT tables, laid out for
     the metrics.
 
-    ``frames`` holds, for each frame with a record, in ascending frame
-    order, the frame's gt ids and pred ids, each in record order, and
-    their ``(G_t, P_t)`` IoU matrix.  ``gt_ids`` and ``pred_ids`` hold
-    every record's id.  :meth:`matches` keeps each frame's matchings for
-    the life of the result."""
+    ``frames`` holds, for each frame with a row, in ascending frame order,
+    the frame's gt ids and pred ids, each in row order, and their
+    ``(G_t, P_t)`` IoU matrix.  ``gt_ids`` and ``pred_ids`` hold every
+    row's id, in frame order.  :meth:`matches` keeps each frame's
+    matchings for the life of the result."""
 
-    def __init__(self, gt: list[MotRecord], pred: list[MotRecord]):
+    def __init__(self, gt: MotTable, pred: MotTable):
         gt_frames, self.gt_ids, gt_boxes = _columns(gt, "gt")
         pr_frames, self.pred_ids, pr_boxes = _columns(pred, "pred")
-        frames = sorted({*gt_frames, *pr_frames})
-        cuts = [[bisect(column, f) for f in frames]
+        frames = np.union1d(gt_frames, pr_frames)
+        cuts = [np.searchsorted(column, frames, side).tolist()
                 for column in (gt_frames, pr_frames)
-                for bisect in (bisect_left, bisect_right)]
+                for side in ("left", "right")]
         self.frames = [(self.gt_ids[a:b], self.pred_ids[c:d],
                         iou_matrix(gt_boxes[a:b], pr_boxes[c:d]))
                        for a, b, c, d in zip(*cuts)]
@@ -133,13 +135,11 @@ class SequenceResult:
 _NO_PAIRS = np.zeros((0, 2), dtype=np.intp)
 
 
-def _codes(ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Each id's code, numbered in order of first occurrence, and each
-    code's number of records."""
-    index: dict[int, int] = {}
-    codes = np.array([index.setdefault(i, len(index)) for i in ids],
-                     dtype=np.intp)
-    return codes, np.bincount(codes, minlength=len(index))
+def _codes(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each id's code, its rank among the distinct ids, and each code's
+    number of rows."""
+    _, codes, counts = np.unique(ids, return_inverse=True, return_counts=True)
+    return codes.reshape(-1), counts
 
 
 def _check_alpha(alpha: float) -> None:
@@ -261,10 +261,9 @@ def idf1(result: SequenceResult, alpha: float = 0.5) -> float:
     return 2 * idtp / denom if denom else 0.0
 
 
-def evaluate_sequence(gt: list[MotRecord],
-                      pred: list[MotRecord]) -> EvalReport:
-    """All metrics of the predicted MOT records against the ground-truth
-    ones, on one :class:`SequenceResult`."""
+def evaluate_sequence(gt: MotTable, pred: MotTable) -> EvalReport:
+    """All metrics of the predicted MOT rows against the ground-truth ones,
+    on one :class:`SequenceResult`."""
     result = SequenceResult(gt, pred)
     h, d, a = hota(result)
     m, ids = mota_ids(result)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import (KalmanState, PartFeatureSet, TrackStatus, Tracklet,
                    _part_distances, iou_matrix, xywh_to_xyah, xyah_to_xywh)
+from .motio import MotTable
 from .simgen import DetectionTable
 from .solvers import hungarian
 
@@ -173,8 +174,9 @@ def ema_update(ema: np.ndarray, ema_vis: np.ndarray,
     Track visibility bits become the OR of the previous bits and the
     detection's.  The default applies the formula literally (an invisible
     side contributes zero, shrinking the magnitude); ``normalized=True``
-    divides by the sum of the active weights instead.  Returns the new
-    features and visibility.
+    divides by the sum of the active weights instead, and an index that
+    one side alone sees with a weight of 0 (alpha 0 or 1) takes that
+    side's features.  Returns the new features and visibility.
     """
     v_old = ema_vis.astype(float)
     v_new = vis.astype(float)
@@ -184,6 +186,8 @@ def ema_update(ema: np.ndarray, ema_vis: np.ndarray,
         denom = alpha * v_old + (1 - alpha) * v_new
         nonzero = denom > 0
         mixed[nonzero] /= denom[nonzero, None]
+        lone = ~nonzero & (v_old + v_new > 0)
+        mixed[lone] = np.where(v_old[lone, None] > 0, ema[lone], feats[lone])
     return mixed, np.maximum(ema_vis, vis)
 
 
@@ -283,7 +287,7 @@ class TrackletTable:
             self.role_logit_sum[rows], self.detections.take(
                 np.lexsort((self.detections.frame, pos))[:count.sum()]))
 
-    def mot_rows(self) -> list[tuple]:
+    def mot_rows(self) -> MotTable:
         """:meth:`~prtrack.simgen.DetectionTable.mot_rows` of the member
         rows, under their tracklets' ids."""
         return self.detections.mot_rows(np.repeat(self.id, self.count))

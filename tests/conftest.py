@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from prtrack.core import BoundingBox, PartFeatureSet
-from prtrack.motio import MotRecord
+
+from oracles import MotRow, mot_table
 
 
 def random_feature_set(rng, k=5, d=8, p_visible=0.7, force_any=True):
@@ -19,11 +20,11 @@ def box(x, y, w=10.0, h=10.0):
     return BoundingBox(x, y, w, h)
 
 
-def mot_records(frames):
-    """MOT records of a ``{frame: [(id, box)]}`` micro-sequence, frame by
-    frame, each frame's in list order."""
-    return [MotRecord(f, i, b.x, b.y, b.w, b.h)
-            for f, boxes in frames.items() for i, b in boxes]
+def mot_sequence(frames):
+    """The ``MotTable`` of a ``{frame: [(id, box)]}`` micro-sequence,
+    frame by frame, each frame's rows in list order."""
+    return mot_table([MotRow(f, i, b.x, b.y, b.w, b.h)
+                      for f, boxes in frames.items() for i, b in boxes])
 
 
 @pytest.fixture

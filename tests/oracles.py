@@ -5,7 +5,9 @@ internals beyond basic types, unless a function's docstring says so."""
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from prtrack.losses import (LossValue, TripletConfig, _batch_hard_triplets,
                             _check_labels, cross_entropy_id, focal_loss,
                             part_prediction_loss, total_loss,
                             triplet_batch_hard)
-from prtrack.motio import FeatureRecord, MotRecord
+from prtrack.motio import FeatureTable, MotTable, ParseError, read_text
 from prtrack.reid_metrics import rank
 from prtrack.simgen import (_VIEW_CHUNK, Agent, ScenarioConfig,
                             _sample_events, oracle_feature_projection)
@@ -38,6 +40,65 @@ class Detection:
     gt_identity: int | None = None
     gt_team: int | None = None  # 0 = left, 1 = right
     gt_role: Role | None = None
+
+
+class MotRow(NamedTuple):
+    """One MOT-challenge row as a record of its own: frame, id, box,
+    confidence, class, visibility."""
+
+    frame: int
+    id: int
+    bb_left: float
+    bb_top: float
+    bb_width: float
+    bb_height: float
+    conf: float = 1.0
+    class_id: int = 1
+    visibility: float = 1.0
+
+
+@dataclass(frozen=True)
+class FeatureRow:
+    """One detection's feature row as a record of its own."""
+
+    frame: int
+    det_index: int
+    features: PartFeatureSet
+    role_logits: np.ndarray  # (4,)
+
+
+def _int_column(values):
+    """Python ints as an int64 column, or as an object column where one
+    lies outside int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def mot_table(rows):
+    """The ``MotRow``s (or tuples in their field order) as a package
+    ``MotTable``, in their order."""
+    rows = [MotRow(*r) for r in rows]
+    return MotTable(_int_column([r.frame for r in rows]),
+                    _int_column([r.id for r in rows]),
+                    np.array([r[2:6] for r in rows], dtype=float).reshape(-1, 4),
+                    np.array([r.conf for r in rows], dtype=float),
+                    _int_column([r.class_id for r in rows]),
+                    np.array([r.visibility for r in rows], dtype=float))
+
+
+def feature_table(rows):
+    """The ``FeatureRow``s as a package ``FeatureTable``, in their order;
+    their feature sets must share K and D."""
+    if not rows:
+        return FeatureTable.empty()
+    return FeatureTable(_int_column([r.frame for r in rows]),
+                        _int_column([r.det_index for r in rows]),
+                        np.stack([r.features.parts for r in rows]),
+                        np.stack([r.features.foreground for r in rows]),
+                        np.stack([r.features.visibility for r in rows]),
+                        np.stack([r.role_logits for r in rows]))
 
 
 @dataclass(frozen=True)
@@ -389,6 +450,8 @@ def _ema(ema, det, alpha, normalized):
         vo, vn = float(ema.visibility[k]), float(det.visibility[k])
         mixed = alpha * e * vo + (1 - alpha) * f * vn
         denom = alpha * vo + (1 - alpha) * vn
+        if normalized and denom == 0 and vo + vn > 0:
+            mixed = e if vo else f      # the one side that saw index k
         rows.append(mixed / denom if normalized and denom > 0 else mixed)
     vis = [max(a, b) for a, b in zip(ema.visibility, det.visibility)]
     return PartFeatureSet(parts=np.array(rows[1:]), foreground=rows[0],
@@ -828,9 +891,9 @@ def brute_tracking_input(scenario, detector_noise="none", noise_param=0.0,
     """Per-detection reference of ``simgen.to_tracking_input`` over the
     records of :func:`brute_generate`: each present agent's detection is
     drawn, jittered and given its oracle features on its own, one
-    ``PartFeatureSet`` at a time.  It shares ``oracle_feature_projection``
-    and ``MotRecord`` with the package; every generator draw is made here,
-    in the order the package must keep."""
+    ``PartFeatureSet`` at a time, and each ground-truth row is a ``MotRow``.
+    It shares ``oracle_feature_projection`` with the package; every
+    generator draw is made here, in the order the package must keep."""
     rng = np.random.default_rng(seed)
     proj, offsets = oracle_feature_projection(scenario.config)
     frame_inputs, gt_records = [], []
@@ -840,8 +903,8 @@ def brute_tracking_input(scenario, detector_noise="none", noise_param=0.0,
             if not ob.present:
                 continue
             box = ob.box
-            gt_records.append(MotRecord(ob.frame, ob.identity,
-                                        box.x, box.y, box.w, box.h))
+            gt_records.append(MotRow(ob.frame, ob.identity,
+                                     box.x, box.y, box.w, box.h))
             if detector_noise == "dropout" and rng.random() < noise_param:
                 continue
             if detector_noise == "jitter":
@@ -865,7 +928,7 @@ def brute_embed_detections(model, scenario, frame_inputs):
     of :func:`brute_generate`: each frame's detections look up their grids
     by identity among the frame's present observations, and one
     ``embedder.forward_batch`` call, shared with the package, embeds them.
-    Returns one ``FeatureRecord`` per detection, in frame order, keyed by
+    Returns one ``FeatureRow`` per detection, in frame order, keyed by
     its frame and its index in the frame."""
     records = []
     for frame_idx, dets in enumerate(frame_inputs):
@@ -876,7 +939,7 @@ def brute_embed_detections(model, scenario, frame_inputs):
         cells = np.stack([obs_by_id[d.gt_identity].grid.cells for d in dets])
         feats, vis, role_logits = forward_batch(model, cells)
         records.extend(
-            FeatureRecord(d.frame, j, PartFeatureSet(f[1:], f[0], v), rl)
+            FeatureRow(d.frame, j, PartFeatureSet(f[1:], f[0], v), rl)
             for j, (d, f, v, rl)
             in enumerate(zip(dets, feats, vis, role_logits)))
     return records
@@ -924,7 +987,7 @@ def brute_write_mot(records, path):
 
 
 def brute_write_features(records, path):
-    """Feature rows of ``FeatureRecord``s written value by value with
+    """Feature rows of ``FeatureRow``s written value by value with
     ``str.format``: 9 significant digits for the vectors."""
     def vec(values):
         return " ".join("{:.9g}".format(float(v)) for v in values)
@@ -943,6 +1006,86 @@ def brute_write_features(records, path):
         fh.write("\n".join(lines))
         if lines:
             fh.write("\n")
+
+
+def brute_parse_mot(path):
+    """MOT rows read line by line as ``MotRow``s, by the rules of the
+    per-line reader the package had before its column reader: nine
+    comma-separated fields, each converted by ``int`` or ``float``; finite
+    confidence, visibility and box; positive box size.  Frames and ids are
+    Python ints of any size.  A frame below the row's before, or below 0 on
+    the first row, warns."""
+    records = []
+    last_frame = 0
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        fields = raw.split(",")
+        if len(fields) != 9:
+            raise ParseError(f"expected 9 fields, got {len(fields)}", lineno,
+                             path)
+        try:
+            rec = MotRow(
+                frame=int(fields[0]), id=int(fields[1]),
+                bb_left=float(fields[2]), bb_top=float(fields[3]),
+                bb_width=float(fields[4]), bb_height=float(fields[5]),
+                conf=float(fields[6]), class_id=int(fields[7]),
+                visibility=float(fields[8]))
+            if not all(map(math.isfinite, (rec.conf, rec.visibility))):
+                raise ValueError("conf and visibility must be finite")
+            BoundingBox(*rec[2:6])
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno, path) from exc
+        if rec.frame < last_frame:
+            warnings.warn(f"non-monotone frame at line {lineno}")
+        last_frame = rec.frame
+        records.append(rec)
+    return records
+
+
+def brute_parse_features(path):
+    """Feature rows read line by line as ``FeatureRow``s, by the rules of
+    the per-line reader the package had before its column reader: frame,
+    index, K and D by ``int``, then exactly the values they imply, a
+    ``PartFeatureSet`` and finite role logits; after every line is read,
+    the first row whose parts are shaped unlike the first row's fails, as
+    ``prtrack track`` failed it."""
+    records = []
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        tok = raw.split()
+        try:
+            frame, det_index, k, d = (int(tok[0]), int(tok[1]),
+                                      int(tok[2]), int(tok[3]))
+            expected = 4 + d + k * d + (k + 1) + 4
+            if len(tok) != expected:
+                raise ParseError(f"expected {expected} tokens, "
+                                 f"got {len(tok)}", lineno, path)
+            pos = 4
+            fg = np.array([float(v) for v in tok[pos:pos + d]])
+            pos += d
+            parts = np.array(
+                [float(v) for v in tok[pos:pos + k * d]]).reshape(k, d)
+            pos += k * d
+            vis = np.array([int(v) for v in tok[pos:pos + k + 1]])
+            pos += k + 1
+            role_logits = np.array([float(v) for v in tok[pos:pos + 4]])
+            if not np.isfinite(role_logits).all():
+                raise ValueError("role logits must be finite")
+            records.append((lineno, FeatureRow(
+                frame, det_index,
+                PartFeatureSet(parts=parts, foreground=fg, visibility=vis),
+                role_logits)))
+        except (ValueError, IndexError) as exc:
+            raise ParseError(str(exc), lineno, path) from exc
+    for lineno, rec in records:
+        if rec.features.parts.shape != records[0][1].features.parts.shape:
+            raise ParseError("parts shaped unlike the first row's", lineno,
+                             path)
+    return [rec for _, rec in records]
 
 
 def _brute_gilt_loss(parts, part_visibility, id_logits, labels, cfg):

@@ -22,8 +22,7 @@ from prtrack.embedder import (EmbedderModel, TrainConfig, forward_batch,
 from prtrack.losses import (LossWeights, TripletConfig, cross_entropy_id,
                             focal_loss, gilt_loss, masked_triplet_batch_hard,
                             part_prediction_loss, softmax, triplet_batch_hard)
-from prtrack.motio import (FeatureRecord, FeatureTable, MotRecord,
-                           parse_features, parse_mot, write_features,
+from prtrack.motio import (parse_features, parse_mot, write_features,
                            write_mot)
 from prtrack.postproc import MergeConfig, merge_tracklets
 from prtrack.pipeline import evaluate_reid
@@ -34,9 +33,9 @@ from prtrack.track_metrics import (SequenceResult, evaluate_sequence, hota,
                                    idf1, mota_ids)
 from prtrack.tracker import FrameInput, OnlineTracker, TrackerConfig
 
-from conftest import mot_records, random_feature_set
-from oracles import (brute_assignment, brute_hota, brute_idf1,
-                     brute_mota_ids)
+from conftest import mot_sequence, random_feature_set
+from oracles import (FeatureRow, MotRow, brute_assignment, brute_hota,
+                     brute_idf1, brute_mota_ids, feature_table, mot_table)
 from test_embedder import make_dataset
 
 
@@ -167,7 +166,7 @@ def test_acceptance_2b_metrics_vs_brute_force():
     alphas = (0.1, 0.3, 0.5, 0.7, 0.9)
     for seed in range(24):
         gt, pred = _micro_sequence(seed)
-        result = SequenceResult(mot_records(gt), mot_records(pred))
+        result = SequenceResult(mot_sequence(gt), mot_sequence(pred))
         h, d, a = hota(result, alphas=alphas)
         bh, bd, ba = brute_hota(gt, pred, alphas)
         assert abs(h - bh) < 1e-12 and abs(d - bd) < 1e-12 \
@@ -359,18 +358,18 @@ def test_acceptance_8_pipeline_determinism(tmp_path):
 def test_acceptance_9_format_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     for i in range(100):
-        mot = [MotRecord(frame=int(rng.integers(1, 100)),
-                         id=int(rng.integers(1, 20)),
-                         bb_left=float(rng.uniform(-10, 2000)),
-                         bb_top=float(rng.uniform(-10, 1100)),
-                         bb_width=float(rng.uniform(0.5, 300)),
-                         bb_height=float(rng.uniform(0.5, 300)),
-                         conf=float(rng.uniform(0, 1)),
-                         visibility=float(rng.uniform(0, 1)))
+        mot = [MotRow(frame=int(rng.integers(1, 100)),
+                      id=int(rng.integers(1, 20)),
+                      bb_left=float(rng.uniform(-10, 2000)),
+                      bb_top=float(rng.uniform(-10, 1100)),
+                      bb_width=float(rng.uniform(0.5, 300)),
+                      bb_height=float(rng.uniform(0.5, 300)),
+                      conf=float(rng.uniform(0, 1)),
+                      visibility=float(rng.uniform(0, 1)))
                for _ in range(int(rng.integers(1, 40)))]
         p1 = tmp_path / f"mot_{i}_a.txt"
         p2 = tmp_path / f"mot_{i}_b.txt"
-        write_mot(mot, p1)
+        write_mot(mot_table(mot), p1)
         write_mot(parse_mot(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -381,7 +380,7 @@ def test_acceptance_9_format_roundtrip(tmp_path):
             vis = (rng.random(k + 1) < 0.8).astype(int)
             if not vis.any():
                 vis[0] = 1
-            feats.append(FeatureRecord(
+            feats.append(FeatureRow(
                 frame=int(rng.integers(1, 50)), det_index=j,
                 features=PartFeatureSet(parts=rng.normal(size=(k, d)) * 10,
                                         foreground=rng.normal(size=d) * 10,
@@ -389,6 +388,6 @@ def test_acceptance_9_format_roundtrip(tmp_path):
                 role_logits=rng.normal(size=4)))
         f1 = tmp_path / f"feat_{i}_a.txt"
         f2 = tmp_path / f"feat_{i}_b.txt"
-        write_features(FeatureTable.from_records(feats), f1)
-        write_features(FeatureTable.from_records(parse_features(f1)), f2)
+        write_features(feature_table(feats), f1)
+        write_features(parse_features(f1), f2)
         assert f1.read_bytes() == f2.read_bytes()

@@ -50,3 +50,24 @@ def test_tracer_counts_tracking_input_and_step_rows():
     assert len(table) > 0
     assert tracer.counts["simgen.detections"] == len(table)
     assert tracer.counts["tracker.detections"] == len(table)
+
+
+def test_traced_commands_record_the_readers(tmp_path, capsys):
+    """``track`` reads ``features.txt`` and ``eval-track`` reads two MOT
+    files through the public readers, whose spans the benchmark's
+    ``motio.read_s`` sums."""
+    spans = _load_spans()
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("scenario: {frames: 3, n_players_per_team: 5}\n")
+    run = tmp_path / "run"
+    main = prtrack.cli.main
+    assert main(["generate", "--config", str(cfg), "--out", str(run)]) == 0
+    with spans.Tracer() as tracer:
+        assert main(["track", "--run", str(run)]) == 0
+        track = [name for name, *_ in tracer.spans]
+        assert main(["eval-track", "--gt", str(run / "gt.txt"),
+                     "--pred", str(run / "track_raw.txt")]) == 0
+        evaluation = [name for name, *_ in tracer.spans[len(track):]]
+    assert track.count("motio.parse_features") == 1
+    assert "motio.parse_mot" not in track
+    assert evaluation.count("motio.parse_mot") == 2

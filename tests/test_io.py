@@ -3,15 +3,16 @@ import pytest
 
 from prtrack.core import PartFeatureSet
 from prtrack.embedder import EmbedderModel
-from prtrack.motio import (FeatureRecord, FeatureTable, MotRecord, ParseError,
-                           load_model, parse_features, parse_mot, save_model,
+from prtrack.motio import (FeatureTable, ParseError, load_model,
+                           parse_features, parse_mot, save_model,
                            write_features, write_mot)
 
-from oracles import brute_write_features
+from oracles import (FeatureRow, MotRow, brute_parse_features,
+                     brute_write_features, feature_table, mot_table)
 
 
 def random_mot_records(rng, n=20):
-    return [MotRecord(frame=int(rng.integers(1, 50)),
+    return [MotRow(frame=int(rng.integers(1, 50)),
                       id=int(rng.integers(1, 10)),
                       bb_left=float(rng.uniform(0, 1000)),
                       bb_top=float(rng.uniform(0, 1000)),
@@ -30,18 +31,17 @@ def random_feature_records(rng, n=10, k=3, d=4):
         pfs = PartFeatureSet(parts=rng.normal(size=(k, d)),
                              foreground=rng.normal(size=d),
                              visibility=vis)
-        out.append(FeatureRecord(frame=int(rng.integers(1, 30)), det_index=i,
-                                 features=pfs,
-                                 role_logits=rng.normal(size=4)))
+        out.append(FeatureRow(frame=int(rng.integers(1, 30)), det_index=i,
+                              features=pfs, role_logits=rng.normal(size=4)))
     return out
 
 
 def test_mot_roundtrip_sorted(tmp_path, rng):
     path = tmp_path / "a.txt"
     records = random_mot_records(rng)
-    write_mot(records, path)
+    write_mot(mot_table(records), path)
     parsed = parse_mot(path)
-    assert [(r.frame, r.id) for r in parsed] == sorted(
+    assert list(zip(parsed.frame.tolist(), parsed.id.tolist())) == sorted(
         (r.frame, r.id) for r in records)
     path2 = tmp_path / "b.txt"
     write_mot(parsed, path2)
@@ -72,7 +72,7 @@ def test_mot_parse_errors(tmp_path):
 
 def test_mot_non_monotone_warns(tmp_path):
     p = tmp_path / "m.txt"
-    write_mot([MotRecord(2, 1, 0, 0, 5, 5)], p)
+    write_mot(mot_table([MotRow(2, 1, 0, 0, 5, 5)]), p)
     lines = p.read_text() + "1,1,0.000000,0.000000,5.000000,5.000000," \
         "1.000000,1,1.000000\n"
     p.write_text(lines)
@@ -83,18 +83,19 @@ def test_mot_non_monotone_warns(tmp_path):
 def test_feature_roundtrip(tmp_path, rng):
     path = tmp_path / "f.txt"
     records = random_feature_records(rng)
-    write_features(FeatureTable.from_records(records), path)
+    write_features(feature_table(records), path)
     parsed = parse_features(path)
     assert len(parsed) == len(records)
     path2 = tmp_path / "f2.txt"
-    write_features(FeatureTable.from_records(parsed), path2)
+    write_features(parsed, path2)
     assert path.read_bytes() == path2.read_bytes()
     by_key = {(r.frame, r.det_index): r for r in records}
-    for r in parsed:
-        orig = by_key[(r.frame, r.det_index)]
-        np.testing.assert_allclose(r.features.parts, orig.features.parts,
+    for i, key in enumerate(zip(parsed.frame.tolist(),
+                                parsed.det_index.tolist())):
+        orig = by_key[key]
+        np.testing.assert_allclose(parsed.parts[i], orig.features.parts,
                                    rtol=1e-8)
-        np.testing.assert_array_equal(r.features.visibility,
+        np.testing.assert_array_equal(parsed.visibility[i],
                                       orig.features.visibility)
 
 
@@ -103,14 +104,40 @@ def test_feature_writer_bytes_over_many_writes(tmp_path, rng):
     as the field-by-field writer."""
     records = random_feature_records(rng, n=2500)
     shuffled = [records[i] for i in rng.permutation(len(records))]
-    write_features(FeatureTable.from_records(shuffled), tmp_path / "a.txt")
+    write_features(feature_table(shuffled), tmp_path / "a.txt")
     brute_write_features(records, tmp_path / "b.txt")
     assert (tmp_path / "a.txt").read_bytes() == \
         (tmp_path / "b.txt").read_bytes()
 
 
-def test_feature_table_checks(rng):
-    table = FeatureTable.from_records(random_feature_records(rng, n=3))
+def test_feature_reader_over_many_blocks(tmp_path, rng):
+    """More lines than the reader converts at once: the per-line reader's
+    values, and a bad line or a part count unlike the first row's in a
+    later block fails at its own line."""
+    path = tmp_path / "f.txt"
+    brute_write_features(random_feature_records(rng, n=2500), path)
+    got, want = parse_features(path), feature_table(brute_parse_features(path))
+    for name in ("frame", "det_index", "parts", "foreground", "visibility",
+                 "role_logits"):
+        np.testing.assert_array_equal(getattr(got, name),
+                                      getattr(want, name))
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+    lines = path.read_text().splitlines(keepends=True)
+    tok = lines[2099].split()
+    bad = {"role logits must be finite": tok[:-1] + ["nan"],
+           "parts shaped unlike the first row's":
+               tok[:2] + ["2"] + tok[3:4 + 3 * 4] + tok[4 + 4 * 4:-5]
+               + tok[-4:]}
+    for message, tokens in bad.items():
+        path.write_text("".join(lines[:2099] + [" ".join(tokens) + "\n"]
+                                + lines[2100:]))
+        with pytest.raises(ParseError) as err:
+            parse_features(path)
+        assert str(err.value) == f"{path}: line 2100: {message}"
+
+
+def test_feature_table_checks(rng, tmp_path):
+    table = feature_table(random_feature_records(rng, n=3))
     assert table.parts.shape == (3, 3, 4)
     good = {f: getattr(table, f) for f in ("frame", "det_index", "parts",
                                            "foreground", "visibility",
@@ -129,11 +156,13 @@ def test_feature_table_checks(rng):
             ("parts", np.zeros((3, 0, 4)), "K >= 1")):
         with pytest.raises(ValueError, match=message):
             FeatureTable(**{**good, name: bad})
+    # Rows of mixed K make no table: the reader fails the file.
     mixed = random_feature_records(rng, n=2) + random_feature_records(
         rng, n=1, k=2)
-    with pytest.raises(ValueError):
-        FeatureTable.from_records(mixed)
-    assert FeatureTable.from_records([]).parts.shape[0] == 0
+    brute_write_features(mixed, tmp_path / "mixed.txt")
+    with pytest.raises(ParseError, match="parts shaped unlike the first"):
+        parse_features(tmp_path / "mixed.txt")
+    assert FeatureTable.empty().parts.shape[0] == 0
 
 
 def test_feature_parse_errors(tmp_path):

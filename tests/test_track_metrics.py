@@ -10,11 +10,11 @@ from prtrack.track_metrics import (DuplicateId, EmptyGroundTruth,
                                    SequenceResult, evaluate_sequence,
                                    frame_match, hota, idf1, mota_ids)
 
-from conftest import box, mot_records
+from conftest import box, mot_sequence
 
 
 def seq(gt, pred):
-    return SequenceResult(mot_records(gt), mot_records(pred))
+    return SequenceResult(mot_sequence(gt), mot_sequence(pred))
 
 
 def test_frame_match_threshold():
@@ -30,7 +30,7 @@ def test_frame_match_threshold():
 def test_perfect_tracking_is_all_ones():
     gt = {f: [(1, box(0, 0)), (2, box(50, 0))] for f in range(1, 6)}
     pred = {f: [(11, box(0, 0)), (12, box(50, 0))] for f in range(1, 6)}
-    r = evaluate_sequence(mot_records(gt), mot_records(pred))
+    r = evaluate_sequence(mot_sequence(gt), mot_sequence(pred))
     assert r.hota == 1.0 and r.deta == 1.0 and r.assa == 1.0
     assert r.mota == 1.0 and r.idf1 == 1.0 and r.id_switches == 0
 
@@ -93,7 +93,7 @@ def test_frames_and_ids_beyond_64_bits():
     big = 2 ** 70
     gt = {big + f: [(big, box(0, 0)), (-big, box(50, 0))] for f in range(3)}
     pred = {big + f: [(-big, box(0, 0)), (big, box(50, 0))] for f in range(3)}
-    r = evaluate_sequence(mot_records(gt), mot_records(pred))
+    r = evaluate_sequence(mot_sequence(gt), mot_sequence(pred))
     assert (r.hota, r.mota, r.idf1, r.id_switches) == (1.0, 1.0, 1.0, 0)
 
 
@@ -108,7 +108,7 @@ def test_iou_kernel_called_once_per_frame(monkeypatch):
     # Frames 1-5 have ground truth, 3-7 predictions, frame 9 only a stray.
     gt = {f: [(1, box(0, 0)), (2, box(50, 0))] for f in range(1, 6)}
     pred = {f: [(7, box(1, 0))] for f in (*range(3, 8), 9)}
-    evaluate_sequence(mot_records(gt), mot_records(pred))
+    evaluate_sequence(mot_sequence(gt), mot_sequence(pred))
     assert calls == [(2, 0), (2, 0), (2, 1), (2, 1), (2, 1), (0, 1), (0, 1),
                      (0, 1)]
 
@@ -215,9 +215,9 @@ def test_memoized_matches_equal_per_threshold_matching(sequence, data):
         want = [frame_match(ious, a) for _, _, ious in r.frames]
         assert r.matches(a) == want
         assert [_reference_match(ious, a) for _, _, ious in r.frames] == want
-    if r.gt_ids:
-        fresh = SequenceResult(mot_records(sequence[0]),
-                               mot_records(sequence[1]))
+    if len(r.gt_ids):
+        fresh = SequenceResult(mot_sequence(sequence[0]),
+                               mot_sequence(sequence[1]))
         assert hota(r, alphas) == hota(fresh, alphas)
         assert mota_ids(r) == mota_ids(fresh)
 

@@ -2,7 +2,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -127,25 +127,31 @@ _ema_float = st.floats(-1e6, 1e6, allow_subnormal=False).filter(
 
 @st.composite
 def ema_cases(draw):
-    """EMA state and detections of T tracks, and an alpha in (0, 1].  At
-    alpha 0 the normalized weights of a part hidden in the detection sum
-    to 0, so there is no EMA to keep."""
+    """EMA state and detections of T tracks, and an alpha in [0, 1].  At
+    alpha 0 the normalized weights of a part hidden in the detection sum to
+    0, and at alpha 1 those of a part the track had not seen."""
     t, k, d = (draw(st.integers(1, n)) for n in (4, 3, 4))
     ema, feats = (draw(arrays(float, (t, k + 1, d), elements=_ema_float))
                   for _ in range(2))
     ema_vis, vis = (draw(arrays(int, (t, k + 1), elements=st.integers(0, 1)))
                     for _ in range(2))
-    alpha = draw(st.one_of(st.sampled_from([0.5, 0.9, 1.0]),
+    alpha = draw(st.one_of(st.sampled_from([0.0, 0.5, 0.9, 1.0]),
                            st.floats(0.01, 1.0)))
     return ema, ema_vis, feats, vis, alpha
 
 
 @settings(deadline=None)
 @given(ema_cases())
+@example((np.full((1, 3, 2), 2.0), np.ones((1, 3), dtype=int),
+          np.full((1, 3, 2), 5.0), np.array([[1, 1, 0]]), 0.0))
+@example((np.full((1, 3, 2), 2.0), np.array([[1, 1, 0]]),
+          np.full((1, 3, 2), 5.0), np.ones((1, 3), dtype=int), 1.0))
 def test_normalized_ema_keeps_parts_hidden_in_the_detection(case):
     """With ``normalized``, a part that the track has seen and the
-    detection hides keeps its EMA within 1 ulp (alpha * e / alpha).  In
-    both modes the visibility bits become the OR of the track's and the
+    detection hides keeps its EMA within 1 ulp (alpha * e / alpha), and a
+    part the track had not seen takes the detection's features within 1
+    ulp; at alpha 0 or 1, where that side's weight is 0, exactly.  In both
+    modes the visibility bits become the OR of the track's and the
     detection's."""
     ema, ema_vis, feats, vis, alpha = case
     for normalized in (False, True):
@@ -154,6 +160,12 @@ def test_normalized_ema_keeps_parts_hidden_in_the_detection(case):
         np.testing.assert_array_equal(mixed_vis, ema_vis | vis)
     kept = (ema_vis == 1) & (vis == 0)
     np.testing.assert_array_max_ulp(mixed[kept], ema[kept], maxulp=1)
+    seen = (ema_vis == 0) & (vis == 1)
+    np.testing.assert_array_max_ulp(mixed[seen], feats[seen], maxulp=1)
+    if alpha in (0.0, 1.0):
+        lone = kept if alpha == 0.0 else seen
+        assert _bits(mixed[lone]) == _bits((ema if alpha == 0.0
+                                            else feats)[lone])
 
 
 def test_build_cost_gating():
