@@ -3,8 +3,7 @@ desk scale: joint re-identification / team / role embeddings, an online
 tracker with EMA part features, appearance-based tracklet merging, and a
 full retrieval + tracking evaluation suite on synthetic scenarios."""
 
-from .core import (BoundingBox, KalmanState, NoMutualVisibility,
-                   PartFeatureSet, Role, TrackStatus, Tracklet, iou_matrix,
+from .core import (NoMutualVisibility, PartFeatureSet, Role, iou_matrix,
                    part_distance, part_distance_matrix)
 from .losses import (DegenerateBatch, LossValue, LossWeights, TripletConfig,
                      cross_entropy_id, focal_loss, gilt_loss,

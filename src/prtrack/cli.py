@@ -297,22 +297,25 @@ def cmd_eval_reid(args) -> int:
 def cmd_eval_track(args) -> int:
     row = dataclasses.asdict(evaluate_sequence(parse_mot(args.gt),
                                                parse_mot(args.pred)))
-    print(_format_track_table({"result": row}))
+    print(_format_track_table([("result", row)]))
     if args.out:
         _dump_yaml(row, Path(args.out))
     return 0
 
 
-def _format_track_table(rows: dict[str, dict]) -> str:
-    header = "name       " + "".join(f"{c:>12}" for c in _TRACK_COLUMNS)
-    lines = [header]
-    for name, row in rows.items():
+def _format_track_table(rows: list[tuple[str, dict]]) -> str:
+    """One line per ``(name, row)`` pair, under a header; the name column
+    is as wide as the longest name, and at least 11 characters."""
+    width = max(11, *(len(name) for name, _ in rows))
+    lines = [f"{'name':<{width}}"
+             + "".join(f"{c:>12}" for c in _TRACK_COLUMNS)]
+    for name, row in rows:
         cells = []
         for c in _TRACK_COLUMNS:
             v = row[c]
             cells.append(f"{v:>12}" if isinstance(v, int)
                          else f"{v:>12.4f}")
-        lines.append(f"{name:<11}" + "".join(cells))
+        lines.append(f"{name:<{width}}" + "".join(cells))
     return "\n".join(lines)
 
 
@@ -331,8 +334,8 @@ def cmd_pipeline(args) -> int:
 
     lines = ["desk-scale results", "==================", ""]
     t = report["tracking"]
-    lines.append(_format_track_table({"desk": {
-        k: t[k] for k in _TRACK_COLUMNS}}))
+    lines.append(_format_track_table([("desk", {
+        k: t[k] for k in _TRACK_COLUMNS})]))
     lines.append("")
     for key, value in sorted(report["reid"].items()):
         lines.append(f"{key}: {value:.4f}")
@@ -340,17 +343,17 @@ def cmd_pipeline(args) -> int:
                  f"{report['team_cluster_accuracy']:.4f}")
     lines.append("")
     lines.append(f"full-scale reference ({reference.REFERENCE_LABEL})")
-    lines.append(_format_track_table({
-        "ref w/ GT": reference.TRACKING_REFERENCE_GT,
-        "ref w/o GT": reference.TRACKING_REFERENCE_DET,
-    }))
+    lines.append(_format_track_table([
+        ("ref w/ GT", reference.TRACKING_REFERENCE_GT),
+        ("ref w/o GT", reference.TRACKING_REFERENCE_DET),
+    ]))
     (run_dir / "report.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 
 
 def cmd_report(args) -> int:
-    rows = {}
+    rows = []
     for run in args.compare:
         path = Path(run) / "report.yaml"
         data = load_yaml(path)
@@ -362,10 +365,10 @@ def cmd_report(args) -> int:
             if type(v) not in (int, float):     # a bool is not a number
                 raise ParseError(f"tracking.{k} is not a number: {v!r}",
                                  path=path)
-        rows[Path(run).name] = row
+        rows.append((run, row))
     if len(rows) == 2:
-        a, b = rows.values()
-        rows["delta"] = {k: b[k] - a[k] for k in _TRACK_COLUMNS}
+        (_, a), (_, b) = rows
+        rows.append(("delta", {k: b[k] - a[k] for k in _TRACK_COLUMNS}))
     print(_format_track_table(rows))
     return 0
 

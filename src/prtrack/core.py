@@ -11,25 +11,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .simgen import DetectionTable
 
 __all__ = [
     "DataError",
     "NoMutualVisibility",
     "Role",
-    "TrackStatus",
     "PartFeatureSet",
-    "BoundingBox",
-    "KalmanState",
-    "Tracklet",
     "part_distance",
     "part_distance_matrix",
-    "box_array",
     "xywh_to_xyah",
     "xyah_to_xywh",
     "iou_matrix",
@@ -52,13 +43,6 @@ class Role(enum.IntEnum):
     GOALKEEPER = 1
     REFEREE = 2
     STAFF = 3
-
-
-class TrackStatus(enum.Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-    LOST = "lost"
-    FINISHED = "finished"
 
 
 @dataclass(frozen=True)
@@ -101,41 +85,6 @@ class PartFeatureSet:
     def stacked(self) -> np.ndarray:
         """(K+1, D) array ordered (foreground, part 1..K), matching visibility."""
         return np.vstack([self.foreground[None, :], self.parts])
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box, top-left corner plus size, in pixels."""
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def __post_init__(self):
-        _check_boxes(np.array([[self.x, self.y, self.w, self.h]], dtype=float))
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
-
-
-@dataclass
-class KalmanState:
-    """8-state constant-velocity box state: (cx, cy, a, h) and velocities."""
-
-    mean: np.ndarray        # (8,)
-    covariance: np.ndarray  # (8, 8)
-
-
-@dataclass
-class Tracklet:
-    id: int
-    detections: DetectionTable  # member rows, in frame order
-    ema_features: PartFeatureSet | None = None
-    kalman: KalmanState | None = None
-    status: TrackStatus = TrackStatus.TENTATIVE
-    role_logit_sum: np.ndarray | None = None
 
 
 def _stack(sets: list[PartFeatureSet]) -> tuple[np.ndarray, np.ndarray]:
@@ -195,17 +144,11 @@ def part_distance_matrix(
 
 def _check_boxes(boxes: np.ndarray) -> None:
     """Finite fields and positive sizes, over an ``(N, 4)`` array of x, y,
-    w, h rows; :class:`BoundingBox` checks its one row."""
+    w, h rows."""
     if not np.isfinite(boxes).all():
         raise ValueError("box fields must be finite")
     if not (boxes[:, 2:] > 0).all():
         raise ValueError("box width and height must be positive")
-
-
-def box_array(boxes: list[BoundingBox]) -> np.ndarray:
-    """(N, 4) array of ``x, y, w, h`` rows, one per box."""
-    return np.array([(b.x, b.y, b.w, b.h) for b in boxes],
-                    dtype=float).reshape(-1, 4)
 
 
 def xywh_to_xyah(boxes: np.ndarray) -> np.ndarray:

@@ -99,8 +99,12 @@ def read_text(path) -> str:
     try:
         return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text ({exc.reason})",
-                         data.count(b"\n", 0, exc.start) + 1, path) from None
+        # The line ends before the bad byte, as the text is read: \r\n,
+        # \r or \n.
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ParseError(f"not UTF-8 text ({exc.reason})", line + 1,
+                         path) from None
 
 
 def row_lines(path) -> np.ndarray:

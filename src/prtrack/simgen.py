@@ -578,7 +578,7 @@ _ROLE_LOGIT_SCALE = 6.0
 class DetectionTable:
     """A run's N detections as columns, in frame order and, within a frame,
     in roster order.  Building one checks the boxes once over the whole
-    array, as :class:`~prtrack.core.BoundingBox` checks one box."""
+    array."""
 
     frame: np.ndarray        # (N,) frame numbers, from 1
     det_index: np.ndarray    # (N,) index of the detection within its frame

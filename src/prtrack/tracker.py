@@ -11,8 +11,7 @@ over all rows, one fused cost, one assignment, then one Kalman update and
 one EMA over the matched rows.  Survivors keep their relative order and
 spawns are appended in detection order, which the assignment's tie-break
 toward low (row, col) pairs depends on.  :meth:`OnlineTracker.finish`
-returns the finished tracklets as one :class:`TrackletTable` of columns;
-only the :attr:`OnlineTracker.tracks` snapshot builds ``Tracklet``s.
+returns the finished tracklets as one :class:`TrackletTable` of columns.
 
 Association reads only boxes and appearance features; team and role labels
 never enter the cost computation.
@@ -24,8 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import (KalmanState, PartFeatureSet, TrackStatus, Tracklet,
-                   _part_distances, iou_matrix, xywh_to_xyah, xyah_to_xywh)
+from .core import _part_distances, iou_matrix, xywh_to_xyah, xyah_to_xywh
 from .motio import MotTable
 from .simgen import DetectionTable
 from .solvers import hungarian
@@ -193,7 +191,6 @@ def ema_update(ema: np.ndarray, ema_vis: np.ndarray,
 
 # Status codes of live rows; a track leaves the rows when it finishes.
 _TENTATIVE, _CONFIRMED, _LOST = range(3)
-_STATUS = (TrackStatus.TENTATIVE, TrackStatus.CONFIRMED, TrackStatus.LOST)
 
 
 @dataclass
@@ -233,18 +230,6 @@ class _Rows:
         return _Rows(*(np.concatenate([getattr(p, f.name) for p in parts])
                        for f in fields(_Rows)[:-1]),
                      [m for p in parts for m in p.members])
-
-    def tracklets(self, table: DetectionTable) -> list[Tracklet]:
-        """One new ``Tracklet`` per row, owning copies of the row's state
-        and of its member rows of ``table``, the detection rows."""
-        return [Tracklet(
-            id=int(self.ids[i]), detections=table.take(self.members[i]),
-            ema_features=PartFeatureSet(parts=self.ema[i, 1:].copy(),
-                                        foreground=self.ema[i, 0].copy(),
-                                        visibility=self.vis[i].copy()),
-            kalman=KalmanState(self.mean[i].copy(), self.cov[i].copy()),
-            status=_STATUS[self.status[i]],
-            role_logit_sum=self.logits[i].copy()) for i in range(len(self))]
 
 
 @dataclass
@@ -306,12 +291,6 @@ class OnlineTracker:
         # The tables stepped so far; track members index their rows.
         self._tables: list[DetectionTable] = []
         self._n_rows = 0
-
-    @property
-    def tracks(self) -> list[Tracklet]:
-        """Snapshot of the live tracks in row order; changing it does not
-        change the tracker."""
-        return self._rows.tracklets(DetectionTable.concat(self._tables))
 
     def step(self, frame_input: FrameInput
              ) -> tuple[int, np.ndarray, np.ndarray]:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from prtrack.core import BoundingBox, PartFeatureSet
+from prtrack.core import PartFeatureSet
 
-from oracles import MotRow, mot_table
+from oracles import Box, MotRow, mot_table
 
 
 def random_feature_set(rng, k=5, d=8, p_visible=0.7, force_any=True):
@@ -17,7 +17,7 @@ def random_feature_set(rng, k=5, d=8, p_visible=0.7, force_any=True):
 
 
 def box(x, y, w=10.0, h=10.0):
-    return BoundingBox(x, y, w, h)
+    return Box(x, y, w, h)
 
 
 def mot_sequence(frames):

@@ -11,8 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from prtrack.core import (BoundingBox, PartFeatureSet, Role, TrackStatus,
-                          Tracklet, box_array, iou_matrix,
+from prtrack.core import (PartFeatureSet, Role, _check_boxes, iou_matrix,
                           part_distance_matrix, xyah_to_xywh)
 from prtrack.embedder import (PARAM_NAMES, EmbedderModel, TrainBatch,
                               _lr_at, forward_batch)
@@ -27,13 +26,23 @@ from prtrack.simgen import (_VIEW_CHUNK, Agent, ScenarioConfig,
 from prtrack.solvers import hungarian
 
 
+class Box(NamedTuple):
+    """One box as a record of its own: top-left corner plus size, in
+    pixels."""
+
+    x: float
+    y: float
+    w: float
+    h: float
+
+
 @dataclass
 class Detection:
     """One detection as a record of its own, as the per-object reference
     algorithms read it."""
 
     frame: int
-    box: BoundingBox
+    box: Box
     confidence: float = 1.0
     features: PartFeatureSet | None = None
     role_logits: np.ndarray | None = None  # (4,)
@@ -147,7 +156,7 @@ def stack_samples(samples):
 
 
 def box_iou(a, b):
-    """Intersection over union of two ``BoundingBox``es: the overlap
+    """Intersection over union of two ``Box``es: the overlap
     rectangle's area over the area the two boxes cover together."""
     ix = max(0.0, min(a.x + a.w, b.x + b.w) - max(a.x, b.x))
     iy = max(0.0, min(a.y + a.h, b.y + b.h) - max(a.y, b.y))
@@ -458,8 +467,25 @@ def _ema(ema, det, alpha, normalized):
                           visibility=np.array(vis))
 
 
+# The statuses of a ``brute_track`` track.
+TENTATIVE, CONFIRMED, LOST, FINISHED = ("tentative", "confirmed", "lost",
+                                        "finished")
+
+
+@dataclass
+class Track:
+    """One track of ``brute_track`` as a record of its own."""
+
+    id: int
+    detections: list                # its ``Detection``s, in frame order
+    ema_features: PartFeatureSet
+    kalman: tuple                   # mean (8,), covariance (8, 8)
+    status: str                     # one of the statuses above
+    role_logit_sum: np.ndarray      # (4,)
+
+
 def brute_track(frames, cfg):
-    """Per-object reference of ``OnlineTracker``: one ``Tracklet`` per
+    """Per-object reference of ``OnlineTracker``: one ``Track`` per
     track, predicted, matched and aged track by track with per-track Kalman
     and EMA formulas of its own.  The association cost reads the package's
     part-distance and IoU matrices and the assignment its ``hungarian``,
@@ -480,7 +506,7 @@ def brute_track(frames, cfg):
                                        [d.features for d in dets])
             ious = iou_matrix(
                 xyah_to_xywh(np.array([t.kalman[0][:4] for t in tracks])),
-                box_array([d.box for d in dets]))
+                [d.box for d in dets])
             w = cfg.appearance_weight
             with np.errstate(invalid="ignore"):
                 cost = w * app + (1.0 - w) * (1.0 - ious)
@@ -499,35 +525,32 @@ def brute_track(frames, cfg):
                 t.role_logit_sum = t.role_logit_sum + d.role_logits
             hits[t.id] += 1
             misses[t.id] = 0
-            if (t.status in (TrackStatus.TENTATIVE, TrackStatus.LOST)
-                    and hits[t.id] >= cfg.n_init):
-                t.status = TrackStatus.CONFIRMED
+            if t.status in (TENTATIVE, LOST) and hits[t.id] >= cfg.n_init:
+                t.status = CONFIRMED
         matched = {ti for ti, _ in pairs}
         outputs, survivors = [], []
         for i, t in enumerate(tracks):
             if i in matched:
-                if t.status == TrackStatus.CONFIRMED:
+                if t.status == CONFIRMED:
                     outputs.append((frame, t.id, t.detections[-1].box))
                 survivors.append(t)
                 continue
             misses[t.id] += 1
-            if (t.status == TrackStatus.TENTATIVE
-                    or misses[t.id] > cfg.max_age):
-                t.status = TrackStatus.FINISHED
+            if t.status == TENTATIVE or misses[t.id] > cfg.max_age:
+                t.status = FINISHED
                 finished.append(t)
             else:
-                t.status = TrackStatus.LOST
+                t.status = LOST
                 survivors.append(t)
         tracks = survivors
         used = {di for _, di in pairs}
         for j, d in enumerate(dets):
             if j in used:
                 continue
-            tracks.append(Tracklet(
+            tracks.append(Track(
                 id=next_id, detections=[d], ema_features=d.features,
                 kalman=_kalman_init(d.box),
-                status=(TrackStatus.CONFIRMED if cfg.n_init <= 1
-                        else TrackStatus.TENTATIVE),
+                status=CONFIRMED if cfg.n_init <= 1 else TENTATIVE,
                 role_logit_sum=(np.array(d.role_logits)
                                 if d.role_logits is not None
                                 else np.zeros(4))))
@@ -535,7 +558,7 @@ def brute_track(frames, cfg):
             next_id += 1
         steps.append((outputs, [_state(t) for t in tracks]))
     for t in tracks:
-        t.status = TrackStatus.FINISHED
+        t.status = FINISHED
     done = [t for t in finished + tracks if hits[t.id] >= cfg.n_init]
     return steps, [_state(t) for t in sorted(done, key=lambda t: t.id)]
 
@@ -619,7 +642,7 @@ class Observation:
     frame: int
     identity: int
     present: bool
-    box: BoundingBox | None
+    box: Box | None
     part_visible: np.ndarray | None  # (K,)
     grid: FeatureGrid | None
 
@@ -737,9 +760,8 @@ def brute_generate(config):
                 obs_t.append(Observation(t + 1, a.identity, False,
                                          None, None, None))
                 continue
-            box = BoundingBox(pos[i, 0] - box_w[i] / 2,
-                              pos[i, 1] - box_h[i] / 2,
-                              box_w[i], box_h[i])
+            box = Box(pos[i, 0] - box_w[i] / 2, pos[i, 1] - box_h[i] / 2,
+                      box_w[i], box_h[i])
             part_vis = (~hidden_parts).astype(int)
             labels = base_labels.copy()
             for j in range(k):
@@ -909,7 +931,7 @@ def brute_tracking_input(scenario, detector_noise="none", noise_param=0.0,
                 continue
             if detector_noise == "jitter":
                 dx, dy = rng.normal(0.0, noise_param, 2)
-                box = BoundingBox(box.x + dx, box.y + dy, box.w, box.h)
+                box = Box(box.x + dx, box.y + dy, box.w, box.h)
             agent = scenario.agent(ob.identity)
             feats = role_logits = None
             if features == "oracle":
@@ -1034,7 +1056,7 @@ def brute_parse_mot(path):
                 visibility=float(fields[8]))
             if not all(map(math.isfinite, (rec.conf, rec.visibility))):
                 raise ValueError("conf and visibility must be finite")
-            BoundingBox(*rec[2:6])
+            _check_boxes(np.array([rec[2:6]], dtype=float))
         except ValueError as exc:
             raise ParseError(str(exc), lineno, path) from exc
         if rec.frame < last_frame:

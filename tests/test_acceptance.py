@@ -34,7 +34,7 @@ from prtrack.track_metrics import (SequenceResult, evaluate_sequence, hota,
 from prtrack.tracker import FrameInput, OnlineTracker, TrackerConfig
 
 from conftest import mot_sequence, random_feature_set
-from oracles import (FeatureRow, MotRow, brute_assignment, brute_hota,
+from oracles import (Box, FeatureRow, MotRow, brute_assignment, brute_hota,
                      brute_idf1, brute_mota_ids, feature_table, mot_table)
 from test_embedder import make_dataset
 
@@ -143,22 +143,20 @@ def _micro_sequence(seed):
              for i in range(1, n_ids + 1)}
     split_frame = {i: int(rng.integers(2, n_frames + 1))
                    for i in range(1, n_ids + 1)}
-    from prtrack.core import BoundingBox
     for f in range(1, n_frames + 1):
         gt[f], pred[f] = [], []
         for i, (x0, y0, vx, vy) in paths.items():
-            box = BoundingBox(x0 + vx * f, y0 + vy * f, 20.0, 40.0)
+            box = Box(x0 + vx * f, y0 + vy * f, 20.0, 40.0)
             gt[f].append((i, box))
             if rng.random() < 0.15:
                 continue  # missed detection
             jx, jy = rng.normal(0, 1.5, 2)
-            pbox = BoundingBox(box.x + jx, box.y + jy, 20.0, 40.0)
+            pbox = Box(box.x + jx, box.y + jy, 20.0, 40.0)
             pid = i if f < split_frame[i] else i + 100
             pred[f].append((pid, pbox))
         if rng.random() < 0.2:
-            pred[f].append((999, BoundingBox(rng.uniform(600, 900),
-                                             rng.uniform(600, 900),
-                                             20.0, 40.0)))
+            pred[f].append((999, Box(rng.uniform(600, 900),
+                                     rng.uniform(600, 900), 20.0, 40.0)))
     return gt, pred
 
 

@@ -760,9 +760,10 @@ def test_seed_env_var(tmp_path, monkeypatch):
 
 
 def test_report_compare(tmp_path, capsys):
-    for name, hota in (("a", 0.5), ("b", 0.7)):
+    hota_of = {"a": 0.5, "b": 0.7, "x/run": 0.25, "y/run": 0.75}
+    for name, hota in hota_of.items():
         d = tmp_path / name
-        d.mkdir()
+        d.mkdir(parents=True)
         (d / "report.yaml").write_text(yaml.safe_dump({
             "tracking": {"hota": hota, "deta": 0.9, "assa": 0.4,
                          "mota": 0.8, "idf1": 0.6, "id_switches": 3}}))
@@ -770,6 +771,17 @@ def test_report_compare(tmp_path, capsys):
                  str(tmp_path / "b")]) == 0
     out = capsys.readouterr().out
     assert "delta" in out
+    # Each row is labelled by its path as given, so runs whose directories
+    # share a name keep a row each; two runs always get a delta row.
+    for first, second in (("x/run", "y/run"), ("x/run", "x/run")):
+        runs = [str(tmp_path / first), str(tmp_path / second)]
+        assert main(["report", "--compare", *runs]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        hota = hota_of[first], hota_of[second]
+        assert [line.split()[:2] for line in lines] == [
+            ["name", "hota"], [runs[0], f"{hota[0]:.4f}"],
+            [runs[1], f"{hota[1]:.4f}"],
+            ["delta", f"{hota[1] - hota[0]:.4f}"]]
     path = tmp_path / "b" / "report.yaml"
     for text, message in (("tracking: {hota: [1, 2\n", "line 2: invalid YAML"),
                           ("reid: {}\n", "no tracking mapping"),

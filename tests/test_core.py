@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from prtrack.core import (BoundingBox, NoMutualVisibility, PartFeatureSet,
-                          box_array, iou_matrix, part_distance,
-                          part_distance_matrix, xywh_to_xyah,
-                          xyah_to_xywh)
+from prtrack.core import (NoMutualVisibility, PartFeatureSet, _check_boxes,
+                          iou_matrix, part_distance, part_distance_matrix,
+                          xywh_to_xyah, xyah_to_xywh)
 
 from conftest import random_feature_set
-from oracles import box_iou
+from oracles import Box, box_iou
 
 
 def test_feature_set_validation():
@@ -147,18 +146,18 @@ def test_invisible_values_do_not_matter(sets, fill):
 
 
 def test_box_roundtrip():
-    b = BoundingBox(10.0, 20.0, 30.0, 60.0)
-    np.testing.assert_array_equal(xywh_to_xyah(box_array([b])),
-                                  [[25.0, 50.0, 0.5, 60.0]])
-    np.testing.assert_allclose(xyah_to_xywh(xywh_to_xyah(box_array([b]))),
+    b = np.array([[10.0, 20.0, 30.0, 60.0]])
+    np.testing.assert_array_equal(xywh_to_xyah(b), [[25.0, 50.0, 0.5, 60.0]])
+    np.testing.assert_allclose(xyah_to_xywh(xywh_to_xyah(b)),
                                [[10.0, 20.0, 30.0, 60.0]])
-    np.testing.assert_array_equal(box_array([b, b]), [[10, 20, 30, 60]] * 2)
-    assert box_array([]).shape == (0, 4)
-    with pytest.raises(ValueError):
-        BoundingBox(0, 0, -1, 5)
+    np.testing.assert_array_equal(xywh_to_xyah(np.vstack([b, b])),
+                                  [[25.0, 50.0, 0.5, 60.0]] * 2)
+    assert xywh_to_xyah(np.zeros((0, 4))).shape == (0, 4)
+    with pytest.raises(ValueError, match="positive"):
+        _check_boxes(np.array([[0, 0, -1, 5]], dtype=float))
     for bad in ((np.nan, 0, 5, 5), (0, 0, np.nan, 10), (0, 0, 5, np.inf)):
-        with pytest.raises(ValueError):
-            BoundingBox(*bad)
+        with pytest.raises(ValueError, match="finite"):
+            _check_boxes(np.array([bad], dtype=float))
 
 
 def test_iou_basic(rng):
@@ -170,9 +169,9 @@ def test_iou_basic(rng):
     assert m[0, 2] == pytest.approx(50.0 / 150.0)
     assert iou_matrix(np.zeros((0, 4)), [a]).shape == (0, 1)
     # every entry equals the definition's value to the bit
-    boxes = [BoundingBox(*rng.uniform(0, 50, 2), *rng.uniform(1, 30, 2))
+    boxes = [Box(*rng.uniform(0, 50, 2), *rng.uniform(1, 30, 2))
              for _ in range(12)]
-    m = iou_matrix(box_array(boxes[:5]), box_array(boxes[5:]))
+    m = iou_matrix(boxes[:5], boxes[5:])
     expected = [[box_iou(p, q) for q in boxes[5:]] for p in boxes[:5]]
     np.testing.assert_array_equal(m, expected)
 

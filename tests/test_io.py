@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prtrack.config import load_config
 from prtrack.core import PartFeatureSet
 from prtrack.embedder import EmbedderModel
 from prtrack.motio import (FeatureTable, ParseError, load_model,
@@ -183,6 +184,22 @@ def test_feature_parse_errors(tmp_path):
             parse_features(_write(p, good, bad))
         assert str(err.value).startswith(f"{p}: line 2: ")
         assert "finite" in str(err.value)
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"],
+                         ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("read, line", [
+    (parse_mot, b"1,1,0,0,10,10,1,1,1"),
+    (parse_features, b"1 0 1 2 0.5 1.5 2.0 3.0 1 1 0.1 0.2 0.3 0.4"),
+    (load_config, b"seed: 3")], ids=["mot", "features", "config"])
+def test_non_utf8_byte_names_its_line(tmp_path, read, line, end):
+    """A byte that is not UTF-8 is reported on its line, whichever line
+    ends the file has."""
+    p = tmp_path / "bad.txt"
+    p.write_bytes(line + end + line + end + b"\xff" + end)
+    with pytest.raises(ParseError) as err:
+        read(p)
+    assert str(err.value).startswith(f"{p}: line 3: not UTF-8")
 
 
 def _write(path, *lines):

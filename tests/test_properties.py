@@ -19,13 +19,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from prtrack.core import BoundingBox, PartFeatureSet, box_array, iou_matrix
+from prtrack.core import PartFeatureSet, iou_matrix
 from prtrack.motio import (MotTable, ParseError, parse_features, parse_mot,
                            write_features, write_mot)
 from prtrack.track_metrics import SequenceResult, evaluate_sequence, hota
 
 from conftest import mot_sequence
-from oracles import (FeatureRow, MotRow, brute_parse_features,
+from oracles import (Box, FeatureRow, MotRow, brute_parse_features,
                      brute_parse_mot, brute_write_features, brute_write_mot,
                      feature_table, mot_table)
 
@@ -44,20 +44,20 @@ def sequences(draw, lanes=False):
     gt, pred = {}, {}
     for f in range(1, n_frames + 1):
         ids = draw(st.lists(st.integers(1, 5), max_size=4, unique=True))
-        gt[f] = [(i, BoundingBox(500.0 * i + draw(st.floats(0, 100))
-                                 if lanes else draw(_coord),
-                                 draw(_coord), draw(_size), draw(_size)))
+        gt[f] = [(i, Box(500.0 * i + draw(st.floats(0, 100))
+                         if lanes else draw(_coord),
+                         draw(_coord), draw(_size), draw(_size)))
                  for i in ids]
-        boxes = [BoundingBox(b.x + draw(st.floats(-20, 20)),
-                             b.y + draw(st.floats(-20, 20)), b.w, b.h)
+        boxes = [Box(b.x + draw(st.floats(-20, 20)),
+                     b.y + draw(st.floats(-20, 20)), b.w, b.h)
                  for _, b in gt[f] if draw(st.booleans())]
-        boxes += draw(st.lists(st.builds(BoundingBox, _coord, _coord, _size,
-                                         _size), max_size=2))
+        boxes += draw(st.lists(st.builds(Box, _coord, _coord, _size, _size),
+                               max_size=2))
         pred_ids = draw(st.lists(st.integers(1, 7), min_size=len(boxes),
                                  max_size=len(boxes), unique=True))
         pred[f] = list(zip(pred_ids, boxes))
     if not any(gt.values()):
-        gt[1] = [(1, BoundingBox(0.0, 0.0, 10.0, 10.0))]
+        gt[1] = [(1, Box(0.0, 0.0, 10.0, 10.0))]
     return gt, pred
 
 
@@ -127,8 +127,8 @@ def test_hota_at_one_threshold_is_geometric_mean(seq, alpha):
 def _has_iou_ties(gt, pred):
     """Whether a frame's gt/pred IoU matrix holds a positive value twice."""
     for f, boxes in gt.items():
-        ious = iou_matrix(box_array([b for _, b in boxes]),
-                          box_array([b for _, b in pred.get(f, [])]))
+        ious = iou_matrix([b for _, b in boxes],
+                          [b for _, b in pred.get(f, [])])
         positive = ious[ious > 0]
         if np.unique(positive).size < positive.size:
             return True

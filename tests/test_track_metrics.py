@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prtrack import track_metrics
-from prtrack.core import BoundingBox, box_array, iou_matrix
+from prtrack.core import iou_matrix
 from prtrack.solvers import hungarian
 from prtrack.track_metrics import (DuplicateId, EmptyGroundTruth,
                                    SequenceResult, evaluate_sequence,
                                    frame_match, hota, idf1, mota_ids)
 
 from conftest import box, mot_sequence
+from oracles import Box
 
 
 def seq(gt, pred):
@@ -20,8 +21,7 @@ def seq(gt, pred):
 def test_frame_match_threshold():
     gt = [(1, box(0, 0)), (2, box(100, 0))]
     pred = [(7, box(1, 0)), (8, box(200, 0))]
-    ious = iou_matrix(box_array([b for _, b in gt]),
-                      box_array([b for _, b in pred]))
+    ious = iou_matrix([b for _, b in gt], [b for _, b in pred])
     assert frame_match(ious, alpha_loc=0.5) == [(0, 0)]
     assert frame_match(ious, alpha_loc=0.95) == []
     assert frame_match(np.zeros((0, 2)), 0.5) == []
@@ -190,7 +190,7 @@ def grid_sequences(draw):
     """Ground truth and predictions on a coarse box grid, so IoU values tie
     and repeat across frames, and many pairs do not overlap."""
     def frame_boxes():
-        boxes = draw(st.lists(st.builds(BoundingBox, _grid, _grid,
+        boxes = draw(st.lists(st.builds(Box, _grid, _grid,
                                         st.sampled_from([2.0, 4.0]),
                                         st.sampled_from([2.0, 4.0])),
                               max_size=4))

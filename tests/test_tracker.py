@@ -6,15 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import Detection, brute_track
-from prtrack.core import (BoundingBox, PartFeatureSet, TrackStatus, _stack,
-                          box_array, xyah_to_xywh)
+from oracles import (CONFIRMED, LOST, TENTATIVE, Box, Detection,
+                     brute_track)
+from prtrack import tracker as tracker_module
+from prtrack.core import PartFeatureSet, _stack, xyah_to_xywh
 from prtrack.motio import FeatureTable
 from prtrack.simgen import (DetectionTable, ScenarioConfig, generate,
                             to_tracking_input)
 from prtrack.tracker import (FrameInput, NonMonotoneFrame, OnlineTracker,
                              TrackerConfig, build_cost, ema_update,
                              kalman_init, kalman_predict, kalman_update)
+
+# The tracker's status codes of live rows, by ``brute_track``'s names.
+STATUS = {tracker_module._TENTATIVE: TENTATIVE,
+          tracker_module._CONFIRMED: CONFIRMED, tracker_module._LOST: LOST}
 
 
 def features(value, k=2, d=3, vis=None):
@@ -26,7 +31,7 @@ def features(value, k=2, d=3, vis=None):
 
 
 def det(frame, x, y, value, w=10.0, h=20.0):
-    return Detection(frame=frame, box=BoundingBox(x, y, w, h),
+    return Detection(frame=frame, box=Box(x, y, w, h),
                      features=features(value),
                      role_logits=np.array([1.0, 0, 0, 0]))
 
@@ -44,8 +49,8 @@ def frame_input(frame, dets, k=2, d=3):
                  dtype=int).reshape(n, k + 1),
         np.array([x.role_logits for x in dets]).reshape(n, 4))
     return FrameInput(frame, DetectionTable(
-        frames, index, box_array([x.box for x in dets]), np.zeros(n, int),
-        np.full(n, -1), np.zeros(n, int), features))
+        frames, index, np.array([x.box for x in dets], float).reshape(n, 4),
+        np.zeros(n, int), np.full(n, -1), np.zeros(n, int), features))
 
 
 def outputs(step):
@@ -57,12 +62,11 @@ def outputs(step):
                                                       boxes.tolist())]
 
 
-def cost_of(tracks, dets, cfg):
-    """``build_cost`` of live ``Tracklet``s against ``Detection``s."""
-    return build_cost(np.array([t.kalman.mean for t in tracks]),
-                      box_array([d.box for d in dets]),
-                      *_stack([t.ema_features for t in tracks]),
-                      *_stack([d.features for d in dets]), cfg)
+def cost_of(tracker, dets, cfg):
+    """``build_cost`` of a tracker's live tracks against ``Detection``s."""
+    rows = tracker._rows
+    return build_cost(rows.mean, np.array([d.box for d in dets]), rows.ema,
+                      rows.vis, *_stack([d.features for d in dets]), cfg)
 
 
 def ema_of(ema, new, alpha, normalized=False):
@@ -84,11 +88,11 @@ def test_config_validation():
 
 
 def test_kalman_tracks_constant_velocity():
-    mean, cov = kalman_init(box_array([BoundingBox(0, 0, 10, 20)]))
+    mean, cov = kalman_init(np.array([[0, 0, 10, 20]], dtype=float))
     for t in range(1, 30):
         mean, cov = kalman_predict(mean, cov)
         mean, cov = kalman_update(mean, cov,
-                                  box_array([BoundingBox(3.0 * t, 0, 10, 20)]))
+                                  np.array([[3.0 * t, 0, 10, 20]]))
     mean, cov = kalman_predict(mean, cov)
     x, _, _, h = xyah_to_xywh(mean[0, :4])[0]
     assert x == pytest.approx(90.0, abs=1.0)
@@ -173,10 +177,9 @@ def test_build_cost_gating():
                         iou_gate=0.3)
     tracker = OnlineTracker(cfg)
     tracker.step(frame_input(1, [det(1, 0, 0, 1.0)]))
-    track = tracker.tracks[0]
     near_same = det(2, 1, 0, 1.0)
     far_diff = det(2, 500, 500, 9.0)
-    cost = cost_of([track], [near_same, far_diff], cfg)
+    cost = cost_of(tracker, [near_same, far_diff], cfg)
     assert np.isfinite(cost[0, 0])
     assert np.isinf(cost[0, 1])
 
@@ -191,12 +194,12 @@ def test_lost_track_with_negative_predicted_height():
                                          h=40.0 - 4.0 * t)]))
     for t in range(9, 20):
         tracker.step(frame_input(t, []))
-    track = tracker.tracks[0]
-    assert track.status == TrackStatus.LOST
-    assert track.kalman.mean[3] < 0
+    rows = tracker._rows
+    assert rows.status.tolist() == [tracker_module._LOST]
+    assert rows.mean[0, 3] < 0
     same = det(20, 0, 0, 1.0)
     other = det(20, 0, 0, 9.0)
-    cost = cost_of([track], [same, other], cfg)
+    cost = cost_of(tracker, [same, other], cfg)
     w = cfg.appearance_weight
     assert cost[0, 0] == pytest.approx(1.0 - w)  # app distance 0, IoU 0
     assert np.isinf(cost[0, 1])
@@ -227,14 +230,14 @@ def test_tentative_track_needs_n_init_hits():
     assert outputs(out2) == []
     out3 = tracker.step(frame_input(3, [det(3, 2, 0, 1.0)]))
     assert outputs(out3) == [(3, 1, (2.0, 0.0, 10.0, 20.0))]
-    assert tracker.tracks[0].status == TrackStatus.CONFIRMED
+    assert tracker._rows.status.tolist() == [tracker_module._CONFIRMED]
 
 
 def test_unconfirmed_track_dropped_on_miss():
     tracker = OnlineTracker(TrackerConfig(n_init=3))
     tracker.step(frame_input(1, [det(1, 0, 0, 1.0)]))
     tracker.step(frame_input(2, []))
-    assert tracker.tracks == []
+    assert len(tracker._rows) == 0
     assert len(tracker.finish()) == 0
 
 
@@ -245,10 +248,9 @@ def test_confirmed_track_survives_max_age():
         tracker.step(frame_input(t, [det(t, float(t), 0, 1.0)]))
     for t in range(4, 9):
         tracker.step(frame_input(t, []))
-    assert len(tracker.tracks) == 1
-    assert tracker.tracks[0].status == TrackStatus.LOST
+    assert tracker._rows.status.tolist() == [tracker_module._LOST]
     tracker.step(frame_input(9, []))
-    assert tracker.tracks == []
+    assert len(tracker._rows) == 0
     assert len(tracker.finish()) == 1
 
 
@@ -330,7 +332,7 @@ def sequences(draw, restarts=False):
                 parts=emb[1:], foreground=emb[0],
                 visibility=(rng.random(k + 1) >= p_hidden).astype(int))
             logits = rng.normal(size=4)
-            one = Detection(frame=int(f), box=BoundingBox(x, y, w, h),
+            one = Detection(frame=int(f), box=Box(x, y, w, h),
                             features=feats, role_logits=logits)
             dets.append(one)
             if rng.random() < 0.1:
@@ -353,10 +355,14 @@ def split(table):
                 table.role_logit_sum, [0, *ends], ends)]
 
 
-def state(tracklets):
-    return [(t.id, t.status, t.kalman.mean, t.kalman.covariance,
-             t.ema_features.stacked(), t.ema_features.visibility,
-             t.role_logit_sum, t.detections) for t in tracklets]
+def live(tracker):
+    """The tracker's live tracks in row order, read from its row columns,
+    as ``brute_track`` tuples; the member rows are taken from the tables
+    stepped so far."""
+    rows, table = tracker._rows, DetectionTable.concat(tracker._tables)
+    return [(int(rows.ids[i]), STATUS[rows.status[i]], rows.mean[i],
+             rows.cov[i], rows.ema[i], rows.vis[i], rows.logits[i],
+             table.take(rows.members[i])) for i in range(len(rows))]
 
 
 def _bits(a):
@@ -411,9 +417,9 @@ def test_tracker_equals_per_object_oracle(case):
     for (frame, dets), (want_out, want_live) in zip(frames, want_steps):
         assert outputs(tracker.step(frame_input(frame, dets))) == [
             (f, i, (b.x, b.y, b.w, b.h)) for f, i, b in want_out]
-        assert_same_tracks(state(tracker.tracks), want_live)
+        assert_same_tracks(live(tracker), want_live)
     assert_same_tracklets(tracker.finish(), want_tracklets)
-    assert tracker.tracks == [] and len(tracker.finish()) == 0
+    assert len(tracker._rows) == 0 and len(tracker.finish()) == 0
 
 
 def tracklets_of(cfg, frames):
