@@ -23,7 +23,7 @@ tracker = OnlineTracker(TrackerConfig(normalized_ema=True))
 for t, dets in enumerate(frame_inputs):
     tracker.step(FrameInput(frame=t + 1, detections=dets))
 tracklets = tracker.finish()
-print(f"{len(scenario.agents)} agents -> {len(tracklets)} online tracklets "
+print(f"{len(scenario.agent_role)} agents -> {len(tracklets)} online tracklets "
       f"(occlusions fragment tracks)\n")
 
 variants = {

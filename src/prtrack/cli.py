@@ -29,7 +29,7 @@ import yaml
 
 from .config import (ConfigTypeError, RunConfig, config_to_dict, load_config,
                      load_yaml)
-from .core import DataError
+from .core import DataError, Role
 from .motio import (FeatureTable, ParseError, load_arrays, load_model,
                     parse_features, parse_mot, row_lines, save_arrays,
                     save_model, write_features, write_mot)
@@ -275,11 +275,14 @@ def cmd_cluster(args) -> int:
                                 else run_dir / "tracklets.npz")
     roles = assign_roles(tracklets)
     teams = assign_teams(tracklets, seed=cfg.seed, roles=roles)
+    order = np.argsort(tracklets.id)
+    rows = zip(tracklets.id[order].tolist(), roles[order].tolist(),
+               teams[order].tolist())
     (run_dir / "teams.txt").write_text("".join(
-        f"{i},{roles[i].name},{teams.get(i, -1)}\n" for i in sorted(roles)))
+        f"{i},{Role(r).name},{t}\n" for i, r, t in rows))
     acc = team_accuracy(tracklets, teams)
-    print(f"assigned teams to {len(teams)} player tracklets "
-          f"(accuracy vs ground truth: {acc:.3f})")
+    print(f"assigned teams to {np.count_nonzero(teams >= 0)} player "
+          f"tracklets (accuracy vs ground truth: {acc:.3f})")
     return 0
 
 

@@ -57,6 +57,8 @@ class RunConfig:
                 f"detector_noise must be one of {DETECTOR_NOISES}")
         if not self.detector_noise_param >= 0:
             raise RangeError("detector_noise_param must be >= 0")
+        if self.detector_noise == "dropout" and self.detector_noise_param > 1:
+            raise RangeError("detector_noise_param must be <= 1 for dropout")
         if self.sampling_stride < 1:
             raise RangeError("sampling_stride must be >= 1")
 

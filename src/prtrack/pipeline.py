@@ -7,7 +7,8 @@ run's :class:`~prtrack.simgen.DetectionTable`.  Its features, oracle,
 model or parsed, travel as a :class:`~prtrack.motio.FeatureTable` keyed
 like its rows.  :func:`track_frames` steps the tracker over its frames'
 rows; ``finish()`` returns one :class:`~prtrack.tracker.TrackletTable`,
-whose columns merging, clustering and :func:`team_accuracy` read.
+whose columns merging, clustering and :func:`team_accuracy` read; roles
+and team labels are ``(T,)`` arrays aligned with its rows.
 Re-id training and scoring read a :class:`~prtrack.simgen.ReidSamples`
 table, the one :func:`~prtrack.simgen.reid_samples` builds from the
 scenario here and ``prtrack generate`` writes for the ``train`` and
@@ -94,18 +95,18 @@ def evaluate_reid(model: EmbedderModel, samples: ReidSamples) -> dict:
     }
 
 
-def team_accuracy(tracklets: TrackletTable, teams: dict[int, int]) -> float:
-    """Clustering accuracy of the team labels ``teams`` (tracklet id ->
-    label, as :func:`~prtrack.postproc.assign_teams` returns them) against
-    the majority ground-truth team per tracklet, maximized over the two
-    label permutations; NaN when no labeled tracklet has a ground truth."""
+def team_accuracy(tracklets: TrackletTable, teams: np.ndarray) -> float:
+    """Clustering accuracy of the ``(T,)`` labels ``teams`` (-1 for none, as
+    :func:`~prtrack.postproc.assign_teams` returns them) against the
+    majority ground-truth team per tracklet, maximized over the two label
+    permutations; NaN when no labeled tracklet has a ground truth."""
     gt = tracklets.detections.gt_team
     votes = np.zeros((len(tracklets), gt.max(initial=0) + 1), dtype=int)
     np.add.at(votes, (tracklets.owner()[gt >= 0], gt[gt >= 0]), 1)
-    common = votes.any(axis=1) & np.isin(tracklets.id, list(teams))
+    common = votes.any(axis=1) & (teams >= 0)
     if not common.any():
         return float("nan")
-    pred = np.array([teams[t] for t in tracklets.id[common].tolist()])
+    pred = teams[common]
     gt = votes[common].argmax(axis=1)
     return float(max((pred == gt).mean(), (1 - pred == gt).mean()))
 
@@ -142,7 +143,7 @@ def run_pipeline(cfg: RunConfig):
     try:
         teams = assign_teams(merged, seed=cfg.seed)
     except (TooFewPlayers, DegenerateInput):
-        teams = {}
+        teams = np.full(len(merged), -1)
     cluster_acc = team_accuracy(merged, teams)
 
     report = {

@@ -1,7 +1,8 @@
 """Offline post-processing over finished tracklets: appearance-based
 tracklet merging, two-cluster team assignment, and role voting, each over
 the columns of the :class:`~prtrack.tracker.TrackletTable` that
-``OnlineTracker.finish()`` returns."""
+``OnlineTracker.finish()`` returns.  Roles and teams come back as ``(T,)``
+arrays aligned with the table's rows."""
 
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ class MergeConfig:
     def __post_init__(self):
         if not self.merge_threshold > 0:
             raise ValueError("merge_threshold must be > 0")
+        if self.max_rounds < 1:
+            raise ValueError("max_rounds must be >= 1")
 
 
 def tracklet_cost_matrix(tracklets: TrackletTable,
@@ -80,17 +83,18 @@ def merge_tracklets(tracklets: TrackletTable,
             break
         costs = tracklet_cost_matrix(current, cfg)
         assignment = hungarian(costs, forbid_threshold=cfg.merge_threshold)
-        candidates = sorted(
-            {(min(i, j), max(i, j)) for i, j in assignment.pairs},
-            key=lambda p: (costs[p[0], p[1]], p))
-        used, merges = set(), []
-        for pair in candidates:
-            if not used.intersection(pair):
+        # Unique (low, high) pairs in (cost, pair) order.
+        candidates = np.unique(np.sort(assignment.pairs, axis=1), axis=0)
+        candidates = candidates[np.argsort(
+            costs[candidates[:, 0], candidates[:, 1]], kind="stable")]
+        used, accepted = set(), []
+        for n, pair in enumerate(candidates.tolist()):
+            if used.isdisjoint(pair):
                 used.update(pair)
-                merges.append(pair)
-        if not merges:
+                accepted.append(n)
+        if not accepted:
             break
-        a, b = np.array(merges).T
+        a, b = candidates[accepted].T
         first, _ = current.spans()
         a_first = first[a] <= first[b]
         keep, drop = np.where(a_first, a, b), np.where(a_first, b, a)
@@ -114,26 +118,26 @@ def merge_tracklets(tracklets: TrackletTable,
                              current.id[target].tolist()))
 
 
-def assign_roles(tracklets: TrackletTable) -> dict[int, Role]:
-    """Per-tracklet role: argmax of the mean role logits over member
-    detections; ties break toward the lowest role index."""
+def assign_roles(tracklets: TrackletTable) -> np.ndarray:
+    """``(T,)`` :class:`~prtrack.core.Role` values of the tracklets, row by
+    row: argmax of the mean role logits over member detections; ties break
+    toward the lowest role index."""
     logits = tracklets.role_logit_sum
     if np.shape(logits) != (len(tracklets), 4):
         raise ValueError("tracklets need (T, 4) role-logit sums")
     mean_logits = logits / np.maximum(1, tracklets.count)[:, None]
-    return dict(zip(tracklets.id.tolist(),
-                    map(Role, mean_logits.argmax(axis=1).tolist())))
+    return mean_logits.argmax(axis=1)
 
 
 def assign_teams(tracklets: TrackletTable, seed: int = 0,
-                 roles: dict[int, Role] | None = None) -> dict[int, int]:
-    """Two-cluster team labels over player tracklets, from the
-    L2-normalized foreground EMA embeddings.  Labels are reported up to
-    permutation; non-player tracklets are not labeled."""
+                 roles: np.ndarray | None = None) -> np.ndarray:
+    """``(T,)`` two-cluster team labels of the tracklets, row by row, from
+    the L2-normalized foreground EMA embeddings of the player tracklets
+    (``roles``, by default :func:`assign_roles`).  Labels are reported up
+    to permutation; a tracklet that is not a player gets -1."""
     if roles is None:
         roles = assign_roles(tracklets)
-    players = np.isin(tracklets.id,
-                      [i for i, role in roles.items() if role == Role.PLAYER])
+    players = roles == Role.PLAYER
     if players.sum() < 2:
         raise TooFewPlayers(f"got {players.sum()} player tracklets")
     emb = tracklets.ema[players, 0]
@@ -141,4 +145,6 @@ def assign_teams(tracklets: TrackletTable, seed: int = 0,
     norms[norms == 0] = 1.0
     emb = emb / norms
     labels, _ = kmeans2(emb, seed=seed)
-    return dict(zip(tracklets.id[players].tolist(), labels.tolist()))
+    teams = np.full(len(tracklets), -1)
+    teams[players] = labels
+    return teams

@@ -6,15 +6,17 @@ and per-frame feature-grid observations whose cell contents encode a latent
 appearance (role/team centroid + identity offset + noise) plus a per-part
 signature, so the embedding model has learnable signal for all three tasks.
 
-A :class:`Scenario` holds its observations as columns, one row per present
-(frame, agent), in frame order and, within a frame, in roster order:
-``frame`` and ``identity`` ``(N,)``, ``boxes`` ``(N, 4)``,
-``part_visible`` ``(N, K)`` and ``part_labels`` ``(N, H, W)``.  An absent
-agent has no row.  Feature-grid cells are built only for the rows a caller
-reads, as :class:`ReidSamples` holds them: ``cells`` ``(M, H, W, C)`` and
-``cell_row`` ``(N,)``, each row's row of ``cells`` or -1.  :func:`generate`
-builds them for every row, for every ``sampling_stride``-th row of each
-identity (the re-id sample rows), or for none, from the same random stream.
+A :class:`Scenario` holds its roster as columns, ``agent_team`` and
+``agent_role`` ``(A,)`` and ``agent_latent`` ``(A, C)``, and its
+observations as columns, one row per present (frame, agent), in frame
+order and, within a frame, in roster order: ``frame`` and ``identity``
+``(N,)``, ``boxes`` ``(N, 4)``, ``part_visible`` ``(N, K)`` and
+``part_labels`` ``(N, H, W)``.  An absent agent has no row.  Feature-grid
+cells are built only for the rows a caller reads, as :class:`ReidSamples`
+holds them: ``cells`` ``(M, H, W, C)`` and ``cell_row`` ``(N,)``, each
+row's row of ``cells`` or -1.  :func:`generate` builds them for every row,
+for every ``sampling_stride``-th row of each identity (the re-id sample
+rows), or for none, from the same random stream.
 
 Re-id samples are rows of the scenario: :func:`to_reid_dataset` splits
 them into training, query and gallery row indices, and :func:`reid_samples`
@@ -54,7 +56,6 @@ from .motio import (FeatureTable, MotTable, ParseError, load_arrays,
 __all__ = [
     "DETECTOR_NOISES",
     "ScenarioConfig",
-    "Agent",
     "Scenario",
     "generate",
     "to_reid_dataset",
@@ -134,18 +135,10 @@ class ScenarioConfig:
 
 
 @dataclass
-class Agent:
-    identity: int
-    team: int | None  # 0 left / 1 right; None for referees and staff
-    role: Role
-    latent: np.ndarray  # (C,)
-
-
-@dataclass
 class Scenario:
-    """A generated clip: the roster, and one row per present (frame, agent)
-    in frame order and, within a frame, in roster order.  An absent agent
-    has no row.
+    """A generated clip: the roster's columns, row ``i`` for identity
+    ``i + 1``, and one row per present (frame, agent) in frame order and,
+    within a frame, in roster order.  An absent agent has no row.
 
     Row ``i``'s feature-grid cells are ``cells[cell_row[i]]``.  Only the
     rows :func:`generate` was asked for have cells, in row order; the
@@ -153,7 +146,9 @@ class Scenario:
     other column is the same whichever rows have cells."""
 
     config: ScenarioConfig
-    agents: list[Agent]
+    agent_team: np.ndarray    # (A,) 0 left / 1 right, -1 for no team
+    agent_role: np.ndarray    # (A,) Role values
+    agent_latent: np.ndarray  # (A, C) latent appearances
     frame: np.ndarray         # (N,) frame numbers, from 1
     identity: np.ndarray      # (N,) agent identities, 1..A in roster order
     boxes: np.ndarray         # (N, 4) x, y, w, h
@@ -177,13 +172,6 @@ class Scenario:
             raise ValueError("a scenario row has no cells: generate the "
                              "scenario with cells for the rows read")
         return found
-
-    def roster(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(team, role)`` of agents 1..A, in roster order: 0 left, 1
-        right or -1 for no team, and :class:`~prtrack.core.Role` values."""
-        return (np.array([-1 if a.team is None else a.team
-                          for a in self.agents], dtype=int),
-                np.array([int(a.role) for a in self.agents], dtype=int))
 
 
 def _mapped_empty(shape: tuple[int, ...], dtype=float) -> np.ndarray:
@@ -267,33 +255,29 @@ def generate(config: ScenarioConfig, cell_stride: int | None = 1
         (Role.PLAYER, 1): rs * q[:, 0] + 0.5 * ts * q[:, 4],
         (Role.GOALKEEPER, 0): rs * q[:, 1] - 0.5 * ts * q[:, 5],
         (Role.GOALKEEPER, 1): rs * q[:, 1] + 0.5 * ts * q[:, 5],
-        (Role.REFEREE, None): rs * q[:, 2],
-        (Role.STAFF, None): rs * q[:, 3],
+        (Role.REFEREE, -1): rs * q[:, 2],
+        (Role.STAFF, -1): rs * q[:, 3],
     }
     signatures = config.part_signature_scale * q[:, 6:6 + k + 1].T  # (K+1, C)
 
-    agents: list[Agent] = []
-    ident = 1
-    def add(role, team):
-        nonlocal ident
+    # The roster: the players of team 0, then of team 1, the goalkeepers of
+    # alternate teams, then the referees and the staff, of no team.
+    n, n_gk = config.n_players_per_team, config.n_goalkeepers
+    n_other = config.n_referees + config.n_staff
+    agent_role = np.repeat(
+        [Role.PLAYER, Role.GOALKEEPER, Role.REFEREE, Role.STAFF],
+        [2 * n, n_gk, config.n_referees, config.n_staff])
+    agent_team = np.concatenate([np.repeat([0, 1], n), np.arange(n_gk) % 2,
+                                 np.full(n_other, -1)])
+    latents = []
+    for key in zip(agent_role.tolist(), agent_team.tolist()):
         offset = rng.normal(size=c)
         offset *= config.identity_separation / np.linalg.norm(offset)
-        key = (role, team if role in (Role.PLAYER, Role.GOALKEEPER) else None)
-        agents.append(Agent(ident, team, role, centroids[key] + offset))
-        ident += 1
-
-    for team in (0, 1):
-        for _ in range(config.n_players_per_team):
-            add(Role.PLAYER, team)
-    for j in range(config.n_goalkeepers):
-        add(Role.GOALKEEPER, j % 2)
-    for _ in range(config.n_referees):
-        add(Role.REFEREE, None)
-    for _ in range(config.n_staff):
-        add(Role.STAFF, None)
+        latents.append(centroids[key] + offset)
+    latents = np.array(latents)
 
     # Smooth trajectories: bounded-acceleration random walk with wall bounce.
-    n_agents = len(agents)
+    n_agents = len(agent_role)
     pw, ph = config.pitch_width, config.pitch_height
     pos = np.column_stack([rng.uniform(0.1 * pw, 0.9 * pw, n_agents),
                            rng.uniform(0.1 * ph, 0.9 * ph, n_agents)])
@@ -304,7 +288,6 @@ def generate(config: ScenarioConfig, cell_stride: int | None = 1
     v_max = 6.0
 
     base_labels = _part_layout(config.grid_h, config.grid_w, k)
-    latents = np.array([a.latent for a in agents])
 
     # Occlusion and exit windows per agent, as an absent mask (A, F) and a
     # hidden mask (A, F, K+1) over part labels, where label 0, the
@@ -385,8 +368,9 @@ def generate(config: ScenarioConfig, cell_stride: int | None = 1
             pos[:, axis] = np.clip(pos[:, axis], 0.05 * limit, 0.95 * limit)
 
     _check_boxes(boxes)
-    return Scenario(config, agents, frame_idx + 1, agent_idx + 1, boxes,
-                    part_visible, cells, cell_row, part_labels)
+    return Scenario(config, agent_team, agent_role, latents, frame_idx + 1,
+                    agent_idx + 1, boxes, part_visible, cells, cell_row,
+                    part_labels)
 
 
 def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25):
@@ -403,7 +387,7 @@ def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25):
     the gallery, or all to the gallery below 2 rows.
     """
     sampled = _strided_rows(scenario.identity, sampling_stride)
-    team, role = scenario.roster()
+    team, role = scenario.agent_team, scenario.agent_role
     ids = np.arange(1, len(role) + 1)
     player = role == int(Role.PLAYER)
     groups = ((ids[player & (team == 0)], 4), (ids[player & (team == 1)], 4),
@@ -475,13 +459,13 @@ def reid_samples(scenario: Scenario, sampling_stride: int = 25
     ``cell_stride`` 1 or ``sampling_stride``."""
     split = to_reid_dataset(scenario, sampling_stride)
     rows = np.concatenate(split)
-    team, role = scenario.roster()
     agent = scenario.identity[rows] - 1
     return ReidSamples(
         scenario.config, sampling_stride, scenario.cells,
         scenario.cells_of(rows),
-        scenario.part_labels[rows], scenario.identity[rows], team[agent],
-        role[agent], scenario.view[rows],
+        scenario.part_labels[rows], scenario.identity[rows],
+        scenario.agent_team[agent], scenario.agent_role[agent],
+        scenario.view[rows],
         np.repeat([TRAIN, QUERY, GALLERY], [len(x) for x in split]))
 
 
@@ -644,7 +628,7 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
 
     ``detector_noise``: 'none', 'jitter' (gaussian box offsets of
     ``noise_param`` pixels), or 'dropout' (drop each detection with
-    probability ``noise_param``).  ``features``: 'oracle' fills the
+    probability ``noise_param``, in [0, 1]).  ``features``: 'oracle' fills the
     ground-truth-derived feature block, 'none' leaves it out.  The
     generator draws come in the order the per-detection definition makes
     them: the dropout draw, the jitter pair, then the visible parts'
@@ -662,6 +646,8 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
                               ("feature_sigma", feature_sigma, oracle)):
         if used and scale < 0:
             raise ValueError(f"{name} must be >= 0")
+    if detector_noise == "dropout" and not 0 <= noise_param <= 1:
+        raise ValueError("noise_param must be in [0, 1] for dropout")
     # Each row's normal draws: its jitter pair, then ``dim`` for each
     # visible part.
     width = np.full(len(scenario.frame), 2 if jitter else 0)
@@ -700,12 +686,13 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
     if jitter:
         boxes[:, :2] += shifts
     agent = scenario.identity[kept] - 1
-    teams, roles = scenario.roster()
+    teams, roles = scenario.agent_team, scenario.agent_role
     block = None
     if oracle:
         vis = part_vis[kept]
         rows, cols = np.nonzero(vis)
-        base = np.array([proj @ a.latent for a in scenario.agents])
+        # One product per agent: a matrix product could round otherwise.
+        base = np.array([proj @ latent for latent in scenario.agent_latent])
         values = base[agent[rows]]
         values += offsets[1 + cols]
         values += noise.reshape(-1, dim)
@@ -740,7 +727,7 @@ def embed_detections(model: EmbedderModel, scenario: Scenario,
     n, k, d = len(table.frame), model.num_parts, model.dim
     parts, foreground = np.empty((n, k, d)), np.empty((n, d))
     visibility, role_logits = np.empty((n, k + 1), dtype=int), np.empty((n, 4))
-    a = len(scenario.agents)
+    a = len(scenario.agent_role)
     rows = scenario.cells_of(np.searchsorted(
         (scenario.frame - 1) * a + scenario.identity,
         (table.frame - 1) * a + table.gt_identity))

@@ -35,6 +35,8 @@ __all__ = ["Assignment", "DegenerateInput", "hungarian", "kmeans2"]
 # pairs among cost-equal assignments without disturbing genuine optima.
 _TIE_EPS = 1e-13
 
+_NO_PAIRS = np.zeros((0, 2), dtype=np.intp)
+
 
 # scipy.optimize._lsap's linear_sum_assignment, once the first call of
 # hungarian has loaded it.
@@ -67,7 +69,7 @@ class DegenerateInput(DataError):
 
 @dataclass(frozen=True)
 class Assignment:
-    pairs: list[tuple[int, int]]
+    pairs: np.ndarray  # (M, 2) intp (row, col) pairs, in row order
     total_cost: float
 
 
@@ -76,7 +78,8 @@ def hungarian(costs: np.ndarray, forbid_threshold: float = np.inf) -> Assignment
 
     +inf entries are always forbidden.  Rectangular matrices yield a maximal
     partial assignment.  Ties between cost-equal optima break toward the
-    lowest (row, col) pairs.  Pairs come in increasing row order.  A cost
+    lowest (row, col) pairs.  The pairs are an ``(M, 2)`` intp array in
+    increasing row order.  A cost
     matrix that is not 2-D or holds NaN or -inf, and a NaN
     ``forbid_threshold``, raise :class:`ValueError`.
     """
@@ -86,14 +89,14 @@ def hungarian(costs: np.ndarray, forbid_threshold: float = np.inf) -> Assignment
     if np.isnan(forbid_threshold):
         raise ValueError("forbid_threshold is NaN")
     if costs.size == 0:
-        return Assignment([], 0.0)
+        return Assignment(_NO_PAIRS, 0.0)
     if np.isnan(costs).any():
         raise ValueError("cost matrix contains NaN")
     if np.isneginf(costs).any():
         raise ValueError("cost matrix contains -inf")
     finite = np.isfinite(costs)
     if not finite.any():
-        return Assignment([], 0.0)
+        return Assignment(_NO_PAIRS, 0.0)
     scale = float(np.abs(costs[finite]).max())
     sentinel = max(1.0, scale) * 1e6
     work = np.where(finite, costs, sentinel)
@@ -109,7 +112,7 @@ def hungarian(costs: np.ndarray, forbid_threshold: float = np.inf) -> Assignment
     total = 0.0
     for cost in picked[keep].tolist():
         total += cost
-    return Assignment(list(zip(ri[keep].tolist(), ci[keep].tolist())), total)
+    return Assignment(np.array((ri[keep], ci[keep])).T, total)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

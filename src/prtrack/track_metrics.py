@@ -13,11 +13,12 @@ A frame's mask ``ious >= alpha`` shrinks as alpha grows, so two thresholds
 whose masks hold the same number of entries have the same mask, and so the
 same matching.  :meth:`SequenceResult.matches` keys each frame's matchings
 by that number and solves each distinct mask once: HOTA's thresholds and
-MOTA's share the work.  A mask with at most one entry per row and per
-column is matched without an assignment: :func:`frame_match` returns its
-entries in row order, which are the pairs :func:`prtrack.solvers.hungarian`
-returns, because an assignment that leaves out an allowed pair takes one
-more forbidden pair, and a forbidden pair costs far more than all allowed
+MOTA's share the work.  A matching is an ``(M, 2)`` array of pairs in gt
+order.  A mask with at most one entry per row and per column is matched
+without an assignment: :func:`frame_match` returns its entries in row
+order, which are the pairs :func:`prtrack.solvers.hungarian` returns,
+because an assignment that leaves out an allowed pair takes one more
+forbidden pair, and a forbidden pair costs far more than all allowed
 pairs together.  Only the other masks reach the assignment.
 """
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .core import DataError, iou_matrix
 from .motio import MotTable
-from .solvers import hungarian
+from .solvers import _NO_PAIRS, hungarian
 
 __all__ = [
     "EmptyGroundTruth",
@@ -94,19 +95,19 @@ class SequenceResult:
                        for a, b, c, d in zip(*cuts)]
         self._gt_codes, self._gt_totals = _codes(self.gt_ids)
         self._pred_codes, self._pred_totals = _codes(self.pred_ids)
-        # Each frame's first gt and pred record.
-        self._starts = list(zip(cuts[0], cuts[2]))
+        # (F, 2) each frame's first gt and pred record.
+        self._starts = np.array([cuts[0], cuts[2]], dtype=np.intp).T
         # A threshold is above 0, so a zero IoU is never in a mask.
         self._sorted_ious = [sorted(ious[ious > 0].tolist())
                              for _, _, ious in self.frames]
         # Per frame: mask size -> its matched (gt, pred) record positions.
         self._solved: list[dict[int, np.ndarray]] = [{} for _ in self.frames]
 
-    def matches(self, alpha: float) -> list[list[tuple[int, int]]]:
-        """Per frame, :func:`frame_match` of its IoU matrix at ``alpha``.
-        Each frame's distinct mask is matched once, on the first call that
-        needs it."""
-        return [list(zip(*(rows - start).T.tolist()))
+    def matches(self, alpha: float) -> list[np.ndarray]:
+        """Per frame, :func:`frame_match` of its IoU matrix at ``alpha``, an
+        ``(M, 2)`` array.  Each frame's distinct mask is matched once, on
+        the first call that needs it."""
+        return [rows - start
                 for rows, start in zip(self._solve(alpha), self._starts)]
 
     def _matched_codes(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -125,14 +126,9 @@ class SequenceResult:
             size = len(values) - bisect_left(values, alpha)
             entry = solved.get(size)
             if entry is None:
-                entry = solved[size] = np.array(
-                    frame_match(ious, alpha), dtype=np.intp
-                ).reshape(-1, 2) + start
+                entry = solved[size] = frame_match(ious, alpha) + start
             entries.append(entry)
         return entries
-
-
-_NO_PAIRS = np.zeros((0, 2), dtype=np.intp)
 
 
 def _codes(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,16 +156,17 @@ class EvalReport:
     id_switches: int = 0
 
 
-def frame_match(ious: np.ndarray, alpha_loc: float) -> list[tuple[int, int]]:
+def frame_match(ious: np.ndarray, alpha_loc: float) -> np.ndarray:
     """Matched (gt index, pred index) pairs by IoU-optimal assignment on one
-    frame's (gt, pred) IoU matrix, restricted to pairs with IoU >= alpha_loc,
-    in gt index order.  A mask with at most one allowed pair per row and
-    per column is its own matching."""
+    frame's (gt, pred) IoU matrix, restricted to pairs with IoU >= alpha_loc:
+    an ``(M, 2)`` intp array in gt index order.  A mask with at most one
+    allowed pair per row and per column is its own matching."""
     _check_alpha(alpha_loc)
     mask = ious >= alpha_loc
-    rows, cols = (index.tolist() for index in np.nonzero(mask))
+    index = np.array(np.nonzero(mask))
+    rows, cols = index.tolist()
     if len(set(rows)) == len(rows) == len(set(cols)):
-        return list(zip(rows, cols))
+        return index.T
     return hungarian(np.where(mask, 1.0 - ious, np.inf)).pairs
 
 
@@ -253,8 +250,8 @@ def idf1(result: SequenceResult, alpha: float = 0.5) -> float:
         rows, cols = np.nonzero(ious >= alpha)
         np.add.at(overlap, (np.searchsorted(gt_list, gt_ids)[rows],
                             np.searchsorted(pred_list, pr_ids)[cols]), 1)
-    pairs = hungarian(-overlap).pairs
-    idtp = sum(int(overlap[i, j]) for i, j in pairs)
+    rows, cols = hungarian(-overlap).pairs.T
+    idtp = int(overlap[rows, cols].sum())
     idfn = len(result.gt_ids) - idtp
     idfp = len(result.pred_ids) - idtp
     denom = 2 * idtp + idfp + idfn

@@ -26,7 +26,7 @@ import numpy as np
 from .core import _part_distances, iou_matrix, xywh_to_xyah, xyah_to_xywh
 from .motio import MotTable
 from .simgen import DetectionTable
-from .solvers import hungarian
+from .solvers import _NO_PAIRS, hungarian
 
 __all__ = [
     "NonMonotoneFrame",
@@ -318,8 +318,7 @@ class OnlineTracker:
         rows.mean, rows.cov = kalman_predict(rows.mean, rows.cov)
         cost = build_cost(rows.mean, boxes, rows.ema, rows.vis, feats, vis,
                           cfg)
-        pairs = hungarian(cost).pairs if cost.size else []
-        ti, di = np.array(pairs, dtype=int).reshape(-1, 2).T
+        ti, di = (hungarian(cost).pairs if cost.size else _NO_PAIRS).T
         if len(ti):
             rows.mean[ti], rows.cov[ti] = kalman_update(
                 rows.mean[ti], rows.cov[ti], boxes[di])

@@ -21,8 +21,8 @@ from prtrack.losses import (LossValue, TripletConfig, _batch_hard_triplets,
                             triplet_batch_hard)
 from prtrack.motio import FeatureTable, MotTable, ParseError, read_text
 from prtrack.reid_metrics import rank
-from prtrack.simgen import (_VIEW_CHUNK, Agent, ScenarioConfig,
-                            _sample_events, oracle_feature_projection)
+from prtrack.simgen import (_VIEW_CHUNK, ScenarioConfig, _sample_events,
+                            oracle_feature_projection)
 from prtrack.solvers import hungarian
 
 
@@ -512,7 +512,7 @@ def brute_track(frames, cfg):
                 cost = w * app + (1.0 - w) * (1.0 - ious)
             cost[(ious < cfg.iou_gate) & (app > cfg.match_threshold)] = np.inf
             cost[~np.isfinite(app)] = np.inf
-            pairs = hungarian(cost).pairs
+            pairs = hungarian(cost).pairs.tolist()
         else:
             pairs = []
         for ti, di in pairs:
@@ -610,7 +610,7 @@ def brute_merge(tracklets, cfg):
                     costs[i, j] = np.inf
         assignment = hungarian(costs, forbid_threshold=cfg.merge_threshold)
         candidates = sorted(
-            {(min(i, j), max(i, j)) for i, j in assignment.pairs},
+            {(min(i, j), max(i, j)) for i, j in assignment.pairs.tolist()},
             key=lambda p: (costs[p[0], p[1]], p))
         used, merges = set(), []
         for i, j in candidates:
@@ -648,6 +648,16 @@ class Observation:
 
 
 @dataclass
+class Agent:
+    """One member of the roster."""
+
+    identity: int
+    team: int | None  # 0 left / 1 right; None for referees and staff
+    role: Role
+    latent: np.ndarray  # (C,)
+
+
+@dataclass
 class Scenario:
     """The roster and one list of :class:`Observation`s per frame, one for
     each agent, present or not."""
@@ -664,9 +674,10 @@ def brute_generate(config):
     """Per-(frame, agent) reference of ``simgen.generate``: each frame
     rescans every agent's tagged occlusion phases and exit windows and
     draws each present agent's cell noise in its own call.  It returns the
-    test-local :class:`Scenario` of per-(frame, agent) records.  It shares
-    ``Agent`` and ``_sample_events`` with the package; every generator
-    draw is made here, in the order the package must keep."""
+    test-local :class:`Scenario` of per-(frame, agent) records and its
+    roster of test-local :class:`Agent` records.  It shares
+    ``_sample_events`` with the package; every generator draw is made here,
+    in the order the package must keep."""
     rng = np.random.default_rng(config.seed)
     c, k = config.channels, config.num_parts
 

@@ -127,7 +127,7 @@ def test_acceptance_2a_hungarian_vs_enumeration():
         got = hungarian(costs)
         best, best_sets = brute_assignment(costs)
         assert abs(got.total_cost - best) < 1e-9
-        assert frozenset(got.pairs) in best_sets
+        assert frozenset(map(tuple, got.pairs.tolist())) in best_sets
 
 
 def _micro_sequence(seed):

@@ -237,6 +237,20 @@ def test_run_without_tracklets(tmp_path, capsys):
     assert "got 0 player tracklets" in capsys.readouterr().err
 
 
+def test_pipeline_without_tracklets(tmp_path):
+    """Where cluster exits 2 for want of tracklets, pipeline labels no
+    team and reports the team accuracy as NaN."""
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("scenario: {frames: 2}\n")
+    run = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(run)]) == 0
+    report = (run / "report.yaml").read_text()
+    assert "team_cluster_accuracy: .nan\n" in report
+    tracking = yaml.safe_load(report)["tracking"]
+    assert tracking["tracklets_before_merge"] == 0
+    assert tracking["tracklets_after_merge"] == 0
+
+
 def _samples_run(run_dir, path):
     """A run directory at ``path`` with the manifest and the re-id samples
     file of ``run_dir``, and a model for eval-reid."""
@@ -403,7 +417,7 @@ def test_commands_without_assignment_do_not_load_scipy_optimize(tmp_path):
                                "--pred", f"{run}/track_merged.txt"]))
         assert codes == [0, 0, 0], codes
         got = prtrack.hungarian(np.array([[4.0, 1.0], [2.0, 8.0]]))
-        assert got.pairs == [(0, 1), (1, 0)], got
+        assert got.pairs.tolist() == [[0, 1], [1, 0]], got
         assert "scipy.optimize" not in sys.modules
         import scipy.optimize
         rng = np.random.default_rng(0)
@@ -443,6 +457,15 @@ def test_data_error_exit_code(tmp_path, capsys):
         assert main([command, "--config", str(bad),
                      "--out", str(tmp_path / "x")]) == 2
         assert "frames" in capsys.readouterr().err
+    for text, message in (
+            ("{detector_noise: dropout, detector_noise_param: 1.5}",
+             "detector_noise_param must be <= 1 for dropout"),
+            ("merge: {max_rounds: 0}", "merge.max_rounds must be >= 1"),
+            ("merge: {max_rounds: -2}", "merge.max_rounds must be >= 1")):
+        bad.write_text(text + "\n")
+        assert main(["pipeline", "--config", str(bad),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
     pred = tmp_path / "pred.txt"
     pred.write_text("1,1,0,0,nan,10,1,1,1\n")
     gt = tmp_path / "gt.txt"

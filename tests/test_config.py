@@ -78,7 +78,9 @@ def test_range_errors():
             ({"scenario": {"pitch_width": -inf}}, "pitch_width"),
             ({"train": {"weights": {"lambda_team": nan}}}, "lambda_team"),
             ({"detector_noise_param": -1.0}, "detector_noise_param"),
-            ({"detector_noise_param": nan}, "detector_noise_param")):
+            ({"detector_noise_param": nan}, "detector_noise_param"),
+            ({"detector_noise": "dropout", "detector_noise_param": 1.5},
+             "^detector_noise_param must be <= 1 for dropout")):
         with pytest.raises(RangeError, match=key):
             config_from_dict(doc)
     # Bounds that the component configs check, named by qualified key.
@@ -91,6 +93,9 @@ def test_range_errors():
             ({"train": {"weights": {"lambda_pa": -1.0}}},
              "train.weights.lambda_pa must be >= 0"),
             ({"train": {"epochs": 0}}, "train.epochs"),
+            ({"merge": {"max_rounds": 0}}, "^merge.max_rounds must be >= 1"),
+            ({"merge": {"max_rounds": -2}},
+             "^merge.max_rounds must be >= 1"),
             ({"train": {"samples_per_identity": 1}},
              "train.samples_per_identity"),
             ({"scenario": {"n_goalkeepers": -1}},

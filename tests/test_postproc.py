@@ -10,6 +10,7 @@ from prtrack.core import PartFeatureSet, Role, part_distance_matrix
 from prtrack.postproc import (MergeConfig, TooFewPlayers, assign_roles,
                               assign_teams, merge_tracklets,
                               tracklet_cost_matrix)
+from prtrack.pipeline import team_accuracy
 from prtrack.simgen import DetectionTable
 from prtrack.tracker import TrackletTable
 from test_tracker import (_bits, member_rows, members, sequences, split,
@@ -142,10 +143,9 @@ def test_foreground_only_ignores_part_mismatch():
 
 def test_assign_roles_votes_and_tie_breaks():
     t = tracklet(1, [1, 2], [0.0, 0.0], role=Role.REFEREE)
-    roles = assign_roles(t)
-    assert roles[1] == Role.REFEREE
+    assert assign_roles(t).tolist() == [Role.REFEREE]
     t.role_logit_sum = np.zeros((1, 4))
-    assert assign_roles(t)[1] == Role.PLAYER  # lowest index wins ties
+    assert assign_roles(t).tolist() == [Role.PLAYER]  # lowest index wins ties
     t.role_logit_sum = None
     with pytest.raises(ValueError):
         assign_roles(t)
@@ -156,10 +156,9 @@ def test_assign_teams_two_clusters():
     right = [tracklet(i, [i], [-5.0, 0.0]) for i in range(5, 9)]
     ref = tracklet(9, [1], [0.0, 9.0], role=Role.REFEREE)
     teams = assign_teams(table(*left, *right, ref), seed=0)
-    assert 9 not in teams
-    assert len({teams[i] for i in range(1, 5)}) == 1
-    assert len({teams[i] for i in range(5, 9)}) == 1
-    assert teams[1] != teams[5]
+    assert teams.shape == (9,) and teams[8] == -1   # the referee's row
+    assert set(teams[:4].tolist()) in ({0}, {1})
+    assert set(teams[4:8].tolist()) == {1 - teams[0]}
 
 
 def test_assign_teams_too_few_players():
@@ -169,10 +168,28 @@ def test_assign_teams_too_few_players():
         assign_teams(table(ref, staff))
 
 
+def test_team_accuracy_on_hand_built_tables():
+    """The better of the two label permutations counts, rows labelled -1
+    are left out, and no labelled row with a ground-truth team gives NaN."""
+    t = table(*(tracklet(i, [i], [0.0, 0.0], team=team)
+                for i, team in enumerate((0, 0, 1, 1, None), 1)))
+    assert team_accuracy(t, np.array([0, 0, 1, 1, -1])) == 1.0
+    assert team_accuracy(t, np.array([1, 1, 0, 0, 0])) == 1.0
+    # Rows 1, 3 and 4 are scored: 2 of 3 right once the labels swap.
+    assert team_accuracy(t, np.array([1, -1, 0, 1, 1])) == pytest.approx(
+        2 / 3)
+    assert np.isnan(team_accuracy(t, np.array([-1, -1, -1, -1, 0])))
+    assert np.isnan(team_accuracy(t, np.full(5, -1)))
+
+
 def test_merge_config_validation():
     for bad in (0.0, float("nan")):
         with pytest.raises(ValueError, match="merge_threshold"):
             MergeConfig(merge_threshold=bad)
+    # Fewer than one round would merge nothing, without a word.
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="^max_rounds must be >= 1"):
+            MergeConfig(max_rounds=bad)
 
 
 def keys(t):

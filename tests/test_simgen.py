@@ -51,12 +51,13 @@ def test_roster_and_determinism():
     cfg = small_config()
     s1 = generate(cfg)
     s2 = generate(cfg)
-    assert len(s1.agents) == 2 * 10 + 2 + 2 + 1
-    roles = [a.role for a in s1.agents]
+    assert len(s1.agent_role) == 2 * 10 + 2 + 2 + 1
+    roles = s1.agent_role.tolist()
     assert roles.count(Role.PLAYER) == 20
     assert roles.count(Role.GOALKEEPER) == 2
     assert np.unique(s1.frame).tolist() == list(range(1, 61))
-    for name in ("frame", "identity", "cells"):
+    for name in ("agent_team", "agent_role", "agent_latent", "frame",
+                 "identity", "cells"):
         np.testing.assert_array_equal(getattr(s1, name), getattr(s2, name))
 
 
@@ -70,7 +71,7 @@ def test_boxes_stay_on_pitch():
 
 def test_occlusion_produces_absences_and_partial_visibility():
     s = generate(small_config(frames=300, occlusion_rate=0.4, seed=1))
-    absent = s.config.frames * len(s.agents) - len(s.frame)
+    absent = s.config.frames * len(s.agent_role) - len(s.frame)
     partial = 0
     for part_visible, part_labels in zip(s.part_visible, s.part_labels):
         if part_visible.sum() < s.config.num_parts:
@@ -84,7 +85,8 @@ def test_occlusion_produces_absences_and_partial_visibility():
 def test_no_occlusion_means_full_visibility():
     s = generate(small_config(frames=40))
     assert list(zip(s.frame.tolist(), s.identity.tolist())) == [
-        (t, a.identity) for t in range(1, 41) for a in s.agents]
+        (t, i) for t in range(1, 41)
+        for i in range(1, len(s.agent_role) + 1)]
     assert (s.part_visible.sum(axis=1) == s.config.num_parts).all()
 
 
@@ -94,12 +96,11 @@ def test_reid_dataset_split_disjoint():
     train_ids = set(s.identity[train].tolist())
     test_ids = set(s.identity[np.concatenate([queries, gallery])].tolist())
     assert train_ids.isdisjoint(test_ids)
-    left = sum(1 for a in s.agents if a.role == Role.PLAYER and a.team == 0
-               and a.identity in train_ids)
-    right = sum(1 for a in s.agents if a.role == Role.PLAYER and a.team == 1
-                and a.identity in train_ids)
-    other = sum(1 for a in s.agents if a.role != Role.PLAYER
-                and a.identity in train_ids)
+    trained = np.isin(np.arange(1, len(s.agent_role) + 1), list(train_ids))
+    player = s.agent_role == Role.PLAYER
+    left = np.count_nonzero(trained & player & (s.agent_team == 0))
+    right = np.count_nonzero(trained & player & (s.agent_team == 1))
+    other = np.count_nonzero(trained & ~player)
     assert left >= 4 and right >= 4 and other >= 3
     with pytest.raises(ValueError):
         to_reid_dataset(s, sampling_stride=0)
@@ -167,6 +168,11 @@ def test_tracking_input_noise_modes():
                  ("dropout", 0.2, "oracle", -0.1)):
         with pytest.raises(ValueError):
             to_tracking_input(s, *args)
+    # A drop probability above 1 would drop every detection.
+    for features in ("oracle", "none"):
+        with pytest.raises(ValueError,
+                           match=r"noise_param must be in \[0, 1\]"):
+            detection_table(s, "dropout", 1.5, features)
 
 
 def test_oracle_projection_deterministic():
@@ -182,10 +188,9 @@ def test_oracle_projection_deterministic():
 def test_team_and_role_separations_control_latents():
     wide = generate(small_config(team_separation=6.0, identity_separation=0.0,
                                  frames=1))
-    left = [a.latent for a in wide.agents
-            if a.role == Role.PLAYER and a.team == 0]
-    right = [a.latent for a in wide.agents
-             if a.role == Role.PLAYER and a.team == 1]
+    player = wide.agent_role == Role.PLAYER
+    left = wide.agent_latent[player & (wide.agent_team == 0)]
+    right = wide.agent_latent[player & (wide.agent_team == 1)]
     gap = np.linalg.norm(np.mean(left, axis=0) - np.mean(right, axis=0))
     assert gap == pytest.approx(6.0, rel=1e-9)
 
@@ -207,9 +212,12 @@ def _bits(a):
 def test_generate_equals_per_agent_oracle(kw):
     cfg = small_config(**kw)
     got, want = generate(cfg), brute_generate(cfg)
-    for a, b in zip(got.agents, want.agents, strict=True):
-        assert (a.identity, a.team, a.role) == (b.identity, b.team, b.role)
-        assert _bits(a.latent) == _bits(b.latent)
+    assert [b.identity for b in want.agents] == list(
+        range(1, len(got.agent_role) + 1))
+    assert got.agent_team.tolist() == [-1 if b.team is None else b.team
+                                       for b in want.agents]
+    assert got.agent_role.tolist() == [b.role for b in want.agents]
+    assert _bits(got.agent_latent) == _bits([b.latent for b in want.agents])
     observations = [ob for frame in want.frames for ob in frame]
     present = [ob for ob in observations if ob.present]
     keys = list(zip(got.frame.tolist(), got.identity.tolist()))
@@ -362,10 +370,8 @@ def test_partial_cells_equal_the_full_scenario(kw, stride):
     cell as the full scenario has them."""
     cfg = small_config(**kw)
     full, got = generate(cfg), generate(cfg, stride)
-    for a, b in zip(got.agents, full.agents, strict=True):
-        assert _bits(a.latent) == _bits(b.latent)
-    for name in ("frame", "identity", "boxes", "part_visible",
-                 "part_labels"):
+    for name in ("agent_team", "agent_role", "agent_latent", "frame",
+                 "identity", "boxes", "part_visible", "part_labels"):
         assert _bits(getattr(got, name)) == _bits(getattr(full, name)), name
     kept = (np.zeros(0, dtype=int) if stride is None
             else _strided(full.identity, stride))

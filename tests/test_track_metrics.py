@@ -22,9 +22,10 @@ def test_frame_match_threshold():
     gt = [(1, box(0, 0)), (2, box(100, 0))]
     pred = [(7, box(1, 0)), (8, box(200, 0))]
     ious = iou_matrix([b for _, b in gt], [b for _, b in pred])
-    assert frame_match(ious, alpha_loc=0.5) == [(0, 0)]
-    assert frame_match(ious, alpha_loc=0.95) == []
-    assert frame_match(np.zeros((0, 2)), 0.5) == []
+    assert frame_match(ious, alpha_loc=0.5).tolist() == [[0, 0]]
+    for got in (frame_match(ious, alpha_loc=0.95),
+                frame_match(np.zeros((0, 2)), 0.5)):
+        assert got.shape == (0, 2) and got.dtype == np.intp
 
 
 def test_perfect_tracking_is_all_ones():
@@ -176,10 +177,10 @@ def test_frame_match_equals_assignment(case):
     mask = ious >= alpha
     single = (mask.sum(axis=0) <= 1).all() and (mask.sum(axis=1) <= 1).all()
     got = frame_match(ious, alpha)
-    assert got == _reference_match(ious, alpha)
-    assert all(type(x) is int for pair in got for x in pair)
+    assert got.tolist() == _reference_match(ious, alpha).tolist()
+    assert got.dtype == np.intp and got.shape[1:] == (2,)
     if single:
-        assert got == list(zip(*np.nonzero(mask)))
+        assert got.tolist() == np.argwhere(mask).tolist()
 
 
 _grid = st.sampled_from([0.0, 2.0, 4.0, 6.0])
@@ -212,9 +213,12 @@ def test_memoized_matches_equal_per_threshold_matching(sequence, data):
     alphas = data.draw(st.lists(alpha, min_size=1, max_size=8))
     alphas += data.draw(st.lists(st.sampled_from(alphas), max_size=4))
     for a in alphas:
-        want = [frame_match(ious, a) for _, _, ious in r.frames]
-        assert r.matches(a) == want
-        assert [_reference_match(ious, a) for _, _, ious in r.frames] == want
+        want = [frame_match(ious, a).tolist() for _, _, ious in r.frames]
+        got = r.matches(a)
+        assert [m.tolist() for m in got] == want
+        assert all(m.dtype == np.intp and m.shape[1:] == (2,) for m in got)
+        assert [_reference_match(ious, a).tolist()
+                for _, _, ious in r.frames] == want
     if len(r.gt_ids):
         fresh = SequenceResult(mot_sequence(sequence[0]),
                                mot_sequence(sequence[1]))
