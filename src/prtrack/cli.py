@@ -5,15 +5,15 @@ eval-reid | eval-track | pipeline | report.  Runs operate on a directory
 holding the scenario manifest and derived files.  ``generate`` writes the
 re-id samples (``reid_samples.npz``), which ``train`` and ``eval-reid``
 read instead of generating the scenario again; ``embed`` and ``track``
-regenerate it.  Each command fills feature-grid cells only for the rows it
-reads: ``generate`` for the re-id sample rows, ``embed`` for every row,
-``track`` for none.  Exit codes: 0 success, 1 usage error, 2 data error: a
-:class:`prtrack.core.DataError` (a malformed file or config value, or
-input a stage cannot work with) or a missing or directory input path.
-Config sections check their bounds when built,
-from YAML or Python; errors name the fully qualified key.  Any other
-exception is a bug and propagates.  ``--seed`` (or env PRT_SEED)
-propagates to every stage.
+regenerate it.  Each command stores feature-grid cells only for the rows it
+keeps: ``generate`` and ``pipeline`` for the re-id sample rows, ``embed``
+and ``track`` for none; ``embed`` and ``pipeline`` rebuild each frame's
+cells as they embed that frame.  Exit codes: 0 success, 1 usage error, 2
+data error: a :class:`prtrack.core.DataError` (a malformed file or config
+value, or input a stage cannot work with) or a missing or directory input
+path.  Config sections check their bounds when built, from YAML or
+Python; errors name the fully qualified key.  Any other exception is a bug
+and propagates.  ``--seed`` (or env PRT_SEED) propagates to every stage.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def cmd_embed(args) -> int:
     run_dir = Path(args.run)
     cfg = _load_manifest(run_dir)
     model = load_model(run_dir / "model.txt")
-    scenario = generate(cfg.scenario)
+    scenario = generate(cfg.scenario, None)
     table, _ = detections(cfg, scenario, "none")
     features = embed_detections(model, scenario, table)
     write_features(features, run_dir / "features.txt")
@@ -258,10 +258,10 @@ def cmd_merge(args) -> int:
     run_dir = Path(args.run)
     cfg = _load_manifest(run_dir)
     tracklets = _load_tracklets(run_dir / "tracklets.npz")
-    merged, id_map = merge_tracklets(tracklets, cfg.merge)
+    merged, survivor = merge_tracklets(tracklets, cfg.merge)
     write_mot(merged.mot_rows(), run_dir / "track_merged.txt")
     _save_tracklets(merged, run_dir / "tracklets_merged.npz")
-    _dump_yaml({int(k): int(v) for k, v in id_map.items()},
+    _dump_yaml(dict(zip(tracklets.id.tolist(), survivor.tolist())),
                run_dir / "idmap.yaml")
     print(f"merged {len(tracklets)} -> {len(merged)} tracklets")
     return 0

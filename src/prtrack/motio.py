@@ -331,6 +331,9 @@ def load_model(path) -> EmbedderModel:
             rows, cols = int(rows), int(cols)
         except ValueError as exc:
             raise ParseError(str(exc), lineno, path) from exc
+        if rows < 0 or cols < 0:
+            raise ParseError(f"{name} has a negative shape ({rows}, {cols})",
+                             lineno, path)
         data = []
         for _ in range(rows):
             line = next(lines, "")

@@ -127,7 +127,7 @@ def run_pipeline(cfg: RunConfig):
     """Full chain on one seed; returns (report, artifacts) where report is
     the report dictionary and artifacts holds the model, tracklets, and MOT
     tables (ground truth, raw, merged) for file output."""
-    scenario = generate(cfg.scenario)
+    scenario = generate(cfg.scenario, cfg.sampling_stride)
     samples = reid_samples(scenario, cfg.sampling_stride)
     _check_gallery(samples)
     model, history = train_on_scenario(cfg, samples)
@@ -135,7 +135,7 @@ def run_pipeline(cfg: RunConfig):
     table = dataclasses.replace(
         table, features=embed_detections(model, scenario, table))
     tracklets = track_frames(table, cfg)
-    merged, id_map = merge_tracklets(tracklets, cfg.merge)
+    merged, _ = merge_tracklets(tracklets, cfg.merge)
     merged_mot = merged.mot_rows()
     track_report = evaluate_sequence(gt_mot, merged_mot)
 

@@ -1,8 +1,9 @@
 """Offline post-processing over finished tracklets: appearance-based
 tracklet merging, two-cluster team assignment, and role voting, each over
 the columns of the :class:`~prtrack.tracker.TrackletTable` that
-``OnlineTracker.finish()`` returns.  Roles and teams come back as ``(T,)``
-arrays aligned with the table's rows."""
+``OnlineTracker.finish()`` returns.  Roles, teams and the merge's
+surviving ids come back as ``(T,)`` arrays aligned with the table's
+rows."""
 
 from __future__ import annotations
 
@@ -71,11 +72,11 @@ def merge_tracklets(tracklets: TrackletTable,
     its row takes the detection-count-weighted mean of the two EMAs, the
     OR of their visibility, the sum of their role logits and the other's
     member rows.  Returns the merged tracklets, in id order once a round
-    merged, and an id remapping {original id: surviving id}.  An empty
-    input of another type (say ``[]``) comes back as it is, with ``{}``.
+    merged, and the ``(T,)`` surviving id of each input row.  An empty
+    input of another type (say ``[]``) comes back as it is, with no ids.
     """
     if not isinstance(tracklets, TrackletTable) and not list(tracklets):
-        return tracklets, {}
+        return tracklets, np.zeros(0, dtype=int)
     current = tracklets
     target = np.arange(len(tracklets))  # each input row's row in current
     for _ in range(cfg.max_rounds):
@@ -114,8 +115,7 @@ def merge_tracklets(tracklets: TrackletTable,
                 alive[np.argsort(current.id[alive])],
                 survivor[current.owner()])
         target = np.searchsorted(current.id, target_ids)
-    return current, dict(zip(tracklets.id.tolist(),
-                             current.id[target].tolist()))
+    return current, current.id[target]
 
 
 def assign_roles(tracklets: TrackletTable) -> np.ndarray:

@@ -12,11 +12,16 @@ observations as columns, one row per present (frame, agent), in frame
 order and, within a frame, in roster order: ``frame`` and ``identity``
 ``(N,)``, ``boxes`` ``(N, 4)``, ``part_visible`` ``(N, K)`` and
 ``part_labels`` ``(N, H, W)``.  An absent agent has no row.  Feature-grid
-cells are built only for the rows a caller reads, as :class:`ReidSamples`
+cells are stored only for the rows a caller keeps, as :class:`ReidSamples`
 holds them: ``cells`` ``(M, H, W, C)`` and ``cell_row`` ``(N,)``, each
-row's row of ``cells`` or -1.  :func:`generate` builds them for every row,
+row's row of ``cells`` or -1.  :func:`generate` stores them for every row,
 for every ``sampling_stride``-th row of each identity (the re-id sample
-rows), or for none, from the same random stream.
+rows), or for none, from the same random stream.  It also saves the
+generator's state before each frame's cell-noise draw, and the part
+signatures, so that any frame's cells can be rebuilt bit for bit with one
+draw of that frame's noise: :func:`embed_detections` rebuilds them one
+frame at a time and reads no stored cells, so a run holds one frame of
+cells, not the clip's.
 
 Re-id samples are rows of the scenario: :func:`to_reid_dataset` splits
 them into training, query and gallery row indices, and :func:`reid_samples`
@@ -41,7 +46,6 @@ steps over :meth:`DetectionTable.by_frame`'s per-frame tables, and its
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -141,9 +145,11 @@ class Scenario:
     within a frame, in roster order.  An absent agent has no row.
 
     Row ``i``'s feature-grid cells are ``cells[cell_row[i]]``.  Only the
-    rows :func:`generate` was asked for have cells, in row order; the
-    others have ``cell_row`` -1, and their cells were never filled.  Every
-    other column is the same whichever rows have cells."""
+    rows :func:`generate` was asked for have stored cells, in row order;
+    the others have ``cell_row`` -1.  Every other column is the same
+    whichever rows have cells.  The cells of any frame, stored or not, are
+    rebuilt from ``frame_state``, the generator's state before that frame's
+    noise draw, ``signatures``, ``part_labels`` and ``agent_latent``."""
 
     config: ScenarioConfig
     agent_team: np.ndarray    # (A,) 0 left / 1 right, -1 for no team
@@ -156,6 +162,8 @@ class Scenario:
     cells: np.ndarray         # (M, H, W, C) feature-grid cells of M rows
     cell_row: np.ndarray      # (N,) each row's row of ``cells``, or -1
     part_labels: np.ndarray   # (N, H, W) cell part labels, 0 = background
+    signatures: np.ndarray    # (K+1, C) part signatures, background first
+    frame_state: list[dict]   # (F,) generator states, one per frame
 
     @property
     def view(self) -> np.ndarray:
@@ -172,26 +180,6 @@ class Scenario:
             raise ValueError("a scenario row has no cells: generate the "
                              "scenario with cells for the rows read")
         return found
-
-
-def _mapped_empty(shape: tuple[int, ...], dtype=float) -> np.ndarray:
-    """An uninitialised array in an anonymous memory map of its own, which
-    goes back to the system as soon as the array is freed.
-
-    A full scenario's cells are one block of several MB: 11.8 MB for the
-    2,884 rows of the ``track_occluded`` benchmark config at seed 21.  From
-    the C heap, the freed block of one scenario can stay resident beside
-    the next: ``cli.cmd_pipeline`` on that config, called from Python at
-    seeds 21-23 in turn, read a peak RSS of 74.8 MB with the cells on the
-    heap and 62.9 MB with them in maps.  ``cli.main`` pins glibc's map
-    threshold, which spares the commands the same way, but the pin does
-    not reach library callers.  The cells of a re-id samples file are read
-    into such a map too.
-    """
-    dtype = np.dtype(dtype)
-    size = math.prod(shape)
-    return np.frombuffer(mmap.mmap(-1, max(1, dtype.itemsize * size)), dtype,
-                         size).reshape(shape)
 
 
 def _part_layout(h: int, w: int, k: int) -> np.ndarray:
@@ -233,14 +221,44 @@ def _strided_rows(identity: np.ndarray, stride: int) -> np.ndarray:
     return rank % stride == 0
 
 
+def _fill_cells(out: np.ndarray, signatures: np.ndarray, labels: np.ndarray,
+                latents: np.ndarray, noise: np.ndarray) -> None:
+    """Write into ``out`` the cells of R rows: each cell's part signature
+    by its label in ``labels`` ``(R, H, W)``, plus the row's latent of
+    ``latents`` ``(R, C)`` on the foreground, plus ``noise``."""
+    # 'clip' writes into ``out`` directly, where 'raise' buffers.
+    np.take(signatures, labels, axis=0, out=out, mode="clip")
+    np.add(out, latents[:, None, None], out=out,
+           where=(labels > 0)[..., None])
+    out += noise
+
+
+def _frame_cells(scenario: Scenario, rng: np.random.Generator, t: int,
+                 lo: int, hi: int) -> np.ndarray:
+    """``(hi - lo, H, W, C)`` the cells of frame ``t``'s rows ``lo:hi``,
+    all the rows of that frame, bit for bit as :func:`generate` fills them.
+    ``rng``'s state is set to the one saved for the frame, and the frame's
+    noise is drawn again with it."""
+    cfg = scenario.config
+    rng.bit_generator.state = scenario.frame_state[t - 1]
+    noise = rng.normal(0.0, cfg.feature_noise_sigma,
+                       (hi - lo, cfg.grid_h, cfg.grid_w, cfg.channels))
+    cells = np.empty_like(noise)
+    _fill_cells(cells, scenario.signatures, scenario.part_labels[lo:hi],
+                scenario.agent_latent[scenario.identity[lo:hi] - 1], noise)
+    return cells
+
+
 def generate(config: ScenarioConfig, cell_stride: int | None = 1
              ) -> Scenario:
     """Build a scenario, deterministic per seed.
 
-    Cells are filled for every ``cell_stride``-th row of each identity:
+    Cells are stored for every ``cell_stride``-th row of each identity:
     every row at 1, the rows of :func:`to_reid_dataset` at its
     ``sampling_stride``, and no row for None.  Every other column, and
-    every cell that is filled, is the same at any ``cell_stride``.
+    every cell that is stored, is the same at any ``cell_stride``.  The
+    generator's state at the top of each frame's loop, before the frame's
+    noise draw, is saved for every frame, empty frames included.
     """
     rng = np.random.default_rng(config.seed)
     c, k = config.channels, config.num_parts
@@ -334,11 +352,13 @@ def generate(config: ScenarioConfig, cell_stride: int | None = 1
     cell_row[keep] = np.arange(np.count_nonzero(keep))
     cell_ends = np.cumsum(np.r_[0, keep])[ends].tolist()
     grid = (config.grid_h, config.grid_w, c)
-    cells = _mapped_empty((cell_ends[-1], *grid))
+    cells = np.empty((cell_ends[-1], *grid))
     part_labels = np.empty((n, *base_labels.shape), dtype=base_labels.dtype)
+    frame_state = []
 
     lo = cell_lo = 0
     for t, (hi, cell_hi) in enumerate(zip(ends, cell_ends)):
+        frame_state.append(rng.bit_generator.state)
         rows = agent_idx[lo:hi]
         labels = part_labels[lo:hi]
         labels[...] = np.where(hidden[rows, t][:, base_labels], 0,
@@ -346,15 +366,11 @@ def generate(config: ScenarioConfig, cell_stride: int | None = 1
         # The frame's rows that get cells: a view when all of them do.
         sel = (slice(None) if cell_hi - cell_lo == hi - lo
                else np.flatnonzero(keep[lo:hi]))
-        block = cells[cell_lo:cell_hi]
-        # 'clip' writes into ``block`` directly, where 'raise' buffers.
-        np.take(signatures, labels[sel], axis=0, out=block, mode="clip")
-        np.add(block, latents[rows[sel], None, None], out=block,
-               where=(labels[sel] > 0)[..., None])
         # The noise of every row is drawn, whether it gets cells or not:
         # the motion draws below follow it in the same stream.
-        block += rng.normal(0.0, config.feature_noise_sigma,
-                            (hi - lo, *grid))[sel]
+        noise = rng.normal(0.0, config.feature_noise_sigma, (hi - lo, *grid))
+        _fill_cells(cells[cell_lo:cell_hi], signatures, labels[sel],
+                    latents[rows[sel]], noise[sel])
         boxes[lo:hi, :2] = pos[rows] - half_size[rows]
         lo, cell_lo = hi, cell_hi
 
@@ -370,7 +386,7 @@ def generate(config: ScenarioConfig, cell_stride: int | None = 1
     _check_boxes(boxes)
     return Scenario(config, agent_team, agent_role, latents, frame_idx + 1,
                     agent_idx + 1, boxes, part_visible, cells, cell_row,
-                    part_labels)
+                    part_labels, signatures, frame_state)
 
 
 def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25):
@@ -503,7 +519,7 @@ def load_reid_samples(path, config: ScenarioConfig,
                       sampling_stride: int) -> ReidSamples:
     """The table of a file of :func:`save_reid_samples`, made for the
     scenario config ``config`` and ``sampling_stride``; its cells are read
-    into a memory map of their own.
+    in chunks into an array of their own, without a copy of the whole.
 
     A missing file, or one made for another config or stride, raises
     :class:`~prtrack.motio.ParseError` that says to run ``generate``
@@ -526,7 +542,7 @@ def load_reid_samples(path, config: ScenarioConfig,
                 "W": config.grid_w, "C": config.channels}
 
     a = load_arrays(path, _SAMPLE_ARRAYS, "re-id samples", sizes,
-                    into={"cells": _mapped_empty})
+                    into={"cells": np.empty})
     for name, valid in (
             ("part_labels", (a["part_labels"] >= 0)
              & (a["part_labels"] <= config.num_parts)),
@@ -718,22 +734,31 @@ def embed_detections(model: EmbedderModel, scenario: Scenario,
     """The model features of the table's detections, keyed like its rows.
 
     Each row's grid is the cells of the scenario's row of its frame and
-    identity, found by one search on the scenario's frame-major (frame,
-    identity) keys; the scenario needs cells for every such row.  One
-    :func:`~prtrack.embedder.forward_batch` call per frame fills the
-    columns: one pass over the whole run raised peak RSS from 106 to
-    142 MB.
+    identity.  No stored cells are read: each frame's cells are rebuilt
+    from the generator state :func:`generate` saved for it, so the run
+    holds one frame of cells at a time.  A frame's rows are a roster-ordered
+    subset of the scenario's rows of that frame, the whole of them unless a
+    detection was dropped.  One :func:`~prtrack.embedder.forward_batch`
+    call per frame fills the columns.
     """
     n, k, d = len(table.frame), model.num_parts, model.dim
     parts, foreground = np.empty((n, k, d)), np.empty((n, d))
     visibility, role_logits = np.empty((n, k + 1), dtype=int), np.empty((n, 4))
     a = len(scenario.agent_role)
-    rows = scenario.cells_of(np.searchsorted(
-        (scenario.frame - 1) * a + scenario.identity,
-        (table.frame - 1) * a + table.gt_identity))
-    _, starts = np.unique(table.frame, return_index=True)
-    for lo, hi in zip(starts.tolist(), [*starts[1:].tolist(), n]):
-        feats, vis, logits = forward_batch(model, scenario.cells[rows[lo:hi]])
+    rows = np.searchsorted((scenario.frame - 1) * a + scenario.identity,
+                           (table.frame - 1) * a + table.gt_identity)
+    frames, starts = np.unique(table.frame, return_index=True)
+    firsts = np.searchsorted(scenario.frame, frames)
+    lasts = np.searchsorted(scenario.frame, frames, side="right")
+    # One generator for every frame: its state is replaced per frame.
+    rng = np.random.default_rng(0)
+    for t, lo, hi, first, last in zip(
+            frames.tolist(), starts.tolist(), [*starts[1:].tolist(), n],
+            firsts.tolist(), lasts.tolist()):
+        grids = _frame_cells(scenario, rng, t, first, last)
+        if hi - lo < last - first:
+            grids = grids[rows[lo:hi] - first]
+        feats, vis, logits = forward_batch(model, grids)
         foreground[lo:hi], parts[lo:hi] = feats[:, 0], feats[:, 1:]
         visibility[lo:hi], role_logits[lo:hi] = vis, logits
     return FeatureTable(table.frame, table.det_index, parts, foreground,

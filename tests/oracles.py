@@ -588,9 +588,9 @@ def brute_merge(tracklets, cfg):
     whose frame spans overlap; its assignment is the package's
     ``hungarian``.  Both have oracle tests of their own.
 
-    Returns (merged, id_map): the merged tracklets in id order, each the
+    Returns (merged, survivors): the merged tracklets in id order, each the
     tuple ``(id, features (K+1, D), visibility, role-logit sum,
-    detections)``, and {original id: surviving id}."""
+    detections)``, and the list of each input tracklet's surviving id."""
     current = [(t[0], t[4], t[5], t[6], list(t[7])) for t in tracklets]
     id_map = {t[0]: t[0] for t in current}
     for _ in range(cfg.max_rounds):
@@ -632,7 +632,7 @@ def brute_merge(tracklets, cfg):
         merged_out.extend(t for idx, t in enumerate(current)
                           if idx not in consumed)
         current = sorted(merged_out, key=lambda t: t[0])
-    return current, id_map
+    return current, [id_map[t[0]] for t in tracklets]
 
 
 @dataclass

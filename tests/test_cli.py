@@ -604,22 +604,31 @@ def test_generate_without_held_out_player_writes_nothing(tmp_path, capsys):
 
 def test_commands_build_cells_for_the_rows_they_read(tmp_path,
                                                      monkeypatch):
-    """``generate`` maps cells for its re-id sample rows alone, and
-    ``track``, whose detections read no cells, for no row."""
+    """``generate`` and ``pipeline`` store cells for their re-id sample rows
+    alone, and ``track`` and ``embed``, whose detections read no stored
+    cells, for no row; ``embed`` rebuilds one frame's cells at a time."""
     cfg = tmp_path / "c.yaml"
     cfg.write_text(yaml.safe_dump({
         "scenario": {"frames": 40, "n_players_per_team": 6,
                      "occlusion_rate": 0.3},
-        "sampling_stride": 5}))
+        "sampling_stride": 5, "train": {"epochs": 2}}))
     run = tmp_path / "run"
-    shapes = []
+    shapes, frames = [], []
 
-    def recorded(shape, dtype=float):
-        shapes.append(tuple(shape))
-        return mapped_empty(shape, dtype)
+    def recorded(*args, **kwargs):
+        scenario = generate(*args, **kwargs)
+        shapes.append(scenario.cells.shape)
+        return scenario
 
-    mapped_empty = prtrack.simgen._mapped_empty
-    monkeypatch.setattr(prtrack.simgen, "_mapped_empty", recorded)
+    def frame_cells(*args):
+        cells = replay(*args)
+        frames.append(len(cells))
+        return cells
+
+    replay = prtrack.simgen._frame_cells
+    for module in (prtrack.cli, prtrack.pipeline):
+        monkeypatch.setattr(module, "generate", recorded)
+    monkeypatch.setattr(prtrack.simgen, "_frame_cells", frame_cells)
     assert main(["generate", "--config", str(cfg), "--out", str(run)]) == 0
     with np.load(run / "reid_samples.npz", allow_pickle=False) as npz:
         samples = npz["identity"].size
@@ -627,9 +636,21 @@ def test_commands_build_cells_for_the_rows_they_read(tmp_path,
     grid = (scenario.grid_h, scenario.grid_w, scenario.channels)
     assert 0 < samples < 40 * 23
     assert shapes == [(samples, *grid)]
+    for command, want in (("track", [(0, *grid)]), ("train", []),
+                          ("embed", [(0, *grid)])):
+        shapes.clear()
+        assert main([command, "--run", str(run)]) == 0
+        assert shapes == want, command
+    # One block per frame, of that frame's present agents: the rows of the
+    # ground truth, which has one line per present agent and frame.
+    present = np.bincount(parse_mot(run / "gt.txt").frame)[1:].tolist()
+    assert frames == present
     shapes.clear()
-    assert main(["track", "--run", str(run)]) == 0
-    assert shapes and all(shape == (0, *grid) for shape in shapes)
+    frames.clear()
+    assert main(["pipeline", "--config", str(cfg), "--out",
+                 str(tmp_path / "full")]) == 0
+    assert shapes == [(samples, *grid)]
+    assert frames == present
 
 
 def test_main_pins_the_mmap_threshold_under_glibc_only(monkeypatch,

@@ -254,6 +254,14 @@ def test_model_checkpoint_bad_rows(tmp_path):
         load_model(bad)
     assert err.value.line == 5
     assert str(err.value).startswith(f"{bad}: line 5: ")
+    # A negative row or column count fails at its header, line 2: with
+    # ``w_pix -2 4`` no rows were read and line 3 was taken for a header.
+    for shape in ("-2 4", "6 -4", "-1 -1"):
+        bad.write_text("".join(lines[:1] + [f"w_pix {shape}\n"] + lines[2:]))
+        with pytest.raises(ParseError) as err:
+            load_model(bad)
+        assert str(err.value) == (f"{bad}: line 2: w_pix has a negative "
+                                  f"shape ({shape.replace(' ', ', ')})")
     # Well-formed rows whose shapes disagree: b_pix of 3 next to w_pix 6x4.
     assert lines[8] == "b_pix 1 4\n"
     short = " ".join(lines[9].split()[:3]) + "\n"

@@ -87,16 +87,18 @@ def test_table_take_keeps_only_the_chosen_tracklets():
 
 
 def test_merge_of_no_tracklets():
-    assert merge_tracklets([]) == ([], {})
+    merged, survivor = merge_tracklets([])
+    assert merged == []
+    assert survivor.shape == (0,) and survivor.dtype.kind == "i"
 
 
 def test_merge_joins_matching_fragments():
     a = tracklet(1, [1, 2, 3], [1.0, 0.0])
     b = tracklet(5, [10, 11, 12], [1.0, 0.05])
     c = tracklet(7, [20, 21], [9.0, 9.0])
-    merged, id_map = merge_tracklets(table(a, b, c))
+    merged, survivor = merge_tracklets(table(a, b, c))
     assert len(merged) == 2
-    assert id_map == {1: 1, 5: 1, 7: 7}
+    assert survivor.tolist() == [1, 1, 7]
     joined = next(t for t in split(merged) if t.id == 1)
     assert joined.detections.frame.tolist() == [1, 2, 3, 10, 11, 12]
 
@@ -113,19 +115,19 @@ def test_merge_features_count_weighted():
 def test_merge_respects_threshold():
     a = tracklet(1, [1, 2], [0.0, 0.0])
     b = tracklet(2, [10, 11], [1.0, 0.0])
-    merged, id_map = merge_tracklets(table(a, b),
-                                     MergeConfig(merge_threshold=0.3))
+    merged, survivor = merge_tracklets(table(a, b),
+                                       MergeConfig(merge_threshold=0.3))
     assert len(merged) == 2
-    assert id_map == {1: 1, 2: 2}
+    assert survivor.tolist() == [1, 2]
 
 
 def test_merge_rounds_chain_fragments():
     a = tracklet(1, [1, 2], [0.0, 0.0])
     b = tracklet(2, [10, 11], [0.05, 0.0])
     c = tracklet(3, [20, 21], [0.1, 0.0])
-    merged, id_map = merge_tracklets(table(a, b, c))
+    merged, survivor = merge_tracklets(table(a, b, c))
     assert len(merged) == 1
-    assert set(id_map.values()) == {1}
+    assert survivor.tolist() == [1, 1, 1]
 
 
 def test_foreground_only_ignores_part_mismatch():
@@ -210,16 +212,18 @@ _merge_configs = st.builds(
        st.booleans())
 def test_merge_invariants(case, threshold, rounds, foreground_only):
     """On the tracklets of a random clip: the merged member sets partition
-    the input's along ``id_map``, which sends every input id to a surviving
-    id; a merged tracklet's frames strictly increase; and its EMA is the
-    count-weighted mean of its sources' EMAs."""
+    the input's along the surviving ids, one per input row, each the id
+    of a merged tracklet; a merged tracklet's frames strictly increase; and
+    its EMA is the count-weighted mean of its sources' EMAs."""
     rows = tracklets_of(*case)
-    merged, id_map = merge_tracklets(
+    merged, survivor = merge_tracklets(
         rows, MergeConfig(merge_threshold=threshold, max_rounds=rounds,
                           foreground_only=foreground_only))
     tracklets = split(rows)
     survivors = {t.id: t for t in split(merged)}
     assert len(survivors) == len(merged)
+    assert survivor.shape == (len(rows),)
+    id_map = dict(zip(rows.id.tolist(), survivor.tolist()))
     assert set(id_map) == {t.id for t in tracklets}
     assert set(id_map.values()) == set(survivors)
     for tid, m in survivors.items():
@@ -237,12 +241,14 @@ def test_merge_invariants(case, threshold, rounds, foreground_only):
 
 def merge_rounds(tracklets, cfg):
     """``merge_tracklets`` as single rounds, each fed the previous round's
-    output: per round, its input, cost matrix, output and id map."""
+    output: per round, its input, cost matrix, output and id map {input
+    id: surviving id}."""
     one_round = dataclasses.replace(cfg, max_rounds=1)
     current = tracklets
     for _ in range(cfg.max_rounds):
-        merged, id_map = merge_tracklets(current, one_round)
-        yield current, tracklet_cost_matrix(current, cfg), merged, id_map
+        merged, survivor = merge_tracklets(current, one_round)
+        yield (current, tracklet_cost_matrix(current, cfg), merged,
+               dict(zip(current.id.tolist(), survivor.tolist())))
         if len(merged) == len(current):
             return
         current = merged
@@ -263,16 +269,17 @@ def test_merge_accepts_only_pairs_below_threshold(case, cfg):
             if len(joined) == 2:
                 assert costs[joined[0], joined[1]] < cfg.merge_threshold
         id_map = {k: step[v] for k, v in id_map.items()}
-    want, want_map = merge_tracklets(tracklets, cfg)
-    assert id_map == want_map
+    want, want_survivor = merge_tracklets(tracklets, cfg)
+    assert [id_map[i] for i in tracklets.id.tolist()] == \
+        want_survivor.tolist()
     assert merged.id.tolist() == want.id.tolist()
 
 
 @settings(max_examples=150, deadline=None)
 @given(_clips, _merge_configs, st.randoms(use_true_random=False))
 def test_merge_ignores_input_order(case, cfg, random):
-    """The merged tracklets and ``id_map`` do not depend on the order of the
-    input list.  Draws in which a round's cost matrix holds a finite cost
+    """The merged tracklets and each input id's surviving id do not depend
+    on the order of the input list.  Draws in which a round's cost matrix holds a finite cost
     twice above its diagonal are left out: the assignment breaks ties by
     (row, col), and so by list order."""
     tracklets = tracklets_of(*case)
@@ -280,11 +287,11 @@ def test_merge_ignores_input_order(case, cfg, random):
         upper = costs[np.triu_indices_from(costs, 1)]
         finite = upper[np.isfinite(upper)]
         assume(np.unique(finite).size == finite.size)
-    want, want_map = merge_tracklets(tracklets, cfg)
-    got, got_map = merge_tracklets(tracklets.take(np.array(
-        random.sample(range(len(tracklets)), len(tracklets)), dtype=int)),
-        cfg)
-    assert got_map == want_map
+    want, want_survivor = merge_tracklets(tracklets, cfg)
+    order = np.array(random.sample(range(len(tracklets)), len(tracklets)),
+                     dtype=int)
+    got, got_survivor = merge_tracklets(tracklets.take(order), cfg)
+    assert got_survivor.tolist() == want_survivor[order].tolist()
     assert sorted(got.id.tolist()) == sorted(want.id.tolist())
     by_id = {t.id: t for t in split(want)}
     for g in split(got):
@@ -299,15 +306,15 @@ def test_merge_ignores_input_order(case, cfg, random):
 def test_merge_equals_per_object_oracle(case, cfg, random):
     """On the tracklets of a random clip, in a random order, the merge
     equals ``brute_merge`` of the per-object tracker's tracklets in the
-    same order bit for bit: ids, ``id_map``, each tracklet's member rows,
+    same order bit for bit: ids, surviving ids, each tracklet's member rows,
     EMA, visibility, role-logit sum and count."""
     tracker_cfg, frames = case
     tracklets = brute_track(frames, tracker_cfg)[1]
     order = random.sample(range(len(tracklets)), len(tracklets))
-    want, want_map = brute_merge([tracklets[i] for i in order], cfg)
-    got, got_map = merge_tracklets(
+    want, want_survivor = brute_merge([tracklets[i] for i in order], cfg)
+    got, got_survivor = merge_tracklets(
         tracklets_of(*case).take(np.array(order, dtype=int)), cfg)
-    assert got_map == want_map
+    assert got_survivor.tolist() == want_survivor
     assert got.id.tolist() == [w[0] for w in want]
     assert got.count.tolist() == [len(w[4]) for w in want]
     for g, w in zip(split(got), want):

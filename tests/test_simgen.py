@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from prtrack.core import DataError, Role
-from prtrack.embedder import EmbedderModel
+from prtrack.core import Role
+from prtrack.embedder import EmbedderModel, forward_batch
 from prtrack.simgen import (GALLERY, QUERY, TRAIN, DetectionTable,
-                            ScenarioConfig, detection_table,
+                            ScenarioConfig, _frame_cells, detection_table,
                             embed_detections, generate,
                             oracle_feature_projection, reid_samples,
                             to_reid_dataset, to_tracking_input)
@@ -406,15 +408,62 @@ def test_reid_samples_of_a_partial_scenario(stride):
             reid_samples(generate(cfg, other), stride)
 
 
+@settings(max_examples=40, deadline=None)
+@given(frames=st.integers(1, 40), players=st.integers(1, 3),
+       others=st.integers(0, 2), occlusion=st.sampled_from([0.0, 0.4, 0.8]),
+       exits=st.sampled_from([0.0, 0.5, 1.0]),
+       stride=st.sampled_from([1, None, 3]), seed=st.integers(0, 1000))
+# Frames where nobody is present, before, between and after the rows.
+@example(frames=60, players=1, others=0, occlusion=0.3, exits=1.0,
+         stride=None, seed=4)
+def test_frame_cells_replay_the_stored_cells(frames, players, others,
+                                             occlusion, exits, stride, seed):
+    """Every frame's cells rebuilt from its saved generator state, in any
+    frame order and with one generator, equal that frame's rows of the
+    scenario generated with every row's cells, bit for bit, whatever
+    ``cell_stride`` the replayed scenario was generated at."""
+    cfg = small_config(frames=frames, n_players_per_team=players,
+                       n_goalkeepers=others, n_referees=others,
+                       n_staff=others, occlusion_rate=occlusion,
+                       exit_rate=exits, seed=seed)
+    full, s = generate(cfg), generate(cfg, stride)
+    assert len(s.frame_state) == frames
+    ends = np.searchsorted(full.frame, np.arange(1, frames + 1),
+                           side="right").tolist()
+    rng = np.random.default_rng(12345)
+    for t, lo, hi in reversed(list(zip(range(1, frames + 1), [0, *ends],
+                                       ends))):
+        got = _frame_cells(s, rng, t, lo, hi)
+        assert _bits(got) == _bits(full.cells[lo:hi]), t
+
+
 @pytest.mark.parametrize("stride", [None, 5])
-def test_embed_detections_needs_cells_for_every_row(stride):
-    """A detection whose scenario row has no cells is a caller's bug: a
-    ``ValueError``, which the command line does not report as bad input."""
-    cfg = small_config(frames=20)
-    s = generate(cfg, stride)
-    model = EmbedderModel.init(channels=cfg.channels,
-                               num_parts=cfg.num_parts, seed=5)
-    table, _ = detection_table(s, features="none")
-    with pytest.raises(ValueError, match="has no cells") as info:
-        embed_detections(model, s, table)
-    assert not isinstance(info.value, DataError)
+def test_embed_detections_reads_no_stored_cells(stride):
+    """A scenario without stored cells, or with the sample rows' alone,
+    gives the features that the full scenario's stored cells give, frame by
+    frame, bit for bit, under every detector noise."""
+    for kw in _EMBED_SCENARIOS:
+        cfg = small_config(**kw)
+        full = generate(cfg)
+        s = dataclasses.replace(generate(cfg, stride), cells=None)
+        model = EmbedderModel.init(channels=cfg.channels,
+                                   num_parts=cfg.num_parts, seed=5)
+        row_of = {key: r for r, key in enumerate(zip(full.frame.tolist(),
+                                                     full.identity.tolist()))}
+        for noise, param in (("none", 0.0), ("jitter", 8.0),
+                             ("dropout", 0.2)):
+            table, _ = detection_table(full, noise, param, "none", seed=7)
+            got = embed_detections(model, s, table)
+            assert _bits(got.frame) == _bits(table.frame)
+            assert _bits(got.det_index) == _bits(table.det_index)
+            for dets in table.by_frame(cfg.frames):
+                if not len(dets):
+                    continue
+                rows = [row_of[key] for key in zip(dets.frame.tolist(),
+                                                   dets.gt_identity.tolist())]
+                feats, vis, logits = forward_batch(model, full.cells[rows])
+                mine = got.frame == dets.frame[0]
+                assert _bits(got.foreground[mine]) == _bits(feats[:, 0])
+                assert _bits(got.parts[mine]) == _bits(feats[:, 1:])
+                assert _bits(got.visibility[mine]) == _bits(vis)
+                assert _bits(got.role_logits[mine]) == _bits(logits)
