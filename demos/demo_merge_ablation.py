@@ -15,7 +15,7 @@ from prtrack.tracker import FrameInput, OnlineTracker, TrackerConfig
 SEED = 3
 cfg = ScenarioConfig(n_players_per_team=9, occlusion_rate=0.3, frames=750,
                      seed=SEED)
-scenario = generate(cfg)
+scenario, _ = generate(cfg)
 frame_inputs, gt_mot = to_tracking_input(scenario, features="oracle",
                                          seed=SEED)
 

@@ -14,12 +14,12 @@ from prtrack.core import Role
 from prtrack.embedder import TrainConfig, forward_batch, train
 from prtrack.pipeline import evaluate_reid
 from prtrack.simgen import (GALLERY, QUERY, TRAIN, ScenarioConfig,
-                            generate, reid_samples)
+                            generate)
 
 SEED = 0
-scenario = generate(ScenarioConfig(seed=SEED, team_separation=0.7,
-                                   feature_noise_sigma=0.6))
-samples = reid_samples(scenario, sampling_stride=25)
+_, samples = generate(ScenarioConfig(seed=SEED, team_separation=0.7,
+                                     feature_noise_sigma=0.6),
+                      sampling_stride=25)
 n_train, n_query, n_gallery = np.bincount(samples.subset, minlength=3)
 print(f"{n_train} training samples, {n_query} queries, "
       f"{n_gallery} gallery samples")

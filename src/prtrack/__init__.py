@@ -21,7 +21,7 @@ from .track_metrics import (EmptyGroundTruth, EvalReport, SequenceResult,
                             evaluate_sequence, frame_match, hota, idf1,
                             mota_ids)
 from .simgen import (ReidSamples, Scenario, ScenarioConfig, generate,
-                     reid_samples, to_reid_dataset, to_tracking_input)
+                     to_reid_dataset, to_tracking_input)
 from .config import RunConfig, load_config
 from .pipeline import run_pipeline
 

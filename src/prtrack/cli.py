@@ -5,15 +5,16 @@ eval-reid | eval-track | pipeline | report.  Runs operate on a directory
 holding the scenario manifest and derived files.  ``generate`` writes the
 re-id samples (``reid_samples.npz``), which ``train`` and ``eval-reid``
 read instead of generating the scenario again; ``embed`` and ``track``
-regenerate it.  Each command stores feature-grid cells only for the rows it
-keeps: ``generate`` and ``pipeline`` for the re-id sample rows, ``embed``
-and ``track`` for none; ``embed`` and ``pipeline`` rebuild each frame's
-cells as they embed that frame.  Exit codes: 0 success, 1 usage error, 2
-data error: a :class:`prtrack.core.DataError` (a malformed file or config
-value, or input a stage cannot work with) or a missing or directory input
-path.  Config sections check their bounds when built, from YAML or
-Python; errors name the fully qualified key.  Any other exception is a bug
-and propagates.  ``--seed`` (or env PRT_SEED) propagates to every stage.
+regenerate it.  Feature-grid cells are stored only in the re-id samples,
+which ``generate`` and ``pipeline`` build; ``embed`` and ``pipeline``
+rebuild each frame's cells as they embed that frame.  ``cluster`` and
+``pipeline`` label teams by one policy, ``pipeline.cluster_teams``.
+Exit codes: 0 success, 1 usage error, 2 data error: a
+:class:`prtrack.core.DataError` (a malformed file or config value, or
+input a stage cannot work with) or a missing or directory input path.
+Config sections check their bounds when built, from YAML or Python;
+errors name the fully qualified key.  Any other exception is a bug and
+propagates.  ``--seed`` (or env PRT_SEED) propagates to every stage.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ from .core import DataError, Role
 from .motio import (FeatureTable, ParseError, load_arrays, load_model,
                     parse_features, parse_mot, row_lines, save_arrays,
                     save_model, write_features, write_mot)
-from .pipeline import (_check_gallery, detections, evaluate_reid,
-                       run_pipeline, team_accuracy, track_frames,
-                       train_on_scenario)
-from .postproc import assign_roles, assign_teams, merge_tracklets
+from .pipeline import (_check_gallery, cluster_teams, detections,
+                       evaluate_reid, run_pipeline, team_accuracy,
+                       track_frames, train_on_scenario)
+from .postproc import assign_roles, merge_tracklets
 from .simgen import (DetectionTable, embed_detections, generate,
-                     load_reid_samples, reid_samples, save_reid_samples)
+                     load_reid_samples, save_reid_samples)
 from .track_metrics import evaluate_sequence
 from .tracker import TrackletTable
 from . import reference
@@ -111,18 +112,16 @@ def _load_samples(run_dir: Path, cfg: RunConfig):
 
 def cmd_generate(args) -> int:
     cfg = _load_run_config(args)
-    scenario = generate(cfg.scenario, cfg.sampling_stride)
-    samples = reid_samples(scenario, cfg.sampling_stride)
+    scenario, samples = generate(cfg.scenario, cfg.sampling_stride)
     # The pipeline's check, before anything is written: without a player
     # in the gallery, eval-reid would fail after training.
     _check_gallery(samples)
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
     save_reid_samples(samples, _samples_path(run_dir))
-    # The detections read no cells: free them, and the samples that hold
-    # them, before building the table.
+    # The detections read no cells: free the samples, which hold them,
+    # before building the table.
     del samples
-    scenario = dataclasses.replace(scenario, cells=None)
     table, gt_mot = detections(cfg, scenario, "oracle")
     write_mot(gt_mot, run_dir / "gt.txt")
     write_mot(table.mot_rows(), run_dir / "det.txt")
@@ -146,7 +145,7 @@ def cmd_embed(args) -> int:
     run_dir = Path(args.run)
     cfg = _load_manifest(run_dir)
     model = load_model(run_dir / "model.txt")
-    scenario = generate(cfg.scenario, None)
+    scenario, _ = generate(cfg.scenario)
     table, _ = detections(cfg, scenario, "none")
     features = embed_detections(model, scenario, table)
     write_features(features, run_dir / "features.txt")
@@ -182,7 +181,8 @@ def _load_features(run_dir: Path, table: DetectionTable) -> FeatureTable:
 def cmd_track(args) -> int:
     run_dir = Path(args.run)
     cfg = _load_manifest(run_dir)
-    table, _ = detections(cfg, generate(cfg.scenario, None), "none")
+    scenario, _ = generate(cfg.scenario)
+    table, _ = detections(cfg, scenario, "none")
     table = dataclasses.replace(table,
                                 features=_load_features(run_dir, table))
     tracklets = track_frames(table, cfg)
@@ -274,7 +274,7 @@ def cmd_cluster(args) -> int:
     tracklets = _load_tracklets(path if path.exists()
                                 else run_dir / "tracklets.npz")
     roles = assign_roles(tracklets)
-    teams = assign_teams(tracklets, seed=cfg.seed, roles=roles)
+    teams = cluster_teams(tracklets, cfg.seed, roles)
     order = np.argsort(tracklets.id)
     rows = zip(tracklets.id[order].tolist(), roles[order].tolist(),
                teams[order].tolist())

@@ -364,26 +364,19 @@ def load_model(path) -> EmbedderModel:
 
 def save_arrays(path, arrays: dict) -> None:
     """The arrays as an uncompressed ``.npz`` archive that ``np.load``
-    reads with ``allow_pickle=False``.  An entry may also be a pair
-    ``(array, rows)``, written as ``array[rows]`` one row at a time, without
-    gathering the rows.  Unlike ``np.savez``, arrays go to the file from
-    their own buffers, without a copy of the whole array, and every member
-    has the zip format's fixed 1980 timestamp, so equal arrays make equal
-    files."""
+    reads with ``allow_pickle=False``.  Unlike ``np.savez``, arrays go to
+    the file from their own buffers, without a copy of a C-ordered array,
+    and every member has the zip format's fixed 1980 timestamp, so equal
+    arrays make equal files."""
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
-        for name, entry in arrays.items():
-            array, rows = entry if isinstance(entry, tuple) else (entry, None)
+        for name, array in arrays.items():
             array = np.asarray(array, order="C")
-            shape = array.shape if rows is None else (len(rows),
-                                                      *array.shape[1:])
             header = {"descr": np.lib.format.dtype_to_descr(array.dtype),
-                      "fortran_order": False, "shape": shape}
+                      "fortran_order": False, "shape": array.shape}
             with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w",
                          force_zip64=True) as fh:
                 np.lib.format.write_array_header_1_0(fh, header)
-                for block in ((array,) if rows is None
-                              else (array[r] for r in rows.tolist())):
-                    fh.write(block.reshape(-1).view(np.uint8).data)
+                fh.write(array.reshape(-1).view(np.uint8).data)
 
 
 _NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,

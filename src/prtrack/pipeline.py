@@ -8,13 +8,15 @@ model or parsed, travel as a :class:`~prtrack.motio.FeatureTable` keyed
 like its rows.  :func:`track_frames` steps the tracker over its frames'
 rows; ``finish()`` returns one :class:`~prtrack.tracker.TrackletTable`,
 whose columns merging, clustering and :func:`team_accuracy` read; roles
-and team labels are ``(T,)`` arrays aligned with its rows.
-Re-id training and scoring read a :class:`~prtrack.simgen.ReidSamples`
-table, the one :func:`~prtrack.simgen.reid_samples` builds from the
-scenario here and ``prtrack generate`` writes for the ``train`` and
-``eval-reid`` stages: training takes its training rows, and
-:func:`evaluate_reid` embeds each retrieval side with one forward pass into
-a :class:`~prtrack.reid_metrics.RetrievalTable`.
+and team labels are ``(T,)`` arrays aligned with its rows, and
+:func:`cluster_teams` is the one team policy of ``pipeline`` and
+``prtrack cluster``.  Re-id training and scoring read a
+:class:`~prtrack.simgen.ReidSamples` table, the one
+:func:`~prtrack.simgen.generate` returns with the scenario here and
+``prtrack generate`` writes for the ``train`` and ``eval-reid`` stages:
+training takes its training rows, and :func:`evaluate_reid` embeds each
+retrieval side with one forward pass into a
+:class:`~prtrack.reid_metrics.RetrievalTable`.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from .postproc import TooFewPlayers, assign_teams, merge_tracklets
 from .reid_metrics import (EmptyGallery, RetrievalTable, evaluate_retrieval,
                            role_metrics)
 from .simgen import (GALLERY, QUERY, TRAIN, DetectionTable, ReidSamples,
-                     Scenario, detection_table, embed_detections, generate,
-                     reid_samples)
+                     Scenario, detection_table, embed_detections, generate)
 from .solvers import DegenerateInput
 from .track_metrics import evaluate_sequence
 from .tracker import FrameInput, OnlineTracker, TrackletTable
@@ -42,6 +43,7 @@ __all__ = [
     "detections",
     "track_frames",
     "evaluate_reid",
+    "cluster_teams",
     "team_accuracy",
     "run_pipeline",
 ]
@@ -95,6 +97,18 @@ def evaluate_reid(model: EmbedderModel, samples: ReidSamples) -> dict:
     }
 
 
+def cluster_teams(tracklets: TrackletTable, seed: int,
+                  roles: np.ndarray | None = None) -> np.ndarray:
+    """``(T,)`` team labels of the tracklets, those of
+    :func:`~prtrack.postproc.assign_teams`; where it cannot split them,
+    for want of two player tracklets or of distinct embeddings, -1 for
+    every tracklet."""
+    try:
+        return assign_teams(tracklets, seed=seed, roles=roles)
+    except (TooFewPlayers, DegenerateInput):
+        return np.full(len(tracklets), -1)
+
+
 def team_accuracy(tracklets: TrackletTable, teams: np.ndarray) -> float:
     """Clustering accuracy of the ``(T,)`` labels ``teams`` (-1 for none, as
     :func:`~prtrack.postproc.assign_teams` returns them) against the
@@ -127,8 +141,7 @@ def run_pipeline(cfg: RunConfig):
     """Full chain on one seed; returns (report, artifacts) where report is
     the report dictionary and artifacts holds the model, tracklets, and MOT
     tables (ground truth, raw, merged) for file output."""
-    scenario = generate(cfg.scenario, cfg.sampling_stride)
-    samples = reid_samples(scenario, cfg.sampling_stride)
+    scenario, samples = generate(cfg.scenario, cfg.sampling_stride)
     _check_gallery(samples)
     model, history = train_on_scenario(cfg, samples)
     table, gt_mot = detections(cfg, scenario, "none")
@@ -140,11 +153,7 @@ def run_pipeline(cfg: RunConfig):
     track_report = evaluate_sequence(gt_mot, merged_mot)
 
     reid_report = evaluate_reid(model, samples)
-    try:
-        teams = assign_teams(merged, seed=cfg.seed)
-    except (TooFewPlayers, DegenerateInput):
-        teams = np.full(len(merged), -1)
-    cluster_acc = team_accuracy(merged, teams)
+    cluster_acc = team_accuracy(merged, cluster_teams(merged, cfg.seed))
 
     report = {
         "seed": cfg.seed,

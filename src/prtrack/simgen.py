@@ -11,27 +11,23 @@ A :class:`Scenario` holds its roster as columns, ``agent_team`` and
 observations as columns, one row per present (frame, agent), in frame
 order and, within a frame, in roster order: ``frame`` and ``identity``
 ``(N,)``, ``boxes`` ``(N, 4)``, ``part_visible`` ``(N, K)`` and
-``part_labels`` ``(N, H, W)``.  An absent agent has no row.  Feature-grid
-cells are stored only for the rows a caller keeps, as :class:`ReidSamples`
-holds them: ``cells`` ``(M, H, W, C)`` and ``cell_row`` ``(N,)``, each
-row's row of ``cells`` or -1.  :func:`generate` stores them for every row,
-for every ``sampling_stride``-th row of each identity (the re-id sample
-rows), or for none, from the same random stream.  It also saves the
-generator's state before each frame's cell-noise draw, and the part
-signatures, so that any frame's cells can be rebuilt bit for bit with one
-draw of that frame's noise: :func:`embed_detections` rebuilds them one
-frame at a time and reads no stored cells, so a run holds one frame of
-cells, not the clip's.
+``part_labels`` ``(N, H, W)``.  An absent agent has no row.  It holds no
+feature-grid cells: it saves the generator's state before each frame's
+cell-noise draw, and the part signatures, so that any frame's cells can be
+rebuilt bit for bit with one draw of that frame's noise.
+:func:`embed_detections` rebuilds them one frame at a time, so a run holds
+one frame of cells, not the clip's.
 
 Re-id samples are rows of the scenario: :func:`to_reid_dataset` splits
-them into training, query and gallery row indices, and :func:`reid_samples`
-takes those rows as a :class:`ReidSamples` table: part labels, identity,
-team, role, view and subset columns, each sample's row of the scenario's
-cells, and the scenario config and sampling stride it was made for.
+every ``sampling_stride``-th row of each identity into training, query and
+gallery row indices.  Given a ``sampling_stride``, :func:`generate` also
+returns that split as a :class:`ReidSamples` table, the only place where
+cells are stored: part labels, identity, team, role, view and subset
+columns, each sample's cells, filled from its frame's noise draw in sample
+order, and the scenario config and sampling stride it was made for.
 :func:`save_reid_samples` writes the table as a pickle-free ``.npz`` stage
-file, streaming each sample's cells from the scenario, and
-:func:`load_reid_samples` reads and checks it, so the stages that only
-train or score re-id need not generate the scenario again.
+file, and :func:`load_reid_samples` reads and checks it, so the stages that
+only train or score re-id need not generate the scenario again.
 
 A run's detections are built once, as columns: :func:`detection_table`
 fills a :class:`DetectionTable` of frames, boxes after detector noise,
@@ -67,7 +63,6 @@ __all__ = [
     "QUERY",
     "GALLERY",
     "ReidSamples",
-    "reid_samples",
     "save_reid_samples",
     "load_reid_samples",
     "DetectionTable",
@@ -144,12 +139,9 @@ class Scenario:
     ``i + 1``, and one row per present (frame, agent) in frame order and,
     within a frame, in roster order.  An absent agent has no row.
 
-    Row ``i``'s feature-grid cells are ``cells[cell_row[i]]``.  Only the
-    rows :func:`generate` was asked for have stored cells, in row order;
-    the others have ``cell_row`` -1.  Every other column is the same
-    whichever rows have cells.  The cells of any frame, stored or not, are
-    rebuilt from ``frame_state``, the generator's state before that frame's
-    noise draw, ``signatures``, ``part_labels`` and ``agent_latent``."""
+    No feature-grid cells are stored: the cells of any frame are rebuilt
+    from ``frame_state``, the generator's state before that frame's noise
+    draw, ``signatures``, ``part_labels`` and ``agent_latent``."""
 
     config: ScenarioConfig
     agent_team: np.ndarray    # (A,) 0 left / 1 right, -1 for no team
@@ -159,9 +151,7 @@ class Scenario:
     identity: np.ndarray      # (N,) agent identities, 1..A in roster order
     boxes: np.ndarray         # (N, 4) x, y, w, h
     part_visible: np.ndarray  # (N, K) 1 for a part no occluder hides
-    cells: np.ndarray         # (M, H, W, C) feature-grid cells of M rows
-    cell_row: np.ndarray      # (N,) each row's row of ``cells``, or -1
-    part_labels: np.ndarray   # (N, H, W) cell part labels, 0 = background
+    part_labels: np.ndarray   # (N, H, W) int8 part labels, 0 = background
     signatures: np.ndarray    # (K+1, C) part signatures, background first
     frame_state: list[dict]   # (F,) generator states, one per frame
 
@@ -170,16 +160,6 @@ class Scenario:
         """(N,) the view of each row: its frame's chunk of
         ``_VIEW_CHUNK`` frames, from 0."""
         return (self.frame - 1) // _VIEW_CHUNK
-
-    def cells_of(self, rows) -> np.ndarray:
-        """The rows of :attr:`cells` that hold the cells of rows ``rows``.
-        A row without cells raises ``ValueError``: the scenario was
-        generated for other rows."""
-        found = self.cell_row[rows]
-        if (found < 0).any():
-            raise ValueError("a scenario row has no cells: generate the "
-                             "scenario with cells for the rows read")
-        return found
 
 
 def _part_layout(h: int, w: int, k: int) -> np.ndarray:
@@ -249,14 +229,15 @@ def _frame_cells(scenario: Scenario, rng: np.random.Generator, t: int,
     return cells
 
 
-def generate(config: ScenarioConfig, cell_stride: int | None = 1
-             ) -> Scenario:
-    """Build a scenario, deterministic per seed.
+def generate(config: ScenarioConfig, sampling_stride: int | None = None
+             ) -> tuple[Scenario, ReidSamples | None]:
+    """Build a scenario, deterministic per seed, and, given a
+    ``sampling_stride``, the :class:`ReidSamples` of
+    :func:`to_reid_dataset`'s split at that stride, else None.
 
-    Cells are stored for every ``cell_stride``-th row of each identity:
-    every row at 1, the rows of :func:`to_reid_dataset` at its
-    ``sampling_stride``, and no row for None.  Every other column, and
-    every cell that is stored, is the same at any ``cell_stride``.  The
+    Each frame's cell noise is drawn for all of its rows, and the cells of
+    its sample rows, alone, are written into the samples' cells, in sample
+    order.  The scenario is the same with or without a stride.  The
     generator's state at the top of each frame's loop, before the frame's
     noise draw, is saved for every frame, empty frames included.
     """
@@ -346,33 +327,43 @@ def generate(config: ScenarioConfig, cell_stride: int | None = 1
     boxes = np.empty((n, 4))
     boxes[:, 2], boxes[:, 3] = box_w[agent_idx], box_h[agent_idx]
     part_visible = (~hidden[agent_idx, frame_idx, 1:]).astype(int)
-    keep = (np.zeros(n, dtype=bool) if cell_stride is None
-            else _strided_rows(agent_idx, cell_stride))
-    cell_row = np.full(n, -1)
-    cell_row[keep] = np.arange(np.count_nonzero(keep))
-    cell_ends = np.cumsum(np.r_[0, keep])[ends].tolist()
-    grid = (config.grid_h, config.grid_w, c)
-    cells = np.empty((cell_ends[-1], *grid))
-    part_labels = np.empty((n, *base_labels.shape), dtype=base_labels.dtype)
-    frame_state = []
+    # The smallest signed type of labels 0..K: int8 below 128 parts.
+    part_labels = np.empty((n, *base_labels.shape),
+                           dtype=np.min_scalar_type(-k - 1))
+    scenario = Scenario(config, agent_team, agent_role, latents,
+                        frame_idx + 1, agent_idx + 1, boxes, part_visible,
+                        part_labels, signatures, [])
 
-    lo = cell_lo = 0
-    for t, (hi, cell_hi) in enumerate(zip(ends, cell_ends)):
-        frame_state.append(rng.bit_generator.state)
+    # The split reads only the identity column and the roster, which are
+    # known before any frame is drawn.  Each sample row gets its slot of
+    # the samples' cells.
+    split = (None if sampling_stride is None
+             else to_reid_dataset(scenario, sampling_stride))
+    sample_rows = np.concatenate(split or [np.zeros(0, dtype=int)])
+    slot = np.full(n, -1)
+    slot[sample_rows] = np.arange(len(sample_rows))
+    grid = (config.grid_h, config.grid_w, c)
+    cells = np.empty((len(sample_rows), *grid))
+
+    lo = 0
+    for t, hi in enumerate(ends):
+        scenario.frame_state.append(rng.bit_generator.state)
         rows = agent_idx[lo:hi]
         labels = part_labels[lo:hi]
         labels[...] = np.where(hidden[rows, t][:, base_labels], 0,
                                base_labels)
-        # The frame's rows that get cells: a view when all of them do.
-        sel = (slice(None) if cell_hi - cell_lo == hi - lo
-               else np.flatnonzero(keep[lo:hi]))
-        # The noise of every row is drawn, whether it gets cells or not:
-        # the motion draws below follow it in the same stream.
+        # The noise of every row is drawn, sample or not: the motion draws
+        # below follow it in the same stream.
         noise = rng.normal(0.0, config.feature_noise_sigma, (hi - lo, *grid))
-        _fill_cells(cells[cell_lo:cell_hi], signatures, labels[sel],
-                    latents[rows[sel]], noise[sel])
+        slots = slot[lo:hi]
+        sel = slots >= 0
+        if sel.any():
+            block = np.empty((np.count_nonzero(sel), *grid))
+            _fill_cells(block, signatures, labels[sel], latents[rows[sel]],
+                        noise[sel])
+            cells[slots[sel]] = block
         boxes[lo:hi, :2] = pos[rows] - half_size[rows]
-        lo, cell_lo = hi, cell_hi
+        lo = hi
 
         accel = rng.normal(0.0, 0.4, size=(n_agents, 2))
         vel = np.clip(vel + accel, -v_max, v_max)
@@ -384,9 +375,13 @@ def generate(config: ScenarioConfig, cell_stride: int | None = 1
             pos[:, axis] = np.clip(pos[:, axis], 0.05 * limit, 0.95 * limit)
 
     _check_boxes(boxes)
-    return Scenario(config, agent_team, agent_role, latents, frame_idx + 1,
-                    agent_idx + 1, boxes, part_visible, cells, cell_row,
-                    part_labels, signatures, frame_state)
+    if split is None:
+        return scenario, None
+    agent = agent_idx[sample_rows]
+    return scenario, ReidSamples(
+        config, sampling_stride, cells, part_labels[sample_rows], agent + 1,
+        agent_team[agent], agent_role[agent], scenario.view[sample_rows],
+        np.repeat([TRAIN, QUERY, GALLERY], [len(x) for x in split]))
 
 
 def to_reid_dataset(scenario: Scenario, sampling_stride: int = 25):
@@ -433,18 +428,13 @@ TRAIN, QUERY, GALLERY = 0, 1, 2
 class ReidSamples:
     """The re-id split of a scenario as columns, one row per sample: the
     training rows, then the queries, then the gallery, each subset in
-    :func:`to_reid_dataset`'s order; with the scenario config and sampling
-    stride the split was made for.
-
-    Sample ``i``'s feature-grid cells are ``cells[cell_row[i]]``: a table
-    built from a scenario points into the scenario's cells, which it does
-    not copy, and a table read from a file holds its samples' cells in row
-    order."""
+    :func:`to_reid_dataset`'s order, with each sample's feature-grid
+    cells; and the scenario config and sampling stride the split was made
+    for."""
 
     config: ScenarioConfig
     sampling_stride: int
-    cells: np.ndarray        # (M, H, W, C) feature-grid cells
-    cell_row: np.ndarray     # (R,) each sample's row of ``cells``
+    cells: np.ndarray        # (R, H, W, C) feature-grid cells
     part_labels: np.ndarray  # (R, H, W) cell part labels, 0 = background
     identity: np.ndarray     # (R,) agent identities
     team: np.ndarray         # (R,) 0 left / 1 right, -1 for no team
@@ -460,29 +450,11 @@ class ReidSamples:
 
     def batch(self, *subsets: int) -> TrainBatch:
         """The rows of :meth:`rows` as a
-        :class:`~prtrack.embedder.TrainBatch`."""
+        :class:`~prtrack.embedder.TrainBatch`, of views of the table's
+        columns."""
         r = self.rows(*subsets)
-        return TrainBatch(self.cells[self.cell_row[r]], self.part_labels[r],
+        return TrainBatch(self.cells[r], self.part_labels[r],
                           self.identity[r], self.role[r], self.team[r])
-
-
-def reid_samples(scenario: Scenario, sampling_stride: int = 25
-                 ) -> ReidSamples:
-    """The rows of :func:`to_reid_dataset`'s split as a
-    :class:`ReidSamples` table: their part labels, identities, views and
-    rows of the scenario's cells, and their agents' teams and roles.  The
-    scenario needs cells for those rows, as :func:`generate` builds them at
-    ``cell_stride`` 1 or ``sampling_stride``."""
-    split = to_reid_dataset(scenario, sampling_stride)
-    rows = np.concatenate(split)
-    agent = scenario.identity[rows] - 1
-    return ReidSamples(
-        scenario.config, sampling_stride, scenario.cells,
-        scenario.cells_of(rows),
-        scenario.part_labels[rows], scenario.identity[rows],
-        scenario.agent_team[agent], scenario.agent_role[agent],
-        scenario.view[rows],
-        np.repeat([TRAIN, QUERY, GALLERY], [len(x) for x in split]))
 
 
 # The arrays of a re-id samples file and their dtype kind and shape: the
@@ -505,14 +477,12 @@ def _made_for(config: ScenarioConfig, sampling_stride: int) -> str:
 
 def save_reid_samples(samples: ReidSamples, path) -> None:
     """The table as an uncompressed, pickle-free ``.npz`` archive: its
-    config and stride as YAML, then its columns, with each sample's cells
-    written from its row of the table's cells."""
+    config and stride as YAML, then its columns, cells first."""
     save_arrays(path, {
         "made_for": np.array(_made_for(samples.config,
                                        samples.sampling_stride)),
-        "cells": (samples.cells, samples.cell_row),
         **{name: getattr(samples, name) for name in _SAMPLE_ARRAYS
-           if name not in ("made_for", "cells")}})
+           if name != "made_for"}})
 
 
 def load_reid_samples(path, config: ScenarioConfig,
@@ -554,10 +524,9 @@ def load_reid_samples(path, config: ScenarioConfig,
     if (np.diff(a["subset"]) < 0).any():
         raise ParseError("subsets are not in the order train, query, "
                          "gallery", path=path)
-    return ReidSamples(config, sampling_stride, a["cells"],
-                       np.arange(len(a["cells"])),
+    return ReidSamples(config, sampling_stride,
                        *(a[name] for name in _SAMPLE_ARRAYS
-                         if name not in ("made_for", "cells")))
+                         if name != "made_for"))
 
 
 def oracle_feature_projection(config: ScenarioConfig, dim: int = 8):

@@ -27,7 +27,7 @@ from prtrack.motio import (parse_features, parse_mot, write_features,
 from prtrack.postproc import MergeConfig, merge_tracklets
 from prtrack.pipeline import evaluate_reid
 from prtrack.simgen import (GALLERY, QUERY, TRAIN, ScenarioConfig,
-                            generate, reid_samples, to_tracking_input)
+                            generate, to_tracking_input)
 from prtrack.solvers import hungarian, kmeans2
 from prtrack.track_metrics import (SequenceResult, evaluate_sequence, hota,
                                    idf1, mota_ids)
@@ -236,9 +236,9 @@ def multitask_benchmark():
     start = time.time()
     rows = {"joint": [], "reid": []}
     for seed in range(5):
-        scenario = generate(ScenarioConfig(seed=seed, team_separation=0.7,
-                                           feature_noise_sigma=0.6))
-        samples = reid_samples(scenario, sampling_stride=25)
+        _, samples = generate(ScenarioConfig(seed=seed, team_separation=0.7,
+                                             feature_noise_sigma=0.6),
+                              sampling_stride=25)
         for name, weights in (("joint", _JOINT), ("reid", _REID_ONLY)):
             model, _ = train(TrainConfig(seed=seed, weights=weights),
                              samples.batch(TRAIN))
@@ -262,8 +262,7 @@ def test_acceptance_5_team_clustering(multitask_benchmark):
     rows, _ = multitask_benchmark
     assert rows["joint"][:, 2].mean() >= rows["reid"][:, 2].mean()
     # separable regime: wide team separation, joint-trained embeddings
-    scenario = generate(ScenarioConfig(seed=0))
-    samples = reid_samples(scenario, sampling_stride=25)
+    _, samples = generate(ScenarioConfig(seed=0), sampling_stride=25)
     model, _ = train(TrainConfig(seed=0, weights=_JOINT),
                      samples.batch(TRAIN))
     assert _cluster_accuracy(model, samples.batch(QUERY, GALLERY)) >= 0.95
@@ -282,7 +281,7 @@ def test_acceptance_6_merge_ablation():
                              seed=seed)
         assert (2 * cfg.n_players_per_team + cfg.n_goalkeepers
                 + cfg.n_referees + cfg.n_staff) == 23
-        scenario = generate(cfg)
+        scenario, _ = generate(cfg)
         frame_inputs, gt_mot = to_tracking_input(scenario,
                                                  features="oracle", seed=seed)
         tracker = OnlineTracker(TrackerConfig(normalized_ema=True))
@@ -312,7 +311,7 @@ def test_acceptance_6_merge_ablation():
 
 def test_acceptance_7_perfect_input_identities():
     cfg = ScenarioConfig(frames=300, feature_noise_sigma=0.0, seed=5)
-    scenario = generate(cfg)
+    scenario, _ = generate(cfg)
     frame_inputs, gt_mot = to_tracking_input(scenario, features="oracle",
                                              feature_sigma=0.0, seed=5)
     tracker = OnlineTracker(TrackerConfig())

@@ -39,7 +39,7 @@ def test_tracer_finds_every_traced_function():
 
 def test_tracer_counts_tracking_input_and_step_rows():
     spans = _load_spans()
-    scenario = simgen.generate(simgen.ScenarioConfig(
+    scenario, _ = simgen.generate(simgen.ScenarioConfig(
         frames=4, n_players_per_team=2, exit_rate=0.5, seed=3))
     table, _ = simgen.detection_table(scenario)
     with spans.Tracer() as tracer:

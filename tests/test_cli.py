@@ -28,7 +28,7 @@ from prtrack.pipeline import (detections, evaluate_reid, track_frames,
                               train_on_scenario)
 from prtrack.postproc import merge_tracklets
 from prtrack.simgen import (GALLERY, QUERY, TRAIN, generate,
-                            load_reid_samples, reid_samples)
+                            load_reid_samples)
 from prtrack.track_metrics import DuplicateId
 from test_tracker import _bits
 
@@ -190,7 +190,7 @@ def test_tracklets_file_round_trip(tmp_path):
                      "occlusion_rate": 0.3},
         "detector_noise": "jitter", "detector_noise_param": 8.0,
         "tracker": {"normalized_ema": True}})
-    table, _ = detections(cfg, generate(cfg.scenario), "oracle")
+    table, _ = detections(cfg, generate(cfg.scenario)[0], "oracle")
     raw = track_frames(table, cfg)
     merged, _ = merge_tracklets(raw, cfg.merge)
     assert 0 < len(merged) < len(raw)
@@ -223,7 +223,8 @@ def test_tracklets_file_round_trip(tmp_path):
 
 def test_run_without_tracklets(tmp_path, capsys):
     """Two frames are too few to confirm a track: track and merge write
-    empty files, and cluster finds no players to split into teams."""
+    empty files, and cluster, finding no players to split into teams,
+    labels no team, as pipeline does, and writes an empty teams file."""
     cfg = tmp_path / "run.yaml"
     cfg.write_text("scenario: {frames: 2}\n")
     run = tmp_path / "run"
@@ -233,8 +234,32 @@ def test_run_without_tracklets(tmp_path, capsys):
     assert (run / "track_raw.txt").read_bytes() == b""
     assert (run / "track_merged.txt").read_bytes() == b""
     capsys.readouterr()
-    assert main(["cluster", "--run", str(run)]) == 2
-    assert "got 0 player tracklets" in capsys.readouterr().err
+    assert main(["cluster", "--run", str(run)]) == 0
+    assert (run / "teams.txt").read_bytes() == b""
+    assert capsys.readouterr().out == (
+        "assigned teams to 0 player tracklets (accuracy vs ground truth: "
+        "nan)\n")
+
+
+def test_cluster_labels_no_team_where_pipeline_does(tmp_path, capsys):
+    """One player tracklet is too few to split into teams: cluster labels
+    every tracklet -1 and exits 0, as pipeline labels no team where it
+    finds too few players."""
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "scenario": {"frames": 10, "n_players_per_team": 5,
+                     "exit_rate": 1.0},
+        "sampling_stride": 1, "train": {"epochs": 1}}))
+    run = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(run)]) == 0
+    for command in ("track", "merge"):
+        assert main([command, "--run", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["cluster", "--run", str(run)]) == 0
+    assert (run / "teams.txt").read_text() == "2,PLAYER,-1\n"
+    assert capsys.readouterr().out == (
+        "assigned teams to 0 player tracklets (accuracy vs ground truth: "
+        "nan)\n")
 
 
 def test_pipeline_without_tracklets(tmp_path):
@@ -269,13 +294,12 @@ def test_samples_file_equals_pipeline_samples(run_dir):
     cfg = load_config(run_dir / "manifest.yaml")
     got = load_reid_samples(run_dir / "reid_samples.npz", cfg.scenario,
                             cfg.sampling_stride)
-    want = reid_samples(generate(cfg.scenario), cfg.sampling_stride)
+    _, want = generate(cfg.scenario, cfg.sampling_stride)
     assert (got.config, got.sampling_stride) == (want.config,
                                                  want.sampling_stride)
-    pairs = [(got.cells[got.cell_row], want.cells[want.cell_row])]
-    pairs += [(getattr(got, name), getattr(want, name))
-              for name in ("part_labels", "identity", "team", "role", "view",
-                           "subset")]
+    pairs = [(getattr(got, name), getattr(want, name))
+             for name in ("cells", "part_labels", "identity", "team", "role",
+                          "view", "subset")]
     for a, b in pairs:
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
                                                    b.tobytes())
@@ -297,7 +321,7 @@ def test_train_and_eval_reid_do_not_generate(run_dir, tmp_path, monkeypatch):
         assert main(["train", "--run", str(run)]) == 0
         assert main(["eval-reid", "--run", str(run)]) == 0
     cfg = load_config(run / "manifest.yaml")
-    samples = reid_samples(generate(cfg.scenario), cfg.sampling_stride)
+    _, samples = generate(cfg.scenario, cfg.sampling_stride)
     model, _ = train_on_scenario(cfg, samples)
     save_model(model, tmp_path / "want.txt")
     assert (run / "model.txt").read_bytes() == \
@@ -314,6 +338,21 @@ def _rewritten_samples(path, **changes):
         arrays = {name: npz[name] for name in npz.files}
     arrays.update(changes)
     return {name: a for name, a in arrays.items() if a is not None}
+
+
+def test_int64_part_labels_train_the_same_model(run_dir, tmp_path):
+    """A samples file written with int64 part labels, as before they were
+    stored as int8, trains the model of the int8 file, bit for bit."""
+    runs = [_samples_run(run_dir, tmp_path / name) for name in ("a", "b")]
+    path = runs[1] / "reid_samples.npz"
+    labels = _rewritten_samples(path)["part_labels"]
+    assert labels.dtype == np.int8
+    np.savez(path, **_rewritten_samples(path,
+                                        part_labels=labels.astype(np.int64)))
+    for run in runs:
+        assert main(["train", "--run", str(run)]) == 0
+    assert (runs[0] / "model.txt").read_bytes() == \
+        (runs[1] / "model.txt").read_bytes()
 
 
 def test_corrupt_samples_files_exit_2(run_dir, tmp_path, capsys):
@@ -383,7 +422,7 @@ def test_samples_of_another_run_exit_2(run_dir, tmp_path, capsys, edit):
 
 def test_loaded_features_keep_the_tables_int_keys(run_dir):
     cfg = load_config(run_dir / "manifest.yaml")
-    table, _ = detections(cfg, generate(cfg.scenario), "none")
+    table, _ = detections(cfg, generate(cfg.scenario)[0], "none")
     features = prtrack.cli._load_features(run_dir, table)
     assert features.frame.dtype.kind == "i"
     assert features.det_index.dtype.kind == "i"
@@ -604,9 +643,10 @@ def test_generate_without_held_out_player_writes_nothing(tmp_path, capsys):
 
 def test_commands_build_cells_for_the_rows_they_read(tmp_path,
                                                      monkeypatch):
-    """``generate`` and ``pipeline`` store cells for their re-id sample rows
+    """``generate`` and ``pipeline`` store cells for their re-id samples
     alone, and ``track`` and ``embed``, whose detections read no stored
-    cells, for no row; ``embed`` rebuilds one frame's cells at a time."""
+    cells, generate no samples; ``embed`` rebuilds one frame's cells at a
+    time."""
     cfg = tmp_path / "c.yaml"
     cfg.write_text(yaml.safe_dump({
         "scenario": {"frames": 40, "n_players_per_team": 6,
@@ -616,9 +656,9 @@ def test_commands_build_cells_for_the_rows_they_read(tmp_path,
     shapes, frames = [], []
 
     def recorded(*args, **kwargs):
-        scenario = generate(*args, **kwargs)
-        shapes.append(scenario.cells.shape)
-        return scenario
+        scenario, samples = generate(*args, **kwargs)
+        shapes.append(None if samples is None else samples.cells.shape)
+        return scenario, samples
 
     def frame_cells(*args):
         cells = replay(*args)
@@ -636,8 +676,8 @@ def test_commands_build_cells_for_the_rows_they_read(tmp_path,
     grid = (scenario.grid_h, scenario.grid_w, scenario.channels)
     assert 0 < samples < 40 * 23
     assert shapes == [(samples, *grid)]
-    for command, want in (("track", [(0, *grid)]), ("train", []),
-                          ("embed", [(0, *grid)])):
+    for command, want in (("track", [None]), ("train", []),
+                          ("embed", [None])):
         shapes.clear()
         assert main([command, "--run", str(run)]) == 0
         assert shapes == want, command

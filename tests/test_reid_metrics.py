@@ -12,7 +12,7 @@ from prtrack.pipeline import evaluate_reid, train_on_scenario
 from prtrack.reid_metrics import (EmptyGallery, LengthMismatch,
                                   RetrievalTable, evaluate_retrieval, map_cmc,
                                   rank, role_metrics)
-from prtrack.simgen import generate, reid_samples
+from prtrack.simgen import generate
 
 from conftest import random_feature_set
 from oracles import (RetrievalItem, brute_evaluate_reid, brute_generate,
@@ -218,7 +218,7 @@ def test_evaluate_reid_equals_per_sample_oracle(run, tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(_REID_RUNS[run]))
     cfg = load_config(path)
-    samples = reid_samples(generate(cfg.scenario), cfg.sampling_stride)
+    _, samples = generate(cfg.scenario, cfg.sampling_stride)
     model, _ = train_on_scenario(cfg, samples)
     got = evaluate_reid(model, samples)
     _, query_samples, gallery_samples = brute_reid_dataset(

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from prtrack.core import Role
 from prtrack.embedder import EmbedderModel, forward_batch
-from prtrack.simgen import (GALLERY, QUERY, TRAIN, DetectionTable,
+from prtrack.simgen import (GALLERY, QUERY, TRAIN, DetectionTable, Scenario,
                             ScenarioConfig, _frame_cells, detection_table,
                             embed_detections, generate,
-                            oracle_feature_projection, reid_samples,
-                            to_reid_dataset, to_tracking_input)
+                            oracle_feature_projection, to_reid_dataset,
+                            to_tracking_input)
 
 from oracles import (brute_embed_detections, brute_generate,
                      brute_reid_dataset, brute_tracking_input, mot_table)
@@ -51,20 +51,21 @@ def test_config_validation():
 
 def test_roster_and_determinism():
     cfg = small_config()
-    s1 = generate(cfg)
-    s2 = generate(cfg)
+    s1, r1 = generate(cfg, 5)
+    s2, r2 = generate(cfg, 5)
     assert len(s1.agent_role) == 2 * 10 + 2 + 2 + 1
     roles = s1.agent_role.tolist()
     assert roles.count(Role.PLAYER) == 20
     assert roles.count(Role.GOALKEEPER) == 2
     assert np.unique(s1.frame).tolist() == list(range(1, 61))
     for name in ("agent_team", "agent_role", "agent_latent", "frame",
-                 "identity", "cells"):
+                 "identity"):
         np.testing.assert_array_equal(getattr(s1, name), getattr(s2, name))
+    np.testing.assert_array_equal(r1.cells, r2.cells)
 
 
 def test_boxes_stay_on_pitch():
-    s = generate(small_config(frames=200))
+    s, _ = generate(small_config(frames=200))
     x, y, w, h = s.boxes.T
     cx, cy = x + w / 2.0, y + h / 2.0
     assert ((0 <= cx) & (cx <= s.config.pitch_width)).all()
@@ -72,7 +73,7 @@ def test_boxes_stay_on_pitch():
 
 
 def test_occlusion_produces_absences_and_partial_visibility():
-    s = generate(small_config(frames=300, occlusion_rate=0.4, seed=1))
+    s, _ = generate(small_config(frames=300, occlusion_rate=0.4, seed=1))
     absent = s.config.frames * len(s.agent_role) - len(s.frame)
     partial = 0
     for part_visible, part_labels in zip(s.part_visible, s.part_labels):
@@ -85,7 +86,7 @@ def test_occlusion_produces_absences_and_partial_visibility():
 
 
 def test_no_occlusion_means_full_visibility():
-    s = generate(small_config(frames=40))
+    s, _ = generate(small_config(frames=40))
     assert list(zip(s.frame.tolist(), s.identity.tolist())) == [
         (t, i) for t in range(1, 41)
         for i in range(1, len(s.agent_role) + 1)]
@@ -93,7 +94,7 @@ def test_no_occlusion_means_full_visibility():
 
 
 def test_reid_dataset_split_disjoint():
-    s = generate(small_config(frames=120))
+    s, _ = generate(small_config(frames=120))
     train, queries, gallery = to_reid_dataset(s, sampling_stride=10)
     train_ids = set(s.identity[train].tolist())
     test_ids = set(s.identity[np.concatenate([queries, gallery])].tolist())
@@ -118,9 +119,8 @@ _REID_SCENARIO = dict(frames=150, n_players_per_team=6, occlusion_rate=0.3,
 @pytest.mark.parametrize("stride", [1, 5, 25])
 def test_reid_dataset_equals_per_observation_oracle(stride):
     cfg = small_config(**_REID_SCENARIO)
-    s = generate(cfg)
+    s, samples = generate(cfg, stride)
     got = to_reid_dataset(s, sampling_stride=stride)
-    samples = reid_samples(s, sampling_stride=stride)
     want = brute_reid_dataset(brute_generate(cfg), sampling_stride=stride)
     for rows, subset, want_split in zip(got, (TRAIN, QUERY, GALLERY), want,
                                         strict=True):
@@ -133,14 +133,14 @@ def test_reid_dataset_equals_per_observation_oracle(stride):
                     view[r]) == \
                 (b.identity, -1 if b.team is None else b.team, b.role, b.view)
             assert _bits(batch.cells[r]) == _bits(b.grid.cells)
-            assert _bits(batch.part_labels[r]) == _bits(b.grid.part_labels)
+            assert _bits(batch.part_labels[r]) == _labels(b)
     _, queries, gallery = got
     assert set(s.identity[gallery]) - set(s.identity[queries])
     assert set(s.view[np.concatenate(got)].tolist()) == {0, 1}
 
 
 def test_tracking_input_oracle_features():
-    s = generate(small_config(frames=30))
+    s, _ = generate(small_config(frames=30))
     frame_inputs, gt_records = to_tracking_input(s, features="oracle",
                                                  feature_sigma=0.0, seed=0)
     assert len(frame_inputs) == 30
@@ -155,7 +155,7 @@ def test_tracking_input_oracle_features():
 
 
 def test_tracking_input_noise_modes():
-    s = generate(small_config(frames=40))
+    s, _ = generate(small_config(frames=40))
     clean, _ = to_tracking_input(s, seed=0)
     drop, _ = to_tracking_input(s, detector_noise="dropout",
                                 noise_param=0.5, seed=0)
@@ -188,8 +188,8 @@ def test_oracle_projection_deterministic():
 
 
 def test_team_and_role_separations_control_latents():
-    wide = generate(small_config(team_separation=6.0, identity_separation=0.0,
-                                 frames=1))
+    wide, _ = generate(small_config(team_separation=6.0,
+                                    identity_separation=0.0, frames=1))
     player = wide.agent_role == Role.PLAYER
     left = wide.agent_latent[player & (wide.agent_team == 0)]
     right = wide.agent_latent[player & (wide.agent_team == 1)]
@@ -200,6 +200,27 @@ def test_team_and_role_separations_control_latents():
 def _bits(a):
     a = np.asarray(a)
     return a.dtype, a.shape, a.tobytes()
+
+
+def _labels(ob):
+    """The bits of an oracle record's part labels, as int8, the dtype the
+    package stores them in."""
+    return _bits(np.asarray(ob.grid.part_labels, np.int8))
+
+
+def _replayed_cells(scenario):
+    """``(N, H, W, C)`` every row's cells, rebuilt frame by frame from the
+    saved generator states, the last frame first, with one generator."""
+    cfg = scenario.config
+    ends = np.searchsorted(scenario.frame, np.arange(1, cfg.frames + 1),
+                           side="right").tolist()
+    cells = np.empty((len(scenario.frame), cfg.grid_h, cfg.grid_w,
+                      cfg.channels))
+    rng = np.random.default_rng(12345)
+    for t, lo, hi in reversed(list(zip(range(1, cfg.frames + 1), [0, *ends],
+                                       ends))):
+        cells[lo:hi] = _frame_cells(scenario, rng, t, lo, hi)
+    return cells
 
 
 @pytest.mark.parametrize("kw", [
@@ -213,7 +234,8 @@ def _bits(a):
 ])
 def test_generate_equals_per_agent_oracle(kw):
     cfg = small_config(**kw)
-    got, want = generate(cfg), brute_generate(cfg)
+    (got, _), want = generate(cfg), brute_generate(cfg)
+    cells = _replayed_cells(got)
     assert [b.identity for b in want.agents] == list(
         range(1, len(got.agent_role) + 1))
     assert got.agent_team.tolist() == [-1 if b.team is None else b.team
@@ -230,8 +252,8 @@ def test_generate_equals_per_agent_oracle(kw):
         assert _bits(got.boxes[r]) == \
             _bits([b.box.x, b.box.y, b.box.w, b.box.h])
         assert _bits(got.part_visible[r]) == _bits(b.part_visible)
-        assert _bits(got.cells[r]) == _bits(b.grid.cells)
-        assert _bits(got.part_labels[r]) == _bits(b.grid.part_labels)
+        assert _bits(cells[r]) == _bits(b.grid.cells)
+        assert _bits(got.part_labels[r]) == _labels(b)
     empty = cfg.frames - len(np.unique(got.frame))
     if cfg.exit_rate == 1.0:
         assert empty > 0
@@ -255,7 +277,7 @@ def test_tracking_input_equals_per_detection_oracle(noise, param, features):
     for kw in _TRACKING_SCENARIOS:
         cfg = small_config(**kw)
         args = (noise, param, features, 0.05, 7)
-        got, got_gt = to_tracking_input(generate(cfg), *args)
+        got, got_gt = to_tracking_input(generate(cfg)[0], *args)
         want, want_gt = brute_tracking_input(brute_generate(cfg), *args)
         want_gt = mot_table(want_gt)
         for name in ("frame", "id", "boxes", "conf", "class_id",
@@ -290,7 +312,7 @@ def test_tracking_input_equals_per_detection_oracle(noise, param, features):
 
 
 def test_detection_table_checks_boxes():
-    table, _ = detection_table(generate(small_config(frames=3)))
+    table, _ = detection_table(generate(small_config(frames=3))[0])
     assert table.boxes.shape == (len(table.frame), 4)
     for row, col, value, message in ((0, 0, np.nan, "finite"),
                                      (1, 2, 0.0, "positive"),
@@ -318,7 +340,7 @@ def test_embed_detections_equals_per_frame_oracle(noise, param):
     mid_empty = trailing_empty = 0
     for kw in _EMBED_SCENARIOS:
         cfg = small_config(**kw)
-        s = generate(cfg)
+        s, _ = generate(cfg)
         model = EmbedderModel.init(channels=cfg.channels,
                                    num_parts=cfg.num_parts, seed=5)
         table, _ = detection_table(s, noise, param, "none", seed=7)
@@ -353,11 +375,32 @@ def test_embed_detections_equals_per_frame_oracle(noise, param):
     assert mid_empty and trailing_empty
 
 
-def _strided(identity, stride):
-    """Every ``stride``-th row of each identity, in row order."""
-    return np.sort(np.concatenate(
-        [np.flatnonzero(identity == i)[::stride]
-         for i in np.unique(identity)]))
+def _split_rows(scenario, stride):
+    """The rows of :func:`to_reid_dataset`'s split, in its order."""
+    return np.concatenate(to_reid_dataset(scenario, stride))
+
+
+def _stored_cells(cfg):
+    """The scenario of ``cfg`` and ``(N, H, W, C)`` every row's cells as
+    :func:`generate` stores them, from its samples at stride 1, which are
+    every row."""
+    s, samples = generate(cfg, 1)
+    cells = np.empty_like(samples.cells)
+    cells[_split_rows(s, 1)] = samples.cells
+    return s, cells
+
+
+def test_scenario_holds_no_cells():
+    """The scenario has no cell column, with or without samples; without a
+    stride there are no samples.  Part labels are int8."""
+    assert not {"cells", "cell_row"} & {
+        f.name for f in dataclasses.fields(Scenario)}
+    assert not hasattr(Scenario, "cells_of")
+    s, samples = generate(small_config(frames=10))
+    assert samples is None
+    assert s.part_labels.dtype == np.int8
+    _, samples = generate(small_config(frames=10), 5)
+    assert samples.part_labels.dtype == np.int8
 
 
 @pytest.mark.parametrize("kw", [
@@ -368,84 +411,91 @@ def _strided(identity, stride):
 ])
 @pytest.mark.parametrize("stride", [1, 5, 25, None])
 def test_partial_cells_equal_the_full_scenario(kw, stride):
-    """Cells for a subset of rows leave every other column and every drawn
-    cell as the full scenario has them."""
+    """A sampling stride leaves every column of the scenario, its saved
+    generator states included, as it is without one; the samples' cells
+    are the oracle's cells of their rows, bit for bit."""
     cfg = small_config(**kw)
-    full, got = generate(cfg), generate(cfg, stride)
+    (full, none), (got, samples) = generate(cfg), generate(cfg, stride)
+    assert none is None
     for name in ("agent_team", "agent_role", "agent_latent", "frame",
-                 "identity", "boxes", "part_visible", "part_labels"):
+                 "identity", "boxes", "part_visible", "part_labels",
+                 "signatures"):
         assert _bits(getattr(got, name)) == _bits(getattr(full, name)), name
-    kept = (np.zeros(0, dtype=int) if stride is None
-            else _strided(full.identity, stride))
-    assert np.flatnonzero(got.cell_row >= 0).tolist() == kept.tolist()
-    assert got.cell_row[kept].tolist() == list(range(len(kept)))
-    assert got.cells.shape == (len(kept), *full.cells.shape[1:])
-    assert _bits(got.cells) == _bits(full.cells[kept])
-    want = [ob for frame in brute_generate(cfg).frames for ob in frame
-            if ob.present]
-    for r in kept.tolist():
-        assert _bits(got.cells[got.cell_row[r]]) == _bits(want[r].grid.cells)
+    assert got.frame_state == full.frame_state
+    if stride is None:
+        assert samples is None
+    else:
+        want = [ob for frame in brute_generate(cfg).frames for ob in frame
+                if ob.present]
+        rows = _split_rows(got, stride)
+        assert samples.cells.shape == (len(rows), cfg.grid_h, cfg.grid_w,
+                                       cfg.channels)
+        for cells, r in zip(samples.cells, rows.tolist(), strict=True):
+            assert _bits(cells) == _bits(want[r].grid.cells)
     with pytest.raises(ValueError, match="stride must be >= 1"):
         generate(cfg, 0)
 
 
 @pytest.mark.parametrize("stride", [1, 5, 25])
 def test_reid_samples_of_a_partial_scenario(stride):
-    """A scenario with cells for the sample rows alone gives the samples of
-    the full one; with cells for fewer rows, it raises ``ValueError``."""
+    """The samples that :func:`generate` returns at a stride are the rows
+    of :func:`to_reid_dataset`'s split, in its order: each column is the
+    scenario's column, or its agent's, at those rows, and the cells are
+    those rows' replayed cells."""
     cfg = small_config(**_REID_SCENARIO)
-    got = reid_samples(generate(cfg, stride), stride)
-    want = reid_samples(generate(cfg), stride)
+    s, samples = generate(cfg, stride)
+    split = to_reid_dataset(s, stride)
+    rows = np.concatenate(split)
+    agent = s.identity[rows] - 1
+    for name, want in (("part_labels", s.part_labels[rows]),
+                       ("identity", s.identity[rows]),
+                       ("team", s.agent_team[agent]),
+                       ("role", s.agent_role[agent]),
+                       ("view", s.view[rows]),
+                       ("subset", np.repeat([TRAIN, QUERY, GALLERY],
+                                            [len(x) for x in split]))):
+        assert _bits(getattr(samples, name)) == _bits(want), name
+    assert (samples.config, samples.sampling_stride) == (cfg, stride)
+    assert _bits(samples.cells) == _bits(_replayed_cells(s)[rows])
     for subset in (TRAIN, QUERY, GALLERY):
-        a, b = got.batch(subset), want.batch(subset)
+        batch, r = samples.batch(subset), samples.rows(subset)
         for name in ("cells", "part_labels", "identity", "role", "team"):
-            assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
-    for name in ("part_labels", "identity", "team", "role", "view",
-                 "subset"):
-        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
-    for other in (None, stride * 2):
-        with pytest.raises(ValueError, match="has no cells"):
-            reid_samples(generate(cfg, other), stride)
+            assert _bits(getattr(batch, name)) == \
+                _bits(getattr(samples, name)[r]), name
 
 
 @settings(max_examples=40, deadline=None)
 @given(frames=st.integers(1, 40), players=st.integers(1, 3),
        others=st.integers(0, 2), occlusion=st.sampled_from([0.0, 0.4, 0.8]),
        exits=st.sampled_from([0.0, 0.5, 1.0]),
-       stride=st.sampled_from([1, None, 3]), seed=st.integers(0, 1000))
+       stride=st.sampled_from([1, 3, 25]), seed=st.integers(0, 1000))
 # Frames where nobody is present, before, between and after the rows.
 @example(frames=60, players=1, others=0, occlusion=0.3, exits=1.0,
-         stride=None, seed=4)
+         stride=3, seed=4)
 def test_frame_cells_replay_the_stored_cells(frames, players, others,
                                              occlusion, exits, stride, seed):
-    """Every frame's cells rebuilt from its saved generator state, in any
-    frame order and with one generator, equal that frame's rows of the
-    scenario generated with every row's cells, bit for bit, whatever
-    ``cell_stride`` the replayed scenario was generated at."""
+    """Every sample's cells equal the cells of its scenario row rebuilt
+    from its frame's saved generator state, bit for bit, with the frames
+    rebuilt in any order and with one generator."""
     cfg = small_config(frames=frames, n_players_per_team=players,
                        n_goalkeepers=others, n_referees=others,
                        n_staff=others, occlusion_rate=occlusion,
                        exit_rate=exits, seed=seed)
-    full, s = generate(cfg), generate(cfg, stride)
+    s, samples = generate(cfg, stride)
     assert len(s.frame_state) == frames
-    ends = np.searchsorted(full.frame, np.arange(1, frames + 1),
-                           side="right").tolist()
-    rng = np.random.default_rng(12345)
-    for t, lo, hi in reversed(list(zip(range(1, frames + 1), [0, *ends],
-                                       ends))):
-        got = _frame_cells(s, rng, t, lo, hi)
-        assert _bits(got) == _bits(full.cells[lo:hi]), t
+    assert _bits(samples.cells) == \
+        _bits(_replayed_cells(s)[_split_rows(s, stride)])
 
 
 @pytest.mark.parametrize("stride", [None, 5])
 def test_embed_detections_reads_no_stored_cells(stride):
-    """A scenario without stored cells, or with the sample rows' alone,
-    gives the features that the full scenario's stored cells give, frame by
-    frame, bit for bit, under every detector noise."""
+    """A scenario generated without samples, or with some, gives the
+    features that every row's stored cells give, frame by frame, bit for
+    bit, under every detector noise."""
     for kw in _EMBED_SCENARIOS:
         cfg = small_config(**kw)
-        full = generate(cfg)
-        s = dataclasses.replace(generate(cfg, stride), cells=None)
+        full, cells = _stored_cells(cfg)
+        s, _ = generate(cfg, stride)
         model = EmbedderModel.init(channels=cfg.channels,
                                    num_parts=cfg.num_parts, seed=5)
         row_of = {key: r for r, key in enumerate(zip(full.frame.tolist(),
@@ -461,7 +511,7 @@ def test_embed_detections_reads_no_stored_cells(stride):
                     continue
                 rows = [row_of[key] for key in zip(dets.frame.tolist(),
                                                    dets.gt_identity.tolist())]
-                feats, vis, logits = forward_batch(model, full.cells[rows])
+                feats, vis, logits = forward_batch(model, cells[rows])
                 mine = got.frame == dets.frame[0]
                 assert _bits(got.foreground[mine]) == _bits(feats[:, 0])
                 assert _bits(got.parts[mine]) == _bits(feats[:, 1:])

@@ -277,7 +277,7 @@ def test_detection_frame_must_match():
 
 
 def test_step_needs_features():
-    frames, _ = to_tracking_input(generate(ScenarioConfig(frames=2)),
+    frames, _ = to_tracking_input(generate(ScenarioConfig(frames=2))[0],
                                   features="none")
     with pytest.raises(ValueError, match="needs detection features"):
         OnlineTracker().step(FrameInput(1, frames[0]))
