@@ -206,14 +206,16 @@ _TRACKLET_ARRAYS = {
 
 def _save_tracklets(tracklets: TrackletTable, path: Path) -> None:
     """The columns of ``tracklets``, EMA visibility as ``ema_visibility``,
-    and the columns of their member rows, as an uncompressed ``.npz``."""
+    and the columns of their member rows, as an uncompressed ``.npz``; the
+    members' embeddings go as ``foreground`` and ``parts``."""
     rows, f = tracklets.detections, tracklets.detections.features
     save_arrays(path, dict(
         id=tracklets.id, count=tracklets.count, ema=tracklets.ema,
         ema_visibility=tracklets.vis, role_logit_sum=tracklets.role_logit_sum,
         frame=rows.frame, det_index=rows.det_index, boxes=rows.boxes,
         gt_identity=rows.gt_identity, gt_team=rows.gt_team,
-        gt_role=rows.gt_role, parts=f.parts, foreground=f.foreground,
+        gt_role=rows.gt_role, parts=f.embeddings[:, 1:],
+        foreground=f.embeddings[:, 0],
         visibility=f.visibility, role_logits=f.role_logits))
 
 
@@ -244,8 +246,9 @@ def _load_tracklets(path: Path) -> TrackletTable:
         rows = DetectionTable(
             *(a[c] for c in ("frame", "det_index", "boxes", "gt_identity",
                              "gt_team", "gt_role")),
-            FeatureTable(frame, a["det_index"], a["parts"], a["foreground"],
-                         a["visibility"], a["role_logits"]))
+            FeatureTable(frame, a["det_index"], np.concatenate(
+                [a["foreground"][:, None], a["parts"]], axis=1),
+                a["visibility"], a["role_logits"]))
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from None
     if not np.isin(a["ema_visibility"], (0, 1)).all():

@@ -3,10 +3,13 @@ checkpoints as text, and the stages' array archives as uncompressed,
 pickle-free ``.npz`` files (:func:`save_arrays`, :func:`load_arrays`).
 
 Each text format has one column representation, which its writer takes
-and its reader returns: a :class:`MotTable` and a :class:`FeatureTable`.
-A reader converts the tokens column by column with ``int`` and ``float``
-and checks whole columns; only where that fails does it convert each
-line alone, to name the first bad line in its :class:`ParseError`.
+and its reader returns: a :class:`MotTable` and a :class:`FeatureTable`,
+whose embeddings are one ``(N, K+1, D)`` stack, foreground first, as a
+features line holds them.  A reader converts the tokens column by column
+with ``int`` and ``float`` and checks whole columns; only where that
+fails does it convert each line alone, to name the first bad line in its
+:class:`ParseError`.  :func:`load_arrays` reads every archive member in
+chunks, after checking its header's shape against the member's size.
 
 All writers are deterministic: stable ordering and fixed decimal
 formatting, so identical inputs produce byte-identical files and every
@@ -54,8 +57,8 @@ _MOT_LINE = "%d,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%.6f\n"
 # feature lines at once raised the peak RSS of ``prtrack track`` from 92
 # to 144 MB.
 _LINES_PER_BLOCK = 1024
-# Bytes per read of an array that load_arrays reads into a caller's buffer:
-# below glibc's initial mmap threshold, so the chunks reuse heap memory.
+# Bytes per read of an archive member by load_arrays: below glibc's
+# initial mmap threshold, so the chunks reuse heap memory.
 _READ_CHUNK = 1 << 16
 
 
@@ -209,32 +212,30 @@ def parse_mot(path) -> MotTable:
 @dataclass(frozen=True)
 class FeatureTable:
     """The feature rows of N detections as columns, each row keyed by its
-    frame and its index within the frame.  A table checks, once over its
-    whole arrays, what :class:`~prtrack.core.PartFeatureSet` checks per set:
-    shapes, finite embeddings and visibility bits in {0, 1}."""
+    frame and its index within the frame, its embeddings one ``(K+1, D)``
+    stack ordered like its visibility bits.  A table checks, once over its
+    whole arrays, what :class:`~prtrack.core.PartFeatureSet` checks per
+    set: shapes, finite embeddings and visibility bits in {0, 1}."""
 
     frame: np.ndarray        # (N,) integers
     det_index: np.ndarray    # (N,) integers
-    parts: np.ndarray        # (N, K, D)
-    foreground: np.ndarray   # (N, D)
-    visibility: np.ndarray   # (N, K+1) of {0, 1}, ordered (fg, parts)
+    embeddings: np.ndarray   # (N, K+1, D), (foreground, part 1..K)
+    visibility: np.ndarray   # (N, K+1) of {0, 1}, in the same order
     role_logits: np.ndarray  # (N, 4)
 
     def __post_init__(self):
-        n, k, d = self.parts.shape
-        if k < 1:
+        n, k1, d = self.embeddings.shape
+        if k1 < 2:
             raise ValueError("parts must be an (N, K, D) array with K >= 1")
         for name, shape in (("frame", (n,)), ("det_index", (n,)),
-                            ("foreground", (n, d)),
-                            ("visibility", (n, k + 1)),
+                            ("visibility", (n, k1)),
                             ("role_logits", (n, 4))):
             if (actual := getattr(self, name).shape) != shape:
                 raise ValueError(f"{name} has shape {actual}, "
                                  f"expected {shape}")
         if not ((self.visibility == 0) | (self.visibility == 1)).all():
             raise ValueError("visibility entries must be 0 or 1")
-        if not (np.isfinite(self.parts).all()
-                and np.isfinite(self.foreground).all()):
+        if not np.isfinite(self.embeddings).all():
             raise ValueError("part and foreground embeddings must be finite")
 
     def __len__(self) -> int:
@@ -250,11 +251,11 @@ def write_features(table: FeatureTable, path) -> None:
     """One line per row of ``table``, stably sorted by frame and index in
     the frame: frame, index, K, D, the foreground, the K parts, the K+1
     visibility bits and the 4 role logits, separated by spaces."""
-    n, k, d = table.parts.shape
-    line = " ".join(["%d %d", str(k), str(d)] + ["%.9g"] * ((k + 1) * d)
-                    + ["%d"] * (k + 1) + ["%.9g"] * 4) + "\n"
-    _write_rows(path, line, (table.frame, table.det_index), table.foreground,
-                table.parts.reshape(n, k * d), table.visibility,
+    n, k1, d = table.embeddings.shape
+    line = " ".join(["%d %d", str(k1 - 1), str(d)] + ["%.9g"] * (k1 * d)
+                    + ["%d"] * k1 + ["%.9g"] * 4) + "\n"
+    _write_rows(path, line, (table.frame, table.det_index),
+                table.embeddings.reshape(n, k1 * d), table.visibility,
                 table.role_logits)
 
 
@@ -287,8 +288,7 @@ def _feature_columns(rows: list[list[str]]):
         raise ValueError("role logits must be finite")
     if k < 1:
         raise ValueError("parts must be a (K, D) array with K >= 1")
-    columns = (frame, det_index, vectors[:, d:].reshape(n, k, d),
-               vectors[:, :d], vis, logits)
+    columns = (frame, det_index, vectors.reshape(n, k + 1, d), vis, logits)
     FeatureTable(*columns)           # the visibility and finiteness checks
     return columns
 
@@ -383,9 +383,10 @@ _NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
                 (2, 0): np.lib.format.read_array_header_2_0}
 
 
-def _read_into(zf: zipfile.ZipFile, name: str, alloc) -> np.ndarray:
+def _read_member(zf: zipfile.ZipFile, name: str) -> np.ndarray:
     """The array of member ``name`` of an ``.npz`` archive, read in chunks
-    into ``alloc(shape, dtype)``."""
+    into an array of its own once the header's shape is known to fit in
+    the member."""
     with zf.open(f"{name}.npy") as fh:
         version = np.lib.format.read_magic(fh)
         if version not in _NPY_HEADERS:
@@ -397,7 +398,7 @@ def _read_into(zf: zipfile.ZipFile, name: str, alloc) -> np.ndarray:
         if math.prod(shape) * dtype.itemsize > zf.getinfo(
                 f"{name}.npy").file_size:
             raise EOFError(f"{name} is shorter than its shape {shape}")
-        array = alloc(shape[::-1] if fortran_order else shape, dtype)
+        array = np.empty(shape[::-1] if fortran_order else shape, dtype)
         buf = array.reshape(-1).view(np.uint8).data
         for lo in range(0, len(buf), _READ_CHUNK):
             chunk = buf[lo:lo + _READ_CHUNK]
@@ -406,29 +407,29 @@ def _read_into(zf: zipfile.ZipFile, name: str, alloc) -> np.ndarray:
     return array.T if fortran_order else array
 
 
-def load_arrays(path, spec: dict[str, str], what: str, sizes,
-                into=None) -> dict[str, np.ndarray]:
+def load_arrays(path, spec: dict[str, str], what: str,
+                sizes) -> dict[str, np.ndarray]:
     """The arrays named in ``spec`` of the ``.npz`` archive at ``path``,
     opened without pickle and checked against ``spec``.
 
     ``spec`` gives each array's dtype kind and shape, as in ``"f N K+1
     D"``: each dimension is an int or a name of ``sizes(arrays)``, which
     may raise ``ValueError`` on arrays it cannot size.  Float arrays must
-    be finite.  ``into`` maps names to allocators ``(shape, dtype) ->
-    array`` that those arrays are read into, instead of numpy's own.  A
-    file that is no such archive, a missing or misshapen array or a
-    non-finite float raises :class:`ParseError` naming the file; ``what``
-    names the archive in its message.
+    be finite.  Each array is read in chunks, after its ``.npy`` header's
+    shape is checked against the member's size, so a header that claims
+    more than the member holds allocates nothing.  A file that is no such
+    archive, a missing or misshapen array or a non-finite float raises
+    :class:`ParseError` naming the file; ``what`` names the archive in its
+    message.
     """
-    into = into or {}
     try:
         npz = np.load(path, allow_pickle=False)
         if not isinstance(npz, np.lib.npyio.NpzFile):
             raise ParseError("a single array, not an archive", path=path)
         with npz:
-            missing = [name for name in spec if name not in npz.files]
-            arrays = {name: _read_into(npz.zip, name, into[name])
-                      if name in into else npz[name]
+            members = npz.zip.namelist()
+            missing = [name for name in spec if f"{name}.npy" not in members]
+            arrays = {name: _read_member(npz.zip, name)
                       for name in spec if name not in missing}
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ParseError(f"not a {what} archive: {exc}", path=path) from None

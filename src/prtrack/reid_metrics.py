@@ -117,8 +117,7 @@ def role_metrics(predictions: np.ndarray,
 
 
 def evaluate_retrieval(queries: RetrievalTable, gallery: RetrievalTable,
-                       match_key: str = "identity",
-                       exclude_same_view: bool = True) -> tuple[float, float]:
+                       match_key: str = "identity") -> tuple[float, float]:
     """mAP and Rank-1 for identity or team retrieval.
 
     Gallery rows sharing the query's identity and view (same tracklet
@@ -145,11 +144,8 @@ def evaluate_retrieval(queries: RetrievalTable, gallery: RetrievalTable,
         dists = _part_distances(queries.features[i:i + 1],
                                 queries.visibility[i:i + 1],
                                 gallery.features, gallery.visibility)[0]
-        ranked = keys
-        if exclude_same_view:
-            keep = ((gallery.identity != queries.identity[i])
-                    | (gallery.view != queries.view[i]))
-            dists, ranked = dists[keep], keys[keep]
-        order = np.argsort(dists, kind="stable")
-        rankings.append((ranked[order] == query_keys[i]).astype(int))
+        keep = ((gallery.identity != queries.identity[i])
+                | (gallery.view != queries.view[i]))
+        order = np.argsort(dists[keep], kind="stable")
+        rankings.append((keys[keep][order] == query_keys[i]).astype(int))
     return map_cmc(rankings)

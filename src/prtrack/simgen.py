@@ -511,8 +511,7 @@ def load_reid_samples(path, config: ScenarioConfig,
         return {"R": a["identity"].size, "H": config.grid_h,
                 "W": config.grid_w, "C": config.channels}
 
-    a = load_arrays(path, _SAMPLE_ARRAYS, "re-id samples", sizes,
-                    into={"cells": np.empty})
+    a = load_arrays(path, _SAMPLE_ARRAYS, "re-id samples", sizes)
     for name, valid in (
             ("part_labels", (a["part_labels"] >= 0)
              & (a["part_labels"] <= config.num_parts)),
@@ -614,8 +613,9 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
     ``detector_noise``: 'none', 'jitter' (gaussian box offsets of
     ``noise_param`` pixels), or 'dropout' (drop each detection with
     probability ``noise_param``, in [0, 1]).  ``features``: 'oracle' fills the
-    ground-truth-derived feature block, 'none' leaves it out.  The
-    generator draws come in the order the per-detection definition makes
+    ground-truth-derived feature block, 'none' leaves it out; the block's
+    embeddings hold the visible parts and, first, the foreground, their
+    mean.  The generator draws come in the order the per-detection definition makes
     them: the dropout draw, the jitter pair, then the visible parts'
     feature noise.  Without dropout they are all normal draws, made in one
     call and scaled afterwards as ``rng.normal(0, scale, ...)`` scales
@@ -681,15 +681,14 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
         values = base[agent[rows]]
         values += offsets[1 + cols]
         values += noise.reshape(-1, dim)
-        parts = np.zeros((len(kept), k, dim))
-        parts[rows, cols] = values
+        emb = np.zeros((len(kept), k + 1, dim))
+        emb[rows, 1 + cols] = values
         count = vis.sum(axis=1)
-        foreground = np.divide(parts.sum(axis=1), count[:, None],
-                               out=np.zeros((len(kept), dim)),
-                               where=count[:, None] > 0)
+        np.divide(emb[:, 1:].sum(axis=1), count[:, None], out=emb[:, 0],
+                  where=count[:, None] > 0)
         role_logits = np.full((len(kept), 4), -_ROLE_LOGIT_SCALE / 2)
         role_logits[np.arange(len(kept)), roles[agent]] = _ROLE_LOGIT_SCALE / 2
-        block = FeatureTable(frame, det_index, parts, foreground,
+        block = FeatureTable(frame, det_index, emb,
                              np.concatenate([count[:, None] > 0, vis],
                                             axis=1).astype(int),
                              role_logits)
@@ -708,11 +707,11 @@ def embed_detections(model: EmbedderModel, scenario: Scenario,
     holds one frame of cells at a time.  A frame's rows are a roster-ordered
     subset of the scenario's rows of that frame, the whole of them unless a
     detection was dropped.  One :func:`~prtrack.embedder.forward_batch`
-    call per frame fills the columns.
+    call per frame fills the frame's rows of the three feature columns.
     """
     n, k, d = len(table.frame), model.num_parts, model.dim
-    parts, foreground = np.empty((n, k, d)), np.empty((n, d))
-    visibility, role_logits = np.empty((n, k + 1), dtype=int), np.empty((n, 4))
+    emb, visibility = np.empty((n, k + 1, d)), np.empty((n, k + 1), dtype=int)
+    role_logits = np.empty((n, 4))
     a = len(scenario.agent_role)
     rows = np.searchsorted((scenario.frame - 1) * a + scenario.identity,
                            (table.frame - 1) * a + table.gt_identity)
@@ -727,11 +726,10 @@ def embed_detections(model: EmbedderModel, scenario: Scenario,
         grids = _frame_cells(scenario, rng, t, first, last)
         if hi - lo < last - first:
             grids = grids[rows[lo:hi] - first]
-        feats, vis, logits = forward_batch(model, grids)
-        foreground[lo:hi], parts[lo:hi] = feats[:, 0], feats[:, 1:]
-        visibility[lo:hi], role_logits[lo:hi] = vis, logits
-    return FeatureTable(table.frame, table.det_index, parts, foreground,
-                        visibility, role_logits)
+        emb[lo:hi], visibility[lo:hi], role_logits[lo:hi] = forward_batch(
+            model, grids)
+    return FeatureTable(table.frame, table.det_index, emb, visibility,
+                        role_logits)
 
 
 def to_tracking_input(scenario: Scenario, detector_noise: str = "none",

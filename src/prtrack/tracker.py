@@ -4,14 +4,16 @@ linear assignment, EMA part-feature updates, and track lifecycle.
 The tracker holds its live tracks as row-aligned arrays: Kalman means
 ``(T, 8)`` and covariances ``(T, 8, 8)``, EMA features ``(T, K+1, D)``
 ordered (foreground, part 1..K) with visibility ``(T, K+1)``, role-logit
-sums ``(T, 4)``, integer ids, hits, misses and status codes, and lists of
-member row indices.  A step reads one frame's rows of the detection table
-as arrays and makes a fixed number of batched calls: one Kalman predict
+sums ``(T, 4)``, integer ids, hits, misses and status codes.  A step reads
+one frame's rows of the detection table as arrays, features in the same
+layout, and makes a fixed number of batched calls: one Kalman predict
 over all rows, one fused cost, one assignment, then one Kalman update and
 one EMA over the matched rows.  Survivors keep their relative order and
 spawns are appended in detection order, which the assignment's tie-break
-toward low (row, col) pairs depends on.  :meth:`OnlineTracker.finish`
-returns the finished tracklets as one :class:`TrackletTable` of columns.
+toward low (row, col) pairs depends on.  Each step also records the owner
+id of each detection row, the track it matched or spawned; from these ids
+:meth:`OnlineTracker.finish` builds the finished tracklets as one
+:class:`TrackletTable` of columns.
 
 Association reads only boxes and appearance features; team and role labels
 never enter the cost computation.
@@ -206,21 +208,19 @@ class _Rows:
     ema: np.ndarray      # (T, K+1, D), (foreground, part 1..K)
     vis: np.ndarray      # (T, K+1)
     logits: np.ndarray   # (T, 4) role-logit sums
-    members: list        # T lists of detection row indices
 
     @classmethod
     def empty(cls) -> "_Rows":
         return cls(*(np.zeros(0, dtype=int) for _ in range(4)),
                    np.zeros((0, 8)), np.zeros((0, 8, 8)),
                    np.zeros((0, 0, 0)), np.zeros((0, 0), dtype=int),
-                   np.zeros((0, 4)), [])
+                   np.zeros((0, 4)))
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def take(self, rows: np.ndarray) -> "_Rows":
-        return _Rows(*(getattr(self, f.name)[rows] for f in fields(self)[:-1]),
-                     [self.members[i] for i in rows])
+        return _Rows(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     @staticmethod
     def concat(parts: list["_Rows"]) -> "_Rows":
@@ -228,8 +228,7 @@ class _Rows:
         if not parts:
             return _Rows.empty()
         return _Rows(*(np.concatenate([getattr(p, f.name) for p in parts])
-                       for f in fields(_Rows)[:-1]),
-                     [m for p in parts for m in p.members])
+                       for f in fields(_Rows)))
 
 
 @dataclass
@@ -288,9 +287,9 @@ class OnlineTracker:
         self._retired: list[_Rows] = []
         self._next_id = 1
         self._last_frame = 0
-        # The tables stepped so far; track members index their rows.
+        # The tables stepped so far, and the owner id of each of their rows.
         self._tables: list[DetectionTable] = []
-        self._n_rows = 0
+        self._owners: list[np.ndarray] = []
 
     def step(self, frame_input: FrameInput
              ) -> tuple[int, np.ndarray, np.ndarray]:
@@ -309,11 +308,11 @@ class OnlineTracker:
         if (dets.frame != frame).any():
             raise ValueError("detections must share the input frame index")
         cfg, rows = self.cfg, self._rows
-        boxes, vis, logits = dets.boxes, f.visibility, f.role_logits
-        feats = np.concatenate([f.foreground[:, None], f.parts], axis=1)
-        start = self._n_rows
+        boxes, feats, vis, logits = (dets.boxes, f.embeddings, f.visibility,
+                                     f.role_logits)
+        owner = np.empty(len(dets), dtype=int)
         self._tables.append(dets)
-        self._n_rows += len(dets)
+        self._owners.append(owner)
 
         rows.mean, rows.cov = kalman_predict(rows.mean, rows.cov)
         cost = build_cost(rows.mean, boxes, rows.ema, rows.vis, feats, vis,
@@ -326,8 +325,7 @@ class OnlineTracker:
                 rows.ema[ti], rows.vis[ti], feats[di], vis[di], cfg.alpha,
                 cfg.normalized_ema)
             rows.logits[ti] += logits[di]
-            for i, j in zip(ti.tolist(), di.tolist()):
-                rows.members[i].append(start + j)
+            owner[di] = rows.ids[ti]
             rows.hits[ti] += 1
             rows.misses[ti] = 0
             promote = ti[rows.hits[ti] >= cfg.n_init]
@@ -355,14 +353,14 @@ class OnlineTracker:
         if len(new):
             mean, cov = kalman_init(boxes[new])
             n = len(new)
+            owner[new] = np.arange(self._next_id, self._next_id + n)
             rows = _Rows.concat([rows, _Rows(
-                ids=np.arange(self._next_id, self._next_id + n),
-                hits=np.ones(n, dtype=int), misses=np.zeros(n, dtype=int),
+                ids=owner[new], hits=np.ones(n, dtype=int),
+                misses=np.zeros(n, dtype=int),
                 status=np.full(n, _CONFIRMED if cfg.n_init <= 1
                                else _TENTATIVE),
                 mean=mean, cov=cov, ema=feats[new], vis=vis[new],
-                logits=logits[new],
-                members=[[start + j] for j in new.tolist()])])
+                logits=logits[new])])
             self._next_id += n
         self._rows = rows
         return outputs
@@ -373,12 +371,14 @@ class OnlineTracker:
         rows = _Rows.concat([*self._retired, self._rows])
         done = np.flatnonzero(rows.hits >= self.cfg.n_init)
         rows = rows.take(done[np.argsort(rows.ids[done])])
-        table = DetectionTable.concat(self._tables).take(
-            np.array([j for m in rows.members for j in m], dtype=int))
-        t, (k, d) = len(rows), table.features.parts.shape[1:]
+        owner = np.concatenate([np.zeros(0, dtype=int), *self._owners])
+        kept = np.flatnonzero(np.isin(owner, rows.ids))
+        # Stable: each tracklet's rows stay in the order they were stepped.
+        kept = kept[np.argsort(owner[kept], kind="stable")]
+        count = np.unique(owner[kept], return_counts=True)[1]
+        table = DetectionTable.concat(self._tables).take(kept)
+        t, (k1, d) = len(rows), table.features.embeddings.shape[1:]
         self._rows, self._retired = _Rows.empty(), []
-        self._tables, self._n_rows = [], 0
-        return TrackletTable(
-            rows.ids, np.array([len(m) for m in rows.members], dtype=int),
-            rows.ema.reshape(t, k + 1, d), rows.vis.reshape(t, k + 1),
-            rows.logits, table)
+        self._tables, self._owners = [], []
+        return TrackletTable(rows.ids, count, rows.ema.reshape(t, k1, d),
+                             rows.vis.reshape(t, k1), rows.logits, table)

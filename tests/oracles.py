@@ -104,8 +104,7 @@ def feature_table(rows):
         return FeatureTable.empty()
     return FeatureTable(_int_column([r.frame for r in rows]),
                         _int_column([r.det_index for r in rows]),
-                        np.stack([r.features.parts for r in rows]),
-                        np.stack([r.features.foreground for r in rows]),
+                        np.stack([r.features.stacked() for r in rows]),
                         np.stack([r.features.visibility for r in rows]),
                         np.stack([r.role_logits for r in rows]))
 
@@ -325,14 +324,14 @@ def _part_distance(q, g):
     return total / count if count else math.inf
 
 
-def brute_retrieval(queries, gallery, match_key, exclude_same_view):
+def brute_retrieval(queries, gallery, match_key):
     """(mAP, rank-1) of identity or team retrieval over lists of
     :class:`RetrievalItem`s, query by query.
 
     Team retrieval keeps players only.  A query's gallery leaves out items of
-    its identity and view when ``exclude_same_view``; the rest is sorted by
-    (distance, gallery index).  AP is the mean precision at each relevant
-    item's rank; queries with no relevant item are left out."""
+    its identity and view; the rest is sorted by (distance, gallery index).
+    AP is the mean precision at each relevant item's rank; queries with no
+    relevant item are left out."""
     if match_key == "team":
         # Role.PLAYER is 0.
         queries = [q for q in queries if q.role == 0]
@@ -341,8 +340,7 @@ def brute_retrieval(queries, gallery, match_key, exclude_same_view):
     for q in queries:
         scored = []
         for j, g in enumerate(gallery):
-            if (exclude_same_view and g.identity == q.identity
-                    and g.view == q.view):
+            if g.identity == q.identity and g.view == q.view:
                 continue
             relevant = getattr(g, match_key) == getattr(q, match_key)
             scored.append((_part_distance(q.features, g.features), j,

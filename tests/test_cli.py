@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import types
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,28 @@ def _rewritten(path, **changes):
     return {name: a for name, a in arrays.items() if a is not None}
 
 
+def _claiming_rows(path, name, rows=10**11):
+    """The bytes of the archive ``path`` with the ``.npy`` header of its
+    member ``name`` claiming ``rows`` rows; every byte of data is kept."""
+    out = io.BytesIO()
+    with zipfile.ZipFile(path) as src, zipfile.ZipFile(out, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            if info.filename == f"{name}.npy":
+                fh = io.BytesIO(data)
+                np.lib.format.read_magic(fh)
+                shape, fortran_order, dtype = \
+                    np.lib.format.read_array_header_1_0(fh)
+                header = io.BytesIO()
+                np.lib.format.write_array_header_1_0(header, {
+                    "descr": np.lib.format.dtype_to_descr(dtype),
+                    "fortran_order": fortran_order,
+                    "shape": (rows, *shape[1:])})
+                data = header.getvalue() + data[fh.tell():]
+            dst.writestr(info.filename, data)
+    return out.getvalue()
+
+
 def test_corrupt_tracklets_files_exit_2(tracked_run, tmp_path, capsys):
     good = tracked_run / "tracklets.npz"
     data = good.read_bytes()
@@ -162,6 +185,10 @@ def test_corrupt_tracklets_files_exit_2(tracked_run, tmp_path, capsys):
                            "frames do not increase"),
         "visibility bit": (_rewritten(good, visibility=vis),
                            "visibility entries must be 0 or 1"),
+        # Read as the header says, 745 GiB would be allocated.
+        "claimed rows": (_claiming_rows(good, "frame"),
+                         "not a tracklets archive: frame is shorter than "
+                         "its shape (100000000000,)"),
     }
     for name, command in (("tracklets.npz", "merge"),
                           ("tracklets_merged.npz", "cluster")):
@@ -198,7 +225,7 @@ def test_tracklets_file_round_trip(tmp_path):
         path = tmp_path / "tracklets.npz"
         prtrack.cli._save_tracklets(tracklets, path)
         t, n = len(tracklets), len(tracklets.detections)
-        k, d = tracklets.detections.features.parts.shape[1:]
+        k, d = tracklets.detections.features.embeddings[:, 1:].shape[1:]
         with np.load(path, allow_pickle=False) as npz:
             layout = [(x, str(npz[x].dtype), npz[x].shape)
                       for x in npz.files]
@@ -263,8 +290,8 @@ def test_cluster_labels_no_team_where_pipeline_does(tmp_path, capsys):
 
 
 def test_pipeline_without_tracklets(tmp_path):
-    """Where cluster exits 2 for want of tracklets, pipeline labels no
-    team and reports the team accuracy as NaN."""
+    """Where two frames confirm no tracklet, pipeline labels no team, as
+    cluster does, and reports the team accuracy as NaN."""
     cfg = tmp_path / "run.yaml"
     cfg.write_text("scenario: {frames: 2}\n")
     run = tmp_path / "run"
@@ -385,6 +412,9 @@ def test_corrupt_samples_files_exit_2(run_dir, tmp_path, capsys):
                          "subset has a value out of range"),
         "subset order": (_rewritten_samples(good, subset=a["subset"][::-1]),
                          "subsets are not in the order"),
+        "claimed rows": (_claiming_rows(good, "identity"),
+                         "not a re-id samples archive: identity is shorter "
+                         "than its shape (100000000000,)"),
     }
     for command in ("train", "eval-reid"):
         run = _samples_run(run_dir, tmp_path / command)

@@ -94,8 +94,8 @@ def test_feature_roundtrip(tmp_path, rng):
     for i, key in enumerate(zip(parsed.frame.tolist(),
                                 parsed.det_index.tolist())):
         orig = by_key[key]
-        np.testing.assert_allclose(parsed.parts[i], orig.features.parts,
-                                   rtol=1e-8)
+        np.testing.assert_allclose(parsed.embeddings[i],
+                                   orig.features.stacked(), rtol=1e-8)
         np.testing.assert_array_equal(parsed.visibility[i],
                                       orig.features.visibility)
 
@@ -118,7 +118,7 @@ def test_feature_reader_over_many_blocks(tmp_path, rng):
     path = tmp_path / "f.txt"
     brute_write_features(random_feature_records(rng, n=2500), path)
     got, want = parse_features(path), feature_table(brute_parse_features(path))
-    for name in ("frame", "det_index", "parts", "foreground", "visibility",
+    for name in ("frame", "det_index", "embeddings", "visibility",
                  "role_logits"):
         np.testing.assert_array_equal(getattr(got, name),
                                       getattr(want, name))
@@ -139,22 +139,21 @@ def test_feature_reader_over_many_blocks(tmp_path, rng):
 
 def test_feature_table_checks(rng, tmp_path):
     table = feature_table(random_feature_records(rng, n=3))
-    assert table.parts.shape == (3, 3, 4)
-    good = {f: getattr(table, f) for f in ("frame", "det_index", "parts",
-                                           "foreground", "visibility",
-                                           "role_logits")}
-    nan_parts = table.parts.copy()
-    nan_parts[1, 2, 0] = np.nan
-    inf_fg = table.foreground.copy()
-    inf_fg[0, 1] = np.inf
+    assert table.embeddings.shape == (3, 4, 4)
+    good = {f: getattr(table, f) for f in ("frame", "det_index", "embeddings",
+                                           "visibility", "role_logits")}
+    nan_part = table.embeddings.copy()
+    nan_part[1, 3, 0] = np.nan
+    inf_fg = table.embeddings.copy()
+    inf_fg[0, 0, 1] = np.inf
     two = table.visibility.copy()
     two[2, 0] = 2
     for name, bad, message in (
-            ("parts", nan_parts, "must be finite"),
-            ("foreground", inf_fg, "must be finite"),
+            ("embeddings", nan_part, "must be finite"),
+            ("embeddings", inf_fg, "must be finite"),
             ("visibility", two, "0 or 1"),
             ("role_logits", table.role_logits[:, :3], "role_logits has shape"),
-            ("parts", np.zeros((3, 0, 4)), "K >= 1")):
+            ("embeddings", np.zeros((3, 1, 4)), "K >= 1")):
         with pytest.raises(ValueError, match=message):
             FeatureTable(**{**good, name: bad})
     # Rows of mixed K make no table: the reader fails the file.
@@ -163,7 +162,7 @@ def test_feature_table_checks(rng, tmp_path):
     brute_write_features(mixed, tmp_path / "mixed.txt")
     with pytest.raises(ParseError, match="parts shaped unlike the first"):
         parse_features(tmp_path / "mixed.txt")
-    assert FeatureTable.empty().parts.shape[0] == 0
+    assert FeatureTable.empty().embeddings.shape[0] == 0
 
 
 def test_feature_parse_errors(tmp_path):

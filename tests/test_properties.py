@@ -217,8 +217,7 @@ def test_features_roundtrip_at_nine_significant_digits(tmp_path_factory,
             (want.frame, want.det_index)
         np.testing.assert_array_equal(parsed.visibility[i],
                                       want.features.visibility)
-        stacked = np.vstack([parsed.foreground[i][None], parsed.parts[i]])
-        for a, b in ((stacked, want.features.stacked()),
+        for a, b in ((parsed.embeddings[i], want.features.stacked()),
                      (parsed.role_logits[i], want.role_logits)):
             np.testing.assert_allclose(a, b, rtol=5e-9 * (1 + 1e-6), atol=0)
     again = path.with_name("g.txt")

@@ -150,8 +150,8 @@ def test_tracking_input_oracle_features():
     assert np.argmax(first.features.role_logits[0]) == first.gt_role[0]
     # same identity, no noise: identical features in every frame
     j = np.flatnonzero(sixth.gt_identity == first.gt_identity[0])[0]
-    np.testing.assert_allclose(first.features.parts[0],
-                               sixth.features.parts[j])
+    np.testing.assert_allclose(first.features.embeddings[0, 1:],
+                               sixth.features.embeddings[j, 1:])
 
 
 def test_tracking_input_noise_modes():
@@ -301,9 +301,8 @@ def test_tracking_input_equals_per_detection_oracle(noise, param, features):
                 if f is None:
                     assert b.features is b.role_logits is None
                     continue
-                for name in ("parts", "foreground", "visibility"):
-                    assert _bits(getattr(f, name)[r]) == \
-                        _bits(getattr(b.features, name))
+                assert _bits(f.embeddings[r]) == _bits(b.features.stacked())
+                assert _bits(f.visibility[r]) == _bits(b.features.visibility)
                 assert _bits(f.role_logits[r]) == _bits(b.role_logits)
                 hidden += not b.features.visibility.any()
     assert empty > 0
@@ -352,8 +351,7 @@ def test_embed_detections_equals_per_frame_oracle(noise, param):
         assert got.frame.tolist() == [r.frame for r in want]
         assert got.det_index.tolist() == [r.det_index for r in want]
         for name, column in (
-                ("parts", [r.features.parts for r in want]),
-                ("foreground", [r.features.foreground for r in want]),
+                ("embeddings", [r.features.stacked() for r in want]),
                 ("visibility", [r.features.visibility for r in want]),
                 ("role_logits", [r.role_logits for r in want])):
             assert _bits(getattr(got, name)) == _bits(np.stack(column)), name
@@ -368,9 +366,10 @@ def test_embed_detections_equals_per_frame_oracle(noise, param):
         rows = [(t, r) for t in frames for r in range(len(t))]
         for (t, r), rec in zip(rows, want, strict=True):
             assert t.frame[r] == t.features.frame[r] == rec.frame
-            for name in ("parts", "foreground", "visibility"):
-                assert _bits(getattr(t.features, name)[r]) == \
-                    _bits(getattr(rec.features, name))
+            assert _bits(t.features.embeddings[r]) == \
+                _bits(rec.features.stacked())
+            assert _bits(t.features.visibility[r]) == \
+                _bits(rec.features.visibility)
             assert _bits(t.features.role_logits[r]) == _bits(rec.role_logits)
     assert mid_empty and trailing_empty
 
@@ -513,7 +512,6 @@ def test_embed_detections_reads_no_stored_cells(stride):
                                                    dets.gt_identity.tolist())]
                 feats, vis, logits = forward_batch(model, cells[rows])
                 mine = got.frame == dets.frame[0]
-                assert _bits(got.foreground[mine]) == _bits(feats[:, 0])
-                assert _bits(got.parts[mine]) == _bits(feats[:, 1:])
+                assert _bits(got.embeddings[mine]) == _bits(feats)
                 assert _bits(got.visibility[mine]) == _bits(vis)
                 assert _bits(got.role_logits[mine]) == _bits(logits)

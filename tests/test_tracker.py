@@ -43,8 +43,7 @@ def frame_input(frame, dets, k=2, d=3):
     frames, index = np.array([x.frame for x in dets], dtype=int), np.arange(n)
     features = FeatureTable(
         frames, index,
-        np.array([x.features.parts for x in dets]).reshape(n, k, d),
-        np.array([x.features.foreground for x in dets]).reshape(n, d),
+        np.array([x.features.stacked() for x in dets]).reshape(n, k + 1, d),
         np.array([x.features.visibility for x in dets],
                  dtype=int).reshape(n, k + 1),
         np.array([x.role_logits for x in dets]).reshape(n, 4))
@@ -218,7 +217,7 @@ def test_tracker_keeps_identities_through_crossing():
     tracks = tracker.finish()
     assert len(tracks) == 2
     for tr in split(tracks):
-        values = set(tr.detections.features.parts[:, 0, 0].tolist())
+        values = set(tr.detections.features.embeddings[:, 1, 0].tolist())
         assert len(values) == 1
 
 
@@ -357,12 +356,14 @@ def split(table):
 
 def live(tracker):
     """The tracker's live tracks in row order, read from its row columns,
-    as ``brute_track`` tuples; the member rows are taken from the tables
-    stepped so far."""
+    as ``brute_track`` tuples; the member rows are the rows of the tables
+    stepped so far that the track owns."""
     rows, table = tracker._rows, DetectionTable.concat(tracker._tables)
+    owner = np.concatenate([np.zeros(0, dtype=int), *tracker._owners])
     return [(int(rows.ids[i]), STATUS[rows.status[i]], rows.mean[i],
              rows.cov[i], rows.ema[i], rows.vis[i], rows.logits[i],
-             table.take(rows.members[i])) for i in range(len(rows))]
+             table.take(np.flatnonzero(owner == rows.ids[i])))
+            for i in range(len(rows))]
 
 
 def _bits(a):
@@ -373,8 +374,8 @@ def _bits(a):
 def members(dets):
     """Each detection's frame, box, features and role logits, bit for bit."""
     return [(d.frame, _bits([d.box.x, d.box.y, d.box.w, d.box.h]),
-             _bits(d.features.parts), _bits(d.features.foreground),
-             _bits(d.features.visibility), _bits(d.role_logits))
+             _bits(d.features.stacked()), _bits(d.features.visibility),
+             _bits(d.role_logits))
             for d in dets]
 
 
@@ -382,8 +383,8 @@ def member_rows(table):
     """``members`` of a tracklet's detection table, row by row."""
     f = table.features
     return [(frame, *map(_bits, row)) for frame, *row in zip(
-        table.frame.tolist(), table.boxes, f.parts, f.foreground,
-        f.visibility, f.role_logits)]
+        table.frame.tolist(), table.boxes, f.embeddings, f.visibility,
+        f.role_logits)]
 
 
 def assert_same_tracks(got, want):
