@@ -315,6 +315,9 @@ def save_model(model: EmbedderModel, path) -> None:
 
 
 def load_model(path) -> EmbedderModel:
+    """The model of a :func:`save_model` checkpoint.  A malformed header or
+    row, an unknown, repeated or missing array, or text after the blank
+    line that ends the arrays raises :class:`ParseError` naming the line."""
     lines = iter(read_text(path).split("\n"))
     magic = next(lines)
     if magic != _CKPT_MAGIC:
@@ -331,6 +334,10 @@ def load_model(path) -> EmbedderModel:
             rows, cols = int(rows), int(cols)
         except ValueError as exc:
             raise ParseError(str(exc), lineno, path) from exc
+        if name in arrays:
+            raise ParseError(f"repeated array {name!r}", lineno, path)
+        if name not in PARAM_NAMES:
+            raise ParseError(f"unknown array {name!r}", lineno, path)
         if rows < 0 or cols < 0:
             raise ParseError(f"{name} has a negative shape ({rows}, {cols})",
                              lineno, path)
@@ -349,6 +356,11 @@ def load_model(path) -> EmbedderModel:
                 raise ParseError(f"{name} row has a non-finite value",
                                  lineno, path)
         arrays[name] = np.array(data).reshape(rows, cols)
+    # The blank line ends the arrays: only blank lines may follow it.
+    for extra, line in enumerate(lines, lineno + 1):
+        if line.strip():
+            raise ParseError("text after the blank line that ends the "
+                             "arrays", extra, path)
     missing = [n for n in PARAM_NAMES if n not in arrays]
     if missing:
         raise ParseError(f"missing arrays {missing}", lineno, path)

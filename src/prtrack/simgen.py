@@ -615,12 +615,13 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
     probability ``noise_param``, in [0, 1]).  ``features``: 'oracle' fills the
     ground-truth-derived feature block, 'none' leaves it out; the block's
     embeddings hold the visible parts and, first, the foreground, their
-    mean.  The generator draws come in the order the per-detection definition makes
-    them: the dropout draw, the jitter pair, then the visible parts'
-    feature noise.  Without dropout they are all normal draws, made in one
-    call and scaled afterwards as ``rng.normal(0, scale, ...)`` scales
-    them; dropout's uniform draws interleave with them, so a loop over the
-    detections makes those.  Everything else is array work.
+    mean.  The generator draws come in three calls, in this order: one
+    uniform draw per scenario row under dropout, which keeps the rows
+    where it is at least ``noise_param``; one normal pair per kept row
+    under jitter, its box offset; one normal draw per dimension of each
+    kept row's visible parts, their oracle feature noise.  Normal draws are
+    scaled as ``rng.normal(0, scale, ...)`` scales them.  The rows and
+    boxes therefore do not depend on ``features``.
     """
     if detector_noise not in DETECTOR_NOISES:
         raise ValueError(f"unknown detector noise {detector_noise!r}")
@@ -633,54 +634,32 @@ def detection_table(scenario: Scenario, detector_noise: str = "none",
             raise ValueError(f"{name} must be >= 0")
     if detector_noise == "dropout" and not 0 <= noise_param <= 1:
         raise ValueError("noise_param must be in [0, 1] for dropout")
-    # Each row's normal draws: its jitter pair, then ``dim`` for each
-    # visible part.
-    width = np.full(len(scenario.frame), 2 if jitter else 0)
-    if oracle:
-        k = scenario.config.num_parts
-        part_vis = scenario.part_visible
-        proj, offsets = oracle_feature_projection(scenario.config)
-        dim = proj.shape[0]
-        width += dim * part_vis.sum(axis=1)
 
     rng = np.random.default_rng(seed)
+    kept = np.arange(len(scenario.frame))
     if detector_noise == "dropout":
-        kept, noise = [], [np.zeros(0)]
-        for i, n in enumerate(width.tolist()):
-            if rng.random() < noise_param:
-                continue
-            kept.append(i)
-            if n:
-                noise.append(rng.normal(0.0, feature_sigma, n))
-        kept, noise = np.array(kept, dtype=int), np.concatenate(noise)
-    else:
-        kept = np.arange(len(width))
-        z = rng.standard_normal(width.sum())
-        is_shift = np.zeros(len(z), dtype=bool)
-        if jitter:
-            first = np.cumsum(width) - width
-            is_shift[first] = is_shift[first + 1] = True
-            shifts = 0.0 + noise_param * z[is_shift].reshape(-1, 2)
-        noise = 0.0 + feature_sigma * z[~is_shift]
-
+        kept = kept[rng.random(len(kept)) >= noise_param]
     frame = scenario.frame[kept]
     # Rows are in frame order, so each row's index within its frame is its
     # distance from the frame's first row.
     det_index = np.arange(len(kept)) - np.searchsorted(frame, frame)
     boxes = scenario.boxes[kept]
     if jitter:
-        boxes[:, :2] += shifts
+        boxes[:, :2] += 0.0 + noise_param * rng.standard_normal(
+            (len(kept), 2))
     agent = scenario.identity[kept] - 1
     teams, roles = scenario.agent_team, scenario.agent_role
     block = None
     if oracle:
-        vis = part_vis[kept]
+        proj, offsets = oracle_feature_projection(scenario.config)
+        k, dim = scenario.config.num_parts, proj.shape[0]
+        vis = scenario.part_visible[kept]
         rows, cols = np.nonzero(vis)
         # One product per agent: a matrix product could round otherwise.
         base = np.array([proj @ latent for latent in scenario.agent_latent])
         values = base[agent[rows]]
         values += offsets[1 + cols]
-        values += noise.reshape(-1, dim)
+        values += 0.0 + feature_sigma * rng.standard_normal((len(rows), dim))
         emb = np.zeros((len(kept), k + 1, dim))
         emb[rows, 1 + cols] = values
         count = vis.sum(axis=1)

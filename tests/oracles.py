@@ -920,16 +920,18 @@ def brute_evaluate_reid(model, queries, gallery):
 def brute_tracking_input(scenario, detector_noise="none", noise_param=0.0,
                          features="oracle", feature_sigma=0.05, seed=0):
     """Per-detection reference of ``simgen.to_tracking_input`` over the
-    records of :func:`brute_generate`: each present agent's detection is
-    drawn, jittered and given its oracle features on its own, one
-    ``PartFeatureSet`` at a time, and each ground-truth row is a ``MotRow``.
+    records of :func:`brute_generate`, in three passes over the
+    detections: each present agent's detection is drawn (kept unless its
+    dropout draw falls below ``noise_param``), then each kept one is
+    jittered, then each is given its oracle features, one
+    ``PartFeatureSet`` at a time.  Each ground-truth row is a ``MotRow``.
     It shares ``oracle_feature_projection`` with the package; every
     generator draw is made here, in the order the package must keep."""
     rng = np.random.default_rng(seed)
     proj, offsets = oracle_feature_projection(scenario.config)
-    frame_inputs, gt_records = [], []
+    kept, gt_records = [], []
     for frame_obs in scenario.frames:
-        dets = []
+        frame_kept = []
         for ob in frame_obs:
             if not ob.present:
                 continue
@@ -938,9 +940,18 @@ def brute_tracking_input(scenario, detector_noise="none", noise_param=0.0,
                                      box.x, box.y, box.w, box.h))
             if detector_noise == "dropout" and rng.random() < noise_param:
                 continue
-            if detector_noise == "jitter":
+            frame_kept.append([ob, box])
+        kept.append(frame_kept)
+    if detector_noise == "jitter":
+        for frame_kept in kept:
+            for det in frame_kept:
                 dx, dy = rng.normal(0.0, noise_param, 2)
-                box = Box(box.x + dx, box.y + dy, box.w, box.h)
+                box = det[1]
+                det[1] = Box(box.x + dx, box.y + dy, box.w, box.h)
+    frame_inputs = []
+    for frame_kept in kept:
+        dets = []
+        for ob, box in frame_kept:
             agent = scenario.agent(ob.identity)
             feats = role_logits = None
             if features == "oracle":

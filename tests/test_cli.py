@@ -248,6 +248,31 @@ def test_tracklets_file_round_trip(tmp_path):
                     assert _bits(getattr(a, name)) == _bits(getattr(b, name))
 
 
+@pytest.mark.parametrize("noise,param", [("dropout", 0.2), ("jitter", 8.0)])
+def test_oracle_path_tracks_the_written_detections(tmp_path, noise, param):
+    """Without embed, track reads generate's oracle features and rebuilds
+    the detections that generate wrote to det.txt: every tracked (frame,
+    box) is a det.txt row, under dropout and under jitter."""
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "scenario": {"frames": 200, "n_players_per_team": 6,
+                     "occlusion_rate": 0.3, "exit_rate": 0.2},
+        "detector_noise": noise, "detector_noise_param": param}))
+    run = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--seed", "3",
+                 "--out", str(run)]) == 0
+    for command in ("track", "merge", "cluster"):
+        assert main([command, "--run", str(run)]) == 0
+
+    def keys(path):
+        mot = parse_mot(path)
+        return list(zip(mot.frame.tolist(), map(tuple, mot.boxes.tolist())))
+
+    tracked = keys(run / "track_raw.txt")
+    assert tracked
+    assert set(tracked) <= set(keys(run / "det.txt"))
+
+
 def test_run_without_tracklets(tmp_path, capsys):
     """Two frames are too few to confirm a track: track and merge write
     empty files, and cluster, finding no players to split into teams,

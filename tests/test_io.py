@@ -228,6 +228,32 @@ def test_model_checkpoint_bad_magic(tmp_path):
     assert str(err.value).startswith(f"{p}: line 1: ")
 
 
+def test_model_checkpoint_bad_blocks(tmp_path):
+    """An unknown array, a repeated one and text after the blank line that
+    ends the arrays fail at their line; blank lines may end the file."""
+    good = tmp_path / "model.txt"
+    save_model(EmbedderModel.init(channels=6, num_parts=3, dim=4, n_ids=5),
+               good)
+    lines = good.read_text().splitlines(keepends=True)
+    assert len(lines) == 55                     # the last is b_id_c's row
+    good.write_text("".join(lines + ["\n", " \n"]))
+    assert load_model(good).b_role.tolist() == [0.0] * 4
+    after = "text after the blank line that ends the arrays"
+    bad = tmp_path / "bad.txt"
+    for text, message in (
+            (lines[:1] + ["w_bogus 1 2\n", "1 2\n"] + lines[1:],
+             "line 2: unknown array 'w_bogus'"),
+            (lines + ["b_role 1 4\n", "9 9 9 9\n"],
+             "line 56: repeated array 'b_role'"),
+            (lines + ["\n", "b_role 1 4\n", "9 9 9 9\n"],
+             f"line 57: {after}"),
+            (lines + ["\n", "\n", "#"], f"line 58: {after}")):
+        bad.write_text("".join(text))
+        with pytest.raises(ParseError) as err:
+            load_model(bad)
+        assert str(err.value) == f"{bad}: {message}"
+
+
 def test_model_checkpoint_bad_rows(tmp_path):
     good = tmp_path / "model.txt"
     save_model(EmbedderModel.init(channels=6, num_parts=3, dim=4, n_ids=5),

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from prtrack.core import Role
 from prtrack.embedder import EmbedderModel, forward_batch
-from prtrack.simgen import (GALLERY, QUERY, TRAIN, DetectionTable, Scenario,
-                            ScenarioConfig, _frame_cells, detection_table,
+from prtrack.simgen import (DETECTOR_NOISES, GALLERY, QUERY, TRAIN,
+                            DetectionTable, Scenario, ScenarioConfig,
+                            _frame_cells, detection_table,
                             embed_detections, generate,
                             oracle_feature_projection, to_reid_dataset,
                             to_tracking_input)
@@ -308,6 +310,38 @@ def test_tracking_input_equals_per_detection_oracle(noise, param, features):
     assert empty > 0
     if features == "oracle":
         assert hidden > 0
+
+
+@functools.cache
+def _tracking_scene(i):
+    """The scenario of ``_TRACKING_SCENARIOS[i]``, generated once."""
+    return generate(small_config(**_TRACKING_SCENARIOS[i]))[0]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, len(_TRACKING_SCENARIOS) - 1),
+       st.sampled_from(DETECTOR_NOISES),
+       st.floats(0.0, 1.0), st.floats(0.0, 40.0),
+       st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@example(0, "jitter", 0.0, 8.0, 7, 0.05)
+@example(0, "dropout", 0.2, 0.0, 7, 0.05)
+def test_detections_do_not_depend_on_features(i, noise, p, pixels, seed,
+                                              sigma):
+    """The oracle features are drawn after the detector noise, so the
+    table's rows, boxes and ground truth are those of ``features='none'``
+    bit for bit: under jitter, ``pixels`` of box noise, under dropout,
+    a drop probability ``p``."""
+    param = pixels if noise == "jitter" else p
+    with_features, gt = detection_table(_tracking_scene(i), noise, param,
+                                        "oracle", sigma, seed)
+    without, gt_none = detection_table(_tracking_scene(i), noise, param,
+                                       "none", sigma, seed)
+    for name in ("frame", "det_index", "boxes", "gt_identity", "gt_team",
+                 "gt_role"):
+        assert _bits(getattr(with_features, name)) == \
+            _bits(getattr(without, name)), name
+    for name in ("frame", "id", "boxes"):
+        assert _bits(getattr(gt, name)) == _bits(getattr(gt_none, name))
 
 
 def test_detection_table_checks_boxes():
